@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard check
+.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard loc check
 
 build:
 	$(GO) build ./...
@@ -74,12 +74,22 @@ exp-smoke:
 ddp-smoke:
 	./scripts/ddp-smoke.sh
 
-# Allocation-regression guard: steady-state per-step heap allocations with the
-# arena on must stay within the committed budget
+# Allocation-regression guard: steady-state per-step heap allocations must
+# stay within the committed budget
 # (internal/core/testdata/arena_alloc_budget.txt) and at least 10x below the
-# legacy path. Runs without -race: the race runtime inflates AllocsPerRun, so
-# the test skips itself there (see raceEnabled in internal/core).
+# same executor on plain allocation; a serve replica's executor must recycle
+# its activations across same-size batches. Runs without -race: the race
+# runtime inflates AllocsPerRun, so the budget test skips itself there (see
+# raceEnabled in internal/core).
 alloc-guard:
 	$(GO) test ./internal/core/ -run TestArenaForwardAllocBudget -count=1 -v
+	$(GO) test ./internal/serve/ -run TestReplicaExecutorRecyclesActivations -count=1 -v
+
+# Non-test Go lines per top-level directory (and the total): the number
+# ROADMAP's "less code" targets are quoted against.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' | xargs wc -l | \
+		awk '$$2 != "total" { split($$2, p, "/"); n[p[2]] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 check: vet race lint smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard

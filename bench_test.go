@@ -288,7 +288,11 @@ func BenchmarkKernelFusedWindowBackward(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, _, err := kernels.FusedBNInputConvBackward(w.conv1, w.bn, dv, xhat, w.gamma, stats, dgamma, dbeta, w.x, w.w1); err != nil {
+		du, err := w.bn.BackwardInput(dv, xhat, w.gamma, stats, dgamma, dbeta)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := w.conv1.Backward(du, w.x, w.w1); err != nil {
 			b.Fatal(err)
 		}
 	}

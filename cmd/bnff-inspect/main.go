@@ -61,27 +61,8 @@ func build(model string, batch int) (*graph.Graph, error) {
 	return models.Build(model, batch)
 }
 
-func parseScenario(s string) (core.Scenario, error) {
-	for _, sc := range core.Scenarios() {
-		if sc.String() == s {
-			return sc, nil
-		}
-	}
-	switch s {
-	case "rcf+mvf", "mvf":
-		return core.RCFMVF, nil
-	case "bnff":
-		return core.BNFF, nil
-	case "bnff+icf", "icf":
-		return core.BNFFICF, nil
-	case "rcf":
-		return core.RCF, nil
-	}
-	return 0, fmt.Errorf("unknown scenario %q", s)
-}
-
 func runTrace(model, scen string, batch int, path string) error {
-	scenario, err := parseScenario(scen)
+	scenario, err := core.ParseScenario(scen)
 	if err != nil {
 		return err
 	}
@@ -113,7 +94,7 @@ func runTrace(model, scen string, batch int, path string) error {
 }
 
 func runSave(model, scen string, batch int, path string) error {
-	scenario, err := parseScenario(scen)
+	scenario, err := core.ParseScenario(scen)
 	if err != nil {
 		return err
 	}
@@ -140,7 +121,7 @@ func runSave(model, scen string, batch int, path string) error {
 }
 
 func runDOT(model, scen string, batch int) error {
-	scenario, err := parseScenario(scen)
+	scenario, err := core.ParseScenario(scen)
 	if err != nil {
 		return err
 	}
@@ -171,7 +152,7 @@ func sweepString(c graph.OpCost) (reads, writes int, gb float64) {
 }
 
 func run(model, scen string, batch int, dir string, summary bool) error {
-	scenario, err := parseScenario(scen)
+	scenario, err := core.ParseScenario(scen)
 	if err != nil {
 		return err
 	}

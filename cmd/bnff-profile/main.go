@@ -44,7 +44,6 @@ func main() {
 	tracePfx := flag.String("trace", "bnff-profile", "path prefix for Chrome trace files (empty: no files)")
 	clock := flag.String("clock", "wall", "span clock: wall (real time) or step (deterministic fake)")
 	seed := flag.Uint64("seed", 42, "parameter and data seed")
-	arena := flag.Bool("arena", true, "serve activations from the liveness-driven arena and report measured vs planned peak")
 	flag.Parse()
 
 	sp, err := resolveSpec(*scenName, func(sp *scenario.Spec) {
@@ -60,8 +59,6 @@ func main() {
 				sp.Workers = *workers
 			case "seed":
 				sp.Seed = *seed
-			case "arena":
-				sp.NoArena = !*arena
 			}
 		})
 	}, scenario.Spec{
@@ -72,7 +69,6 @@ func main() {
 		Steps:   *steps,
 		Workers: *workers,
 		Seed:    *seed,
-		NoArena: !*arena,
 	})
 	if err == nil {
 		err = run(sp, *tracePfx, *clock)
@@ -127,13 +123,13 @@ type scenarioResult struct {
 	measured  obs.Breakdown
 	modeled   map[string]float64 // share of modeled iteration time per class
 	modelSec  float64            // memsim total iteration seconds
-	arenaPeak int64              // measured arena peak bytes (0 without -arena)
+	arenaPeak int64              // measured arena peak bytes
 	planPeak  int64              // memplan's predicted activation peak bytes
 }
 
 func run(sp scenario.Spec, tracePfx, clockKind string) error {
-	fmt.Printf("model=%s batch=%d steps=%d workers=%d clock=%s arena=%t machine=Skylake\n\n",
-		sp.Model, sp.Batch, sp.Steps, sp.Workers, clockKind, !sp.NoArena)
+	fmt.Printf("model=%s batch=%d steps=%d workers=%d clock=%s machine=Skylake\n\n",
+		sp.Model, sp.Batch, sp.Steps, sp.Workers, clockKind)
 
 	var results []scenarioResult
 	for _, sc := range core.Scenarios() {
@@ -175,15 +171,13 @@ func profileScenario(sp scenario.Spec, sc core.Scenario, tracePfx, clockKind str
 		return scenarioResult{}, err
 	}
 	tracer := obs.NewTracer(clk)
-	if !sp.NoArena {
-		// Predicted peak comes from the same intervals the arena's release
-		// table is compiled from, so measured-vs-planned is apples to apples.
-		plan, err := memplan.PlanTraining(g)
-		if err != nil {
-			return scenarioResult{}, err
-		}
-		res.planPeak = plan.PeakBytes
+	// Predicted peak comes from the same intervals the arena's release table
+	// is compiled from, so measured-vs-planned is apples to apples.
+	plan, err := memplan.PlanTraining(g)
+	if err != nil {
+		return scenarioResult{}, err
 	}
+	res.planPeak = plan.PeakBytes
 	tr, err := sp.NewTrainer(train.WithTracer(tracer))
 	if err != nil {
 		return scenarioResult{}, err
@@ -192,9 +186,7 @@ func profileScenario(sp scenario.Spec, sc core.Scenario, tracePfx, clockKind str
 		return scenarioResult{}, err
 	}
 	res.measured = obs.LayerBreakdown(tracer.Spans())
-	if !sp.NoArena {
-		res.arenaPeak = tr.Exec.ArenaStats().PeakBytes
-	}
+	res.arenaPeak = tr.Exec.ArenaStats().PeakBytes
 
 	if tracePfx != "" {
 		if err := writeTraces(tracePfx, sc, tracer, report); err != nil {
@@ -307,15 +299,13 @@ func summarize(w *os.File, results []scenarioResult) error {
 		fmt.Fprintf(w, "\nnon-CONV share: %.1f%% (%v) -> %.1f%% (%v)\n",
 			100*base, results[0].scenario, 100*m, last.scenario)
 	}
-	if results[0].arenaPeak > 0 {
-		fmt.Fprintf(w, "\n== activation memory: arena peak, measured vs planned ==\n")
-		fmt.Fprintf(w, "%-10s %14s %14s %8s\n", "scenario", "measured MB", "planned MB", "ratio")
-		for _, r := range results {
-			fmt.Fprintf(w, "%-10v %14.2f %14.2f %7.2fx\n",
-				r.scenario, float64(r.arenaPeak)/1e6, float64(r.planPeak)/1e6,
-				float64(r.arenaPeak)/float64(r.planPeak))
-		}
-		fmt.Fprintf(w, "(planned = memplan training-interval peak; measured includes workspace the plan prices identically)\n")
+	fmt.Fprintf(w, "\n== activation memory: arena peak, measured vs planned ==\n")
+	fmt.Fprintf(w, "%-10s %14s %14s %8s\n", "scenario", "measured MB", "planned MB", "ratio")
+	for _, r := range results {
+		fmt.Fprintf(w, "%-10v %14.2f %14.2f %7.2fx\n",
+			r.scenario, float64(r.arenaPeak)/1e6, float64(r.planPeak)/1e6,
+			float64(r.arenaPeak)/float64(r.planPeak))
 	}
+	fmt.Fprintf(w, "(planned = memplan training-interval peak; measured includes workspace the plan prices identically)\n")
 	return nil
 }

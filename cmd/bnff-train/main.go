@@ -43,7 +43,6 @@ func main() {
 	schedule := flag.String("schedule", "constant", "learning-rate schedule: constant, step, cosine")
 	tracePath := flag.String("trace", "", "write a Chrome trace of the restructured run's spans to this path")
 	profile := flag.Bool("profile", false, "print the measured per-class layer breakdown after training")
-	arena := flag.Bool("arena", true, "serve activations from the liveness-driven arena (bit-identical; off = legacy per-step allocation)")
 	replicas := flag.Int("replicas", 1, "data-parallel replicas; each step shards the batch and tree-all-reduces gradients")
 	bnStrategy := flag.String("bn-strategy", "local", "replica BN statistics: local (per-shard ghost batches) or sync (one extra all-reduce, needs an MVF restructure)")
 	flag.Parse()
@@ -67,8 +66,6 @@ func main() {
 				sp.Workers = *workers
 			case "schedule":
 				sp.Schedule = *schedule
-			case "arena":
-				sp.NoArena = !*arena
 			case "replicas":
 				sp.Replicas = *replicas
 			case "bn-strategy":
@@ -86,7 +83,6 @@ func main() {
 		Seed:        *seed,
 		Workers:     *workers,
 		Schedule:    *schedule,
-		NoArena:     !*arena,
 		Replicas:    *replicas,
 		BNStrategy:  *bnStrategy,
 	})

@@ -41,22 +41,6 @@ func build(model string, batch int) (*graph.Graph, error) {
 	return models.Build(model, batch)
 }
 
-func parseScenario(s string) (core.Scenario, error) {
-	switch s {
-	case "baseline":
-		return core.Baseline, nil
-	case "rcf":
-		return core.RCF, nil
-	case "rcf+mvf", "mvf":
-		return core.RCFMVF, nil
-	case "bnff":
-		return core.BNFF, nil
-	case "bnff+icf", "icf":
-		return core.BNFFICF, nil
-	}
-	return 0, fmt.Errorf("unknown scenario %q", s)
-}
-
 func measure(model string, scenario core.Scenario, batch, cacheMB int) (replay, sweeps int64, err error) {
 	g, err := build(model, batch)
 	if err != nil {
@@ -87,7 +71,7 @@ func measure(model string, scenario core.Scenario, batch, cacheMB int) (replay, 
 }
 
 func run(model, scen string, batch, cacheMB int, sweep bool) error {
-	scenario, err := parseScenario(scen)
+	scenario, err := core.ParseScenario(scen)
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,10 @@
 // # Configuration
 //
 // Execution is configured with functional options at construction. An
-// executor owns its worker pool and statistics/inference modes:
+// executor owns its worker pool, its statistics/inference modes, and a
+// private activation arena that recycles every per-pass buffer along the
+// live intervals internal/memplan computes (bit-identical to plain
+// allocation; there is no switch):
 //
 //	exec, err := core.NewExecutor(g,
 //	        core.WithSeed(42),

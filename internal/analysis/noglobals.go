@@ -13,8 +13,8 @@ import (
 // dispatch — is exactly the regression this analyzer locks out.
 // internal/tensor joined when it grew the Arena: a process-wide shared
 // free-list would silently couple executors (and break the per-executor
-// determinism story), so arenas must stay instance state behind
-// core.WithArena.
+// determinism story), so arenas must stay instance state of the executor
+// that owns them.
 var noGlobalsScope = []string{
 	"bnff/internal/layers",
 	"bnff/internal/kernels",

@@ -9,37 +9,31 @@ import (
 // Liveness-driven activation reuse. The paper's restructuring argument is
 // about feature-map memory traffic; internal/memplan already computes the
 // exact live interval of every mini-batch-sized buffer over the training
-// schedule. WithArena makes the runtime consume those same intervals: node
-// outputs, x̂ maps, dropout masks, gradients, and layer workspace all come
-// from a per-executor tensor.Arena, and each buffer is returned to it at its
-// interval's End step — so from the second iteration on, a training step is
+// schedule, and the executor consumes those same intervals at runtime: node
+// outputs, x̂ maps, dropout masks, gradients, and layer workspace (BN
+// reduction partials, pooling argmax indices, fused-kernel tiles) all come
+// from the executor's private tensor.Arena, and each buffer is returned to it
+// at its interval's End step — so from the second iteration on, a step is
 // served almost entirely from recycled storage instead of paying
-// allocator+GC cost per mini-batch.
+// allocator+GC cost per mini-batch. Recycled buffers are zeroed before reuse
+// (tensor.Arena's default), so every layer sees exactly the contents a fresh
+// allocation would give it.
 //
-// The arena is off by default and the legacy allocation path is untouched.
-// With the arena on, outputs are bit-identical to the legacy path: recycled
-// buffers are zeroed before reuse (tensor.Arena's default), so every layer
-// sees exactly the fresh-allocation contents it always saw.
+// Two things deliberately stay on the heap: parameter gradients (they escape
+// into the returned gradient map, whose lifetime the schedule does not bound)
+// and the graph output (detached to the caller at the end of each Forward).
+// Inference-mode passes skip per-step releases — dropout is an identity alias
+// there, so the training intervals do not apply — and recycle everything at
+// the start of the next pass instead.
 
-// WithArena gives the executor a private tensor.Arena and switches every
-// per-pass buffer — node outputs, saved x̂ maps, dropout masks, gradient
-// buffers, and per-layer workspace (im2col slabs, BN reduction partials,
-// pooling argmax indices) — to liveness-driven reuse. Buffers return to the
-// arena at the End step of the live interval memplan.TrainingIntervals
-// computes, the same intervals the analytical footprint report uses.
-//
-// Exceptions that deliberately stay on the heap: parameter gradients (they
-// escape into the returned gradient map, whose lifetime the schedule does
-// not bound) and the graph output (detached to the caller at the end of each
-// Forward). Inference-mode passes skip per-step releases — dropout is an
-// identity alias there, so the training intervals do not apply — and recycle
-// everything at the start of the next pass instead.
-func WithArena() Option { return func(e *Executor) { e.alloc = tensor.NewArena() } }
+// WithArena is a no-op: every executor allocates from a private arena. It
+// remains only because benchmark/setup.go, which this change may not edit,
+// still calls it; the next benchmark PR drops that call and this symbol.
+func WithArena() Option { return func(*Executor) {} }
 
 // WithMetrics attaches an obs metrics registry. After every Forward and
 // Backward the executor publishes the arena counters as gauges:
 // arena_hits, arena_misses, arena_bytes_in_use, and arena_peak_bytes.
-// Without WithArena the gauges stay at zero.
 func WithMetrics(r *obs.Registry) Option { return func(e *Executor) { e.metrics = r } }
 
 // Metrics returns the registry attached via WithMetrics, or nil. The ddp
@@ -47,12 +41,8 @@ func WithMetrics(r *obs.Registry) Option { return func(e *Executor) { e.metrics 
 // one scrape covers both arena and exchange traffic.
 func (e *Executor) Metrics() *obs.Registry { return e.metrics }
 
-// ArenaStats returns a snapshot of the executor's arena counters; the zero
-// snapshot when the executor was built without WithArena.
+// ArenaStats returns a snapshot of the executor's arena counters.
 func (e *Executor) ArenaStats() tensor.ArenaStats { return e.alloc.Stats() }
-
-// ArenaEnabled reports whether the executor was built WithArena.
-func (e *Executor) ArenaEnabled() bool { return e.alloc != nil }
 
 // arenaRelease is one buffer to recycle after a schedule step: the buffer
 // family plus the node whose per-pass map slot holds it.
@@ -172,9 +162,6 @@ func (e *Executor) resetPass() {
 // statistics wrap the Running tensors, which the arena does not own, so the
 // Puts are no-ops there.
 func (e *Executor) releaseStats(id int) {
-	if e.alloc == nil {
-		return
-	}
 	if st := e.stats[id]; st != nil {
 		e.alloc.Put(st.Mean)
 		e.alloc.Put(st.Var)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"bnff/internal/graph"
 	"bnff/internal/memplan"
 	"bnff/internal/models"
 	"bnff/internal/obs"
@@ -26,9 +27,22 @@ func bitEqual(a, b *tensor.Tensor) bool {
 	return true
 }
 
-// TestArenaBitIdentical is the arena's correctness contract: with the arena
-// on, every forward output and every parameter gradient is bit-identical to
-// the legacy allocation path — across the tiny model registry, for both the
+// heapReference builds an executor and clears its arena, so every buffer it
+// requests is a plain allocation (the nil *tensor.Arena contract) and every
+// release a no-op: the reference the arena tests compare against.
+func heapReference(tb testing.TB, g *graph.Graph, opts ...Option) *Executor {
+	tb.Helper()
+	e, err := NewExecutor(g, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.alloc = nil
+	return e
+}
+
+// TestArenaBitIdentical is the arena's correctness contract: every forward
+// output and every parameter gradient is bit-identical to the same executor
+// running on plain allocation — across the tiny model registry, for both the
 // baseline and fully restructured graphs, serial and pooled, and across
 // repeated iterations (the second iteration is the one that actually
 // exercises recycled buffers). It also asserts the leak invariant: after a
@@ -50,16 +64,10 @@ func TestArenaBitIdentical(t *testing.T) {
 						if err := Restructure(g, scen.Options()); err != nil {
 							t.Fatal(err)
 						}
-						legacy, err := NewExecutor(g, WithSeed(42), WithWorkers(workers))
+						legacy := heapReference(t, g, WithSeed(42), WithWorkers(workers))
+						arena, err := NewExecutor(g, WithSeed(42), WithWorkers(workers))
 						if err != nil {
 							t.Fatal(err)
-						}
-						arena, err := NewExecutor(g, WithSeed(42), WithWorkers(workers), WithArena())
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !arena.ArenaEnabled() || legacy.ArenaEnabled() {
-							t.Fatal("WithArena wiring broken")
 						}
 						in := tensor.New(g.Nodes[0].OutShape...)
 						tensor.NewRNG(3).FillNormal(in, 0, 1)
@@ -73,7 +81,7 @@ func TestArenaBitIdentical(t *testing.T) {
 								t.Fatal(err)
 							}
 							if !bitEqual(outL, outA) {
-								t.Fatalf("iteration %d: arena-on forward output differs", it)
+								t.Fatalf("iteration %d: arena forward output differs", it)
 							}
 							dOut := tensor.New(outL.Shape()...)
 							tensor.NewRNG(5).FillUniform(dOut, -1, 1)
@@ -91,7 +99,7 @@ func TestArenaBitIdentical(t *testing.T) {
 							for k, gl := range gradsL {
 								ga := gradsA[k]
 								if ga == nil {
-									t.Fatalf("iteration %d: arena-on missing gradient %q", it, k)
+									t.Fatalf("iteration %d: arena missing gradient %q", it, k)
 								}
 								if !bitEqual(gl, ga) {
 									t.Fatalf("iteration %d: gradient %q differs", it, k)
@@ -125,11 +133,8 @@ func TestArenaInferenceBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy, err := NewExecutor(g, WithSeed(9), WithInference())
-			if err != nil {
-				t.Fatal(err)
-			}
-			arena, err := NewExecutor(g, WithSeed(9), WithInference(), WithArena())
+			legacy := heapReference(t, g, WithSeed(9), WithInference())
+			arena, err := NewExecutor(g, WithSeed(9), WithInference())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +150,7 @@ func TestArenaInferenceBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bitEqual(outL, outA) {
-					t.Fatalf("iteration %d: inference output differs with arena on", it)
+					t.Fatalf("iteration %d: inference output differs from plain allocation", it)
 				}
 			}
 		})
@@ -172,7 +177,7 @@ func TestArenaPeakWithinPredicted(t *testing.T) {
 				t.Fatal(err)
 			}
 			reg := obs.NewRegistry()
-			exec, err := NewExecutor(g, WithSeed(1), WithArena(), WithMetrics(reg))
+			exec, err := NewExecutor(g, WithSeed(1), WithMetrics(reg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,11 +215,11 @@ func TestArenaPeakWithinPredicted(t *testing.T) {
 }
 
 // TestArenaForwardAllocBudget is the allocation-regression guard: the
-// steady-state per-step heap allocation count of an arena-on tiny-densenet
-// forward must stay at or below the committed budget
-// (testdata/arena_alloc_budget.txt), and at least 10x below the arena-off
-// path. CI runs this in the bench job; raising the budget is a reviewed
-// change to the committed file, not a silent drift.
+// steady-state per-step heap allocation count of a tiny-densenet forward
+// must stay at or below the committed budget
+// (testdata/arena_alloc_budget.txt), and at least 10x below the same
+// executor on plain allocation. CI runs this in the alloc-guard job; raising
+// the budget is a reviewed change to the committed file, not a silent drift.
 func TestArenaForwardAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("testing.AllocsPerRun is unreliable under the race detector")
@@ -227,67 +232,60 @@ func TestArenaForwardAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parsing committed budget: %v", err)
 	}
-	build := func(opts ...Option) (*Executor, *tensor.Tensor) {
-		g, err := models.TinyDenseNet(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Restructure(g, BNFF.Options()); err != nil {
-			t.Fatal(err)
-		}
-		exec, err := NewExecutor(g, append([]Option{WithSeed(1)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := tensor.New(g.Nodes[0].OutShape...)
-		tensor.NewRNG(2).FillNormal(in, 0, 1)
+	allocsPerForward := func(heap bool) float64 {
+		exec, in := arenaBenchExecutor(t, heap)
 		if _, err := exec.Forward(in); err != nil { // warm the free lists
 			t.Fatal(err)
 		}
-		return exec, in
+		return testing.AllocsPerRun(5, func() {
+			if _, err := exec.Forward(in); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	arena, inA := build(WithArena())
-	on := testing.AllocsPerRun(5, func() {
-		if _, err := arena.Forward(inA); err != nil {
-			t.Fatal(err)
-		}
-	})
-	legacy, inL := build()
-	off := testing.AllocsPerRun(5, func() {
-		if _, err := legacy.Forward(inL); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("tiny-densenet forward allocs/step: arena-on %.0f, arena-off %.0f (%.1fx), budget %.0f",
+	on, off := allocsPerForward(false), allocsPerForward(true)
+	t.Logf("tiny-densenet forward allocs/step: arena %.0f, plain allocation %.0f (%.1fx), budget %.0f",
 		on, off, off/on, budget)
 	if on > budget {
-		t.Errorf("arena-on forward allocates %.0f per step, budget is %.0f (testdata/arena_alloc_budget.txt)", on, budget)
+		t.Errorf("forward allocates %.0f per step, budget is %.0f (testdata/arena_alloc_budget.txt)", on, budget)
 	}
 	if off < 10*on {
-		t.Errorf("arena reduces allocs only %.1fx (on=%.0f off=%.0f), want >= 10x", off/on, on, off)
+		t.Errorf("arena reduces allocs only %.1fx (arena=%.0f plain=%.0f), want >= 10x", off/on, on, off)
 	}
+}
+
+// arenaBenchExecutor builds the tiny-densenet BNFF executor at one worker
+// that the allocation guard and the On/Off benchmark pair share; heap selects
+// the plain-allocation reference.
+func arenaBenchExecutor(tb testing.TB, heap bool) (*Executor, *tensor.Tensor) {
+	tb.Helper()
+	g, err := models.TinyDenseNet(4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := Restructure(g, BNFF.Options()); err != nil {
+		tb.Fatal(err)
+	}
+	exec, err := NewExecutor(g, WithSeed(1), WithWorkers(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if heap {
+		exec.alloc = nil
+	}
+	in := tensor.New(g.Nodes[0].OutShape...)
+	tensor.NewRNG(2).FillNormal(in, 0, 1)
+	return exec, in
 }
 
 // benchArenaStep is the shared body of the arena on/off benchmark pair:
 // tiny-densenet BNFF at one worker, forward only or a full training step.
 // The pair quantifies the tentpole claim — steady-state per-step heap
-// allocations with the arena on versus the legacy allocation path (compare
-// allocs/op between On and Off).
-func benchArenaStep(b *testing.B, backward bool, opts ...Option) {
-	g, err := models.TinyDenseNet(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := Restructure(g, BNFF.Options()); err != nil {
-		b.Fatal(err)
-	}
-	exec, err := NewExecutor(g, append([]Option{WithSeed(1), WithWorkers(1)}, opts...)...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := tensor.New(g.Nodes[0].OutShape...)
-	tensor.NewRNG(2).FillNormal(in, 0, 1)
-	dOut := tensor.New(g.Output.OutShape...)
+// allocations from the arena versus the same executor on plain allocation
+// (compare allocs/op between On and Off).
+func benchArenaStep(b *testing.B, backward, heap bool) {
+	exec, in := arenaBenchExecutor(b, heap)
+	dOut := tensor.New(exec.G.Output.OutShape...)
 	dOut.Fill(1)
 	step := func() {
 		if _, err := exec.Forward(in); err != nil {
@@ -307,7 +305,7 @@ func benchArenaStep(b *testing.B, backward bool, opts ...Option) {
 	}
 }
 
-func BenchmarkForwardArenaOff(b *testing.B)   { benchArenaStep(b, false) }
-func BenchmarkForwardArenaOn(b *testing.B)    { benchArenaStep(b, false, WithArena()) }
-func BenchmarkTrainStepArenaOff(b *testing.B) { benchArenaStep(b, true) }
-func BenchmarkTrainStepArenaOn(b *testing.B)  { benchArenaStep(b, true, WithArena()) }
+func BenchmarkForwardArenaOff(b *testing.B)   { benchArenaStep(b, false, true) }
+func BenchmarkForwardArenaOn(b *testing.B)    { benchArenaStep(b, false, false) }
+func BenchmarkTrainStepArenaOff(b *testing.B) { benchArenaStep(b, true, true) }
+func BenchmarkTrainStepArenaOn(b *testing.B)  { benchArenaStep(b, true, false) }

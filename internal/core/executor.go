@@ -59,7 +59,7 @@ type Executor struct {
 	foldBN bool        // WithFoldedBN: compile the fold after the next checkpoint load
 	folded bool        // FoldBN already ran; the graph and parameters are rewritten
 
-	alloc   *tensor.Arena // nil: legacy per-pass heap allocation (see WithArena)
+	alloc   *tensor.Arena // private activation arena (see arena.go)
 	aplan   *arenaPlan    // compiled release table; invalidated by FoldBN
 	metrics *obs.Registry // nil: no metrics publication (see WithMetrics)
 	agauges *arenaGauges  // lazily resolved arena gauges
@@ -208,6 +208,7 @@ func NewExecutor(g *graph.Graph, opts ...Option) (*Executor, error) {
 		Params:  make(map[string]*tensor.Tensor),
 		Running: make(map[string]*tensor.Tensor),
 		pool:    parallel.New(1),
+		alloc:   tensor.NewArena(),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -285,7 +286,7 @@ func (e *Executor) CopyRunningFrom(o *Executor) error {
 }
 
 // Sibling builds a new executor over g configured like e: same seed, same
-// worker-pool width, and the same precision/running-stats/arena choices.
+// worker-pool width, and the same precision/running-stats choices.
 // Data-parallel training uses it to stamp out replica executors over the
 // rebatched shard graph; the shared seed means replicas start from the same
 // parameter draws as the primary without an explicit broadcast. The sibling
@@ -299,9 +300,6 @@ func (e *Executor) Sibling(g *graph.Graph) (*Executor, error) {
 	}
 	if e.trackRunning {
 		opts = append(opts, WithRunningStats())
-	}
-	if e.alloc != nil {
-		opts = append(opts, WithArena())
 	}
 	return NewExecutor(g, opts...)
 }
@@ -385,21 +383,21 @@ func (e *Executor) statsFor(n *graph.Node) (*layers.BNStats, error) {
 // Forward executes one forward pass and returns the output node's value.
 // The input must match the graph's input shape.
 func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if e.alloc != nil && e.vals != nil {
-		// Arena path: recycle whatever the previous pass left checked out and
-		// reuse the map storage instead of reallocating it.
-		e.resetPass()
-	} else {
+	if e.vals == nil {
 		e.vals = make(map[int]*tensor.Tensor)
 		e.stats = make(map[int]*layers.BNStats)
 		e.xhats = make(map[int]*tensor.Tensor)
 		e.poolCtx = make(map[int]*layers.PoolContext)
 		e.masks = make(map[int]*tensor.Tensor)
+	} else {
+		// Recycle whatever the previous pass left checked out and reuse the
+		// map storage instead of reallocating it.
+		e.resetPass()
 	}
 	// Per-step releases follow the training schedule; an inference pass has
 	// different lifetimes (dropout aliases its input), so it recycles via the
 	// resetPass sweep above instead.
-	stepRelease := e.alloc != nil && !e.inference
+	stepRelease := !e.inference
 	if stepRelease {
 		if _, err := e.arenaPlanFor(); err != nil {
 			return nil, err
@@ -641,18 +639,16 @@ func (e *Executor) Backward(dOut *tensor.Tensor) (map[string]*tensor.Tensor, err
 		if err != nil {
 			return nil, fmt.Errorf("core: backward of node %q: %w", n.Name, err)
 		}
-		if e.alloc != nil && e.aplan != nil {
+		if e.aplan != nil {
 			e.releaseBackwardStep(2*len(live)-1-i, gmap, stash)
 		}
 	}
-	if e.alloc != nil {
-		// Gradient slots nothing reads — the graph inputs' — are written but
-		// have no release step; sweep them back in schedule order.
-		for _, n := range live {
-			if g := gmap[n.ID]; g != nil {
-				e.alloc.Put(g)
-				delete(gmap, n.ID)
-			}
+	// Gradient slots nothing reads — the graph inputs' — are written but have
+	// no release step; sweep them back in schedule order.
+	for _, n := range live {
+		if g := gmap[n.ID]; g != nil {
+			e.alloc.Put(g)
+			delete(gmap, n.ID)
 		}
 	}
 	e.publishArenaMetrics()
@@ -809,7 +805,7 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		if err != nil {
 			return err
 		}
-		if e.alloc != nil && ctx != nil {
+		if ctx != nil {
 			// The argmax scatter indices die with this step.
 			e.alloc.PutInts(ctx.ArgMax)
 			delete(e.poolCtx, n.ID)

@@ -16,12 +16,12 @@
 //   - RCF fuses any remaining ReLU into its following CONV (OpReLUConv).
 //   - ICF extends fusion across Concat/Split at composite-layer boundaries.
 //
-// The executor can additionally serve every per-pass buffer — node outputs,
-// saved x̂ maps, dropout masks, gradients, and layer workspace — from a
-// liveness-driven tensor.Arena (see WithArena): buffers return to the arena
+// The executor serves every per-pass buffer — node outputs, saved x̂ maps,
+// dropout masks, gradients, and layer workspace — from a private
+// liveness-driven tensor.Arena (see arena.go): buffers return to the arena
 // at the End step of the live interval memplan.TrainingIntervals computes,
-// so steady-state training iterations run almost allocation-free while
-// producing bit-identical outputs to the legacy allocation path.
+// so steady-state iterations run almost allocation-free, bit-identical to
+// plain allocation.
 package core
 
 import (

@@ -41,7 +41,7 @@ const (
 	// epilogue simultaneously.
 	OpSubBN1     // fission: standalone statistics sub-layer (boundary BNs)
 	OpSubBN2     // fission: standalone normalize sub-layer
-	OpReLUConv   // RCF: ReLU applied on the CONV ifmap read
+	OpReLUConv   // RCF: CONV reads each sample from a rectified tile
 	OpBNReLUConv // sub-BN2 + ReLU + CONV fused
 
 	opKindCount

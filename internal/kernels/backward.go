@@ -18,7 +18,8 @@ import (
 //  4. accumulates dγ = Σ dv·x̂ and dβ = Σ dv (sub-BN2') in the same sweep
 //     that writes dv.
 //
-// Returned dv feeds FusedBNInputConvBackward on the other side of the BN.
+// Returned dv, dγ and dβ feed BatchNorm.BackwardInput (sub-BN1') on the other
+// side of the BN, whose result is CONV1's upstream gradient.
 func FusedConvBackwardReLUBNReduce(conv layers.Conv2D, bn layers.BatchNorm,
 	dy, xhat, gamma, beta, w *tensor.Tensor) (dv, dw, dgamma, dbeta *tensor.Tensor, err error) {
 	if xhat.Rank() != 4 || xhat.Dim(1) != bn.Channels {
@@ -116,65 +117,10 @@ func FusedConvBackwardReLUBNReduce(conv layers.Conv2D, bn layers.BatchNorm,
 	return dv, dw, dgamma, dbeta, nil
 }
 
-// FusedBNInputConvBackward is the backward half of the CONV1-(sub-BN1)
-// fusion. BN's element-wise input gradient
-//
-//	du = γ·invstd/M · (M·dv − dβ − x̂·dγ)
-//
-// is produced in the same pass that CONV1's backward consumes as its
-// upstream gradient, so du never makes a standalone DRAM round trip.
-// x and w are CONV1's saved input and weights; returns dx (gradient into
-// whatever precedes CONV1), dW1, and du for callers that need the BN input
-// gradient itself (e.g. the ICF path across a Concat).
-func FusedBNInputConvBackward(conv layers.Conv2D, bn layers.BatchNorm,
-	dv, xhat, gamma *tensor.Tensor, stats *layers.BNStats, dgamma, dbeta *tensor.Tensor,
-	x, w *tensor.Tensor) (dx, dw, du *tensor.Tensor, err error) {
-	if err := convCheck(conv, x, w); err != nil {
-		return nil, nil, nil, err
-	}
-	if !dv.Shape().Equal(xhat.Shape()) {
-		return nil, nil, nil, fmt.Errorf("kernels: dv %v vs xhat %v", dv.Shape(), xhat.Shape())
-	}
-	if !dv.Shape().Equal(conv.OutShape(x.Shape())) {
-		return nil, nil, nil, fmt.Errorf("kernels: dv %v, want conv out %v", dv.Shape(), conv.OutShape(x.Shape()))
-	}
-	n, c, h, wd := dv.Dims4()
-	m := float32(n * h * wd)
-	a := conv.Alloc()
-	inv := bn.InvStdScratch(stats)
-	du = a.Get(dv.Shape()...)
-	conv.Pool().Run(n, func(nLo, nHi int) {
-		for in := nLo; in < nHi; in++ {
-			for ic := 0; ic < c; ic++ {
-				base := (in*c + ic) * h * wd
-				coef := gamma.Data[ic] * inv[ic] / m
-				dg, db := dgamma.Data[ic], dbeta.Data[ic]
-				dvrow := dv.Data[base : base+h*wd]
-				xrow := xhat.Data[base : base+h*wd]
-				durow := du.Data[base : base+h*wd]
-				for i, dvv := range dvrow {
-					durow[i] = coef * (m*dvv - db - xrow[i]*dg)
-				}
-			}
-		}
-	})
-	bn.Alloc().PutFloats(inv)
-	// dx accumulates (+=) inside BackwardInto and needs the zeroed buffer
-	// the arena guarantees; dW escapes and stays a plain allocation.
-	dx = a.Get(x.Shape()...)
-	dw = tensor.New(w.Shape()...)
-	if err := conv.BackwardInto(du, x, w, dx, dw); err != nil {
-		a.Put(dx)
-		a.Put(du)
-		return nil, nil, nil, err
-	}
-	return dx, dw, du, nil
-}
-
-// ReLUConvBackward is RCF's backward: CONV's backward with the ReLU mask
-// (recovered from the saved pre-activation x) applied inline to the input
-// gradient, so the rectified tensor is never materialized in either pass.
-// Returns the gradient w.r.t. the pre-activation x and dW.
+// ReLUConvBackward is RCF's backward: z = ReLU(x) is regenerated from the
+// saved pre-activation into a full-batch scratch tensor for CONV's backward
+// (the forward stored nothing), and the ReLU mask is applied in place to the
+// input gradient. Returns the gradient w.r.t. the pre-activation x and dW.
 func ReLUConvBackward(conv layers.Conv2D, dy, x, w *tensor.Tensor) (dx, dw *tensor.Tensor, err error) {
 	if err := convCheck(conv, x, w); err != nil {
 		return nil, nil, err

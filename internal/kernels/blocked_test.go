@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"testing"
 
 	"bnff/internal/layers"
@@ -152,6 +153,95 @@ func TestConvForwardStatsUnrolledBitIdentical(t *testing.T) {
 		if stats.Mean.Data[ic] != mu || stats.Var.Data[ic] != v {
 			t.Errorf("channel %d: stats (%v, %v), rolled reference (%v, %v)",
 				ic, stats.Mean.Data[ic], stats.Var.Data[ic], mu, v)
+		}
+	}
+}
+
+// Non-finite values must pass through the fused forwards exactly as through
+// the unfused layers composition, NaN positions included: a rectified-away
+// input still meets its weight as a +0 term, so 0·Inf = NaN reaches the output
+// (a "skip non-positive inputs" shortcut in the conv loop would swallow it).
+// Weights carry ±Inf/NaN; inputs carry non-positives, ±Inf and NaN. The BN
+// statistics are taken before the input is poisoned so x̂ stays mostly finite.
+func TestFusedForwardsNonFiniteMatchUnfused(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	bitsEqual := func(a, b *tensor.Tensor) bool {
+		for i := range a.Data {
+			if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	cases := []struct {
+		name string
+		conv layers.Conv2D
+		hw   int
+	}{
+		{"stride2 ow5", layers.NewConv2D(4, 6, 3, 2, 1), 9},
+		{"ow6 remainder", layers.NewConv2D(3, 5, 3, 1, 1), 6},
+		{"depthwise", layers.NewDepthwiseConv2D(4, 3, 1, 1), 7},
+		{"stride2 pad0", layers.NewConv2D(2, 4, 3, 2, 0), 11},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			pool := parallel.New(workers)
+			conv := tc.conv.WithPool(pool)
+			bn := layers.NewBatchNorm(conv.InChannels).WithPool(pool)
+			rng := tensor.NewRNG(uint64(tc.hw + workers))
+			x := tensor.New(2, conv.InChannels, tc.hw, tc.hw)
+			w := tensor.New(conv.WeightShape()...)
+			gamma := tensor.New(conv.InChannels)
+			beta := tensor.New(conv.InChannels)
+			rng.FillNormal(x, 0, 1)
+			rng.FillHe(w, conv.InChannels*9)
+			rng.FillUniform(gamma, 0.5, 1.5)
+			rng.FillUniform(beta, -0.3, 0.3)
+			stats, err := bn.ComputeStats(x)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			for i, v := range []float32{inf, -inf, nan} {
+				w.Data[(5*i+1)%len(w.Data)] = v
+				x.Data[(31*i+7)%len(x.Data)] = v
+			}
+
+			want, err := conv.Forward(layers.ReLUForward(x), w)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			got, err := ReLUConvForward(conv, x, w)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			var nans int
+			for _, v := range want.Data {
+				if v != v {
+					nans++
+				}
+			}
+			if nans == 0 {
+				t.Fatalf("%s: test vector produced no NaN outputs; not exercising propagation", tc.name)
+			}
+			if !bitsEqual(want, got) {
+				t.Errorf("%s workers=%d: RCF differs bitwise from ReLU∘conv on non-finite input", tc.name, workers)
+			}
+
+			v, xhatWant, err := bn.Normalize(x, stats, gamma, beta)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			want, err = conv.Forward(layers.ReLUForward(v), w)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			got, xhat, err := FusedBNReLUConvForward(conv, bn, x, stats, gamma, beta, w)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if !bitsEqual(xhatWant, xhat) || !bitsEqual(want, got) {
+				t.Errorf("%s workers=%d: BNFF forward differs bitwise from BN→ReLU→conv on non-finite input", tc.name, workers)
+			}
 		}
 	}
 }

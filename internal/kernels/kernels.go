@@ -6,21 +6,27 @@
 //     statistics with the MVF identity V(X) = E(X²) − E(X)². One sweep
 //     instead of three (paper Figure 5a: O1, I2, I3 → O1').
 //
-//   - FusedBNReLUConvForward — (sub-BN2)-ReLU-CONV2: normalization and ReLU
-//     clipping are applied while the following convolution reads its ifmap.
-//     The normalized map x̂ is written once (Figure 5a's O2') because the
-//     backward pass re-reads it; everything else stays in registers.
+//   - FusedBNReLUConvForward — (sub-BN2)-ReLU-CONV2: each sample is
+//     normalized and rectified into a cache-resident tile the following
+//     convolution reads as its ifmap. The normalized map x̂ is written once
+//     (Figure 5a's O2') because the backward pass re-reads it; the rectified
+//     batch tensor never exists.
 //
-//   - ReLUConvForward — RCF alone: ReLU applied on the CONV ifmap read,
-//     for the RCF-only evaluation scenario.
+//   - ReLUConvForward — RCF alone: the same tile-fed kernel with a
+//     rectify-only fill, for the RCF-only evaluation scenario.
 //
 //   - FusedConvBackwardReLUBNReduce — CONV2-ReLU-(sub-BN2') backward: the
 //     convolution's backward-data pass regenerates its saved ifmap from x̂
 //     (so z=ReLU(γx̂+β) is never stored), applies the ReLU mask inline, and
 //     accumulates dγ/dβ in the same sweep that writes BN's upstream gradient.
 //
-//   - FusedBNInputConvBackward — (sub-BN1')-CONV1 backward: BN's element-wise
-//     input gradient is produced in the same pass that feeds CONV1's backward.
+//   - ReLUConvBackward — RCF's backward, regenerating ReLU(x) from the saved
+//     pre-activation.
+//
+// The (sub-BN1')-CONV1 backward is not a kernel here: the executor composes
+// BatchNorm.BackwardInput with Conv2D.Backward itself. icf.go holds the
+// Concat/Split fusions the ICF cost model prices; the executor does not call
+// them yet.
 //
 // Every kernel is bit-compatible (to float32 round-off) with the baseline
 // composition in internal/layers; internal/core's equivalence tests enforce
@@ -117,36 +123,15 @@ func ConvForwardStats(conv layers.Conv2D, x, w *tensor.Tensor) (*tensor.Tensor, 
 }
 
 // ReLUConvForward computes y = conv(ReLU(x), w) without materializing the
-// rectified tensor: the clipping happens as the convolution loads each input
-// element (the paper's RCF). Returns only y; the backward pass recovers the
-// ReLU mask from the saved pre-activation x.
+// full-batch rectified tensor (the paper's RCF): each sample is rectified
+// into a cache-resident tile the convolution then reads — the same chunk body
+// as FusedBNReLUConvForward with a rectify-only fill. Returns only y; the
+// backward pass recovers the ReLU mask from the saved pre-activation x.
 func ReLUConvForward(conv layers.Conv2D, x, w *tensor.Tensor) (*tensor.Tensor, error) {
 	if err := convCheck(conv, x, w); err != nil {
 		return nil, err
 	}
-	y := conv.Alloc().Get(conv.OutShape(x.Shape())...)
-	n, cin, h, wd := x.Dims4()
-	_, cout, oh, ow := y.Dims4()
-	geom := conv.SampleGeom(h, wd)
-	inLen, outLen := cin*h*wd, cout*oh*ow
-	xd, wdat, yd := x.Data, w.Data, y.Data
-	// Sample split on the conv's pool: per-sample outputs are disjoint, so
-	// pooled execution is bit-identical to serial. The per-sample body is the
-	// blocked RCF kernel (inline ReLU on each ifmap read).
-	conv.Pool().Run(n, func(nLo, nHi int) {
-		for in := nLo; in < nHi; in++ {
-			geom.ForwardSampleReLU(xd[in*inLen:(in+1)*inLen], wdat, yd[in*outLen:(in+1)*outLen])
-		}
-	})
-	return y, nil
-}
-
-// convGroups mirrors Conv2D's zero-value-means-dense convention.
-func convGroups(c layers.Conv2D) int {
-	if c.Groups <= 1 {
-		return 1
-	}
-	return c.Groups
+	return fusedForward(conv, x, w, bnFill{}), nil
 }
 
 // FusedBNReLUConvForward computes y = conv(ReLU(BN(x)), w) for the
@@ -165,90 +150,103 @@ func FusedBNReLUConvForward(conv layers.Conv2D, bn layers.BatchNorm, x *tensor.T
 	if err := convCheck(conv, x, w); err != nil {
 		return nil, nil, err
 	}
-	n, c, h, wd := x.Dims4()
-	a := conv.Alloc()
 	inv := bn.InvStdScratch(stats)
-	xhat = a.Get(x.Shape()...)
-	y = a.Get(conv.OutShape(x.Shape())...)
-	_, cout, oh, ow := y.Dims4()
-
-	// Samples split on the conv's pool; each chunk owns a private per-sample
-	// tile of rectified normalized activations (1/N of a batch tensor, the
-	// cache-resident working set), and all writes (x̂, y) are per-sample
-	// disjoint — pooled execution is bit-identical to serial. The tiles live
-	// in one dispatcher-allocated slab indexed by chunk, so workers never
-	// touch the arena and the scratch recycles across steps.
-	tileLen := c * h * wd
-	slab := a.Floats(conv.Pool().NumChunks(n) * tileLen)
-	// The serial path runs the chunk body as a plain method call on a
-	// stack spec — no closure, no heap traffic on the one-worker steady
-	// state. The pooled path builds its own spec so only that copy escapes
-	// into the dispatched closure.
-	if conv.Pool().Serial() {
-		sp := fusedFwdSpec{
-			xd: x.Data, xh: xhat.Data, yd: y.Data, wdat: w.Data,
-			mean: stats.Mean.Data, inv: inv, g: gamma.Data, b: beta.Data, slab: slab,
-			c: c, h: h, wd: wd, cout: cout, outLen: cout * oh * ow,
-			tileLen: tileLen, geom: conv.SampleGeom(h, wd),
-		}
-		sp.run(0, 0, n)
-	} else {
-		sp := fusedFwdSpec{
-			xd: x.Data, xh: xhat.Data, yd: y.Data, wdat: w.Data,
-			mean: stats.Mean.Data, inv: inv, g: gamma.Data, b: beta.Data, slab: slab,
-			c: c, h: h, wd: wd, cout: cout, outLen: cout * oh * ow,
-			tileLen: tileLen, geom: conv.SampleGeom(h, wd),
-		}
-		conv.Pool().RunChunked(n, func(chunk, nLo, nHi int) {
-			sp.run(chunk, nLo, nHi)
-		})
-	}
-	a.PutFloats(slab)
+	xhat = conv.Alloc().Get(x.Shape()...)
+	y = fusedForward(conv, x, w, bnFill{xh: xhat.Data, mean: stats.Mean.Data, inv: inv, g: gamma.Data, b: beta.Data})
 	bn.Alloc().PutFloats(inv)
 	return y, xhat, nil
 }
 
-// fusedFwdSpec carries FusedBNReLUConvForward's loop state into its chunk
-// body, so the serial path can invoke it without allocating a closure.
-type fusedFwdSpec struct {
-	xd, xh, yd, wdat      []float32
-	mean, inv, g, b, slab []float32
-	c, h, wd, cout        int
-	outLen, tileLen       int
-	geom                  layers.ConvGeom
+// bnFill is the normalize half of the fused forward's tile fill: x̂ is
+// written to xh and γx̂+β rectified into the tile. The zero value selects the
+// rectify-only fill of RCF.
+type bnFill struct {
+	xh, mean, inv, g, b []float32
 }
 
-// run is the per-chunk body: normalize+rectify one sample into the chunk's
-// private tile, then convolve the sample from the tile with the blocked
-// sample kernel (same tap order as the reference loop, so the conv half is
-// bit-identical to the layer's own forward over the tile).
+// fusedForward allocates y, dispatches the shared chunk body over the batch,
+// and returns y. Samples split on the conv's pool; each chunk owns a private
+// per-sample tile of rectified activations (1/N of a batch tensor, the
+// cache-resident working set), and all writes (x̂, y) are per-sample disjoint
+// — pooled execution is bit-identical to serial. The tiles live in one
+// dispatcher-allocated slab indexed by chunk, so workers never touch the
+// arena and the scratch recycles across steps.
+func fusedForward(conv layers.Conv2D, x, w *tensor.Tensor, fill bnFill) *tensor.Tensor {
+	n, c, h, wd := x.Dims4()
+	a := conv.Alloc()
+	y := a.Get(conv.OutShape(x.Shape())...)
+	tileLen := c * h * wd
+	slab := a.Floats(conv.Pool().NumChunks(n) * tileLen)
+	sp := fusedFwdSpec{
+		bnFill: fill, xd: x.Data, yd: y.Data, wdat: w.Data, slab: slab,
+		chanLen: h * wd, tileLen: tileLen, outLen: len(y.Data) / n,
+		geom: conv.SampleGeom(h, wd),
+	}
+	if conv.Pool().Serial() {
+		// A plain method call on the stack spec: no closure, no heap traffic
+		// on the one-worker steady state.
+		sp.run(0, 0, n)
+	} else {
+		// Only this copy escapes into the dispatched closure.
+		pooled := sp
+		conv.Pool().RunChunked(n, func(chunk, nLo, nHi int) {
+			pooled.run(chunk, nLo, nHi)
+		})
+	}
+	a.PutFloats(slab)
+	return y
+}
+
+// fusedFwdSpec carries fusedForward's loop state into its chunk body, so the
+// serial path can invoke it without allocating a closure.
+type fusedFwdSpec struct {
+	bnFill
+	xd, yd, wdat, slab       []float32
+	chanLen, tileLen, outLen int
+	geom                     layers.ConvGeom
+}
+
+// run is the per-chunk body: fill the chunk's private tile with one sample's
+// rectified (and, under BNFF, normalized) activations, then convolve the
+// sample from the tile with the blocked sample kernel. Rectified-away
+// elements enter the convolution as +0 terms, exactly as in the unfused
+// ReLU→CONV composition, so non-finite weights propagate (0·Inf = NaN).
 //
-// hot-path: the fused sub-BN2'-ReLU-CONV2 sweep; the tile is carved from the
-// dispatcher's slab, so the body allocates nothing.
+// hot-path: the fused (sub-BN2')-ReLU-CONV2 sweep; the tile is carved from
+// the dispatcher's slab, so the body allocates nothing.
 func (sp *fusedFwdSpec) run(chunk, nLo, nHi int) {
-	c, h, wd := sp.c, sp.h, sp.wd
 	tile := sp.slab[chunk*sp.tileLen : (chunk+1)*sp.tileLen]
 	for in := nLo; in < nHi; in++ {
-		// One pass: read x, write x̂ (O2'), fill the tile with ReLU(γx̂+β).
-		for ic := 0; ic < c; ic++ {
-			base := (in*c + ic) * h * wd
-			mu, is, gc, bc := sp.mean[ic], sp.inv[ic], sp.g[ic], sp.b[ic]
-			src := sp.xd[base : base+h*wd]
-			dst := sp.xh[base : base+h*wd]
-			trow := tile[ic*h*wd : (ic+1)*h*wd]
-			for i, xv := range src {
-				xh := (xv - mu) * is
-				dst[i] = xh
-				if z := gc*xh + bc; z > 0 {
-					trow[i] = z
-				} else {
-					trow[i] = 0
+		src := sp.xd[in*sp.tileLen : (in+1)*sp.tileLen]
+		if sp.xh == nil {
+			for i, v := range src {
+				tile[i] = rectify(v)
+			}
+		} else {
+			// One pass: read x, write x̂ (O2'), fill the tile with ReLU(γx̂+β).
+			dst := sp.xh[in*sp.tileLen : (in+1)*sp.tileLen]
+			for ic := range sp.mean {
+				mu, is, gc, bc := sp.mean[ic], sp.inv[ic], sp.g[ic], sp.b[ic]
+				lo, hi := ic*sp.chanLen, (ic+1)*sp.chanLen
+				xrow, trow := dst[lo:hi], tile[lo:hi]
+				for i, xv := range src[lo:hi] {
+					xh := (xv - mu) * is
+					xrow[i] = xh
+					trow[i] = rectify(gc*xh + bc)
 				}
 			}
 		}
-		// Convolve this sample from the tile.
 		sp.geom.ForwardSample(tile, sp.wdat, sp.yd[in*sp.outLen:(in+1)*sp.outLen], nil)
 	}
+}
+
+// rectify is ReLU on one element with layers.ReLUForward's semantics: only
+// v > 0 passes, so NaN and −0 both become +0 (builtin max would keep NaN).
+func rectify(v float32) float32 {
+	if v > 0 {
+		return v
+	}
+	return 0
 }
 
 func convCheck(conv layers.Conv2D, x, w *tensor.Tensor) error {

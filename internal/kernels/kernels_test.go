@@ -168,12 +168,17 @@ func TestFusedBackwardMatchesBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restructured backward through the fused kernels.
+	// Restructured backward as the executor composes it: the fused kernel,
+	// then sub-BN1' (BackwardInput) feeding CONV1's backward.
 	dv, dw2, dgamma, dbeta, err := FusedConvBackwardReLUBNReduce(c.conv2, c.bn, dy, xhat, c.gamma, c.beta, c.w2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dx, dw1, du, err := FusedBNInputConvBackward(c.conv1, c.bn, dv, xhat, c.gamma, stats, dgamma, dbeta, c.x, c.w1)
+	du, err := c.bn.BackwardInput(dv, xhat, c.gamma, stats, dgamma, dbeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dx, dw1, err := c.conv1.Backward(du, c.x, c.w1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,18 +235,13 @@ func TestReLUConvBackwardMatchesBaseline(t *testing.T) {
 
 func TestFusedBackwardErrors(t *testing.T) {
 	c := newChain(15, 2, 3, 4, 4, 6)
-	u, _, xhat, _, y, stats := c.baselineForward(t)
-	_ = u
+	_, _, xhat, _, y, _ := c.baselineForward(t)
 	dy := tensor.New(y.Shape()...)
 	if _, _, _, _, err := FusedConvBackwardReLUBNReduce(c.conv2, c.bn, tensor.New(1, 1, 1, 1), xhat, c.gamma, c.beta, c.w2); err == nil {
 		t.Error("reduce accepted wrong dy shape")
 	}
 	if _, _, _, _, err := FusedConvBackwardReLUBNReduce(c.conv2, c.bn, dy, tensor.New(2, 9, 6, 6), c.gamma, c.beta, c.w2); err == nil {
 		t.Error("reduce accepted wrong xhat shape")
-	}
-	dg := tensor.New(c.bn.Channels)
-	if _, _, _, err := FusedBNInputConvBackward(c.conv1, c.bn, tensor.New(1, 1, 1, 1), xhat, c.gamma, stats, dg, dg, c.x, c.w1); err == nil {
-		t.Error("input-grad kernel accepted mismatched dv")
 	}
 }
 
@@ -265,8 +265,9 @@ func TestQuickFusedForwardEquivalence(t *testing.T) {
 	}
 }
 
-// Property: across random windows, the fused backward kernels reproduce the
-// baseline backward composition for every gradient.
+// Property: across random windows, the restructured backward (fused kernel,
+// then BackwardInput into CONV1's backward) reproduces the baseline backward
+// composition for every gradient.
 func TestQuickFusedBackwardEquivalence(t *testing.T) {
 	f := func(seed uint64, nBits uint8) bool {
 		n := 2 + int(nBits%3)
@@ -297,7 +298,11 @@ func TestQuickFusedBackwardEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dx, dw1, _, err := FusedBNInputConvBackward(c.conv1, c.bn, dv, xhat, c.gamma, stats, dg, db, c.x, c.w1)
+		du, err := c.bn.BackwardInput(dv, xhat, c.gamma, stats, dg, db)
+		if err != nil {
+			return false
+		}
+		dx, dw1, err := c.conv1.Backward(du, c.x, c.w1)
 		if err != nil {
 			return false
 		}

@@ -6,8 +6,8 @@ import (
 
 // This file is the blocked compute core: a packed-panel, register-tiled GEMM
 // (gemmBlocked) and a blocked direct-convolution sample kernel (ConvGeom)
-// shared by Conv2D, FC, the GEMM oracle, and the fused kernels in
-// internal/kernels.
+// shared by Conv2D, FC, the fused kernels in internal/kernels, and the GEMM
+// oracle the tests compare them against (gemm_oracle_test.go).
 //
 // Bit-identity contract: float32 addition is not associative, so every kernel
 // here accumulates each output element with a SINGLE accumulator chain over
@@ -183,8 +183,9 @@ func microGEMMEdge(c []float32, ldc int, ap, bp []float32, kc, mh, nw int) {
 }
 
 // ConvGeom is the precomputed single-sample geometry of a Conv2D, shared by
-// the layer's own forward, the GEMM oracle's im2col, and the fused kernels in
-// internal/kernels (which convolve from a normalized tile instead of x).
+// the layer's own forward, the test-only GEMM oracle's im2col, and the fused
+// kernels in internal/kernels (which convolve from a rectified tile instead
+// of x).
 type ConvGeom struct {
 	Cin, H, W    int
 	Cout, OH, OW int
@@ -327,122 +328,4 @@ func (g ConvGeom) convQuad(x, w, out []float32, icLo, wBase, iy0, kyLo, kyHi, ix
 		}
 	}
 	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
-}
-
-// ForwardSampleReLU is ForwardSample with the paper's RCF rectification
-// applied as each input element is loaded (only positive values contribute),
-// and no bias. The skip matches the reference RCF loop exactly: a
-// non-positive element adds nothing, rather than adding v·0.
-//
-// hot-path: RCF twin of ForwardSample.
-func (g ConvGeom) ForwardSampleReLU(x, w, y []float32) {
-	oxLo, oxHi := g.interiorOX()
-	for oc := 0; oc < g.Cout; oc++ {
-		icLo := (oc / g.CoutG) * g.CinG
-		wBase := oc * g.CinG * g.KH * g.KW
-		outBase := oc * g.OH * g.OW
-		for oy := 0; oy < g.OH; oy++ {
-			iy0 := oy*g.S - g.P
-			kyLo, kyHi := clampRange(iy0, g.KH, g.H)
-			yRow := y[outBase+oy*g.OW : outBase+(oy+1)*g.OW]
-			ox := 0
-			for ; ox < oxLo; ox++ {
-				yRow[ox] = g.convPointReLU(x, w, icLo, wBase, iy0, kyLo, kyHi, ox*g.S-g.P)
-			}
-			for ; ox+4 <= oxHi; ox += 4 {
-				g.convQuadReLU(x, w, yRow[ox:ox+4], icLo, wBase, iy0, kyLo, kyHi, ox*g.S-g.P)
-			}
-			for ; ox < g.OW; ox++ {
-				yRow[ox] = g.convPointReLU(x, w, icLo, wBase, iy0, kyLo, kyHi, ox*g.S-g.P)
-			}
-		}
-	}
-}
-
-// convPointReLU is convPoint with the inline ReLU on the ifmap read.
-//
-// hot-path: border-column body of ForwardSampleReLU.
-func (g ConvGeom) convPointReLU(x, w []float32, icLo, wBase, iy0, kyLo, kyHi, ix0 int) float32 {
-	kxLo, kxHi := clampRange(ix0, g.KW, g.W)
-	hw := g.H * g.W
-	var acc float32
-	for ig := 0; ig < g.CinG; ig++ {
-		inBase := (icLo + ig) * hw
-		wcBase := wBase + ig*g.KH*g.KW
-		for ky := kyLo; ky < kyHi; ky++ {
-			row := inBase + (iy0+ky)*g.W + ix0
-			wrow := wcBase + ky*g.KW
-			for kx := kxLo; kx < kxHi; kx++ {
-				if v := x[row+kx]; v > 0 {
-					acc += v * w[wrow+kx]
-				}
-			}
-		}
-	}
-	return acc
-}
-
-// convQuadReLU is convQuad with the inline ReLU on each ifmap read.
-//
-// hot-path: interior register tile of ForwardSampleReLU.
-func (g ConvGeom) convQuadReLU(x, w, out []float32, icLo, wBase, iy0, kyLo, kyHi, ix0 int) {
-	s := g.S
-	hw := g.H * g.W
-	var a0, a1, a2, a3 float32
-	for ig := 0; ig < g.CinG; ig++ {
-		inBase := (icLo + ig) * hw
-		wcBase := wBase + ig*g.KH*g.KW
-		for ky := kyLo; ky < kyHi; ky++ {
-			row := inBase + (iy0+ky)*g.W + ix0
-			wrow := wcBase + ky*g.KW
-			for kx := 0; kx < g.KW; kx++ {
-				wv := w[wrow+kx]
-				base := row + kx
-				if v := x[base]; v > 0 {
-					a0 += v * wv
-				}
-				if v := x[base+s]; v > 0 {
-					a1 += v * wv
-				}
-				if v := x[base+2*s]; v > 0 {
-					a2 += v * wv
-				}
-				if v := x[base+3*s]; v > 0 {
-					a3 += v * wv
-				}
-			}
-		}
-	}
-	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
-}
-
-// im2colGroup lowers one (sample, group) block of x (sample-flat Cin·H·W)
-// into the (CinG·KH·KW, OH·OW) column matrix the GEMM oracle multiplies.
-// Padding materializes as literal zeros.
-//
-// hot-path: the GEMM oracle's lowering loop; cols is caller scratch.
-func im2colGroup(cols, x []float32, g ConvGeom, grp int) {
-	ohow := g.OH * g.OW
-	for ig := 0; ig < g.CinG; ig++ {
-		inBase := (grp*g.CinG + ig) * g.H * g.W
-		for ky := 0; ky < g.KH; ky++ {
-			for kx := 0; kx < g.KW; kx++ {
-				row := (ig*g.KH+ky)*g.KW + kx
-				dst := cols[row*ohow : (row+1)*ohow]
-				di := 0
-				for oy := 0; oy < g.OH; oy++ {
-					iy := oy*g.S - g.P + ky
-					for ox := 0; ox < g.OW; ox++ {
-						ix := ox*g.S - g.P + kx
-						if iy < 0 || iy >= g.H || ix < 0 || ix >= g.W {
-							dst[di] = 0
-						} else {
-							dst[di] = x[inBase+iy*g.W+ix]
-						}
-						di++
-					}
-				}
-			}
-		}
-	}
 }

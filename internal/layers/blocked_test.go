@@ -339,28 +339,6 @@ func TestFCForwardBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-func TestIm2colBytesClamped(t *testing.T) {
-	for _, tc := range []struct {
-		name            string
-		conv            Conv2D
-		batch, inH, inW int
-		want            int64
-	}{
-		{"normal", NewConv2D(16, 32, 3, 1, 1), 2, 8, 8, 2 * 4 * 2 * (16 * 9) * 64},
-		{"degenerate height", NewConv2D(4, 8, 5, 1, 0), 2, 1, 8, 0},
-		{"degenerate width", NewConv2D(4, 8, 5, 1, 0), 2, 8, 2, 0},
-		{"pad rescues degenerate", NewConv2D(1, 1, 5, 1, 2), 1, 1, 5, 2 * 4 * 25 * 1 * 5},
-		{"zero batch", NewConv2D(4, 8, 3, 1, 1), 0, 8, 8, 0},
-	} {
-		if got := tc.conv.Im2colBytes(tc.batch, tc.inH, tc.inW); got != tc.want {
-			t.Errorf("%s: Im2colBytes = %d, want %d", tc.name, got, tc.want)
-		}
-		if got := tc.conv.Im2colBytes(tc.batch, tc.inH, tc.inW); got < 0 {
-			t.Errorf("%s: negative byte count %d", tc.name, got)
-		}
-	}
-}
-
 // The packed-panel inner loops must be allocation-free: panels and outputs
 // come from the caller, and the kernels themselves only slice.
 func TestBlockedKernelsAllocFree(t *testing.T) {
@@ -387,11 +365,6 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 		geom.ForwardSample(x, w, y, nil)
 	}); allocs != 0 {
 		t.Errorf("ForwardSample allocates %v per run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		geom.ForwardSampleReLU(x, w, y)
-	}); allocs != 0 {
-		t.Errorf("ForwardSampleReLU allocates %v per run, want 0", allocs)
 	}
 }
 

@@ -7,11 +7,13 @@ import (
 	"bnff/internal/tensor"
 )
 
+// This file holds the GEMM oracle: references the tests compare the direct
+// kernels and the FC layer against. Nothing in the product calls them.
+
 // ForwardGEMM computes the same convolution as Forward via im2col + matrix
-// multiply — the algorithm Caffe (the paper's reference framework) uses.
-// It exists as an independent oracle for the direct kernels and to expose
-// the memory cost the paper's reference implementation pays: the column
-// matrix materializes each input element KH·KW times.
+// multiply — the algorithm Caffe (the paper's reference framework) uses — as
+// an independent oracle for the direct kernels. The column matrix
+// materializes each input element KH·KW times.
 //
 // Shapes: columns is (Cin/g·KH·KW, OH·OW) per sample and group; the weight
 // matrix is (CoutG, Cin/g·KH·KW); their product is the (CoutG, OH·OW) output
@@ -64,22 +66,6 @@ func (c Conv2D) ForwardGEMM(x, w *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// Im2colBytes returns the extra buffer traffic the GEMM path implies per
-// forward pass (the column matrix written and read once), used by the
-// documentation of why direct convolution is the reference cost model.
-// Degenerate shapes whose output extent rounds to zero or below (input
-// smaller than the kernel despite padding) imply no column traffic at all,
-// so the count clamps to zero instead of going negative.
-func (c Conv2D) Im2colBytes(batch, inH, inW int) int64 {
-	oh := (inH+2*c.Pad-c.KernelH)/c.Stride + 1
-	ow := (inW+2*c.Pad-c.KernelW)/c.Stride + 1
-	if batch <= 0 || oh <= 0 || ow <= 0 {
-		return 0
-	}
-	colRows := (c.InChannels / c.groups()) * c.KernelH * c.KernelW
-	return 2 * 4 * int64(batch) * int64(c.groups()) * int64(colRows) * int64(oh) * int64(ow)
-}
-
 // FC as GEMM sanity helper: multiply (N,In)×(In,Out) using the same inner
 // kernel, used by tests to cross-check the FC layer.
 func matMul(a, b *tensor.Tensor) (*tensor.Tensor, error) {
@@ -110,4 +96,33 @@ func matMulOn(p *parallel.Pool, alloc *tensor.Arena, a, b *tensor.Tensor) (*tens
 	})
 	alloc.PutFloats(panels)
 	return out, nil
+}
+
+// im2colGroup lowers one (sample, group) block of x (sample-flat Cin·H·W)
+// into the (CinG·KH·KW, OH·OW) column matrix the GEMM oracle multiplies.
+// Padding materializes as literal zeros.
+func im2colGroup(cols, x []float32, g ConvGeom, grp int) {
+	ohow := g.OH * g.OW
+	for ig := 0; ig < g.CinG; ig++ {
+		inBase := (grp*g.CinG + ig) * g.H * g.W
+		for ky := 0; ky < g.KH; ky++ {
+			for kx := 0; kx < g.KW; kx++ {
+				row := (ig*g.KH+ky)*g.KW + kx
+				dst := cols[row*ohow : (row+1)*ohow]
+				di := 0
+				for oy := 0; oy < g.OH; oy++ {
+					iy := oy*g.S - g.P + ky
+					for ox := 0; ox < g.OW; ox++ {
+						ix := ox*g.S - g.P + kx
+						if iy < 0 || iy >= g.H || ix < 0 || ix >= g.W {
+							dst[di] = 0
+						} else {
+							dst[di] = x[inBase+iy*g.W+ix]
+						}
+						di++
+					}
+				}
+			}
+		}
+	}
 }

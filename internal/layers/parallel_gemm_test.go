@@ -143,15 +143,6 @@ func TestGEMMRejectsBadShapes(t *testing.T) {
 	}
 }
 
-func TestIm2colBytes(t *testing.T) {
-	conv := NewConv2D(16, 32, 3, 1, 1)
-	// 2 (write+read) × 4 bytes × N × (Cin·9) × OH·OW
-	want := int64(2*4) * 2 * int64(16*9) * int64(8*8)
-	if got := conv.Im2colBytes(2, 8, 8); got != want {
-		t.Errorf("Im2colBytes = %d, want %d", got, want)
-	}
-}
-
 func TestMatMulKnownValues(t *testing.T) {
 	a := tensor.MustFromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := tensor.MustFromSlice([]float32{5, 6, 7, 8}, 2, 2)

@@ -12,16 +12,11 @@ import (
 // both by clipping while the following CONV reads its ifmap.
 func ReLUForward(x *tensor.Tensor) *tensor.Tensor { return ReLUForwardAlloc(nil, nil, x) }
 
-// ReLUForwardOn is ReLUForward on a worker pool: the flat element range is
-// split into contiguous chunks with disjoint writes, so the result is
-// bit-identical to serial.
-func ReLUForwardOn(p *parallel.Pool, x *tensor.Tensor) *tensor.Tensor {
-	return ReLUForwardAlloc(p, nil, x)
-}
-
-// ReLUForwardAlloc is ReLUForwardOn drawing the output from an arena (nil =
-// heap, bit-identical). The kernel writes only positive elements and relies
-// on the zeroed buffer for the rest, which the arena's default zero-on-reuse
+// ReLUForwardAlloc is ReLUForward on a worker pool — the flat element range
+// is split into contiguous chunks with disjoint writes, so the result is
+// bit-identical to serial — drawing the output from an arena (nil = heap,
+// bit-identical). The kernel writes only positive elements and relies on the
+// zeroed buffer for the rest, which the arena's default zero-on-reuse
 // guarantees.
 func ReLUForwardAlloc(p *parallel.Pool, a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	y := a.Get(x.Shape()...)
@@ -40,13 +35,8 @@ func ReLUBackward(dy, x *tensor.Tensor) (*tensor.Tensor, error) {
 	return ReLUBackwardAlloc(nil, nil, dy, x)
 }
 
-// ReLUBackwardOn is ReLUBackward on a worker pool (bit-identical to serial).
-func ReLUBackwardOn(p *parallel.Pool, dy, x *tensor.Tensor) (*tensor.Tensor, error) {
-	return ReLUBackwardAlloc(p, nil, dy, x)
-}
-
-// ReLUBackwardAlloc is ReLUBackwardOn drawing dx from an arena (nil = heap,
-// bit-identical).
+// ReLUBackwardAlloc is ReLUBackward on a worker pool (bit-identical to
+// serial) drawing dx from an arena (nil = heap, bit-identical).
 func ReLUBackwardAlloc(p *parallel.Pool, a *tensor.Arena, dy, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if !dy.Shape().Equal(x.Shape()) {
 		return nil, fmt.Errorf("relu: dy shape %v vs x %v", dy.Shape(), x.Shape())

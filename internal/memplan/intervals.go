@@ -11,8 +11,8 @@ import (
 //
 //   - the analytical report (PlanTraining), which turns the intervals into
 //     the peak-footprint numbers EXPERIMENTS.md quotes; and
-//   - the runtime arena (core.WithArena), which returns each buffer to its
-//     executor's tensor.Arena at exactly the interval's End step — so an
+//   - the runtime arena (internal/core/arena.go), which returns each buffer
+//     to its executor's tensor.Arena at exactly the interval's End step — so an
 //     interval that ends too early is a use-after-free, not a reporting
 //     blemish.
 //

@@ -11,8 +11,8 @@
 //
 // The interval computation itself (TrainingIntervals in intervals.go) is a
 // shared library: PlanTraining aggregates the intervals into the analytical
-// report below, and core.WithArena replays the same intervals at runtime to
-// return every buffer to the executor's tensor.Arena at its last-reader
+// report below, and every core.Executor replays the same intervals at
+// runtime to return each buffer to its tensor.Arena at its last-reader
 // step. Because the runtime trusts the intervals for reuse, they model what
 // the executor actually reads, not a conservative superset.
 package memplan

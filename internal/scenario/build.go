@@ -38,9 +38,9 @@ func (s Spec) BuildGraph(batch int) (*graph.Graph, error) {
 }
 
 // NewExecutor builds the training executor the spec describes: restructured
-// graph at Batch, seeded parameters, Workers-wide pool, and the liveness
-// arena unless NoArena. Additional options append after the spec-derived
-// ones, so callers can attach tracers or metrics.
+// graph at Batch, seeded parameters, and a Workers-wide pool. Additional
+// options append after the spec-derived ones, so callers can attach tracers
+// or metrics.
 func (s Spec) NewExecutor(extra ...core.Option) (*core.Executor, error) {
 	if s.Kind != KindTrain {
 		return nil, fmt.Errorf("scenario %q: NewExecutor applies to train scenarios", s.Name)
@@ -50,9 +50,6 @@ func (s Spec) NewExecutor(extra ...core.Option) (*core.Executor, error) {
 		return nil, err
 	}
 	opts := []core.Option{core.WithSeed(s.Seed), core.WithWorkers(s.Workers)}
-	if !s.NoArena {
-		opts = append(opts, core.WithArena())
-	}
 	return core.NewExecutor(g, append(opts, extra...)...)
 }
 

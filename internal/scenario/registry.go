@@ -113,16 +113,6 @@ func Builtin() *Registry {
 			Seed:        42,
 			Workers:     4,
 		},
-		Spec{
-			Name:        "train/tiny-densenet/bnff/noarena",
-			Kind:        KindTrain,
-			Model:       "tiny-densenet",
-			Restructure: "bnff",
-			Batch:       8,
-			Steps:       3,
-			Seed:        42,
-			NoArena:     true,
-		},
 	)
 
 	// Data-parallel scaling ladder on the primary model: replicas ∈ {2, 4}

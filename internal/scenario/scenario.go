@@ -68,7 +68,7 @@ func fleetTraffic(shape string) bool {
 //     Restructure (a core.Scenario name, canonicalized lowercase), Workers,
 //     Seed, Repeats, Replicas (data-parallel training replicas, default 1;
 //     serving replica executors, default 2).
-//   - train only: Batch, Steps, LR, Schedule, NoArena, BNStrategy
+//   - train only: Batch, Steps, LR, Schedule, BNStrategy
 //     (local|sync, default local; sync requires replicas > 1 and an MVF
 //     restructuring).
 //   - serve only: Fold, MaxBatch, MaxWaitMS, QueueDepth, Traffic,
@@ -95,7 +95,6 @@ type Spec struct {
 	Steps      int     `json:"steps,omitempty"`
 	LR         float64 `json:"lr,omitempty"`
 	Schedule   string  `json:"schedule,omitempty"`
-	NoArena    bool    `json:"no_arena,omitempty"`
 	BNStrategy string  `json:"bn_strategy,omitempty"`
 
 	// Serving fields.
@@ -242,7 +241,7 @@ func (s *Spec) normalizeTrain() error {
 }
 
 func (s *Spec) normalizeServe() error {
-	if s.Batch != 0 || s.Steps != 0 || s.LR != 0 || s.Schedule != "" || s.NoArena || s.BNStrategy != "" {
+	if s.Batch != 0 || s.Steps != 0 || s.LR != 0 || s.Schedule != "" || s.BNStrategy != "" {
 		return fmt.Errorf("scenario %q: train fields set on a serve scenario", s.Name)
 	}
 	if s.Restructure != "baseline" {

@@ -132,7 +132,6 @@ func TestNormalizeErrorPaths(t *testing.T) {
 	}{
 		{"train field on serve", func(s *Spec) { s.Steps = 5 }, "train fields"},
 		{"batch on serve", func(s *Spec) { s.Batch = 8 }, "train fields"},
-		{"noarena on serve", func(s *Spec) { s.NoArena = true }, "train fields"},
 		{"bn strategy on serve", func(s *Spec) { s.BNStrategy = "sync" }, "train fields"},
 		{"restructured serve", func(s *Spec) { s.Restructure = "bnff" }, "restructure=baseline"},
 		{"negative replicas", func(s *Spec) { s.Replicas = -1 }, "replicas"},

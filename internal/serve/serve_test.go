@@ -425,3 +425,30 @@ func TestCrashReplicaKeepsServing(t *testing.T) {
 		}
 	}
 }
+
+// A replica's executor recycles its activations: the second same-size batch
+// is served from the arena's free lists, and recycled storage never leaks
+// into an answer — each stays bit-identical to a fresh batch-1 reference.
+func TestReplicaExecutorRecyclesActivations(t *testing.T) {
+	ckpt := testCheckpoint(t)
+	eng, err := Load(tinyCNN, bytes.NewReader(ckpt), Config{MaxBatch: 1, Replicas: 1, FoldBN: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRNG(31)
+	for i := 0; i < 2; i++ {
+		x := tensor.New(eng.ImageLen())
+		rng.FillNormal(x, 0, 1)
+		got, err := eng.Predict(x.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalF32(got, refLogits(t, ckpt, x.Data)) {
+			t.Errorf("batch %d: logits differ from the batch-1 reference", i)
+		}
+	}
+	eng.Close() // the replica loop has exited; its executors are safe to read
+	if s := eng.replicas[0].execs[1].ArenaStats(); s.Hits == 0 {
+		t.Errorf("second batch never hit the arena free lists: %+v", s)
+	}
+}
