@@ -34,6 +34,15 @@
 // internal/parallel for the contract). Configuration is options-only
 // (core.With*, train.With*); no hot path reads a global.
 //
+// The convolution is written once per direction, as a per-sample window
+// (internal/layers/window.go): fill the ifmap tile, convolve the sample, take
+// its Σx/Σx² partials going forward; regenerate the tile, run the sample's
+// backward, mask and take its dγ/dβ partials going back. The baseline layer,
+// RCF, both BNFF fusions and the folded-bias inference conv are field choices
+// of one layers.ConvWindow the executor fills in from the node. Only two
+// statistics producers sweep a finished ofmap on their own: the ddp sync-BN
+// hook (cross-replica moment exchange) and core.WithPreciseStats (float64).
+//
 // # Serving
 //
 // internal/serve and cmd/bnff-serve deploy a checkpoint behind HTTP with
@@ -49,7 +58,8 @@
 // statistics. Inference has no cross-sample reductions, so a request's
 // logits are bit-identical regardless of the batch it is coalesced into.
 // GET /healthz and GET /stats complete the ops surface; latency quantiles
-// come from a deterministic power-of-two histogram fed by an injected clock.
+// come from the one deterministic power-of-two histogram /metrics exports,
+// fed by an injected clock.
 //
 // internal/fleet and cmd/bnff-proxy scale that to a fleet: a front proxy
 // routes POST /predict across N bnff-serve backends under a deterministic

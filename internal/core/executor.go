@@ -323,17 +323,52 @@ func (e *Executor) beta(n *graph.Node) *tensor.Tensor  { return e.Params[n.BN.Pa
 
 func (e *Executor) gammaOf(a *graph.BNAttr) *tensor.Tensor { return e.Params[a.ParamName+".gamma"] }
 
-// epilogueStats computes the StatsOut statistics of a conv-like node's fresh
-// output — the sub-BN1 epilogue of the fused kernel, which always uses the
-// single-sweep MVF accumulation (float64 under PreciseStats).
+// convForward runs a conv-like node's forward as one window: the prologue
+// its kind names (none, ReLU, or normalize+ReLU on the producer's
+// statistics), the folded bias at inference, and — when the node carries a
+// StatsOut epilogue in training — the sub-BN1 statistics of its own output,
+// taken inside the same per-sample sweep.
+func (e *Executor) convForward(n *graph.Node) error {
+	win := layers.ConvWindow{Rectify: n.Kind != graph.OpConv}
+	if n.FoldedBias {
+		win.Bias = e.Params[n.Name+".b"]
+	}
+	if n.Kind == graph.OpBNReLUConv {
+		st, err := e.statsFor(n)
+		if err != nil {
+			return err
+		}
+		win.BN, win.In, win.Gamma, win.Beta = e.bnOf(n), st, e.gamma(n), e.beta(n)
+	}
+	wantStats := n.StatsOut != nil && !e.inference
+	win.Stats = wantStats && !e.preciseStats && e.statsHook == nil
+	y, xhat, st, err := e.convOf(n).ForwardWindow(e.in(n, 0), e.Params[n.Name+".w"], win)
+	if err != nil {
+		return err
+	}
+	e.vals[n.ID] = y
+	if xhat != nil {
+		e.xhats[n.ID] = xhat
+	}
+	if wantStats && !win.Stats {
+		st, err = e.epilogueStats(n, y)
+	}
+	if st != nil {
+		e.stats[n.ID] = st
+	}
+	return err
+}
+
+// epilogueStats computes a conv-like node's StatsOut statistics as a separate
+// sweep over its finished output, for the two producers the window's float32
+// per-sample partials cannot serve: the ddp statsHook, which must see the
+// whole shard's map to exchange moments across replicas before anything is
+// closed, and PreciseStats, whose accumulators are float64.
 func (e *Executor) epilogueStats(n *graph.Node, y *tensor.Tensor) (*layers.BNStats, error) {
 	if e.statsHook != nil {
 		return e.statsHook(n, n.StatsOut, y)
 	}
-	if e.preciseStats {
-		return e.bnOfAttr(n.StatsOut).ComputeStatsMVF64(y)
-	}
-	return e.bnOfAttr(n.StatsOut).ComputeStatsMVF(y)
+	return e.bnOfAttr(n.StatsOut).ComputeStatsMVF64(y)
 }
 
 // computeStats dispatches between the MVF single-sweep and the baseline
@@ -426,22 +461,8 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		var err error
 		nodeStart := e.tracer.Begin()
 		switch n.Kind {
-		case graph.OpConv:
-			switch {
-			case n.FoldedBias:
-				e.vals[n.ID], err = e.convOf(n).ForwardBias(e.in(n, 0), e.Params[n.Name+".w"], e.Params[n.Name+".b"])
-			case n.StatsOut != nil && !e.inference && !e.preciseStats && e.statsHook == nil:
-				var st *layers.BNStats
-				e.vals[n.ID], st, err = kernels.ConvForwardStats(e.convOf(n), e.in(n, 0), e.Params[n.Name+".w"])
-				e.stats[n.ID] = st
-			case n.StatsOut != nil && !e.inference:
-				e.vals[n.ID], err = e.convOf(n).Forward(e.in(n, 0), e.Params[n.Name+".w"])
-				if err == nil {
-					e.stats[n.ID], err = e.epilogueStats(n, e.vals[n.ID])
-				}
-			default:
-				e.vals[n.ID], err = e.convOf(n).Forward(e.in(n, 0), e.Params[n.Name+".w"])
-			}
+		case graph.OpConv, graph.OpReLUConv, graph.OpBNReLUConv:
+			err = e.convForward(n)
 
 		case graph.OpBN:
 			var st *layers.BNStats
@@ -471,26 +492,6 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 
 		case graph.OpReLU:
 			e.vals[n.ID] = layers.ReLUForwardAlloc(e.pool, e.alloc, e.in(n, 0))
-
-		case graph.OpReLUConv:
-			e.vals[n.ID], err = kernels.ReLUConvForward(e.convOf(n), e.in(n, 0), e.Params[n.Name+".w"])
-			if err == nil && n.StatsOut != nil && !e.inference {
-				e.stats[n.ID], err = e.epilogueStats(n, e.vals[n.ID])
-			}
-
-		case graph.OpBNReLUConv:
-			var st *layers.BNStats
-			st, err = e.statsFor(n)
-			if err != nil {
-				break
-			}
-			var y, xhat *tensor.Tensor
-			y, xhat, err = kernels.FusedBNReLUConvForward(e.convOf(n), e.bnOf(n), e.in(n, 0), st,
-				e.gamma(n), e.beta(n), e.Params[n.Name+".w"])
-			e.vals[n.ID], e.xhats[n.ID] = y, xhat
-			if err == nil && n.StatsOut != nil && !e.inference {
-				e.stats[n.ID], err = e.epilogueStats(n, y)
-			}
 
 		case graph.OpPool:
 			var y *tensor.Tensor

@@ -77,7 +77,7 @@ func (e *Executor) foldPair(pr graph.FoldedPair) error {
 			pr.Conv.Name, attr.ParamName, len(gamma.Data), cout)
 	}
 	// The exact inverse standard deviation the normalize path computes.
-	inv := layers.NewBatchNorm(attr.Channels).InvStd(&layers.BNStats{Mean: rmean, Var: rvar})
+	inv := layers.NewBatchNorm(attr.Channels).InvStdScratch(&layers.BNStats{Mean: rmean, Var: rvar})
 
 	per := len(w.Data) / cout
 	bias := tensor.New(cout)

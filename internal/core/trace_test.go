@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bnff/internal/graph"
+	"bnff/internal/layers"
 	"bnff/internal/models"
 	"bnff/internal/obs"
 	"bnff/internal/tensor"
@@ -192,4 +193,70 @@ func benchForward(b *testing.B, tr *obs.Tracer) {
 func BenchmarkForwardTracerDisabled(b *testing.B) { benchForward(b, nil) }
 func BenchmarkForwardTracerEnabled(b *testing.B) {
 	benchForward(b, obs.NewTracer(obs.StepClock(1)))
+}
+
+// Under BNFF with float32 statistics and no hook, a conv-like node's StatsOut
+// epilogue runs inside its forward window: the node makes exactly one pool
+// dispatch, where the separate sweep a StatsHook or PreciseStats takes makes
+// a second, and the statistics the window leaves equal, bit for bit, those of
+// a hook that runs ComputeStatsMVF over the node's finished output.
+func TestStatsEpilogueRunsInsideConvWindow(t *testing.T) {
+	run := func(hook bool, opts ...Option) (*Executor, map[string]int) {
+		g, err := models.TinyDenseNet(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Restructure(g, BNFF.Options()); err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTracer(obs.StepClock(1))
+		exec, err := NewExecutor(g, append(opts, WithSeed(1), WithWorkers(2), WithTracer(tr))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hook {
+			exec.SetBNHooks(func(_ *graph.Node, attr *graph.BNAttr, src *tensor.Tensor) (*layers.BNStats, error) {
+				return exec.bnOfAttr(attr).ComputeStatsMVF(src)
+			}, nil)
+		}
+		in := tensor.New(g.Nodes[0].OutShape...)
+		tensor.NewRNG(2).FillNormal(in, 0, 1)
+		if _, err := exec.Forward(in); err != nil {
+			t.Fatal(err)
+		}
+		// A node's pool spans are recorded before the node's own span ends.
+		dispatches := make(map[string]int)
+		pending := 0
+		for _, s := range tr.Spans() {
+			switch {
+			case s.Name == "pool.dispatch":
+				pending++
+			case s.Dir == "fwd" && s.Cat != obs.CatPass:
+				dispatches[s.Name], pending = pending, 0
+			}
+		}
+		return exec, dispatches
+	}
+
+	exec, fused := run(false)
+	hooked, separate := run(true)
+	_, precise := run(false, WithPreciseStats())
+	var epilogues int
+	for _, n := range exec.G.Live() {
+		if !n.Kind.IsConvLike() || n.StatsOut == nil {
+			continue
+		}
+		epilogues++
+		if fused[n.Name] != 1 || separate[n.Name] != 2 || precise[n.Name] != 2 {
+			t.Errorf("%s (%v): %d pool dispatches, %d with a hook, %d under PreciseStats; want 1, 2, 2",
+				n.Name, n.Kind, fused[n.Name], separate[n.Name], precise[n.Name])
+		}
+		got, want := exec.stats[n.ID], hooked.stats[n.ID]
+		if got == nil || got.M != want.M || !reflect.DeepEqual(got.Mean.Data, want.Mean.Data) || !reflect.DeepEqual(got.Var.Data, want.Var.Data) {
+			t.Errorf("%s: window statistics differ from ComputeStatsMVF over the node's output", n.Name)
+		}
+	}
+	if epilogues == 0 {
+		t.Fatal("BNFF tiny-densenet has no conv-like node with a statistics epilogue")
+	}
 }

@@ -245,3 +245,111 @@ func TestFusedForwardsNonFiniteMatchUnfused(t *testing.T) {
 		}
 	}
 }
+
+// The backward twin of the test above: both fused backwards must equal the
+// unfused Conv2D.Backward ∘ ReLUBackward (and BatchNorm.BackwardReduce) bit
+// for bit on non-finite data. A NaN pre-activation is rectified away, so its
+// input gradient is zero (a mask written as "x <= 0" on the saved
+// pre-activation lets it through); a masked element still enters the dγ chain
+// as 0·x̂, so a non-finite x̂ reaches dγ as NaN.
+func TestFusedBackwardsNonFiniteMatchUnfused(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	bitsEqual := func(a, b *tensor.Tensor) bool {
+		for i := range a.Data {
+			if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	cases := []struct {
+		name string
+		conv layers.Conv2D
+		hw   int
+	}{
+		{"stride2 ow5", layers.NewConv2D(4, 6, 3, 2, 1), 9},
+		{"ow6 remainder", layers.NewConv2D(3, 5, 3, 1, 1), 6},
+		{"depthwise", layers.NewDepthwiseConv2D(4, 3, 1, 1), 7},
+		{"stride2 pad0", layers.NewConv2D(2, 4, 3, 2, 0), 11},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			pool := parallel.New(workers)
+			conv := tc.conv.WithPool(pool)
+			bn := layers.NewBatchNorm(conv.InChannels).WithPool(pool)
+			rng := tensor.NewRNG(uint64(tc.hw + workers))
+			x := tensor.New(2, conv.InChannels, tc.hw, tc.hw)
+			w := tensor.New(conv.WeightShape()...)
+			dy := tensor.New(conv.OutShape(x.Shape())...)
+			gamma := tensor.New(conv.InChannels)
+			beta := tensor.New(conv.InChannels)
+			rng.FillNormal(x, 0, 1)
+			rng.FillHe(w, conv.InChannels*9)
+			rng.FillUniform(dy, -1, 1)
+			rng.FillUniform(gamma, 0.5, 1.5)
+			rng.FillUniform(beta, -0.3, 0.3)
+			stats, err := bn.ComputeStats(x)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			poisoned := []int{7, (31 + 7) % len(x.Data), (62 + 7) % len(x.Data)}
+			for i, v := range []float32{inf, -inf, nan} {
+				w.Data[(5*i+1)%len(w.Data)] = v
+				x.Data[poisoned[i]] = v
+			}
+
+			dz, dwWant, err := conv.Backward(dy, layers.ReLUForward(x), w)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			dxWant, err := layers.ReLUBackward(dz, x)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if v := dz.Data[poisoned[2]]; v == 0 {
+				t.Fatalf("%s: conv gradient at the NaN pre-activation is 0; the mask is not exercised", tc.name)
+			}
+			dx, dw, err := ReLUConvBackward(conv, dy, x, w)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if !bitsEqual(dxWant, dx) || !bitsEqual(dwWant, dw) {
+				t.Errorf("%s workers=%d: RCF backward differs bitwise from conv∘ReLU backward (dx at the NaN pre-activation: unfused %v, fused %v)",
+					tc.name, workers, dxWant.Data[poisoned[2]], dx.Data[poisoned[2]])
+			}
+
+			v, xhat, err := bn.Normalize(x, stats, gamma, beta)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			dz, dwWant, err = conv.Backward(dy, layers.ReLUForward(v), w)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			dvWant, err := layers.ReLUBackward(dz, v)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			dgWant, dbWant, err := bn.BackwardReduce(dvWant, xhat)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			var nans int
+			for _, g := range dgWant.Data {
+				if g != g {
+					nans++
+				}
+			}
+			if nans == 0 {
+				t.Fatalf("%s: no NaN reached dγ; the masked 0·x̂ terms are not exercised", tc.name)
+			}
+			dv, dw, dg, db, err := FusedConvBackwardReLUBNReduce(conv, bn, dy, xhat, gamma, beta, w)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if !bitsEqual(dvWant, dv) || !bitsEqual(dwWant, dw) || !bitsEqual(dgWant, dg) || !bitsEqual(dbWant, db) {
+				t.Errorf("%s workers=%d: BNFF backward differs bitwise from conv∘ReLU∘BN-reduce backward", tc.name, workers)
+			}
+		}
+	}
+}

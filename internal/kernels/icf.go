@@ -16,9 +16,10 @@ import (
 // gradient reduction on the same boundary.
 
 // ConcatForwardStats concatenates the inputs along the channel axis and, in
-// the same pass that writes each output element, accumulates the per-channel
-// Σx and Σx² of the result (MVF) — the ICF forward fusion. The boundary BN's
-// statistics therefore cost no sweep beyond the Concat's own copy.
+// the same per-sample pass that writes the output, accumulates the
+// per-channel Σx and Σx² of the result (MVF) — the ICF forward fusion. The
+// boundary BN's statistics therefore cost no sweep beyond the Concat's own
+// copy.
 func ConcatForwardStats(bn layers.BatchNorm, xs ...*tensor.Tensor) (*tensor.Tensor, *layers.BNStats, error) {
 	if len(xs) == 0 {
 		return nil, nil, fmt.Errorf("kernels: concat-stats with no inputs")
@@ -37,13 +38,12 @@ func ConcatForwardStats(bn layers.BatchNorm, xs ...*tensor.Tensor) (*tensor.Tens
 	}
 	a := bn.Alloc()
 	y := a.Get(n, totalC, h, w)
-	sum := a.Floats(totalC)
-	sumsq := a.Floats(totalC)
 	hw := h * w
-	// Samples split on the BN's pool; copies are per-sample disjoint and the
-	// per-sample Σx/Σx² partials are reduced in sample order below, matching
-	// the serial accumulation order bit for bit. Scratch comes from the BN's
-	// arena on the dispatching goroutine (workers never touch the arena).
+	// Samples split on the BN's pool; copies are per-sample disjoint and each
+	// sample's Σx/Σx² partials are taken right behind its copy, then reduced
+	// in sample order — ComputeStatsMVF's association bit for bit. Scratch
+	// comes from the BN's arena on the dispatching goroutine (workers never
+	// touch the arena).
 	psum := a.Floats(n * totalC)
 	psumsq := a.Floats(n * totalC)
 	bn.Pool().Run(n, func(nLo, nHi int) {
@@ -51,47 +51,16 @@ func ConcatForwardStats(bn layers.BatchNorm, xs ...*tensor.Tensor) (*tensor.Tens
 			cOff := 0
 			for _, x := range xs {
 				xc := x.Dim(1)
-				for ic := 0; ic < xc; ic++ {
-					src := x.Data[(in*xc+ic)*hw : (in*xc+ic+1)*hw]
-					dst := y.Data[(in*totalC+cOff+ic)*hw : (in*totalC+cOff+ic+1)*hw]
-					var s, sq float32
-					for i, v := range src {
-						dst[i] = v
-						s += v
-						sq += v * v
-					}
-					psum[in*totalC+cOff+ic] = s
-					psumsq[in*totalC+cOff+ic] = sq
-				}
+				copy(y.Data[(in*totalC+cOff)*hw:(in*totalC+cOff+xc)*hw], x.Data[in*xc*hw:(in+1)*xc*hw])
 				cOff += xc
 			}
+			layers.MomentPartials(y.Data, psum, psumsq, totalC, hw, in, in+1)
 		}
 	})
-	// det-reduce: per-sample Σx/Σx² partials over the concatenated channels,
-	// combined in sample order — bit-identical to the serial sweep.
-	for in := 0; in < n; in++ {
-		for ic := 0; ic < totalC; ic++ {
-			sum[ic] += psum[in*totalC+ic]
-			sumsq[ic] += psumsq[in*totalC+ic]
-		}
-	}
-	m := float32(n * hw)
-	mean := a.Get(totalC)
-	variance := a.Get(totalC)
-	for ic := 0; ic < totalC; ic++ {
-		mu := sum[ic] / m
-		mean.Data[ic] = mu
-		v := sumsq[ic]/m - mu*mu
-		if v < 0 {
-			v = 0
-		}
-		variance.Data[ic] = v
-	}
+	stats := bn.StatsFromPartials(psum, psumsq, n, hw)
 	a.PutFloats(psumsq)
 	a.PutFloats(psum)
-	a.PutFloats(sumsq)
-	a.PutFloats(sum)
-	return y, &layers.BNStats{Mean: mean, Var: variance, M: n * hw}, nil
+	return y, stats, nil
 }
 
 // FusedSplitBNInputBackward is the ICF backward fusion: the boundary BN's

@@ -17,7 +17,7 @@ func TestConcatForwardStatsMatchesComposition(t *testing.T) {
 	rng.FillNormal(c, -1, 0.5)
 
 	bn := layers.NewBatchNorm(10)
-	yBase, err := layers.ConcatForward(a, b, c)
+	yBase, err := layers.ConcatForwardAlloc(nil, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}

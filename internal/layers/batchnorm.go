@@ -163,65 +163,61 @@ func (b BatchNorm) ComputeStats(x *tensor.Tensor) (*BNStats, error) {
 // ComputeStatsMVF evaluates the same statistics in a single sweep using
 // V(X) = E(X²) − E(X)², with float32 accumulators to mirror what the fused
 // CONV epilogue does in hardware. The paper observes (and our property tests
-// confirm) that single precision suffices for CNN activations.
+// confirm) that single precision suffices for CNN activations. It is the
+// standalone form of the ForwardWindow statistics epilogue: the same
+// partials, reduction and close over a map some other layer wrote.
 func (b BatchNorm) ComputeStatsMVF(x *tensor.Tensor) (*BNStats, error) {
 	if err := b.check(x); err != nil {
 		return nil, err
 	}
 	n, c, h, w := x.Dims4()
-	m := float32(n * h * w)
-	sum := b.alloc.Floats(c)
-	sumsq := b.alloc.Floats(c)
 	psum := b.alloc.Floats(n * c)
 	psumsq := b.alloc.Floats(n * c)
 	// The serial path calls the chunk body directly: a closure handed to
 	// Run is heap-allocated (its parameter reaches a go statement), and on
 	// the one-worker steady state that per-step garbage is the whole cost.
 	if b.pool.Serial() {
-		bnPartialSums(x.Data, psum, psumsq, c, h*w, 0, n)
+		MomentPartials(x.Data, psum, psumsq, c, h*w, 0, n)
 	} else {
 		b.pool.Run(n, func(lo, hi int) {
-			bnPartialSums(x.Data, psum, psumsq, c, h*w, lo, hi)
+			MomentPartials(x.Data, psum, psumsq, c, h*w, lo, hi)
 		})
 	}
-	// det-reduce: the serial sweep adds one per-sample partial per channel
-	// in exactly this order, so the pooled result is bit-identical.
-	for in := 0; in < n; in++ {
-		for ic := 0; ic < c; ic++ {
-			sum[ic] += psum[in*c+ic]
-			sumsq[ic] += psumsq[in*c+ic]
-		}
-	}
-	mean := b.alloc.Get(c)
-	variance := b.alloc.Get(c)
-	for ic := 0; ic < c; ic++ {
-		mu := sum[ic] / m
-		mean.Data[ic] = mu
-		v := sumsq[ic]/m - mu*mu
-		if v < 0 { // guard fp cancellation for near-constant channels
-			v = 0
-		}
-		variance.Data[ic] = v
-	}
+	st := b.StatsFromPartials(psum, psumsq, n, h*w)
 	b.alloc.PutFloats(psumsq)
 	b.alloc.PutFloats(psum)
-	b.alloc.PutFloats(sumsq)
-	b.alloc.PutFloats(sum)
-	return &BNStats{Mean: mean, Var: variance, M: n * h * w}, nil
+	return st, nil
 }
 
-// bnPartialSums fills the per-(sample, channel) sum and sum-of-squares
-// partials of the single-sweep MVF statistics. It is the chunk body of
-// ComputeStatsMVF's pooled dispatch, shared with the serial fast path.
+// MomentPartials fills the per-(sample, channel) Σx and Σx² partials of the
+// single-sweep MVF statistics for samples [lo, hi) of the (N,c,hw) map xd:
+// the one float32 moment loop, shared by ComputeStatsMVF, SamplePartials, the
+// ForwardWindow epilogue and kernels.ConcatForwardStats. The 4-wide unroll
+// keeps s and sq each a single accumulator chain adding elements in
+// ascending order, so the sums are bit-identical to the rolled loop; it only
+// breaks up the loop-carried add/mul dependency interleaving.
 //
 // hot-path: runs once per sample per step; all buffers are caller-provided.
-func bnPartialSums(xd, psum, psumsq []float32, c, hw, lo, hi int) {
+func MomentPartials(xd, psum, psumsq []float32, c, hw, lo, hi int) {
 	for in := lo; in < hi; in++ {
 		for ic := 0; ic < c; ic++ {
 			base := (in*c + ic) * hw
+			row := xd[base : base+hw]
 			var s, sq float32
-			for i := 0; i < hw; i++ {
-				v := xd[base+i]
+			i := 0
+			for ; i+4 <= len(row); i += 4 {
+				v0, v1, v2, v3 := row[i], row[i+1], row[i+2], row[i+3]
+				s += v0
+				s += v1
+				s += v2
+				s += v3
+				sq += v0 * v0
+				sq += v1 * v1
+				sq += v2 * v2
+				sq += v3 * v3
+			}
+			for ; i < len(row); i++ {
+				v := row[i]
 				s += v
 				sq += v * v
 			}
@@ -247,18 +243,39 @@ func (b BatchNorm) SamplePartials(x *tensor.Tensor, psum, psumsq []float32) erro
 	if len(psum) != n*c || len(psumsq) != n*c {
 		return fmt.Errorf("batchnorm: partials length %d/%d, want %d", len(psum), len(psumsq), n*c)
 	}
-	bnPartialSums(x.Data, psum, psumsq, c, h*w, 0, n)
+	MomentPartials(x.Data, psum, psumsq, c, h*w, 0, n)
 	return nil
+}
+
+// StatsFromPartials reduces the N·C per-(sample, channel) partials
+// MomentPartials produced over an (N,C,hw) map and closes them into the map's
+// statistics, drawn from the layer's arena.
+func (b BatchNorm) StatsFromPartials(psum, psumsq []float32, n, hw int) *BNStats {
+	a := b.alloc
+	c := len(psum) / n
+	sum := a.Floats(c)
+	sumsq := a.Floats(c)
+	// det-reduce: the serial sweep adds one per-sample partial per channel
+	// in exactly this order, so the pooled result is bit-identical.
+	for in := 0; in < n; in++ {
+		for ic := 0; ic < c; ic++ {
+			sum[ic] += psum[in*c+ic]
+			sumsq[ic] += psumsq[in*c+ic]
+		}
+	}
+	st := closeMoments(a, sum, sumsq, n*hw)
+	a.PutFloats(sumsq)
+	a.PutFloats(sum)
+	return st
 }
 
 // StatsFromMoments closes already-reduced per-channel Σx and Σx² over m
 // elements per channel into mini-batch statistics, with exactly
-// ComputeStatsMVF's epilogue arithmetic (float32 division, MVF identity,
-// cancellation clamp). Sync-BN calls it on globally reduced moments so the
-// synchronized statistics are bit-identical to what one executor over the
-// full batch would compute. The tensors are plain heap allocations: the
-// result is shared across replica executors and must not belong to any one
-// replica's arena.
+// ComputeStatsMVF's closing arithmetic. Sync-BN calls it on globally reduced
+// moments so the synchronized statistics are bit-identical to what one
+// executor over the full batch would compute. The tensors are plain heap
+// allocations: the result is shared across replica executors and must not
+// belong to any one replica's arena.
 func StatsFromMoments(sum, sumsq []float32, m int) (*BNStats, error) {
 	if len(sum) != len(sumsq) {
 		return nil, fmt.Errorf("batchnorm: moments length %d vs %d", len(sum), len(sumsq))
@@ -266,12 +283,17 @@ func StatsFromMoments(sum, sumsq []float32, m int) (*BNStats, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("batchnorm: moments over %d elements", m)
 	}
-	c := len(sum)
+	return closeMoments(nil, sum, sumsq, m), nil
+}
+
+// closeMoments is the one MVF close: float32 division, V(X) = E(X²) − E(X)²,
+// and the cancellation clamp, into tensors from a (nil = heap).
+func closeMoments(a *tensor.Arena, sum, sumsq []float32, m int) *BNStats {
 	mf := float32(m)
-	mean := tensor.New(c)
-	variance := tensor.New(c)
-	for ic := 0; ic < c; ic++ {
-		mu := sum[ic] / mf
+	mean := a.Get(len(sum))
+	variance := a.Get(len(sum))
+	for ic, s := range sum {
+		mu := s / mf
 		mean.Data[ic] = mu
 		v := sumsq[ic]/mf - mu*mu
 		if v < 0 { // guard fp cancellation for near-constant channels
@@ -279,7 +301,7 @@ func StatsFromMoments(sum, sumsq []float32, m int) (*BNStats, error) {
 		}
 		variance.Data[ic] = v
 	}
-	return &BNStats{Mean: mean, Var: variance, M: m}, nil
+	return &BNStats{Mean: mean, Var: variance, M: m}
 }
 
 // ComputeStatsMVF64 is ComputeStatsMVF with float64 accumulators — the
@@ -334,27 +356,16 @@ func (b BatchNorm) ComputeStatsMVF64(x *tensor.Tensor) (*BNStats, error) {
 	return &BNStats{Mean: mean, Var: variance, M: n * h * w}, nil
 }
 
-// InvStd returns per-channel 1/sqrt(var+ε) for the given statistics.
-func (b BatchNorm) InvStd(stats *BNStats) []float32 {
-	inv := make([]float32, b.Channels)
-	b.invStdInto(inv, stats)
-	return inv
-}
-
-// InvStdScratch is InvStd drawing the slice from the layer's arena (nil =
-// heap, bit-identical); callers return it with Alloc().PutFloats when their
-// sweep completes. The fused kernels use it so the per-channel scale vector
-// recycles instead of costing a heap allocation per step.
+// InvStdScratch returns per-channel 1/sqrt(var+ε) for the given statistics in
+// a slice from the layer's arena (nil = heap, bit-identical); callers return
+// it with Alloc().PutFloats when their sweep completes, so the per-channel
+// scale vector recycles instead of costing a heap allocation per step.
 func (b BatchNorm) InvStdScratch(stats *BNStats) []float32 {
 	inv := b.alloc.Floats(b.Channels)
-	b.invStdInto(inv, stats)
-	return inv
-}
-
-func (b BatchNorm) invStdInto(inv []float32, stats *BNStats) {
 	for i, v := range stats.Var.Data {
 		inv[i] = float32(1 / math.Sqrt(float64(v)+float64(b.Eps)))
 	}
+	return inv
 }
 
 // Normalize is sub-BN2: y = γ·(x−μ)/√(σ²+ε) + β. It also returns x̂, which
@@ -430,27 +441,44 @@ func (b BatchNorm) BackwardReduce(dy, xhat *tensor.Tensor) (dgamma, dbeta *tenso
 		return nil, nil, fmt.Errorf("batchnorm: dy %v vs xhat %v", dy.Shape(), xhat.Shape())
 	}
 	n, c, h, w := dy.Dims4()
-	dgamma = tensor.New(c)
-	dbeta = tensor.New(c)
-	dg := make([]float64, c)
-	db := make([]float64, c)
+	per := c * h * w
 	pg := make([]float64, n*c)
 	pb := make([]float64, n*c)
 	b.pool.Run(n, func(lo, hi int) {
 		for in := lo; in < hi; in++ {
-			for ic := 0; ic < c; ic++ {
-				base := (in*c + ic) * h * w
-				var sg, sb float64
-				for i := 0; i < h*w; i++ {
-					g := float64(dy.Data[base+i])
-					sg += g * float64(xhat.Data[base+i])
-					sb += g
-				}
-				pg[in*c+ic] = sg
-				pb[in*c+ic] = sb
-			}
+			gammaBetaPartials(dy.Data[in*per:(in+1)*per], xhat.Data[in*per:(in+1)*per], pg[in*c:], pb[in*c:], c, h*w)
 		}
 	})
+	dgamma, dbeta = reduceGammaBeta(pg, pb, n, c)
+	return dgamma, dbeta, nil
+}
+
+// gammaBetaPartials fills one sample's per-channel dγ = Σ dy·x̂ and dβ = Σ dy
+// partials — the one sub-BN2' loop, shared by BackwardReduce and the
+// BackwardWindow epilogue.
+//
+// hot-path: runs once per sample per step; all buffers are caller-provided.
+func gammaBetaPartials(dy, xhat []float32, pg, pb []float64, c, hw int) {
+	for ic := 0; ic < c; ic++ {
+		xrow := xhat[ic*hw : (ic+1)*hw]
+		var sg, sb float64
+		for i, v := range dy[ic*hw : (ic+1)*hw] {
+			g := float64(v)
+			sg += g * float64(xrow[i])
+			sb += g
+		}
+		pg[ic], pb[ic] = sg, sb
+	}
+}
+
+// reduceGammaBeta combines the per-(sample, channel) partials into dγ and dβ.
+// The gradients escape into the caller's gradient map and are plain
+// allocations.
+func reduceGammaBeta(pg, pb []float64, n, c int) (dgamma, dbeta *tensor.Tensor) {
+	dgamma = tensor.New(c)
+	dbeta = tensor.New(c)
+	dg := make([]float64, c)
+	db := make([]float64, c)
 	// det-reduce: per-sample dγ/dβ partials combined in sample order — one
 	// partial per channel per sample, the serial association exactly.
 	for in := 0; in < n; in++ {
@@ -463,7 +491,7 @@ func (b BatchNorm) BackwardReduce(dy, xhat *tensor.Tensor) (dgamma, dbeta *tenso
 		dgamma.Data[ic] = float32(dg[ic])
 		dbeta.Data[ic] = float32(db[ic])
 	}
-	return dgamma, dbeta, nil
+	return dgamma, dbeta
 }
 
 // BackwardInput is sub-BN1': given the reductions from BackwardReduce it

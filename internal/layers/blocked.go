@@ -329,3 +329,47 @@ func (g ConvGeom) convQuad(x, w, out []float32, icLo, wBase, iy0, kyLo, kyHi, ix
 	}
 	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
 }
+
+// BackwardSample accumulates one sample's input gradient into dx (Cin,H,W)
+// and its weight-gradient contribution into dw, given the sample's upstream
+// gradient dy (Cout,OH,OW), the ifmap x the forward convolved, and the
+// weights. The tap loops run over clamped (ky, kx) ranges instead of testing
+// bounds per iteration; the skipped iterations contributed nothing, so the
+// accumulation order over the surviving terms is unchanged — bit-identical to
+// the reference loop. The dy==0 skip stays: a zero upstream gradient
+// contributes ±0 to accumulators that already hold finite or non-finite
+// values alike.
+//
+// hot-path: the backward twin of ForwardSample; no per-call allocation.
+func (g ConvGeom) BackwardSample(dy, x, w, dx, dw []float32) {
+	hw := g.H * g.W
+	for oc := 0; oc < g.Cout; oc++ {
+		icLo := (oc / g.CoutG) * g.CinG
+		wBase := oc * g.CinG * g.KH * g.KW
+		outBase := oc * g.OH * g.OW
+		for oy := 0; oy < g.OH; oy++ {
+			iy0 := oy*g.S - g.P
+			kyLo, kyHi := clampRange(iy0, g.KH, g.H)
+			for ox := 0; ox < g.OW; ox++ {
+				ix0 := ox*g.S - g.P
+				gv := dy[outBase+oy*g.OW+ox]
+				if gv == 0 {
+					continue
+				}
+				kxLo, kxHi := clampRange(ix0, g.KW, g.W)
+				for ig := 0; ig < g.CinG; ig++ {
+					inBase := (icLo + ig) * hw
+					wcBase := wBase + ig*g.KH*g.KW
+					for ky := kyLo; ky < kyHi; ky++ {
+						row := inBase + (iy0+ky)*g.W + ix0
+						wrow := wcBase + ky*g.KW
+						for kx := kxLo; kx < kxHi; kx++ {
+							dx[row+kx] += w[wrow+kx] * gv
+							dw[wrow+kx] += x[row+kx] * gv
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -366,6 +366,28 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("ForwardSample allocates %v per run, want 0", allocs)
 	}
+
+	// Both window chunk bodies, fully fused (tile fill, sample kernel,
+	// partials), over caller-carved scratch.
+	gamma, beta := fillRand(5, 3), fillRand(6, 3)
+	fwd := convFwd{
+		tileFill: tileFill{mean: fillRand(7, 3), inv: fillRand(8, 3), g: gamma, b: beta},
+		geom:     geom, x: fillRand(9, 2*3*9*9), w: w, y: make([]float32, 2*8*9*9),
+		xh: make([]float32, 2*3*9*9), tiles: make([]float32, 3*9*9),
+		psum: make([]float32, 2*8), psumsq: make([]float32, 2*8),
+	}
+	if allocs := testing.AllocsPerRun(10, func() { fwd.run(0, 0, 2) }); allocs != 0 {
+		t.Errorf("forward window allocates %v per run, want 0", allocs)
+	}
+	bwd := convBwd{
+		tileFill: tileFill{g: gamma, b: beta},
+		geom:     geom, dy: fillRand(10, 2*8*9*9), src: fwd.xh, w: w,
+		dx: make([]float32, 2*3*9*9), dw: make([]float32, len(w)), tiles: make([]float32, 3*9*9),
+		psg: make([]float64, 2*3), psb: make([]float64, 2*3),
+	}
+	if allocs := testing.AllocsPerRun(10, func() { bwd.run(0, 0, 2) }); allocs != 0 {
+		t.Errorf("backward window allocates %v per run, want 0", allocs)
+	}
 }
 
 // Bench pair: the blocked convolution against the legacy per-tap-branch loop
@@ -376,8 +398,9 @@ func BenchmarkConvForwardBlocked(b *testing.B) {
 	y := tensor.New(conv.OutShape(x.Shape())...)
 	b.SetBytes(int64(4 * len(x.Data)))
 	b.ResetTimer()
+	geom := conv.SampleGeom(16, 16)
 	for i := 0; i < b.N; i++ {
-		conv.forwardInto(x, w, y, nil)
+		geom.ForwardSample(x.Data, w.Data, y.Data, nil)
 	}
 }
 

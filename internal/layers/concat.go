@@ -6,18 +6,13 @@ import (
 	"bnff/internal/tensor"
 )
 
-// ConcatForward concatenates feature maps along the channel axis — the
-// DenseNet dense-connectivity primitive. All inputs must agree on N, H, W.
+// ConcatForwardAlloc concatenates feature maps along the channel axis — the
+// DenseNet dense-connectivity primitive — drawing the output from an arena
+// (nil = heap, bit-identical). All inputs must agree on N, H, W.
 //
 // In a pointer-passing implementation this is free on the forward pass
 // (the paper's reference treats it so); the numeric implementation here
 // materializes the result because downstream layers index it densely.
-func ConcatForward(xs ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return ConcatForwardAlloc(nil, xs...)
-}
-
-// ConcatForwardAlloc is ConcatForward drawing the output from an arena
-// (nil = heap, bit-identical).
 func ConcatForwardAlloc(a *tensor.Arena, xs ...*tensor.Tensor) (*tensor.Tensor, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("concat: no inputs")
@@ -46,15 +41,10 @@ func ConcatForwardAlloc(a *tensor.Arena, xs ...*tensor.Tensor) (*tensor.Tensor, 
 	return y, nil
 }
 
-// ConcatBackward slices the upstream gradient back into per-input gradients
-// with the given channel counts.
-func ConcatBackward(dy *tensor.Tensor, channels []int) ([]*tensor.Tensor, error) {
-	return ConcatBackwardAlloc(nil, dy, channels)
-}
-
-// ConcatBackwardAlloc is ConcatBackward drawing the per-input gradients from
-// an arena (nil = heap, bit-identical). The returned slice header itself is
-// freshly allocated; only the tensors are arena-managed.
+// ConcatBackwardAlloc slices the upstream gradient back into per-input
+// gradients with the given channel counts, drawn from an arena (nil = heap,
+// bit-identical). The returned slice header itself is freshly allocated; only
+// the tensors are arena-managed.
 func ConcatBackwardAlloc(a *tensor.Arena, dy *tensor.Tensor, channels []int) ([]*tensor.Tensor, error) {
 	n, c, h, w := dy.Dims4()
 	total := 0

@@ -37,10 +37,6 @@ func (c Conv2D) WithPool(p *parallel.Pool) Conv2D {
 	return c
 }
 
-// Pool returns the worker pool the descriptor executes on (nil = serial).
-// Fused kernels in internal/kernels use it for their own batch loops.
-func (c Conv2D) Pool() *parallel.Pool { return c.pool }
-
 // WithAlloc returns a copy of the descriptor that obtains its output and
 // workspace buffers from the given arena (nil means plain heap allocation,
 // bit-identical to the arena-free path). The arena is only ever consulted
@@ -49,10 +45,6 @@ func (c Conv2D) WithAlloc(a *tensor.Arena) Conv2D {
 	c.alloc = a
 	return c
 }
-
-// Alloc returns the arena the descriptor allocates from (nil = heap). Fused
-// kernels in internal/kernels use it for their own buffers.
-func (c Conv2D) Alloc() *tensor.Arena { return c.alloc }
 
 // NewConv2D builds a square-kernel dense convolution descriptor.
 func NewConv2D(in, out, kernel, stride, pad int) Conv2D {
@@ -128,15 +120,12 @@ func (c Conv2D) checkForward(x, w *tensor.Tensor) error {
 }
 
 // Forward computes the convolution of x (N,Cin,H,W) with weights w,
-// returning (N,Cout,OH,OW). With a WithPool pool of more than one worker the
-// batch is processed by multiple goroutines with bit-identical results.
+// returning (N,Cout,OH,OW): the zero ConvWindow. With a WithPool pool of more
+// than one worker the batch is processed by multiple goroutines with
+// bit-identical results.
 func (c Conv2D) Forward(x, w *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := c.checkForward(x, w); err != nil {
-		return nil, err
-	}
-	y := c.alloc.Get(c.OutShape(x.Shape())...)
-	c.dispatchForward(x, w, y, nil)
-	return y, nil
+	y, _, _, err := c.ForwardWindow(x, w, ConvWindow{})
+	return y, err
 }
 
 // ForwardBias computes the convolution plus a per-output-channel bias in the
@@ -145,146 +134,28 @@ func (c Conv2D) Forward(x, w *tensor.Tensor) (*tensor.Tensor, error) {
 // folded CONV+BN runs at inference: the BN's affine map is absorbed into the
 // weights and this bias (see internal/graph FoldBN).
 func (c Conv2D) ForwardBias(x, w, bias *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := c.checkForward(x, w); err != nil {
-		return nil, err
-	}
-	if bias.Rank() != 1 || bias.Dim(0) != c.OutChannels {
-		return nil, fmt.Errorf("conv: bias shape %v, want [%d]", bias.Shape(), c.OutChannels)
-	}
-	y := c.alloc.Get(c.OutShape(x.Shape())...)
-	c.dispatchForward(x, w, y, bias.Data)
-	return y, nil
-}
-
-func (c Conv2D) dispatchForward(x, w, y *tensor.Tensor, bias []float32) {
-	if !c.pool.Serial() && x.Dim(0) > 1 {
-		c.forwardParallel(x, w, y, bias)
-		return
-	}
-	c.forwardInto(x, w, y, bias)
-}
-
-func (c Conv2D) dispatchBackward(dy, x, w, dx, dw *tensor.Tensor) {
-	if !c.pool.Serial() && x.Dim(0) > 1 {
-		c.backwardParallel(dy, x, w, dx, dw)
-		return
-	}
-	c.backwardInto(dy, x, w, dx, dw)
-}
-
-// forwardInto runs the inner loops; y must already have the output shape.
-// It is shared with the fused kernels in internal/kernels via ForwardInto.
-// A non-nil bias (length Cout) seeds each output accumulator — the folded
-// CONV+BN path — and a nil bias seeds zero, reproducing the plain
-// convolution bit for bit.
-//
-// hot-path: the module's dominant FLOP loop; the per-sample body is
-// ConvGeom.ForwardSample's blocked kernel, everything in caller buffers.
-func (c Conv2D) forwardInto(x, w, y *tensor.Tensor, bias []float32) {
-	n, cin, h, wd := x.Dims4()
-	_, cout, oh, ow := y.Dims4()
-	geom := c.SampleGeom(h, wd)
-	inLen, outLen := cin*h*wd, cout*oh*ow
-	for in := 0; in < n; in++ {
-		geom.ForwardSample(x.Data[in*inLen:(in+1)*inLen], w.Data,
-			y.Data[in*outLen:(in+1)*outLen], bias)
-	}
-}
-
-// ForwardInto computes the convolution into a pre-allocated output tensor,
-// validating shapes. Fused kernels use it to control buffer reuse.
-func (c Conv2D) ForwardInto(x, w, y *tensor.Tensor) error {
-	if err := c.checkForward(x, w); err != nil {
-		return err
-	}
-	if !y.Shape().Equal(c.OutShape(x.Shape())) {
-		return fmt.Errorf("conv: output shape %v, want %v", y.Shape(), c.OutShape(x.Shape()))
-	}
-	c.dispatchForward(x, w, y, nil)
-	return nil
+	y, _, _, err := c.ForwardWindow(x, w, ConvWindow{Bias: bias})
+	return y, err
 }
 
 // Backward computes the input gradient dX and weight gradient dW given the
 // upstream gradient dY, the saved input x, and the weights w.
 func (c Conv2D) Backward(dy, x, w *tensor.Tensor) (dx, dw *tensor.Tensor, err error) {
-	if err := c.checkForward(x, w); err != nil {
-		return nil, nil, err
-	}
-	if !dy.Shape().Equal(c.OutShape(x.Shape())) {
-		return nil, nil, fmt.Errorf("conv: dY shape %v, want %v", dy.Shape(), c.OutShape(x.Shape()))
-	}
-	// dx follows the gradient schedule and may come from the arena; dW
-	// escapes into the caller's gradient map, whose lifetime the schedule
-	// does not bound, so it is always a plain allocation.
-	dx = c.alloc.Get(x.Shape()...)
-	dw = tensor.New(w.Shape()...)
-	c.dispatchBackward(dy, x, w, dx, dw)
-	return dx, dw, nil
+	dx, dw, _, _, err = c.BackwardWindow(dy, x, w, ConvWindow{})
+	return dx, dw, err
 }
 
 // BackwardInto is Backward writing into caller-provided gradient buffers
 // (which must be zeroed by the caller if fresh gradients are wanted; the
 // kernel accumulates, which lets Split fan-ins share one dX buffer).
 func (c Conv2D) BackwardInto(dy, x, w, dx, dw *tensor.Tensor) error {
-	if err := c.checkForward(x, w); err != nil {
+	if err := c.checkBackward(dy, x, w, ConvWindow{}); err != nil {
 		return err
-	}
-	if !dy.Shape().Equal(c.OutShape(x.Shape())) {
-		return fmt.Errorf("conv: dY shape %v, want %v", dy.Shape(), c.OutShape(x.Shape()))
 	}
 	if !dx.Shape().Equal(x.Shape()) || !dw.Shape().Equal(w.Shape()) {
 		return fmt.Errorf("conv: gradient buffer shapes %v/%v, want %v/%v",
 			dx.Shape(), dw.Shape(), x.Shape(), w.Shape())
 	}
-	c.dispatchBackward(dy, x, w, dx, dw)
+	c.backwardWindow(dy, x, w, dx, dw, ConvWindow{})
 	return nil
-}
-
-// backwardInto runs the combined dX/dW inner loops into caller buffers. The
-// tap loops run over clamped (ky, kx) ranges instead of testing bounds per
-// iteration; the skipped iterations contributed nothing, so the accumulation
-// order over the surviving terms is unchanged — bit-identical to the
-// reference loop. The dy==0 skip stays: a zero upstream gradient contributes
-// ±0 to accumulators that already hold finite or non-finite values alike.
-//
-// hot-path: the backward twin of forwardInto; no per-call allocation.
-func (c Conv2D) backwardInto(dy, x, w, dx, dw *tensor.Tensor) {
-	n, cin, h, wd := x.Dims4()
-	_, cout, oh, ow := dy.Dims4()
-	geom := c.SampleGeom(h, wd)
-	kh, kw, s, p := c.KernelH, c.KernelW, c.Stride, c.Pad
-	cinG, coutG := geom.CinG, geom.CoutG
-
-	xd, wdat, dyd, dxd, dwd := x.Data, w.Data, dy.Data, dx.Data, dw.Data
-	for in := 0; in < n; in++ {
-		for oc := 0; oc < cout; oc++ {
-			icLo := (oc / coutG) * cinG
-			wBase := oc * cinG * kh * kw
-			outBase := (in*cout + oc) * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy*s - p
-				kyLo, kyHi := clampRange(iy0, kh, h)
-				for ox := 0; ox < ow; ox++ {
-					ix0 := ox*s - p
-					g := dyd[outBase+oy*ow+ox]
-					if g == 0 {
-						continue
-					}
-					kxLo, kxHi := clampRange(ix0, kw, wd)
-					for ig := 0; ig < cinG; ig++ {
-						inBase := (in*cin + icLo + ig) * h * wd
-						wcBase := wBase + ig*kh*kw
-						for ky := kyLo; ky < kyHi; ky++ {
-							row := inBase + (iy0+ky)*wd + ix0
-							wrow := wcBase + ky*kw
-							for kx := kxLo; kx < kxHi; kx++ {
-								dxd[row+kx] += wdat[wrow+kx] * g
-								dwd[wrow+kx] += xd[row+kx] * g
-							}
-						}
-					}
-				}
-			}
-		}
-	}
 }

@@ -196,26 +196,3 @@ func TestConvFLOPs(t *testing.T) {
 		t.Errorf("FLOPs = %d, want %d", got, want)
 	}
 }
-
-func TestConvForwardIntoMatchesForward(t *testing.T) {
-	conv := NewConv2D(3, 4, 3, 2, 1)
-	rng := tensor.NewRNG(9)
-	x := tensor.New(2, 3, 9, 9)
-	w := tensor.New(conv.WeightShape()...)
-	rng.FillUniform(x, -1, 1)
-	rng.FillUniform(w, -1, 1)
-	y1, err := conv.Forward(x, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y2 := tensor.New(conv.OutShape(x.Shape())...)
-	if err := conv.ForwardInto(x, w, y2); err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := tensor.MaxAbsDiff(y1, y2); d != 0 {
-		t.Errorf("ForwardInto differs from Forward by %v", d)
-	}
-	if err := conv.ForwardInto(x, w, tensor.New(1, 1, 1, 1)); err == nil {
-		t.Error("ForwardInto accepted wrong output shape")
-	}
-}

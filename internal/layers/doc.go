@@ -11,7 +11,25 @@
 // exactly the degree of freedom the paper's restructuring exploits, so the
 // layer API must not hide it.
 //
-// Everything here is the *baseline* (unfused) implementation; the fused
-// kernels that BNFF substitutes live in internal/kernels and are tested for
-// equivalence against these.
+// The convolution is written once per direction, as a per-sample window
+// (window.go) that also carries whatever the restructured graph fuses around
+// a CONV — the ReLU or BN+ReLU in front of it, the statistics of the BN behind
+// it. The zero ConvWindow is the baseline layer; internal/kernels names the
+// paper's fusions as ConvWindow literals and tests them for equivalence
+// against the unfused compositions of the layers here.
+//
+// Parallel execution is owned per layer descriptor: WithPool attaches an
+// executor's worker pool to a Conv2D, BatchNorm, Pool2D, or FC copy, and
+// every dispatch consults only that pool — there is no package-global worker
+// setting on any hot path, so two executors with different settings cannot
+// interfere.
+//
+// Work splits across the mini-batch dimension: forward outputs are disjoint
+// per sample (bit-identical to serial), and backward reductions give each
+// sample a private partial accumulator that is reduced in sample order
+// afterwards — deterministic regardless of scheduling. Reductions whose
+// serial form already accumulates one per-sample partial per target element
+// (BN statistics, dγ/dβ, FC dW/dB) stay bit-identical; conv dW partials
+// associate the same additions differently and land within float32
+// round-off.
 package layers

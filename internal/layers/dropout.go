@@ -23,15 +23,11 @@ func (d Dropout) Validate() error {
 	return nil
 }
 
-// Forward applies dropout to x using rng, returning the output and the
-// mask (0 or 1/(1−rate) per element) the backward pass reuses.
-func (d Dropout) Forward(x *tensor.Tensor, rng *tensor.RNG) (y, mask *tensor.Tensor, err error) {
-	return d.ForwardAlloc(nil, x, rng)
-}
-
-// ForwardAlloc is Forward drawing the output and mask from an arena (nil =
-// heap, bit-identical). Only surviving elements are written; the zeroed
-// remainder comes from the arena's zero-on-reuse guarantee.
+// ForwardAlloc applies dropout to x using rng, returning the output and the
+// mask (0 or 1/(1−rate) per element) the backward pass reuses, both drawn
+// from an arena (nil = heap, bit-identical). Only surviving elements are
+// written; the zeroed remainder comes from the arena's zero-on-reuse
+// guarantee.
 func (d Dropout) ForwardAlloc(a *tensor.Arena, x *tensor.Tensor, rng *tensor.RNG) (y, mask *tensor.Tensor, err error) {
 	if err := d.Validate(); err != nil {
 		return nil, nil, err
@@ -48,13 +44,8 @@ func (d Dropout) ForwardAlloc(a *tensor.Arena, x *tensor.Tensor, rng *tensor.RNG
 	return y, mask, nil
 }
 
-// Backward applies the saved mask to the upstream gradient.
-func (d Dropout) Backward(dy, mask *tensor.Tensor) (*tensor.Tensor, error) {
-	return d.BackwardAlloc(nil, dy, mask)
-}
-
-// BackwardAlloc is Backward drawing dx from an arena (nil = heap,
-// bit-identical).
+// BackwardAlloc applies the saved mask to the upstream gradient, drawing dx
+// from an arena (nil = heap, bit-identical).
 func (d Dropout) BackwardAlloc(a *tensor.Arena, dy, mask *tensor.Tensor) (*tensor.Tensor, error) {
 	if !dy.Shape().Equal(mask.Shape()) {
 		return nil, fmt.Errorf("dropout: dy %v vs mask %v", dy.Shape(), mask.Shape())

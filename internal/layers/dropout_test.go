@@ -16,7 +16,7 @@ func TestDropoutValidate(t *testing.T) {
 			t.Errorf("accepted rate %v", r)
 		}
 	}
-	if _, _, err := (Dropout{Rate: 2}).Forward(tensor.New(4), tensor.NewRNG(1)); err == nil {
+	if _, _, err := (Dropout{Rate: 2}).ForwardAlloc(nil, tensor.New(4), tensor.NewRNG(1)); err == nil {
 		t.Error("Forward accepted invalid rate")
 	}
 }
@@ -24,7 +24,7 @@ func TestDropoutValidate(t *testing.T) {
 func TestDropoutZeroRateIsIdentity(t *testing.T) {
 	x := tensor.New(100)
 	tensor.NewRNG(1).FillUniform(x, -1, 1)
-	y, mask, err := (Dropout{Rate: 0}).Forward(x, tensor.NewRNG(2))
+	y, mask, err := (Dropout{Rate: 0}).ForwardAlloc(nil, x, tensor.NewRNG(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestDropoutSurvivalRateAndScale(t *testing.T) {
 	x := tensor.New(n)
 	x.Fill(1)
 	d := Dropout{Rate: 0.3}
-	y, mask, err := d.Forward(x, tensor.NewRNG(3))
+	y, mask, err := d.ForwardAlloc(nil, x, tensor.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +76,13 @@ func TestDropoutBackwardUsesMask(t *testing.T) {
 	x := tensor.New(64)
 	tensor.NewRNG(4).FillUniform(x, -1, 1)
 	d := Dropout{Rate: 0.5}
-	_, mask, err := d.Forward(x, tensor.NewRNG(5))
+	_, mask, err := d.ForwardAlloc(nil, x, tensor.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dy := tensor.New(64)
 	dy.Fill(2)
-	dx, err := d.Backward(dy, mask)
+	dx, err := d.BackwardAlloc(nil, dy, mask)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDropoutBackwardUsesMask(t *testing.T) {
 			t.Fatalf("dx[%d] = %v, want %v", i, dx.Data[i], 2*mask.Data[i])
 		}
 	}
-	if _, err := d.Backward(dy, tensor.New(3)); err == nil {
+	if _, err := d.BackwardAlloc(nil, dy, tensor.New(3)); err == nil {
 		t.Error("accepted mismatched mask")
 	}
 }
@@ -100,12 +100,12 @@ func TestDropoutDeterministicPerSeed(t *testing.T) {
 	x := tensor.New(256)
 	x.Fill(1)
 	d := Dropout{Rate: 0.4}
-	_, m1, _ := d.Forward(x, tensor.NewRNG(9))
-	_, m2, _ := d.Forward(x, tensor.NewRNG(9))
+	_, m1, _ := d.ForwardAlloc(nil, x, tensor.NewRNG(9))
+	_, m2, _ := d.ForwardAlloc(nil, x, tensor.NewRNG(9))
 	if diff, _ := tensor.MaxAbsDiff(m1, m2); diff != 0 {
 		t.Error("same-seed dropout masks differ")
 	}
-	_, m3, _ := d.Forward(x, tensor.NewRNG(10))
+	_, m3, _ := d.ForwardAlloc(nil, x, tensor.NewRNG(10))
 	if diff, _ := tensor.MaxAbsDiff(m1, m3); diff == 0 {
 		t.Error("different-seed dropout masks identical")
 	}

@@ -57,18 +57,18 @@ func TestQuickReLUIdempotent(t *testing.T) {
 func TestEWS(t *testing.T) {
 	a := tensor.MustFromSlice([]float32{1, 2}, 1, 1, 1, 2)
 	b := tensor.MustFromSlice([]float32{10, 20}, 1, 1, 1, 2)
-	y, err := EWSForward(a, b)
+	y, err := EWSForwardAlloc(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if y.Data[0] != 11 || y.Data[1] != 22 {
 		t.Errorf("ews = %v, want [11 22]", y.Data)
 	}
-	if _, err := EWSForward(a, tensor.New(1, 1, 1, 3)); err == nil {
+	if _, err := EWSForwardAlloc(nil, a, tensor.New(1, 1, 1, 3)); err == nil {
 		t.Error("accepted shape mismatch")
 	}
 	dy := tensor.MustFromSlice([]float32{5, 6}, 1, 1, 1, 2)
-	da, db := EWSBackward(dy)
+	da, db := EWSBackwardAlloc(nil, dy)
 	if da.Data[0] != 5 || db.Data[1] != 6 {
 		t.Error("ews backward does not pass gradient through")
 	}
@@ -148,7 +148,7 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 	rng.FillUniform(a, -1, 1)
 	rng.FillUniform(b, -1, 1)
 	rng.FillUniform(c, -1, 1)
-	y, err := ConcatForward(a, b, c)
+	y, err := ConcatForwardAlloc(nil, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 	if y.At4(1, 3, 2, 2) != b.At4(1, 0, 2, 2) {
 		t.Error("concat misplaced channel data")
 	}
-	parts, err := ConcatBackward(y, []int{3, 5, 2})
+	parts, err := ConcatBackwardAlloc(nil, y, []int{3, 5, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,13 +171,13 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 }
 
 func TestConcatErrors(t *testing.T) {
-	if _, err := ConcatForward(); err == nil {
+	if _, err := ConcatForwardAlloc(nil); err == nil {
 		t.Error("accepted empty input list")
 	}
-	if _, err := ConcatForward(tensor.New(1, 2, 4, 4), tensor.New(1, 2, 5, 4)); err == nil {
+	if _, err := ConcatForwardAlloc(nil, tensor.New(1, 2, 4, 4), tensor.New(1, 2, 5, 4)); err == nil {
 		t.Error("accepted mismatched spatial dims")
 	}
-	if _, err := ConcatBackward(tensor.New(1, 4, 2, 2), []int{3, 3}); err == nil {
+	if _, err := ConcatBackwardAlloc(nil, tensor.New(1, 4, 2, 2), []int{3, 3}); err == nil {
 		t.Error("accepted wrong channel split")
 	}
 }

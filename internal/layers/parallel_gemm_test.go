@@ -73,7 +73,7 @@ func TestParallelBackwardBitIdentical(t *testing.T) {
 // Descriptors have no worker setting of their own: a fresh conv stays serial
 // until WithPool attaches an executor's pool.
 func TestFreshDescriptorIsSerial(t *testing.T) {
-	if c := NewConv2D(1, 1, 1, 1, 0); !c.Pool().Serial() {
+	if c := NewConv2D(1, 1, 1, 1, 0); !c.pool.Serial() {
 		t.Error("fresh descriptor's pool is not serial")
 	}
 }

@@ -213,21 +213,11 @@ func (p Pool2D) Backward(dy *tensor.Tensor, ctx *PoolContext) (*tensor.Tensor, e
 	return dx, nil
 }
 
-// GlobalAvgPoolForward reduces each channel's H×W plane to its mean,
-// returning (N, C) — the head of ResNet/DenseNet before the classifier.
-func GlobalAvgPoolForward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return GlobalAvgPoolForwardOn(nil, x)
-}
-
-// GlobalAvgPoolForwardOn is GlobalAvgPoolForward on a worker pool; the
-// per-channel reductions stay within one sample, so pooled execution is
-// bit-identical to serial.
-func GlobalAvgPoolForwardOn(p *parallel.Pool, x *tensor.Tensor) (*tensor.Tensor, error) {
-	return GlobalAvgPoolForwardAlloc(p, nil, x)
-}
-
-// GlobalAvgPoolForwardAlloc is GlobalAvgPoolForwardOn drawing the output
-// from an arena (nil = heap, bit-identical).
+// GlobalAvgPoolForwardAlloc reduces each channel's H×W plane to its mean,
+// returning (N, C) — the head of ResNet/DenseNet before the classifier — on a
+// worker pool (the per-channel reductions stay within one sample, so pooled
+// execution is bit-identical to serial), drawing the output from an arena
+// (nil = heap, bit-identical).
 func GlobalAvgPoolForwardAlloc(p *parallel.Pool, a *tensor.Arena, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x.Rank() != 4 {
 		return nil, fmt.Errorf("gap: input must be rank 4, got %v", x.Shape())
@@ -250,19 +240,9 @@ func GlobalAvgPoolForwardAlloc(p *parallel.Pool, a *tensor.Arena, x *tensor.Tens
 	return y, nil
 }
 
-// GlobalAvgPoolBackward spreads each (n,c) gradient uniformly over the
-// channel's spatial plane of the given input shape.
-func GlobalAvgPoolBackward(dy *tensor.Tensor, inShape tensor.Shape) (*tensor.Tensor, error) {
-	return GlobalAvgPoolBackwardOn(nil, dy, inShape)
-}
-
-// GlobalAvgPoolBackwardOn is GlobalAvgPoolBackward on a worker pool
-// (bit-identical to serial: per-sample disjoint writes).
-func GlobalAvgPoolBackwardOn(p *parallel.Pool, dy *tensor.Tensor, inShape tensor.Shape) (*tensor.Tensor, error) {
-	return GlobalAvgPoolBackwardAlloc(p, nil, dy, inShape)
-}
-
-// GlobalAvgPoolBackwardAlloc is GlobalAvgPoolBackwardOn drawing dx from an
+// GlobalAvgPoolBackwardAlloc spreads each (n,c) gradient uniformly over the
+// channel's spatial plane of the given input shape, on a worker pool
+// (bit-identical to serial: per-sample disjoint writes), drawing dx from an
 // arena (nil = heap, bit-identical).
 func GlobalAvgPoolBackwardAlloc(p *parallel.Pool, a *tensor.Arena, dy *tensor.Tensor, inShape tensor.Shape) (*tensor.Tensor, error) {
 	n, c, h, w := inShape[0], inShape[1], inShape[2], inShape[3]

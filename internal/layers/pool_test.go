@@ -148,7 +148,7 @@ func TestGlobalAvgPool(t *testing.T) {
 		1, 2, 3, 4, // c0: mean 2.5
 		10, 10, 10, 10, // c1: mean 10
 	}, 1, 2, 2, 2)
-	y, err := GlobalAvgPoolForward(x)
+	y, err := GlobalAvgPoolForwardAlloc(nil, nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestGlobalAvgPool(t *testing.T) {
 		t.Errorf("gap = %v, want [2.5 10]", y.Data)
 	}
 	dy := tensor.MustFromSlice([]float32{4, 8}, 1, 2)
-	dx, err := GlobalAvgPoolBackward(dy, x.Shape())
+	dx, err := GlobalAvgPoolBackwardAlloc(nil, nil, dy, x.Shape())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +168,10 @@ func TestGlobalAvgPool(t *testing.T) {
 			t.Errorf("gap dx c1[%d] = %v, want 2", i, dx.Data[4+i])
 		}
 	}
-	if _, err := GlobalAvgPoolForward(tensor.New(2, 2)); err == nil {
+	if _, err := GlobalAvgPoolForwardAlloc(nil, nil, tensor.New(2, 2)); err == nil {
 		t.Error("accepted rank-2 input")
 	}
-	if _, err := GlobalAvgPoolBackward(tensor.New(2, 3), x.Shape()); err == nil {
+	if _, err := GlobalAvgPoolBackwardAlloc(nil, nil, tensor.New(2, 3), x.Shape()); err == nil {
 		t.Error("accepted wrong dy shape")
 	}
 }
@@ -181,13 +181,13 @@ func TestGlobalAvgPoolGradient(t *testing.T) {
 	tensor.NewRNG(23).FillUniform(x, -1, 1)
 	dy, lossOf := weightedSumLoss(tensor.Shape{2, 3}, 13)
 	loss := func() float64 {
-		y, err := GlobalAvgPoolForward(x)
+		y, err := GlobalAvgPoolForwardAlloc(nil, nil, x)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return lossOf(y)
 	}
-	dx, err := GlobalAvgPoolBackward(dy, x.Shape())
+	dx, err := GlobalAvgPoolBackwardAlloc(nil, nil, dy, x.Shape())
 	if err != nil {
 		t.Fatal(err)
 	}

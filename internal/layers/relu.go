@@ -52,13 +52,8 @@ func ReLUBackwardAlloc(p *parallel.Pool, a *tensor.Arena, dy, x *tensor.Tensor) 
 	return dx, nil
 }
 
-// EWSForward is the element-wise sum used by ResNet identity shortcuts.
-func EWSForward(a, b *tensor.Tensor) (*tensor.Tensor, error) {
-	return EWSForwardAlloc(nil, a, b)
-}
-
-// EWSForwardAlloc is EWSForward drawing the output from an arena (nil =
-// heap, bit-identical).
+// EWSForwardAlloc is the element-wise sum used by ResNet identity shortcuts,
+// drawing the output from an arena (nil = heap, bit-identical).
 func EWSForwardAlloc(al *tensor.Arena, a, b *tensor.Tensor) (*tensor.Tensor, error) {
 	if !a.Shape().Equal(b.Shape()) {
 		return nil, fmt.Errorf("ews: shape mismatch %v vs %v", a.Shape(), b.Shape())
@@ -71,15 +66,9 @@ func EWSForwardAlloc(al *tensor.Arena, a, b *tensor.Tensor) (*tensor.Tensor, err
 	return y, nil
 }
 
-// EWSBackward routes the upstream gradient unchanged to both addends.
-// Both returned tensors are independent copies so downstream accumulation
-// cannot alias.
-func EWSBackward(dy *tensor.Tensor) (da, db *tensor.Tensor) {
-	return EWSBackwardAlloc(nil, dy)
-}
-
-// EWSBackwardAlloc is EWSBackward drawing both copies from an arena (nil =
-// heap, bit-identical).
+// EWSBackwardAlloc routes the upstream gradient unchanged to both addends.
+// Both returned tensors are independent copies, drawn from an arena (nil =
+// heap, bit-identical), so downstream accumulation cannot alias.
 func EWSBackwardAlloc(a *tensor.Arena, dy *tensor.Tensor) (da, db *tensor.Tensor) {
 	return a.Clone(dy), a.Clone(dy)
 }

@@ -1,0 +1,339 @@
+package layers
+
+import (
+	"fmt"
+
+	"bnff/internal/tensor"
+)
+
+// This file holds the one convolution window per direction. A window is the
+// per-sample chunk body a convolution's batch loop runs: whatever the
+// restructured graph fuses around the CONV executes inside it, on the sample
+// that is cache-resident anyway, instead of as a full-batch sweep of its own.
+//
+//	forward:  fill the conv's ifmap tile → ConvGeom.ForwardSample
+//	          → the sample's Σy/Σy² partials (sub-BN1 of the following BN)
+//	backward: regenerate the ifmap tile → ConvGeom.BackwardSample
+//	          → ReLU mask + the sample's dγ/dβ partials (sub-BN2')
+//
+// Every conv-like entry point — Conv2D.Forward/ForwardBias/Backward here, the
+// named fusions in internal/kernels, the executor — is a ConvWindow literal
+// over these two bodies. Partials are one per (sample, channel) and are
+// reduced in sample order after the dispatch, which is the association the
+// standalone sweeps (ComputeStatsMVF, BackwardReduce) use, so a window's
+// statistics and reductions are bit-identical to the unfused composition at
+// any worker count.
+
+// ConvWindow selects what runs inside a convolution's window. The zero value
+// is the plain convolution.
+type ConvWindow struct {
+	// Rectify makes the convolution read ReLU(x) (the paper's RCF): forward
+	// rectifies each sample into a tile, backward regenerates the tile from
+	// the saved pre-activation and masks the input gradient with it.
+	Rectify bool
+
+	// Gamma and Beta (set together) make the convolution read ReLU(γ·x̂+β),
+	// the (sub-BN2)-ReLU-CONV fusion. Forward normalizes x by the statistics
+	// In on layer BN's ε and also returns x̂; backward takes the saved x̂ as
+	// its source, and reduces dγ/dβ while it masks.
+	BN          BatchNorm
+	In          *BNStats
+	Gamma, Beta *tensor.Tensor
+
+	// Bias (forward) seeds every output accumulator of channel oc with
+	// Bias[oc] — the folded CONV+BN of inference (internal/graph FoldBN).
+	Bias *tensor.Tensor
+
+	// Stats (forward) closes the ofmap's per-channel statistics from partials
+	// taken as each sample is written: CONV-(sub-BN1), float32 MVF.
+	Stats bool
+}
+
+func (win ConvWindow) tiled() bool { return win.Rectify || win.Gamma != nil }
+
+func (win ConvWindow) check(c Conv2D, forward bool) error {
+	if win.Bias != nil && (win.Bias.Rank() != 1 || win.Bias.Dim(0) != c.OutChannels) {
+		return fmt.Errorf("conv: bias shape %v, want [%d]", win.Bias.Shape(), c.OutChannels)
+	}
+	if win.Gamma == nil {
+		return nil
+	}
+	bn := win.BN
+	if bn.Channels != c.InChannels {
+		return fmt.Errorf("conv: fused BN has %d channels, conv reads %d", bn.Channels, c.InChannels)
+	}
+	if win.Beta == nil || (forward && win.In == nil) {
+		return fmt.Errorf("conv: fused BN needs gamma, beta and (forward) statistics")
+	}
+	if err := bn.checkParam("gamma", win.Gamma); err != nil {
+		return err
+	}
+	if err := bn.checkParam("beta", win.Beta); err != nil {
+		return err
+	}
+	if !forward {
+		return nil
+	}
+	if err := bn.checkParam("mean", win.In.Mean); err != nil {
+		return err
+	}
+	return bn.checkParam("var", win.In.Var)
+}
+
+// tileFill is the prologue both windows share: it writes one sample's conv
+// ifmap into a chunk-private tile. The zero value rectifies; with g/b set the
+// tile is ReLU(γ·x̂+β).
+type tileFill struct {
+	mean, inv, g, b []float32
+}
+
+// fill writes tile from one sample src. Under BN, src is x̂ itself when xh is
+// nil (backward: regenerate what forward never stored); otherwise src is x,
+// normalized exactly once on its way into the tile and stored to xh (forward:
+// the O2' sweep of Figure 5a that backward re-reads).
+//
+// hot-path: runs once per sample per direction; all buffers are the caller's.
+func (f *tileFill) fill(tile, src, xh []float32, chanLen int) {
+	if f.g == nil {
+		for i, v := range src {
+			tile[i] = rectify(v)
+		}
+		return
+	}
+	for ic, gc := range f.g {
+		bc := f.b[ic]
+		lo, hi := ic*chanLen, (ic+1)*chanLen
+		trow := tile[lo:hi]
+		if xh == nil {
+			for i, v := range src[lo:hi] {
+				trow[i] = rectify(gc*v + bc)
+			}
+			continue
+		}
+		mu, is := f.mean[ic], f.inv[ic]
+		xrow := xh[lo:hi]
+		for i, xv := range src[lo:hi] {
+			v := (xv - mu) * is
+			xrow[i] = v
+			trow[i] = rectify(gc*v + bc)
+		}
+	}
+}
+
+// rectify is ReLU on one element with ReLUForward's semantics: only v > 0
+// passes, so NaN and −0 both become +0 (builtin max would keep NaN).
+func rectify(v float32) float32 {
+	if v > 0 {
+		return v
+	}
+	return 0
+}
+
+// ForwardWindow computes y = conv(in, w) where in is x, ReLU(x) or
+// ReLU(BN(x)) as win selects, with win's bias and statistics epilogue in the
+// same per-sample sweep. xhat is non-nil under BN, stats under win.Stats.
+// Samples split on the conv's pool; each chunk owns a private tile (1/N of a
+// batch tensor — the rectified batch tensor never exists) and every write
+// (x̂, y, partials) is per-sample disjoint, so pooled execution is
+// bit-identical to serial.
+func (c Conv2D) ForwardWindow(x, w *tensor.Tensor, win ConvWindow) (y, xhat *tensor.Tensor, stats *BNStats, err error) {
+	if err := c.checkForward(x, w); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := win.check(c, true); err != nil {
+		return nil, nil, nil, err
+	}
+	n, cin, h, wd := x.Dims4()
+	a := c.alloc
+	y = a.Get(c.OutShape(x.Shape())...)
+	sp := convFwd{geom: c.SampleGeom(h, wd), x: x.Data, w: w.Data, y: y.Data}
+	if win.Bias != nil {
+		sp.bias = win.Bias.Data
+	}
+	if win.Gamma != nil {
+		xhat = a.Get(x.Shape()...)
+		sp.xh = xhat.Data
+		sp.tileFill = tileFill{mean: win.In.Mean.Data, inv: win.BN.InvStdScratch(win.In), g: win.Gamma.Data, b: win.Beta.Data}
+	}
+	// All scratch is carved here, on the dispatching goroutine: workers index
+	// it by chunk or sample and never touch the arena.
+	chunks := c.pool.NumChunks(n)
+	if win.tiled() {
+		sp.tiles = a.Floats(chunks * cin * h * wd)
+	}
+	if win.Stats {
+		sp.psum, sp.psumsq = a.Floats(n*c.OutChannels), a.Floats(n*c.OutChannels)
+	}
+	if chunks == 1 {
+		// A plain method call on the stack spec: no closure, no heap traffic
+		// on the one-worker steady state.
+		sp.run(0, 0, n)
+	} else {
+		pooled := sp // only this copy escapes into the dispatched closure
+		c.pool.RunChunked(n, func(chunk, lo, hi int) { pooled.run(chunk, lo, hi) })
+	}
+	if win.Stats {
+		stats = BatchNorm{alloc: a}.StatsFromPartials(sp.psum, sp.psumsq, n, sp.geom.OH*sp.geom.OW)
+		a.PutFloats(sp.psumsq)
+		a.PutFloats(sp.psum)
+	}
+	a.PutFloats(sp.tiles)
+	win.BN.alloc.PutFloats(sp.inv)
+	return y, xhat, stats, nil
+}
+
+// convFwd carries ForwardWindow's loop state into its chunk body, so the
+// serial path can invoke it without allocating a closure.
+type convFwd struct {
+	tileFill
+	geom          ConvGeom
+	x, w, y, bias []float32
+	xh            []float32 // x̂ out, under BN
+	tiles         []float32 // per-chunk ifmap tiles; nil: convolve x in place
+	psum, psumsq  []float32 // per-(sample, out-channel) partials; nil: no epilogue
+}
+
+// run is the forward window. Rectified-away elements enter the convolution as
+// +0 terms, exactly as in the unfused ReLU→CONV composition, so non-finite
+// weights propagate (0·Inf = NaN).
+//
+// hot-path: the module's dominant sweep; tiles and partials are carved from
+// the dispatcher's slabs, so the body allocates nothing.
+func (sp *convFwd) run(chunk, lo, hi int) {
+	g := &sp.geom
+	inLen, outLen := g.Cin*g.H*g.W, g.Cout*g.OH*g.OW
+	for in := lo; in < hi; in++ {
+		src := sp.x[in*inLen : (in+1)*inLen]
+		if sp.tiles != nil {
+			tile := sp.tiles[chunk*inLen : (chunk+1)*inLen]
+			var xh []float32
+			if sp.xh != nil {
+				xh = sp.xh[in*inLen : (in+1)*inLen]
+			}
+			sp.fill(tile, src, xh, g.H*g.W)
+			src = tile
+		}
+		out := sp.y[in*outLen : (in+1)*outLen]
+		g.ForwardSample(src, sp.w, out, sp.bias)
+		if sp.psum != nil {
+			MomentPartials(sp.y, sp.psum, sp.psumsq, g.Cout, g.OH*g.OW, in, in+1)
+		}
+	}
+}
+
+// BackwardWindow is the backward of ForwardWindow: given the upstream
+// gradient dy and the forward's saved source — x, or x̂ under BN — it returns
+// the gradient with respect to that source's pre-activation and dW, plus
+// dγ/dβ under BN. The ifmap the forward never stored is regenerated per
+// sample into a chunk-private tile, so no feature-map-sized scratch exists.
+func (c Conv2D) BackwardWindow(dy, src, w *tensor.Tensor, win ConvWindow) (dx, dw, dgamma, dbeta *tensor.Tensor, err error) {
+	if err := c.checkBackward(dy, src, w, win); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	// dx follows the gradient schedule and comes from the arena (zeroed: the
+	// kernel accumulates); dW, dγ and dβ escape into the caller's gradient
+	// map, whose lifetime the schedule does not bound, so they are plain
+	// allocations.
+	dx = c.alloc.Get(src.Shape()...)
+	dw = tensor.New(w.Shape()...)
+	dgamma, dbeta = c.backwardWindow(dy, src, w, dx, dw, win)
+	return dx, dw, dgamma, dbeta, nil
+}
+
+func (c Conv2D) checkBackward(dy, src, w *tensor.Tensor, win ConvWindow) error {
+	if err := c.checkForward(src, w); err != nil {
+		return err
+	}
+	if !dy.Shape().Equal(c.OutShape(src.Shape())) {
+		return fmt.Errorf("conv: dY shape %v, want %v", dy.Shape(), c.OutShape(src.Shape()))
+	}
+	return win.check(c, false)
+}
+
+// backwardWindow dispatches the backward window over the batch, accumulating
+// into dx and dw. With one chunk every sample accumulates straight into dw —
+// the serial association. With more, each sample owns a zero-seeded dW
+// partial that is reduced in sample order afterwards: deterministic at any
+// worker count, within float32 round-off of serial (the same additions,
+// associated differently). dx rows are per-sample disjoint either way.
+func (c Conv2D) backwardWindow(dy, src, w, dx, dw *tensor.Tensor, win ConvWindow) (dgamma, dbeta *tensor.Tensor) {
+	n, cin, h, wd := src.Dims4()
+	a := c.alloc
+	sp := convBwd{geom: c.SampleGeom(h, wd), dy: dy.Data, src: src.Data, w: w.Data, dx: dx.Data, dw: dw.Data}
+	chunks := c.pool.NumChunks(n)
+	if chunks > 1 {
+		sp.dwStride = len(w.Data)
+		sp.dw = a.Floats(n * sp.dwStride)
+	}
+	if win.tiled() {
+		sp.tiles = a.Floats(chunks * cin * h * wd)
+	}
+	if win.Gamma != nil {
+		sp.tileFill = tileFill{g: win.Gamma.Data, b: win.Beta.Data}
+		// float64 partials stay plain heap slices: the arena recycles float32.
+		sp.psg, sp.psb = make([]float64, n*cin), make([]float64, n*cin)
+	}
+	if chunks == 1 {
+		sp.run(0, 0, n)
+	} else {
+		pooled := sp
+		c.pool.RunChunked(n, func(chunk, lo, hi int) { pooled.run(chunk, lo, hi) })
+		// det-reduce: per-sample dW partials combined in sample order.
+		for i := 0; i < n; i++ {
+			for j, v := range sp.dw[i*sp.dwStride : (i+1)*sp.dwStride] {
+				dw.Data[j] += v
+			}
+		}
+		a.PutFloats(sp.dw)
+	}
+	a.PutFloats(sp.tiles)
+	if sp.psg != nil {
+		dgamma, dbeta = reduceGammaBeta(sp.psg, sp.psb, n, cin)
+	}
+	return dgamma, dbeta
+}
+
+// convBwd carries backwardWindow's loop state into its chunk body.
+type convBwd struct {
+	tileFill
+	geom       ConvGeom
+	dy, src, w []float32
+	dx, dw     []float32
+	dwStride   int       // 0: all samples share dw; len(w): sample i owns dw[i*len(w):]
+	tiles      []float32 // per-chunk regenerated ifmap; nil: src is the ifmap
+	psg, psb   []float64 // per-(sample, channel) dγ/dβ partials, under BN
+}
+
+// run is the backward window. The mask tests the regenerated tile, which is
+// never NaN, so a NaN pre-activation loses its gradient exactly as in
+// ReLUBackward; masked elements still enter the dγ/dβ chains as zero terms,
+// exactly as in BackwardReduce over the masked gradient, so a non-finite x̂
+// propagates (0·Inf = NaN).
+//
+// hot-path: the backward twin of convFwd.run; no per-call allocation.
+func (sp *convBwd) run(chunk, lo, hi int) {
+	g := &sp.geom
+	hw := g.H * g.W
+	inLen, outLen, wLen := g.Cin*hw, g.Cout*g.OH*g.OW, len(sp.w)
+	for in := lo; in < hi; in++ {
+		src := sp.src[in*inLen : (in+1)*inLen]
+		z := src
+		if sp.tiles != nil {
+			z = sp.tiles[chunk*inLen : (chunk+1)*inLen]
+			sp.fill(z, src, nil, hw)
+		}
+		dx := sp.dx[in*inLen : (in+1)*inLen]
+		g.BackwardSample(sp.dy[in*outLen:(in+1)*outLen], z, sp.w, dx, sp.dw[in*sp.dwStride:in*sp.dwStride+wLen])
+		if sp.tiles == nil {
+			continue
+		}
+		for i, zv := range z {
+			if zv <= 0 {
+				dx[i] = 0
+			}
+		}
+		if sp.psg != nil {
+			gammaBetaPartials(dx, src, sp.psg[in*g.Cin:], sp.psb[in*g.Cin:], g.Cin, hw)
+		}
+	}
+}

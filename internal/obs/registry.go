@@ -79,9 +79,10 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// histBuckets mirrors internal/serve's latency accounting: an observation of
-// n lands in bucket bits.Len64(n), so bucket i covers [2^(i-1), 2^i) and the
-// quantile read is a pure function of the observation multiset.
+// histBuckets is the power-of-two bucket count: an observation of n lands in
+// bucket bits.Len64(n), so bucket i covers [2^(i-1), 2^i) and the quantile
+// read is a pure function of the observation multiset. internal/serve's
+// /stats latency quantiles read this histogram.
 const histBuckets = 65
 
 // Histogram counts observations in power-of-two buckets (nanoseconds by

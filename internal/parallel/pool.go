@@ -9,7 +9,7 @@
 // item order. Parallel forward passes are therefore bit-identical to serial
 // execution, and parallel backward passes are deterministic and within
 // float32 round-off of serial (per-sample partials associate the same
-// additions differently; see internal/layers/parallel.go).
+// additions differently; see internal/layers/doc.go).
 package parallel
 
 import (

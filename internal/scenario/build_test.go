@@ -74,7 +74,7 @@ func TestServeConfigMapping(t *testing.T) {
 	// Overload shapes default a 20 ms service floor and map it to MinService.
 	o := validServe()
 	o.Traffic = TrafficOverload
-	o.Replicas = 1
+	o.Replicas, o.QueueDepth, o.Clients = 1, 2, 12
 	if err := o.Normalize(); err != nil {
 		t.Fatal(err)
 	}

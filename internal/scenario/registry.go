@@ -258,9 +258,10 @@ func Builtin() *Registry {
 			Requests: 48,
 		},
 		// The fleet overload twin of serve/tiny-densenet/overload: the same
-		// 20 ms service floor and 2-deep queues, but 12 clients press
-		// against two single-replica backends through the proxy — requests
-		// shed only once every backend's queue is full.
+		// 20 ms service floor and 2-deep queues, but 16 clients press
+		// against two single-replica backends through the proxy — 12 request
+		// slots in all, and requests shed only once every backend's queue is
+		// full.
 		Spec{
 			Name:           "serve/fleet/tiny-densenet/proxy-overload",
 			Kind:           KindServe,
@@ -269,7 +270,7 @@ func Builtin() *Registry {
 			Traffic:        TrafficProxyOverload,
 			Backends:       2,
 			Requests:       48,
-			Clients:        12,
+			Clients:        16,
 			QueueDepth:     2,
 			MaxBatch:       4,
 			ServiceFloorMS: 20,

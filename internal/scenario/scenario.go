@@ -361,6 +361,20 @@ func (s *Spec) normalizeServe() error {
 	} else if s.Policy != "" {
 		return fmt.Errorf("scenario %q: policy applies only to fleet scenarios (backends > 0)", s.Name)
 	}
+	if s.Traffic == TrafficOverload || s.Traffic == TrafficProxyOverload {
+		// Shedding is structural only when the closed-loop clients outnumber
+		// every slot that can hold a request at once: per engine, a batch in
+		// service on each replica plus the queue. With fewer, whether anything
+		// sheds depends on routing imbalance and timing.
+		if s.QueueDepth == 0 {
+			return fmt.Errorf("scenario %q: %s needs an explicit queue_depth to shed against", s.Name, s.Traffic)
+		}
+		hold := max(s.Backends, 1) * (s.Replicas*s.MaxBatch + s.QueueDepth)
+		if s.Clients <= hold {
+			return fmt.Errorf("scenario %q: %d clients cannot overload %d request slots (backends x (replicas x max_batch + queue_depth)); need more than %d",
+				s.Name, s.Clients, hold, hold)
+		}
+	}
 	return nil
 }
 

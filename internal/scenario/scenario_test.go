@@ -150,6 +150,13 @@ func TestNormalizeErrorPaths(t *testing.T) {
 		{"one-backend fleet drill", func(s *Spec) { s.Traffic = TrafficBackendCrash; s.Backends = 1 }, "2 backends"},
 		{"policy without backends", func(s *Spec) { s.Policy = "hash" }, "backends > 0"},
 		{"unknown policy", func(s *Spec) { s.Traffic = TrafficProxyOverload; s.Policy = "sticky" }, "unknown policy"},
+		{"overload without queue depth", func(s *Spec) { s.Traffic = TrafficOverload; s.Clients = 99 }, "explicit queue_depth"},
+		{"overload the engine absorbs", func(s *Spec) {
+			s.Traffic, s.Replicas, s.MaxBatch, s.QueueDepth, s.Clients = TrafficOverload, 1, 4, 2, 6
+		}, "need more than 6"},
+		{"proxy overload the fleet absorbs", func(s *Spec) {
+			s.Traffic, s.Backends, s.Replicas, s.MaxBatch, s.QueueDepth, s.Clients = TrafficProxyOverload, 2, 1, 4, 2, 12
+		}, "need more than 12"},
 	}
 	for _, tc := range serveCases {
 		s := validServe()
@@ -208,6 +215,9 @@ func TestChecksPerShape(t *testing.T) {
 		s.Traffic = traffic
 		if traffic == TrafficCrash {
 			s.Replicas = 2
+		}
+		if traffic == TrafficOverload || traffic == TrafficProxyOverload {
+			s.QueueDepth, s.Clients = 2, 64 // more clients than request slots
 		}
 		if err := s.Normalize(); err != nil {
 			t.Fatalf("%s: %v", traffic, err)

@@ -62,8 +62,9 @@ type Config struct {
 	// Metrics, when non-nil, is the registry the engine publishes its
 	// serving metrics into (bnff_serve_* counters, gauges, and the latency
 	// histogram) — inject one to aggregate several engines or to scrape from
-	// elsewhere. With a nil Metrics the engine creates a private registry, so
-	// GET /metrics always has something to expose.
+	// elsewhere; engines that share one also share the latency quantiles
+	// Stats reports. With a nil Metrics the engine creates a private
+	// registry, so GET /metrics always has something to expose.
 	Metrics *obs.Registry
 
 	// Tracer, when non-nil, records engine lifecycle spans (currently the

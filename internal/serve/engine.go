@@ -273,7 +273,6 @@ func (e *Engine) Stats() Stats {
 		Draining:   e.draining.Load(),
 		BatchHist:  make([]uint64, e.cfg.MaxBatch),
 	}
-	var lat [latBuckets]uint64
 	for _, r := range e.replicas {
 		r.stats.mu.Lock()
 		st.Requests += r.stats.requests
@@ -281,13 +280,10 @@ func (e *Engine) Stats() Stats {
 		for i, c := range r.stats.batchHist {
 			st.BatchHist[i] += c
 		}
-		for i, c := range r.stats.latHist {
-			lat[i] += c
-		}
 		r.stats.mu.Unlock()
 	}
-	st.P50Nanos = quantile(&lat, 0.50)
-	st.P99Nanos = quantile(&lat, 0.99)
+	st.P50Nanos = e.mLatency.Quantile(0.50)
+	st.P99Nanos = e.mLatency.Quantile(0.99)
 	return st
 }
 

@@ -116,19 +116,17 @@ func (r *replica) run(batch []*request) {
 	}
 	per := r.e.classes
 	end := r.e.now()
-	lats := make([]int64, k)
-	for i, req := range batch {
-		logits := make([]float32, per)
-		copy(logits, y.Data[i*per:(i+1)*per])
-		req.resp <- result{logits: logits}
-		lats[i] = end - req.start
-	}
-	r.stats.record(k, lats)
+	// Account before replying, so a caller holding its answer finds itself
+	// in /stats and /metrics.
+	r.stats.record(k)
 	r.e.mRequests.Add(int64(k))
 	r.e.mBatches.Inc()
 	r.e.mOccupancy.Set(int64(k))
-	for _, l := range lats {
-		r.e.mLatency.Observe(l)
+	for i, req := range batch {
+		logits := make([]float32, per)
+		copy(logits, y.Data[i*per:(i+1)*per])
+		r.e.mLatency.Observe(end - req.start)
+		req.resp <- result{logits: logits}
 	}
 }
 

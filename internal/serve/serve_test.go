@@ -318,13 +318,21 @@ func TestServeConfigValidate(t *testing.T) {
 	}
 }
 
-// The latency histogram and its quantiles are pure functions of the recorded
-// durations: same observations, same p50/p99, independent of arrival order.
+// The /stats latency quantiles are pure functions of the recorded durations:
+// same observations, same p50/p99, independent of arrival order. Stats reads
+// them from the engine's one latency histogram, the series /metrics exports.
 func TestStatsQuantileDeterminism(t *testing.T) {
+	ckpt := testCheckpoint(t)
 	mk := func(lats []int64) (int64, int64) {
-		s := replicaStats{batchHist: make([]uint64, 8)}
-		s.record(len(lats), lats)
-		return quantile(&s.latHist, 0.50), quantile(&s.latHist, 0.99)
+		eng, err := newEngine(tinyCNN, bytes.NewReader(ckpt), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range lats {
+			eng.mLatency.Observe(l)
+		}
+		st := eng.Stats()
+		return st.P50Nanos, st.P99Nanos
 	}
 	lats := make([]int64, 100)
 	for i := range lats {

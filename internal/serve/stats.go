@@ -1,17 +1,6 @@
 package serve
 
-import (
-	"math"
-	"math/bits"
-	"sync"
-)
-
-// Latency is tracked in power-of-two nanosecond buckets: an observation of n
-// nanoseconds lands in bucket bits.Len64(n), so bucket i covers [2^(i-1), 2^i).
-// Quantiles read the bucket upper bound, which makes p50/p99 a pure function
-// of the multiset of recorded durations — no sampling, no reservoir, the same
-// answer on every run with the same (injected) clock.
-const latBuckets = 65
+import "sync"
 
 // replicaStats is one replica's counters. Each replica owns its own struct so
 // the hot path contends only with the /stats reader, never with other
@@ -21,23 +10,16 @@ type replicaStats struct {
 	requests  uint64
 	batches   uint64
 	batchHist []uint64 // index i counts batches of size i+1
-	latHist   [latBuckets]uint64
 }
 
-// record logs one dispatched batch and its per-request latencies.
-func (s *replicaStats) record(batch int, latNs []int64) {
+// record logs one dispatched batch of the given size.
+func (s *replicaStats) record(batch int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.requests += uint64(len(latNs))
+	s.requests += uint64(batch)
 	s.batches++
 	if batch >= 1 && batch <= len(s.batchHist) {
 		s.batchHist[batch-1]++
-	}
-	for _, ns := range latNs {
-		if ns < 0 {
-			ns = 0
-		}
-		s.latHist[bits.Len64(uint64(ns))]++
 	}
 }
 
@@ -61,42 +43,13 @@ type Stats struct {
 	// BatchHist[i] is the number of dispatched batches of size i+1, up to
 	// MaxBatch.
 	BatchHist []uint64 `json:"batch_hist"`
-	// P50Nanos and P99Nanos are latency quantiles (enqueue to reply) from
-	// the power-of-two histogram; zero until requests have been served or
-	// when no Clock was injected.
+	// P50Nanos and P99Nanos are latency quantiles (enqueue to reply) read
+	// from the engine's bnff_serve_latency_ns histogram — power-of-two
+	// nanosecond buckets, the quantile being its bucket's upper bound, so
+	// both are a pure function of the multiset of recorded durations: no
+	// sampling, no reservoir, the same answer on every run with the same
+	// (injected) clock. Zero until requests have been served or when no
+	// Clock was injected.
 	P50Nanos int64 `json:"p50_ns"`
 	P99Nanos int64 `json:"p99_ns"`
-}
-
-// quantile returns the upper bound of the first histogram bucket whose
-// cumulative count reaches the q-quantile rank.
-func quantile(hist *[latBuckets]uint64, q float64) int64 {
-	var total uint64
-	for _, c := range hist {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range hist {
-		cum += c
-		if cum >= rank {
-			return bucketUpper(i)
-		}
-	}
-	return bucketUpper(latBuckets - 1)
-}
-
-// bucketUpper is the largest duration bucket i can hold (the top buckets
-// saturate at MaxInt64).
-func bucketUpper(i int) int64 {
-	if i >= 63 {
-		return math.MaxInt64
-	}
-	return int64(1)<<uint(i) - 1
 }

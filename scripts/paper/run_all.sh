@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Paper-grade experiment runner: build cmd/bnff-exp, execute the committed
 # grid (scripts/paper/experiments.json), validate the emitted BENCH files,
-# and prove the byte-determinism contract on the non-timing fields. Run from
-# the repository root:
+# prove the byte-determinism contract on the non-timing fields, and compare
+# every scenario's digest with the committed BENCH files. Run from the
+# repository root:
 #
 #   scripts/paper/run_all.sh              # full grid -> BENCH files in repo root
 #   scripts/paper/run_all.sh -smoke       # the grid's smoke subset (CI)
@@ -22,6 +23,11 @@ GRID="scripts/paper/experiments.json"
 OUT="${BNFF_BENCH_OUT:-.}"
 BIN="$(mktemp -d)/bnff-exp"
 mkdir -p "$OUT"
+
+# The committed BENCH files are the digest reference; snapshot them first,
+# because with OUT=. the run below overwrites them.
+REF="$(mktemp -d)"
+cp BENCH_train.json BENCH_serve.json "$REF/"
 
 go build -o "$BIN" ./cmd/bnff-exp
 
@@ -60,4 +66,22 @@ for name in BENCH_train.json BENCH_serve.json; do
     }
 done
 echo "canonical BENCH forms byte-identical across runs"
+
+# Trajectory gate: a scenario's digest is a pure function of its spec and the
+# numeric code, so a fresh digest that differs from the committed one is a
+# behaviour change — the exact, non-timing half of a perf-trajectory diff. A
+# deliberate change passes once the regenerated files in $OUT are committed.
+python3 - "$REF" "$OUT" <<'PY'
+import json, sys
+ref, out = sys.argv[1:3]
+bad = 0
+for name in ("BENCH_train.json", "BENCH_serve.json"):
+    want = {s["name"]: s["digest"] for s in json.load(open(f"{ref}/{name}"))["scenarios"]}
+    for s in json.load(open(f"{out}/{name}"))["scenarios"]:
+        if want.get(s["name"]) != s["digest"]:
+            print(f"{name}: {s['name']}: digest {s['digest']}, committed {want.get(s['name'], 'absent')}", file=sys.stderr)
+            bad += 1
+sys.exit(1 if bad else 0)
+PY
+echo "every scenario digest matches the committed BENCH files"
 echo "paper run OK (BENCH files in $OUT)"
