@@ -38,7 +38,7 @@ func (r *runner) runTrain(sp scenario.Spec) (experiments.BenchScenario, error) {
 			stepRates = append(stepRates, float64(sp.Steps)/(elapsed/1e9))
 		}
 		losses = append(losses, res.Loss)
-		if g := tr.Group(); g != nil && sp.Replicas > 1 {
+		if g := tr.Group(); g != nil {
 			reduceBytes = append(reduceBytes, float64(g.ReduceBytes()))
 		}
 		var buf bytes.Buffer

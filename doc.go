@@ -48,11 +48,13 @@
 // internal/serve and cmd/bnff-serve deploy a checkpoint behind HTTP with
 // dynamic micro-batching: single-image POST /predict requests coalesce into
 // mini-batches (when MaxBatch are queued or MaxWait expires) dispatched to a
-// pool of replica inference executors, with bounded queueing and explicit
-// load shedding (429). Replicas are built core.WithInference and, by
-// default, core.WithFoldedBN — an inference-time compile pass that rewrites
-// every CONV→BN pair where the BN is the conv's sole consumer into a single
-// CONV with per-channel scaled weights and a folded bias, so those BNs cost
+// pool of replica inference executors — one per replica, answering every
+// batch size, since an executor takes its batch size from its input — with
+// bounded queueing and explicit load shedding (429). Replicas are built
+// core.WithInference and, by default, core.WithFoldedBN — an inference-time
+// compile pass that rewrites every CONV→BN pair where the BN is the conv's
+// sole consumer into a single CONV with per-channel scaled weights and a
+// folded bias, so those BNs cost
 // zero feature-map sweeps at serving time; unfoldable BNs (after concat,
 // pooling, EWS, or fan-out) keep the element-wise normalize path on running
 // statistics. Inference has no cross-sample reductions, so a request's
@@ -105,8 +107,10 @@
 // exchange single-sweep (Σx, Σx², count) moments so every shard normalizes
 // with whole-batch statistics — exactly one extra all-reduce per BN layer,
 // the paper's MVF form paying off a second time. Sync forward statistics are
-// bit-identical to a single executor running the undivided batch; a
-// one-replica group is byte-identical to the plain trainer.
+// bit-identical to a single executor running the undivided batch. Replicas
+// run the primary's own graph: an executor takes its batch size from its
+// input, so a shard is just a smaller input. One replica is the plain
+// trainer; a group needs at least two.
 //
 // # Static analysis
 //

@@ -2,9 +2,10 @@
 // walks through — train a restructured model, checkpoint it, and serve it.
 // Deployment happens twice, at increasing levels of integration:
 //
-//  1. A bare batch-1 inference executor (core.WithInference), plus the same
+//  1. A bare inference executor (core.WithInference), plus the same
 //     checkpoint compiled through the CONV→BN fold (core.WithFoldedBN) to
-//     show folding preserves the model within float32 round-off.
+//     show folding preserves the model within float32 round-off. One executor
+//     answers batch 1 and batch 4: it takes its batch size from its input.
 //  2. The serving engine (serve.Load): single-image requests coalesced into
 //     mini-batches by the dynamic micro-batcher, running on the folded
 //     compilation — the shape a real deployment takes behind bnff-serve.
@@ -86,8 +87,9 @@ func run() error {
 	fmt.Printf("  checkpoint written: %s (%d bytes)\n", ckpt, fi.Size())
 
 	// --- deploy, level 1: bare inference executors ---
-	// The BNFF checkpoint loads into a *baseline* batch-1 graph: restructuring
-	// never renames parameters. WithInference switches BN to running stats.
+	// The BNFF checkpoint loads into a *baseline* graph: restructuring never
+	// renames parameters. WithInference switches BN to running stats. The
+	// batch the graph is built at is only what the cost models price.
 	gPlain, err := models.TinyDenseNet(1)
 	if err != nil {
 		return err
@@ -130,6 +132,31 @@ func run() error {
 	}
 	diff, _ := tensor.MaxAbsDiff(yPlain, yFold)
 	fmt.Printf("folded inference agrees with unfolded within %.2g\n", diff)
+
+	// The same executor, handed four images at once: row 0 is exactly the
+	// batch-1 answer, because inference has no cross-sample dependency.
+	x4, _, err := data.Batch(4)
+	if err != nil {
+		return err
+	}
+	y4, err := folded.Forward(x4)
+	if err != nil {
+		return err
+	}
+	row0 := append([]float32(nil), y4.Data[:classes]...)
+	x1, err := tensor.FromSlice(x4.Data[:x.NumElems()], x.Shape()...)
+	if err != nil {
+		return err
+	}
+	y1, err := folded.Forward(x1)
+	if err != nil {
+		return err
+	}
+	same := true
+	for i, v := range y1.Data {
+		same = same && v == row0[i]
+	}
+	fmt.Printf("one executor, batch 4 then batch 1: row 0 bit-identical = %v\n", same)
 
 	// --- deploy, level 2: the batched serving engine ---
 	// serve.Load owns the whole deployment recipe: it builds folded inference

@@ -26,6 +26,12 @@ import (
 // Each executor owns one worker pool (see internal/parallel) threaded
 // through every layer dispatch, so two executors with different worker
 // settings can run the same graph concurrently without interfering.
+//
+// The executor is batch-polymorphic: every layer reads N from the tensor it
+// is handed, so Forward accepts any batch size whose per-sample dimensions
+// match the graph's input, and the same executor may answer batches of
+// different sizes on consecutive passes. Dimension 0 of the graph's shapes is
+// what the cost models price, not something the executor requires.
 type Executor struct {
 	G      *graph.Graph
 	Params map[string]*tensor.Tensor
@@ -285,15 +291,17 @@ func (e *Executor) CopyRunningFrom(o *Executor) error {
 	return nil
 }
 
-// Sibling builds a new executor over g configured like e: same seed, same
-// worker-pool width, and the same precision/running-stats choices.
-// Data-parallel training uses it to stamp out replica executors over the
-// rebatched shard graph; the shared seed means replicas start from the same
-// parameter draws as the primary without an explicit broadcast. The sibling
-// does not share the primary's tracer or metrics registry — per-replica spans
-// from pool goroutines would violate the tracer's single-goroutine contract,
-// so the ddp group records reduce spans itself from the dispatching side.
-func (e *Executor) Sibling(g *graph.Graph) (*Executor, error) {
+// Sibling builds a new executor over e's own graph, configured like e: same
+// seed, same worker-pool width, and the same precision/running-stats choices.
+// Data-parallel training uses it to stamp out replica executors: the graph is
+// shared read-only (same node IDs, same schedule) and each replica simply
+// feeds its shard, since an executor takes its batch size from its input. The
+// shared seed means replicas start from the same parameter draws as the
+// primary without an explicit broadcast. The sibling does not share the
+// primary's tracer or metrics registry — per-replica spans from pool
+// goroutines would violate the tracer's single-goroutine contract, so the ddp
+// group records reduce spans itself from the dispatching side.
+func (e *Executor) Sibling() (*Executor, error) {
 	opts := []Option{WithSeed(e.seed), WithWorkers(e.pool.Workers())}
 	if e.preciseStats {
 		opts = append(opts, WithPreciseStats())
@@ -301,7 +309,7 @@ func (e *Executor) Sibling(g *graph.Graph) (*Executor, error) {
 	if e.trackRunning {
 		opts = append(opts, WithRunningStats())
 	}
-	return NewExecutor(g, opts...)
+	return NewExecutor(e.G, opts...)
 }
 
 // The *Of helpers attach the executor's pool to a copy of the node's layer
@@ -415,8 +423,16 @@ func (e *Executor) statsFor(n *graph.Node) (*layers.BNStats, error) {
 	return st, nil
 }
 
+// withBatch returns the nominal shape with its batch dimension replaced by n.
+func withBatch(nominal tensor.Shape, n int) tensor.Shape {
+	s := nominal.Clone()
+	s[0] = n
+	return s
+}
+
 // Forward executes one forward pass and returns the output node's value.
-// The input must match the graph's input shape.
+// The input must match the graph's input shape in every dimension but the
+// batch, which is taken from x.
 func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if e.vals == nil {
 		e.vals = make(map[int]*tensor.Tensor)
@@ -449,8 +465,9 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		// node span opens so every Begin below is paired with an end on
 		// every path.
 		if n.Kind == graph.OpInput {
-			if !x.Shape().Equal(n.OutShape) {
-				return nil, fmt.Errorf("core: input shape %v, graph expects %v", x.Shape(), n.OutShape)
+			// Dimension 0 is free (but not empty); the rest must match.
+			if s := x.Shape(); len(s) != len(n.OutShape) || len(s) == 0 || s[0] < 1 || !s[1:].Equal(n.OutShape[1:]) {
+				return nil, fmt.Errorf("core: input shape %v, graph expects %v at any batch size", x.Shape(), n.OutShape)
 			}
 			e.vals[n.ID] = x
 			if stepRelease {
@@ -517,7 +534,8 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 			e.vals[n.ID], err = layers.EWSForwardAlloc(e.alloc, e.in(n, 0), e.in(n, 1))
 
 		case graph.OpFlatten:
-			e.vals[n.ID], err = e.in(n, 0).Reshape(n.OutShape...)
+			in := e.in(n, 0)
+			e.vals[n.ID], err = in.Reshape(in.Dim(0), n.OutShape[1])
 
 		case graph.OpDropout:
 			if e.inference {
@@ -616,11 +634,12 @@ func (e *Executor) Backward(dOut *tensor.Tensor) (map[string]*tensor.Tensor, err
 	if e.inference {
 		return nil, fmt.Errorf("core: Backward unavailable in inference mode")
 	}
-	if e.vals == nil {
+	out := e.vals[e.G.Output.ID] // the last Forward's output; carries its batch
+	if out == nil {
 		return nil, fmt.Errorf("core: Backward before Forward")
 	}
-	if !dOut.Shape().Equal(e.G.Output.OutShape) {
-		return nil, fmt.Errorf("core: dOut shape %v, output is %v", dOut.Shape(), e.G.Output.OutShape)
+	if !dOut.Shape().Equal(out.Shape()) {
+		return nil, fmt.Errorf("core: dOut shape %v, output is %v", dOut.Shape(), out.Shape())
 	}
 	grads := make(map[string]*tensor.Tensor)
 	gmap := map[int]*tensor.Tensor{e.G.Output.ID: dOut}
@@ -814,7 +833,7 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return e.accumGrad(gmap, n.Inputs[0], dx)
 
 	case graph.OpGlobalPool:
-		dx, err := layers.GlobalAvgPoolBackwardAlloc(e.pool, e.alloc, dy, n.Inputs[0].OutShape)
+		dx, err := layers.GlobalAvgPoolBackwardAlloc(e.pool, e.alloc, dy, withBatch(n.Inputs[0].OutShape, dy.Dim(0)))
 		if err != nil {
 			return err
 		}
@@ -853,7 +872,7 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return e.accumGrad(gmap, n.Inputs[1], db)
 
 	case graph.OpFlatten:
-		dx, err := dy.Reshape(n.Inputs[0].OutShape...)
+		dx, err := dy.Reshape(withBatch(n.Inputs[0].OutShape, dy.Dim(0))...)
 		if err != nil {
 			return err
 		}

@@ -7,10 +7,11 @@
 // determinism analyzers allowlist it by import path.
 //
 // Every replica executes the SAME node schedule as the primary would: the
-// shard graph is the primary graph re-specialized to batch/replicas via
-// graph.Rebatch, so node IDs, fusion decisions, and parameter names line up
-// exactly, and the reduction order over replicas is a pure function of the
-// replica index (det.TreePlan), never of goroutine completion order.
+// replicas run the primary's own graph, shared read-only (an executor takes
+// its batch size from its input, so a shard is just a smaller input), so node
+// IDs, fusion decisions, and parameter names line up exactly, and the
+// reduction order over replicas is a pure function of the replica index
+// (det.TreePlan), never of goroutine completion order.
 //
 // Batch-normalization statistics follow one of two strategies:
 //
@@ -26,11 +27,6 @@
 //     the serial full-batch association bit for bit, so synchronized forward
 //     statistics (and logits) are bit-identical to one executor running the
 //     whole batch.
-//
-// With replicas=1 the Group degenerates to the plain trainer: the primary
-// executor runs the full batch itself, no hooks are installed, no reduction
-// or broadcast happens, and checkpoints are byte-identical to a Group-free
-// run.
 package ddp
 
 import (
@@ -79,8 +75,8 @@ func ParseBNStrategy(s string) (BNStrategy, error) {
 
 // Group drives data-parallel training over one primary executor. The primary
 // owns the canonical parameters, running statistics, tracer, and metrics; the
-// replicas are throwaway executors over the rebatched shard graph that exist
-// only to produce per-shard gradients. The Group is not safe for concurrent
+// replicas are sibling executors over the primary's graph that exist only to
+// produce per-shard gradients. The Group is not safe for concurrent
 // use; one ForwardBackward runs at a time, like Executor passes.
 type Group struct {
 	primary  *core.Executor
@@ -88,8 +84,6 @@ type Group struct {
 	rpool    *parallel.Pool
 	strategy BNStrategy
 	ex       *exchanger
-
-	batch, shard int
 
 	// Per-step slots indexed by replica, filled under rpool.Run and read
 	// only after it returns.
@@ -107,33 +101,30 @@ type Group struct {
 	totalBytes   int64 // lifetime all-reduce traffic, kept even without metrics
 }
 
-// NewGroup builds a data-parallel group of `replicas` executors around
-// primary. The primary's graph batch must divide evenly into the replicas;
-// each replica runs batch/replicas samples. With replicas == 1 the group
-// wraps the primary itself and is byte-identical to using it directly.
+// NewGroup builds a data-parallel group of `replicas` (at least 2) executors
+// around primary; each step's batch must divide evenly into the replicas.
+// One replica is the plain trainer, which needs no group.
 //
 // BNSync requires every BN in the graph to carry the MVF flag (the rcf+mvf,
 // bnff, and bnff+icf restructurings): the single-sweep Σx/Σx² moments are
 // what the replicas exchange.
 func NewGroup(primary *core.Executor, replicas int, strategy BNStrategy) (*Group, error) {
-	if replicas < 1 {
-		return nil, fmt.Errorf("ddp: %d replicas", replicas)
+	if replicas < 2 {
+		return nil, fmt.Errorf("ddp: %d replicas (a group needs at least 2)", replicas)
 	}
 	if strategy != BNLocal && strategy != BNSync {
 		return nil, fmt.Errorf("ddp: unknown BN strategy %v", strategy)
 	}
-	batch, err := graphBatch(primary.G)
-	if err != nil {
-		return nil, err
-	}
-	if batch%replicas != 0 {
-		return nil, fmt.Errorf("ddp: batch %d does not shard into %d replicas", batch, replicas)
+	if strategy == BNSync {
+		if err := requireMVF(primary.G); err != nil {
+			return nil, err
+		}
 	}
 	g := &Group{
 		primary:     primary,
 		strategy:    strategy,
-		batch:       batch,
-		shard:       batch / replicas,
+		ex:          newExchanger(replicas),
+		replicas:    make([]*core.Executor, replicas),
 		rpool:       parallel.New(replicas),
 		ins:         make([]*tensor.Tensor, replicas),
 		labelShards: make([][]int, replicas),
@@ -143,26 +134,8 @@ func NewGroup(primary *core.Executor, replicas int, strategy BNStrategy) (*Group
 		errs:        make([]error, replicas),
 		scratch:     make([]*tensor.Tensor, replicas),
 	}
-	if replicas == 1 {
-		// Degenerate group: the primary runs the full batch itself. No
-		// shard graph, no hooks, no exchanger — the call sequence matches
-		// the plain trainer exactly.
-		g.replicas = []*core.Executor{primary}
-		return g, nil
-	}
-	if strategy == BNSync {
-		if err := requireMVF(primary.G); err != nil {
-			return nil, err
-		}
-	}
-	sub, err := primary.G.Rebatch(g.shard)
-	if err != nil {
-		return nil, err
-	}
-	g.ex = newExchanger(replicas)
-	g.replicas = make([]*core.Executor, replicas)
 	for r := 0; r < replicas; r++ {
-		rep, err := primary.Sibling(sub)
+		rep, err := primary.Sibling()
 		if err != nil {
 			return nil, fmt.Errorf("ddp: replica %d: %w", r, err)
 		}
@@ -182,9 +155,6 @@ func NewGroup(primary *core.Executor, replicas int, strategy BNStrategy) (*Group
 // Replicas returns the group's replica count.
 func (g *Group) Replicas() int { return len(g.replicas) }
 
-// Batch returns the full mini-batch size the group shards.
-func (g *Group) Batch() int { return g.batch }
-
 // Strategy returns the group's BN strategy.
 func (g *Group) Strategy() BNStrategy { return g.strategy }
 
@@ -193,19 +163,6 @@ func (g *Group) Strategy() BNStrategy { return g.strategy }
 // strategy, and step count, so benchmark reports may record it as a
 // non-timing metric.
 func (g *Group) ReduceBytes() int64 { return g.totalBytes }
-
-// graphBatch returns the leading dimension of the graph's input node.
-func graphBatch(gr *graph.Graph) (int, error) {
-	for _, n := range gr.Live() {
-		if n.Kind == graph.OpInput {
-			if len(n.OutShape) == 0 {
-				return 0, fmt.Errorf("ddp: input node %q has no shape", n.Name)
-			}
-			return n.OutShape[0], nil
-		}
-	}
-	return 0, fmt.Errorf("ddp: graph %q has no input node", gr.Name)
-}
 
 // requireMVF checks that every BN attribute in the graph carries the MVF
 // flag, wherever it lives after restructuring (monolithic BN, sub-BN nodes,
@@ -229,24 +186,20 @@ func requireMVF(gr *graph.Graph) error {
 // ready for an optimizer step against the primary's parameters.
 func (g *Group) ForwardBackward(x *tensor.Tensor, labels []int) (loss, acc float64, grads map[string]*tensor.Tensor, err error) {
 	R := len(g.replicas)
-	if len(labels) != g.batch {
-		return 0, 0, nil, fmt.Errorf("ddp: %d labels for batch %d", len(labels), g.batch)
+	batch := len(labels)
+	if batch == 0 || batch%R != 0 {
+		return 0, 0, nil, fmt.Errorf("ddp: batch %d does not shard into %d replicas", batch, R)
 	}
-	if x.NumElems()%g.batch != 0 {
-		return 0, 0, nil, fmt.Errorf("ddp: input %v does not shard over batch %d", x.Shape(), g.batch)
+	if len(x.Shape()) == 0 || x.Dim(0) != batch {
+		return 0, 0, nil, fmt.Errorf("ddp: input %v for %d labels", x.Shape(), batch)
 	}
-	if len(x.Shape()) == 0 || x.Shape()[0] != g.batch {
-		return 0, 0, nil, fmt.Errorf("ddp: input %v has batch %d, group expects %d", x.Shape(), x.Shape()[0], g.batch)
-	}
+	shard := batch / R
 
 	// Broadcast: replicas start every step from the primary's exact
 	// parameter and running-statistics state, and mirror its tracking mode
 	// (the trainer may have toggled it since the group was built).
 	for r := 0; r < R; r++ {
 		rep := g.replicas[r]
-		if rep == g.primary {
-			continue
-		}
 		rep.TrackRunningStats(g.primary.TracksRunning())
 		if err := rep.CopyParamsFrom(g.primary); err != nil {
 			return 0, 0, nil, fmt.Errorf("ddp: broadcast to replica %d: %w", r, err)
@@ -257,11 +210,11 @@ func (g *Group) ForwardBackward(x *tensor.Tensor, labels []int) (loss, acc float
 	}
 
 	// Shard views: zero-copy windows over the caller's batch.
-	stride := x.NumElems() / g.batch
-	shardShape := append([]int(nil), x.Shape()...)
-	shardShape[0] = g.shard
+	stride := x.NumElems() / batch
+	shardShape := x.Shape().Clone()
+	shardShape[0] = shard
 	for r := 0; r < R; r++ {
-		lo, hi := r*g.shard, (r+1)*g.shard
+		lo, hi := r*shard, (r+1)*shard
 		in, err := tensor.FromSlice(x.Data[lo*stride:hi*stride], shardShape...)
 		if err != nil {
 			return 0, 0, nil, fmt.Errorf("ddp: shard %d: %w", r, err)
@@ -270,9 +223,7 @@ func (g *Group) ForwardBackward(x *tensor.Tensor, labels []int) (loss, acc float
 		g.labelShards[r] = labels[lo:hi]
 		g.grads[r], g.errs[r] = nil, nil
 	}
-	if g.ex != nil {
-		g.ex.reset()
-	}
+	g.ex.reset()
 
 	g.rpool.Run(R, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
@@ -287,7 +238,7 @@ func (g *Group) ForwardBackward(x *tensor.Tensor, labels []int) (loss, acc float
 	}
 
 	// Equal shards, so the batch loss/accuracy are plain means over the
-	// replica means. R==1 divides by 1.0, which is exact.
+	// replica means.
 	for r := 0; r < R; r++ {
 		loss += g.losses[r]
 		acc += g.accs[r]
@@ -296,54 +247,50 @@ func (g *Group) ForwardBackward(x *tensor.Tensor, labels []int) (loss, acc float
 	acc /= float64(R)
 
 	grads = g.grads[0]
-	if R > 1 {
-		tr := g.primary.Tracer()
-		start := tr.Begin()
-		var bytes int64
-		// Deferred so an error return from the fold still closes the reduce
-		// span — a trace must never end mid-span.
-		defer func() {
-			if tr.Enabled() {
-				tr.EndArgs("ddp.allreduce", obs.CatReduce, "bwd", obs.TIDReduce, start,
-					map[string]float64{"replicas": float64(R), "bytes": float64(bytes)})
+	tr := g.primary.Tracer()
+	start := tr.Begin()
+	var bytes int64
+	// Deferred so an error return from the fold still closes the reduce
+	// span — a trace must never end mid-span.
+	defer func() {
+		if tr.Enabled() {
+			tr.EndArgs("ddp.allreduce", obs.CatReduce, "bwd", obs.TIDReduce, start,
+				map[string]float64{"replicas": float64(R), "bytes": float64(bytes)})
+		}
+	}()
+	// Fixed-order tree all-reduce: for every parameter (sorted-name
+	// iteration, the maporder contract) gather the per-replica gradients
+	// into index order and fold them with det.TreePlan's schedule —
+	// combine order is a pure function of the replica index. The fold
+	// mutates replica 0's gradient tensors, which already live on the
+	// heap and become the combined result.
+	for _, name := range det.SortedKeys(grads) {
+		for r := 0; r < R; r++ {
+			t, ok := g.grads[r][name]
+			if !ok {
+				return 0, 0, nil, fmt.Errorf("ddp: replica %d missing gradient %q", r, name)
 			}
-		}()
-		// Fixed-order tree all-reduce: for every parameter (sorted-name
-		// iteration, the maporder contract) gather the per-replica gradients
-		// into index order and fold them with det.TreePlan's schedule —
-		// combine order is a pure function of the replica index. The fold
-		// mutates replica 0's gradient tensors, which already live on the
-		// heap and become the combined result.
-		for _, name := range det.SortedKeys(grads) {
-			for r := 0; r < R; r++ {
-				t, ok := g.grads[r][name]
-				if !ok {
-					return 0, 0, nil, fmt.Errorf("ddp: replica %d missing gradient %q", r, name)
-				}
-				g.scratch[r] = t
+			g.scratch[r] = t
+		}
+		var cerr error
+		det.TreeReduce(g.scratch, func(into, from *tensor.Tensor) {
+			if cerr == nil {
+				cerr = into.AddInPlace(from)
 			}
-			var cerr error
-			det.TreeReduce(g.scratch, func(into, from *tensor.Tensor) {
-				if cerr == nil {
-					cerr = into.AddInPlace(from)
-				}
-				bytes += int64(from.NumElems()) * 4
-			})
-			if cerr != nil {
-				return 0, 0, nil, fmt.Errorf("ddp: reduce %q: %w", name, cerr)
-			}
-			g.scratch[0].Scale(1 / float32(R))
+			bytes += int64(from.NumElems()) * 4
+		})
+		if cerr != nil {
+			return 0, 0, nil, fmt.Errorf("ddp: reduce %q: %w", name, cerr)
 		}
-		if g.ex != nil {
-			bytes += g.ex.drainBytes()
-		}
-		g.totalBytes += bytes
-		if g.reduceBytes != nil {
-			g.reduceBytes.Add(bytes)
-		}
-		if err := g.adoptRunning(); err != nil {
-			return 0, 0, nil, err
-		}
+		g.scratch[0].Scale(1 / float32(R))
+	}
+	bytes += g.ex.drainBytes()
+	g.totalBytes += bytes
+	if g.reduceBytes != nil {
+		g.reduceBytes.Add(bytes)
+	}
+	if err := g.adoptRunning(); err != nil {
+		return 0, 0, nil, err
 	}
 	return loss, acc, grads, nil
 }
@@ -356,9 +303,7 @@ func (g *Group) ForwardBackward(x *tensor.Tensor, labels []int) (loss, acc float
 func (g *Group) runReplica(r int) {
 	fail := func(err error) {
 		g.errs[r] = err
-		if g.ex != nil {
-			g.ex.abort(err)
-		}
+		g.ex.abort(err)
 	}
 	rep := g.replicas[r]
 	logits, err := rep.Forward(g.ins[r])

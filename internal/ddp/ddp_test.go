@@ -58,8 +58,8 @@ func checkpoint(t testing.TB, e *core.Executor) []byte {
 	return buf.Bytes()
 }
 
-// TestReplicasOneByteIdenticalToPlainTrainer: the degenerate one-replica
-// group must be invisible — same step metrics, and byte-identical
+// TestReplicasOneByteIdenticalToPlainTrainer: WithReplicas(1) is the plain
+// trainer — no group is built, same step metrics, and byte-identical
 // checkpoints after training.
 func TestReplicasOneByteIdenticalToPlainTrainer(t *testing.T) {
 	const model, batch, steps = "tiny-cnn", 8, 4
@@ -78,8 +78,8 @@ func TestReplicasOneByteIdenticalToPlainTrainer(t *testing.T) {
 	plain, plainCkpt := run()
 	grouped, groupCkpt := run(train.WithReplicas(1))
 
-	if grouped.Group() == nil || grouped.Group().Replicas() != 1 {
-		t.Fatal("WithReplicas(1) did not build a one-replica group")
+	if grouped.Group() != nil {
+		t.Fatal("WithReplicas(1) built a group; one replica is the plain trainer")
 	}
 	for i := range plain.History {
 		if plain.History[i] != grouped.History[i] {
@@ -320,11 +320,24 @@ func TestTwoRunByteDeterminism(t *testing.T) {
 // TestGroupValidation: construction must reject impossible configurations.
 func TestGroupValidation(t *testing.T) {
 	exec := buildExec(t, "tiny-cnn", 8, core.BNFF, 1)
-	if _, err := ddp.NewGroup(exec, 0, ddp.BNLocal); err == nil {
-		t.Error("0 replicas accepted")
+	for _, replicas := range []int{0, 1} {
+		if _, err := ddp.NewGroup(exec, replicas, ddp.BNLocal); err == nil {
+			t.Errorf("%d replicas accepted", replicas)
+		}
 	}
-	if _, err := ddp.NewGroup(exec, 3, ddp.BNLocal); err == nil {
+	three, err := ddp.NewGroup(exec, 3, ddp.BNLocal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, labels, err := dataFor(t, "tiny-cnn", 3).Batch(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := three.ForwardBackward(x, labels); err == nil {
 		t.Error("batch 8 into 3 replicas accepted")
+	}
+	if _, _, _, err := three.ForwardBackward(x, labels[:6]); err == nil {
+		t.Error("8 images with 6 labels accepted")
 	}
 	if _, err := ddp.NewGroup(exec, 2, ddp.BNStrategy(99)); err == nil {
 		t.Error("unknown strategy accepted")
@@ -385,3 +398,46 @@ func BenchmarkStepReplicas1(b *testing.B)      { benchGroup(b, 1, ddp.BNLocal) }
 func BenchmarkStepReplicas2Local(b *testing.B) { benchGroup(b, 2, ddp.BNLocal) }
 func BenchmarkStepReplicas2Sync(b *testing.B)  { benchGroup(b, 2, ddp.BNSync) }
 func BenchmarkStepReplicas4Sync(b *testing.B)  { benchGroup(b, 4, ddp.BNSync) }
+
+// TestGroupTakesBatchFromInput: the replicas run the primary's own graph, so
+// one sync-BN group built over a batch-8 graph steps batches of 4, 8 and 16,
+// each matching a single executor fed the undivided batch — loss to float64
+// round-off, running statistics to the bit.
+func TestGroupTakesBatchFromInput(t *testing.T) {
+	const model = "tiny-cnn"
+	data := dataFor(t, model, 29)
+	for _, replicas := range []int{2, 4} {
+		primary := buildExec(t, model, 8, core.BNFF, 9, core.WithRunningStats())
+		group, err := ddp.NewGroup(primary, replicas, ddp.BNSync)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := buildExec(t, model, 8, core.BNFF, 9, core.WithRunningStats())
+		for _, batch := range []int{4, 8, 16} {
+			x, labels, err := data.Batch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loss, _, _, err := group.ForwardBackward(x, labels)
+			if err != nil {
+				t.Fatalf("%d replicas, batch %d: %v", replicas, batch, err)
+			}
+			logits, err := ref.Forward(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := layers.SoftmaxCrossEntropy(logits, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(loss-want) > 1e-12*(1+math.Abs(want)) {
+				t.Errorf("%d replicas, batch %d: loss %v, undivided batch %v", replicas, batch, loss, want)
+			}
+			for name, rt := range ref.Running {
+				if d, _ := tensor.MaxAbsDiff(rt, primary.Running[name]); d != 0 {
+					t.Errorf("%d replicas, batch %d: running %q differs from the undivided batch by %v", replicas, batch, name, d)
+				}
+			}
+		}
+	}
+}

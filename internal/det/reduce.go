@@ -34,8 +34,8 @@ func TreePlan(n int) []Combine {
 // TreeReduce folds xs with the TreePlan schedule: combine(into, from) runs
 // once per plan step, in plan order, and the reduced value is xs[0]. combine
 // must fold its second operand into its first; it must not touch any other
-// element. With one operand the slice is returned untouched — callers
-// exploiting the degenerate replicas=1 path rely on combine never running.
+// element. With one operand combine never runs and xs[0] is returned
+// untouched.
 //
 // This is the generalization of the package's collect-then-sort contract to
 // reductions: SortedKeys pins iteration order, TreePlan pins combine order.

@@ -8,6 +8,8 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
+
+	"bnff/internal/serve"
 )
 
 // shutdownGrace bounds how long Daemon waits for in-flight proxy requests
@@ -26,7 +28,7 @@ func Daemon(ctx context.Context, addr string, p *Proxy, probeInterval time.Durat
 
 	go p.ControlPlane().ProbeLoop(ctx, probeInterval)
 
-	srv := &http.Server{Addr: addr, Handler: p.Handler()}
+	srv := &http.Server{Addr: addr, Handler: p.Handler(), ReadHeaderTimeout: serve.ReadHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 

@@ -183,10 +183,15 @@ func (p *Proxy) Handler() http.Handler {
 	return mux
 }
 
+// maxPredictBody caps a /predict body at the proxy, which does not know the
+// backends' image size: room for a million-element image, far above any
+// registry model (a 3x224x224 input is 150,528 floats). The backend applies
+// its own exact bound.
+const maxPredictBody = 32 << 20
+
 func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var in serve.PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	if !serve.DecodePredict(w, r, maxPredictBody, &in) {
 		return
 	}
 	key := r.Header.Get("X-Route-Key")

@@ -3,6 +3,9 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"bnff/internal/serve"
@@ -192,5 +195,27 @@ func TestRollingReloadAbortsOnRejectionAndRestoresService(t *testing.T) {
 	// shrink capacity.
 	if cp.States()["b"] != StateActive {
 		t.Fatal("rejecting backend left out of rotation")
+	}
+}
+
+// repeat is an endless reader of one byte.
+type repeat byte
+
+func (b repeat) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// The proxy refuses a /predict body over its fixed cap with 413 instead of
+// buffering whatever a client sends.
+func TestProxyPredictOversizedBodyIs413(t *testing.T) {
+	p := NewProxy(Config{})
+	body := io.LimitReader(repeat(' '), maxPredictBody+1)
+	rec := httptest.NewRecorder()
+	p.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/predict", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized /predict status %d, want 413", rec.Code)
 	}
 }

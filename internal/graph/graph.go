@@ -6,6 +6,9 @@
 // Shapes are inferred at build time and include the mini-batch dimension, so
 // the same builder serves both the full-size analytical models (batch 120 at
 // 224×224) and the scaled-down numeric models the tests train for real.
+// Dimension 0 is nominal: it is what the cost model (and memsim/memplan over
+// it) prices, not what the executor requires — core.Executor takes its batch
+// size from the tensor it is handed and checks only the other dimensions.
 package graph
 
 import (
@@ -134,7 +137,7 @@ type Node struct {
 	Dead bool // removed by a fusion pass; skipped everywhere
 
 	Inputs   []*Node
-	OutShape tensor.Shape
+	OutShape tensor.Shape // dimension 0 is the nominal batch the cost model prices
 
 	// Operator attributes (set per kind):
 	Conv    *layers.Conv2D  // Conv, ReLUConv, BNReLUConv

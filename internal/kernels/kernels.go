@@ -37,9 +37,9 @@
 // accumulators are float64 where the window's partials are float32.
 //
 // The (sub-BN1')-CONV1 backward is not a window: the executor composes
-// BatchNorm.BackwardInput with Conv2D.Backward itself. icf.go holds the
-// Concat/Split fusions the ICF cost model prices; the executor does not call
-// them yet.
+// BatchNorm.BackwardInput with Conv2D.Backward itself. ICF has no kernel: it
+// is a cost-model term (graph.BNAttr.ICF) that prices the boundary sweeps the
+// Concat/Split fusions would remove.
 //
 // Every kernel is bit-identical to the baseline composition in
 // internal/layers wherever the baseline's own arithmetic is (the x̂, the

@@ -43,9 +43,6 @@ func (b BatchNorm) WithPool(p *parallel.Pool) BatchNorm {
 	return b
 }
 
-// Pool returns the worker pool the layer executes on (nil = serial).
-func (b BatchNorm) Pool() *parallel.Pool { return b.pool }
-
 // WithAlloc returns a copy of the layer that obtains its outputs, statistics
 // tensors, and reduction scratch from the given arena (nil means plain heap
 // allocation, bit-identical). The arena is only consulted from the
@@ -54,9 +51,6 @@ func (b BatchNorm) WithAlloc(a *tensor.Arena) BatchNorm {
 	b.alloc = a
 	return b
 }
-
-// Alloc returns the arena the layer allocates from (nil = heap).
-func (b BatchNorm) Alloc() *tensor.Arena { return b.alloc }
 
 // BNStats holds per-channel mini-batch statistics (rank-1, length C).
 // Var is the biased variance (divided by the sample count M), matching the
@@ -191,8 +185,8 @@ func (b BatchNorm) ComputeStatsMVF(x *tensor.Tensor) (*BNStats, error) {
 
 // MomentPartials fills the per-(sample, channel) Σx and Σx² partials of the
 // single-sweep MVF statistics for samples [lo, hi) of the (N,c,hw) map xd:
-// the one float32 moment loop, shared by ComputeStatsMVF, SamplePartials, the
-// ForwardWindow epilogue and kernels.ConcatForwardStats. The 4-wide unroll
+// the one float32 moment loop, shared by ComputeStatsMVF, SamplePartials and
+// the ForwardWindow epilogue. The 4-wide unroll
 // keeps s and sq each a single accumulator chain adding elements in
 // ascending order, so the sums are bit-identical to the rolled loop; it only
 // breaks up the loop-carried add/mul dependency interleaving.
@@ -358,7 +352,7 @@ func (b BatchNorm) ComputeStatsMVF64(x *tensor.Tensor) (*BNStats, error) {
 
 // InvStdScratch returns per-channel 1/sqrt(var+ε) for the given statistics in
 // a slice from the layer's arena (nil = heap, bit-identical); callers return
-// it with Alloc().PutFloats when their sweep completes, so the per-channel
+// it with the arena's PutFloats when their sweep completes, so the per-channel
 // scale vector recycles instead of costing a heap allocation per step.
 func (b BatchNorm) InvStdScratch(stats *BNStats) []float32 {
 	inv := b.alloc.Floats(b.Channels)

@@ -70,31 +70,3 @@ func ConcatBackwardAlloc(a *tensor.Arena, dy *tensor.Tensor, channels []int) ([]
 	}
 	return out, nil
 }
-
-// SplitForward fans one tensor out to k consumers. Forward is pointer
-// passing (the paper prices it at zero sweeps); we return the same tensor k
-// times — consumers must not mutate activations, which the executor enforces
-// by construction.
-func SplitForward(x *tensor.Tensor, k int) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, k)
-	for i := range out {
-		out[i] = x
-	}
-	return out
-}
-
-// SplitBackward sums the k upstream gradients — a real reduction with real
-// memory traffic, matching the paper's observation that Split in the
-// backward pass is no longer free.
-func SplitBackward(dys []*tensor.Tensor) (*tensor.Tensor, error) {
-	if len(dys) == 0 {
-		return nil, fmt.Errorf("split: no gradients")
-	}
-	dx := dys[0].Clone()
-	for _, d := range dys[1:] {
-		if err := dx.AddInPlace(d); err != nil {
-			return nil, err
-		}
-	}
-	return dx, nil
-}

@@ -36,9 +36,6 @@ func (f FC) WithAlloc(a *tensor.Arena) FC {
 	return f
 }
 
-// Alloc returns the arena the descriptor allocates from (nil = heap).
-func (f FC) Alloc() *tensor.Arena { return f.alloc }
-
 // WeightShape returns the (Out, In) weight shape.
 func (f FC) WeightShape() tensor.Shape { return tensor.Shape{f.Out, f.In} }
 

@@ -182,39 +182,6 @@ func TestConcatErrors(t *testing.T) {
 	}
 }
 
-func TestSplitForwardBackward(t *testing.T) {
-	x := tensor.New(1, 2, 2, 2)
-	x.Fill(3)
-	outs := SplitForward(x, 3)
-	if len(outs) != 3 {
-		t.Fatalf("split fan-out = %d", len(outs))
-	}
-	for _, o := range outs {
-		if o != x {
-			t.Error("split forward must be pointer passing")
-		}
-	}
-	g1 := tensor.New(x.Shape()...)
-	g1.Fill(1)
-	g2 := tensor.New(x.Shape()...)
-	g2.Fill(2)
-	dx, err := SplitBackward([]*tensor.Tensor{g1, g2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range dx.Data {
-		if v != 3 {
-			t.Fatalf("split backward sum = %v, want 3", v)
-		}
-	}
-	if _, err := SplitBackward(nil); err == nil {
-		t.Error("accepted empty gradient list")
-	}
-	if _, err := SplitBackward([]*tensor.Tensor{g1, tensor.New(2, 2)}); err == nil {
-		t.Error("accepted mismatched gradient shapes")
-	}
-}
-
 func TestSoftmaxCrossEntropyKnownValues(t *testing.T) {
 	// Uniform logits over K classes: loss = ln(K).
 	logits := tensor.New(2, 4)

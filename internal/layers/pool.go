@@ -36,10 +36,6 @@ func (p Pool2D) WithAlloc(a *tensor.Arena) Pool2D {
 	return p
 }
 
-// Alloc returns the arena the descriptor allocates from (nil = heap). The
-// executor uses it to return the argmax indices after the backward scatter.
-func (p Pool2D) Alloc() *tensor.Arena { return p.alloc }
-
 // OutSize returns the output spatial extent for an input extent.
 func (p Pool2D) OutSize(in int) int { return (in+2*p.Pad-p.Kernel)/p.Stride + 1 }
 

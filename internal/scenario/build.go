@@ -110,17 +110,16 @@ func (s Spec) NewTrainer(extra ...train.TrainerOption) (*train.Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
+	st, err := ddp.ParseBNStrategy(s.BNStrategy)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+	}
 	opts := []train.TrainerOption{
 		train.WithBatchSize(s.Batch),
 		train.WithOptimizer(train.NewSGD(s.LR, 0.9, 1e-4)),
 		train.WithSchedule(sched),
-	}
-	if s.Replicas > 1 {
-		st, err := ddp.ParseBNStrategy(s.BNStrategy)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-		opts = append(opts, train.WithReplicas(s.Replicas), train.WithBNStrategy(st))
+		train.WithReplicas(s.Replicas),
+		train.WithBNStrategy(st),
 	}
 	return train.NewTrainer(exec, data, append(opts, extra...)...)
 }

@@ -31,9 +31,9 @@ type result struct {
 }
 
 // model is one immutable checkpoint generation. Reload swaps the engine's
-// current *model atomically; replicas notice the generation change between
-// micro-batches, drop their old executors, and rebuild lazily from the new
-// blob — so a reload never stalls the request path.
+// current *model atomically; each replica notices the generation change
+// between micro-batches, drops its old executor, and builds one from the new
+// blob — so a reload never stalls the other replicas.
 type model struct {
 	blob []byte
 	gen  uint64
@@ -77,9 +77,9 @@ type Engine struct {
 }
 
 // Load builds an Engine: it validates the config, reads the checkpoint into
-// memory, builds a probe executor at batch size 1 to check that the
-// checkpoint matches the model (and, with FoldBN set, that the fold pass
-// accepts it), and starts the replica workers. Close releases them.
+// memory, builds every replica's executor — which checks that the checkpoint
+// matches the model (and, with FoldBN set, that the fold pass accepts it) —
+// and starts the replica workers. Close releases them.
 func Load(builder Builder, ckpt io.Reader, cfg Config) (*Engine, error) {
 	e, err := newEngine(builder, ckpt, cfg)
 	if err != nil {
@@ -123,13 +123,26 @@ func newEngine(builder Builder, ckpt io.Reader, cfg Config) (*Engine, error) {
 	e.mDraining = e.metrics.Gauge("bnff_serve_draining")
 	e.mGeneration.Set(1)
 
-	// Probe at batch size 1: resolves the input/output shapes and fails fast
-	// on a checkpoint/model mismatch before any request is accepted.
-	probe, err := e.buildExecutor(1)
-	if err != nil {
-		return nil, err
+	// One executor per replica, built before any request is accepted: a
+	// checkpoint/model mismatch fails here, and the first resolves the
+	// input/output shapes.
+	e.replicas = make([]*replica, cfg.Replicas)
+	for i := range e.replicas {
+		exec, err := e.buildExecutor(blob)
+		if err != nil {
+			return nil, err
+		}
+		e.replicas[i] = &replica{
+			e:     e,
+			index: i,
+			gen:   1,
+			exec:  exec,
+			stats: replicaStats{batchHist: make([]uint64, cfg.MaxBatch)},
+			die:   make(chan struct{}),
+		}
 	}
-	in := inputNode(probe.G)
+	g := e.replicas[0].exec.G
+	in := inputNode(g)
 	if in == nil {
 		return nil, fmt.Errorf("serve: model graph has no input node")
 	}
@@ -137,45 +150,23 @@ func newEngine(builder Builder, ckpt io.Reader, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("serve: model input shape %v has no batch dimension", in.OutShape)
 	}
 	e.imgShape = in.OutShape[1:].Clone()
-	e.imgLen = 1
-	for _, d := range e.imgShape {
-		e.imgLen *= d
-	}
-	out := probe.G.Output.OutShape
-	if len(out) != 2 || out[0] != 1 {
+	e.imgLen = e.imgShape.NumElems()
+	out := g.Output.OutShape
+	if len(out) != 2 {
 		return nil, fmt.Errorf("serve: model output shape %v, want [batch classes] logits", out)
 	}
 	e.classes = out[1]
-
-	e.replicas = make([]*replica, cfg.Replicas)
-	for i := range e.replicas {
-		e.replicas[i] = &replica{
-			e:     e,
-			index: i,
-			gen:   1,
-			execs: map[int]*core.Executor{},
-			stats: replicaStats{batchHist: make([]uint64, cfg.MaxBatch)},
-			die:   make(chan struct{}),
-		}
-	}
-	// The probe is a perfectly good batch-1 executor; seed replica 0 with it.
-	e.replicas[0].execs[1] = probe
 	return e, nil
 }
 
-// buildExecutor constructs and checkpoint-loads an inference executor at the
-// given batch size from the engine's current model generation.
-func (e *Engine) buildExecutor(batch int) (*core.Executor, error) {
-	return e.buildExecutorFrom(e.model.Load().blob, batch)
-}
-
-// buildExecutorFrom constructs and loads an inference executor at the given
-// batch size from an explicit checkpoint image, folded when the config asks
-// for it.
-func (e *Engine) buildExecutorFrom(blob []byte, batch int) (*core.Executor, error) {
-	g, err := e.builder(batch)
+// buildExecutor constructs an inference executor and loads the checkpoint
+// image into it, folded when the config asks for it. The graph is built at
+// MaxBatch — the largest batch the executor will be handed, which is what the
+// cost models should price; the executor itself answers any size.
+func (e *Engine) buildExecutor(blob []byte) (*core.Executor, error) {
+	g, err := e.builder(e.cfg.MaxBatch)
 	if err != nil {
-		return nil, fmt.Errorf("serve: building batch-%d graph: %w", batch, err)
+		return nil, fmt.Errorf("serve: building graph: %w", err)
 	}
 	opts := []core.Option{
 		core.WithSeed(e.cfg.Seed),
@@ -187,10 +178,10 @@ func (e *Engine) buildExecutorFrom(blob []byte, batch int) (*core.Executor, erro
 	}
 	exec, err := core.NewExecutor(g, opts...)
 	if err != nil {
-		return nil, fmt.Errorf("serve: batch-%d executor: %w", batch, err)
+		return nil, fmt.Errorf("serve: executor: %w", err)
 	}
 	if err := exec.Load(bytes.NewReader(blob)); err != nil {
-		return nil, fmt.Errorf("serve: loading checkpoint into batch-%d executor: %w", batch, err)
+		return nil, fmt.Errorf("serve: loading checkpoint: %w", err)
 	}
 	return exec, nil
 }
@@ -263,10 +254,13 @@ func (e *Engine) Predict(img []float32) ([]float32, error) {
 	}
 }
 
-// Stats snapshots the serving counters, merging the per-replica accumulators
-// in replica-index order so the result is deterministic for a given history.
+// Stats snapshots the serving counters, merging the per-replica batch
+// histograms in replica-index order so the result is deterministic for a
+// given history.
 func (e *Engine) Stats() Stats {
 	st := Stats{
+		Requests:   uint64(e.mRequests.Value()),
+		Batches:    uint64(e.mBatches.Value()),
 		Rejected:   e.rejected.Load(),
 		QueueDepth: len(e.queue),
 		Generation: e.model.Load().gen,
@@ -275,8 +269,6 @@ func (e *Engine) Stats() Stats {
 	}
 	for _, r := range e.replicas {
 		r.stats.mu.Lock()
-		st.Requests += r.stats.requests
-		st.Batches += r.stats.batches
 		for i, c := range r.stats.batchHist {
 			st.BatchHist[i] += c
 		}
@@ -338,14 +330,14 @@ func (e *Engine) Generation() uint64 { return e.model.Load().gen }
 func (e *Engine) QueueDepth() int { return len(e.queue) }
 
 // Reload hot-swaps the served checkpoint with zero downtime: the new image
-// is read and validated (built and loaded into a probe executor, through the
-// BN-fold compile when the engine folds), then published atomically as the
-// next model generation. Replicas notice the generation change between
-// micro-batches, finish the batch in hand on the old executors, drop them —
-// releasing the old parameter and workspace memory — and rebuild lazily from
-// the new image. Requests keep flowing throughout; a failed validation
-// leaves the old generation serving untouched. One reload at a time:
-// concurrent calls get ErrReloadBusy.
+// is read and validated (built and loaded into a throwaway executor, through
+// the BN-fold compile when the engine folds), then published atomically as
+// the next model generation. Each replica notices the generation change
+// between micro-batches, finishes the batch in hand on its old executor,
+// drops it — releasing the old parameter and workspace memory — and builds
+// its one executor for the new image. Requests keep flowing throughout; a
+// failed validation leaves the old generation serving untouched. One reload
+// at a time: concurrent calls get ErrReloadBusy.
 func (e *Engine) Reload(ckpt io.Reader) error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -360,9 +352,9 @@ func (e *Engine) Reload(ckpt io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("serve: reading reload checkpoint: %w", err)
 	}
-	// Validate beside the old generation: the probe executor must build and
-	// load (and fold) before anything is published.
-	if _, err := e.buildExecutorFrom(blob, 1); err != nil {
+	// Validate beside the old generation: an executor must build and load
+	// (and fold) from the image before anything is published.
+	if _, err := e.buildExecutor(blob); err != nil {
 		return fmt.Errorf("serve: reload rejected: %w", err)
 	}
 	old := e.model.Load()

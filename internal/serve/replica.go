@@ -8,15 +8,15 @@ import (
 	"bnff/internal/tensor"
 )
 
-// replica is one inference worker. It owns its executors outright — one per
-// observed batch size, because graphs carry a static batch dimension — so
-// replicas never share mutable model state and need no locking on the
-// inference path.
+// replica is one inference worker. It owns its executor outright — one per
+// model generation, answering every batch size, since an executor takes its
+// batch size from its input — so replicas never share mutable model state and
+// need no locking on the inference path.
 type replica struct {
 	e     *Engine
 	index int
-	gen   uint64                 // model generation the cached executors serve
-	execs map[int]*core.Executor // keyed by batch size, loop-goroutine-local after start
+	gen   uint64         // model generation exec serves
+	exec  *core.Executor // loop-goroutine-local after start
 	stats replicaStats
 	buf   []*request // reusable collect buffer
 
@@ -77,7 +77,7 @@ func (r *replica) collect(first *request) []*request {
 }
 
 // run packs the batch into one input tensor, executes a forward pass on the
-// batch-size-matched executor, and slices the logits back out per request.
+// replica's executor, and slices the logits back out per request.
 // Inference has no cross-sample reductions, so each row is bit-identical to
 // what a batch-1 pass over the same image would produce.
 func (r *replica) run(batch []*request) {
@@ -91,25 +91,24 @@ func (r *replica) run(batch []*request) {
 		time.Sleep(d)
 	}
 	// The atomic reload flip: a new model generation published since the last
-	// batch retires this replica's executors wholesale — the old parameters
-	// and workspaces go back to the collector — and the new generation builds
-	// lazily per batch size. Each batch runs entirely on one generation.
-	m := r.e.model.Load()
-	if m.gen != r.gen {
-		r.execs = make(map[int]*core.Executor)
-		r.gen = m.gen
-	}
-	exec, err := r.exec(k, m)
-	if err != nil {
-		r.fail(batch, err)
-		return
+	// batch retires this replica's executor — the old parameters and
+	// workspace go back to the collector — and the new generation's is built
+	// here, once. Each batch runs entirely on one generation.
+	if m := r.e.model.Load(); m.gen != r.gen {
+		r.exec = nil // released before the build, so the two never coexist
+		exec, err := r.e.buildExecutor(m.blob)
+		if err != nil {
+			r.fail(batch, err) // r.gen is unchanged: the next batch retries
+			return
+		}
+		r.exec, r.gen = exec, m.gen
 	}
 	shape := append(tensor.Shape{k}, r.e.imgShape...)
 	x := tensor.New(shape...)
 	for i, req := range batch {
 		copy(x.Data[i*r.e.imgLen:(i+1)*r.e.imgLen], req.img)
 	}
-	y, err := exec.Forward(x)
+	y, err := r.exec.Forward(x)
 	if err != nil {
 		r.fail(batch, err)
 		return
@@ -128,20 +127,6 @@ func (r *replica) run(batch []*request) {
 		r.e.mLatency.Observe(end - req.start)
 		req.resp <- result{logits: logits}
 	}
-}
-
-// exec returns the replica's executor for batch size k, building and
-// checkpoint-loading it from the given model generation on first use.
-func (r *replica) exec(k int, m *model) (*core.Executor, error) {
-	if ex, ok := r.execs[k]; ok {
-		return ex, nil
-	}
-	ex, err := r.e.buildExecutorFrom(m.blob, k)
-	if err != nil {
-		return nil, err
-	}
-	r.execs[k] = ex
-	return ex, nil
 }
 
 func (r *replica) fail(batch []*request, err error) {

@@ -12,9 +12,10 @@
 //     backpressure the queue sheds load explicitly (ErrOverloaded → HTTP 429)
 //     rather than blocking or dropping silently.
 //
-//   - A replica pool: each of Replicas worker goroutines owns its own
-//     inference executors (one per observed batch size — graphs have static
-//     batch dimensions), built WithInference and, when FoldBN is set, compiled
+//   - A replica pool: each of Replicas worker goroutines owns one inference
+//     executor per model generation — it answers every batch size, since an
+//     executor takes its batch size from its input — built at Load (and once
+//     more after a Reload) WithInference and, when FoldBN is set, compiled
 //     through the CONV→BN fold pass (core.WithFoldedBN) so foldable BNs cost
 //     nothing at serving time.
 //
@@ -38,7 +39,8 @@ import (
 	"bnff/internal/graph"
 )
 
-// Builder constructs the served model's graph at a mini-batch size, exactly
+// Builder constructs the served model's graph at a nominal mini-batch size
+// (the engine passes MaxBatch; the executor over it answers any size), exactly
 // like models.Builder (kept structural so the engine does not depend on the
 // registry; cmd/bnff-serve passes a registry closure).
 type Builder func(batch int) (*graph.Graph, error)

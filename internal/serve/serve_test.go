@@ -455,8 +455,101 @@ func TestReplicaExecutorRecyclesActivations(t *testing.T) {
 			t.Errorf("batch %d: logits differ from the batch-1 reference", i)
 		}
 	}
-	eng.Close() // the replica loop has exited; its executors are safe to read
-	if s := eng.replicas[0].execs[1].ArenaStats(); s.Hits == 0 {
+	eng.Close() // the replica loop has exited; its executor is safe to read
+	if s := eng.replicas[0].exec.ArenaStats(); s.Hits == 0 {
 		t.Errorf("second batch never hit the arena free lists: %+v", s)
+	}
+}
+
+// One executor per replica per model generation: Load, batches of every size
+// 1..MaxBatch on every replica, and one Reload call the builder Replicas times
+// per generation plus once for the reload's validation — never per batch size
+// — and every answer bit-matches the batch-1 reference of its generation.
+func TestOneExecutorPerReplicaPerGeneration(t *testing.T) {
+	const replicas, maxBatch = 2, 4
+	ckptA, ckptB := testCheckpoint(t), altCheckpoint(t)
+	var builds int
+	counting := func(batch int) (*graph.Graph, error) {
+		builds++
+		return tinyCNN(batch)
+	}
+	// A quiescent engine (no replica loops), so the test picks every batch
+	// size itself instead of racing the collector for it.
+	e, err := newEngine(counting, bytes.NewReader(ckptA), Config{
+		MaxBatch: maxBatch, Replicas: replicas, FoldBN: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRNG(41)
+	everySize := func(ckpt []byte) {
+		t.Helper()
+		for _, r := range e.replicas {
+			for k := 1; k <= maxBatch; k++ {
+				batch := make([]*request, k)
+				for i := range batch {
+					x := tensor.New(e.ImageLen())
+					rng.FillNormal(x, 0, 1)
+					batch[i] = &request{img: x.Data, resp: make(chan result, 1)}
+				}
+				r.run(batch)
+				for i, req := range batch {
+					res := <-req.resp
+					if res.err != nil {
+						t.Fatal(res.err)
+					}
+					if !equalF32(res.logits, refLogits(t, ckpt, req.img)) {
+						t.Errorf("replica %d batch %d row %d: logits differ from the batch-1 reference", r.index, k, i)
+					}
+				}
+			}
+		}
+	}
+	everySize(ckptA)
+	if builds != replicas {
+		t.Errorf("generation 1: %d builder calls, want %d", builds, replicas)
+	}
+	if err := e.Reload(bytes.NewReader(ckptB)); err != nil {
+		t.Fatal(err)
+	}
+	everySize(ckptB)
+	if want := 2*replicas + 1; builds != want {
+		t.Errorf("after one reload: %d builder calls, want %d", builds, want)
+	}
+}
+
+// An oversized /predict body is refused with 413 before it is buffered, and
+// the engine keeps answering: the next well-formed request bit-matches its
+// reference.
+func TestPredictOversizedBodyIs413(t *testing.T) {
+	ckpt := testCheckpoint(t)
+	eng, err := Load(tinyCNN, bytes.NewReader(ckpt), Config{FoldBN: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	h := eng.Handler()
+
+	huge := `{"image":[` + strings.Repeat("0.123456789012345678901234567890,", 2*eng.ImageLen()) + `0]}`
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/predict", strings.NewReader(huge)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized /predict status %d, want 413", rec.Code)
+	}
+
+	x := tensor.New(eng.ImageLen())
+	tensor.NewRNG(51).FillNormal(x, 0, 1)
+	body, _ := json.Marshal(PredictRequest{Image: x.Data})
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/predict", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("well-formed /predict after the oversized one: status %d", rec.Code)
+	}
+	var pr PredictResponse
+	if err := json.NewDecoder(rec.Body).Decode(&pr); err != nil {
+		t.Fatal(err)
+	}
+	if !equalF32(pr.Logits, refLogits(t, ckpt, x.Data)) {
+		t.Error("logits after an oversized request differ from the batch-1 reference")
 	}
 }

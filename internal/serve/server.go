@@ -37,9 +37,9 @@ type PredictResponse struct {
 //
 // Load shedding maps to status codes: a full queue answers 429, a closed or
 // draining engine 503, a malformed or wrong-sized image 400, a concurrent
-// reload 409. Liveness and readiness split so a fleet proxy can stop
-// routing to a backend (readyz 503) without its supervisor killing the
-// process (healthz still 200).
+// reload 409, a /predict body larger than any well-formed image 413. Liveness
+// and readiness split so a fleet proxy can stop routing to a backend (readyz
+// 503) without its supervisor killing the process (healthz still 200).
 func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /predict", e.handlePredict)
@@ -53,10 +53,32 @@ func (e *Engine) Handler() http.Handler {
 	return mux
 }
 
+// maxBytesPerFloat bounds the JSON text of one image element (a float64
+// round-trip literal is 25 bytes with its comma); bodySlack covers the
+// envelope and whitespace.
+const (
+	maxBytesPerFloat = 32
+	bodySlack        = 1024
+)
+
+// DecodePredict reads a POST /predict body of at most limit bytes into in,
+// answering 413 for a longer body and 400 for a malformed one. It reports
+// whether the handler should go on.
+func DecodePredict(w http.ResponseWriter, r *http.Request, limit int64, in *PredictRequest) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(in)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, fmt.Sprintf("request body over %d bytes", limit), http.StatusRequestEntityTooLarge)
+	case err != nil:
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	}
+	return err == nil
+}
+
 func (e *Engine) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var in PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	if !DecodePredict(w, r, int64(e.imgLen)*maxBytesPerFloat+bodySlack, &in) {
 		return
 	}
 	logits, err := e.Predict(in.Image)
@@ -161,6 +183,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 // after a termination signal.
 const shutdownGrace = 10 * time.Second
 
+// ReadHeaderTimeout bounds how long a connection may take to send its request
+// headers, so an idle or trickling client cannot pin a connection open.
+const ReadHeaderTimeout = 10 * time.Second
+
 // Daemon serves the engine's Handler on addr until ctx is canceled or the
 // process receives SIGINT/SIGTERM, then shuts down gracefully: the listener
 // closes, in-flight requests get shutdownGrace to finish, and the engine
@@ -171,7 +197,7 @@ func Daemon(ctx context.Context, addr string, e *Engine) error {
 	ctx, unhook := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer unhook()
 
-	srv := &http.Server{Addr: addr, Handler: e.Handler()}
+	srv := &http.Server{Addr: addr, Handler: e.Handler(), ReadHeaderTimeout: ReadHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 

@@ -2,13 +2,12 @@ package serve
 
 import "sync"
 
-// replicaStats is one replica's counters. Each replica owns its own struct so
-// the hot path contends only with the /stats reader, never with other
-// replicas; Engine.Stats merges them in replica-index order.
+// replicaStats is one replica's batch-size histogram. Each replica owns its
+// own so the hot path contends only with the /stats reader, never with other
+// replicas; Engine.Stats merges them in replica-index order. Request and
+// batch totals live in the engine's bnff_serve_* counters.
 type replicaStats struct {
 	mu        sync.Mutex
-	requests  uint64
-	batches   uint64
 	batchHist []uint64 // index i counts batches of size i+1
 }
 
@@ -16,8 +15,6 @@ type replicaStats struct {
 func (s *replicaStats) record(batch int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.requests += uint64(batch)
-	s.batches++
 	if batch >= 1 && batch <= len(s.batchHist) {
 		s.batchHist[batch-1]++
 	}

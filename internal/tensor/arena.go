@@ -24,17 +24,14 @@ package tensor
 //     get it carved from a slab the dispatcher allocated (see
 //     parallel.Pool.RunChunked).
 //
-// By default reused buffers are zeroed, so Get is observationally identical
-// to New and layers that rely on zero-initialized outputs (ReLU writes only
-// positive elements) stay bit-identical. ArenaNoZero disables the clearing
-// for callers that provably overwrite every element.
+// Reused buffers are zeroed, so Get is observationally identical to New and
+// layers that rely on zero-initialized outputs (ReLU writes only positive
+// elements) stay bit-identical.
 //
 // The zero Arena is not usable; a nil *Arena is: every method degrades to the
 // plain-allocation path (Get == New, Put == no-op), so layer code threads the
 // pointer unconditionally, exactly like the nil obs.Tracer contract.
 type Arena struct {
-	zero bool // clear recycled buffers before handing them out
-
 	free  map[int][]*Tensor   // recycled tensors by element count, LIFO
 	freeF map[int][][]float32 // recycled float32 scratch by length, LIFO
 	freeI map[int][][]int32   // recycled int32 scratch by length, LIFO
@@ -49,18 +46,9 @@ type Arena struct {
 	peakBytes  int64
 }
 
-// ArenaOption configures an Arena at construction.
-type ArenaOption func(*Arena)
-
-// ArenaNoZero disables zero-on-reuse: recycled buffers come back with stale
-// contents and every caller must overwrite every element before reading it.
-// The default (zeroing) makes Get observationally identical to New.
-func ArenaNoZero() ArenaOption { return func(a *Arena) { a.zero = false } }
-
-// NewArena returns an empty arena that zeroes recycled buffers by default.
-func NewArena(opts ...ArenaOption) *Arena {
-	a := &Arena{
-		zero:   true,
+// NewArena returns an empty arena.
+func NewArena() *Arena {
+	return &Arena{
 		free:   make(map[int][]*Tensor),
 		freeF:  make(map[int][][]float32),
 		freeI:  make(map[int][][]int32),
@@ -68,10 +56,6 @@ func NewArena(opts ...ArenaOption) *Arena {
 		ownedF: make(map[*float32]int),
 		ownedI: make(map[*int32]int),
 	}
-	for _, opt := range opts {
-		opt(a)
-	}
-	return a
 }
 
 // ArenaStats is a snapshot of an arena's counters.
@@ -100,8 +84,7 @@ func (a *Arena) checkOut(n int) {
 
 // Get returns a tensor of the given shape: recycled storage when an
 // exact-size buffer is free, a fresh allocation otherwise. The tensor is
-// zero-filled unless the arena was built with ArenaNoZero. A nil arena
-// returns New(shape...).
+// zero-filled. A nil arena returns New(shape...).
 func (a *Arena) Get(shape ...int) *Tensor {
 	if a == nil {
 		return New(shape...)
@@ -122,9 +105,7 @@ func (a *Arena) Get(shape ...int) *Tensor {
 		} else {
 			t.shape = Shape(shape).Clone()
 		}
-		if a.zero {
-			t.Zero()
-		}
+		t.Zero()
 		a.hits++
 	} else {
 		t = &Tensor{Data: make([]float32, ne), shape: Shape(shape).Clone()}
@@ -166,8 +147,8 @@ func (a *Arena) Detach(t *Tensor) {
 	a.bytesInUse -= 4 * int64(len(t.Data))
 }
 
-// Floats returns a float32 scratch slice of length n, recycled when possible
-// and zero-filled unless ArenaNoZero. Layers use it for reduction partials
+// Floats returns a zero-filled float32 scratch slice of length n, recycled
+// when possible. Layers use it for reduction partials
 // and per-chunk workspace slabs. A nil arena falls back to make.
 func (a *Arena) Floats(n int) []float32 {
 	if n <= 0 {
@@ -180,11 +161,7 @@ func (a *Arena) Floats(n int) []float32 {
 	if list := a.freeF[n]; len(list) > 0 {
 		s = list[len(list)-1]
 		a.freeF[n] = list[:len(list)-1]
-		if a.zero {
-			for i := range s {
-				s[i] = 0
-			}
-		}
+		clear(s)
 		a.hits++
 	} else {
 		s = make([]float32, n)
@@ -216,7 +193,7 @@ func (a *Arena) PutFloats(s []float32) {
 // model asks for a slightly different workspace) recycle the same free-list
 // entries instead of growing one exact-size list per shape. The whole
 // rounded slice is returned so PutFloats recognizes it unchanged; callers
-// use the first n elements. Zero-filled under the same policy as Floats.
+// use the first n elements.
 func (a *Arena) Panel(n int) []float32 {
 	if n <= 0 {
 		return nil
@@ -228,8 +205,8 @@ func (a *Arena) Panel(n int) []float32 {
 	return a.Floats(p)
 }
 
-// Ints returns an int32 scratch slice of length n (max-pooling argmax
-// indices), recycled when possible and zero-filled unless ArenaNoZero.
+// Ints returns a zero-filled int32 scratch slice of length n (max-pooling
+// argmax indices), recycled when possible.
 func (a *Arena) Ints(n int) []int32 {
 	if n <= 0 {
 		return nil
@@ -241,11 +218,7 @@ func (a *Arena) Ints(n int) []int32 {
 	if list := a.freeI[n]; len(list) > 0 {
 		s = list[len(list)-1]
 		a.freeI[n] = list[:len(list)-1]
-		if a.zero {
-			for i := range s {
-				s[i] = 0
-			}
-		}
+		clear(s)
 		a.hits++
 	} else {
 		s = make([]int32, n)

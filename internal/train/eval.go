@@ -20,9 +20,8 @@ type EvalResult struct {
 
 // Evaluate runs the executor in inference mode over batches×batchSize fresh
 // samples without updating anything, restoring the executor's previous mode
-// afterwards. batchSize must match the batch dimension the graph was built
-// with (shapes are static); build a batch-1 graph and copy parameters across
-// for per-sample inference.
+// afterwards. batchSize is free: the executor takes its batch size from its
+// input, so the training executor evaluates at any size, 1 included.
 func Evaluate(exec *core.Executor, data *workload.Dataset, batches, batchSize int) (EvalResult, error) {
 	if batches < 1 || batchSize < 1 {
 		return EvalResult{}, fmt.Errorf("train: evaluate needs positive batches (%d) and batch size (%d)", batches, batchSize)

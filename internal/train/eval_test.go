@@ -40,6 +40,14 @@ func TestEvaluateAfterTraining(t *testing.T) {
 	if !tr.Exec.TracksRunning() {
 		t.Error("Evaluate disabled running-stat tracking permanently")
 	}
+	// The batch size is free: the training executor evaluates per sample.
+	one, err := Evaluate(tr.Exec, val, 30, 1)
+	if err != nil {
+		t.Fatalf("per-sample evaluation on the batch-%d executor: %v", tr.BatchSize, err)
+	}
+	if one.Samples != 30 || one.Accuracy < 0.5 {
+		t.Errorf("per-sample evaluation: %d samples, accuracy %.3f", one.Samples, one.Accuracy)
+	}
 	if _, err := Evaluate(tr.Exec, val, 0, 4); err == nil {
 		t.Error("accepted zero batches")
 	}

@@ -103,7 +103,7 @@ type Trainer struct {
 	schedule Schedule
 	clipNorm float64
 
-	replicas   int // 0: no data parallelism requested
+	replicas   int // below 2: no data parallelism
 	bnStrategy ddp.BNStrategy
 	group      *ddp.Group
 }
@@ -133,10 +133,9 @@ func WithWorkers(n int) TrainerOption { return func(t *Trainer) { t.Exec.SetWork
 // WithReplicas trains data-parallel over n replica executors (see
 // internal/ddp): each step shards the mini-batch n ways, runs the replicas
 // concurrently, and averages their gradients through a fixed-order tree
-// all-reduce before the optimizer step. WithReplicas(1) builds the
-// degenerate one-replica group, which trains byte-identically to a trainer
-// without the option. The trainer's batch size must equal the executor
-// graph's batch dimension and divide evenly by n.
+// all-reduce before the optimizer step. WithReplicas(1) is the plain
+// single-executor trainer (no group is built). The batch size must divide
+// evenly by n.
 func WithReplicas(n int) TrainerOption { return func(t *Trainer) { t.replicas = n } }
 
 // WithBNStrategy selects how replicas compute BN statistics (default
@@ -177,19 +176,16 @@ func NewTrainer(exec *core.Executor, data *workload.Dataset, opts ...TrainerOpti
 		return nil, fmt.Errorf("train: nil optimizer")
 	}
 	exec.TrackRunningStats(true)
-	if t.replicas > 0 {
+	if t.replicas > 1 {
 		// Build the group after running-statistics tracking is on, so the
 		// replica siblings inherit it.
 		g, err := ddp.NewGroup(exec, t.replicas, t.bnStrategy)
 		if err != nil {
 			return nil, err
 		}
-		if g.Batch() != t.BatchSize {
-			return nil, fmt.Errorf("train: batch size %d, but the graph is built for batch %d", t.BatchSize, g.Batch())
-		}
 		t.group = g
 	} else if t.bnStrategy != ddp.BNLocal {
-		return nil, fmt.Errorf("train: WithBNStrategy(%v) requires WithReplicas", t.bnStrategy)
+		return nil, fmt.Errorf("train: WithBNStrategy(%v) requires WithReplicas(n > 1)", t.bnStrategy)
 	}
 	return t, nil
 }

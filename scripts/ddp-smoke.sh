@@ -9,7 +9,7 @@
 #   3. The two strategies genuinely differ: sync normalizes with whole-batch
 #      statistics, local with per-shard ones, so their checkpoints must not
 #      collide.
-#   4. -replicas 1 is the degenerate path and matches a run without the flag.
+#   4. -replicas 1 is the plain trainer and matches a run without the flag.
 #
 # Run from the repository root (make ddp-smoke / CI).
 set -euo pipefail
