@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard loc check
+.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard bce loc check
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,20 @@ alloc-guard:
 	$(GO) test ./internal/layers/ -run TestBlockedKernelsAllocFree -count=1 -v
 	$(GO) test ./internal/serve/ -run TestReplicaExecutorRecyclesActivations -count=1 -v
 
+# Bounds-check budget for the blocked compute core: the compiler's own list of
+# the index and slice checks it could not prove away in
+# internal/layers/blocked.go (GEMM micro-kernels and the convolution tiles,
+# quads and points — every function there is hot) must not grow past the
+# committed count (internal/layers/testdata/bce_budget.txt). A check inside a
+# tap loop costs a compare and a branch per load, so one that creeps into an
+# inner loop shows here before it shows in a benchmark. The count is what the
+# image's toolchain (go1.24) proves; lower the file when a hoist removes checks.
+bce:
+	@n=$$($(GO) build -gcflags=-d=ssa/check_bce ./internal/layers 2>&1 | grep -c 'blocked\.go:.*Found Is\(Slice\)\?InBounds'); \
+	budget=$$(cat internal/layers/testdata/bce_budget.txt); \
+	echo "internal/layers/blocked.go: $$n bounds checks, budget $$budget"; \
+	[ "$$n" -le "$$budget" ]
+
 # Non-test Go lines per top-level directory (and the total): the number
 # ROADMAP's "less code" targets are quoted against.
 loc:
@@ -94,4 +108,4 @@ loc:
 		awk '$$2 != "total" { split($$2, p, "/"); n[p[2]] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-check: vet race lint smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard
+check: vet race lint smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard bce

@@ -59,6 +59,46 @@ func legacyConvForward(c Conv2D, x, w *tensor.Tensor, bias []float32) *tensor.Te
 	return y
 }
 
+// legacyConvBackward is the straight-line reference for one sample's
+// convolution backward: the forward's loop nest with per-tap bounds branches,
+// every (output element, tap) pair adding w·dy into dx and x·dy into dw — no
+// term skipped, whatever its value. It fixes the per-element term order the
+// gather kernels must keep: dx[ic,iy,ix] sees (oc, oy, ox) ascending,
+// dw[oc,ig,ky,kx] sees (oy, ox) ascending, both continuing whatever chain the
+// buffer already holds.
+func legacyConvBackward(c Conv2D, h, wd int, dy, x, w, dx, dw []float32) {
+	kh, kw, s, p := c.KernelH, c.KernelW, c.Stride, c.Pad
+	oh, ow := (h+2*p-kh)/s+1, (wd+2*p-kw)/s+1
+	g := c.groups()
+	cinG, coutG := c.InChannels/g, c.OutChannels/g
+	for oc := 0; oc < c.OutChannels; oc++ {
+		icLo := (oc / coutG) * cinG
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				gv := dy[(oc*oh+oy)*ow+ox]
+				for ig := 0; ig < cinG; ig++ {
+					for ky := 0; ky < kh; ky++ {
+						iy := oy*s - p + ky
+						if iy < 0 || iy >= h {
+							continue
+						}
+						for kx := 0; kx < kw; kx++ {
+							ix := ox*s - p + kx
+							if ix < 0 || ix >= wd {
+								continue
+							}
+							xi := ((icLo+ig)*h+iy)*wd + ix
+							wi := ((oc*cinG+ig)*kh+ky)*kw + kx
+							dx[xi] += w[wi] * gv
+							dw[wi] += x[xi] * gv
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // naiveGEMM is the unblocked reference C += A·B (or A·Bᵀ): ascending k, one
 // accumulator chain per element, no zero-skip.
 func naiveGEMM(c, a, b []float32, bTrans bool, m, n, k int) {
@@ -83,6 +123,22 @@ func bitsEqual(a, b []float32) bool {
 	}
 	for i := range a {
 		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameFloats is bitsEqual with every NaN equal to every other: which operand's
+// payload and sign a NaN result inherits is the instruction selector's choice,
+// not part of the kernels' contract.
+func sameFloats(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		an, bn := a[i] != a[i], b[i] != b[i]
+		if an != bn || (!an && math.Float32bits(a[i]) != math.Float32bits(b[i])) {
 			return false
 		}
 	}
@@ -146,6 +202,21 @@ func TestBlockedConvBitIdenticalToLegacy(t *testing.T) {
 		{NewDepthwiseConv2D(6, 3, 1, 1), 2, 6, false},
 		{func() Conv2D { c := NewConv2D(6, 4, 3, 1, 1); c.Groups = 2; return c }(), 2, 10, false},
 		{NewConv2D(2, 3, 3, 1, 2), 2, 5, false}, // pad > kernel reach: wide borders
+		// The 2 oc × 4 ox interior tile: channel pairs only, pairs plus an odd
+		// channel, 1×1 as the GEMM it is, pairs inside groups, strided taps —
+		// each seeded from zero and from a bias.
+		{NewConv2D(4, 4, 3, 1, 1), 2, 8, false},
+		{NewConv2D(4, 4, 3, 1, 1), 2, 8, true},
+		{NewConv2D(3, 5, 3, 1, 1), 2, 11, false},
+		{NewConv2D(3, 5, 3, 1, 1), 2, 11, true},
+		{NewConv2D(20, 4, 1, 1, 0), 2, 9, false},
+		{NewConv2D(7, 16, 1, 1, 0), 2, 6, true},
+		{NewConv2D(4, 8, 1, 1, 1), 2, 7, true}, // 1×1 with a padded border
+		{NewConv2D(3, 8, 3, 2, 1), 2, 13, true},
+		{NewConv2D(2, 4, 3, 3, 1), 2, 14, false},                                                  // stride 3
+		{func() Conv2D { c := NewConv2D(6, 6, 3, 1, 1); c.Groups = 2; return c }(), 2, 9, true},   // CoutG 3: a pair and an odd channel a group
+		{func() Conv2D { c := NewConv2D(4, 12, 3, 2, 1); c.Groups = 2; return c }(), 2, 9, false}, // CoutG 6: three pairs a group
+		{NewConv2D(2, 4, 5, 1, 2), 2, 3, true},                                                    // kernel larger than the unpadded input
 	}
 	for _, cfg := range cfgs {
 		x, w := randomConvCase(uint64(cfg.n*cfg.hw), cfg.conv, cfg.n, cfg.hw)
@@ -199,6 +270,233 @@ func TestQuickBlockedConvBitIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// convBackwardGeoms is the geometry table of the backward bit-identity tests:
+// the forward table's shapes plus every way a gather's index arithmetic can go
+// wrong — strides that leave input positions without any tap, padding at least
+// as wide as the kernel, widths and channel counts on both sides of the 4-wide
+// tiles, groups, and maps smaller than the kernel.
+func convBackwardGeoms() []struct {
+	conv    Conv2D
+	n, h, w int
+} {
+	grouped := func(c Conv2D, g int) Conv2D { c.Groups = g; return c }
+	return []struct {
+		conv    Conv2D
+		n, h, w int
+	}{
+		{NewConv2D(3, 8, 3, 1, 1), 3, 9, 9},
+		{NewConv2D(4, 6, 1, 1, 0), 2, 7, 7},
+		{NewConv2D(3, 4, 5, 2, 2), 3, 11, 11},
+		{NewConv2D(2, 4, 3, 2, 0), 2, 9, 9},
+		{NewDepthwiseConv2D(6, 3, 1, 1), 2, 6, 6},
+		{grouped(NewConv2D(6, 4, 3, 1, 1), 2), 2, 10, 10},
+		{NewConv2D(2, 3, 3, 1, 2), 2, 5, 5},
+		{NewConv2D(4, 5, 3, 3, 1), 2, 10, 10}, // stride 3
+		{NewConv2D(2, 4, 2, 3, 0), 2, 8, 8},   // stride > kernel: untouched inputs
+		{NewConv2D(2, 3, 3, 1, 3), 2, 5, 5},   // pad == kernel
+		{NewConv2D(3, 4, 2, 2, 2), 2, 6, 6},   // pad == kernel, strided
+		{NewConv2D(4, 4, 1, 1, 1), 2, 6, 6},   // 1×1 with pad
+		{NewConv2D(8, 4, 1, 2, 0), 2, 9, 9},   // 1×1 strided
+		{NewConv2D(20, 4, 1, 1, 0), 2, 8, 8},  // bn-heavy's bottleneck
+		{NewConv2D(5, 1, 3, 1, 1), 2, 7, 7},   // Cout 1
+		{NewConv2D(1, 3, 3, 1, 1), 2, 6, 6},   // Cin 1, Cout 3
+		{NewConv2D(4, 4, 3, 1, 1), 2, 8, 8},   // one tile each way
+		{NewConv2D(5, 5, 3, 1, 1), 2, 6, 13},  // tile + tail, h != w
+		{NewConv2D(8, 8, 3, 2, 1), 2, 12, 7},  // two tiles, strided, h != w
+		{Conv2D{InChannels: 3, OutChannels: 4, KernelH: 3, KernelW: 2, Stride: 1, Pad: 1}, 2, 6, 6},
+		{grouped(NewConv2D(8, 8, 3, 1, 1), 2), 2, 9, 9},  // CinG = CoutG = 4
+		{grouped(NewConv2D(8, 12, 3, 2, 1), 2), 2, 9, 9}, // grouped, strided
+		{NewDepthwiseConv2D(8, 3, 2, 1), 2, 9, 9},        // depthwise stride 2
+		{NewDepthwiseConv2D(5, 3, 2, 1), 2, 8, 8},        // depthwise stride 2, even extent
+		{NewConv2D(2, 4, 5, 1, 2), 2, 3, 3},              // kernel larger than the unpadded input
+		{NewConv2D(4, 4, 3, 1, 1), 2, 1, 1},              // one pixel
+		{NewConv2D(4, 8, 3, 1, 1), 1, 4, 32},             // wide rows
+	}
+}
+
+// convBackwardWant runs legacyConvBackward the way backwardWindow dispatches
+// the samples: serially every sample continues the one dw chain; pooled, each
+// sample owns a zero-seeded partial that is added in sample order. dx and dw
+// come in holding whatever the caller wants accumulated onto.
+func convBackwardWant(c Conv2D, n, h, wd int, dy, x, w, dx, dw []float32, pooled bool) {
+	inLen := c.InChannels * h * wd
+	outLen := len(dy) / n
+	for in := 0; in < n; in++ {
+		acc := dw
+		if pooled {
+			acc = make([]float32, len(dw))
+		}
+		legacyConvBackward(c, h, wd, dy[in*outLen:(in+1)*outLen], x[in*inLen:(in+1)*inLen], w, dx[in*inLen:(in+1)*inLen], acc)
+		if pooled {
+			for j, v := range acc {
+				dw[j] += v
+			}
+		}
+	}
+}
+
+// The two backward gathers (dx, dW) must match the legacy scatter loop bit for
+// bit on every geometry: finite data with exact zeros in dy (the terms the old
+// kernel skipped), then the same data with ±Inf and NaN planted in dy, x and w.
+// Backward starts from zeroed buffers and, at n > 1 on one worker, continues
+// one dw chain across samples; BackwardInto accumulates onto non-zero dx/dw.
+func TestBlockedConvBackwardBitIdenticalToLegacy(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	for gi, cfg := range convBackwardGeoms() {
+		conv := cfg.conv
+		x := tensor.New(cfg.n, conv.InChannels, cfg.h, cfg.w)
+		w := tensor.New(conv.WeightShape()...)
+		dy := tensor.New(conv.OutShape(x.Shape())...)
+		dx0 := tensor.New(x.Shape()...)
+		dw0 := tensor.New(w.Shape()...)
+		rng := tensor.NewRNG(uint64(1000 + gi))
+		rng.FillNormal(x, 0, 1)
+		rng.FillNormal(w, 0, 0.5)
+		rng.FillUniform(dy, -1, 1)
+		rng.FillNormal(dx0, 0, 1)
+		rng.FillNormal(dw0, 0, 1)
+		for i := 0; i < len(dy.Data); i += 3 {
+			dy.Data[i] = 0
+		}
+		for _, poisoned := range []bool{false, true} {
+			if poisoned {
+				for i, v := range []float32{inf, -inf, nan, 0} {
+					x.Data[(7*i+3)%len(x.Data)] = v
+					w.Data[(5*i+1)%len(w.Data)] = v
+					dy.Data[(11*i+2)%len(dy.Data)] = v
+				}
+			}
+			for _, workers := range []int{1, 4} {
+				pool := parallel.New(workers)
+				pooled := pool.NumChunks(cfg.n) > 1
+				c := conv.WithPool(pool)
+
+				wantDX, wantDW := tensor.New(x.Shape()...), tensor.New(w.Shape()...)
+				convBackwardWant(conv, cfg.n, cfg.h, cfg.w, dy.Data, x.Data, w.Data, wantDX.Data, wantDW.Data, pooled)
+				dx, dw, err := c.Backward(dy, x, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameFloats(dx.Data, wantDX.Data) || !sameFloats(dw.Data, wantDW.Data) {
+					t.Errorf("conv %+v %dx%d workers=%d poisoned=%v: Backward differs from legacy (dx same %v, dw same %v)",
+						conv, cfg.h, cfg.w, workers, poisoned, sameFloats(dx.Data, wantDX.Data), sameFloats(dw.Data, wantDW.Data))
+				}
+
+				wantDX, wantDW = dx0.Clone(), dw0.Clone()
+				convBackwardWant(conv, cfg.n, cfg.h, cfg.w, dy.Data, x.Data, w.Data, wantDX.Data, wantDW.Data, pooled)
+				dx, dw = dx0.Clone(), dw0.Clone()
+				if err := c.BackwardInto(dy, x, w, dx, dw); err != nil {
+					t.Fatal(err)
+				}
+				if !sameFloats(dx.Data, wantDX.Data) || !sameFloats(dw.Data, wantDW.Data) {
+					t.Errorf("conv %+v %dx%d workers=%d poisoned=%v: BackwardInto onto non-zero buffers differs from legacy (dx same %v, dw same %v)",
+						conv, cfg.h, cfg.w, workers, poisoned, sameFloats(dx.Data, wantDX.Data), sameFloats(dw.Data, wantDW.Data))
+				}
+			}
+		}
+	}
+}
+
+// Property twin of TestQuickBlockedConvBitIdentity for the backward: random
+// kernel 1..4, stride 1..3, pad 0..kernel, dense / grouped / depthwise, random
+// extents — one sample kernel call onto non-zero dx and dw.
+func TestQuickBlockedConvBackwardBitIdentity(t *testing.T) {
+	f := func(seed uint64, kBits, sBits, pBits, gBits, hBits, wBits uint8) bool {
+		k := 1 + int(kBits%4)
+		s := 1 + int(sBits%3)
+		p := int(pBits) % (k + 1)
+		h, wd := k+int(hBits%9), k+int(wBits%9)
+		conv := NewConv2D(8, 12, k, s, p)
+		switch gBits % 3 {
+		case 1:
+			conv.Groups = 2
+		case 2:
+			conv = NewDepthwiseConv2D(6, k, s, p)
+		}
+		geom := conv.SampleGeom(h, wd)
+		rng := tensor.NewRNG(seed)
+		x := tensor.New(conv.InChannels * h * wd)
+		w := tensor.New(conv.WeightShape()...)
+		dy := tensor.New(conv.OutChannels * geom.OH * geom.OW)
+		dx := tensor.New(len(x.Data))
+		dw := tensor.New(len(w.Data))
+		for _, tt := range []*tensor.Tensor{x, w, dy, dx, dw} {
+			rng.FillNormal(tt, 0, 1)
+		}
+		wantDX, wantDW := dx.Clone(), dw.Clone()
+		legacyConvBackward(conv, h, wd, dy.Data, x.Data, w.Data, wantDX.Data, wantDW.Data)
+		geom.BackwardSample(dy.Data, x.Data, w.Data, dx.Data, dw.Data)
+		return bitsEqual(dx.Data, wantDX.Data) && bitsEqual(dw.Data, wantDW.Data)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A zero upstream gradient is a term like any other: 0·Inf and 0·NaN must
+// reach dx (through a non-finite weight) and dw (through a non-finite input),
+// as they reach y in the forward. The scatter kernel skipped dy == 0 outright.
+func TestConvBackwardNonFiniteNoZeroSkip(t *testing.T) {
+	conv := NewConv2D(1, 1, 1, 1, 0)
+	x := tensor.MustFromSlice([]float32{float32(math.Inf(1)), 2, 3, 4}, 1, 1, 2, 2)
+	w := tensor.MustFromSlice([]float32{float32(math.Inf(-1))}, 1, 1, 1, 1)
+	dy := tensor.New(1, 1, 2, 2) // all zero
+	for _, workers := range []int{1, 2} {
+		dx, dw, err := conv.WithPool(parallel.New(workers)).Backward(dy, x, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range dx.Data {
+			if !math.IsNaN(float64(v)) {
+				t.Errorf("workers=%d: dx[%d] = %v, want NaN (0·(−Inf) must not be skipped)", workers, i, v)
+			}
+		}
+		if !math.IsNaN(float64(dw.Data[0])) {
+			t.Errorf("workers=%d: dw = %v, want NaN (Inf·0 must not be skipped)", workers, dw.Data[0])
+		}
+	}
+	// With finite operands the zero terms change nothing.
+	x.Data[0], w.Data[0] = 1, 5
+	dx, dw, err := conv.Backward(dy, x, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqual(dx.Data, make([]float32, 4)) || !bitsEqual(dw.Data, make([]float32, 1)) {
+		t.Errorf("finite zero-gradient backward: dx %v dw %v, want +0 everywhere", dx.Data, dw.Data)
+	}
+}
+
+// The FC twin: sample 0's gradient row is all zero, its input holds an Inf and
+// the weights a NaN.
+func TestFCBackwardNonFiniteNoZeroSkip(t *testing.T) {
+	fc := FC{In: 2, Out: 2}
+	x := tensor.MustFromSlice([]float32{float32(math.Inf(1)), 1, 2, 3}, 2, 2)
+	w := tensor.MustFromSlice([]float32{float32(math.NaN()), 1, 1, 1}, 2, 2)
+	dy := tensor.MustFromSlice([]float32{0, 0, 1, 1}, 2, 2)
+	var serial []*tensor.Tensor
+	for _, workers := range []int{1, 2} {
+		dx, dw, db, err := fc.WithPool(parallel.New(workers)).Backward(dy, x, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// dx[0,0] = 0·NaN + 0·1; dx[0,1] = 0·1 + 0·1; dw[o,0] = 0·Inf + 1·2.
+		if !math.IsNaN(float64(dx.Data[0])) || dx.Data[1] != 0 {
+			t.Errorf("workers=%d: dx row 0 = %v, want [NaN 0]", workers, dx.Data[:2])
+		}
+		if !math.IsNaN(float64(dw.Data[0])) || !math.IsNaN(float64(dw.Data[2])) || dw.Data[1] != 3 || dw.Data[3] != 3 {
+			t.Errorf("workers=%d: dw = %v, want [NaN 3 NaN 3]", workers, dw.Data)
+		}
+		if db.Data[0] != 1 || db.Data[1] != 1 {
+			t.Errorf("workers=%d: db = %v, want [1 1]", workers, db.Data)
+		}
+		if serial == nil {
+			serial = []*tensor.Tensor{dx, dw, db}
+		} else if !sameFloats(dx.Data, serial[0].Data) || !sameFloats(dw.Data, serial[1].Data) || !sameFloats(db.Data, serial[2].Data) {
+			t.Errorf("pooled FC backward differs from serial on non-finite input")
+		}
 	}
 }
 
@@ -356,16 +654,30 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 		t.Errorf("gemmBlocked allocates %v per run, want 0", allocs)
 	}
 
+	// Both sample kernels, on geometries that between them reach every body:
+	// tile, quad and point of the forward and of the dx gather, tile and quad
+	// of the dW gather.
+	for _, conv := range []Conv2D{
+		NewConv2D(3, 8, 3, 1, 1),       // paired and odd channels, CinG < 4
+		NewConv2D(8, 5, 3, 2, 1),       // strided, dW tile with an odd channel left
+		NewDepthwiseConv2D(6, 3, 1, 1), // no pairs anywhere
+	} {
+		geom := conv.SampleGeom(9, 9)
+		x := fillRand(3, conv.InChannels*9*9)
+		w := fillRand(4, conv.WeightShape().NumElems())
+		y := make([]float32, geom.Cout*geom.OH*geom.OW)
+		dy := fillRand(5, len(y))
+		dx, dw := make([]float32, len(x)), make([]float32, len(w))
+		if allocs := testing.AllocsPerRun(10, func() {
+			geom.ForwardSample(x, w, y, nil)
+			geom.BackwardSample(dy, x, w, dx, dw)
+		}); allocs != 0 {
+			t.Errorf("conv %+v: ForwardSample + BackwardSample allocate %v per run, want 0", conv, allocs)
+		}
+	}
 	conv := NewConv2D(3, 8, 3, 1, 1)
 	geom := conv.SampleGeom(9, 9)
-	x := fillRand(3, 3*9*9)
 	w := fillRand(4, 8*3*3*3)
-	y := make([]float32, 8*9*9)
-	if allocs := testing.AllocsPerRun(10, func() {
-		geom.ForwardSample(x, w, y, nil)
-	}); allocs != 0 {
-		t.Errorf("ForwardSample allocates %v per run, want 0", allocs)
-	}
 
 	// Both window chunk bodies, fully fused (tile fill, sample kernel,
 	// partials), over caller-carved scratch.
@@ -411,6 +723,72 @@ func BenchmarkConvForwardLegacy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		legacyConvForward(conv, x, w, nil)
+	}
+}
+
+// Bench pair for the backward on the same layer: the two gathers against the
+// legacy scatter loop.
+func benchConvBackward(b *testing.B, kernel func(conv Conv2D, dy, x, w, dx, dw []float32)) {
+	conv := NewConv2D(64, 64, 3, 1, 1)
+	x, w := randomConvCase(5, conv, 1, 16)
+	dy := fillRand(6, 64*16*16)
+	dx, dw := make([]float32, len(x.Data)), make([]float32, len(w.Data))
+	b.SetBytes(2 * conv.FLOPs(1, 16, 16))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kernel(conv, dy, x.Data, w.Data, dx, dw)
+	}
+}
+
+func BenchmarkConvBackwardBlocked(b *testing.B) {
+	benchConvBackward(b, func(conv Conv2D, dy, x, w, dx, dw []float32) {
+		conv.SampleGeom(16, 16).BackwardSample(dy, x, w, dx, dw)
+	})
+}
+
+func BenchmarkConvBackwardLegacy(b *testing.B) {
+	benchConvBackward(b, func(conv Conv2D, dy, x, w, dx, dw []float32) {
+		legacyConvBackward(conv, 16, 16, dy, x, w, dx, dw)
+	})
+}
+
+// BenchmarkConvShapes times one sample through the forward and the backward
+// kernel on the shapes that carry the benchmark workloads (benchmark/
+// workloads.json). SetBytes is the FLOP count — 2 per MAC forward, 4 backward
+// (dx and dW) — so the MB/s column reads MFLOP/s.
+func BenchmarkConvShapes(b *testing.B) {
+	for _, sh := range []struct {
+		name string
+		conv Conv2D
+		hw   int
+	}{
+		{"1x1_20to4_32", NewConv2D(20, 4, 1, 1, 0), 32},         // bn-heavy bottleneck
+		{"1x1_32to16_32", NewConv2D(32, 16, 1, 1, 0), 32},       // bn-heavy transition (layer_conv)
+		{"3x3_4to4_32", NewConv2D(4, 4, 3, 1, 1), 32},           // bn-heavy growth conv
+		{"3x3_16to16_16", NewConv2D(16, 16, 3, 1, 1), 16},       // conv-heavy layer_conv
+		{"3x3_16to32_s2_16", NewConv2D(16, 32, 3, 2, 1), 16},    // conv-heavy stage entry
+		{"dw3x3_16_s2_32", NewDepthwiseConv2D(16, 3, 2, 1), 32}, // depthwise layer_conv
+		{"dw3x3_32_s1_16", NewDepthwiseConv2D(32, 3, 1, 1), 16}, // depthwise, stride 1
+		{"3x3_8to16_8", NewConv2D(8, 16, 3, 1, 1), 8},           // tiny-cnn
+	} {
+		x, w := randomConvCase(5, sh.conv, 1, sh.hw)
+		geom := sh.conv.SampleGeom(sh.hw, sh.hw)
+		y := make([]float32, geom.Cout*geom.OH*geom.OW)
+		dy := fillRand(6, len(y))
+		dx, dw := make([]float32, len(x.Data)), make([]float32, len(w.Data))
+		flops := sh.conv.FLOPs(1, sh.hw, sh.hw)
+		b.Run(sh.name+"/fwd", func(b *testing.B) {
+			b.SetBytes(flops)
+			for i := 0; i < b.N; i++ {
+				geom.ForwardSample(x.Data, w.Data, y, nil)
+			}
+		})
+		b.Run(sh.name+"/bwd", func(b *testing.B) {
+			b.SetBytes(2 * flops)
+			for i := 0; i < b.N; i++ {
+				geom.BackwardSample(dy, x.Data, w.Data, dx, dw)
+			}
+		})
 	}
 }
 

@@ -143,9 +143,6 @@ func (f FC) backwardSample(dy, x, w, dx *tensor.Tensor, dwd, dbd []float32, in i
 	dxRow := dx.Data[in*f.In : (in+1)*f.In]
 	for o := 0; o < f.Out; o++ {
 		g := dy.Data[in*f.Out+o]
-		if g == 0 {
-			continue
-		}
 		wRow := w.Data[o*f.In : (o+1)*f.In]
 		dwRow := dwd[o*f.In : (o+1)*f.In]
 		dbd[o] += g
