@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard bce loc check
+.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard bce fuzz loc check
 
 build:
 	$(GO) build ./...
@@ -89,8 +89,8 @@ alloc-guard:
 
 # Bounds-check budget for the blocked compute core: the compiler's own list of
 # the index and slice checks it could not prove away in
-# internal/layers/blocked.go (GEMM micro-kernels and the convolution tiles,
-# quads and points — every function there is hot) must not grow past the
+# internal/layers/blocked.go (the convolution tiles, quads and points that
+# every conv and FC runs — every function there is hot) must not grow past the
 # committed count (internal/layers/testdata/bce_budget.txt). A check inside a
 # tap loop costs a compare and a branch per load, so one that creeps into an
 # inner loop shows here before it shows in a benchmark. The count is what the
@@ -100,6 +100,13 @@ bce:
 	budget=$$(cat internal/layers/testdata/bce_budget.txt); \
 	echo "internal/layers/blocked.go: $$n bounds checks, budget $$budget"; \
 	[ "$$n" -le "$$budget" ]
+
+# Native fuzzing of the convolution window (internal/layers FuzzConvWindow):
+# random geometries, ConvWindow configurations and values, non-finite ones
+# included, checked bitwise against the unfused composition in both
+# directions. Plain `go test` replays only the seeds; this explores for 30 s.
+fuzz:
+	$(GO) test ./internal/layers/ -run '^$$' -fuzz '^FuzzConvWindow$$' -fuzztime 30s
 
 # Non-test Go lines per top-level directory (and the total): the number
 # ROADMAP's "less code" targets are quoted against.

@@ -1,13 +1,10 @@
-// Package tiles exports the tile-sizing rule the blocked compute core in
-// internal/layers uses, so the block geometry is derived from the same cache
-// parameters the parent cachesim simulator validates instead of being
-// hard-coded in the kernels. It is a leaf package (cachesim itself replays
-// graph traces and so sits above layers in the import graph; the tile rule
-// must sit below).
+// Package tiles names the cache geometry of the reference machine memsim's
+// Skylake calibration assumes, for the environment block benchmark/env.go
+// stamps into every benchmark run. The compute core's tiles are register
+// tiles and size no cache block from it. It is a leaf package.
 package tiles
 
-// Geometry describes the cache hierarchy the tile sizes are derived from.
-// All fields are in bytes.
+// Geometry describes a cache hierarchy. All fields are in bytes.
 type Geometry struct {
 	LineBytes int // cache line size
 	L1Bytes   int // per-core L1 data capacity
@@ -19,51 +16,4 @@ type Geometry struct {
 // Skylake calibration assumes: 64 B lines, 32 KiB L1d, 1 MiB L2, 8 MiB LLC.
 func DefaultGeometry() Geometry {
 	return Geometry{LineBytes: 64, L1Bytes: 32 << 10, L2Bytes: 1 << 20, L3Bytes: 8 << 20}
-}
-
-// Blocking is the loop-tiling geometry of the packed-panel GEMM in
-// internal/layers: an MR×NR register micro-kernel inside KC/MC/NC cache
-// blocks (BLIS-style, element counts not bytes).
-type Blocking struct {
-	MR int // micro-kernel rows (register tile height)
-	NR int // micro-kernel columns (register tile width)
-	KC int // k-block depth: one NR-wide B strip of KC depth stays L1-resident
-	MC int // m-block height: the packed MC×KC A panel stays L2-resident
-	NC int // n-block width: the packed KC×NC B panel stays LLC-resident
-}
-
-// TileSizes derives the GEMM blocking from a cache geometry.
-//
-// The tile-sizing formula (float32 elements, so 4 bytes each):
-//
-//	MR = NR = 4                      — 16 scalar accumulators, within the
-//	                                   register budget the Go compiler keeps
-//	                                   spill-free on amd64/arm64
-//	KC = (L1/2) / (4·NR)             — half the L1 holds one KC×NR B strip
-//	                                   (the other half streams the A panel)
-//	MC = (L2/2) / (4·KC)             — half the L2 holds the MC×KC A panel
-//	NC = (L3/2) / (4·KC)             — half the LLC holds the KC×NC B panel
-//
-// KC is rounded down to a multiple of NR, MC to a multiple of MR, NC to a
-// multiple of NR, each clamped below at one tile, so degenerate geometries
-// still yield a valid (if tiny) blocking. The halves leave room for the
-// output tile and the streamed panel so the resident panel is not evicted
-// mid-block — the same occupancy rule the cache simulator's spill/fit
-// experiments validate.
-func TileSizes(g Geometry) Blocking {
-	const mr, nr = 4, 4
-	b := Blocking{MR: mr, NR: nr}
-	b.KC = roundDown(g.L1Bytes/2/(4*nr), nr, nr)
-	b.MC = roundDown(g.L2Bytes/2/(4*b.KC), mr, mr)
-	b.NC = roundDown(g.L3Bytes/2/(4*b.KC), nr, nr)
-	return b
-}
-
-// roundDown rounds n down to a multiple of q, clamped below at lo.
-func roundDown(n, q, lo int) int {
-	n -= n % q
-	if n < lo {
-		return lo
-	}
-	return n
 }

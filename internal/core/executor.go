@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bnff/internal/graph"
-	"bnff/internal/kernels"
 	"bnff/internal/layers"
 	"bnff/internal/obs"
 	"bnff/internal/parallel"
@@ -679,50 +678,15 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 	grads map[string]*tensor.Tensor, stash map[int]*bnStash) error {
 
 	dy := gmap[n.ID]
-	// Conv-like nodes with a StatsOut epilogue receive their upstream
-	// gradient through the sub-BN2' stash instead of the gradient map: the
-	// following BN's element-wise input gradient (sub-BN1') is produced in
-	// the same fused sweep this CONV's backward consumes. The synthesized dy
-	// is a within-step transient; the conv cases below recycle it as soon as
-	// the weight/input gradients have been computed from it.
-	synth := false
-	if n.Kind.IsConvLike() && n.StatsOut != nil {
-		st := stash[n.ID]
-		if st == nil {
-			return fmt.Errorf("no sub-BN2' stash for statistics producer")
-		}
-		if dy != nil {
-			// The stash is a statistics producer's only upstream path;
-			// recycle anything that still reached the gradient map.
-			e.alloc.Put(dy)
-			delete(gmap, n.ID)
-		}
-		var err error
-		dy, err = e.bnOfAttr(n.StatsOut).BackwardInput(st.dv, st.xhat, e.gammaOf(n.StatsOut),
-			e.stats[n.ID], st.dgamma, st.dbeta)
-		if err != nil {
-			return err
-		}
-		synth = true
-		e.releaseStats(n.ID)
-	} else if n.Kind != graph.OpSubBN1 && dy == nil {
+	// Conv-like nodes resolve their own upstream gradient (a statistics
+	// producer's comes through the stash); sub-BN1 has only the stash.
+	if dy == nil && n.Kind != graph.OpSubBN1 && !n.Kind.IsConvLike() {
 		return fmt.Errorf("no gradient reached node (kind %v)", n.Kind)
 	}
 
 	switch n.Kind {
-	case graph.OpConv:
-		if n.FoldedBias {
-			return fmt.Errorf("folded CONV+BN is inference-only and has no backward pass")
-		}
-		dx, dw, err := e.convOf(n).Backward(dy, e.in(n, 0), e.Params[n.Name+".w"])
-		if err != nil {
-			return err
-		}
-		if synth {
-			e.alloc.Put(dy)
-		}
-		grads[n.Name+".w"] = dw
-		return e.accumGrad(gmap, n.Inputs[0], dx)
+	case graph.OpConv, graph.OpReLUConv, graph.OpBNReLUConv:
+		return e.convBackward(n, gmap, grads, stash)
 
 	case graph.OpBN:
 		// The composite Backward is BackwardReduce ∘ BackwardInput; spell the
@@ -749,36 +713,18 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return e.accumGrad(gmap, n.Inputs[0], dx)
 
 	case graph.OpSubBN1:
-		st := stash[n.ID]
-		if st == nil {
-			return fmt.Errorf("no sub-BN2' stash for statistics producer")
-		}
-		du, err := e.bnOf(n).BackwardInput(st.dv, st.xhat, e.gamma(n), e.stats[n.ID], st.dgamma, st.dbeta)
+		du, err := e.bnInputGrad(n.ID, n.BN, stash)
 		if err != nil {
 			return err
 		}
-		e.releaseStats(n.ID)
 		return e.accumGrad(gmap, n.Inputs[0], du)
 
 	case graph.OpSubBN2:
-		bn := e.bnOf(n)
-		dgamma, dbeta, err := bn.BackwardReduce(dy, e.xhats[n.ID])
+		dgamma, dbeta, err := e.bnOf(n).BackwardReduce(dy, e.xhats[n.ID])
 		if err != nil {
 			return err
 		}
-		grads[n.BN.ParamName+".gamma"] = dgamma
-		grads[n.BN.ParamName+".beta"] = dbeta
-		// The stash feeds sub-BN1' (BackwardInput); under ddp sync-BN the
-		// reduce hook swaps in globally summed dγ/dβ there while the grads
-		// map keeps the local sums for the gradient all-reduce.
-		sg, sb := dgamma, dbeta
-		if e.bnReduceHook != nil {
-			if sg, sb, err = e.bnReduceHook(n, dgamma, dbeta); err != nil {
-				return err
-			}
-		}
-		stash[n.StatsFrom.ID] = &bnStash{dv: dy, xhat: e.xhats[n.ID], dgamma: sg, dbeta: sb}
-		return nil
+		return e.stashReduced(n, dy, dgamma, dbeta, grads, stash)
 
 	case graph.OpReLU:
 		dx, err := layers.ReLUBackwardAlloc(e.pool, e.alloc, dy, e.in(n, 0))
@@ -786,38 +732,6 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 			return err
 		}
 		return e.accumGrad(gmap, n.Inputs[0], dx)
-
-	case graph.OpReLUConv:
-		dx, dw, err := kernels.ReLUConvBackward(e.convOf(n), dy, e.in(n, 0), e.Params[n.Name+".w"])
-		if err != nil {
-			return err
-		}
-		if synth {
-			e.alloc.Put(dy)
-		}
-		grads[n.Name+".w"] = dw
-		return e.accumGrad(gmap, n.Inputs[0], dx)
-
-	case graph.OpBNReLUConv:
-		dv, dw, dgamma, dbeta, err := kernels.FusedConvBackwardReLUBNReduce(e.convOf(n), e.bnOf(n),
-			dy, e.xhats[n.ID], e.gamma(n), e.beta(n), e.Params[n.Name+".w"])
-		if err != nil {
-			return err
-		}
-		if synth {
-			e.alloc.Put(dy)
-		}
-		grads[n.Name+".w"] = dw
-		grads[n.BN.ParamName+".gamma"] = dgamma
-		grads[n.BN.ParamName+".beta"] = dbeta
-		sg, sb := dgamma, dbeta
-		if e.bnReduceHook != nil {
-			if sg, sb, err = e.bnReduceHook(n, dgamma, dbeta); err != nil {
-				return err
-			}
-		}
-		stash[n.StatsFrom.ID] = &bnStash{dv: dv, xhat: e.xhats[n.ID], dgamma: sg, dbeta: sb}
-		return nil
 
 	case graph.OpPool:
 		ctx := e.poolCtx[n.ID]
@@ -888,4 +802,92 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 	default:
 		return fmt.Errorf("executor cannot differentiate kind %v", n.Kind)
 	}
+}
+
+// convBackward is convForward's mirror: one backward window for a conv-like
+// node, regenerating the ifmap its kind names — x, ReLU(x), or ReLU(γ·x̂+β)
+// from the saved x̂ — and masking with it. Under BN the window's dγ/dβ are
+// sub-BN2', stashed for the statistics producer's sub-BN1'.
+//
+// A node with a StatsOut epilogue receives its upstream gradient through the
+// sub-BN2' stash instead of the gradient map: the following BN's element-wise
+// input gradient (sub-BN1') is produced here and consumed by this window
+// right away, a within-step transient recycled as soon as the window returns.
+func (e *Executor) convBackward(n *graph.Node, gmap map[int]*tensor.Tensor,
+	grads map[string]*tensor.Tensor, stash map[int]*bnStash) error {
+
+	if n.FoldedBias {
+		return fmt.Errorf("folded CONV+BN is inference-only and has no backward pass")
+	}
+	dy := gmap[n.ID]
+	synth := n.StatsOut != nil
+	if synth {
+		if dy != nil {
+			// The stash is a statistics producer's only upstream path;
+			// recycle anything that still reached the gradient map.
+			e.alloc.Put(dy)
+			delete(gmap, n.ID)
+		}
+		var err error
+		if dy, err = e.bnInputGrad(n.ID, n.StatsOut, stash); err != nil {
+			return err
+		}
+	} else if dy == nil {
+		return fmt.Errorf("no gradient reached node (kind %v)", n.Kind)
+	}
+	win := layers.ConvWindow{Rectify: n.Kind != graph.OpConv}
+	src := e.in(n, 0)
+	if n.Kind == graph.OpBNReLUConv {
+		win.BN, win.Gamma, win.Beta = e.bnOf(n), e.gamma(n), e.beta(n)
+		src = e.xhats[n.ID]
+	}
+	dx, dw, dgamma, dbeta, err := e.convOf(n).BackwardWindow(dy, src, e.Params[n.Name+".w"], win)
+	if err != nil {
+		return err
+	}
+	if synth {
+		e.alloc.Put(dy)
+	}
+	grads[n.Name+".w"] = dw
+	if win.Gamma != nil {
+		return e.stashReduced(n, dx, dgamma, dbeta, grads, stash)
+	}
+	return e.accumGrad(gmap, n.Inputs[0], dx)
+}
+
+// stashReduced is sub-BN2' handing over: it records n's dγ/dβ as its BN's
+// gradients and stashes (dv, x̂, dγ, dβ) for the sub-BN1' of n's statistics
+// producer. Under ddp sync-BN the reduce hook swaps globally summed dγ/dβ
+// into the stash while grads keeps the local sums for the gradient
+// all-reduce.
+func (e *Executor) stashReduced(n *graph.Node, dv, dgamma, dbeta *tensor.Tensor,
+	grads map[string]*tensor.Tensor, stash map[int]*bnStash) error {
+
+	grads[n.BN.ParamName+".gamma"] = dgamma
+	grads[n.BN.ParamName+".beta"] = dbeta
+	sg, sb := dgamma, dbeta
+	if e.bnReduceHook != nil {
+		var err error
+		if sg, sb, err = e.bnReduceHook(n, dgamma, dbeta); err != nil {
+			return err
+		}
+	}
+	stash[n.StatsFrom.ID] = &bnStash{dv: dv, xhat: e.xhats[n.ID], dgamma: sg, dbeta: sb}
+	return nil
+}
+
+// bnInputGrad is sub-BN1': the input gradient of the BN attr describes, from
+// the stash its normalize side left under statistics producer id, whose
+// statistics it then releases.
+func (e *Executor) bnInputGrad(id int, attr *graph.BNAttr, stash map[int]*bnStash) (*tensor.Tensor, error) {
+	st := stash[id]
+	if st == nil {
+		return nil, fmt.Errorf("no sub-BN2' stash for statistics producer")
+	}
+	du, err := e.bnOfAttr(attr).BackwardInput(st.dv, st.xhat, e.gammaOf(attr), e.stats[id], st.dgamma, st.dbeta)
+	if err != nil {
+		return nil, err
+	}
+	e.releaseStats(id)
+	return du, nil
 }

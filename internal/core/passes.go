@@ -1,7 +1,8 @@
 // Package core implements the paper's contribution: the BN Fission-n-Fusion
 // restructuring passes over the graph IR, and a numeric executor that runs
-// both baseline and restructured graphs through internal/layers and
-// internal/kernels so the transformation can be verified end to end.
+// both baseline and restructured graphs through internal/layers — every
+// conv-like node as one layers.ConvWindow per direction, built from the node —
+// so the transformation can be verified end to end.
 //
 // The passes mirror §3.2 of the paper:
 //

@@ -309,7 +309,7 @@ func TestFusedBackwardsNonFiniteMatchUnfused(t *testing.T) {
 			if v := dz.Data[poisoned[2]]; v == 0 {
 				t.Fatalf("%s: conv gradient at the NaN pre-activation is 0; the mask is not exercised", tc.name)
 			}
-			dx, dw, err := ReLUConvBackward(conv, dy, x, w)
+			dx, dw, _, _, err := conv.BackwardWindow(dy, x, w, layers.ConvWindow{Rectify: true})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}

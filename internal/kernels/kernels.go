@@ -1,8 +1,10 @@
-// Package kernels names the fused kernels that BN Fission-n-Fusion
-// substitutes for baseline layer sequences. Each is a layers.ConvWindow
+// Package kernels names four of the fused kernels that BN Fission-n-Fusion
+// substitutes for baseline layer sequences, for benchmark/'s per-layer
+// timings, which call them by these names. Each is a layers.ConvWindow
 // literal: the convolution has one per-sample window per direction
 // (internal/layers/window.go), and a fusion is a choice of what runs inside
-// it — never a kernel of its own.
+// it — never a kernel of its own. The executor in internal/core does not go
+// through this package: it builds its windows itself, from the node.
 //
 //   - ConvForwardStats — CONV1-(sub-BN1): as each sample's ofmap is written,
 //     its per-channel Σx and Σx² partials are taken from the cache-resident
@@ -25,21 +27,16 @@
 //     runs the convolution's backward, masks dz with the tile, and takes the
 //     sample's dγ/dβ partials.
 //
-//   - ReLUConvBackward — RCF's backward: the same window regenerating ReLU(x)
-//     from the saved pre-activation.
-//
-// The executor builds its windows itself, from the node: a (sub-BN2)-ReLU-CONV
-// node that also feeds the next BN carries the statistics epilogue too, a
-// combination none of the names above spells. Two statistics producers stay
-// outside the window and sweep the finished ofmap separately: the ddp
-// StatsHook, which exchanges a whole shard's per-sample moments across
-// replicas before anything is closed, and core.WithPreciseStats, whose
-// accumulators are float64 where the window's partials are float32.
+// Two statistics producers stay outside the window and sweep the finished
+// ofmap separately: the ddp StatsHook, which exchanges a whole shard's
+// per-sample moments across replicas before anything is closed, and
+// core.WithPreciseStats, whose accumulators are float64 where the window's
+// partials are float32.
 //
 // The (sub-BN1')-CONV1 backward is not a window: the executor composes
-// BatchNorm.BackwardInput with Conv2D.Backward itself. ICF has no kernel: it
-// is a cost-model term (graph.BNAttr.ICF) that prices the boundary sweeps the
-// Concat/Split fusions would remove.
+// BatchNorm.BackwardInput with the convolution's backward window itself. ICF
+// has no kernel: it is a cost-model term (graph.BNAttr.ICF) that prices the
+// boundary sweeps the Concat/Split fusions would remove.
 //
 // Every kernel is bit-identical to the baseline composition in
 // internal/layers wherever the baseline's own arithmetic is (the x̂, the
@@ -83,4 +80,21 @@ func FusedBNReLUConvForward(conv layers.Conv2D, bn layers.BatchNorm, x *tensor.T
 	stats *layers.BNStats, gamma, beta, w *tensor.Tensor) (y, xhat *tensor.Tensor, err error) {
 	y, xhat, _, err = conv.ForwardWindow(x, w, layers.ConvWindow{BN: bn, In: stats, Gamma: gamma, Beta: beta})
 	return y, xhat, err
+}
+
+// FusedConvBackwardReLUBNReduce is the backward half of the
+// (sub-BN2)-ReLU-CONV2 fusion. Given the upstream gradient dy of CONV2 and
+// the saved normalized map x̂ (O2'), one per-sample window:
+//
+//  1. regenerates CONV2's ifmap z = ReLU(γ·x̂+β) from x̂ into a tile — the
+//     rectified activations were never stored;
+//  2. runs CONV2's backward on the sample, producing dz and dW2;
+//  3. masks dz with the tile to turn it into BN's upstream gradient dv;
+//  4. takes the sample's dγ = Σ dv·x̂ and dβ = Σ dv partials (sub-BN2').
+//
+// Returned dv, dγ and dβ feed BatchNorm.BackwardInput (sub-BN1') on the other
+// side of the BN, whose result is CONV1's upstream gradient.
+func FusedConvBackwardReLUBNReduce(conv layers.Conv2D, bn layers.BatchNorm,
+	dy, xhat, gamma, beta, w *tensor.Tensor) (dv, dw, dgamma, dbeta *tensor.Tensor, err error) {
+	return conv.BackwardWindow(dy, xhat, w, layers.ConvWindow{BN: bn, Gamma: gamma, Beta: beta})
 }

@@ -218,7 +218,7 @@ func TestReLUConvBackwardMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dx, dw, err := ReLUConvBackward(conv, dy, x, w)
+	dx, dw, _, _, err := conv.BackwardWindow(dy, x, w, layers.ConvWindow{Rectify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestReLUConvBackwardMatchesBaseline(t *testing.T) {
 	if d, _ := tensor.MaxAbsDiff(dwBase, dw); d != 0 {
 		t.Errorf("RCF backward dW differs by %v", d)
 	}
-	if _, _, err := ReLUConvBackward(conv, tensor.New(1, 1, 1, 1), x, w); err == nil {
+	if _, _, _, _, err := conv.BackwardWindow(tensor.New(1, 1, 1, 1), x, w, layers.ConvWindow{Rectify: true}); err == nil {
 		t.Error("accepted wrong dy shape")
 	}
 }

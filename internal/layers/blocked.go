@@ -1,194 +1,27 @@
 package layers
 
-import (
-	"bnff/internal/cachesim/tiles"
-)
-
-// This file is the blocked compute core: a packed-panel, register-tiled GEMM
-// (gemmBlocked) backing FC and the test-only GEMM oracle (gemm_oracle_test.go),
-// and the blocked direct-convolution sample kernels (ConvGeom.ForwardSample,
-// ConvGeom.BackwardSample) that both convolution windows in window.go — and
-// through them Conv2D, the fused RCF/BNFF nodes, ddp and serve — run once per
-// sample on the tile the window has just filled.
+// This file is the blocked compute core: the direct-convolution sample
+// kernels (ConvGeom.ForwardSample, ConvGeom.BackwardSample) that both
+// convolution windows in window.go — and through them Conv2D, FC, the fused
+// RCF/BNFF nodes, ddp and serve — run once per sample on the tile the window
+// has just filled. It is the module's only multiply-accumulate core.
 //
 // Bit-identity contract: float32 addition is not associative, so every kernel
 // here accumulates each output element with a SINGLE accumulator chain over
 // the same term order as the straight-line reference loops:
 //
-//	GEMM         c[i,j]           k ascending
 //	conv forward y[oc,oy,ox]      (ig, ky, kx) ascending
 //	conv dx      dx[ic,iy,ix]     (oc, oy, ox) ascending — taps descending
 //	conv dW      dw[oc,ig,ky,kx]  (oy, ox) ascending, samples in batch order
 //
+// FC, a 1×1 convolution over a 1×1 map, inherits the orders as y[n,o] over k
+// ascending, dx[n,k] over o ascending and dw[o,k] over samples.
+//
 // Register tiling only fans out across DIFFERENT output elements — each keeps
-// its own accumulator — and an accumulator seeded from its buffer (C between
-// k-blocks, dx under a Split fan-in, dw across the samples of a chunk) extends
-// the same chain: ((0+t0)+t1 stored, then +t2+t3) ≡ (((0+t0)+t1)+t2)+t3. No
-// term is ever skipped, so NaN/Inf propagate exactly as in the reference.
-
-// gemmBlocking returns the blocking derived from the default cache geometry.
-// It is computed per call (cheap: a handful of integer divides) because the
-// hot-path packages keep no package-level state.
-func gemmBlocking() tiles.Blocking {
-	return tiles.TileSizes(tiles.DefaultGeometry())
-}
-
-// panelLens returns the packed-panel element counts gemmBlocked needs for a
-// problem with at most maxM rows, n columns, and depth k.
-func panelLens(maxM, n, k int, blk tiles.Blocking) (aLen, bLen int) {
-	kc := min(blk.KC, k)
-	aLen = min(blk.MC, maxM) * kc
-	bLen = kc * min(blk.NC, n)
-	return aLen, bLen
-}
-
-// gemmBlocked computes C[i,j] += Σ_k A[i,k]·B[k,j] (or ·B[j,k] when bTrans)
-// over the m×n×k problem with leading dimensions ldc/lda/ldb, using the
-// BLIS-style loop nest: NC-wide column blocks, KC-deep k-blocks with B packed
-// into NR-wide L1-resident strips, MC-tall row blocks with A packed into
-// MR-tall L2-resident strips, and an MR×NR register micro-kernel innermost.
-// packA/packB are caller scratch of at least panelLens(m, n, k, blk).
-//
-// Accumulation is += into C, so callers seed C (zero, or bias) exactly like
-// the reference loops; see the bit-identity contract at the top of the file.
-//
-// hot-path: the module's GEMM core; panels are caller scratch, everything
-// else is slicing and loop-local scalars.
-func gemmBlocked(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, bTrans bool, m, n, k int, blk tiles.Blocking, packA, packB []float32) {
-	if m <= 0 || n <= 0 || k <= 0 {
-		return
-	}
-	for n0 := 0; n0 < n; n0 += blk.NC {
-		nc := min(blk.NC, n-n0)
-		for k0 := 0; k0 < k; k0 += blk.KC {
-			kc := min(blk.KC, k-k0)
-			packBPanel(packB, b, ldb, bTrans, k0, kc, n0, nc, blk.NR)
-			for m0 := 0; m0 < m; m0 += blk.MC {
-				mc := min(blk.MC, m-m0)
-				packAPanel(packA, a, lda, m0, mc, k0, kc, blk.MR)
-				for is := 0; is < mc; is += blk.MR {
-					mh := min(blk.MR, mc-is)
-					ap := packA[is*kc : is*kc+mh*kc]
-					for js := 0; js < nc; js += blk.NR {
-						nw := min(blk.NR, nc-js)
-						bp := packB[js*kc : js*kc+nw*kc]
-						ct := c[(m0+is)*ldc+n0+js:]
-						if mh == 4 && nw == 4 {
-							microGEMM4x4(ct, ldc, ap, bp, kc)
-						} else {
-							microGEMMEdge(ct, ldc, ap, bp, kc, mh, nw)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// packAPanel packs the mc×kc block of A at (m0, k0) into MR-tall strips:
-// strip is (rows is..is+h) lives at dst[is*kc:], element [kk*h+r] holding
-// A[m0+is+r, k0+kk] — so the micro-kernel reads one contiguous h-wide
-// column of A per k step. Edge strips pack at their true height.
-//
-// hot-path: panel packing inside the GEMM core.
-func packAPanel(dst, a []float32, lda int, m0, mc, k0, kc, mr int) {
-	for is := 0; is < mc; is += mr {
-		h := min(mr, mc-is)
-		panel := dst[is*kc : is*kc+h*kc]
-		for r := 0; r < h; r++ {
-			row := a[(m0+is+r)*lda+k0 : (m0+is+r)*lda+k0+kc]
-			for kk, v := range row {
-				panel[kk*h+r] = v
-			}
-		}
-	}
-}
-
-// packBPanel packs the kc×nc block of B at (k0, n0) into NR-wide strips:
-// strip js (columns js..js+w) lives at dst[js*kc:], element [kk*w+j] holding
-// B[k0+kk, n0+js+j] (or Bᵀ when bTrans) — one contiguous w-wide row of B per
-// k step. Edge strips pack at their true width.
-//
-// hot-path: panel packing inside the GEMM core.
-func packBPanel(dst, b []float32, ldb int, bTrans bool, k0, kc, n0, nc, nr int) {
-	for js := 0; js < nc; js += nr {
-		w := min(nr, nc-js)
-		panel := dst[js*kc : js*kc+w*kc]
-		if bTrans {
-			for j := 0; j < w; j++ {
-				row := b[(n0+js+j)*ldb+k0 : (n0+js+j)*ldb+k0+kc]
-				for kk, v := range row {
-					panel[kk*w+j] = v
-				}
-			}
-		} else {
-			for kk := 0; kk < kc; kk++ {
-				copy(panel[kk*w:kk*w+w], b[(k0+kk)*ldb+n0+js:(k0+kk)*ldb+n0+js+w])
-			}
-		}
-	}
-}
-
-// microGEMM4x4 is the 4×4 register micro-kernel: 16 scalar accumulators the
-// compiler keeps in registers, fed by one 4-wide packed A column and one
-// 4-wide packed B row per k step. Each accumulator is one output element's
-// single chain, seeded from C and stored back once.
-//
-// hot-path: the innermost GEMM loop.
-func microGEMM4x4(c []float32, ldc int, ap, bp []float32, kc int) {
-	c0 := c[0:4]
-	c1 := c[ldc : ldc+4]
-	c2 := c[2*ldc : 2*ldc+4]
-	c3 := c[3*ldc : 3*ldc+4]
-	a00, a01, a02, a03 := c0[0], c0[1], c0[2], c0[3]
-	a10, a11, a12, a13 := c1[0], c1[1], c1[2], c1[3]
-	a20, a21, a22, a23 := c2[0], c2[1], c2[2], c2[3]
-	a30, a31, a32, a33 := c3[0], c3[1], c3[2], c3[3]
-	for kk := 0; kk < kc; kk++ {
-		av := ap[kk*4 : kk*4+4]
-		bv := bp[kk*4 : kk*4+4]
-		ar0, ar1, ar2, ar3 := av[0], av[1], av[2], av[3]
-		b0, b1, b2, b3 := bv[0], bv[1], bv[2], bv[3]
-		a00 += ar0 * b0
-		a01 += ar0 * b1
-		a02 += ar0 * b2
-		a03 += ar0 * b3
-		a10 += ar1 * b0
-		a11 += ar1 * b1
-		a12 += ar1 * b2
-		a13 += ar1 * b3
-		a20 += ar2 * b0
-		a21 += ar2 * b1
-		a22 += ar2 * b2
-		a23 += ar2 * b3
-		a30 += ar3 * b0
-		a31 += ar3 * b1
-		a32 += ar3 * b2
-		a33 += ar3 * b3
-	}
-	c0[0], c0[1], c0[2], c0[3] = a00, a01, a02, a03
-	c1[0], c1[1], c1[2], c1[3] = a10, a11, a12, a13
-	c2[0], c2[1], c2[2], c2[3] = a20, a21, a22, a23
-	c3[0], c3[1], c3[2], c3[3] = a30, a31, a32, a33
-}
-
-// microGEMMEdge handles the mh×nw edge tiles (mh ≤ MR, nw ≤ NR) against
-// panels packed at true strip height/width, with the same one-chain-per-
-// element accumulation.
-//
-// hot-path: edge-tile twin of microGEMM4x4.
-func microGEMMEdge(c []float32, ldc int, ap, bp []float32, kc, mh, nw int) {
-	for r := 0; r < mh; r++ {
-		crow := c[r*ldc : r*ldc+nw]
-		for j := 0; j < nw; j++ {
-			acc := crow[j]
-			for kk := 0; kk < kc; kk++ {
-				acc += ap[kk*mh+r] * bp[kk*nw+j]
-			}
-			crow[j] = acc
-		}
-	}
-}
+// its own accumulator — and an accumulator seeded from its buffer (dw across
+// the samples of a chunk) extends the same chain: ((0+t0)+t1 stored, then
+// +t2+t3) ≡ (((0+t0)+t1)+t2)+t3. No term is ever skipped, so NaN/Inf
+// propagate exactly as in the reference.
 
 // ConvGeom is the precomputed single-sample geometry of a Conv2D, shared by
 // the two convolution windows (window.go) and the test-only GEMM oracle's

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"bnff/internal/cachesim/tiles"
 	"bnff/internal/parallel"
 	"bnff/internal/tensor"
 )
@@ -99,24 +98,6 @@ func legacyConvBackward(c Conv2D, h, wd int, dy, x, w, dx, dw []float32) {
 	}
 }
 
-// naiveGEMM is the unblocked reference C += A·B (or A·Bᵀ): ascending k, one
-// accumulator chain per element, no zero-skip.
-func naiveGEMM(c, a, b []float32, bTrans bool, m, n, k int) {
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			acc := c[i*n+j]
-			for kk := 0; kk < k; kk++ {
-				if bTrans {
-					acc += a[i*k+kk] * b[j*k+kk]
-				} else {
-					acc += a[i*k+kk] * b[kk*n+j]
-				}
-			}
-			c[i*n+j] = acc
-		}
-	}
-}
-
 func bitsEqual(a, b []float32) bool {
 	if len(a) != len(b) {
 		return false
@@ -149,39 +130,6 @@ func fillRand(seed uint64, n int) []float32 {
 	t := tensor.New(n)
 	tensor.NewRNG(seed).FillNormal(t, 0, 1)
 	return t.Data
-}
-
-// The blocked GEMM must be bit-identical to the naive loop for every tile
-// pattern: full tiles, edge tiles in m and n, multiple k-blocks, and both B
-// orientations. A deliberately tiny blocking forces every block boundary to
-// be exercised on small problems.
-func TestGEMMBlockedBitIdenticalToNaive(t *testing.T) {
-	tiny := tiles.Blocking{MR: 4, NR: 4, KC: 8, MC: 8, NC: 12}
-	for _, blk := range []tiles.Blocking{tiny, tiles.TileSizes(tiles.DefaultGeometry())} {
-		for _, dims := range [][3]int{
-			{1, 1, 1}, {4, 4, 8}, {5, 7, 9}, {8, 12, 16}, {13, 17, 23}, {3, 33, 40}, {16, 5, 64},
-		} {
-			m, n, k := dims[0], dims[1], dims[2]
-			for _, bTrans := range []bool{false, true} {
-				a := fillRand(uint64(100*m+n), m*k)
-				b := fillRand(uint64(200*n+k), k*n)
-				want := fillRand(uint64(300*m+k), m*n)
-				got := append([]float32(nil), want...)
-				naiveGEMM(want, a, b, bTrans, m, n, k)
-				aLen, bLen := panelLens(m, n, k, blk)
-				packA := make([]float32, aLen)
-				packB := make([]float32, bLen)
-				lda, ldb := k, n
-				if bTrans {
-					ldb = k
-				}
-				gemmBlocked(got, n, a, lda, b, ldb, bTrans, m, n, k, blk, packA, packB)
-				if !bitsEqual(got, want) {
-					t.Errorf("m=%d n=%d k=%d bTrans=%v blk=%+v: blocked GEMM not bit-identical to naive", m, n, k, bTrans, blk)
-				}
-			}
-		}
-	}
 }
 
 // Blocked convolution (interior register tile + clamped borders) must match
@@ -338,11 +286,19 @@ func convBackwardWant(c Conv2D, n, h, wd int, dy, x, w, dx, dw []float32, pooled
 	}
 }
 
+// backwardInto runs the backward window onto caller buffers dx and dw, whose
+// chains it continues: the accumulate-onto-buffer contract BackwardWindow's
+// zeroed outputs and the pooled dW partials rest on.
+func backwardInto(c Conv2D, dy, x, w, dx, dw *tensor.Tensor) {
+	n, _, h, wd := x.Dims4()
+	c.backwardWindow(convBwd{geom: c.SampleGeom(h, wd), dy: dy.Data, src: x.Data, w: w.Data, dx: dx.Data, dw: dw.Data}, n, ConvWindow{})
+}
+
 // The two backward gathers (dx, dW) must match the legacy scatter loop bit for
 // bit on every geometry: finite data with exact zeros in dy (the terms the old
 // kernel skipped), then the same data with ±Inf and NaN planted in dy, x and w.
 // Backward starts from zeroed buffers and, at n > 1 on one worker, continues
-// one dw chain across samples; BackwardInto accumulates onto non-zero dx/dw.
+// one dw chain across samples; backwardInto accumulates onto non-zero dx/dw.
 func TestBlockedConvBackwardBitIdenticalToLegacy(t *testing.T) {
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
 	for gi, cfg := range convBackwardGeoms() {
@@ -388,11 +344,9 @@ func TestBlockedConvBackwardBitIdenticalToLegacy(t *testing.T) {
 				wantDX, wantDW = dx0.Clone(), dw0.Clone()
 				convBackwardWant(conv, cfg.n, cfg.h, cfg.w, dy.Data, x.Data, w.Data, wantDX.Data, wantDW.Data, pooled)
 				dx, dw = dx0.Clone(), dw0.Clone()
-				if err := c.BackwardInto(dy, x, w, dx, dw); err != nil {
-					t.Fatal(err)
-				}
+				backwardInto(c, dy, x, w, dx, dw)
 				if !sameFloats(dx.Data, wantDX.Data) || !sameFloats(dw.Data, wantDW.Data) {
-					t.Errorf("conv %+v %dx%d workers=%d poisoned=%v: BackwardInto onto non-zero buffers differs from legacy (dx same %v, dw same %v)",
+					t.Errorf("conv %+v %dx%d workers=%d poisoned=%v: backward window onto non-zero buffers differs from legacy (dx same %v, dw same %v)",
 						conv, cfg.h, cfg.w, workers, poisoned, sameFloats(dx.Data, wantDX.Data), sameFloats(dw.Data, wantDW.Data))
 				}
 			}
@@ -564,9 +518,9 @@ func TestMatMulNonFiniteNoZeroSkip(t *testing.T) {
 	}
 }
 
-// matMulOn draws its output and panel scratch from the caller's arena: a
-// second call after returning the first result must be served from the free
-// lists, and the result must be bit-identical to the arena-free path.
+// matMulOn draws its output from the caller's arena: a second call after
+// returning the first result must be served from the free lists, and the
+// result must be bit-identical to the arena-free path.
 func TestMatMulOnUsesArena(t *testing.T) {
 	a := tensor.New(6, 5)
 	b := tensor.New(5, 7)
@@ -591,69 +545,90 @@ func TestMatMulOnUsesArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := arena.Stats().Hits; got <= hitsBefore {
-		t.Errorf("second matMulOn hit the arena %d times, want > %d (output and panels must recycle)", got, hitsBefore)
+		t.Errorf("second matMulOn hit the arena %d times, want > %d (the output must recycle)", got, hitsBefore)
 	}
 	if !bitsEqual(out2.Data, want.Data) {
 		t.Error("recycled matMul differs from heap-backed")
 	}
 	arena.Put(out2)
 	if got := arena.Stats().BytesInUse; got != 0 {
-		t.Errorf("arena still has %d bytes checked out; panel scratch leaked", got)
+		t.Errorf("arena still has %d bytes checked out; the output leaked", got)
 	}
 }
 
-// FC.Forward through the blocked GEMM must be bit-identical to the reference
-// bias-seeded dot-product loop at workers 1 and 4, including odd shapes that
-// end in edge tiles.
+// fcCases are the FC reference tests' shapes (n, in, out): channel counts
+// that leave odd pairs and quads, and bn-heavy's 40→10 head.
+func fcCases() [][3]int { return [][3]int{{1, 3, 2}, {3, 7, 5}, {4, 16, 10}, {5, 33, 9}, {2, 40, 10}} }
+
+// fcCase fills x (n, in), w (out, in), b (out) and dy (n, out) for one shape.
+func fcCase(n, in, out int) (x, w, b, dy *tensor.Tensor) {
+	x, w, b, dy = tensor.New(n, in), tensor.New(out, in), tensor.New(out), tensor.New(n, out)
+	tensor.NewRNG(uint64(n*in)).FillNormal(x, 0, 1)
+	tensor.NewRNG(uint64(in*out)).FillNormal(w, 0, 0.5)
+	tensor.NewRNG(uint64(out)).FillUniform(b, -1, 1)
+	tensor.NewRNG(uint64(n*out)).FillUniform(dy, -1, 1)
+	return x, w, b, dy
+}
+
+// FC.Forward through the forward window (a 1×1 convolution over a 1×1 map)
+// must be bit-identical to the reference bias-seeded x·Wᵀ over k ascending at
+// workers 1 and 4.
 func TestFCForwardBitIdenticalToReference(t *testing.T) {
-	for _, dims := range [][3]int{{1, 3, 2}, {3, 7, 5}, {4, 16, 10}, {5, 33, 9}} {
+	for _, dims := range fcCases() {
 		n, in, out := dims[0], dims[1], dims[2]
-		fc := FC{In: in, Out: out}
-		x := tensor.New(n, in)
-		w := tensor.New(out, in)
-		b := tensor.New(out)
-		tensor.NewRNG(uint64(n*in)).FillNormal(x, 0, 1)
-		tensor.NewRNG(uint64(in*out)).FillNormal(w, 0, 0.5)
-		tensor.NewRNG(uint64(out)).FillUniform(b, -1, 1)
+		x, w, b, _ := fcCase(n, in, out)
 		want := tensor.New(n, out)
 		for i := 0; i < n; i++ {
-			for o := 0; o < out; o++ {
-				acc := b.Data[o]
-				for j := 0; j < in; j++ {
-					acc += x.Data[i*in+j] * w.Data[o*in+j]
-				}
-				want.Data[i*out+o] = acc
-			}
+			copy(want.Data[i*out:(i+1)*out], b.Data)
 		}
+		naiveGEMM(want.Data, x.Data, w.Data, true, n, out, in)
 		for _, workers := range []int{1, 4} {
-			got, err := fc.WithPool(parallel.New(workers)).Forward(x, w, b)
+			got, err := FC{In: in, Out: out}.WithPool(parallel.New(workers)).Forward(x, w, b)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bitsEqual(got.Data, want.Data) {
-				t.Errorf("FC %dx%d->%d workers=%d: blocked forward not bit-identical to reference", n, in, out, workers)
+				t.Errorf("FC %dx%d->%d workers=%d: forward not bit-identical to reference", n, in, out, workers)
 			}
 		}
 	}
 }
 
-// The packed-panel inner loops must be allocation-free: panels and outputs
-// come from the caller, and the kernels themselves only slice.
-func TestBlockedKernelsAllocFree(t *testing.T) {
-	blk := gemmBlocking()
-	m, n, k := 16, 24, 32
-	a := fillRand(1, m*k)
-	b := fillRand(2, k*n)
-	c := make([]float32, m*n)
-	aLen, bLen := panelLens(m, n, k, blk)
-	packA := make([]float32, aLen)
-	packB := make([]float32, bLen)
-	if allocs := testing.AllocsPerRun(10, func() {
-		gemmBlocked(c, n, a, k, b, n, false, m, n, k, blk, packA, packB)
-	}); allocs != 0 {
-		t.Errorf("gemmBlocked allocates %v per run, want 0", allocs)
+// FC.Backward through the backward window must be bit-identical to the row
+// loop FC ran before it: dX = dY·W over o ascending, dW and dB summed in
+// sample order, at workers 1 and 4.
+func TestFCBackwardBitIdenticalToReference(t *testing.T) {
+	for _, dims := range fcCases() {
+		n, in, out := dims[0], dims[1], dims[2]
+		x, w, _, dy := fcCase(n, in, out)
+		wantDX, wantDW, wantDB := tensor.New(n, in), tensor.New(out, in), tensor.New(out)
+		for i := 0; i < n; i++ {
+			for o := 0; o < out; o++ {
+				g := dy.Data[i*out+o]
+				wantDB.Data[o] += g
+				for j := 0; j < in; j++ {
+					wantDX.Data[i*in+j] += g * w.Data[o*in+j]
+					wantDW.Data[o*in+j] += g * x.Data[i*in+j]
+				}
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			dx, dw, db, err := FC{In: in, Out: out}.WithPool(parallel.New(workers)).Backward(dy, x, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitsEqual(dx.Data, wantDX.Data) || !bitsEqual(dw.Data, wantDW.Data) || !bitsEqual(db.Data, wantDB.Data) {
+				t.Errorf("FC %dx%d->%d workers=%d: backward not bit-identical to reference (dx %v dw %v db %v)", n, in, out, workers,
+					bitsEqual(dx.Data, wantDX.Data), bitsEqual(dw.Data, wantDW.Data), bitsEqual(db.Data, wantDB.Data))
+			}
+		}
 	}
+}
 
+// The sample kernels and the window chunk bodies must be allocation-free:
+// outputs and scratch come from the caller, and the kernels themselves only
+// slice.
+func TestBlockedKernelsAllocFree(t *testing.T) {
 	// Both sample kernels, on geometries that between them reach every body:
 	// tile, quad and point of the forward and of the dx gather, tile and quad
 	// of the dW gather.
@@ -792,32 +767,45 @@ func BenchmarkConvShapes(b *testing.B) {
 	}
 }
 
-// Bench pair: the packed-panel GEMM against the naive triple loop at the
-// oracle's per-sample shape for the same layer (64 × 256×576 im2col).
-func BenchmarkGEMMBlocked(b *testing.B) {
-	m, n, k := 64, 256, 576
-	blk := gemmBlocking()
-	a := fillRand(1, m*k)
-	bm := fillRand(2, k*n)
-	c := make([]float32, m*n)
-	aLen, bLen := panelLens(m, n, k, blk)
-	packA := make([]float32, aLen)
-	packB := make([]float32, bLen)
-	b.SetBytes(int64(2 * m * n * k))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gemmBlocked(c, n, a, k, bm, n, false, m, n, k, blk, packA, packB)
-	}
-}
-
-func BenchmarkGEMMNaive(b *testing.B) {
-	m, n, k := 64, 256, 576
-	a := fillRand(1, m*k)
-	bm := fillRand(2, k*n)
-	c := make([]float32, m*n)
-	b.SetBytes(int64(2 * m * n * k))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		naiveGEMM(c, a, bm, false, m, n, k)
+// BenchmarkFC times FC through the convolution windows on the heads the
+// workloads and the cost models carry. SetBytes is the FLOP count — 2 per MAC
+// forward, 4 backward (dX and dW) — so the MB/s column reads MFLOP/s.
+// Backward's dW is a fresh (Out, In) tensor per call, as in the executor.
+func BenchmarkFC(b *testing.B) {
+	for _, sh := range []struct {
+		name       string
+		n, in, out int
+	}{
+		{"tiny-cnn_16to4_b8", 8, 16, 4},
+		{"bn-heavy_40to10_b32", 32, 40, 10},
+		{"densenet121_1024to1000_b32", 32, 1024, 1000},
+		{"vgg16_25088to4096_b1", 1, 25088, 4096},
+	} {
+		fc := FC{In: sh.in, Out: sh.out}
+		x := tensor.New(sh.n, sh.in)
+		w := tensor.New(sh.out, sh.in)
+		bias := tensor.New(sh.out)
+		dy := tensor.New(sh.n, sh.out)
+		rng := tensor.NewRNG(7)
+		rng.FillNormal(x, 0, 1)
+		rng.FillNormal(w, 0, 0.1)
+		rng.FillUniform(dy, -1, 1)
+		flops := fc.FLOPs(sh.n)
+		b.Run(sh.name+"/Forward", func(b *testing.B) {
+			b.SetBytes(flops)
+			for i := 0; i < b.N; i++ {
+				if _, err := fc.Forward(x, w, bias); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(sh.name+"/Backward", func(b *testing.B) {
+			b.SetBytes(2 * flops)
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := fc.Backward(dy, x, w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -144,18 +144,3 @@ func (c Conv2D) Backward(dy, x, w *tensor.Tensor) (dx, dw *tensor.Tensor, err er
 	dx, dw, _, _, err = c.BackwardWindow(dy, x, w, ConvWindow{})
 	return dx, dw, err
 }
-
-// BackwardInto is Backward writing into caller-provided gradient buffers
-// (which must be zeroed by the caller if fresh gradients are wanted; the
-// kernel accumulates, which lets Split fan-ins share one dX buffer).
-func (c Conv2D) BackwardInto(dy, x, w, dx, dw *tensor.Tensor) error {
-	if err := c.checkBackward(dy, x, w, ConvWindow{}); err != nil {
-		return err
-	}
-	if !dx.Shape().Equal(x.Shape()) || !dw.Shape().Equal(w.Shape()) {
-		return fmt.Errorf("conv: gradient buffer shapes %v/%v, want %v/%v",
-			dx.Shape(), dw.Shape(), x.Shape(), w.Shape())
-	}
-	c.backwardWindow(dy, x, w, dx, dw, ConvWindow{})
-	return nil
-}

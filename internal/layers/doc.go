@@ -14,9 +14,11 @@
 // The convolution is written once per direction, as a per-sample window
 // (window.go) that also carries whatever the restructured graph fuses around
 // a CONV — the ReLU or BN+ReLU in front of it, the statistics of the BN behind
-// it. The zero ConvWindow is the baseline layer; internal/kernels names the
-// paper's fusions as ConvWindow literals and tests them for equivalence
-// against the unfused compositions of the layers here.
+// it. The zero ConvWindow is the baseline layer, and FC runs the same two
+// bodies as a 1×1 convolution over a 1×1 map, so the module has one
+// multiply-accumulate core (blocked.go). internal/kernels names the paper's
+// fusions as ConvWindow literals for benchmark/ and tests them for
+// equivalence against the unfused compositions of the layers here.
 //
 // Parallel execution is owned per layer descriptor: WithPool attaches an
 // executor's worker pool to a Conv2D, BatchNorm, Pool2D, or FC copy, and

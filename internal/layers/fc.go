@@ -18,10 +18,9 @@ type FC struct {
 }
 
 // WithPool returns a copy of the descriptor that executes on the given
-// worker pool (nil means serial). The batch splits across samples; forward
-// rows and dX rows are disjoint, and dW/dB receive exactly one contribution
-// per sample per element, reduced in sample order — so pooled execution is
-// bit-identical to serial in both directions.
+// worker pool (nil means serial). The batch splits across samples exactly as
+// a convolution's does (see window.go), so pooled execution is bit-identical
+// to serial in both directions.
 func (f FC) WithPool(p *parallel.Pool) FC {
 	f.pool = p
 	return f
@@ -42,56 +41,49 @@ func (f FC) WeightShape() tensor.Shape { return tensor.Shape{f.Out, f.In} }
 // FLOPs returns the multiply-add FLOP count for a batch.
 func (f FC) FLOPs(batch int) int64 { return 2 * int64(batch) * int64(f.In) * int64(f.Out) }
 
-func (f FC) check(x, w, b *tensor.Tensor) error {
+func (f FC) check(x, w *tensor.Tensor) error {
 	if x.Rank() != 2 || x.Dim(1) != f.In {
 		return fmt.Errorf("fc: input shape %v, want [N %d]", x.Shape(), f.In)
 	}
 	if !w.Shape().Equal(f.WeightShape()) {
 		return fmt.Errorf("fc: weight shape %v, want %v", w.Shape(), f.WeightShape())
 	}
-	if b.Rank() != 1 || b.Dim(0) != f.Out {
-		return fmt.Errorf("fc: bias shape %v, want [%d]", b.Shape(), f.Out)
-	}
 	return nil
 }
 
-// Forward computes y (N, Out) through the blocked GEMM core: each output row
-// is seeded with the bias, then y += x·Wᵀ accumulates in ascending k order —
-// the same single chain per element as the reference dot-product loop, so
-// the result is bit-identical to it (and to serial execution: chunks own
-// disjoint rows). Panel scratch is carved per chunk from one arena slab the
-// dispatching goroutine allocates.
+// window returns FC as the convolution it is in memory: (N,In) is
+// (N,In,1,1), the (Out,In) weight is (Out,In,1,1), and a 1×1 window over a
+// 1×1 map keeps the reference term orders — bias-seeded and k ascending
+// forward, dX over o ascending, dW in sample order. The window bodies run on
+// FC's own slices, so y and dX stay arena-owned tensors of FC's shape.
+func (f FC) window() (Conv2D, ConvGeom) {
+	c := NewConv2D(f.In, f.Out, 1, 1, 0)
+	c.pool, c.alloc = f.pool, f.alloc
+	return c, c.SampleGeom(1, 1)
+}
+
+// Forward computes y (N, Out) through the forward window body: each output
+// element is seeded with its bias and accumulates x·Wᵀ in ascending k order.
 func (f FC) Forward(x, w, b *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := f.check(x, w, b); err != nil {
+	if err := f.check(x, w); err != nil {
 		return nil, err
+	}
+	if b.Rank() != 1 || b.Dim(0) != f.Out {
+		return nil, fmt.Errorf("fc: bias shape %v, want [%d]", b.Shape(), f.Out)
 	}
 	n := x.Dim(0)
 	y := f.alloc.Get(n, f.Out)
-	blk := gemmBlocking()
-	aLen, bLen := panelLens(n, f.Out, f.In, blk)
-	chunks := f.pool.NumChunks(n)
-	panels := f.alloc.Panel(chunks * (aLen + bLen))
-	f.pool.RunChunked(n, func(chunk, lo, hi int) {
-		packA := panels[chunk*(aLen+bLen) : chunk*(aLen+bLen)+aLen]
-		packB := panels[chunk*(aLen+bLen)+aLen : (chunk+1)*(aLen+bLen)]
-		for in := lo; in < hi; in++ {
-			copy(y.Data[in*f.Out:(in+1)*f.Out], b.Data)
-		}
-		gemmBlocked(y.Data[lo*f.Out:hi*f.Out], f.Out, x.Data[lo*f.In:hi*f.In], f.In,
-			w.Data, f.In, true, hi-lo, f.Out, f.In, blk, packA, packB)
-	})
-	f.alloc.PutFloats(panels)
+	c, g := f.window()
+	c.forwardWindow(convFwd{geom: g, x: x.Data, w: w.Data, y: y.Data, bias: b.Data}, n, ConvWindow{})
 	return y, nil
 }
 
-// Backward computes dX, dW, dB from the upstream gradient and saved input.
-// On a pool, each sample accumulates into a private dW/dB partial that is
-// reduced in sample order afterwards; the serial loop adds exactly one
-// per-sample term per element in the same order, so the pooled result is
-// bit-identical.
+// Backward computes dX, dW, dB from the upstream gradient and saved input:
+// dX and dW through the backward window body, dB as each output's gradient
+// summed in sample order.
 func (f FC) Backward(dy, x, w *tensor.Tensor) (dx, dw, db *tensor.Tensor, err error) {
-	if x.Rank() != 2 || x.Dim(1) != f.In {
-		return nil, nil, nil, fmt.Errorf("fc: input shape %v, want [N %d]", x.Shape(), f.In)
+	if err := f.check(x, w); err != nil {
+		return nil, nil, nil, err
 	}
 	n := x.Dim(0)
 	if !dy.Shape().Equal(tensor.Shape{n, f.Out}) {
@@ -102,53 +94,12 @@ func (f FC) Backward(dy, x, w *tensor.Tensor) (dx, dw, db *tensor.Tensor, err er
 	dx = f.alloc.Get(n, f.In)
 	dw = tensor.New(f.Out, f.In)
 	db = tensor.New(f.Out)
-	if f.pool.Serial() || n == 1 {
-		for in := 0; in < n; in++ {
-			f.backwardSample(dy, x, w, dx, dw.Data, db.Data, in)
-		}
-		return dx, dw, db, nil
-	}
-	// Per-sample dW/dB partials live in slabs the dispatching goroutine
-	// allocates (workers must not touch the arena); samples index disjoint
-	// regions, so the pooled writes are race-free.
-	ws := f.alloc.Floats(n * f.Out * f.In)
-	bs := f.alloc.Floats(n * f.Out)
-	f.pool.Run(n, func(lo, hi int) {
-		for in := lo; in < hi; in++ {
-			f.backwardSample(dy, x, w, dx, ws[in*f.Out*f.In:(in+1)*f.Out*f.In], bs[in*f.Out:(in+1)*f.Out], in)
-		}
-	})
-	// det-reduce: per-sample dW/dB partials combined in sample order — one
-	// contribution per sample per element, matching serial bit for bit.
+	c, g := f.window()
+	c.backwardWindow(convBwd{geom: g, dy: dy.Data, src: x.Data, w: w.Data, dx: dx.Data, dw: dw.Data}, n, ConvWindow{})
 	for in := 0; in < n; in++ {
-		for j, v := range ws[in*f.Out*f.In : (in+1)*f.Out*f.In] {
-			dw.Data[j] += v
-		}
-		for j, v := range bs[in*f.Out : (in+1)*f.Out] {
-			db.Data[j] += v
+		for o, v := range dy.Data[in*f.Out : (in+1)*f.Out] {
+			db.Data[o] += v
 		}
 	}
-	f.alloc.PutFloats(bs)
-	f.alloc.PutFloats(ws)
 	return dx, dw, db, nil
-}
-
-// backwardSample accumulates sample in's contribution into dx (disjoint row)
-// and the given dW/dB accumulators.
-//
-// hot-path: per-sample body of the pooled FC backward; writes only into
-// caller accumulators.
-func (f FC) backwardSample(dy, x, w, dx *tensor.Tensor, dwd, dbd []float32, in int) {
-	xRow := x.Data[in*f.In : (in+1)*f.In]
-	dxRow := dx.Data[in*f.In : (in+1)*f.In]
-	for o := 0; o < f.Out; o++ {
-		g := dy.Data[in*f.Out+o]
-		wRow := w.Data[o*f.In : (o+1)*f.In]
-		dwRow := dwd[o*f.In : (o+1)*f.In]
-		dbd[o] += g
-		for i := range xRow {
-			dxRow[i] += g * wRow[i]
-			dwRow[i] += g * xRow[i]
-		}
-	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // This file holds the GEMM oracle: references the tests compare the direct
-// kernels and the FC layer against. Nothing in the product calls them.
+// kernels against. Nothing in the product calls them.
 
 // ForwardGEMM computes the same convolution as Forward via im2col + matrix
 // multiply — the algorithm Caffe (the paper's reference framework) uses — as
@@ -17,10 +17,10 @@ import (
 //
 // Shapes: columns is (Cin/g·KH·KW, OH·OW) per sample and group; the weight
 // matrix is (CoutG, Cin/g·KH·KW); their product is the (CoutG, OH·OW) output
-// block, computed by the packed-panel gemmBlocked core. Every k term is
-// accumulated — there is no zero-skip fast path — so non-finite inputs
-// propagate exactly as in the direct kernels (0·Inf = NaN included, for the
-// padding zeros the column matrix materializes).
+// block, computed by naiveGEMM. Every k term is accumulated — there is no
+// zero-skip fast path — so non-finite inputs propagate exactly as in the
+// direct kernels (0·Inf = NaN included, for the padding zeros the column
+// matrix materializes).
 func (c Conv2D) ForwardGEMM(x, w *tensor.Tensor) (*tensor.Tensor, error) {
 	if err := c.checkForward(x, w); err != nil {
 		return nil, err
@@ -33,50 +33,41 @@ func (c Conv2D) ForwardGEMM(x, w *tensor.Tensor) (*tensor.Tensor, error) {
 	ohow := geom.OH * geom.OW
 	g := c.groups()
 	coutG := geom.CoutG
-	blk := gemmBlocking()
-	aLen, bLen := panelLens(coutG, ohow, colRows, blk)
 
 	// Samples split across the pool; each chunk owns a private column matrix
-	// and packed-panel pair carved from slabs the dispatcher allocates
-	// (workers must not touch the arena), and output rows are per-sample
-	// disjoint, so pooled execution is bit-identical to serial.
+	// carved from a slab the dispatcher allocates (workers must not touch the
+	// arena), and output rows are per-sample disjoint, so pooled execution is
+	// bit-identical to serial.
 	colsLen := colRows * ohow
-	chunks := c.pool.NumChunks(n)
-	slab := c.alloc.Panel(chunks * colsLen)
-	panels := c.alloc.Panel(chunks * (aLen + bLen))
+	slab := c.alloc.Floats(c.pool.NumChunks(n) * colsLen)
 	inLen := cin * h * wd
 	c.pool.RunChunked(n, func(chunk, nLo, nHi int) {
 		cols := slab[chunk*colsLen : (chunk+1)*colsLen]
-		packA := panels[chunk*(aLen+bLen) : chunk*(aLen+bLen)+aLen]
-		packB := panels[chunk*(aLen+bLen)+aLen : (chunk+1)*(aLen+bLen)]
 		for in := nLo; in < nHi; in++ {
 			xs := x.Data[in*inLen : (in+1)*inLen]
 			for grp := 0; grp < g; grp++ {
 				im2colGroup(cols, xs, geom, grp)
 				// GEMM: out[oc, :] += Σ_r w[oc, r] · cols[r, :].
 				base := (in*cout + grp*coutG) * ohow
-				gemmBlocked(out.Data[base:base+coutG*ohow], ohow,
-					w.Data[grp*coutG*colRows:(grp+1)*coutG*colRows], colRows,
-					cols, ohow, false, coutG, ohow, colRows, blk, packA, packB)
+				naiveGEMM(out.Data[base:base+coutG*ohow],
+					w.Data[grp*coutG*colRows:(grp+1)*coutG*colRows], cols, false, coutG, ohow, colRows)
 			}
 		}
 	})
-	c.alloc.PutFloats(panels)
 	c.alloc.PutFloats(slab)
 	return out, nil
 }
 
-// FC as GEMM sanity helper: multiply (N,In)×(In,Out) using the same inner
-// kernel, used by tests to cross-check the FC layer.
+// matMul multiplies (N,K)×(K,M) with naiveGEMM.
 func matMul(a, b *tensor.Tensor) (*tensor.Tensor, error) {
 	return matMulOn(nil, nil, a, b)
 }
 
 // matMulOn is matMul with the output rows split across a worker pool and the
-// output and panel scratch drawn from the caller's arena (nil degrades to
-// plain allocation). Each output row is owned by exactly one chunk and
-// accumulated in the serial k order, so the result is bit-identical to
-// serial; no zero-skip, so NaN/Inf propagate.
+// output drawn from the caller's arena (nil degrades to plain allocation).
+// Each output row is owned by exactly one chunk and accumulated in the serial
+// k order, so the result is bit-identical to serial; no zero-skip, so NaN/Inf
+// propagate.
 func matMulOn(p *parallel.Pool, alloc *tensor.Arena, a, b *tensor.Tensor) (*tensor.Tensor, error) {
 	if a.Rank() != 2 || b.Rank() != 2 || a.Dim(1) != b.Dim(0) {
 		return nil, fmt.Errorf("layers: matmul shapes %v × %v", a.Shape(), b.Shape())
@@ -84,18 +75,29 @@ func matMulOn(p *parallel.Pool, alloc *tensor.Arena, a, b *tensor.Tensor) (*tens
 	n, k := a.Dims2()
 	_, m := b.Dims2()
 	out := alloc.Get(n, m)
-	blk := gemmBlocking()
-	aLen, bLen := panelLens(n, m, k, blk)
-	chunks := p.NumChunks(n)
-	panels := alloc.Panel(chunks * (aLen + bLen))
-	p.RunChunked(n, func(chunk, lo, hi int) {
-		packA := panels[chunk*(aLen+bLen) : chunk*(aLen+bLen)+aLen]
-		packB := panels[chunk*(aLen+bLen)+aLen : (chunk+1)*(aLen+bLen)]
-		gemmBlocked(out.Data[lo*m:hi*m], m, a.Data[lo*k:hi*k], k,
-			b.Data, m, false, hi-lo, m, k, blk, packA, packB)
+	p.Run(n, func(lo, hi int) {
+		naiveGEMM(out.Data[lo*m:hi*m], a.Data[lo*k:hi*k], b.Data, false, hi-lo, m, k)
 	})
-	alloc.PutFloats(panels)
 	return out, nil
+}
+
+// naiveGEMM is the reference C += A·B (or A·Bᵀ) over row-major m×k and k×n
+// (n×k) operands: ascending k, one accumulator chain per element, no
+// zero-skip.
+func naiveGEMM(c, a, b []float32, bTrans bool, m, n, k int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			acc := c[i*n+j]
+			for kk := 0; kk < k; kk++ {
+				if bTrans {
+					acc += a[i*k+kk] * b[j*k+kk]
+				} else {
+					acc += a[i*k+kk] * b[kk*n+j]
+				}
+			}
+			c[i*n+j] = acc
+		}
+	}
 }
 
 // im2colGroup lowers one (sample, group) block of x (sample-flat Cin·H·W)

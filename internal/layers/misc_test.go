@@ -135,6 +135,15 @@ func TestFCShapeErrors(t *testing.T) {
 	if _, _, _, err := fc.Backward(tensor.New(1, 3), tensor.New(1, 3), tensor.New(2, 3)); err == nil {
 		t.Error("accepted wrong dy shape")
 	}
+	// Backward validates the weight as Forward does: a transposed (In, Out)
+	// weight has the right element count and would compute garbage, a short
+	// one would index past its end.
+	if _, _, _, err := fc.Backward(tensor.New(1, 2), tensor.New(1, 3), tensor.New(3, 2)); err == nil {
+		t.Error("backward accepted a transposed weight")
+	}
+	if _, _, _, err := fc.Backward(tensor.New(1, 2), tensor.New(1, 3), tensor.New(2, 2)); err == nil {
+		t.Error("backward accepted a short weight")
+	}
 	if got := fc.FLOPs(10); got != 2*10*3*2 {
 		t.Errorf("fc FLOPs = %d", got)
 	}

@@ -87,9 +87,7 @@ func TestParallelBackwardAccumulates(t *testing.T) {
 	dx := tensor.New(x.Shape()...)
 	dw := tensor.New(w.Shape()...)
 	for i := 0; i < 2; i++ {
-		if err := conv.BackwardInto(dy, x, w, dx, dw); err != nil {
-			t.Fatal(err)
-		}
+		backwardInto(conv, dy, x, w, dx, dw)
 	}
 	dx1, dw1, err := conv.Backward(dy, x, w)
 	if err != nil {
@@ -100,7 +98,7 @@ func TestParallelBackwardAccumulates(t *testing.T) {
 	// Accumulating twice rounds differently from scaling once ((Σp)+p0+p1…
 	// vs 2·Σp), so compare within float32 round-off rather than exactly.
 	if !tensor.AllClose(dx1, dx, 1e-5, 1e-5) || !tensor.AllClose(dw1, dw, 1e-5, 1e-5) {
-		t.Error("parallel BackwardInto does not accumulate correctly")
+		t.Error("the pooled backward window does not accumulate correctly")
 	}
 }
 

@@ -18,11 +18,11 @@ import (
 //
 // Every conv-like entry point — Conv2D.Forward/ForwardBias/Backward here, the
 // named fusions in internal/kernels, the executor — is a ConvWindow literal
-// over these two bodies. Partials are one per (sample, channel) and are
-// reduced in sample order after the dispatch, which is the association the
-// standalone sweeps (ComputeStatsMVF, BackwardReduce) use, so a window's
-// statistics and reductions are bit-identical to the unfused composition at
-// any worker count.
+// over these two bodies, and FC runs them as a 1×1 window over a 1×1 map.
+// Partials are one per (sample, channel) and are reduced in sample order after
+// the dispatch, which is the association the standalone sweeps
+// (ComputeStatsMVF, BackwardReduce) use, so a window's statistics and
+// reductions are bit-identical to the unfused composition at any worker count.
 
 // ConvWindow selects what runs inside a convolution's window. The zero value
 // is the plain convolution.
@@ -143,7 +143,7 @@ func (c Conv2D) ForwardWindow(x, w *tensor.Tensor, win ConvWindow) (y, xhat *ten
 	if err := win.check(c, true); err != nil {
 		return nil, nil, nil, err
 	}
-	n, cin, h, wd := x.Dims4()
+	n, _, h, wd := x.Dims4()
 	a := c.alloc
 	y = a.Get(c.OutShape(x.Shape())...)
 	sp := convFwd{geom: c.SampleGeom(h, wd), x: x.Data, w: w.Data, y: y.Data}
@@ -155,14 +155,25 @@ func (c Conv2D) ForwardWindow(x, w *tensor.Tensor, win ConvWindow) (y, xhat *ten
 		sp.xh = xhat.Data
 		sp.tileFill = tileFill{mean: win.In.Mean.Data, inv: win.BN.InvStdScratch(win.In), g: win.Gamma.Data, b: win.Beta.Data}
 	}
+	stats = c.forwardWindow(sp, n, win)
+	win.BN.alloc.PutFloats(sp.inv)
+	return y, xhat, stats, nil
+}
+
+// forwardWindow dispatches the forward window body over the n samples sp's
+// slices hold. Callers that are not a 4-D convolution — FC, a 1×1 window over
+// a 1×1 map — enter here with their own arena-owned output.
+func (c Conv2D) forwardWindow(sp convFwd, n int, win ConvWindow) (stats *BNStats) {
+	a := c.alloc
+	g := &sp.geom
 	// All scratch is carved here, on the dispatching goroutine: workers index
 	// it by chunk or sample and never touch the arena.
 	chunks := c.pool.NumChunks(n)
 	if win.tiled() {
-		sp.tiles = a.Floats(chunks * cin * h * wd)
+		sp.tiles = a.Floats(chunks * g.Cin * g.H * g.W)
 	}
 	if win.Stats {
-		sp.psum, sp.psumsq = a.Floats(n*c.OutChannels), a.Floats(n*c.OutChannels)
+		sp.psum, sp.psumsq = a.Floats(n*g.Cout), a.Floats(n*g.Cout)
 	}
 	if chunks == 1 {
 		// A plain method call on the stack spec: no closure, no heap traffic
@@ -173,13 +184,12 @@ func (c Conv2D) ForwardWindow(x, w *tensor.Tensor, win ConvWindow) (y, xhat *ten
 		c.pool.RunChunked(n, func(chunk, lo, hi int) { pooled.run(chunk, lo, hi) })
 	}
 	if win.Stats {
-		stats = BatchNorm{alloc: a}.StatsFromPartials(sp.psum, sp.psumsq, n, sp.geom.OH*sp.geom.OW)
+		stats = BatchNorm{alloc: a}.StatsFromPartials(sp.psum, sp.psumsq, n, g.OH*g.OW)
 		a.PutFloats(sp.psumsq)
 		a.PutFloats(sp.psum)
 	}
 	a.PutFloats(sp.tiles)
-	win.BN.alloc.PutFloats(sp.inv)
-	return y, xhat, stats, nil
+	return stats
 }
 
 // convFwd carries ForwardWindow's loop state into its chunk body, so the
@@ -230,13 +240,15 @@ func (c Conv2D) BackwardWindow(dy, src, w *tensor.Tensor, win ConvWindow) (dx, d
 	if err := c.checkBackward(dy, src, w, win); err != nil {
 		return nil, nil, nil, nil, err
 	}
+	n, _, h, wd := src.Dims4()
 	// dx follows the gradient schedule and comes from the arena (zeroed: the
 	// kernel accumulates); dW, dγ and dβ escape into the caller's gradient
 	// map, whose lifetime the schedule does not bound, so they are plain
 	// allocations.
 	dx = c.alloc.Get(src.Shape()...)
 	dw = tensor.New(w.Shape()...)
-	dgamma, dbeta = c.backwardWindow(dy, src, w, dx, dw, win)
+	sp := convBwd{geom: c.SampleGeom(h, wd), dy: dy.Data, src: src.Data, w: w.Data, dx: dx.Data, dw: dw.Data}
+	dgamma, dbeta = c.backwardWindow(sp, n, win)
 	return dx, dw, dgamma, dbeta, nil
 }
 
@@ -250,28 +262,29 @@ func (c Conv2D) checkBackward(dy, src, w *tensor.Tensor, win ConvWindow) error {
 	return win.check(c, false)
 }
 
-// backwardWindow dispatches the backward window over the batch, accumulating
-// into dx and dw. With one chunk every sample accumulates straight into dw —
-// the serial association. With more, each sample owns a zero-seeded dW
-// partial that is reduced in sample order afterwards: deterministic at any
-// worker count, within float32 round-off of serial (the same additions,
-// associated differently). dx rows are per-sample disjoint either way.
-func (c Conv2D) backwardWindow(dy, src, w, dx, dw *tensor.Tensor, win ConvWindow) (dgamma, dbeta *tensor.Tensor) {
-	n, cin, h, wd := src.Dims4()
+// backwardWindow dispatches the backward window body over the n samples sp's
+// slices hold, accumulating into sp.dx and sp.dw. With one chunk every sample
+// accumulates straight into dw — the serial association. With more, each
+// sample owns a zero-seeded dW partial that is reduced in sample order
+// afterwards: deterministic at any worker count, within float32 round-off of
+// serial (the same additions, associated differently). dx rows are per-sample
+// disjoint either way.
+func (c Conv2D) backwardWindow(sp convBwd, n int, win ConvWindow) (dgamma, dbeta *tensor.Tensor) {
 	a := c.alloc
-	sp := convBwd{geom: c.SampleGeom(h, wd), dy: dy.Data, src: src.Data, w: w.Data, dx: dx.Data, dw: dw.Data}
+	g := &sp.geom
+	dw := sp.dw
 	chunks := c.pool.NumChunks(n)
 	if chunks > 1 {
-		sp.dwStride = len(w.Data)
+		sp.dwStride = len(dw)
 		sp.dw = a.Floats(n * sp.dwStride)
 	}
 	if win.tiled() {
-		sp.tiles = a.Floats(chunks * cin * h * wd)
+		sp.tiles = a.Floats(chunks * g.Cin * g.H * g.W)
 	}
 	if win.Gamma != nil {
 		sp.tileFill = tileFill{g: win.Gamma.Data, b: win.Beta.Data}
 		// float64 partials stay plain heap slices: the arena recycles float32.
-		sp.psg, sp.psb = make([]float64, n*cin), make([]float64, n*cin)
+		sp.psg, sp.psb = make([]float64, n*g.Cin), make([]float64, n*g.Cin)
 	}
 	if chunks == 1 {
 		sp.run(0, 0, n)
@@ -281,14 +294,14 @@ func (c Conv2D) backwardWindow(dy, src, w, dx, dw *tensor.Tensor, win ConvWindow
 		// det-reduce: per-sample dW partials combined in sample order.
 		for i := 0; i < n; i++ {
 			for j, v := range sp.dw[i*sp.dwStride : (i+1)*sp.dwStride] {
-				dw.Data[j] += v
+				dw[j] += v
 			}
 		}
 		a.PutFloats(sp.dw)
 	}
 	a.PutFloats(sp.tiles)
 	if sp.psg != nil {
-		dgamma, dbeta = reduceGammaBeta(sp.psg, sp.psb, n, cin)
+		dgamma, dbeta = reduceGammaBeta(sp.psg, sp.psb, n, g.Cin)
 	}
 	return dgamma, dbeta
 }

@@ -187,24 +187,6 @@ func (a *Arena) PutFloats(s []float32) {
 	a.freeF[n] = append(a.freeF[n], s)
 }
 
-// Panel returns a float32 scratch slice of at least n elements for the
-// blocked kernels' packed panels and per-chunk workspace, rounded up to the
-// next power of two so panel requests of nearby sizes (every conv shape in a
-// model asks for a slightly different workspace) recycle the same free-list
-// entries instead of growing one exact-size list per shape. The whole
-// rounded slice is returned so PutFloats recognizes it unchanged; callers
-// use the first n elements.
-func (a *Arena) Panel(n int) []float32 {
-	if n <= 0 {
-		return nil
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return a.Floats(p)
-}
-
 // Ints returns a zero-filled int32 scratch slice of length n (max-pooling
 // argmax indices), recycled when possible.
 func (a *Arena) Ints(n int) []int32 {
