@@ -101,12 +101,15 @@ bce:
 	echo "internal/layers/blocked.go: $$n bounds checks, budget $$budget"; \
 	[ "$$n" -le "$$budget" ]
 
-# Native fuzzing of the convolution window (internal/layers FuzzConvWindow):
-# random geometries, ConvWindow configurations and values, non-finite ones
-# included, checked bitwise against the unfused composition in both
-# directions. Plain `go test` replays only the seeds; this explores for 30 s.
+# Native fuzzing, 30 s per target. FuzzConvWindow (internal/layers): random
+# geometries, ConvWindow configurations and values, non-finite ones included,
+# checked bitwise against the unfused composition in both directions.
+# FuzzCheckpointLoad (internal/core): arbitrary bytes into Executor.Load, which
+# must not panic, must change nothing when it fails, and must re-Save to the
+# same bytes when it succeeds. Plain `go test` replays only the seeds.
 fuzz:
 	$(GO) test ./internal/layers/ -run '^$$' -fuzz '^FuzzConvWindow$$' -fuzztime 30s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzCheckpointLoad$$' -fuzztime 30s
 
 # Non-test Go lines per top-level directory (and the total): the number
 # ROADMAP's "less code" targets are quoted against.

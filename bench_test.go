@@ -436,8 +436,8 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 // Ablation benchmarks (DESIGN.md §6).
 // ---------------------------------------------------------------------------
 
-// MVF precision/sweep ablation: two-pass vs single-pass float32 vs single-
-// pass float64 statistics over the same activations.
+// MVF sweep ablation: two-pass vs single-pass float32 statistics over the
+// same activations (precision: TestMVFNumerics in internal/layers).
 func benchStats(b *testing.B, f func(layers.BatchNorm, *tensor.Tensor) (*layers.BNStats, error)) {
 	bn := layers.NewBatchNorm(32)
 	x := tensor.New(16, 32, 16, 16)
@@ -460,12 +460,6 @@ func BenchmarkAblationStatsTwoPass(b *testing.B) {
 func BenchmarkAblationStatsMVF32(b *testing.B) {
 	benchStats(b, func(bn layers.BatchNorm, x *tensor.Tensor) (*layers.BNStats, error) {
 		return bn.ComputeStatsMVF(x)
-	})
-}
-
-func BenchmarkAblationStatsMVF64(b *testing.B) {
-	benchStats(b, func(bn layers.BatchNorm, x *tensor.Tensor) (*layers.BNStats, error) {
-		return bn.ComputeStatsMVF64(x)
 	})
 }
 

@@ -19,7 +19,6 @@
 //	exec, err := core.NewExecutor(g,
 //	        core.WithSeed(42),
 //	        core.WithWorkers(runtime.GOMAXPROCS(0)), // parallel layer execution
-//	        core.WithPreciseStats(),                 // float64 MVF accumulators
 //	)
 //
 // and a trainer composes on top:
@@ -39,9 +38,10 @@
 // its Σx/Σx² partials going forward; regenerate the tile, run the sample's
 // backward, mask and take its dγ/dβ partials going back. The baseline layer,
 // RCF, both BNFF fusions and the folded-bias inference conv are field choices
-// of one layers.ConvWindow the executor fills in from the node. Only two
-// statistics producers sweep a finished ofmap on their own: the ddp sync-BN
-// hook (cross-replica moment exchange) and core.WithPreciseStats (float64).
+// of one layers.ConvWindow the executor fills in from the node. Every MVF
+// statistic is per-sample moments plus one close, and the window hands its
+// moments back unclosed: the executor closes them, or under ddp sync-BN its
+// StatsHook folds every replica's, so no statistic sweeps a finished ofmap.
 //
 // # Serving
 //

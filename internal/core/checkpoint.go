@@ -84,9 +84,12 @@ func (e *Executor) Save(w io.Writer) error {
 }
 
 // Load restores parameters and running statistics previously written by
-// Save. Every entry must match an existing tensor by name and shape; extra
-// or missing entries are errors (a checkpoint for a different model must not
-// load silently).
+// Save. Every entry must match an existing tensor by name and shape, in
+// Save's ascending name order, and nothing may follow the last one; extra,
+// missing, repeated or reordered entries are errors (a checkpoint for a
+// different model must not load silently), so a stream that loads re-Saves
+// to the same bytes. Load is atomic: entries decode into staging, and
+// Params/Running change only once the whole stream has parsed.
 //
 // On an executor built WithFoldedBN, a successful Load triggers the BN-fold
 // compile pass (see FoldBN): the checkpoint must therefore describe the
@@ -115,8 +118,9 @@ func (e *Executor) Load(r io.Reader) error {
 	if int(count) != want {
 		return fmt.Errorf("core: checkpoint has %d entries, executor expects %d", count, want)
 	}
-	seen := make(map[string]bool, count)
-	for i := uint32(0); i < count; i++ {
+	staged := make([]entry, count) // destinations, in stream order
+	decoded := make([][]float32, count)
+	for i := range staged {
 		var nameLen uint32
 		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
 			return err
@@ -129,10 +133,9 @@ func (e *Executor) Load(r io.Reader) error {
 			return err
 		}
 		name := string(nameBuf)
-		if seen[name] {
-			return fmt.Errorf("core: duplicate checkpoint entry %q", name)
+		if i > 0 && name <= staged[i-1].name {
+			return fmt.Errorf("core: checkpoint entry %q follows %q (entries are unique, in ascending order)", name, staged[i-1].name)
 		}
-		seen[name] = true
 
 		var rank uint32
 		if err := binary.Read(br, binary.LittleEndian, &rank); err != nil {
@@ -159,13 +162,19 @@ func (e *Executor) Load(r io.Reader) error {
 		if !dst.Shape().Equal(shape) {
 			return fmt.Errorf("core: checkpoint entry %q shape %v, executor has %v", name, shape, dst.Shape())
 		}
-		for j := range dst.Data {
-			var bits uint32
-			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-				return fmt.Errorf("core: checkpoint data of %q: %w", name, err)
-			}
-			dst.Data[j] = math.Float32frombits(bits)
+		decoded[i] = make([]float32, len(dst.Data))
+		if err := binary.Read(br, binary.LittleEndian, decoded[i]); err != nil {
+			return fmt.Errorf("core: checkpoint data of %q: %w", name, err)
 		}
+		staged[i] = entry{name, dst}
+	}
+	if _, err := br.ReadByte(); err == nil {
+		return fmt.Errorf("core: data after the checkpoint's %d entries", count)
+	} else if err != io.EOF {
+		return err
+	}
+	for i, en := range staged {
+		copy(en.t.Data, decoded[i])
 	}
 	if e.foldBN {
 		return e.FoldBN()

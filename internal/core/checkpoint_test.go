@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"bnff/internal/det"
 	"bnff/internal/models"
 	"bnff/internal/tensor"
 )
@@ -145,6 +148,144 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	if err := e.Load(bytes.NewReader(nil)); err == nil {
 		t.Error("accepted empty stream")
 	}
+}
+
+// stateBits copies the bits of every parameter and running tensor.
+func stateBits(e *Executor) map[string][]uint32 {
+	s := make(map[string][]uint32)
+	for _, m := range []map[string]*tensor.Tensor{e.Params, e.Running} {
+		for _, name := range det.SortedKeys(m) {
+			bits := make([]uint32, len(m[name].Data))
+			for i, v := range m[name].Data {
+				bits[i] = math.Float32bits(v)
+			}
+			s[name] = bits
+		}
+	}
+	return s
+}
+
+// changedSince names the tensors whose bits differ from the snapshot s.
+func changedSince(e *Executor, s map[string][]uint32) []string {
+	var changed []string
+	now := stateBits(e)
+	for _, name := range det.SortedKeys(s) {
+		if !slices.Equal(s[name], now[name]) {
+			changed = append(changed, name)
+		}
+	}
+	return changed
+}
+
+// tinyCheckpoint returns a tiny-cnn executor and a checkpoint of a
+// differently seeded one, with non-trivial running statistics.
+func tinyCheckpoint(tb testing.TB) (*Executor, []byte) {
+	tb.Helper()
+	exec := func(seed uint64) *Executor {
+		g, err := models.TinyCNN(2, 8, 4)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		e, err := NewExecutor(g, WithSeed(seed))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return e
+	}
+	src := exec(42)
+	for _, r := range src.Running {
+		tensor.NewRNG(3).FillUniform(r, 0, 2)
+	}
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return exec(7), buf.Bytes()
+}
+
+// A Load that fails — however far into the stream — leaves every parameter
+// and running statistic exactly as it was: entries are staged and copied in
+// only once the whole checkpoint has parsed.
+func TestCheckpointLoadIsAtomic(t *testing.T) {
+	for _, cut := range []struct {
+		name string
+		bad  func(ckpt []byte) []byte
+	}{
+		{"cut 10 bytes short", func(ckpt []byte) []byte { return ckpt[:len(ckpt)-10] }},
+		{"one byte of trailing data", func(ckpt []byte) []byte { return append(slices.Clone(ckpt), 0) }},
+	} {
+		e, ckpt := tinyCheckpoint(t)
+		before := stateBits(e)
+		if err := e.Load(bytes.NewReader(cut.bad(ckpt))); err == nil {
+			t.Errorf("%s: loaded", cut.name)
+		}
+		if changed := changedSince(e, before); len(changed) > 0 {
+			t.Errorf("%s: failed Load overwrote %d of %d tensors: %v", cut.name, len(changed), len(before), changed)
+		}
+		if err := e.Load(bytes.NewReader(ckpt)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// FuzzCheckpointLoad feeds Load arbitrary bytes, seeded with a real
+// checkpoint, that checkpoint cut at every entry boundary, and header and
+// entry fields made wrong one at a time. Load must never panic; an error must
+// leave Params and Running bit-identical; a success must re-Save to exactly
+// the bytes it read. Plain `go test` replays the seeds; `make fuzz` explores.
+func FuzzCheckpointLoad(f *testing.F) {
+	e, ckpt := tinyCheckpoint(f)
+	f.Add(ckpt)
+	// Entry boundaries, in Save's order: a 12-byte header, then per entry
+	// name length, name, rank, dims and data.
+	var names []string
+	for _, m := range []map[string]*tensor.Tensor{e.Params, e.Running} {
+		names = append(names, det.SortedKeys(m)...)
+	}
+	slices.Sort(names)
+	off := 12
+	for _, name := range names {
+		f.Add(ckpt[:off])
+		tt := e.Params[name]
+		if tt == nil {
+			tt = e.Running[name]
+		}
+		off += 4 + len(name) + 4 + 8*tt.Rank() + 4*tt.NumElems()
+	}
+	first := 12 + 4 + len(names[0]) // the first entry's rank field
+	for _, edit := range []struct {
+		at int
+		to byte
+	}{
+		{0, 'X'},        // magic
+		{4, 2},          // version
+		{8, 0},          // entry count
+		{12, 0xff},      // name length
+		{13, 0x10},      // implausible name length
+		{16, 'a'},       // name
+		{first, 9},      // rank
+		{first + 4, 99}, // first dim
+	} {
+		bad := slices.Clone(ckpt)
+		bad[edit.at] = edit.to
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := stateBits(e)
+		if err := e.Load(bytes.NewReader(data)); err != nil {
+			if changed := changedSince(e, before); len(changed) > 0 {
+				t.Fatalf("failed Load (%v) overwrote %v", err, changed)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := e.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("loaded %d bytes that re-Save as %d different ones", len(data), buf.Len())
+		}
+	})
 }
 
 func TestCheckpointFileRoundTrip(t *testing.T) {

@@ -50,14 +50,6 @@ type Executor struct {
 	// toggled around evaluation passes via EvalMode.
 	inference bool
 
-	// preciseStats switches the MVF accumulators to float64 — the paper's
-	// §3.2 fallback for when E(X²) cancellation would hurt accuracy ("we can
-	// use higher-precision representations to store intermediate data...
-	// using higher-precision representations and arithmetic does not impact
-	// training performance" since BN stays bandwidth-bound). Set with
-	// WithPreciseStats.
-	preciseStats bool
-
 	seed   uint64
 	pool   *parallel.Pool
 	tracer *obs.Tracer // nil: tracing disabled, span paths are free
@@ -87,15 +79,15 @@ type Executor struct {
 	bnReduceHook BNReduceHook
 }
 
-// StatsHook replaces mini-batch statistics production for one BN identity
-// during training. n is the producing node, attr the BN identity the
-// statistics belong to (n.BN for BN/SubBN1 nodes, n.StatsOut for conv-fused
-// epilogues), and src the activation tensor the statistics describe. The
-// returned statistics may be shared across executors; the executor treats
-// them as read-only and its arena ignores them on release (foreign tensors
-// fall through tensor.Arena.Put). ddp's sync-BN strategy installs one to
-// exchange per-sample moment partials across replicas before normalization.
-type StatsHook func(n *graph.Node, attr *graph.BNAttr, src *tensor.Tensor) (*layers.BNStats, error)
+// StatsHook closes the MVF moments of one BN identity in training, in place
+// of the executor's BatchNorm.Close. n is the producing node, attr the BN
+// identity (n.BN for BN/SubBN1 nodes, n.StatsOut for conv-fused epilogues),
+// and m the partials of the node's one statistics sweep, which return to the
+// executor's arena when the hook returns. The returned statistics may be
+// shared across executors; the executor treats them as read-only and its
+// arena ignores them on release (foreign tensors fall through Arena.Put).
+// ddp's sync-BN installs one that folds every replica's partials.
+type StatsHook func(n *graph.Node, attr *graph.BNAttr, m layers.Moments) (*layers.BNStats, error)
 
 // BNReduceHook intercepts the sub-BN2' reductions dγ = Σ dy·x̂ and dβ = Σ dy
 // on their way into the statistics-side backward (sub-BN1'). It receives the
@@ -144,10 +136,6 @@ func WithFoldedBN() Option {
 		e.inference = true
 	}
 }
-
-// WithPreciseStats switches the MVF statistics accumulators to float64
-// (the paper's §3.2 precision fallback).
-func WithPreciseStats() Option { return func(e *Executor) { e.preciseStats = true } }
 
 // WithRunningStats enables running-statistics tracking during Forward, as
 // training does; train.NewTrainer applies it to its executor automatically.
@@ -291,7 +279,7 @@ func (e *Executor) CopyRunningFrom(o *Executor) error {
 }
 
 // Sibling builds a new executor over e's own graph, configured like e: same
-// seed, same worker-pool width, and the same precision/running-stats choices.
+// seed, same worker-pool width, and the same running-stats choice.
 // Data-parallel training uses it to stamp out replica executors: the graph is
 // shared read-only (same node IDs, same schedule) and each replica simply
 // feeds its shard, since an executor takes its batch size from its input. The
@@ -302,9 +290,6 @@ func (e *Executor) CopyRunningFrom(o *Executor) error {
 // group records reduce spans itself from the dispatching side.
 func (e *Executor) Sibling() (*Executor, error) {
 	opts := []Option{WithSeed(e.seed), WithWorkers(e.pool.Workers())}
-	if e.preciseStats {
-		opts = append(opts, WithPreciseStats())
-	}
 	if e.trackRunning {
 		opts = append(opts, WithRunningStats())
 	}
@@ -313,11 +298,7 @@ func (e *Executor) Sibling() (*Executor, error) {
 
 // The *Of helpers attach the executor's pool to a copy of the node's layer
 // descriptor; the graph's shared descriptors stay execution-state-free.
-func (e *Executor) bnOf(n *graph.Node) layers.BatchNorm {
-	return layers.NewBatchNorm(n.BN.Channels).WithPool(e.pool).WithAlloc(e.alloc)
-}
-
-func (e *Executor) bnOfAttr(a *graph.BNAttr) layers.BatchNorm {
+func (e *Executor) bnOf(a *graph.BNAttr) layers.BatchNorm {
 	return layers.NewBatchNorm(a.Channels).WithPool(e.pool).WithAlloc(e.alloc)
 }
 
@@ -345,11 +326,10 @@ func (e *Executor) convForward(n *graph.Node) error {
 		if err != nil {
 			return err
 		}
-		win.BN, win.In, win.Gamma, win.Beta = e.bnOf(n), st, e.gamma(n), e.beta(n)
+		win.BN, win.In, win.Gamma, win.Beta = e.bnOf(n.BN), st, e.gamma(n), e.beta(n)
 	}
-	wantStats := n.StatsOut != nil && !e.inference
-	win.Stats = wantStats && !e.preciseStats && e.statsHook == nil
-	y, xhat, st, err := e.convOf(n).ForwardWindow(e.in(n, 0), e.Params[n.Name+".w"], win)
+	win.Stats = n.StatsOut != nil && !e.inference
+	y, xhat, m, err := e.convOf(n).ForwardWindow(e.in(n, 0), e.Params[n.Name+".w"], win)
 	if err != nil {
 		return err
 	}
@@ -357,45 +337,46 @@ func (e *Executor) convForward(n *graph.Node) error {
 	if xhat != nil {
 		e.xhats[n.ID] = xhat
 	}
-	if wantStats && !win.Stats {
-		st, err = e.epilogueStats(n, y)
+	if !win.Stats {
+		return nil
 	}
-	if st != nil {
-		e.stats[n.ID] = st
+	st, err := e.closeStats(n, n.StatsOut, m)
+	if err != nil {
+		return err
 	}
-	return err
+	e.stats[n.ID] = st
+	return nil
 }
 
-// epilogueStats computes a conv-like node's StatsOut statistics as a separate
-// sweep over its finished output, for the two producers the window's float32
-// per-sample partials cannot serve: the ddp statsHook, which must see the
-// whole shard's map to exchange moments across replicas before anything is
-// closed, and PreciseStats, whose accumulators are float64.
-func (e *Executor) epilogueStats(n *graph.Node, y *tensor.Tensor) (*layers.BNStats, error) {
-	if e.statsHook != nil {
-		return e.statsHook(n, n.StatsOut, y)
-	}
-	return e.bnOfAttr(n.StatsOut).ComputeStatsMVF64(y)
-}
-
-// computeStats dispatches between the MVF single-sweep and the baseline
-// two-pass statistics according to the node's BN attributes. In inference
-// mode the stored running statistics are returned instead.
+// computeStats takes a BN node's statistics: the baseline two-pass sweep, or
+// under MVF the one moment sweep and its close. In inference mode the stored
+// running statistics are returned instead.
 func (e *Executor) computeStats(n *graph.Node, x *tensor.Tensor) (*layers.BNStats, error) {
 	if e.inference {
 		return e.runningStats(n.BN)
 	}
-	if e.statsHook != nil {
-		return e.statsHook(n, n.BN, x)
+	bn := e.bnOf(n.BN)
+	if !n.BN.MVF {
+		return bn.ComputeStats(x)
 	}
-	bn := e.bnOf(n)
-	if n.BN.MVF {
-		if e.preciseStats {
-			return bn.ComputeStatsMVF64(x)
-		}
-		return bn.ComputeStatsMVF(x)
+	m, err := bn.Moments(x)
+	if err != nil {
+		return nil, err
 	}
-	return bn.ComputeStats(x)
+	return e.closeStats(n, n.BN, m)
+}
+
+// closeStats closes the moments a statistics producer took: through the
+// StatsHook when one is installed, else with the BN's own Close. The
+// partials go back to the arena either way.
+func (e *Executor) closeStats(n *graph.Node, attr *graph.BNAttr, m layers.Moments) (*layers.BNStats, error) {
+	if e.statsHook == nil {
+		return e.bnOf(attr).Close(m)
+	}
+	st, err := e.statsHook(n, attr, m)
+	e.alloc.PutFloats(m.SumSq)
+	e.alloc.PutFloats(m.Sum)
+	return st, err
 }
 
 // runningStats returns the inference-time statistics for a BN identity.
@@ -487,7 +468,7 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 				break
 			}
 			var y, xhat *tensor.Tensor
-			y, xhat, err = e.bnOf(n).Normalize(e.in(n, 0), st, e.gamma(n), e.beta(n))
+			y, xhat, err = e.bnOf(n.BN).Normalize(e.in(n, 0), st, e.gamma(n), e.beta(n))
 			e.vals[n.ID], e.stats[n.ID], e.xhats[n.ID] = y, st, xhat
 
 		case graph.OpSubBN1:
@@ -503,7 +484,7 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 				break
 			}
 			var y, xhat *tensor.Tensor
-			y, xhat, err = e.bnOf(n).Normalize(e.in(n, 0), st, e.gamma(n), e.beta(n))
+			y, xhat, err = e.bnOf(n.BN).Normalize(e.in(n, 0), st, e.gamma(n), e.beta(n))
 			e.vals[n.ID], e.xhats[n.ID] = y, xhat
 
 		case graph.OpReLU:
@@ -596,7 +577,7 @@ func (e *Executor) updateRunning() error {
 		if attr == nil {
 			continue
 		}
-		bn := e.bnOfAttr(attr)
+		bn := e.bnOf(attr)
 		rm := e.Running[attr.ParamName+".rmean"]
 		rv := e.Running[attr.ParamName+".rvar"]
 		if err := bn.UpdateRunning(rm, rv, st); err != nil {
@@ -692,7 +673,7 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		// The composite Backward is BackwardReduce ∘ BackwardInput; spell the
 		// composition out so the reduce hook can interpose globally summed
 		// dγ/dβ between the two (same arithmetic, same order, when unset).
-		bn := e.bnOf(n)
+		bn := e.bnOf(n.BN)
 		dgamma, dbeta, err := bn.BackwardReduce(dy, e.xhats[n.ID])
 		if err != nil {
 			return err
@@ -720,7 +701,7 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return e.accumGrad(gmap, n.Inputs[0], du)
 
 	case graph.OpSubBN2:
-		dgamma, dbeta, err := e.bnOf(n).BackwardReduce(dy, e.xhats[n.ID])
+		dgamma, dbeta, err := e.bnOf(n.BN).BackwardReduce(dy, e.xhats[n.ID])
 		if err != nil {
 			return err
 		}
@@ -838,7 +819,7 @@ func (e *Executor) convBackward(n *graph.Node, gmap map[int]*tensor.Tensor,
 	win := layers.ConvWindow{Rectify: n.Kind != graph.OpConv}
 	src := e.in(n, 0)
 	if n.Kind == graph.OpBNReLUConv {
-		win.BN, win.Gamma, win.Beta = e.bnOf(n), e.gamma(n), e.beta(n)
+		win.BN, win.Gamma, win.Beta = e.bnOf(n.BN), e.gamma(n), e.beta(n)
 		src = e.xhats[n.ID]
 	}
 	dx, dw, dgamma, dbeta, err := e.convOf(n).BackwardWindow(dy, src, e.Params[n.Name+".w"], win)
@@ -884,7 +865,7 @@ func (e *Executor) bnInputGrad(id int, attr *graph.BNAttr, stash map[int]*bnStas
 	if st == nil {
 		return nil, fmt.Errorf("no sub-BN2' stash for statistics producer")
 	}
-	du, err := e.bnOfAttr(attr).BackwardInput(st.dv, st.xhat, e.gammaOf(attr), e.stats[id], st.dgamma, st.dbeta)
+	du, err := e.bnOf(attr).BackwardInput(st.dv, st.xhat, e.gammaOf(attr), e.stats[id], st.dgamma, st.dbeta)
 	if err != nil {
 		return nil, err
 	}

@@ -195,13 +195,13 @@ func BenchmarkForwardTracerEnabled(b *testing.B) {
 	benchForward(b, obs.NewTracer(obs.StepClock(1)))
 }
 
-// Under BNFF with float32 statistics and no hook, a conv-like node's StatsOut
-// epilogue runs inside its forward window: the node makes exactly one pool
-// dispatch, where the separate sweep a StatsHook or PreciseStats takes makes
-// a second, and the statistics the window leaves equal, bit for bit, those of
-// a hook that runs ComputeStatsMVF over the node's finished output.
+// Under BNFF a conv-like node's StatsOut epilogue runs inside its forward
+// window whether the executor closes the moments itself or a StatsHook does:
+// the node makes exactly one pool dispatch either way, and a hook closing the
+// window's moments on the heap, as sync-BN does, leaves the same statistics
+// bit for bit.
 func TestStatsEpilogueRunsInsideConvWindow(t *testing.T) {
-	run := func(hook bool, opts ...Option) (*Executor, map[string]int) {
+	run := func(hook bool) (*Executor, map[string]int) {
 		g, err := models.TinyDenseNet(4)
 		if err != nil {
 			t.Fatal(err)
@@ -210,13 +210,13 @@ func TestStatsEpilogueRunsInsideConvWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := obs.NewTracer(obs.StepClock(1))
-		exec, err := NewExecutor(g, append(opts, WithSeed(1), WithWorkers(2), WithTracer(tr))...)
+		exec, err := NewExecutor(g, WithSeed(1), WithWorkers(2), WithTracer(tr))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if hook {
-			exec.SetBNHooks(func(_ *graph.Node, attr *graph.BNAttr, src *tensor.Tensor) (*layers.BNStats, error) {
-				return exec.bnOfAttr(attr).ComputeStatsMVF(src)
+			exec.SetBNHooks(func(_ *graph.Node, attr *graph.BNAttr, m layers.Moments) (*layers.BNStats, error) {
+				return layers.NewBatchNorm(attr.Channels).Close(m)
 			}, nil)
 		}
 		in := tensor.New(g.Nodes[0].OutShape...)
@@ -238,22 +238,20 @@ func TestStatsEpilogueRunsInsideConvWindow(t *testing.T) {
 		return exec, dispatches
 	}
 
-	exec, fused := run(false)
-	hooked, separate := run(true)
-	_, precise := run(false, WithPreciseStats())
+	exec, own := run(false)
+	hooked, viaHook := run(true)
 	var epilogues int
 	for _, n := range exec.G.Live() {
 		if !n.Kind.IsConvLike() || n.StatsOut == nil {
 			continue
 		}
 		epilogues++
-		if fused[n.Name] != 1 || separate[n.Name] != 2 || precise[n.Name] != 2 {
-			t.Errorf("%s (%v): %d pool dispatches, %d with a hook, %d under PreciseStats; want 1, 2, 2",
-				n.Name, n.Kind, fused[n.Name], separate[n.Name], precise[n.Name])
+		if own[n.Name] != 1 || viaHook[n.Name] != 1 {
+			t.Errorf("%s (%v): %d pool dispatches, %d with a hook; want 1, 1", n.Name, n.Kind, own[n.Name], viaHook[n.Name])
 		}
 		got, want := exec.stats[n.ID], hooked.stats[n.ID]
-		if got == nil || got.M != want.M || !reflect.DeepEqual(got.Mean.Data, want.Mean.Data) || !reflect.DeepEqual(got.Var.Data, want.Var.Data) {
-			t.Errorf("%s: window statistics differ from ComputeStatsMVF over the node's output", n.Name)
+		if got == nil || want == nil || got.M != want.M || !reflect.DeepEqual(got.Mean.Data, want.Mean.Data) || !reflect.DeepEqual(got.Var.Data, want.Var.Data) {
+			t.Errorf("%s: statistics the hook closed differ from the executor's own close", n.Name)
 		}
 	}
 	if epilogues == 0 {

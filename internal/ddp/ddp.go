@@ -22,7 +22,10 @@
 //     exchange per-sample Σx/Σx² partials and close them over the global
 //     batch. The paper's MVF restructuring (V(X)=E(X²)−E(X)²) is what makes
 //     this a single exchange: both moments come out of the one statistics
-//     sweep, so sync-BN costs one all-reduce instead of two. Folding the
+//     sweep, so sync-BN costs one all-reduce instead of two. The partials are
+//     the ones the replica's executor already took — in a conv window's
+//     epilogue or a standalone moment sweep — handed to the core.StatsHook
+//     unclosed, so sync-BN reads no activation a second time. Folding the
 //     per-sample partials in replica-major, sample-minor order reproduces
 //     the serial full-batch association bit for bit, so synchronized forward
 //     statistics (and logits) are bit-identical to one executor running the
@@ -364,26 +367,20 @@ func (g *Group) adoptRunning() error {
 	return nil
 }
 
-// statsHook returns replica r's statistics hook: compute the shard's
-// per-sample MVF partials, exchange them with the other replicas, and close
-// the replica-major/sample-minor fold over the global batch. The fold order
-// equals the full-batch serial sweep's, so the synchronized statistics are
-// bit-identical to single-executor large-batch statistics.
+// statsHook returns replica r's statistics hook: deposit the shard's
+// per-sample MVF partials — the ones the replica's own statistics sweep or
+// conv window took — and leave with the replica-major/sample-minor close over
+// the global batch. The fold order equals the full-batch serial sweep's, so
+// the synchronized statistics are bit-identical to single-executor
+// large-batch statistics.
+//
+// The deposited slices belong to replica r's arena and are read by whichever
+// replica runs the fold. That is safe because every replica blocks in
+// rendezvous until the fold has run, and its executor returns the partials
+// to the arena only after this hook returns.
 func (g *Group) statsHook(r int) core.StatsHook {
-	return func(n *graph.Node, attr *graph.BNAttr, src *tensor.Tensor) (*layers.BNStats, error) {
-		sN, _, h, w := src.Dims4()
-		c := attr.Channels
-		p := statsPayload{
-			samples: sN,
-			m:       sN * h * w,
-			psum:    make([]float32, sN*c),
-			psumsq:  make([]float32, sN*c),
-		}
-		bn := layers.NewBatchNorm(c)
-		if err := bn.SamplePartials(src, p.psum, p.psumsq); err != nil {
-			return nil, err
-		}
-		out, err := g.ex.rendezvous(r, fmt.Sprintf("stats:%d", n.ID), p, foldStats)
+	return func(n *graph.Node, _ *graph.BNAttr, m layers.Moments) (*layers.BNStats, error) {
+		out, err := g.ex.rendezvous(r, fmt.Sprintf("stats:%d", n.ID), m, foldStats)
 		if err != nil {
 			return nil, err
 		}

@@ -130,46 +130,30 @@ func (x *exchanger) rendezvous(r int, key string, payload any, fold func(slots [
 	return rd.out, rd.err
 }
 
-// statsPayload is one replica's contribution to a sync-BN statistics
-// exchange: the shard's per-(sample, channel) Σx and Σx² partials plus the
-// element counts the fold closes the moments over.
-type statsPayload struct {
-	samples int // shard batch size
-	m       int // shard element count per channel (samples · H · W)
-	psum    []float32
-	psumsq  []float32
-}
-
-// foldStats combines the replicas' per-sample partials into global-batch
-// statistics. The fold is replica-major, sample-minor with one float32
-// accumulator per channel — exactly the association of the serial full-batch
-// sweep (replica r's sample i IS global sample r·shard+i), which is what
-// makes synchronized statistics bit-identical to a single large-batch
-// executor. A fold of pre-reduced per-shard sums could not promise that.
+// foldStats closes the replicas' deposited layers.Moments over the global
+// batch: their partials, concatenated in replica order, are the global
+// batch's partials in sample order (replica r's sample i IS global sample
+// r·shard+i), so the one BatchNorm.Close reproduces the serial full-batch
+// association bit for bit — which a fold of pre-reduced per-shard sums could
+// not promise. Closed with no arena, the statistics are heap-owned and every
+// replica shares them read-only.
 func foldStats(slots []any) (any, int64, error) {
-	first := slots[0].(statsPayload)
-	c := len(first.psum) / max(first.samples, 1)
-	sum := make([]float32, c)
-	sumsq := make([]float32, c)
-	m := 0
+	first := slots[0].(layers.Moments)
+	c := len(first.Sum) / max(first.N, 1)
+	all := layers.Moments{HW: first.HW}
 	var bytes int64
 	for r, s := range slots {
-		p := s.(statsPayload)
-		if len(p.psum) != p.samples*c || len(p.psumsq) != p.samples*c {
-			return nil, 0, fmt.Errorf("ddp: replica %d partials length %d, want %d", r, len(p.psum), p.samples*c)
+		m := s.(layers.Moments)
+		if len(m.Sum) != m.N*c || len(m.SumSq) != m.N*c || m.HW != first.HW {
+			return nil, 0, fmt.Errorf("ddp: replica %d moments: %d/%d partials of %d samples × %d elements, want %d channels × %d elements",
+				r, len(m.Sum), len(m.SumSq), m.N, m.HW, c, first.HW)
 		}
-		m += p.m
-		bytes += int64(len(p.psum)+len(p.psumsq)) * 4
-		// det-reduce: per channel, partials fold in ascending global sample
-		// order — the serial full-batch association, bit for bit.
-		for in := 0; in < p.samples; in++ {
-			for ic := 0; ic < c; ic++ {
-				sum[ic] += p.psum[in*c+ic]
-				sumsq[ic] += p.psumsq[in*c+ic]
-			}
-		}
+		all.Sum = append(all.Sum, m.Sum...)
+		all.SumSq = append(all.SumSq, m.SumSq...)
+		all.N += m.N
+		bytes += int64(len(m.Sum)+len(m.SumSq)) * 4
 	}
-	st, err := layers.StatsFromMoments(sum, sumsq, m)
+	st, err := layers.NewBatchNorm(c).Close(all)
 	if err != nil {
 		return nil, 0, err
 	}

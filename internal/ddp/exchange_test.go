@@ -22,8 +22,8 @@ import (
 // mean = 4.5, E(X²) = 25.5, var = 25.5 − 20.25 = 5.25.
 func TestFoldStatsHandComputed(t *testing.T) {
 	slots := []any{
-		statsPayload{samples: 2, m: 4, psum: []float32{3, 7}, psumsq: []float32{5, 25}},
-		statsPayload{samples: 2, m: 4, psum: []float32{11, 15}, psumsq: []float32{61, 113}},
+		layers.Moments{N: 2, HW: 2, Sum: []float32{3, 7}, SumSq: []float32{5, 25}},
+		layers.Moments{N: 2, HW: 2, Sum: []float32{11, 15}, SumSq: []float32{61, 113}},
 	}
 	out, bytes, err := foldStats(slots)
 	if err != nil {
@@ -66,12 +66,11 @@ func TestFoldStatsMatchesSerialSweep(t *testing.T) {
 	var slots []any
 	for lo := 0; lo < n; lo += shard {
 		view := tensor.MustFromSlice(full.Data[lo*c*h*w:(lo+shard)*c*h*w], shard, c, h, w)
-		p := statsPayload{samples: shard, m: shard * h * w,
-			psum: make([]float32, shard*c), psumsq: make([]float32, shard*c)}
-		if err := bn.SamplePartials(view, p.psum, p.psumsq); err != nil {
+		m, err := bn.Moments(view)
+		if err != nil {
 			t.Fatal(err)
 		}
-		slots = append(slots, p)
+		slots = append(slots, m)
 	}
 	out, _, err := foldStats(slots)
 	if err != nil {

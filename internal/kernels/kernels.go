@@ -27,11 +27,9 @@
 //     runs the convolution's backward, masks dz with the tile, and takes the
 //     sample's dγ/dβ partials.
 //
-// Two statistics producers stay outside the window and sweep the finished
-// ofmap separately: the ddp StatsHook, which exchanges a whole shard's
-// per-sample moments across replicas before anything is closed, and
-// core.WithPreciseStats, whose accumulators are float64 where the window's
-// partials are float32.
+// The window hands its statistics back as unclosed layers.Moments, and
+// whoever owns the BN closes them: ConvForwardStats and the executor with
+// BatchNorm.Close, ddp sync-BN with one fold over every replica's partials.
 //
 // The (sub-BN1')-CONV1 backward is not a window: the executor composes
 // BatchNorm.BackwardInput with the convolution's backward window itself. ICF
@@ -56,7 +54,11 @@ import (
 // accumulators are float32, mirroring the paper's observation that single
 // precision suffices for E(X²) on activation-scale data.
 func ConvForwardStats(conv layers.Conv2D, x, w *tensor.Tensor) (*tensor.Tensor, *layers.BNStats, error) {
-	y, _, stats, err := conv.ForwardWindow(x, w, layers.ConvWindow{Stats: true})
+	y, _, m, err := conv.ForwardWindow(x, w, layers.ConvWindow{Stats: true})
+	if err != nil {
+		return nil, nil, err
+	}
+	stats, err := layers.NewBatchNorm(conv.OutChannels).Close(m)
 	return y, stats, err
 }
 

@@ -1,6 +1,7 @@
 package layers
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -91,6 +92,16 @@ func (b BatchNorm) checkParam(name string, p *tensor.Tensor) error {
 	return nil
 }
 
+func (b BatchNorm) checkStats(st *BNStats) error {
+	if st == nil {
+		return fmt.Errorf("batchnorm: no statistics")
+	}
+	if err := b.checkParam("mean", st.Mean); err != nil {
+		return err
+	}
+	return b.checkParam("var", st.Var)
+}
+
 // ComputeStats evaluates per-channel mean and variance with the baseline
 // two-pass algorithm: one full sweep for the mean, a second for the variance.
 // This is the strict-dependency form the paper's Figure 5 charges two memory
@@ -154,15 +165,36 @@ func (b BatchNorm) ComputeStats(x *tensor.Tensor) (*BNStats, error) {
 	return &BNStats{Mean: mean, Var: variance, M: n * h * w}, nil
 }
 
-// ComputeStatsMVF evaluates the same statistics in a single sweep using
+// Moments is a map's MVF statistics before the close: the per-(sample,
+// channel) Σx and Σx² partials momentPartials writes for N samples of C
+// channels (sample-major, N·C each), over HW elements per channel. Every MVF
+// statistic — standalone, conv-window epilogue, sync-BN — is one Moments value
+// closed once by Close; only who closes it differs. The slices belong to the
+// producing layer's arena (nil: the heap). It travels by value: a pointer
+// would cost a heap allocation per statistics producer per step.
+type Moments struct {
+	Sum, SumSq []float32
+	N, HW      int
+}
+
+// ComputeStatsMVF evaluates the statistics in a single sweep using
 // V(X) = E(X²) − E(X)², with float32 accumulators to mirror what the fused
-// CONV epilogue does in hardware. The paper observes (and our property tests
-// confirm) that single precision suffices for CNN activations. It is the
-// standalone form of the ForwardWindow statistics epilogue: the same
-// partials, reduction and close over a map some other layer wrote.
+// CONV epilogue does in hardware; TestMVFNumerics tabulates where single
+// precision holds and where it does not. It is Close(Moments(x)): the
+// standalone form of the ForwardWindow statistics epilogue.
 func (b BatchNorm) ComputeStatsMVF(x *tensor.Tensor) (*BNStats, error) {
-	if err := b.check(x); err != nil {
+	m, err := b.Moments(x)
+	if err != nil {
 		return nil, err
+	}
+	return b.Close(m)
+}
+
+// Moments sweeps x once for its per-(sample, channel) partials, drawn from
+// the layer's arena and split over samples on the layer's pool.
+func (b BatchNorm) Moments(x *tensor.Tensor) (Moments, error) {
+	if err := b.check(x); err != nil {
+		return Moments{}, err
 	}
 	n, c, h, w := x.Dims4()
 	psum := b.alloc.Floats(n * c)
@@ -171,28 +203,60 @@ func (b BatchNorm) ComputeStatsMVF(x *tensor.Tensor) (*BNStats, error) {
 	// Run is heap-allocated (its parameter reaches a go statement), and on
 	// the one-worker steady state that per-step garbage is the whole cost.
 	if b.pool.Serial() {
-		MomentPartials(x.Data, psum, psumsq, c, h*w, 0, n)
+		momentPartials(x.Data, psum, psumsq, c, h*w, 0, n)
 	} else {
 		b.pool.Run(n, func(lo, hi int) {
-			MomentPartials(x.Data, psum, psumsq, c, h*w, lo, hi)
+			momentPartials(x.Data, psum, psumsq, c, h*w, lo, hi)
 		})
 	}
-	st := b.StatsFromPartials(psum, psumsq, n, h*w)
-	b.alloc.PutFloats(psumsq)
-	b.alloc.PutFloats(psum)
-	return st, nil
+	return Moments{Sum: psum, SumSq: psumsq, N: n, HW: h * w}, nil
 }
 
-// MomentPartials fills the per-(sample, channel) Σx and Σx² partials of the
+// Close is the one MVF close: it folds m's partials in sample order into
+// per-channel Σx and Σx², then takes μ = Σx/M and V(X) = E(X²) − E(X)² with
+// the cancellation clamp, into statistics from the layer's arena (nil: the
+// heap). The partials go back to that arena, on error too; partials that are
+// not N·C long for the layer's C channels are rejected.
+func (b BatchNorm) Close(m Moments) (*BNStats, error) {
+	a := b.alloc
+	defer a.PutFloats(m.Sum)
+	defer a.PutFloats(m.SumSq)
+	c := b.Channels
+	if m.N < 1 || m.HW < 1 || len(m.Sum) != m.N*c || len(m.SumSq) != m.N*c {
+		return nil, fmt.Errorf("batchnorm: %d/%d moment partials of %d samples × %d elements, want %d",
+			len(m.Sum), len(m.SumSq), m.N, m.HW, m.N*c)
+	}
+	mean, variance := a.Get(c), a.Get(c)
+	// det-reduce: the serial sweep adds one per-sample partial per channel
+	// in exactly this order, so the pooled result is bit-identical.
+	for in := 0; in < m.N; in++ {
+		for ic := 0; ic < c; ic++ {
+			mean.Data[ic] += m.Sum[in*c+ic]
+			variance.Data[ic] += m.SumSq[in*c+ic]
+		}
+	}
+	mf := float32(m.N * m.HW)
+	for ic, s := range mean.Data {
+		mu := s / mf
+		v := variance.Data[ic]/mf - mu*mu
+		if v < 0 { // guard fp cancellation for near-constant channels
+			v = 0
+		}
+		mean.Data[ic], variance.Data[ic] = mu, v
+	}
+	return &BNStats{Mean: mean, Var: variance, M: m.N * m.HW}, nil
+}
+
+// momentPartials fills the per-(sample, channel) Σx and Σx² partials of the
 // single-sweep MVF statistics for samples [lo, hi) of the (N,c,hw) map xd:
-// the one float32 moment loop, shared by ComputeStatsMVF, SamplePartials and
-// the ForwardWindow epilogue. The 4-wide unroll
+// the one float32 moment loop, shared by BatchNorm.Moments and the
+// ForwardWindow epilogue. The 4-wide unroll
 // keeps s and sq each a single accumulator chain adding elements in
 // ascending order, so the sums are bit-identical to the rolled loop; it only
 // breaks up the loop-carried add/mul dependency interleaving.
 //
 // hot-path: runs once per sample per step; all buffers are caller-provided.
-func MomentPartials(xd, psum, psumsq []float32, c, hw, lo, hi int) {
+func momentPartials(xd, psum, psumsq []float32, c, hw, lo, hi int) {
 	for in := lo; in < hi; in++ {
 		for ic := 0; ic < c; ic++ {
 			base := (in*c + ic) * hw
@@ -221,135 +285,6 @@ func MomentPartials(xd, psum, psumsq []float32, c, hw, lo, hi int) {
 	}
 }
 
-// SamplePartials fills the per-(sample, channel) Σx and Σx² partials of the
-// single-sweep MVF statistics into caller-provided slices of length N·C —
-// the same partials ComputeStatsMVF (and the fused CONV epilogue) reduces in
-// sample order. Data-parallel sync-BN exchanges statistics at exactly this
-// granularity: folding every replica's per-sample partials in full-batch
-// sample order reproduces the serial association bit for bit, which a fold
-// of pre-reduced per-shard sums could not. The sweep is serial; shards are
-// small and the replicas already run concurrently.
-func (b BatchNorm) SamplePartials(x *tensor.Tensor, psum, psumsq []float32) error {
-	if err := b.check(x); err != nil {
-		return err
-	}
-	n, c, h, w := x.Dims4()
-	if len(psum) != n*c || len(psumsq) != n*c {
-		return fmt.Errorf("batchnorm: partials length %d/%d, want %d", len(psum), len(psumsq), n*c)
-	}
-	MomentPartials(x.Data, psum, psumsq, c, h*w, 0, n)
-	return nil
-}
-
-// StatsFromPartials reduces the N·C per-(sample, channel) partials
-// MomentPartials produced over an (N,C,hw) map and closes them into the map's
-// statistics, drawn from the layer's arena.
-func (b BatchNorm) StatsFromPartials(psum, psumsq []float32, n, hw int) *BNStats {
-	a := b.alloc
-	c := len(psum) / n
-	sum := a.Floats(c)
-	sumsq := a.Floats(c)
-	// det-reduce: the serial sweep adds one per-sample partial per channel
-	// in exactly this order, so the pooled result is bit-identical.
-	for in := 0; in < n; in++ {
-		for ic := 0; ic < c; ic++ {
-			sum[ic] += psum[in*c+ic]
-			sumsq[ic] += psumsq[in*c+ic]
-		}
-	}
-	st := closeMoments(a, sum, sumsq, n*hw)
-	a.PutFloats(sumsq)
-	a.PutFloats(sum)
-	return st
-}
-
-// StatsFromMoments closes already-reduced per-channel Σx and Σx² over m
-// elements per channel into mini-batch statistics, with exactly
-// ComputeStatsMVF's closing arithmetic. Sync-BN calls it on globally reduced
-// moments so the synchronized statistics are bit-identical to what one
-// executor over the full batch would compute. The tensors are plain heap
-// allocations: the result is shared across replica executors and must not
-// belong to any one replica's arena.
-func StatsFromMoments(sum, sumsq []float32, m int) (*BNStats, error) {
-	if len(sum) != len(sumsq) {
-		return nil, fmt.Errorf("batchnorm: moments length %d vs %d", len(sum), len(sumsq))
-	}
-	if m < 1 {
-		return nil, fmt.Errorf("batchnorm: moments over %d elements", m)
-	}
-	return closeMoments(nil, sum, sumsq, m), nil
-}
-
-// closeMoments is the one MVF close: float32 division, V(X) = E(X²) − E(X)²,
-// and the cancellation clamp, into tensors from a (nil = heap).
-func closeMoments(a *tensor.Arena, sum, sumsq []float32, m int) *BNStats {
-	mf := float32(m)
-	mean := a.Get(len(sum))
-	variance := a.Get(len(sum))
-	for ic, s := range sum {
-		mu := s / mf
-		mean.Data[ic] = mu
-		v := sumsq[ic]/mf - mu*mu
-		if v < 0 { // guard fp cancellation for near-constant channels
-			v = 0
-		}
-		variance.Data[ic] = v
-	}
-	return &BNStats{Mean: mean, Var: variance, M: m}
-}
-
-// ComputeStatsMVF64 is ComputeStatsMVF with float64 accumulators — the
-// higher-precision fallback the paper mentions for when E(X²) cancellation
-// would hurt accuracy. Used by the precision ablation.
-func (b BatchNorm) ComputeStatsMVF64(x *tensor.Tensor) (*BNStats, error) {
-	if err := b.check(x); err != nil {
-		return nil, err
-	}
-	n, c, h, w := x.Dims4()
-	m := float64(n * h * w)
-	sum := make([]float64, c)
-	sumsq := make([]float64, c)
-	psum := make([]float64, n*c)
-	psumsq := make([]float64, n*c)
-	b.pool.Run(n, func(lo, hi int) {
-		for in := lo; in < hi; in++ {
-			for ic := 0; ic < c; ic++ {
-				base := (in*c + ic) * h * w
-				var s, sq float64
-				for i := 0; i < h*w; i++ {
-					v := float64(x.Data[base+i])
-					s += v
-					sq += v * v
-				}
-				psum[in*c+ic] = s
-				psumsq[in*c+ic] = sq
-			}
-		}
-	})
-	// det-reduce: per-sample float64 partials combined in sample order.
-	for in := 0; in < n; in++ {
-		for ic := 0; ic < c; ic++ {
-			sum[ic] += psum[in*c+ic]
-			sumsq[ic] += psumsq[in*c+ic]
-		}
-	}
-	// The float64 partials stay plain heap slices — the arena recycles
-	// float32 storage only, and this precision-ablation path is not a
-	// steady-state hot path.
-	mean := b.alloc.Get(c)
-	variance := b.alloc.Get(c)
-	for ic := 0; ic < c; ic++ {
-		mu := sum[ic] / m
-		mean.Data[ic] = float32(mu)
-		v := sumsq[ic]/m - mu*mu
-		if v < 0 {
-			v = 0
-		}
-		variance.Data[ic] = float32(v)
-	}
-	return &BNStats{Mean: mean, Var: variance, M: n * h * w}, nil
-}
-
 // InvStdScratch returns per-channel 1/sqrt(var+ε) for the given statistics in
 // a slice from the layer's arena (nil = heap, bit-identical); callers return
 // it with the arena's PutFloats when their sweep completes, so the per-channel
@@ -373,6 +308,9 @@ func (b BatchNorm) Normalize(x *tensor.Tensor, stats *BNStats, gamma, beta *tens
 		return nil, nil, err
 	}
 	if err := b.checkParam("beta", beta); err != nil {
+		return nil, nil, err
+	}
+	if err := b.checkStats(stats); err != nil {
 		return nil, nil, err
 	}
 	n, c, h, w := x.Dims4()
@@ -499,7 +437,11 @@ func (b BatchNorm) BackwardInput(dy, xhat, gamma *tensor.Tensor, stats *BNStats,
 	if err := b.check(dy); err != nil {
 		return nil, err
 	}
-	if err := b.checkParam("gamma", gamma); err != nil {
+	if !dy.Shape().Equal(xhat.Shape()) {
+		return nil, fmt.Errorf("batchnorm: dy %v vs xhat %v", dy.Shape(), xhat.Shape())
+	}
+	if err := errors.Join(b.checkParam("gamma", gamma), b.checkParam("dgamma", dgamma),
+		b.checkParam("dbeta", dbeta), b.checkStats(stats)); err != nil {
 		return nil, err
 	}
 	n, c, h, w := dy.Dims4()
@@ -560,6 +502,9 @@ func (b BatchNorm) UpdateRunning(runningMean, runningVar *tensor.Tensor, stats *
 		return err
 	}
 	if err := b.checkParam("runningVar", runningVar); err != nil {
+		return err
+	}
+	if err := b.checkStats(stats); err != nil {
 		return err
 	}
 	mom := b.Momentum

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bnff/internal/parallel"
 	"bnff/internal/tensor"
 )
 
@@ -70,26 +71,6 @@ func TestMVFMatchesTwoPass(t *testing.T) {
 	}
 	if !tensor.AllClose(twoPass.Var, onePass.Var, 1e-3, 1e-4) {
 		t.Error("MVF variance diverges from two-pass variance")
-	}
-}
-
-func TestMVF64TracksTwoPassTighter(t *testing.T) {
-	bn := NewBatchNorm(4)
-	// Large mean relative to spread — the adversarial case for E(X²).
-	x := randomBNInput(7, 8, 4, 8, 8, 0.01)
-	for i := range x.Data {
-		x.Data[i] += 100
-	}
-	twoPass, _ := bn.ComputeStats(x)
-	one32, _ := bn.ComputeStatsMVF(x)
-	one64, _ := bn.ComputeStatsMVF64(x)
-	err32, _ := tensor.MaxAbsDiff(twoPass.Var, one32.Var)
-	err64, _ := tensor.MaxAbsDiff(twoPass.Var, one64.Var)
-	if err64 > err32 {
-		t.Errorf("float64 MVF error %v should not exceed float32 MVF error %v", err64, err32)
-	}
-	if err64 > 1e-4 {
-		t.Errorf("float64 MVF error %v too large", err64)
 	}
 }
 
@@ -261,6 +242,91 @@ func TestBNShapeErrors(t *testing.T) {
 	}
 	if err := bn.UpdateRunning(tensor.New(2), tensor.New(3), stats); err == nil {
 		t.Error("accepted wrong running-mean shape")
+	}
+}
+
+// Every BN entry point validates the operands it indexes by channel or
+// element and returns an error for a short one — at any worker count, where a
+// panic would come from a pool goroutine and take the process down.
+func TestBNEntryPointsRejectShortOperands(t *testing.T) {
+	const n, c, h, w = 2, 3, 3, 3
+	for _, workers := range []int{1, 2} {
+		bn := NewBatchNorm(c).WithPool(parallel.New(workers))
+		x := randomBNInput(1, n, c, h, w, 1)
+		gamma, beta := tensor.New(c), tensor.New(c)
+		gamma.Fill(1)
+		stats, err := bn.ComputeStatsMVF(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, xhat, err := bn.Normalize(x, stats, gamma, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg, db, err := bn.BackwardReduce(x, xhat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		short := tensor.New(1)
+		shortStats := func(mean, variance *tensor.Tensor) *BNStats {
+			return &BNStats{Mean: mean, Var: variance, M: n * h * w}
+		}
+		cases := []struct {
+			name string
+			call func() error
+		}{
+			{"BackwardInput short xhat", func() error {
+				_, err := bn.BackwardInput(x, tensor.New(1, c, h, 2), gamma, stats, dg, db)
+				return err
+			}},
+			{"BackwardInput short dgamma", func() error {
+				_, err := bn.BackwardInput(x, xhat, gamma, stats, short, db)
+				return err
+			}},
+			{"BackwardInput short dbeta", func() error {
+				_, err := bn.BackwardInput(x, xhat, gamma, stats, dg, short)
+				return err
+			}},
+			{"BackwardInput short mean", func() error {
+				_, err := bn.BackwardInput(x, xhat, gamma, shortStats(short, stats.Var), dg, db)
+				return err
+			}},
+			{"Normalize short mean", func() error {
+				_, _, err := bn.Normalize(x, shortStats(short, stats.Var), gamma, beta)
+				return err
+			}},
+			{"Normalize short var", func() error {
+				_, _, err := bn.Normalize(x, shortStats(stats.Mean, short), gamma, beta)
+				return err
+			}},
+			{"Normalize no statistics", func() error {
+				_, _, err := bn.Normalize(x, nil, gamma, beta)
+				return err
+			}},
+			{"UpdateRunning short statistics", func() error {
+				return bn.UpdateRunning(tensor.New(c), tensor.New(c), shortStats(short, short))
+			}},
+			{"Close short partials", func() error {
+				_, err := bn.Close(Moments{Sum: make([]float32, c), SumSq: make([]float32, c), N: n, HW: h * w})
+				return err
+			}},
+			{"Close no samples", func() error {
+				_, err := bn.Close(Moments{HW: h * w})
+				return err
+			}},
+		}
+		for _, tc := range cases {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s workers=%d: panicked: %v", tc.name, workers, r)
+					}
+				}()
+				if err := tc.call(); err == nil {
+					t.Errorf("%s workers=%d: accepted", tc.name, workers)
+				}
+			}()
+		}
 	}
 }
 

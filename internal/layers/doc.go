@@ -13,12 +13,19 @@
 //
 // The convolution is written once per direction, as a per-sample window
 // (window.go) that also carries whatever the restructured graph fuses around
-// a CONV — the ReLU or BN+ReLU in front of it, the statistics of the BN behind
+// a CONV — the ReLU or BN+ReLU in front of it, the moments of the BN behind
 // it. The zero ConvWindow is the baseline layer, and FC runs the same two
 // bodies as a 1×1 convolution over a 1×1 map, so the module has one
 // multiply-accumulate core (blocked.go). internal/kernels names the paper's
 // fusions as ConvWindow literals for benchmark/ and tests them for
 // equivalence against the unfused compositions of the layers here.
+//
+// Every MVF statistic is one Moments value — the per-(sample, channel) Σx
+// and Σx² partials of one float32 sweep — and one BatchNorm.Close: the
+// sample-order fold and V(X) = E(X²) − E(X)². BatchNorm.Moments takes them
+// from a finished map, the forward window while it writes one; who closes
+// them is the caller's choice (the executor's BN, or a data-parallel exchange
+// over every replica's partials), and the bits are the same either way.
 //
 // Parallel execution is owned per layer descriptor: WithPool attaches an
 // executor's worker pool to a Conv2D, BatchNorm, Pool2D, or FC copy, and

@@ -19,9 +19,10 @@ import (
 // Every conv-like entry point — Conv2D.Forward/ForwardBias/Backward here, the
 // named fusions in internal/kernels, the executor — is a ConvWindow literal
 // over these two bodies, and FC runs them as a 1×1 window over a 1×1 map.
-// Partials are one per (sample, channel) and are reduced in sample order after
-// the dispatch, which is the association the standalone sweeps
-// (ComputeStatsMVF, BackwardReduce) use, so a window's statistics and
+// Partials are one per (sample, channel). The forward hands its Σy/Σy² back
+// unclosed as Moments, for the same BatchNorm.Close the standalone
+// ComputeStatsMVF ends in; the backward reduces dγ/dβ in sample order after
+// the dispatch, as BackwardReduce does. So a window's statistics and
 // reductions are bit-identical to the unfused composition at any worker count.
 
 // ConvWindow selects what runs inside a convolution's window. The zero value
@@ -44,8 +45,9 @@ type ConvWindow struct {
 	// Bias[oc] — the folded CONV+BN of inference (internal/graph FoldBN).
 	Bias *tensor.Tensor
 
-	// Stats (forward) closes the ofmap's per-channel statistics from partials
-	// taken as each sample is written: CONV-(sub-BN1), float32 MVF.
+	// Stats (forward) takes the ofmap's per-(sample, channel) MVF partials as
+	// each sample is written, CONV-(sub-BN1), and hands them back unclosed:
+	// the caller's BatchNorm.Close, or a sync-BN exchange, closes them.
 	Stats bool
 }
 
@@ -62,8 +64,8 @@ func (win ConvWindow) check(c Conv2D, forward bool) error {
 	if bn.Channels != c.InChannels {
 		return fmt.Errorf("conv: fused BN has %d channels, conv reads %d", bn.Channels, c.InChannels)
 	}
-	if win.Beta == nil || (forward && win.In == nil) {
-		return fmt.Errorf("conv: fused BN needs gamma, beta and (forward) statistics")
+	if win.Beta == nil {
+		return fmt.Errorf("conv: fused BN needs gamma and beta")
 	}
 	if err := bn.checkParam("gamma", win.Gamma); err != nil {
 		return err
@@ -74,10 +76,7 @@ func (win ConvWindow) check(c Conv2D, forward bool) error {
 	if !forward {
 		return nil
 	}
-	if err := bn.checkParam("mean", win.In.Mean); err != nil {
-		return err
-	}
-	return bn.checkParam("var", win.In.Var)
+	return bn.checkStats(win.In)
 }
 
 // tileFill is the prologue both windows share: it writes one sample's conv
@@ -131,17 +130,17 @@ func rectify(v float32) float32 {
 
 // ForwardWindow computes y = conv(in, w) where in is x, ReLU(x) or
 // ReLU(BN(x)) as win selects, with win's bias and statistics epilogue in the
-// same per-sample sweep. xhat is non-nil under BN, stats under win.Stats.
-// Samples split on the conv's pool; each chunk owns a private tile (1/N of a
-// batch tensor — the rectified batch tensor never exists) and every write
-// (x̂, y, partials) is per-sample disjoint, so pooled execution is
-// bit-identical to serial.
-func (c Conv2D) ForwardWindow(x, w *tensor.Tensor, win ConvWindow) (y, xhat *tensor.Tensor, stats *BNStats, err error) {
+// same per-sample sweep. xhat is non-nil under BN; under win.Stats, m holds
+// y's moments from the conv's arena, for the caller to close. Samples split
+// on the conv's pool; each chunk owns a private tile (1/N of a batch tensor —
+// the rectified batch tensor never exists) and every write (x̂, y, partials)
+// is per-sample disjoint, so pooled execution is bit-identical to serial.
+func (c Conv2D) ForwardWindow(x, w *tensor.Tensor, win ConvWindow) (y, xhat *tensor.Tensor, m Moments, err error) {
 	if err := c.checkForward(x, w); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, Moments{}, err
 	}
 	if err := win.check(c, true); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, Moments{}, err
 	}
 	n, _, h, wd := x.Dims4()
 	a := c.alloc
@@ -155,15 +154,15 @@ func (c Conv2D) ForwardWindow(x, w *tensor.Tensor, win ConvWindow) (y, xhat *ten
 		sp.xh = xhat.Data
 		sp.tileFill = tileFill{mean: win.In.Mean.Data, inv: win.BN.InvStdScratch(win.In), g: win.Gamma.Data, b: win.Beta.Data}
 	}
-	stats = c.forwardWindow(sp, n, win)
+	m = c.forwardWindow(sp, n, win)
 	win.BN.alloc.PutFloats(sp.inv)
-	return y, xhat, stats, nil
+	return y, xhat, m, nil
 }
 
 // forwardWindow dispatches the forward window body over the n samples sp's
 // slices hold. Callers that are not a 4-D convolution — FC, a 1×1 window over
 // a 1×1 map — enter here with their own arena-owned output.
-func (c Conv2D) forwardWindow(sp convFwd, n int, win ConvWindow) (stats *BNStats) {
+func (c Conv2D) forwardWindow(sp convFwd, n int, win ConvWindow) (m Moments) {
 	a := c.alloc
 	g := &sp.geom
 	// All scratch is carved here, on the dispatching goroutine: workers index
@@ -173,7 +172,8 @@ func (c Conv2D) forwardWindow(sp convFwd, n int, win ConvWindow) (stats *BNStats
 		sp.tiles = a.Floats(chunks * g.Cin * g.H * g.W)
 	}
 	if win.Stats {
-		sp.psum, sp.psumsq = a.Floats(n*g.Cout), a.Floats(n*g.Cout)
+		m = Moments{Sum: a.Floats(n * g.Cout), SumSq: a.Floats(n * g.Cout), N: n, HW: g.OH * g.OW}
+		sp.psum, sp.psumsq = m.Sum, m.SumSq
 	}
 	if chunks == 1 {
 		// A plain method call on the stack spec: no closure, no heap traffic
@@ -183,13 +183,8 @@ func (c Conv2D) forwardWindow(sp convFwd, n int, win ConvWindow) (stats *BNStats
 		pooled := sp // only this copy escapes into the dispatched closure
 		c.pool.RunChunked(n, func(chunk, lo, hi int) { pooled.run(chunk, lo, hi) })
 	}
-	if win.Stats {
-		stats = BatchNorm{alloc: a}.StatsFromPartials(sp.psum, sp.psumsq, n, g.OH*g.OW)
-		a.PutFloats(sp.psumsq)
-		a.PutFloats(sp.psum)
-	}
 	a.PutFloats(sp.tiles)
-	return stats
+	return m
 }
 
 // convFwd carries ForwardWindow's loop state into its chunk body, so the
@@ -226,7 +221,7 @@ func (sp *convFwd) run(chunk, lo, hi int) {
 		out := sp.y[in*outLen : (in+1)*outLen]
 		g.ForwardSample(src, sp.w, out, sp.bias)
 		if sp.psum != nil {
-			MomentPartials(sp.y, sp.psum, sp.psumsq, g.Cout, g.OH*g.OW, in, in+1)
+			momentPartials(sp.y, sp.psum, sp.psumsq, g.Cout, g.OH*g.OW, in, in+1)
 		}
 	}
 }

@@ -151,7 +151,7 @@ func FuzzConvWindow(f *testing.F) {
 			}
 			yWant := legacyConvForward(conv, z, wt, biasData)
 
-			y, xhat, st, err := c.ForwardWindow(x, wt, win)
+			y, xhat, m, err := c.ForwardWindow(x, wt, win)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,6 +163,10 @@ func FuzzConvWindow(f *testing.F) {
 			}
 			if stats {
 				want, err := NewBatchNorm(conv.OutChannels).WithPool(pool).ComputeStatsMVF(yWant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := NewBatchNorm(conv.OutChannels).Close(m)
 				if err != nil {
 					t.Fatal(err)
 				}

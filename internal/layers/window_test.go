@@ -81,7 +81,11 @@ func TestWindowStatsEpilogueMatchesComputeStatsMVF(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: %v", tc.name, wc.name, err)
 				}
-				y, _, got, err := conv.ForwardWindow(x, w, wc.win)
+				y, _, m, err := conv.ForwardWindow(x, w, wc.win)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", tc.name, wc.name, err)
+				}
+				got, err := NewBatchNorm(conv.OutChannels).Close(m)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", tc.name, wc.name, err)
 				}
