@@ -82,7 +82,7 @@ func run(gridPath, out, clockKind, only string, smoke, writeGrid bool, validate,
 	if err != nil {
 		return err
 	}
-	clock, err := newClock(clockKind)
+	clock, err := obs.ParseClock(clockKind)
 	if err != nil {
 		return err
 	}
@@ -226,19 +226,6 @@ func validateFiles(paths []string) error {
 			path, f.Area, f.Clock, len(f.Scenarios), f.Smoke)
 	}
 	return nil
-}
-
-// newClock builds the measurement clock: wall for real timings, step for a
-// deterministic fake (timing-flagged fields then depend only on read order).
-func newClock(kind string) (func() int64, error) {
-	switch kind {
-	case experiments.ClockWall:
-		return obs.WallClock(), nil
-	case experiments.ClockStep:
-		return obs.StepClock(1000), nil
-	default:
-		return nil, fmt.Errorf("unknown clock %q (want wall, step)", kind)
-	}
 }
 
 // runner carries the run-wide caches: one serve checkpoint per (model, seed)

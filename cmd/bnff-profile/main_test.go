@@ -1,0 +1,97 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"bnff/internal/graph"
+)
+
+// runOut runs the command with args and returns its stdout.
+func runOut(t *testing.T, args ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	return out.String()
+}
+
+func TestPaperTable1(t *testing.T) {
+	out := runOut(t, "paper", "-exp", "table1")
+	if !strings.HasPrefix(out, "== table1:") || !strings.Contains(out, "Skylake") {
+		t.Errorf("paper -exp table1 output:\n%s", out)
+	}
+	csv := runOut(t, "paper", "-exp", "table1", "-format", "csv")
+	if !strings.HasPrefix(csv, "experiment,metric,measured,paper,unit\n") {
+		t.Errorf("csv header missing:\n%s", csv)
+	}
+}
+
+func TestGraphVerb(t *testing.T) {
+	full := runOut(t, "graph", "-model", "tiny-cnn", "-batch", "2")
+	if !strings.Contains(full, "per-class totals:") || !strings.Contains(full, "\nforward ") ||
+		!strings.Contains(full, "\nbackward ") {
+		t.Errorf("graph table output:\n%s", full)
+	}
+	summary := runOut(t, "graph", "-model", "tiny-cnn", "-batch", "2", "-summary")
+	if !strings.Contains(summary, "per-class totals:") || strings.Contains(summary, "\nforward ") {
+		t.Errorf("graph -summary output:\n%s", summary)
+	}
+	if dot := runOut(t, "graph", "-model", "tiny-cnn", "-batch", "2", "-dot"); !strings.HasPrefix(dot, "digraph") {
+		t.Errorf("graph -dot output does not start a digraph:\n%s", dot)
+	}
+
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if out := runOut(t, "graph", "-model", "tiny-cnn", "-batch", "2", "-save", path); !strings.Contains(out, path) {
+		t.Errorf("graph -save output: %s", out)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	g, err := graph.Parse(f)
+	if err != nil {
+		t.Fatalf("saved graph does not parse: %v", err)
+	}
+	if len(g.Live()) == 0 {
+		t.Error("saved graph has no live nodes")
+	}
+}
+
+// -dir used to fall through to "both" for any value but forward/backward, so
+// a typo listed every pass.
+func TestGraphDirRejectsUnknownPass(t *testing.T) {
+	for _, dir := range []string{"bwd", "fwd", ""} {
+		if err := run([]string{"graph", "-model", "tiny-cnn", "-batch", "2", "-dir", dir}, &bytes.Buffer{}); err == nil {
+			t.Errorf("-dir %q accepted", dir)
+		}
+	}
+	bwd := runOut(t, "graph", "-model", "tiny-cnn", "-batch", "2", "-dir", "backward")
+	if strings.Contains(bwd, "\nforward ") || !strings.Contains(bwd, "\nbackward ") {
+		t.Errorf("-dir backward output:\n%s", bwd)
+	}
+}
+
+func TestCacheVerb(t *testing.T) {
+	out := runOut(t, "cache", "-model", "tiny-cnn", "-batch", "4")
+	if !strings.Contains(out, "cache-sim replay") || !strings.Contains(out, "(ratio ") {
+		t.Errorf("cache output lacks the ratio line:\n%s", out)
+	}
+}
+
+func TestUnknownVerbAndStrayArgs(t *testing.T) {
+	if err := run([]string{"inspect"}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "unknown verb") {
+		t.Errorf("unknown verb: err %v", err)
+	}
+	if err := run([]string{"graph", "-model", "tiny-cnn", "cache"}, &bytes.Buffer{}); err == nil {
+		t.Error("argument after the flags accepted")
+	}
+	if err := run([]string{"graph", "-scenario", "bnff"}, &bytes.Buffer{}); err == nil {
+		t.Error("graph accepted -scenario; it takes -restructure")
+	}
+}

@@ -47,7 +47,20 @@ func main() {
 	bnStrategy := flag.String("bn-strategy", "local", "replica BN statistics: local (per-shard ghost batches) or sync (one extra all-reduce, needs an MVF restructure)")
 	flag.Parse()
 
-	sp, err := resolveSpec(*scenName, func(sp *scenario.Spec) {
+	sp, err := scenario.Resolve(*scenName, scenario.KindTrain, scenario.Spec{
+		Name:        "cli/train",
+		Kind:        scenario.KindTrain,
+		Model:       *model,
+		Restructure: *restructure,
+		Steps:       *steps,
+		Batch:       *batch,
+		LR:          *lr,
+		Seed:        *seed,
+		Workers:     *workers,
+		Schedule:    *schedule,
+		Replicas:    *replicas,
+		BNStrategy:  *bnStrategy,
+	}, func(sp *scenario.Spec) {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "model":
@@ -72,19 +85,6 @@ func main() {
 				sp.BNStrategy = *bnStrategy
 			}
 		})
-	}, scenario.Spec{
-		Name:        "cli/train",
-		Kind:        scenario.KindTrain,
-		Model:       *model,
-		Restructure: *restructure,
-		Steps:       *steps,
-		Batch:       *batch,
-		LR:          *lr,
-		Seed:        *seed,
-		Workers:     *workers,
-		Schedule:    *schedule,
-		Replicas:    *replicas,
-		BNStrategy:  *bnStrategy,
 	})
 	if err == nil {
 		err = run(sp, *compare, *every, *save, *load, *tracePath, *profile)
@@ -93,29 +93,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bnff-train:", err)
 		os.Exit(1)
 	}
-}
-
-// resolveSpec produces the normalized spec a command runs: the named builtin
-// scenario with explicitly set flags layered on top, or — without -scenario —
-// the spec assembled from every flag value.
-func resolveSpec(name string, override func(*scenario.Spec), fromFlags scenario.Spec) (scenario.Spec, error) {
-	sp := fromFlags
-	if name != "" {
-		reg := scenario.Builtin()
-		got, ok := reg.Get(name)
-		if !ok {
-			return scenario.Spec{}, fmt.Errorf("unknown scenario %q (builtin: %v)", name, reg.Names())
-		}
-		if got.Kind != scenario.KindTrain {
-			return scenario.Spec{}, fmt.Errorf("scenario %q is a %s scenario; this command trains", name, got.Kind)
-		}
-		sp = got
-		override(&sp)
-	}
-	if err := sp.Normalize(); err != nil {
-		return scenario.Spec{}, err
-	}
-	return sp, nil
 }
 
 func run(sp scenario.Spec, compare bool, every int, save, load, tracePath string, profile bool) error {

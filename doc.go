@@ -88,8 +88,8 @@
 // other, forward/backward split). Both tracer and registry are nil-safe and
 // allocation-free when disabled, so the instrumented hot paths cost nothing
 // unless a tool opts in. cmd/bnff-profile drives a traced training run per
-// restructuring scenario and prints measured-vs-modeled breakdowns; the
-// Chrome-trace export is schema-compatible with memsim's, so measured and
+// restructuring scenario and prints measured-vs-modeled breakdowns; memsim's
+// modeled trace goes through the same Chrome-trace writer, so measured and
 // modeled traces load side by side in chrome://tracing. Under an injected
 // step clock the traces are byte-identical run to run.
 //

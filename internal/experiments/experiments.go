@@ -74,27 +74,12 @@ func (e *Experiment) String() string {
 	return b.String()
 }
 
-// buildModel returns a fresh full-size graph by name.
-func buildModel(name string, batch int) (*graph.Graph, error) {
-	switch name {
-	case "alexnet":
-		return models.AlexNet(batch)
-	case "vgg16":
-		return models.VGG16(batch)
-	case "resnet50":
-		return models.ResNet50(batch)
-	case "densenet121":
-		return models.DenseNet121(batch)
-	case "mobilenet":
-		return models.MobileNetV1(batch)
-	default:
-		return nil, fmt.Errorf("experiments: unknown model %q", name)
-	}
-}
-
-// simulate builds, restructures, and prices one configuration.
-func simulate(model string, batch int, s core.Scenario, mach memsim.Machine) (*memsim.Report, error) {
-	g, err := buildModel(model, batch)
+// Simulate builds a registered model, restructures it, and prices one
+// training iteration on mach: the one path from a model name to a modeled
+// report (the restructured graph is the report's Graph). Every experiment and
+// every analysis command prices through it.
+func Simulate(model string, batch int, s core.Scenario, mach memsim.Machine) (*memsim.Report, error) {
+	g, err := models.Build(model, batch)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +132,7 @@ func Figure1(batch int) (*Experiment, error) {
 	var detail strings.Builder
 	fmt.Fprintf(&detail, "%-12s %10s %10s %12s\n", "model", "CONV/FC s", "non-CONV s", "CONV share")
 	for _, name := range []string{"alexnet", "vgg16", "resnet50", "densenet121"} {
-		r, err := simulate(name, batch, core.Baseline, memsim.Skylake())
+		r, err := Simulate(name, batch, core.Baseline, memsim.Skylake())
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +150,7 @@ func Figure1(batch int) (*Experiment, error) {
 // observations: non-CONV layers saturate the 230.4 GB/s peak while CONV
 // layers draw only up to ~120 GB/s.
 func Figure3(batch int) (*Experiment, error) {
-	r, err := simulate("densenet121", batch, core.Baseline, memsim.Skylake())
+	r, err := Simulate("densenet121", batch, core.Baseline, memsim.Skylake())
 	if err != nil {
 		return nil, err
 	}
@@ -232,11 +217,11 @@ func Figure3(batch int) (*Experiment, error) {
 // and ReLU layers (the paper measured ~20× by remapping addresses so all
 // accesses hit L1; we price the same op stream on a free memory system).
 func Figure4(batch int) (*Experiment, error) {
-	finite, err := simulate("densenet121", batch, core.Baseline, memsim.Skylake())
+	finite, err := Simulate("densenet121", batch, core.Baseline, memsim.Skylake())
 	if err != nil {
 		return nil, err
 	}
-	infinite, err := simulate("densenet121", batch, core.Baseline, memsim.Skylake().WithInfiniteBandwidth())
+	infinite, err := Simulate("densenet121", batch, core.Baseline, memsim.Skylake().WithInfiniteBandwidth())
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +262,7 @@ func Figure6() (*Experiment, error) {
 		"architecture", "batch", "CONV/FC s", "non-CONV s", "iter s", "ms/image")
 	perImage := map[string]float64{}
 	for _, c := range cases {
-		r, err := simulate("densenet121", c.batch, core.Baseline, c.mach)
+		r, err := Simulate("densenet121", c.batch, core.Baseline, c.mach)
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +313,7 @@ func Figure7(batch int) (*Experiment, error) {
 			if model == "resnet50" && s == core.BNFFICF {
 				continue
 			}
-			r, err := simulate(model, batch, s, memsim.Skylake())
+			r, err := Simulate(model, batch, s, memsim.Skylake())
 			if err != nil {
 				return nil, err
 			}
@@ -366,11 +351,11 @@ func Figure8(batch int) (*Experiment, error) {
 	var detail strings.Builder
 	fmt.Fprintf(&detail, "%-12s %-9s %9s %9s %12s\n", "bandwidth", "scenario", "total s", "gain", "nonCONV shr")
 	for _, c := range []cfg{{"230.4GB/s", full}, {"115.2GB/s", half}} {
-		base, err := simulate("densenet121", batch, core.Baseline, c.mach)
+		base, err := Simulate("densenet121", batch, core.Baseline, c.mach)
 		if err != nil {
 			return nil, err
 		}
-		bnff, err := simulate("densenet121", batch, core.BNFF, c.mach)
+		bnff, err := Simulate("densenet121", batch, core.BNFF, c.mach)
 		if err != nil {
 			return nil, err
 		}
@@ -423,7 +408,7 @@ func GPUResults(batch int) (*Experiment, error) {
 			if s == core.BNFFICF {
 				continue
 			}
-			r, err := simulate(model, batch, s, mach)
+			r, err := Simulate(model, batch, s, mach)
 			if err != nil {
 				return nil, err
 			}
@@ -445,19 +430,19 @@ func GPUResults(batch int) (*Experiment, error) {
 
 // Headline reproduces the §5 summary numbers on the Skylake model.
 func Headline(batch int) (*Experiment, error) {
-	base, err := simulate("densenet121", batch, core.Baseline, memsim.Skylake())
+	base, err := Simulate("densenet121", batch, core.Baseline, memsim.Skylake())
 	if err != nil {
 		return nil, err
 	}
-	bnff, err := simulate("densenet121", batch, core.BNFF, memsim.Skylake())
+	bnff, err := Simulate("densenet121", batch, core.BNFF, memsim.Skylake())
 	if err != nil {
 		return nil, err
 	}
-	rBase, err := simulate("resnet50", batch, core.Baseline, memsim.Skylake())
+	rBase, err := Simulate("resnet50", batch, core.Baseline, memsim.Skylake())
 	if err != nil {
 		return nil, err
 	}
-	rBNFF, err := simulate("resnet50", batch, core.BNFF, memsim.Skylake())
+	rBNFF, err := Simulate("resnet50", batch, core.BNFF, memsim.Skylake())
 	if err != nil {
 		return nil, err
 	}
@@ -506,7 +491,7 @@ func MobileNetExtension(batch int) (*Experiment, error) {
 		if s == core.BNFFICF {
 			continue
 		}
-		r, err := simulate("mobilenet", batch, s, memsim.Skylake())
+		r, err := Simulate("mobilenet", batch, s, memsim.Skylake())
 		if err != nil {
 			return nil, err
 		}
@@ -545,7 +530,7 @@ func FootprintExtension(batch int) (*Experiment, error) {
 	for _, model := range []string{"densenet121", "resnet50", "mobilenet"} {
 		var basePeak int64
 		for _, s := range []core.Scenario{core.Baseline, core.BNFF} {
-			g, err := buildModel(model, batch)
+			g, err := models.Build(model, batch)
 			if err != nil {
 				return nil, err
 			}
@@ -589,7 +574,7 @@ func EnergyExtension(batch int) (*Experiment, error) {
 		"scenario", "compute J", "DRAM J", "cache J", "static J", "total J")
 	var baseTotal float64
 	for _, s := range []core.Scenario{core.Baseline, core.BNFF} {
-		r, err := simulate("densenet121", batch, s, memsim.Skylake())
+		r, err := Simulate("densenet121", batch, s, memsim.Skylake())
 		if err != nil {
 			return nil, err
 		}
@@ -613,30 +598,37 @@ func EnergyExtension(batch int) (*Experiment, error) {
 	return e, nil
 }
 
+// experimentTable is every experiment in the order All runs them. ByID
+// looks ids up in the same table, so the list and the lookup cannot drift.
+var experimentTable = []struct {
+	id  string
+	run func(batch int) (*Experiment, error)
+}{
+	{"table1", func(int) (*Experiment, error) { return Table1(), nil }},
+	{"fig1", Figure1},
+	{"fig2", Figure2},
+	{"fig3", Figure3},
+	{"fig5", Figure5},
+	{"fig4", Figure4},
+	{"fig6", func(int) (*Experiment, error) { return Figure6() }},
+	{"fig7", Figure7},
+	{"fig8", Figure8},
+	{"gpu", GPUResults},
+	{"headline", Headline},
+	{"ext-mobilenet", MobileNetExtension},
+	{"ext-footprint", FootprintExtension},
+	{"ext-energy", EnergyExtension},
+	{"structure", func(int) (*Experiment, error) { return StructureChecks() }},
+}
+
 // All runs every experiment at the given batch size (0 → DefaultBatch).
 func All(batch int) ([]*Experiment, error) {
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	out := []*Experiment{Table1()}
-	gens := []func() (*Experiment, error){
-		func() (*Experiment, error) { return Figure1(batch) },
-		func() (*Experiment, error) { return Figure2(batch) },
-		func() (*Experiment, error) { return Figure3(batch) },
-		func() (*Experiment, error) { return Figure5(batch) },
-		func() (*Experiment, error) { return Figure4(batch) },
-		Figure6,
-		func() (*Experiment, error) { return Figure7(batch) },
-		func() (*Experiment, error) { return Figure8(batch) },
-		func() (*Experiment, error) { return GPUResults(batch) },
-		func() (*Experiment, error) { return Headline(batch) },
-		func() (*Experiment, error) { return MobileNetExtension(batch) },
-		func() (*Experiment, error) { return FootprintExtension(batch) },
-		func() (*Experiment, error) { return EnergyExtension(batch) },
-		StructureChecks,
-	}
-	for _, gen := range gens {
-		e, err := gen()
+	out := make([]*Experiment, 0, len(experimentTable))
+	for _, ex := range experimentTable {
+		e, err := ex.run(batch)
 		if err != nil {
 			return nil, err
 		}
@@ -650,38 +642,12 @@ func ByID(id string, batch int) (*Experiment, error) {
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	switch id {
-	case "table1":
-		return Table1(), nil
-	case "fig1":
-		return Figure1(batch)
-	case "fig2":
-		return Figure2(batch)
-	case "fig3":
-		return Figure3(batch)
-	case "fig5":
-		return Figure5(batch)
-	case "fig4":
-		return Figure4(batch)
-	case "fig6":
-		return Figure6()
-	case "fig7":
-		return Figure7(batch)
-	case "fig8":
-		return Figure8(batch)
-	case "gpu":
-		return GPUResults(batch)
-	case "headline":
-		return Headline(batch)
-	case "ext-mobilenet":
-		return MobileNetExtension(batch)
-	case "ext-footprint":
-		return FootprintExtension(batch)
-	case "ext-energy":
-		return EnergyExtension(batch)
-	case "structure":
-		return StructureChecks()
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (want table1, fig1..fig8, gpu, headline, structure, ext-mobilenet, ext-footprint, ext-energy)", id)
+	ids := make([]string, len(experimentTable))
+	for i, ex := range experimentTable {
+		if ex.id == id {
+			return ex.run(batch)
+		}
+		ids[i] = ex.id
 	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q (want one of %s)", id, strings.Join(ids, ", "))
 }

@@ -268,6 +268,14 @@ func TestAllAndByID(t *testing.T) {
 	if len(all) != 15 {
 		t.Errorf("All produced %d experiments, want 15", len(all))
 	}
+	if len(all) != len(experimentTable) {
+		t.Fatalf("All produced %d experiments, table has %d", len(all), len(experimentTable))
+	}
+	for i, e := range all {
+		if e.ID != experimentTable[i].id {
+			t.Errorf("All[%d] is %s, table row %d is %s", i, e.ID, i, experimentTable[i].id)
+		}
+	}
 	ids := map[string]bool{}
 	for _, e := range all {
 		ids[e.ID] = true

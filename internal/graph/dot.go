@@ -8,8 +8,8 @@ import (
 
 // DOT renders the live graph in Graphviz dot format: data edges solid,
 // statistics-dependency edges (StatsFrom) dashed, fused operators shaded,
-// and stats epilogues flagged in the label. Useful with bnff-inspect -dot to
-// see what a pass did to a model.
+// and stats epilogues flagged in the label. Useful with
+// bnff-profile graph -dot to see what a pass did to a model.
 func (g *Graph) DOT() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", g.Name)

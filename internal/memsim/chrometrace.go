@@ -1,39 +1,21 @@
 package memsim
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 
 	"bnff/internal/graph"
+	"bnff/internal/obs"
 )
 
 // ChromeTrace writes the simulated iteration as a Chrome trace-event JSON
-// array (load it at chrome://tracing or ui.perfetto.dev). Each operator
-// becomes a complete event on a track named after its layer class, with the
-// roofline bound and DRAM traffic as arguments — a visual Figure 3.
+// array through obs.WriteChromeTrace, so a modeled trace shares the measured
+// one's schema (load it at chrome://tracing or ui.perfetto.dev). Each
+// operator becomes a complete event named "<node> (fwd|bwd)" on a track per
+// layer class — a visual Figure 3. Its args are the roofline bound as the
+// Bound ordinal (0 none, 1 compute, 2 memory, 3 cache), dram_bytes,
+// achieved_GBps and gflops.
 func (r *Report) ChromeTrace(w io.Writer) error {
-	type args struct {
-		Bound     string  `json:"bound"`
-		DRAMBytes int64   `json:"dram_bytes"`
-		GBps      float64 `json:"achieved_GBps"`
-		GFLOPs    float64 `json:"gflops"`
-	}
-	type event struct {
-		Name string `json:"name"`
-		Cat  string `json:"cat"`
-		Ph   string `json:"ph"`
-		TS   int64  `json:"ts"`  // microseconds
-		Dur  int64  `json:"dur"` // microseconds
-		PID  int    `json:"pid"`
-		TID  int    `json:"tid"`
-		Args args   `json:"args"`
-	}
-
-	// One tid per layer class so tracks group visually.
-	tidOf := func(cls graph.LayerClass) int { return int(cls) + 1 }
-
-	events := make([]event, 0, len(r.Timings))
+	spans := make([]obs.Span, 0, len(r.Timings))
 	for _, t := range r.Timings {
 		if t.Time == 0 {
 			continue
@@ -49,29 +31,22 @@ func (r *Report) ChromeTrace(w io.Writer) error {
 		if t.Cost.Dir == graph.Backward {
 			dir = "bwd"
 		}
-		events = append(events, event{
-			Name: fmt.Sprintf("%s (%s)", name, dir),
-			Cat:  cls.String(),
-			Ph:   "X",
-			TS:   int64(t.Start * 1e6),
-			Dur:  maxI64(1, int64(t.Time*1e6)),
-			PID:  1,
-			TID:  tidOf(cls),
-			Args: args{
-				Bound:     t.Bound.String(),
-				DRAMBytes: t.DRAMBytes,
-				GBps:      t.Bandwidth() / 1e9,
-				GFLOPs:    float64(t.Cost.FLOPs) / 1e9,
+		// Whole microseconds first, so the event times are the model's
+		// seconds truncated to µs, whatever the nanosecond rounding.
+		spans = append(spans, obs.Span{
+			Name:  name,
+			Cat:   cls.String(),
+			Dir:   dir,
+			TID:   int(cls) + 1,
+			Start: int64(t.Start*1e6) * 1e3,
+			Dur:   int64(t.Time*1e6) * 1e3,
+			Args: map[string]float64{
+				"bound":         float64(t.Bound),
+				"dram_bytes":    float64(t.DRAMBytes),
+				"achieved_GBps": t.Bandwidth() / 1e9,
+				"gflops":        float64(t.Cost.FLOPs) / 1e9,
 			},
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return obs.WriteChromeTrace(w, spans, 1)
 }

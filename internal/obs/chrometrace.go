@@ -6,18 +6,19 @@ import (
 	"io"
 )
 
-// WriteChromeTrace writes spans as a Chrome trace-event JSON array, the same
-// schema internal/memsim's Report.ChromeTrace emits (complete "X" events
-// with name, cat, ts/dur in microseconds, pid, tid, args), so a measured
-// trace opens side by side with a modeled one in chrome://tracing or
-// ui.perfetto.dev. pid labels the process track — use distinct pids to keep
-// several scenarios (or measured-vs-modeled pairs) apart in one viewer.
+// WriteChromeTrace writes spans as a Chrome trace-event JSON array (complete
+// "X" events with name, cat, ts/dur in microseconds, pid, tid, args). It is
+// the one trace writer: internal/memsim's Report.ChromeTrace turns the
+// modeled iteration into spans and calls it, so a measured trace opens side
+// by side with a modeled one in chrome://tracing or ui.perfetto.dev. pid
+// labels the process track — use distinct pids to keep several scenarios (or
+// measured-vs-modeled pairs) apart in one viewer.
 //
-// Span names gain the memsim-style " (fwd)" / " (bwd)" suffix when the span
-// carries a pass direction. Timestamps convert from the tracer's nanosecond
-// clock to trace microseconds; sub-microsecond spans render as 1µs so they
-// stay visible, exactly as memsim rounds. Args maps serialize with sorted
-// keys (encoding/json), keeping the byte stream deterministic.
+// Span names gain a " (fwd)" / " (bwd)" suffix when the span carries a pass
+// direction. Timestamps convert from the tracer's nanosecond clock to trace
+// microseconds; sub-microsecond spans render as 1µs so they stay visible.
+// Args maps serialize with sorted keys (encoding/json), keeping the byte
+// stream deterministic.
 func WriteChromeTrace(w io.Writer, spans []Span, pid int) error {
 	type event struct {
 		Name string             `json:"name"`

@@ -8,6 +8,7 @@ package obs
 // injected func() int64.
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -34,4 +35,18 @@ func StepClock(stride int64) func() int64 {
 	}
 	var n atomic.Int64
 	return func() int64 { return n.Add(1) * stride }
+}
+
+// ParseClock returns the clock a command's -clock flag names: "wall" for
+// WallClock, "step" for a StepClock of 1µs stride, whose readings — and so
+// every span and timing recorded under it — depend only on read order.
+func ParseClock(kind string) (func() int64, error) {
+	switch kind {
+	case "wall":
+		return WallClock(), nil
+	case "step":
+		return StepClock(1000), nil
+	default:
+		return nil, fmt.Errorf("unknown clock %q (want wall, step)", kind)
+	}
 }

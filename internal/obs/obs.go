@@ -24,8 +24,8 @@
 //     hot paths (core.Executor, parallel.Pool) cost two predictable branches
 //     when observability is off.
 //
-// The Chrome-trace export is schema-compatible with memsim's ChromeTrace
-// (same event fields: name, cat, ph "X", ts/dur in microseconds, pid, tid),
+// The Chrome-trace export is also what memsim's ChromeTrace writes through
+// (event fields name, cat, ph "X", ts/dur in microseconds, pid, tid, args),
 // so a measured trace and a modeled trace load side by side in
 // chrome://tracing or ui.perfetto.dev.
 package obs

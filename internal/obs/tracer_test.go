@@ -125,6 +125,22 @@ func TestStepClockStride(t *testing.T) {
 	}
 }
 
+func TestParseClock(t *testing.T) {
+	step, err := ParseClock("step")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := step(), step(); a != 1000 || b != 2000 {
+		t.Errorf("step clock reads = %d, %d; want 1000, 2000", a, b)
+	}
+	if _, err := ParseClock("wall"); err != nil {
+		t.Error(err)
+	}
+	if _, err := ParseClock("sundial"); err == nil {
+		t.Error("unknown clock accepted")
+	}
+}
+
 func TestWallClockMonotonicNonNegative(t *testing.T) {
 	c := WallClock()
 	a := c()

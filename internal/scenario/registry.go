@@ -62,6 +62,30 @@ func (r *Registry) Kind(kind string) []Spec {
 	return out
 }
 
+// Resolve produces the normalized spec a command runs. Without a name it is
+// fromFlags, the spec assembled from every flag value. With one it is the
+// named builtin scenario, which must be of the given kind, with override
+// layering the explicitly set flags on top.
+func Resolve(name, kind string, fromFlags Spec, override func(*Spec)) (Spec, error) {
+	sp := fromFlags
+	if name != "" {
+		reg := Builtin()
+		got, ok := reg.Get(name)
+		if !ok {
+			return Spec{}, fmt.Errorf("unknown scenario %q (builtin: %v)", name, reg.Names())
+		}
+		if got.Kind != kind {
+			return Spec{}, fmt.Errorf("scenario %q is a %s scenario; this command wants a %s scenario", name, got.Kind, kind)
+		}
+		sp = got
+		override(&sp)
+	}
+	if err := sp.Normalize(); err != nil {
+		return Spec{}, err
+	}
+	return sp, nil
+}
+
 // Builtin returns the paper-grade default scenario set — the grid
 // scripts/paper/experiments.json pins. It is constructed fresh on every call
 // (no package-level state) and always normalizes cleanly; a builtin spec

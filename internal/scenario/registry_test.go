@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -110,5 +111,44 @@ func TestParseGridRejects(t *testing.T) {
 		if _, err := ParseGrid(bytes.NewReader([]byte(raw))); err == nil {
 			t.Errorf("%s: grid accepted", name)
 		}
+	}
+}
+
+func TestResolve(t *testing.T) {
+	noOverride := func(*Spec) {}
+	if _, err := Resolve("train/no-such", KindTrain, validTrain(), noOverride); err == nil ||
+		!strings.Contains(err.Error(), "unknown scenario") {
+		t.Errorf("unknown name: err %v", err)
+	}
+	if _, err := Resolve("serve/tiny-cnn/slow-client", KindTrain, validTrain(), noOverride); err == nil ||
+		!strings.Contains(err.Error(), "is a serve scenario") {
+		t.Errorf("wrong kind: err %v", err)
+	}
+
+	sp, err := Resolve("train/tiny-cnn/bnff+icf", KindTrain, validTrain(), func(s *Spec) { s.Batch = 4 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Name != "train/tiny-cnn/bnff+icf" || sp.Batch != 4 || sp.Steps != 3 {
+		t.Errorf("override not layered over the builtin: %+v", sp)
+	}
+
+	// Without a name the flag-built spec is normalized as is.
+	sp, err = Resolve("", KindTrain, validTrain(), func(s *Spec) { s.Batch = 4 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Batch != 16 || sp.Steps != 5 {
+		t.Errorf("flag-built spec not normalized, or override applied without a name: %+v", sp)
+	}
+
+	bad := validTrain()
+	bad.Model = "no-such-model"
+	if _, err := Resolve("", KindTrain, bad, noOverride); err == nil ||
+		!strings.Contains(err.Error(), "unknown model") {
+		t.Errorf("Normalize error not returned: err %v", err)
+	}
+	if _, err := Resolve("train/tiny-cnn/bnff+icf", KindTrain, validTrain(), func(s *Spec) { s.Workers = -1 }); err == nil {
+		t.Error("override producing an invalid spec was accepted")
 	}
 }

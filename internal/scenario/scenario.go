@@ -4,9 +4,9 @@
 // engine knobs) — with validation-with-defaults in Normalize, a
 // deterministic sorted-name registry, and JSON (de)serialization so whole
 // grids live in scripts/paper/experiments.json. cmd/bnff-exp executes grids
-// and emits the BENCH_*.json evidence files; cmd/bnff-train, cmd/bnff-bench
-// and cmd/bnff-profile resolve their flags onto a Spec instead of carrying
-// private flag→executor wiring.
+// and emits the BENCH_*.json evidence files; cmd/bnff-train and
+// cmd/bnff-profile resolve their flags onto a Spec (Resolve) instead of
+// carrying private flag→executor wiring.
 package scenario
 
 import (
