@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard bce fuzz loc check
+.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard bce nofma fuzz loc check
 
 build:
 	$(GO) build ./...
@@ -101,6 +101,19 @@ bce:
 	echo "internal/layers/blocked.go: $$n bounds checks, budget $$budget"; \
 	[ "$$n" -le "$$budget" ]
 
+# No fused multiply-add in the numeric packages. Go may fuse acc += a*b into
+# one FMA — one rounding instead of two — on arm64 (and on amd64 at
+# GOAMD64=v3), which would change every digest and break the AVX2 lanes'
+# bit-identity with the scalar bodies. Every such site is written
+# acc += float32(a*b), whose explicit conversion the Go spec says forbids the
+# fusion. This cross-compiles layers, core, tensor and train for arm64 and
+# fails on any fused instruction in their assembly listing.
+nofma:
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags='-S' ./internal/layers ./internal/core ./internal/tensor ./internal/train 2>&1) || { echo "$$out"; exit 1; }; \
+	fused=$$(echo "$$out" | grep -E '\b(FMADD|FMSUB|FNMADD|FNMSUB)'); \
+	if [ -n "$$fused" ]; then echo "$$fused"; exit 1; fi; \
+	echo "layers, core, tensor, train: no fused multiply-add (arm64)"
+
 # Native fuzzing, 30 s per target. FuzzConvWindow (internal/layers): random
 # geometries, ConvWindow configurations and values, non-finite ones included,
 # checked bitwise against the unfused composition in both directions.
@@ -118,4 +131,4 @@ loc:
 		awk '$$2 != "total" { split($$2, p, "/"); n[p[2]] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-check: vet race lint smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard bce
+check: vet race lint smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard bce nofma

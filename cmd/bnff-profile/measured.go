@@ -11,6 +11,7 @@ import (
 	"bnff/internal/core"
 	"bnff/internal/experiments"
 	"bnff/internal/graph"
+	"bnff/internal/layers"
 	"bnff/internal/memplan"
 	"bnff/internal/memsim"
 	"bnff/internal/models"
@@ -72,8 +73,8 @@ func runMeasured(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintf(stdout, "model=%s batch=%d steps=%d workers=%d clock=%s machine=Skylake\n\n",
-		sp.Model, sp.Batch, sp.Steps, sp.Workers, *clock)
+	fmt.Fprintf(stdout, "model=%s batch=%d steps=%d workers=%d clock=%s conv=%s machine=Skylake\n\n",
+		sp.Model, sp.Batch, sp.Steps, sp.Workers, *clock, layers.ConvBody())
 	var results []scenarioResult
 	for _, sc := range core.Scenarios() {
 		spScen := sp

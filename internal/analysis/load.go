@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -148,8 +149,10 @@ func (l *Loader) Load(relDir string) (*Package, error) {
 }
 
 // parseDir reads and parses the non-test files of one package directory
-// without type-checking it. Parsing into the shared FileSet is
-// concurrency-safe, so LoadAll fans parseDir out across a worker pool.
+// that build on this platform — build constraints and _GOOS/_GOARCH suffixes
+// apply, as for the go tool — without type-checking them. Parsing into the
+// shared FileSet is concurrency-safe, so LoadAll fans parseDir out across a
+// worker pool.
 func (l *Loader) parseDir(relDir string) (importPath, dir string, files []*ast.File, err error) {
 	dir = filepath.Join(l.ModuleRoot, relDir)
 	importPath = l.ModulePath
@@ -163,6 +166,11 @@ func (l *Loader) parseDir(relDir string) (importPath, dir string, files []*ast.F
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return "", "", nil, fmt.Errorf("analysis: %w", err)
+		} else if !ok {
 			continue
 		}
 		src, err := os.ReadFile(filepath.Join(dir, name))

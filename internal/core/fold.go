@@ -87,7 +87,7 @@ func (e *Executor) foldPair(pr graph.FoldedPair) error {
 		for i := range row {
 			row[i] *= s
 		}
-		bias.Data[oc] = beta.Data[oc] - rmean.Data[oc]*s
+		bias.Data[oc] = beta.Data[oc] - float32(rmean.Data[oc]*s)
 	}
 	e.Params[pr.Conv.Name+".b"] = bias
 	delete(e.Params, attr.ParamName+".gamma")

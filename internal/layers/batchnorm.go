@@ -149,7 +149,7 @@ func (b BatchNorm) ComputeStats(x *tensor.Tensor) (*BNStats, error) {
 				var s float64
 				for i := 0; i < h*w; i++ {
 					d := float64(x.Data[base+i]) - mu
-					s += d * d
+					s += float64(d * d)
 				}
 				pvar[in*c+ic] = float32(s / m)
 			}
@@ -238,7 +238,7 @@ func (b BatchNorm) Close(m Moments) (*BNStats, error) {
 	mf := float32(m.N * m.HW)
 	for ic, s := range mean.Data {
 		mu := s / mf
-		v := variance.Data[ic]/mf - mu*mu
+		v := variance.Data[ic]/mf - float32(mu*mu)
 		if v < 0 { // guard fp cancellation for near-constant channels
 			v = 0
 		}
@@ -269,15 +269,15 @@ func momentPartials(xd, psum, psumsq []float32, c, hw, lo, hi int) {
 				s += v1
 				s += v2
 				s += v3
-				sq += v0 * v0
-				sq += v1 * v1
-				sq += v2 * v2
-				sq += v3 * v3
+				sq += float32(v0 * v0)
+				sq += float32(v1 * v1)
+				sq += float32(v2 * v2)
+				sq += float32(v3 * v3)
 			}
 			for ; i < len(row); i++ {
 				v := row[i]
 				s += v
-				sq += v * v
+				sq += float32(v * v)
 			}
 			psum[in*c+ic] = s
 			psumsq[in*c+ic] = sq
@@ -343,7 +343,7 @@ func bnNormalizeChunk(xd, xh, yd, mean, inv, gamma, beta []float32, c, hw, lo, h
 			for i := 0; i < hw; i++ {
 				v := (xd[base+i] - mu) * is
 				xh[base+i] = v
-				yd[base+i] = g*v + be
+				yd[base+i] = float32(g*v) + be
 			}
 		}
 	}
@@ -396,7 +396,7 @@ func gammaBetaPartials(dy, xhat []float32, pg, pb []float64, c, hw int) {
 		var sg, sb float64
 		for i, v := range dy[ic*hw : (ic+1)*hw] {
 			g := float64(v)
-			sg += g * float64(xrow[i])
+			sg += float64(g * float64(xrow[i]))
 			sb += g
 		}
 		pg[ic], pb[ic] = sg, sb
@@ -465,7 +465,7 @@ func (b BatchNorm) BackwardInput(dy, xhat, gamma *tensor.Tensor, stats *BNStats,
 				coef := gamma.Data[ic] * inv[ic] / m
 				dg, db := dgamma.Data[ic], dbeta.Data[ic]
 				for i := 0; i < h*w; i++ {
-					dx.Data[base+i] = coef * (m*dy.Data[base+i] - db - xhat.Data[base+i]*dg)
+					dx.Data[base+i] = coef * (float32(m*dy.Data[base+i]) - db - float32(xhat.Data[base+i]*dg))
 				}
 			}
 		}
@@ -513,8 +513,8 @@ func (b BatchNorm) UpdateRunning(runningMean, runningVar *tensor.Tensor, stats *
 		corr = float32(stats.M) / float32(stats.M-1)
 	}
 	for i := 0; i < b.Channels; i++ {
-		runningMean.Data[i] = (1-mom)*runningMean.Data[i] + mom*stats.Mean.Data[i]
-		runningVar.Data[i] = (1-mom)*runningVar.Data[i] + mom*corr*stats.Var.Data[i]
+		runningMean.Data[i] = float32((1-mom)*runningMean.Data[i]) + float32(mom*stats.Mean.Data[i])
+		runningVar.Data[i] = float32((1-mom)*runningVar.Data[i]) + float32(mom*corr*stats.Var.Data[i])
 	}
 	return nil
 }

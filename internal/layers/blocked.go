@@ -22,6 +22,18 @@ package layers
 // the samples of a chunk) extends the same chain: ((0+t0)+t1 stored, then
 // +t2+t3) ≡ (((0+t0)+t1)+t2)+t3. No term is ever skipped, so NaN/Inf
 // propagate exactly as in the reference.
+//
+// Every term rounds twice, once for the product and once for the sum, and is
+// written acc += float32(a*b): the explicit conversion is the Go spec's way
+// to forbid fusing the two into one FMA rounding, which the compiler does on
+// arm64 (and amd64 at GOAMD64=v3) otherwise. `make nofma` holds the numeric
+// packages to it.
+//
+// The AVX2 lanes (lanes.go) keep the same contract: one lane is one output
+// element's chain, fed the same terms in the same order by VMULPS then
+// VADDPS — never FMA — so a lane stores the bits the scalar body stores.
+// These scalar bodies are the fallback wherever the lanes do not reach and
+// the reference they are tested against.
 
 // ConvGeom is the precomputed single-sample geometry of a Conv2D, shared by
 // the two convolution windows (window.go) and the test-only GEMM oracle's
@@ -80,6 +92,18 @@ func (g ConvGeom) tapSpan(k, lim, olim int) (lo, hi int) {
 	return min(lo, hi), hi
 }
 
+// flat returns the geometry of a 1×1, stride-1, unpadded convolution as one
+// row of H·W columns: the same memory and the same chains (an output element
+// sums over channels alone; dW's (oy, ox) order is the flat order), with one
+// long run for the tiles.
+func (g ConvGeom) flat() ConvGeom {
+	if g.KH == 1 && g.KW == 1 && g.S == 1 && g.P == 0 {
+		g.W, g.OW = g.H*g.W, g.H*g.W
+		g.H, g.OH = 1, 1
+	}
+	return g
+}
+
 // interiorOX returns the [lo, hi) span of output columns whose full KW tap
 // row lies inside the input width — the span the register tiles cover without
 // bounds checks.
@@ -101,12 +125,19 @@ func (g ConvGeom) interiorOX() (lo, hi int) {
 // The three bodies share one calling convention: xo and wo are the offsets of
 // the element's first in-bounds tap row (channel icLo, row iy0+kyLo, column
 // ix0; filter oc, row kyLo) and rows = kyHi − kyLo, so the nest inside only
-// ever adds strides.
+// ever adds strides. On the lanes, forwardLanes takes the interior columns of
+// a stride-1 convolution with four output channels a group, and these
+// bodies the borders.
 //
 // hot-path: the module's dominant FLOP loop; everything lives in caller
 // buffers and loop-local scalars.
 func (g ConvGeom) ForwardSample(x, w, y []float32, bias []float32) {
+	g = g.flat()
 	oxLo, oxHi := g.interiorOX()
+	lanes := useLanes && g.S == 1 && g.CoutG >= 4 && oxHi-oxLo >= 8
+	if lanes {
+		g.forwardLanes(x, w, y, bias, oxLo, oxHi)
+	}
 	hw, plane, filt := g.H*g.W, g.OH*g.OW, g.CinG*g.KH*g.KW
 	for oc := 0; oc < g.Cout; {
 		pair := oc%g.CoutG+2 <= g.CoutG
@@ -124,6 +155,10 @@ func (g ConvGeom) ForwardSample(x, w, y []float32, bias []float32) {
 			rows := kyHi - kyLo
 			xo, wo, yo := xBase+(iy0+kyLo)*g.W, oc*filt+kyLo*g.KW, oc*plane+oy*g.OW
 			for ox := 0; ox < g.OW; {
+				if lanes && ox == oxLo {
+					ox = oxHi
+					continue
+				}
 				ix0 := ox*g.S - g.P
 				if ox < oxLo || ox+4 > oxHi {
 					y[yo+ox] = g.convPoint(x, w, xo+ix0, wo, rows, ix0, b0)
@@ -157,7 +192,7 @@ func (g *ConvGeom) convPoint(x, w []float32, xo, wo, rows, ix0 int, acc float32)
 	for ig := g.CinG; ig > 0; ig-- {
 		for r := rows; r > 0; r-- {
 			for kx := kxLo; kx < kxHi; kx++ {
-				acc += x[xo+kx] * w[wo+kx]
+				acc += float32(x[xo+kx] * w[wo+kx])
 			}
 			xo, wo = xo+g.W, wo+g.KW
 		}
@@ -181,10 +216,10 @@ func (g *ConvGeom) convQuad(x, w, out []float32, xo, wo, rows int, b0 float32) {
 		for r := rows; r > 0; r-- {
 			for end := wo + kw; wo < end; xo, wo = xo+1, wo+1 {
 				wv := w[wo]
-				a0 += x[xo] * wv
-				a1 += x[xo+s] * wv
-				a2 += x[xo+2*s] * wv
-				a3 += x[xo+3*s] * wv
+				a0 += float32(x[xo] * wv)
+				a1 += float32(x[xo+s] * wv)
+				a2 += float32(x[xo+2*s] * wv)
+				a3 += float32(x[xo+3*s] * wv)
 			}
 			xo += xRow
 		}
@@ -215,17 +250,17 @@ func (g *ConvGeom) convTile(x, w, out []float32, xo, wo, rows int, b0, b1 float3
 			for end := wo + kw; wo < end; xo, wo = xo+1, wo+1 {
 				v0, v1 := w[wo], w[wo+filt]
 				xv := x[xo]
-				a00 += xv * v0
-				a10 += xv * v1
+				a00 += float32(xv * v0)
+				a10 += float32(xv * v1)
 				xv = x[xo+s]
-				a01 += xv * v0
-				a11 += xv * v1
+				a01 += float32(xv * v0)
+				a11 += float32(xv * v1)
 				xv = x[xo+2*s]
-				a02 += xv * v0
-				a12 += xv * v1
+				a02 += float32(xv * v0)
+				a12 += float32(xv * v1)
 				xv = x[xo+3*s]
-				a03 += xv * v0
-				a13 += xv * v1
+				a03 += float32(xv * v0)
+				a13 += float32(xv * v1)
 			}
 			xo += xRow
 		}
@@ -252,10 +287,34 @@ func (g *ConvGeom) convTile(x, w, out []float32, xo, wo, rows int, b0, b1 float3
 // No term is skipped, a zero dy included, so 0·Inf and 0·NaN reach both
 // gradients as they reach y in the forward.
 //
+// scratch is the dW lanes' channels-last copy of x, SampleScratch floats; a
+// shorter one (nil) keeps dW on the scalar gather.
+//
 // hot-path: the backward twin of ForwardSample; no per-call allocation.
-func (g ConvGeom) BackwardSample(dy, x, w, dx, dw []float32) {
+func (g ConvGeom) BackwardSample(dy, x, w, dx, dw, scratch []float32) {
+	g = g.flat()
+	if useLanes && g.fcShape() {
+		g.fcBackward(dy, x, w, dx, dw)
+		return
+	}
 	g.backwardInput(dy, w, dx)
+	if n := g.SampleScratch(); n > 0 && len(scratch) >= n {
+		g.dwLanes(dy, x, dw, scratch)
+		return
+	}
 	g.backwardWeights(dy, x, dw)
+}
+
+// SampleScratch returns how many floats of scratch BackwardSample's dW lanes
+// take: the sample channels-last, channels padded to a multiple of eight. It
+// is 0 where dW keeps the scalar gather: without AVX2, for grouped
+// convolutions, under four output channels, and for maps under 16 output
+// positions, whose chains are too short to pay for the copy.
+func (g ConvGeom) SampleScratch() int {
+	if !useLanes || g.CinG != g.Cin || g.Cout < 4 || g.OH*g.OW < 16 {
+		return 0
+	}
+	return g.H * g.W * ((g.Cin + 7) &^ 7)
 }
 
 // backwardInput is the dx gather. An input coordinate i meets output o
@@ -265,7 +324,8 @@ func (g ConvGeom) BackwardSample(dy, x, w, dx, dw []float32) {
 // i, i+S, i+2S, i+3S of one class share their tap set and read four adjacent
 // dy columns — the 4-wide tile (adjacent columns at stride 1). Columns whose
 // taps are clipped by the ofmap's edge take the single-column body. Channels
-// pair up like the forward's.
+// pair up like the forward's; on the lanes, four channels of a group take an
+// interior run of at least eight columns together.
 //
 // The three bodies share one calling convention, the forward's mirrored: wo
 // and do are the offsets of the element's first term (channel ocLo, largest
@@ -276,10 +336,17 @@ func (g ConvGeom) BackwardSample(dy, x, w, dx, dw []float32) {
 func (g *ConvGeom) backwardInput(dy, w, dx []float32) {
 	s := g.S
 	hw, plane, khw := g.H*g.W, g.OH*g.OW, g.KH*g.KW
+	wRow := s * g.KW
 	for ic := 0; ic < g.Cin; {
-		pair := ic%g.CinG+2 <= g.CinG
+		icg := ic % g.CinG
+		nc := min(2, g.CinG-icg) // channels walked together
+		lanes := useLanes && icg+4 <= g.CinG
+		if lanes {
+			nc = 4
+		}
 		ocLo := (ic / g.CinG) * g.CoutG
-		wBase := (ocLo*g.CinG + ic%g.CinG) * khw
+		wBase := (ocLo*g.CinG + icg) * khw
+		t := laneTile{a: w, b: dy, out: dx, aj: khw, oj: hw, ol: s}
 		for iy := 0; iy < g.H; iy++ {
 			qy, ry := (iy+g.P)/s, (iy+g.P)%s
 			if ry >= g.KH {
@@ -294,31 +361,43 @@ func (g *ConvGeom) backwardInput(dy, w, dx []float32) {
 				if g.P > rx {
 					q = (g.P - rx + s - 1) / s
 				}
-				for qEnd := (g.W + g.P - rx + s - 1) / s; q < qEnd; {
+				qEnd := (g.W + g.P - rx + s - 1) / s
+				qHi := min(qEnd, g.OW) // interior columns: q in [mxTop, qHi)
+				for q < qEnd {
 					ix := q*s + rx - g.P
-					if q < mxTop || q+4 > min(qEnd, g.OW) {
+					wf, df := wo+rx+mxTop*s, do+q-mxTop
+					switch {
+					case q < mxTop || q+4 > qHi:
 						mxLo, mxHi := max(0, q-g.OW+1), min(mxTop, q)
 						wf, df, cols := wo+rx+mxHi*s, do+q-mxHi, mxHi-mxLo+1
-						dx[xo+ix] = g.dxPoint(dy, w, wf, df, rows, cols, dx[xo+ix])
-						if pair {
-							dx[xo+hw+ix] = g.dxPoint(dy, w, wf+khw, df, rows, cols, dx[xo+hw+ix])
+						for c := 0; c < nc; c++ {
+							i := xo + c*hw + ix
+							dx[i] = g.dxPoint(dy, w, wf+c*khw, df, rows, cols, dx[i])
 						}
 						q++
-						continue
+					case lanes && qHi-q >= 8:
+						cols := mxTop + 1
+						t.laneNest = laneNest{
+							n:  [3]int{g.CoutG, rows, cols},
+							da: [3]int{g.CinG*khw + rows*wRow, cols*s - wRow, -s},
+							db: [3]int{plane - rows*g.OW, g.OW - cols, 1},
+						}
+						t.ao, t.bo, t.oo = wf, df, xo+ix
+						t.sweep(qHi - q)
+						q = qHi
+					case nc == 1:
+						g.dxQuad(dy, w, dx[xo+ix:], wf, df, rows, mxTop+1)
+						q += 4
+					default:
+						for c := 0; c < nc; c += 2 {
+							g.dxTile(dy, w, dx[xo+c*hw+ix:], wf+c*khw, df, rows, mxTop+1)
+						}
+						q += 4
 					}
-					if pair {
-						g.dxTile(dy, w, dx[xo+ix:], wo+rx+mxTop*s, do+q-mxTop, rows, mxTop+1)
-					} else {
-						g.dxQuad(dy, w, dx[xo+ix:], wo+rx+mxTop*s, do+q-mxTop, rows, mxTop+1)
-					}
-					q += 4
 				}
 			}
 		}
-		ic++
-		if pair {
-			ic++
-		}
+		ic += nc
 	}
 }
 
@@ -334,7 +413,7 @@ func (g *ConvGeom) dxPoint(dy, w []float32, wo, do, rows, cols int, acc float32)
 		for r := rows; r > 0; r-- {
 			wi := wo
 			for di := do; di < do+cols; di++ {
-				acc += w[wi] * dy[di]
+				acc += float32(w[wi] * dy[di])
 				wi -= s
 			}
 			wo, do = wo-wRow, do+g.OW
@@ -360,10 +439,10 @@ func (g *ConvGeom) dxQuad(dy, w, out []float32, wo, do, rows, cols int) {
 			wi := wo
 			for di := do; di < do+cols; di++ {
 				wv := w[wi]
-				a0 += wv * dy[di]
-				a1 += wv * dy[di+1]
-				a2 += wv * dy[di+2]
-				a3 += wv * dy[di+3]
+				a0 += float32(wv * dy[di])
+				a1 += float32(wv * dy[di+1])
+				a2 += float32(wv * dy[di+2])
+				a3 += float32(wv * dy[di+3])
 				wi -= s
 			}
 			wo, do = wo-wRow, do+g.OW
@@ -393,17 +472,17 @@ func (g *ConvGeom) dxTile(dy, w, out []float32, wo, do, rows, cols int) {
 			for di := do; di < do+cols; di++ {
 				v0, v1 := w[wi], w[wi+khw]
 				dv := dy[di]
-				a00 += v0 * dv
-				a10 += v1 * dv
+				a00 += float32(v0 * dv)
+				a10 += float32(v1 * dv)
 				dv = dy[di+1]
-				a01 += v0 * dv
-				a11 += v1 * dv
+				a01 += float32(v0 * dv)
+				a11 += float32(v1 * dv)
 				dv = dy[di+2]
-				a02 += v0 * dv
-				a12 += v1 * dv
+				a02 += float32(v0 * dv)
+				a12 += float32(v1 * dv)
 				dv = dy[di+3]
-				a03 += v0 * dv
-				a13 += v1 * dv
+				a03 += float32(v0 * dv)
+				a13 += float32(v1 * dv)
 				wi -= s
 			}
 			wo, do = wo-wRow, do+g.OW
@@ -471,17 +550,17 @@ func (g *ConvGeom) dwTile(dy, x, dw []float32, oc, ig int) {
 				for di := do; di < do+oxHi-oxLo; di++ {
 					g0, g1 := dy[di], dy[di+plane]
 					xv := x[xi]
-					a00 += xv * g0
-					a10 += xv * g1
+					a00 += float32(xv * g0)
+					a10 += float32(xv * g1)
 					xv = x[xi+hw]
-					a01 += xv * g0
-					a11 += xv * g1
+					a01 += float32(xv * g0)
+					a11 += float32(xv * g1)
 					xv = x[xi+2*hw]
-					a02 += xv * g0
-					a12 += xv * g1
+					a02 += float32(xv * g0)
+					a12 += float32(xv * g1)
 					xv = x[xi+3*hw]
-					a03 += xv * g0
-					a13 += xv * g1
+					a03 += float32(xv * g0)
+					a13 += float32(xv * g1)
 					xi += s
 				}
 				xo, do = xo+s*g.W, do+g.OW
@@ -532,10 +611,10 @@ func (g *ConvGeom) dwQuad(dy, x, dw []float32, p, n int) {
 				x0, x1, x2, x3 := x[xb[0]+xo:], x[xb[1]+xo:], x[xb[2]+xo:], x[xb[3]+xo:]
 				xi := 0
 				for i, g0 := range d0 {
-					a0 += x0[xi] * g0
-					a1 += x1[xi] * d1[i]
-					a2 += x2[xi] * d2[i]
-					a3 += x3[xi] * d3[i]
+					a0 += float32(x0[xi] * g0)
+					a1 += float32(x1[xi] * d1[i])
+					a2 += float32(x2[xi] * d2[i])
+					a3 += float32(x3[xi] * d3[i])
 					xi += s
 				}
 			}

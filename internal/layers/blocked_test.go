@@ -176,29 +176,31 @@ func TestBlockedConvBitIdenticalToLegacy(t *testing.T) {
 			biasData = bias.Data
 		}
 		want := legacyConvForward(cfg.conv, x, w, biasData)
-		for _, workers := range []int{1, 4} {
-			conv := cfg.conv.WithPool(parallel.New(workers))
-			var got *tensor.Tensor
-			var err error
-			if cfg.biased {
-				got, err = conv.ForwardBias(x, w, bias)
-			} else {
-				got, err = conv.Forward(x, w)
+		forEachBody(func(body string) {
+			for _, workers := range []int{1, 4} {
+				conv := cfg.conv.WithPool(parallel.New(workers))
+				var got *tensor.Tensor
+				var err error
+				if cfg.biased {
+					got, err = conv.ForwardBias(x, w, bias)
+				} else {
+					got, err = conv.Forward(x, w)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bitsEqual(got.Data, want.Data) {
+					d, _ := tensor.MaxAbsDiff(got, want)
+					t.Errorf("%s: conv %+v workers=%d: blocked forward differs from legacy by %v", body, cfg.conv, workers, d)
+				}
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bitsEqual(got.Data, want.Data) {
-				d, _ := tensor.MaxAbsDiff(got, want)
-				t.Errorf("conv %+v workers=%d: blocked forward differs from legacy by %v", cfg.conv, workers, d)
-			}
-		}
+		})
 	}
 }
 
 // Property: blocked ≡ legacy bit-identity holds for random geometries —
 // kernel 1..3, stride 1..2, groups {1,2}, random odd spatial extents so the
-// interior tile hits every edge-remainder case.
+// interior tile hits every edge-remainder case — on both bodies.
 func TestQuickBlockedConvBitIdentity(t *testing.T) {
 	f := func(seed uint64, kBits, sBits, gBits, hwBits uint8) bool {
 		k := 1 + int(kBits%3)
@@ -216,9 +218,11 @@ func TestQuickBlockedConvBitIdentity(t *testing.T) {
 		}
 		return bitsEqual(got.Data, want.Data)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
+	forEachBody(func(body string) {
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
+	})
 }
 
 // convBackwardGeoms is the geometry table of the backward bit-identity tests:
@@ -325,38 +329,40 @@ func TestBlockedConvBackwardBitIdenticalToLegacy(t *testing.T) {
 					dy.Data[(11*i+2)%len(dy.Data)] = v
 				}
 			}
-			for _, workers := range []int{1, 4} {
-				pool := parallel.New(workers)
-				pooled := pool.NumChunks(cfg.n) > 1
-				c := conv.WithPool(pool)
+			forEachBody(func(body string) {
+				for _, workers := range []int{1, 4} {
+					pool := parallel.New(workers)
+					pooled := pool.NumChunks(cfg.n) > 1
+					c := conv.WithPool(pool)
 
-				wantDX, wantDW := tensor.New(x.Shape()...), tensor.New(w.Shape()...)
-				convBackwardWant(conv, cfg.n, cfg.h, cfg.w, dy.Data, x.Data, w.Data, wantDX.Data, wantDW.Data, pooled)
-				dx, dw, err := c.Backward(dy, x, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameFloats(dx.Data, wantDX.Data) || !sameFloats(dw.Data, wantDW.Data) {
-					t.Errorf("conv %+v %dx%d workers=%d poisoned=%v: Backward differs from legacy (dx same %v, dw same %v)",
-						conv, cfg.h, cfg.w, workers, poisoned, sameFloats(dx.Data, wantDX.Data), sameFloats(dw.Data, wantDW.Data))
-				}
+					wantDX, wantDW := tensor.New(x.Shape()...), tensor.New(w.Shape()...)
+					convBackwardWant(conv, cfg.n, cfg.h, cfg.w, dy.Data, x.Data, w.Data, wantDX.Data, wantDW.Data, pooled)
+					dx, dw, err := c.Backward(dy, x, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameFloats(dx.Data, wantDX.Data) || !sameFloats(dw.Data, wantDW.Data) {
+						t.Errorf("%s: conv %+v %dx%d workers=%d poisoned=%v: Backward differs from legacy (dx same %v, dw same %v)",
+							body, conv, cfg.h, cfg.w, workers, poisoned, sameFloats(dx.Data, wantDX.Data), sameFloats(dw.Data, wantDW.Data))
+					}
 
-				wantDX, wantDW = dx0.Clone(), dw0.Clone()
-				convBackwardWant(conv, cfg.n, cfg.h, cfg.w, dy.Data, x.Data, w.Data, wantDX.Data, wantDW.Data, pooled)
-				dx, dw = dx0.Clone(), dw0.Clone()
-				backwardInto(c, dy, x, w, dx, dw)
-				if !sameFloats(dx.Data, wantDX.Data) || !sameFloats(dw.Data, wantDW.Data) {
-					t.Errorf("conv %+v %dx%d workers=%d poisoned=%v: backward window onto non-zero buffers differs from legacy (dx same %v, dw same %v)",
-						conv, cfg.h, cfg.w, workers, poisoned, sameFloats(dx.Data, wantDX.Data), sameFloats(dw.Data, wantDW.Data))
+					wantDX, wantDW = dx0.Clone(), dw0.Clone()
+					convBackwardWant(conv, cfg.n, cfg.h, cfg.w, dy.Data, x.Data, w.Data, wantDX.Data, wantDW.Data, pooled)
+					dx, dw = dx0.Clone(), dw0.Clone()
+					backwardInto(c, dy, x, w, dx, dw)
+					if !sameFloats(dx.Data, wantDX.Data) || !sameFloats(dw.Data, wantDW.Data) {
+						t.Errorf("%s: conv %+v %dx%d workers=%d poisoned=%v: backward window onto non-zero buffers differs from legacy (dx same %v, dw same %v)",
+							body, conv, cfg.h, cfg.w, workers, poisoned, sameFloats(dx.Data, wantDX.Data), sameFloats(dw.Data, wantDW.Data))
+					}
 				}
-			}
+			})
 		}
 	}
 }
 
 // Property twin of TestQuickBlockedConvBitIdentity for the backward: random
 // kernel 1..4, stride 1..3, pad 0..kernel, dense / grouped / depthwise, random
-// extents — one sample kernel call onto non-zero dx and dw.
+// extents — one sample kernel call onto non-zero dx and dw, on both bodies.
 func TestQuickBlockedConvBackwardBitIdentity(t *testing.T) {
 	f := func(seed uint64, kBits, sBits, pBits, gBits, hBits, wBits uint8) bool {
 		k := 1 + int(kBits%4)
@@ -382,12 +388,14 @@ func TestQuickBlockedConvBackwardBitIdentity(t *testing.T) {
 		}
 		wantDX, wantDW := dx.Clone(), dw.Clone()
 		legacyConvBackward(conv, h, wd, dy.Data, x.Data, w.Data, wantDX.Data, wantDW.Data)
-		geom.BackwardSample(dy.Data, x.Data, w.Data, dx.Data, dw.Data)
+		geom.BackwardSample(dy.Data, x.Data, w.Data, dx.Data, dw.Data, make([]float32, geom.SampleScratch()))
 		return bitsEqual(dx.Data, wantDX.Data) && bitsEqual(dw.Data, wantDW.Data)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+	forEachBody(func(body string) {
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
+	})
 }
 
 // A zero upstream gradient is a term like any other: 0·Inf and 0·NaN must
@@ -627,28 +635,44 @@ func TestFCBackwardBitIdenticalToReference(t *testing.T) {
 
 // The sample kernels and the window chunk bodies must be allocation-free:
 // outputs and scratch come from the caller, and the kernels themselves only
-// slice.
+// slice — the lane wrappers' register-sized buffers included.
 func TestBlockedKernelsAllocFree(t *testing.T) {
-	// Both sample kernels, on geometries that between them reach every body:
-	// tile, quad and point of the forward and of the dx gather, tile and quad
-	// of the dW gather.
-	for _, conv := range []Conv2D{
-		NewConv2D(3, 8, 3, 1, 1),       // paired and odd channels, CinG < 4
-		NewConv2D(8, 5, 3, 2, 1),       // strided, dW tile with an odd channel left
-		NewDepthwiseConv2D(6, 3, 1, 1), // no pairs anywhere
+	// Both sample kernels on both bodies, on geometries that between them
+	// reach every body: tile, quad and point of the forward and of the dx
+	// gather, tile and quad of the dW gather; on the lanes, full, buffered
+	// and shifted blocks of every four-row body and FC's channel runs.
+	for _, cfg := range []struct {
+		conv Conv2D
+		h, w int
+	}{
+		{NewConv2D(3, 8, 3, 1, 1), 9, 9},       // paired and odd channels, CinG < 4
+		{NewConv2D(8, 5, 3, 2, 1), 9, 9},       // strided, dW tile with an odd channel left
+		{NewDepthwiseConv2D(6, 3, 1, 1), 9, 9}, // no pairs anywhere
+		{NewConv2D(9, 6, 3, 1, 1), 5, 21},      // lanes: 16 + shifted 8 columns, channel tails
+		{NewConv2D(8, 4, 3, 2, 1), 4, 40},      // lanes: strided dx through the buffer
+		{NewConv2D(20, 4, 1, 1, 0), 6, 6},      // lanes: a flattened 1×1
+		{NewConv2D(40, 33, 1, 1, 0), 1, 1},     // FC's channel runs
 	} {
-		geom := conv.SampleGeom(9, 9)
-		x := fillRand(3, conv.InChannels*9*9)
+		conv := cfg.conv
+		geom := conv.SampleGeom(cfg.h, cfg.w)
+		x := fillRand(3, conv.InChannels*cfg.h*cfg.w)
 		w := fillRand(4, conv.WeightShape().NumElems())
 		y := make([]float32, geom.Cout*geom.OH*geom.OW)
 		dy := fillRand(5, len(y))
 		dx, dw := make([]float32, len(x)), make([]float32, len(w))
-		if allocs := testing.AllocsPerRun(10, func() {
-			geom.ForwardSample(x, w, y, nil)
-			geom.BackwardSample(dy, x, w, dx, dw)
-		}); allocs != 0 {
-			t.Errorf("conv %+v: ForwardSample + BackwardSample allocate %v per run, want 0", conv, allocs)
-		}
+		scratch := make([]float32, geom.SampleScratch())
+		wt := make([]float32, len(w))
+		forEachBody(func(body string) {
+			if allocs := testing.AllocsPerRun(10, func() {
+				geom.ForwardSample(x, w, y, nil)
+				geom.BackwardSample(dy, x, w, dx, dw, scratch)
+				if geom.fcShape() && geom.Cout >= 32 {
+					geom.fcForward(x, wt, y, nil)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s: conv %+v: ForwardSample + BackwardSample allocate %v per run, want 0", body, conv, allocs)
+			}
+		})
 	}
 	conv := NewConv2D(3, 8, 3, 1, 1)
 	geom := conv.SampleGeom(9, 9)
@@ -717,7 +741,8 @@ func benchConvBackward(b *testing.B, kernel func(conv Conv2D, dy, x, w, dx, dw [
 
 func BenchmarkConvBackwardBlocked(b *testing.B) {
 	benchConvBackward(b, func(conv Conv2D, dy, x, w, dx, dw []float32) {
-		conv.SampleGeom(16, 16).BackwardSample(dy, x, w, dx, dw)
+		geom := conv.SampleGeom(16, 16)
+		geom.BackwardSample(dy, x, w, dx, dw, make([]float32, geom.SampleScratch()))
 	})
 }
 
@@ -751,6 +776,7 @@ func BenchmarkConvShapes(b *testing.B) {
 		y := make([]float32, geom.Cout*geom.OH*geom.OW)
 		dy := fillRand(6, len(y))
 		dx, dw := make([]float32, len(x.Data)), make([]float32, len(w.Data))
+		scratch := make([]float32, geom.SampleScratch())
 		flops := sh.conv.FLOPs(1, sh.hw, sh.hw)
 		b.Run(sh.name+"/fwd", func(b *testing.B) {
 			b.SetBytes(flops)
@@ -761,7 +787,7 @@ func BenchmarkConvShapes(b *testing.B) {
 		b.Run(sh.name+"/bwd", func(b *testing.B) {
 			b.SetBytes(2 * flops)
 			for i := 0; i < b.N; i++ {
-				geom.BackwardSample(dy, x.Data, w.Data, dx, dw)
+				geom.BackwardSample(dy, x.Data, w.Data, dx, dw, scratch)
 			}
 		})
 	}

@@ -16,7 +16,10 @@
 // a CONV — the ReLU or BN+ReLU in front of it, the moments of the BN behind
 // it. The zero ConvWindow is the baseline layer, and FC runs the same two
 // bodies as a 1×1 convolution over a 1×1 map, so the module has one
-// multiply-accumulate core (blocked.go). internal/kernels names the paper's
+// multiply-accumulate core (blocked.go). On CPUs with AVX2 its hot bodies run
+// as assembly lanes (lanes.go), one output element's chain per lane in the
+// scalar bodies' term order, so both bodies store the same bits and the
+// scalar ones stay the fallback and the reference. internal/kernels names the paper's
 // fusions as ConvWindow literals for benchmark/ and tests them for
 // equivalence against the unfused compositions of the layers here.
 //

@@ -74,7 +74,17 @@ func (f FC) Forward(x, w, b *tensor.Tensor) (*tensor.Tensor, error) {
 	n := x.Dim(0)
 	y := f.alloc.Get(n, f.Out)
 	c, g := f.window()
-	c.forwardWindow(convFwd{geom: g, x: x.Data, w: w.Data, y: y.Data, bias: b.Data}, n, ConvWindow{})
+	sp := convFwd{geom: g, x: x.Data, w: w.Data, y: y.Data, bias: b.Data}
+	if useLanes && g.fcShape() && f.Out >= 32 && n >= 4 {
+		// The forward's lanes run across outputs, so they read w by columns:
+		// a per-call transposed copy makes those rows. The copy streams the
+		// weights once, as a scalar pass over one sample does, so it pays from
+		// a few samples on.
+		sp.wt = f.alloc.Floats(f.In * f.Out)
+		transpose(sp.wt, f.Out, w.Data, f.Out, f.In)
+	}
+	c.forwardWindow(sp, n, ConvWindow{})
+	f.alloc.PutFloats(sp.wt)
 	return y, nil
 }
 

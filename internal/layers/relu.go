@@ -15,16 +15,14 @@ func ReLUForward(x *tensor.Tensor) *tensor.Tensor { return ReLUForwardAlloc(nil,
 // ReLUForwardAlloc is ReLUForward on a worker pool — the flat element range
 // is split into contiguous chunks with disjoint writes, so the result is
 // bit-identical to serial — drawing the output from an arena (nil = heap,
-// bit-identical). The kernel writes only positive elements and relies on the
-// zeroed buffer for the rest, which the arena's default zero-on-reuse
-// guarantees.
+// bit-identical). Every element is written through rectify's mask, without a
+// branch to mispredict.
 func ReLUForwardAlloc(p *parallel.Pool, a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	y := a.Get(x.Shape()...)
 	p.Run(len(x.Data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if v := x.Data[i]; v > 0 {
-				y.Data[i] = v
-			}
+		ys := y.Data[lo:hi]
+		for i, v := range x.Data[lo:hi] {
+			ys[i] = rectify(v)
 		}
 	})
 	return y
@@ -36,17 +34,18 @@ func ReLUBackward(dy, x *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // ReLUBackwardAlloc is ReLUBackward on a worker pool (bit-identical to
-// serial) drawing dx from an arena (nil = heap, bit-identical).
+// serial) drawing dx from an arena (nil = heap, bit-identical). dy passes
+// through the branch-free mask of x > 0; elsewhere dx is +0.
 func ReLUBackwardAlloc(p *parallel.Pool, a *tensor.Arena, dy, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if !dy.Shape().Equal(x.Shape()) {
 		return nil, fmt.Errorf("relu: dy shape %v vs x %v", dy.Shape(), x.Shape())
 	}
 	dx := a.Get(x.Shape()...)
 	p.Run(len(x.Data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if x.Data[i] > 0 {
-				dx.Data[i] = dy.Data[i]
-			}
+		xs := x.Data[lo:hi]
+		dys, dxs := dy.Data[lo:hi][:len(xs)], dx.Data[lo:hi][:len(xs)]
+		for i, v := range xs {
+			dxs[i] = passIf(dys[i], v)
 		}
 	})
 	return dx, nil

@@ -2,6 +2,7 @@ package layers
 
 import (
 	"fmt"
+	"math"
 
 	"bnff/internal/tensor"
 )
@@ -105,7 +106,7 @@ func (f *tileFill) fill(tile, src, xh []float32, chanLen int) {
 		trow := tile[lo:hi]
 		if xh == nil {
 			for i, v := range src[lo:hi] {
-				trow[i] = rectify(gc*v + bc)
+				trow[i] = rectify(float32(gc*v) + bc)
 			}
 			continue
 		}
@@ -114,18 +115,27 @@ func (f *tileFill) fill(tile, src, xh []float32, chanLen int) {
 		for i, xv := range src[lo:hi] {
 			v := (xv - mu) * is
 			xrow[i] = v
-			trow[i] = rectify(gc*v + bc)
+			trow[i] = rectify(float32(gc*v) + bc)
 		}
 	}
 }
 
 // rectify is ReLU on one element with ReLUForward's semantics: only v > 0
 // passes, so NaN and −0 both become +0 (builtin max would keep NaN).
-func rectify(v float32) float32 {
-	if v > 0 {
-		return v
-	}
-	return 0
+func rectify(v float32) float32 { return passIf(v, v) }
+
+// passIf returns v where z > 0 and +0 elsewhere, without a branch.
+func passIf(v, z float32) float32 {
+	return math.Float32frombits(math.Float32bits(v) & positive(z))
+}
+
+// positive is the branch-free v > 0: all ones when it holds, else zero. The
+// positive floats are exactly the bit patterns 1 through 0x7f800000 (+Inf);
+// −0, the negatives and every NaN lie outside, so one unsigned compare of
+// bits−1 decides — done in 64 bits, where its sign is the answer. A branch
+// on v > 0 mispredicts on about half of a normal-distributed map.
+func positive(v float32) uint32 {
+	return uint32(int64(uint64(math.Float32bits(v)-1)-0x7f800000) >> 63)
 }
 
 // ForwardWindow computes y = conv(in, w) where in is x, ReLU(x) or
@@ -193,6 +203,7 @@ type convFwd struct {
 	tileFill
 	geom          ConvGeom
 	x, w, y, bias []float32
+	wt            []float32 // w transposed to (Cin, Cout): FC's forward lanes
 	xh            []float32 // x̂ out, under BN
 	tiles         []float32 // per-chunk ifmap tiles; nil: convolve x in place
 	psum, psumsq  []float32 // per-(sample, out-channel) partials; nil: no epilogue
@@ -219,7 +230,11 @@ func (sp *convFwd) run(chunk, lo, hi int) {
 			src = tile
 		}
 		out := sp.y[in*outLen : (in+1)*outLen]
-		g.ForwardSample(src, sp.w, out, sp.bias)
+		if sp.wt != nil {
+			g.fcForward(src, sp.wt, out, sp.bias)
+		} else {
+			g.ForwardSample(src, sp.w, out, sp.bias)
+		}
 		if sp.psum != nil {
 			momentPartials(sp.y, sp.psum, sp.psumsq, g.Cout, g.OH*g.OW, in, in+1)
 		}
@@ -276,6 +291,8 @@ func (c Conv2D) backwardWindow(sp convBwd, n int, win ConvWindow) (dgamma, dbeta
 	if win.tiled() {
 		sp.tiles = a.Floats(chunks * g.Cin * g.H * g.W)
 	}
+	sp.scratchLen = g.SampleScratch()
+	sp.scratch = a.Floats(chunks * sp.scratchLen)
 	if win.Gamma != nil {
 		sp.tileFill = tileFill{g: win.Gamma.Data, b: win.Beta.Data}
 		// float64 partials stay plain heap slices: the arena recycles float32.
@@ -295,6 +312,7 @@ func (c Conv2D) backwardWindow(sp convBwd, n int, win ConvWindow) (dgamma, dbeta
 		a.PutFloats(sp.dw)
 	}
 	a.PutFloats(sp.tiles)
+	a.PutFloats(sp.scratch)
 	if sp.psg != nil {
 		dgamma, dbeta = reduceGammaBeta(sp.psg, sp.psb, n, g.Cin)
 	}
@@ -309,6 +327,8 @@ type convBwd struct {
 	dx, dw     []float32
 	dwStride   int       // 0: all samples share dw; len(w): sample i owns dw[i*len(w):]
 	tiles      []float32 // per-chunk regenerated ifmap; nil: src is the ifmap
+	scratch    []float32 // per-chunk dW lane scratch, scratchLen floats each
+	scratchLen int
 	psg, psb   []float64 // per-(sample, channel) dγ/dβ partials, under BN
 }
 
@@ -331,14 +351,14 @@ func (sp *convBwd) run(chunk, lo, hi int) {
 			sp.fill(z, src, nil, hw)
 		}
 		dx := sp.dx[in*inLen : (in+1)*inLen]
-		g.BackwardSample(sp.dy[in*outLen:(in+1)*outLen], z, sp.w, dx, sp.dw[in*sp.dwStride:in*sp.dwStride+wLen])
+		scratch := sp.scratch[chunk*sp.scratchLen : (chunk+1)*sp.scratchLen]
+		g.BackwardSample(sp.dy[in*outLen:(in+1)*outLen], z, sp.w, dx, sp.dw[in*sp.dwStride:in*sp.dwStride+wLen], scratch)
 		if sp.tiles == nil {
 			continue
 		}
+		z = z[:len(dx)]
 		for i, zv := range z {
-			if zv <= 0 {
-				dx[i] = 0
-			}
+			dx[i] = passIf(dx[i], zv)
 		}
 		if sp.psg != nil {
 			gammaBetaPartials(dx, src, sp.psg[in*g.Cin:], sp.psb[in*g.Cin:], g.Cin, hw)

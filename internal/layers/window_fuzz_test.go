@@ -59,20 +59,23 @@ func (r *fuzzReader) fill(shape ...int) *tensor.Tensor {
 // fuzzConv decodes a geometry: dense, grouped, depthwise, or FC's 1×1
 // convolution over a 1×1 map; kernels up to 3×3 (not necessarily square),
 // strides up to 3, padding up to one past the kernel, and spatial extents
-// that are rarely a multiple of the 4-wide tiles.
+// that are rarely a multiple of the 4-wide tiles. Rows up to 26 columns wide,
+// dense channel counts up to 10 and FC heads up to 40 wide reach every edge of
+// the lanes' 8- and 16-lane blocks and of FC's 32-lane runs; FC batches up to
+// 5 reach its transposed forward.
 func (r *fuzzReader) fuzzConv() (c Conv2D, n, h, w int) {
 	n = 1 + r.intn(3)
 	kind := r.intn(4)
 	if kind == 3 {
-		return NewConv2D(1+r.intn(40), 1+r.intn(12), 1, 1, 0), n, 1, 1
+		return NewConv2D(1+r.intn(40), 1+r.intn(40), 1, 1, 0), n + r.intn(3), 1, 1
 	}
 	c = Conv2D{KernelH: 1 + r.intn(3), KernelW: 1 + r.intn(3), Stride: 1 + r.intn(3)}
 	c.Pad = r.intn(max(c.KernelH, c.KernelW) + 2)
 	h = max(1, c.KernelH-2*c.Pad) + r.intn(7)
-	w = max(1, c.KernelW-2*c.Pad) + r.intn(7)
+	w = max(1, c.KernelW-2*c.Pad) + r.intn(20)
 	switch kind {
 	case 0:
-		c.InChannels, c.OutChannels = 1+r.intn(6), 1+r.intn(6)
+		c.InChannels, c.OutChannels = 1+r.intn(10), 1+r.intn(10)
 	case 1:
 		c.Groups = 2 + r.intn(2)
 		c.InChannels, c.OutChannels = c.Groups*(1+r.intn(3)), c.Groups*(1+r.intn(3))
@@ -88,7 +91,8 @@ func (r *fuzzReader) fuzzConv() (c Conv2D, n, h, w int) {
 // combinations — over decoded geometries and values, and compares them with
 // the unfused composition (Normalize, ReLUForward, the legacy convolution
 // loops, ComputeStatsMVF; ReLUBackward and BackwardReduce behind the legacy
-// backward) bit for bit, NaN payloads aside, at workers 1 and 4. On FC's
+// backward) bit for bit, NaN payloads aside, at workers 1 and 4 and on both
+// multiply-accumulate bodies (forEachBody). On FC's
 // geometry without a prologue or epilogue, FC itself must match the window
 // too. Plain `go test` replays the seeds; `make fuzz` explores.
 func FuzzConvWindow(f *testing.F) {
@@ -127,85 +131,87 @@ func FuzzConvWindow(f *testing.F) {
 			win.In = &BNStats{Mean: r.fill(c), Var: r.fill(c), M: n * h * w}
 			win.Gamma, win.Beta = r.fill(c), r.fill(c)
 		}
-		for _, workers := range []int{1, 4} {
-			pool := parallel.New(workers)
-			c := conv.WithPool(pool)
-			bn := NewBatchNorm(conv.InChannels).WithPool(pool)
-			if withBN {
-				win.BN = bn
-			}
-
-			// The unfused composition: what the convolution reads (pre is the
-			// pre-activation ReLU masks with, src what backward starts from).
-			z, pre, src := x, x, x
-			var xhatWant *tensor.Tensor
-			if withBN {
-				var err error
-				if pre, xhatWant, err = bn.Normalize(x, win.In, win.Gamma, win.Beta); err != nil {
-					t.Fatal(err)
+		forEachBody(func(body string) {
+			for _, workers := range []int{1, 4} {
+				pool := parallel.New(workers)
+				c := conv.WithPool(pool)
+				bn := NewBatchNorm(conv.InChannels).WithPool(pool)
+				if withBN {
+					win.BN = bn
 				}
-				src = xhatWant
-			}
-			if win.tiled() {
-				z = ReLUForward(pre)
-			}
-			yWant := legacyConvForward(conv, z, wt, biasData)
 
-			y, xhat, m, err := c.ForwardWindow(x, wt, win)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameFloats(y.Data, yWant.Data) {
-				t.Fatalf("%+v %dx%d n=%d win=%03b workers=%d: forward differs from the unfused composition", conv, h, w, n, flags&15, workers)
-			}
-			if withBN && !sameFloats(xhat.Data, xhatWant.Data) {
-				t.Fatalf("%+v workers=%d: x̂ differs from Normalize", conv, workers)
-			}
-			if stats {
-				want, err := NewBatchNorm(conv.OutChannels).WithPool(pool).ComputeStatsMVF(yWant)
+				// The unfused composition: what the convolution reads (pre is the
+				// pre-activation ReLU masks with, src what backward starts from).
+				z, pre, src := x, x, x
+				var xhatWant *tensor.Tensor
+				if withBN {
+					var err error
+					if pre, xhatWant, err = bn.Normalize(x, win.In, win.Gamma, win.Beta); err != nil {
+						t.Fatal(err)
+					}
+					src = xhatWant
+				}
+				if win.tiled() {
+					z = ReLUForward(pre)
+				}
+				yWant := legacyConvForward(conv, z, wt, biasData)
+
+				y, xhat, m, err := c.ForwardWindow(x, wt, win)
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, err := NewBatchNorm(conv.OutChannels).Close(m)
+				if !sameFloats(y.Data, yWant.Data) {
+					t.Fatalf("%s: %+v %dx%d n=%d win=%03b workers=%d: forward differs from the unfused composition", body, conv, h, w, n, flags&15, workers)
+				}
+				if withBN && !sameFloats(xhat.Data, xhatWant.Data) {
+					t.Fatalf("%s: %+v workers=%d: x̂ differs from Normalize", body, conv, workers)
+				}
+				if stats {
+					want, err := NewBatchNorm(conv.OutChannels).WithPool(pool).ComputeStatsMVF(yWant)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st, err := NewBatchNorm(conv.OutChannels).Close(m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.M != want.M || !sameFloats(st.Mean.Data, want.Mean.Data) || !sameFloats(st.Var.Data, want.Var.Data) {
+						t.Fatalf("%s: %+v workers=%d: epilogue statistics differ from ComputeStatsMVF", body, conv, workers)
+					}
+				}
+
+				dzWant, dwWant := tensor.New(x.Shape()...), tensor.New(wt.Shape()...)
+				convBackwardWant(conv, n, h, w, dy.Data, z.Data, wt.Data, dzWant.Data, dwWant.Data, pool.NumChunks(n) > 1)
+				dxWant := dzWant
+				if win.tiled() {
+					if dxWant, err = ReLUBackward(dzWant, pre); err != nil {
+						t.Fatal(err)
+					}
+				}
+				bwin := ConvWindow{Rectify: rectify, BN: win.BN, Gamma: win.Gamma, Beta: win.Beta}
+				dx, dw, dg, db, err := c.BackwardWindow(dy, src, wt, bwin)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if st.M != want.M || !sameFloats(st.Mean.Data, want.Mean.Data) || !sameFloats(st.Var.Data, want.Var.Data) {
-					t.Fatalf("%+v workers=%d: epilogue statistics differ from ComputeStatsMVF", conv, workers)
+				if !sameFloats(dx.Data, dxWant.Data) || !sameFloats(dw.Data, dwWant.Data) {
+					t.Fatalf("%s: %+v %dx%d n=%d win=%03b workers=%d: backward differs from the unfused composition (dx same %v, dw same %v)",
+						body, conv, h, w, n, flags&15, workers, sameFloats(dx.Data, dxWant.Data), sameFloats(dw.Data, dwWant.Data))
 				}
-			}
+				if withBN {
+					dgWant, dbWant, err := bn.BackwardReduce(dxWant, xhatWant)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameFloats(dg.Data, dgWant.Data) || !sameFloats(db.Data, dbWant.Data) {
+						t.Fatalf("%s: %+v workers=%d: dγ/dβ differ from BackwardReduce", body, conv, workers)
+					}
+				}
 
-			dzWant, dwWant := tensor.New(x.Shape()...), tensor.New(wt.Shape()...)
-			convBackwardWant(conv, n, h, w, dy.Data, z.Data, wt.Data, dzWant.Data, dwWant.Data, pool.NumChunks(n) > 1)
-			dxWant := dzWant
-			if win.tiled() {
-				if dxWant, err = ReLUBackward(dzWant, pre); err != nil {
-					t.Fatal(err)
+				if h == 1 && w == 1 && conv.KernelH == 1 && conv.KernelW == 1 && conv.Pad == 0 && conv.groups() == 1 && !win.tiled() && !stats {
+					fuzzFC(t, conv, n, x, wt, win.Bias, dy, y, dx, dw, pool)
 				}
 			}
-			bwin := ConvWindow{Rectify: rectify, BN: win.BN, Gamma: win.Gamma, Beta: win.Beta}
-			dx, dw, dg, db, err := c.BackwardWindow(dy, src, wt, bwin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameFloats(dx.Data, dxWant.Data) || !sameFloats(dw.Data, dwWant.Data) {
-				t.Fatalf("%+v %dx%d n=%d win=%03b workers=%d: backward differs from the unfused composition (dx same %v, dw same %v)",
-					conv, h, w, n, flags&15, workers, sameFloats(dx.Data, dxWant.Data), sameFloats(dw.Data, dwWant.Data))
-			}
-			if withBN {
-				dgWant, dbWant, err := bn.BackwardReduce(dxWant, xhatWant)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameFloats(dg.Data, dgWant.Data) || !sameFloats(db.Data, dbWant.Data) {
-					t.Fatalf("%+v workers=%d: dγ/dβ differ from BackwardReduce", conv, workers)
-				}
-			}
-
-			if h == 1 && w == 1 && conv.KernelH == 1 && conv.KernelW == 1 && conv.Pad == 0 && conv.groups() == 1 && !win.tiled() && !stats {
-				fuzzFC(t, conv, n, x, wt, win.Bias, dy, y, dx, dw, pool)
-			}
-		}
+		})
 	})
 }
 
@@ -236,6 +242,6 @@ func fuzzFC(t *testing.T, conv Conv2D, n int, x, w, bias, dy, y, dx, dw *tensor.
 		}
 	}
 	if !sameFloats(fy.Data, y.Data) || !sameFloats(fdx.Data, dx.Data) || !sameFloats(fdw.Data, dw.Data) || !sameFloats(fdb.Data, dbWant) {
-		t.Fatalf("FC %d->%d n=%d workers=%d differs from its window", fc.In, fc.Out, n, pool.Workers())
+		t.Fatalf("%s: FC %d->%d n=%d workers=%d differs from its window", ConvBody(), fc.In, fc.Out, n, pool.Workers())
 	}
 }

@@ -18,7 +18,8 @@ type replica struct {
 	gen   uint64         // model generation exec serves
 	exec  *core.Executor // loop-goroutine-local after start
 	stats replicaStats
-	buf   []*request // reusable collect buffer
+	buf   []*request       // reusable collect buffer
+	in    []*tensor.Tensor // reusable input batch of k images at in[k-1]
 
 	die     chan struct{} // closed by Engine.CrashReplica: this loop alone exits
 	dieOnce sync.Once
@@ -103,8 +104,7 @@ func (r *replica) run(batch []*request) {
 		}
 		r.exec, r.gen = exec, m.gen
 	}
-	shape := append(tensor.Shape{k}, r.e.imgShape...)
-	x := tensor.New(shape...)
+	x := r.input(k)
 	for i, req := range batch {
 		copy(x.Data[i*r.e.imgLen:(i+1)*r.e.imgLen], req.img)
 	}
@@ -127,6 +127,20 @@ func (r *replica) run(batch []*request) {
 		r.e.mLatency.Observe(end - req.start)
 		req.resp <- result{logits: logits}
 	}
+}
+
+// input returns the replica's input tensor for a batch of k images, one per
+// batch size and reused from batch to batch: the executor lets go of its
+// input when its next pass starts, and run copies the logits out, so an
+// input allocated per batch would only feed the collector.
+func (r *replica) input(k int) *tensor.Tensor {
+	for len(r.in) < k {
+		r.in = append(r.in, nil)
+	}
+	if r.in[k-1] == nil {
+		r.in[k-1] = tensor.New(append(tensor.Shape{k}, r.e.imgShape...)...)
+	}
+	return r.in[k-1]
 }
 
 func (r *replica) fail(batch []*request, err error) {

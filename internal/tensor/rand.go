@@ -54,14 +54,14 @@ func (r *RNG) NormFloat64() float64 {
 // FillUniform fills t with uniform samples in [lo, hi).
 func (r *RNG) FillUniform(t *Tensor, lo, hi float64) {
 	for i := range t.Data {
-		t.Data[i] = float32(lo + (hi-lo)*r.Float64())
+		t.Data[i] = float32(lo + float64((hi-lo)*r.Float64()))
 	}
 }
 
 // FillNormal fills t with normal samples of the given mean and stddev.
 func (r *RNG) FillNormal(t *Tensor, mean, std float64) {
 	for i := range t.Data {
-		t.Data[i] = float32(mean + std*r.NormFloat64())
+		t.Data[i] = float32(mean + float64(std*r.NormFloat64()))
 	}
 }
 

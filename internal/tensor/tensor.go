@@ -240,7 +240,7 @@ func AllClose(a, b *Tensor, rtol, atol float64) bool {
 	}
 	for i := range a.Data {
 		av, bv := float64(a.Data[i]), float64(b.Data[i])
-		if math.Abs(av-bv) > atol+rtol*math.Abs(bv) {
+		if math.Abs(av-bv) > atol+float64(rtol*math.Abs(bv)) {
 			return false
 		}
 	}

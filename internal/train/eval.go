@@ -47,8 +47,8 @@ func Evaluate(exec *core.Executor, data *workload.Dataset, batches, batchSize in
 		if err != nil {
 			return res, err
 		}
-		res.Loss += loss * float64(batchSize)
-		res.Accuracy += acc * float64(batchSize)
+		res.Loss += float64(loss * float64(batchSize))
+		res.Accuracy += float64(acc * float64(batchSize))
 		res.Samples += batchSize
 	}
 	res.Loss /= float64(res.Samples)
@@ -69,7 +69,7 @@ func ClipGradients(grads map[string]*tensor.Tensor, maxNorm float64) (float64, e
 	var sumsq float64
 	for _, name := range det.SortedKeys(grads) {
 		for _, v := range grads[name].Data {
-			sumsq += float64(v) * float64(v)
+			sumsq += float64(float64(v) * float64(v))
 		}
 	}
 	norm := math.Sqrt(sumsq)

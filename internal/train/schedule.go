@@ -47,7 +47,7 @@ func (c CosineDecay) LR(step int) float64 {
 		return c.Floor
 	}
 	frac := float64(step) / float64(c.Total)
-	return c.Floor + (c.Base-c.Floor)*0.5*(1+math.Cos(math.Pi*frac))
+	return c.Floor + float64((c.Base-c.Floor)*0.5*(1+math.Cos(math.Pi*frac)))
 }
 
 // WarmupWrap linearly ramps the wrapped schedule's rate over the first

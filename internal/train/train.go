@@ -63,12 +63,12 @@ func (o *SGD) Step(params, grads map[string]*tensor.Tensor) error {
 		}
 		mu, lr := float32(o.Momentum), float32(o.LR)
 		for i := range w.Data {
-			upd := g.Data[i] + decay*w.Data[i]
-			v.Data[i] = mu*v.Data[i] + upd
+			upd := g.Data[i] + float32(decay*w.Data[i])
+			v.Data[i] = float32(mu*v.Data[i]) + upd
 			if o.Nesterov {
-				w.Data[i] -= lr * (upd + mu*v.Data[i])
+				w.Data[i] -= float32(lr * (upd + float32(mu*v.Data[i])))
 			} else {
-				w.Data[i] -= lr * v.Data[i]
+				w.Data[i] -= float32(lr * v.Data[i])
 			}
 		}
 	}
