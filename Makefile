@@ -62,8 +62,9 @@ profile-smoke:
 
 # Smoke run of the paper-grade experiment harness: build cmd/bnff-exp, run
 # the committed grid's smoke subset with repeats, validate the emitted
-# BENCH_train.json / BENCH_serve.json (embedded checks must all pass), and
-# prove the canonical forms are byte-deterministic across two runs.
+# BENCH_train.json (embedded checks must all pass), prove its canonical form
+# is byte-deterministic across two runs, and compare every digest with the
+# committed file.
 exp-smoke:
 	./scripts/paper/run_all.sh -smoke
 

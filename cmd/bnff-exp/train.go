@@ -14,7 +14,7 @@ import (
 // same seed must yield the same final loss and the same trained-parameter
 // checkpoint, byte for byte, every time. The trained-checkpoint digest of the
 // first repeat is the scenario's recorded digest.
-func (r *runner) runTrain(sp scenario.Spec) (experiments.BenchScenario, error) {
+func runTrain(clock func() int64, sp scenario.Spec) (experiments.BenchScenario, error) {
 	var (
 		digests     []string
 		losses      []float64
@@ -27,12 +27,12 @@ func (r *runner) runTrain(sp scenario.Spec) (experiments.BenchScenario, error) {
 		if err != nil {
 			return experiments.BenchScenario{}, err
 		}
-		t0 := r.clock()
+		t0 := clock()
 		res, err := tr.Run(sp.Steps)
 		if err != nil {
 			return experiments.BenchScenario{}, err
 		}
-		elapsed := float64(r.clock() - t0)
+		elapsed := float64(clock() - t0)
 		times = append(times, elapsed)
 		if elapsed > 0 {
 			stepRates = append(stepRates, float64(sp.Steps)/(elapsed/1e9))

@@ -45,9 +45,8 @@ func runMeasured(args []string, stdout io.Writer) error {
 
 	// The profile sweeps every restructuring itself, so the spec's own
 	// Restructure field is overwritten per scenario.
-	sp, err := scenario.Resolve(*scenName, scenario.KindTrain, scenario.Spec{
+	sp, err := scenario.Resolve(*scenName, scenario.Spec{
 		Name:    "cli/profile",
-		Kind:    scenario.KindTrain,
 		Model:   *model,
 		Batch:   *batch,
 		Steps:   *steps,

@@ -47,9 +47,8 @@ func main() {
 	bnStrategy := flag.String("bn-strategy", "local", "replica BN statistics: local (per-shard ghost batches) or sync (one extra all-reduce, needs an MVF restructure)")
 	flag.Parse()
 
-	sp, err := scenario.Resolve(*scenName, scenario.KindTrain, scenario.Spec{
+	sp, err := scenario.Resolve(*scenName, scenario.Spec{
 		Name:        "cli/train",
-		Kind:        scenario.KindTrain,
 		Model:       *model,
 		Restructure: *restructure,
 		Steps:       *steps,

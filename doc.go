@@ -74,7 +74,8 @@
 // makes zero-downtime testable: during a roll every answer must bit-match
 // exactly one checkpoint generation, and afterwards only the new one
 // (asserted end to end, over real processes and sockets, by
-// scripts/fleet-smoke.sh, and in-process by the serve/fleet/* scenarios).
+// scripts/fleet-smoke.sh, and in-process by internal/fleet's
+// TestEngineFleetRollingReload).
 //
 // # Observability
 //

@@ -191,18 +191,6 @@ func (e *Executor) SaveFile(path string) error {
 	return saveFileAtomic(path, e.Save)
 }
 
-// SaveFileVia is SaveFile with the checkpoint byte stream routed through
-// wrap — a fault-injection seam for chaos drills (e.g. a writer that starts
-// failing once the "disk" is full). The atomicity contract is SaveFile's: on
-// any error the previous checkpoint at path survives byte-identical and the
-// temporary file is removed. A nil wrap degenerates to SaveFile.
-func (e *Executor) SaveFileVia(path string, wrap func(io.Writer) io.Writer) error {
-	if wrap == nil {
-		return e.SaveFile(path)
-	}
-	return saveFileAtomic(path, func(w io.Writer) error { return e.Save(wrap(w)) })
-}
-
 // saveFileAtomic is SaveFile's write-temp/sync/rename machinery with the
 // serializer injected, so tests can fail a save mid-write and assert the
 // previous checkpoint survives.

@@ -10,23 +10,20 @@ import (
 	"bnff/internal/scenario"
 )
 
-// BENCH_*.json is the machine-readable evidence a paper run leaves behind:
-// one file per area (train, serve) holding, for every scenario executed, the
-// normalized spec, the pass/fail verdict of each embedded check, and the
+// BENCH_train.json is the machine-readable evidence a paper run leaves behind:
+// for every training scenario executed, the normalized spec, the pass/fail verdict of each embedded check, and the
 // min/median/mean/max aggregate of every metric across repeats. Timing
 // metrics are flagged so the canonical form — the byte-deterministic subset —
 // can strip them; everything else in the file is a pure function of the grid
 // and the seeds.
 
 // BenchSchemaVersion is bumped whenever the BENCH file layout changes
-// incompatibly; readers reject files from another version.
-const BenchSchemaVersion = 1
+// incompatibly; readers reject files from another version. Version 2 dropped
+// the file's area and the embedded spec's kind.
+const BenchSchemaVersion = 2
 
-// BENCH areas and the injected-clock modes a run records.
+// The injected-clock modes a run records.
 const (
-	AreaTrain = "train"
-	AreaServe = "serve"
-
 	ClockWall = "wall"
 	ClockStep = "step"
 )
@@ -49,7 +46,7 @@ type BenchMetric struct {
 }
 
 // BenchScenario is one executed scenario: its normalized spec, a digest of
-// the deterministic output (trained parameters or reference logits), the
+// the deterministic output (the trained-parameter checkpoint), the
 // check verdicts, and the metric aggregates.
 type BenchScenario struct {
 	Name    string        `json:"name"`
@@ -60,31 +57,26 @@ type BenchScenario struct {
 	Metrics []BenchMetric `json:"metrics"`
 }
 
-// BenchFile is one BENCH_<area>.json document.
+// BenchFile is one BENCH_train.json document.
 type BenchFile struct {
 	SchemaVersion int             `json:"schema_version"`
-	Area          string          `json:"area"`
 	Clock         string          `json:"clock"`
 	Smoke         bool            `json:"smoke,omitempty"`
 	Scenarios     []BenchScenario `json:"scenarios"`
 }
 
 // Validate checks the document's invariants: matching schema version, known
-// area and clock, scenarios sorted by unique name, every spec normalized and
-// agreeing with its envelope, repeats at least 3 in a full (non-smoke) run,
+// clock, scenarios sorted by unique name, every spec normalized, repeats at least 3 in a full (non-smoke) run,
 // and the check list exactly the one the spec promises — every check passing.
 func (f *BenchFile) Validate() error {
 	if f.SchemaVersion != BenchSchemaVersion {
 		return fmt.Errorf("bench: schema_version %d, this build reads %d", f.SchemaVersion, BenchSchemaVersion)
 	}
-	if f.Area != AreaTrain && f.Area != AreaServe {
-		return fmt.Errorf("bench: unknown area %q (want %s or %s)", f.Area, AreaTrain, AreaServe)
-	}
 	if f.Clock != ClockWall && f.Clock != ClockStep {
 		return fmt.Errorf("bench: unknown clock %q (want %s or %s)", f.Clock, ClockWall, ClockStep)
 	}
 	if len(f.Scenarios) == 0 {
-		return fmt.Errorf("bench: %s file has no scenarios", f.Area)
+		return fmt.Errorf("bench: file has no scenarios")
 	}
 	prev := ""
 	for i := range f.Scenarios {
@@ -111,9 +103,6 @@ func (f *BenchFile) validateScenario(bs *BenchScenario) error {
 	if norm != bs.Spec {
 		return fmt.Errorf("bench: scenario %q: embedded spec is not normalized", bs.Name)
 	}
-	if kind := kindOfArea(f.Area); bs.Spec.Kind != kind {
-		return fmt.Errorf("bench: scenario %q has kind %q in the %s file", bs.Name, bs.Spec.Kind, f.Area)
-	}
 	if bs.Repeats != bs.Spec.Repeats {
 		return fmt.Errorf("bench: scenario %q ran %d repeats, spec asks for %d", bs.Name, bs.Repeats, bs.Spec.Repeats)
 	}
@@ -138,13 +127,6 @@ func (f *BenchFile) validateScenario(bs *BenchScenario) error {
 		}
 	}
 	return nil
-}
-
-func kindOfArea(area string) string {
-	if area == AreaServe {
-		return scenario.KindServe
-	}
-	return scenario.KindTrain
 }
 
 // Canonical returns a deep copy with every timing metric's aggregate zeroed.
@@ -192,7 +174,7 @@ func (f *BenchFile) WriteFile(path string) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// ReadBenchFile parses and validates a BENCH_*.json document.
+// ReadBenchFile parses and validates a BENCH_train.json document.
 func ReadBenchFile(path string) (*BenchFile, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

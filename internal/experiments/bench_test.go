@@ -16,7 +16,7 @@ func validBench(t *testing.T) *BenchFile {
 	t.Helper()
 	reg := scenario.Builtin()
 	var scs []BenchScenario
-	for _, sp := range reg.Kind(scenario.KindTrain) {
+	for _, sp := range reg.Specs() {
 		var checks []BenchCheck
 		for _, name := range sp.Checks() {
 			checks = append(checks, BenchCheck{Name: name, Pass: true})
@@ -35,7 +35,6 @@ func validBench(t *testing.T) *BenchFile {
 	}
 	return &BenchFile{
 		SchemaVersion: BenchSchemaVersion,
-		Area:          AreaTrain,
 		Clock:         ClockStep,
 		Scenarios:     scs,
 	}
@@ -54,7 +53,6 @@ func TestBenchValidateRejects(t *testing.T) {
 		want string
 	}{
 		{"bad version", func(f *BenchFile) { f.SchemaVersion = 99 }, "schema_version"},
-		{"bad area", func(f *BenchFile) { f.Area = "tests" }, "unknown area"},
 		{"bad clock", func(f *BenchFile) { f.Clock = "sun" }, "unknown clock"},
 		{"empty", func(f *BenchFile) { f.Scenarios = nil }, "no scenarios"},
 		{"unsorted", func(f *BenchFile) {
@@ -62,7 +60,7 @@ func TestBenchValidateRejects(t *testing.T) {
 		}, "sorted order"},
 		{"name mismatch", func(f *BenchFile) { f.Scenarios[0].Name = "zzz" }, "wraps spec named"},
 		{"not normalized", func(f *BenchFile) { f.Scenarios[0].Spec.Batch = 0 }, "not normalized"},
-		{"kind mismatch", func(f *BenchFile) { f.Area = AreaServe; f.Clock = ClockWall }, "kind"},
+		{"invalid spec", func(f *BenchFile) { f.Scenarios[0].Spec.Model = "no-such-model" }, "unknown model"},
 		{"repeats mismatch", func(f *BenchFile) { f.Scenarios[0].Repeats = 7 }, "repeats"},
 		{"too few repeats", func(f *BenchFile) {
 			f.Scenarios[0].Spec.Repeats = 2

@@ -111,7 +111,7 @@ func StructureChecks() (*Experiment, error) {
 	var detail strings.Builder
 	fmt.Fprintf(&detail, "%-36s %-10s %4s %5s %4s %5s %6s\n",
 		"scenario", "level", "bn", "rconv", "brc", "stats", "subbn")
-	for _, sp := range scenario.Builtin().Kind(scenario.KindTrain) {
+	for _, sp := range scenario.Builtin().Specs() {
 		g, err := sp.BuildGraph(sp.Batch)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sp.Name, err)

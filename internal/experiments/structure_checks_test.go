@@ -15,7 +15,7 @@ func TestStructureChecksCoversEveryTrainScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := scenario.Builtin().Kind(scenario.KindTrain)
+	specs := scenario.Builtin().Specs()
 	if len(e.Metrics) != len(specs) {
 		t.Fatalf("structure has %d metrics, want one per train scenario (%d)", len(e.Metrics), len(specs))
 	}

@@ -28,7 +28,7 @@ func Daemon(ctx context.Context, addr string, p *Proxy, probeInterval time.Durat
 
 	go p.ControlPlane().ProbeLoop(ctx, probeInterval)
 
-	srv := &http.Server{Addr: addr, Handler: p.Handler(), ReadHeaderTimeout: serve.ReadHeaderTimeout}
+	srv := serve.NewHTTPServer(addr, p.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 

@@ -151,8 +151,8 @@ func TestEngineFleetFailoverAndBitMatch(t *testing.T) {
 
 // TestEngineFleetRollingReload reloads a two-backend fleet under continuous
 // traffic: zero request errors throughout, and every answer bit-matches one
-// of the two generations' references. Afterwards both backends serve the
-// new generation exactly.
+// of the two generations' references. Afterwards both backends are active in
+// the control plane and serve the new generation exactly.
 func TestEngineFleetRollingReload(t *testing.T) {
 	ckptA := mkCheckpoint(t, 11, 12)
 	ckptB := mkCheckpoint(t, 77, 78)
@@ -214,6 +214,9 @@ func TestEngineFleetRollingReload(t *testing.T) {
 	for name, eng := range map[string]*serve.Engine{"b1": e1, "b2": e2} {
 		if eng.Draining() {
 			t.Fatalf("%s left draining after the roll", name)
+		}
+		if st := cp.States()[name]; st != StateActive {
+			t.Fatalf("%s left %s after the roll, want %s", name, st, StateActive)
 		}
 	}
 	logits, err := p.Predict("rolling-key", img)

@@ -219,3 +219,12 @@ func TestProxyPredictOversizedBodyIs413(t *testing.T) {
 		t.Errorf("oversized /predict status %d, want 413", rec.Code)
 	}
 }
+
+// The proxy's server cancels a request once serve.ReadTimeout passes, so that
+// limit must exceed the bound on one backend round trip: a slow backend then
+// fails over on its own timeout instead of taking the client's request down.
+func TestProxyReadTimeoutExceedsBackendBound(t *testing.T) {
+	if serve.ReadTimeout <= httpConnTimeout {
+		t.Errorf("serve.ReadTimeout %v <= httpConnTimeout %v", serve.ReadTimeout, httpConnTimeout)
+	}
+}

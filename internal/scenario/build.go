@@ -2,20 +2,17 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
 	"bnff/internal/core"
 	"bnff/internal/ddp"
 	"bnff/internal/graph"
 	"bnff/internal/models"
-	"bnff/internal/obs"
-	"bnff/internal/serve"
 	"bnff/internal/train"
 	"bnff/internal/workload"
 )
 
 // Builders: a normalized Spec is the single source of truth for constructing
-// graphs, executors, trainers, datasets, and serve configs, so commands stop
+// graphs, executors, trainers, and datasets, so commands stop
 // carrying their own flag→constructor wiring. All builders expect a
 // normalized spec (Normalize has run); Registry and Grid hand out only
 // normalized specs.
@@ -42,9 +39,6 @@ func (s Spec) BuildGraph(batch int) (*graph.Graph, error) {
 // options append after the spec-derived ones, so callers can attach tracers
 // or metrics.
 func (s Spec) NewExecutor(extra ...core.Option) (*core.Executor, error) {
-	if s.Kind != KindTrain {
-		return nil, fmt.Errorf("scenario %q: NewExecutor applies to train scenarios", s.Name)
-	}
 	g, err := s.BuildGraph(s.Batch)
 	if err != nil {
 		return nil, err
@@ -122,28 +116,4 @@ func (s Spec) NewTrainer(extra ...train.TrainerOption) (*train.Trainer, error) {
 		train.WithBNStrategy(st),
 	}
 	return train.NewTrainer(exec, data, append(opts, extra...)...)
-}
-
-// ServeBuilder returns the model builder a serve engine loads graphs
-// through.
-func (s Spec) ServeBuilder() serve.Builder {
-	model := s.Model
-	return func(batch int) (*graph.Graph, error) { return models.Build(model, batch) }
-}
-
-// ServeConfig maps the spec onto the serve engine's configuration. The
-// injected clock and metrics registry may be nil (engine defaults apply).
-func (s Spec) ServeConfig(clock func() int64, metrics *obs.Registry) serve.Config {
-	return serve.Config{
-		MaxBatch:   s.MaxBatch,
-		MaxWait:    time.Duration(s.MaxWaitMS) * time.Millisecond,
-		Replicas:   s.Replicas,
-		QueueDepth: s.QueueDepth,
-		MinService: time.Duration(s.ServiceFloorMS) * time.Millisecond,
-		Workers:    s.Workers,
-		FoldBN:     s.Fold,
-		Seed:       s.Seed,
-		Clock:      clock,
-		Metrics:    metrics,
-	}
 }

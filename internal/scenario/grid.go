@@ -9,41 +9,31 @@ import (
 )
 
 // GridSchemaVersion stamps the experiments.json format. Bump on any
-// incompatible change to Grid or Spec field semantics.
-const GridSchemaVersion = 1
+// incompatible change to Grid or Spec field semantics. Version 2 dropped the
+// serve scenario list and the spec's kind field.
+const GridSchemaVersion = 2
 
-// Grid is the on-disk experiment grid (scripts/paper/experiments.json):
-// the train and serve scenario lists plus the names the smoke subset runs
-// in CI. Decoding normalizes every spec and rejects duplicates, unknown
-// smoke names, and kind/list mismatches.
+// Grid is the on-disk experiment grid (scripts/paper/experiments.json): the
+// training scenarios plus the names the smoke subset runs in CI. Decoding
+// normalizes every spec and rejects duplicates and unknown smoke names.
 type Grid struct {
 	SchemaVersion int      `json:"schema_version"`
 	Train         []Spec   `json:"train"`
-	Serve         []Spec   `json:"serve"`
 	Smoke         []string `json:"smoke,omitempty"`
 }
 
 // DefaultGrid renders the builtin registry as a grid, with the smoke subset
-// covering one restructured training run, every chaos serve drill, and the
-// fleet failover and rolling-reload drills.
+// covering the baseline, one restructured run and one data-parallel run.
 func DefaultGrid() *Grid {
-	reg := Builtin()
-	g := &Grid{
+	return &Grid{
 		SchemaVersion: GridSchemaVersion,
-		Train:         reg.Kind(KindTrain),
-		Serve:         reg.Kind(KindServe),
+		Train:         Builtin().Specs(),
 		Smoke: []string{
 			"train/tiny-densenet/baseline",
 			"train/tiny-densenet/bnff",
 			"train/tiny-densenet/bnff/ddp2",
-			"serve/tiny-densenet/overload",
-			"serve/tiny-cnn/replica-crash",
-			"serve/tiny-cnn/disk-full-checkpoint",
-			"serve/fleet/tiny-cnn/backend-crash",
-			"serve/fleet/tiny-cnn/rolling-reload",
 		},
 	}
-	return g
 }
 
 // ParseGrid decodes and validates a grid. Unknown JSON fields are errors so
@@ -79,27 +69,15 @@ func (g *Grid) validate() error {
 	if g.SchemaVersion != GridSchemaVersion {
 		return fmt.Errorf("scenario: grid schema_version %d, this binary speaks %d", g.SchemaVersion, GridSchemaVersion)
 	}
-	seen := make(map[string]bool, len(g.Train)+len(g.Serve))
-	check := func(specs []Spec, kind string) error {
-		for i := range specs {
-			if err := specs[i].Normalize(); err != nil {
-				return err
-			}
-			if specs[i].Kind != kind {
-				return fmt.Errorf("scenario %q: kind %q listed under %q", specs[i].Name, specs[i].Kind, kind)
-			}
-			if seen[specs[i].Name] {
-				return fmt.Errorf("scenario: duplicate name %q", specs[i].Name)
-			}
-			seen[specs[i].Name] = true
+	seen := make(map[string]bool, len(g.Train))
+	for i := range g.Train {
+		if err := g.Train[i].Normalize(); err != nil {
+			return err
 		}
-		return nil
-	}
-	if err := check(g.Train, KindTrain); err != nil {
-		return err
-	}
-	if err := check(g.Serve, KindServe); err != nil {
-		return err
+		if seen[g.Train[i].Name] {
+			return fmt.Errorf("scenario: duplicate name %q", g.Train[i].Name)
+		}
+		seen[g.Train[i].Name] = true
 	}
 	for _, name := range g.Smoke {
 		if !seen[name] {
@@ -112,7 +90,7 @@ func (g *Grid) validate() error {
 // Registry indexes the grid's scenarios. The grid must have been produced by
 // ParseGrid/LoadGrid or DefaultGrid (specs normalized).
 func (g *Grid) Registry() (*Registry, error) {
-	return NewRegistry(append(append([]Spec{}, g.Train...), g.Serve...)...)
+	return NewRegistry(g.Train...)
 }
 
 // MarshalCanonical renders the grid in its canonical byte form: two-space

@@ -33,9 +33,6 @@ func NewRegistry(specs ...Spec) (*Registry, error) {
 // Names lists the registered scenario names, sorted.
 func (r *Registry) Names() []string { return det.SortedKeys(r.specs) }
 
-// Len returns the number of registered scenarios.
-func (r *Registry) Len() int { return len(r.specs) }
-
 // Get returns the named spec.
 func (r *Registry) Get(name string) (Spec, bool) {
 	s, ok := r.specs[name]
@@ -51,31 +48,17 @@ func (r *Registry) Specs() []Spec {
 	return out
 }
 
-// Kind returns the specs of one kind, in sorted-name order.
-func (r *Registry) Kind(kind string) []Spec {
-	var out []Spec
-	for _, s := range r.Specs() {
-		if s.Kind == kind {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Resolve produces the normalized spec a command runs. Without a name it is
 // fromFlags, the spec assembled from every flag value. With one it is the
-// named builtin scenario, which must be of the given kind, with override
-// layering the explicitly set flags on top.
-func Resolve(name, kind string, fromFlags Spec, override func(*Spec)) (Spec, error) {
+// named builtin scenario, with override layering the explicitly set flags on
+// top.
+func Resolve(name string, fromFlags Spec, override func(*Spec)) (Spec, error) {
 	sp := fromFlags
 	if name != "" {
 		reg := Builtin()
 		got, ok := reg.Get(name)
 		if !ok {
 			return Spec{}, fmt.Errorf("unknown scenario %q (builtin: %v)", name, reg.Names())
-		}
-		if got.Kind != kind {
-			return Spec{}, fmt.Errorf("scenario %q is a %s scenario; this command wants a %s scenario", name, got.Kind, kind)
 		}
 		sp = got
 		override(&sp)
@@ -94,11 +77,12 @@ func Builtin() *Registry {
 	var specs []Spec
 	// The restructuring ladder on the DenseNet-style composite-layer model —
 	// the paper's primary subject — plus baseline/BNFF bookends on the
-	// ResNet-style model and fusion variants on the plain CNN.
-	for _, restructure := range []string{"baseline", "rcf", "rcf+mvf", "bnff", "bnff+icf"} {
+	// ResNet-style model and BNFF at one and four workers on the plain CNN.
+	// There is no bnff+icf rung: ICF only marks concat boundaries for the
+	// cost model, so it would train exactly as bnff does.
+	for _, restructure := range []string{"baseline", "rcf", "rcf+mvf", "bnff"} {
 		specs = append(specs, Spec{
 			Name:        "train/tiny-densenet/" + restructure,
-			Kind:        KindTrain,
 			Model:       "tiny-densenet",
 			Restructure: restructure,
 			Batch:       8,
@@ -109,7 +93,6 @@ func Builtin() *Registry {
 	for _, restructure := range []string{"baseline", "bnff"} {
 		specs = append(specs, Spec{
 			Name:        "train/tiny-resnet/" + restructure,
-			Kind:        KindTrain,
 			Model:       "tiny-resnet",
 			Restructure: restructure,
 			Batch:       8,
@@ -119,17 +102,15 @@ func Builtin() *Registry {
 	}
 	specs = append(specs,
 		Spec{
-			Name:        "train/tiny-cnn/bnff+icf",
-			Kind:        KindTrain,
+			Name:        "train/tiny-cnn/bnff",
 			Model:       "tiny-cnn",
-			Restructure: "bnff+icf",
+			Restructure: "bnff",
 			Batch:       8,
 			Steps:       3,
 			Seed:        42,
 		},
 		Spec{
 			Name:        "train/tiny-cnn/bnff/workers4",
-			Kind:        KindTrain,
 			Model:       "tiny-cnn",
 			Restructure: "bnff",
 			Batch:       8,
@@ -145,7 +126,6 @@ func Builtin() *Registry {
 	specs = append(specs,
 		Spec{
 			Name:        "train/tiny-densenet/bnff/ddp2",
-			Kind:        KindTrain,
 			Model:       "tiny-densenet",
 			Restructure: "bnff",
 			Batch:       8,
@@ -156,7 +136,6 @@ func Builtin() *Registry {
 		},
 		Spec{
 			Name:        "train/tiny-densenet/bnff/ddp4",
-			Kind:        KindTrain,
 			Model:       "tiny-densenet",
 			Restructure: "bnff",
 			Batch:       8,
@@ -167,7 +146,6 @@ func Builtin() *Registry {
 		},
 		Spec{
 			Name:        "train/tiny-densenet/bnff/ddp2-local",
-			Kind:        KindTrain,
 			Model:       "tiny-densenet",
 			Restructure: "bnff",
 			Batch:       8,
@@ -175,130 +153,6 @@ func Builtin() *Registry {
 			Seed:        42,
 			Replicas:    2,
 			BNStrategy:  "local",
-		},
-	)
-
-	// Serving: steady-state shapes on the folded ResNet-style model, chaos
-	// drills on the fast plain CNN so the failure paths run in CI time.
-	specs = append(specs,
-		Spec{
-			Name:    "serve/tiny-resnet/steady",
-			Kind:    KindServe,
-			Model:   "tiny-resnet",
-			Seed:    42,
-			Fold:    true,
-			Traffic: TrafficSteady,
-		},
-		Spec{
-			Name:    "serve/tiny-resnet/bursty",
-			Kind:    KindServe,
-			Model:   "tiny-resnet",
-			Seed:    42,
-			Fold:    true,
-			Traffic: TrafficBursty,
-		},
-		Spec{
-			Name:          "serve/tiny-cnn/slow-client",
-			Kind:          KindServe,
-			Model:         "tiny-cnn",
-			Seed:          42,
-			Traffic:       TrafficSlowClient,
-			Requests:      32,
-			ClientDelayMS: 2,
-		},
-		// Overload drives 12 blocking clients into a single replica with a
-		// 2-deep queue. The service floor holds the replica for 20 ms per
-		// batch, so while a batch is in service the other clients pile onto
-		// the queue and the excess must shed, even on one CPU — regardless of
-		// how fast the compute kernels make the actual forward pass.
-		Spec{
-			Name:           "serve/tiny-densenet/overload",
-			Kind:           KindServe,
-			Model:          "tiny-densenet",
-			Seed:           42,
-			Traffic:        TrafficOverload,
-			Requests:       48,
-			Clients:        12,
-			QueueDepth:     2,
-			MaxBatch:       4,
-			ServiceFloorMS: 20,
-			Replicas:       1,
-		},
-		Spec{
-			Name:     "serve/tiny-cnn/replica-crash",
-			Kind:     KindServe,
-			Model:    "tiny-cnn",
-			Seed:     42,
-			Traffic:  TrafficCrash,
-			Replicas: 2,
-			Requests: 48,
-		},
-		Spec{
-			Name:     "serve/tiny-cnn/disk-full-checkpoint",
-			Kind:     KindServe,
-			Model:    "tiny-cnn",
-			Seed:     42,
-			Traffic:  TrafficDiskFull,
-			Requests: 32,
-		},
-	)
-
-	// Fleet serving: identical folded plain-CNN engines behind the front
-	// proxy. The steady ladder at 1/2/4 backends records the multi-process
-	// requests-per-second scaling; the drills exercise the fleet's failure
-	// contracts — a backend crash loses zero accepted requests, a rolling
-	// checkpoint reload stays bit-identical to one generation per answer,
-	// and a fully saturated fleet sheds instead of queueing without bound.
-	for _, n := range []int{1, 2, 4} {
-		specs = append(specs, Spec{
-			Name:     fmt.Sprintf("serve/fleet/tiny-cnn/rps%d", n),
-			Kind:     KindServe,
-			Model:    "tiny-cnn",
-			Seed:     42,
-			Fold:     true,
-			Traffic:  TrafficSteady,
-			Backends: n,
-		})
-	}
-	specs = append(specs,
-		Spec{
-			Name:     "serve/fleet/tiny-cnn/backend-crash",
-			Kind:     KindServe,
-			Model:    "tiny-cnn",
-			Seed:     42,
-			Fold:     true,
-			Traffic:  TrafficBackendCrash,
-			Backends: 2,
-			Requests: 48,
-		},
-		Spec{
-			Name:     "serve/fleet/tiny-cnn/rolling-reload",
-			Kind:     KindServe,
-			Model:    "tiny-cnn",
-			Seed:     42,
-			Fold:     true,
-			Traffic:  TrafficRollingReload,
-			Backends: 2,
-			Requests: 48,
-		},
-		// The fleet overload twin of serve/tiny-densenet/overload: the same
-		// 20 ms service floor and 2-deep queues, but 16 clients press
-		// against two single-replica backends through the proxy — 12 request
-		// slots in all, and requests shed only once every backend's queue is
-		// full.
-		Spec{
-			Name:           "serve/fleet/tiny-densenet/proxy-overload",
-			Kind:           KindServe,
-			Model:          "tiny-densenet",
-			Seed:           42,
-			Traffic:        TrafficProxyOverload,
-			Backends:       2,
-			Requests:       48,
-			Clients:        16,
-			QueueDepth:     2,
-			MaxBatch:       4,
-			ServiceFloorMS: 20,
-			Replicas:       1,
 		},
 	)
 

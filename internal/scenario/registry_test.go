@@ -34,30 +34,6 @@ func TestRegistryRejectsDuplicates(t *testing.T) {
 	}
 }
 
-func TestRegistryKindSplit(t *testing.T) {
-	reg := Builtin()
-	train, serveSpecs := reg.Kind(KindTrain), reg.Kind(KindServe)
-	if len(train)+len(serveSpecs) != reg.Len() {
-		t.Errorf("kind split loses specs: %d + %d != %d", len(train), len(serveSpecs), reg.Len())
-	}
-	for _, s := range serveSpecs {
-		if s.Kind != KindServe {
-			t.Errorf("%s leaked into serve list", s.Name)
-		}
-	}
-	// Every chaos shape must be represented so the paper harness always
-	// exercises the failure drills.
-	byTraffic := map[string]bool{}
-	for _, s := range serveSpecs {
-		byTraffic[s.Traffic] = true
-	}
-	for _, tr := range []string{TrafficOverload, TrafficCrash, TrafficDiskFull} {
-		if !byTraffic[tr] {
-			t.Errorf("builtin registry has no %s serve scenario", tr)
-		}
-	}
-}
-
 // The committed experiments.json is the cross-process determinism golden:
 // any difference between a fresh in-process rendering of the builtin grid
 // and the bytes a previous process committed is a determinism (or staleness)
@@ -99,13 +75,16 @@ func TestDefaultGridRoundTrips(t *testing.T) {
 
 func TestParseGridRejects(t *testing.T) {
 	cases := map[string]string{
-		"bad version":   `{"schema_version": 99, "train": [], "serve": []}`,
-		"unknown field": `{"schema_version": 1, "train": [], "serve": [], "extra": 1}`,
-		"kind mismatch": `{"schema_version": 1, "train": [{"name":"x","kind":"serve","model":"tiny-cnn"}], "serve": []}`,
-		"bad smoke":     `{"schema_version": 1, "train": [], "serve": [], "smoke": ["ghost"]}`,
-		"dup name": `{"schema_version": 1, "train": [
-			{"name":"x","kind":"train","model":"tiny-cnn"},
-			{"name":"x","kind":"train","model":"tiny-cnn"}], "serve": []}`,
+		"bad version":   `{"schema_version": 99, "train": []}`,
+		"old version":   `{"schema_version": 1, "train": []}`,
+		"unknown field": `{"schema_version": 2, "train": [], "extra": 1}`,
+		"serve list":    `{"schema_version": 2, "train": [], "serve": []}`,
+		"spec kind":     `{"schema_version": 2, "train": [{"name":"x","kind":"train","model":"tiny-cnn"}]}`,
+		"bad spec":      `{"schema_version": 2, "train": [{"name":"x","model":"no-such-model"}]}`,
+		"bad smoke":     `{"schema_version": 2, "train": [], "smoke": ["ghost"]}`,
+		"dup name": `{"schema_version": 2, "train": [
+			{"name":"x","model":"tiny-cnn"},
+			{"name":"x","model":"tiny-cnn"}]}`,
 	}
 	for name, raw := range cases {
 		if _, err := ParseGrid(bytes.NewReader([]byte(raw))); err == nil {
@@ -116,25 +95,21 @@ func TestParseGridRejects(t *testing.T) {
 
 func TestResolve(t *testing.T) {
 	noOverride := func(*Spec) {}
-	if _, err := Resolve("train/no-such", KindTrain, validTrain(), noOverride); err == nil ||
+	if _, err := Resolve("train/no-such", validTrain(), noOverride); err == nil ||
 		!strings.Contains(err.Error(), "unknown scenario") {
 		t.Errorf("unknown name: err %v", err)
 	}
-	if _, err := Resolve("serve/tiny-cnn/slow-client", KindTrain, validTrain(), noOverride); err == nil ||
-		!strings.Contains(err.Error(), "is a serve scenario") {
-		t.Errorf("wrong kind: err %v", err)
-	}
 
-	sp, err := Resolve("train/tiny-cnn/bnff+icf", KindTrain, validTrain(), func(s *Spec) { s.Batch = 4 })
+	sp, err := Resolve("train/tiny-cnn/bnff", validTrain(), func(s *Spec) { s.Batch = 4 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Name != "train/tiny-cnn/bnff+icf" || sp.Batch != 4 || sp.Steps != 3 {
+	if sp.Name != "train/tiny-cnn/bnff" || sp.Batch != 4 || sp.Steps != 3 {
 		t.Errorf("override not layered over the builtin: %+v", sp)
 	}
 
 	// Without a name the flag-built spec is normalized as is.
-	sp, err = Resolve("", KindTrain, validTrain(), func(s *Spec) { s.Batch = 4 })
+	sp, err = Resolve("", validTrain(), func(s *Spec) { s.Batch = 4 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +119,11 @@ func TestResolve(t *testing.T) {
 
 	bad := validTrain()
 	bad.Model = "no-such-model"
-	if _, err := Resolve("", KindTrain, bad, noOverride); err == nil ||
+	if _, err := Resolve("", bad, noOverride); err == nil ||
 		!strings.Contains(err.Error(), "unknown model") {
 		t.Errorf("Normalize error not returned: err %v", err)
 	}
-	if _, err := Resolve("train/tiny-cnn/bnff+icf", KindTrain, validTrain(), func(s *Spec) { s.Workers = -1 }); err == nil {
+	if _, err := Resolve("train/tiny-cnn/bnff", validTrain(), func(s *Spec) { s.Workers = -1 }); err == nil {
 		t.Error("override producing an invalid spec was accepted")
 	}
 }

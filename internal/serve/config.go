@@ -29,15 +29,6 @@ type Config struct {
 	// 4 × MaxBatch × Replicas.
 	QueueDepth int
 
-	// MinService, when positive, is a floor on each batch's service time:
-	// the replica sleeps it off before running the forward pass. It emulates
-	// a slower model or accelerator, which is what makes load drills
-	// independent of how fast the compute kernels happen to be — an overload
-	// scenario's shed contract must hold because the queue is bounded, not
-	// because a forward pass outruns the scheduler's preemption quantum.
-	// Default 0: no floor.
-	MinService time.Duration
-
 	// Workers is each replica executor's worker-pool size (core.WithWorkers).
 	// Default 1: replica-level parallelism usually beats intra-batch
 	// parallelism at serving batch sizes.
@@ -108,9 +99,6 @@ func (c Config) validate() error {
 	}
 	if c.Workers < 1 {
 		return fmt.Errorf("serve: Workers %d < 1", c.Workers)
-	}
-	if c.MinService < 0 {
-		return fmt.Errorf("serve: MinService %v < 0", c.MinService)
 	}
 	return nil
 }

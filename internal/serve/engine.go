@@ -32,11 +32,14 @@ type result struct {
 
 // model is one immutable checkpoint generation. Reload swaps the engine's
 // current *model atomically; each replica notices the generation change
-// between micro-batches, drops its old executor, and builds one from the new
-// blob — so a reload never stalls the other replicas.
+// between micro-batches, drops its old executor, and takes one for the new
+// blob — so a reload never stalls the other replicas. probe holds the
+// executor Reload validated the blob with, until the first replica to flip
+// claims it; the others build their own.
 type model struct {
-	blob []byte
-	gen  uint64
+	blob  []byte
+	gen   uint64
+	probe atomic.Pointer[core.Executor]
 }
 
 // Engine is the micro-batching inference server: a bounded request queue
@@ -330,14 +333,15 @@ func (e *Engine) Generation() uint64 { return e.model.Load().gen }
 func (e *Engine) QueueDepth() int { return len(e.queue) }
 
 // Reload hot-swaps the served checkpoint with zero downtime: the new image
-// is read and validated (built and loaded into a throwaway executor, through
-// the BN-fold compile when the engine folds), then published atomically as
-// the next model generation. Each replica notices the generation change
-// between micro-batches, finishes the batch in hand on its old executor,
-// drops it — releasing the old parameter and workspace memory — and builds
-// its one executor for the new image. Requests keep flowing throughout; a
-// failed validation leaves the old generation serving untouched. One reload
-// at a time: concurrent calls get ErrReloadBusy.
+// is read and validated (built and loaded into an executor, through the
+// BN-fold compile when the engine folds), then published atomically as the
+// next model generation, with that executor parked on it. Each replica
+// notices the generation change between micro-batches, finishes the batch in
+// hand on its old executor, drops it — releasing the old parameter and
+// workspace memory — and takes its one executor for the new image: the first
+// replica the parked one, the rest a fresh build. Requests keep flowing
+// throughout; a failed validation leaves the old generation serving
+// untouched. One reload at a time: concurrent calls get ErrReloadBusy.
 func (e *Engine) Reload(ckpt io.Reader) error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -354,11 +358,12 @@ func (e *Engine) Reload(ckpt io.Reader) error {
 	}
 	// Validate beside the old generation: an executor must build and load
 	// (and fold) from the image before anything is published.
-	if _, err := e.buildExecutor(blob); err != nil {
+	probe, err := e.buildExecutor(blob)
+	if err != nil {
 		return fmt.Errorf("serve: reload rejected: %w", err)
 	}
-	old := e.model.Load()
-	next := &model{blob: blob, gen: old.gen + 1}
+	next := &model{blob: blob, gen: e.model.Load().gen + 1}
+	next.probe.Store(probe)
 	e.model.Store(next)
 	e.mReloads.Inc()
 	e.mGeneration.Set(int64(next.gen))

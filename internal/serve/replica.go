@@ -84,23 +84,20 @@ func (r *replica) collect(first *request) []*request {
 func (r *replica) run(batch []*request) {
 	r.buf = batch[:0] // reclaim the backing array for the next collect
 	k := len(batch)
-	// Service-time floor first, forward second: the sleep parks this
-	// goroutine, so on a single-P runtime the waiting clients get the
-	// processor and press against the bounded queue while this batch is
-	// nominally "in service" — exactly the window a load drill needs.
-	if d := r.e.cfg.MinService; d > 0 {
-		time.Sleep(d)
-	}
 	// The atomic reload flip: a new model generation published since the last
 	// batch retires this replica's executor — the old parameters and
-	// workspace go back to the collector — and the new generation's is built
-	// here, once. Each batch runs entirely on one generation.
+	// workspace go back to the collector — and takes the new generation's
+	// once: Reload's validation executor if no other replica has claimed it,
+	// else a fresh build. Each batch runs entirely on one generation.
 	if m := r.e.model.Load(); m.gen != r.gen {
 		r.exec = nil // released before the build, so the two never coexist
-		exec, err := r.e.buildExecutor(m.blob)
-		if err != nil {
-			r.fail(batch, err) // r.gen is unchanged: the next batch retries
-			return
+		exec := m.probe.Swap(nil)
+		if exec == nil {
+			var err error
+			if exec, err = r.e.buildExecutor(m.blob); err != nil {
+				r.fail(batch, err) // r.gen is unchanged: the next batch retries
+				return
+			}
 		}
 		r.exec, r.gen = exec, m.gen
 	}

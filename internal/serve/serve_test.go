@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -144,15 +146,19 @@ func TestServeBatchedBitIdentity(t *testing.T) {
 }
 
 // A full queue sheds deterministically: against a quiescent (never-started)
-// engine the QueueDepth+1-th submission must return ErrOverloaded.
+// engine the QueueDepth+1-th submission must return ErrOverloaded. Shedding
+// loses nothing already accepted: once the replica runs, every queued request
+// is answered and new ones are admitted again.
 func TestServeOverloadShedding(t *testing.T) {
 	ckpt := testCheckpoint(t)
 	e, err := newEngine(tinyCNN, bytes.NewReader(ckpt), Config{MaxBatch: 2, Replicas: 1, QueueDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		e.queue <- &request{img: make([]float32, e.imgLen), resp: make(chan result, 1)}
+	queued := make([]*request, 3)
+	for i := range queued {
+		queued[i] = &request{img: make([]float32, e.imgLen), resp: make(chan result, 1)}
+		e.queue <- queued[i]
 	}
 	if _, err := e.Predict(make([]float32, e.imgLen)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("queue-full Predict returned %v, want ErrOverloaded", err)
@@ -163,6 +169,17 @@ func TestServeOverloadShedding(t *testing.T) {
 	}
 	if st.QueueDepth != 3 {
 		t.Errorf("QueueDepth = %d, want 3", st.QueueDepth)
+	}
+
+	e.start()
+	defer e.Close()
+	for i, req := range queued {
+		if res := <-req.resp; res.err != nil || len(res.logits) != e.classes {
+			t.Errorf("queued request %d: %d logits, err %v", i, len(res.logits), res.err)
+		}
+	}
+	if _, err := e.Predict(make([]float32, e.imgLen)); err != nil {
+		t.Errorf("Predict after the queue drained: %v", err)
 	}
 }
 
@@ -313,9 +330,6 @@ func TestServeConfigValidate(t *testing.T) {
 	if _, err := Load(tinyCNN, bytes.NewReader(ckpt), Config{Replicas: -1}); err == nil {
 		t.Error("negative Replicas accepted")
 	}
-	if _, err := Load(tinyCNN, bytes.NewReader(ckpt), Config{MinService: -time.Millisecond}); err == nil {
-		t.Error("negative MinService accepted")
-	}
 }
 
 // The /stats latency quantiles are pure functions of the recorded durations:
@@ -390,7 +404,8 @@ func BenchmarkServeBatched(b *testing.B)  { benchServe(b, 8) }
 
 // CrashReplica kills exactly one replica's loop: with a second replica
 // alive, service continues correct; crashing out of range errors; the hook
-// is idempotent; Close still shuts down cleanly afterwards.
+// is idempotent; Close still shuts down cleanly afterwards; and an engine
+// reloaded from the same checkpoint answers as before the crash.
 func TestCrashReplicaKeepsServing(t *testing.T) {
 	ckpt := testCheckpoint(t)
 	eng, err := Load(tinyCNN, bytes.NewReader(ckpt), Config{
@@ -432,6 +447,16 @@ func TestCrashReplicaKeepsServing(t *testing.T) {
 			t.Errorf("post-crash request %d: logits changed", i)
 		}
 	}
+
+	// Recovery: a fresh engine from the same checkpoint answers identically.
+	fresh, err := Load(tinyCNN, bytes.NewReader(ckpt), Config{MaxBatch: 4, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if got, err := fresh.Predict(img); err != nil || !equalF32(got, want) {
+		t.Errorf("fresh engine after the crash: err %v, logits match %t", err, err == nil && equalF32(got, want))
+	}
 }
 
 // A replica's executor recycles its activations: the second same-size batch
@@ -463,8 +488,9 @@ func TestReplicaExecutorRecyclesActivations(t *testing.T) {
 
 // One executor per replica per model generation: Load, batches of every size
 // 1..MaxBatch on every replica, and one Reload call the builder Replicas times
-// per generation plus once for the reload's validation — never per batch size
-// — and every answer bit-matches the batch-1 reference of its generation.
+// per generation — the reload's validation executor serves the first replica
+// to flip, never per batch size — and every answer bit-matches the batch-1
+// reference of its generation.
 func TestOneExecutorPerReplicaPerGeneration(t *testing.T) {
 	const replicas, maxBatch = 2, 4
 	ckptA, ckptB := testCheckpoint(t), altCheckpoint(t)
@@ -513,7 +539,7 @@ func TestOneExecutorPerReplicaPerGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	everySize(ckptB)
-	if want := 2*replicas + 1; builds != want {
+	if want := 2 * replicas; builds != want {
 		t.Errorf("after one reload: %d builder calls, want %d", builds, want)
 	}
 }
@@ -551,5 +577,62 @@ func TestPredictOversizedBodyIs413(t *testing.T) {
 	}
 	if !equalF32(pr.Logits, refLogits(t, ckpt, x.Data)) {
 		t.Error("logits after an oversized request differ from the batch-1 reference")
+	}
+}
+
+// Both daemons build their server through NewHTTPServer, so every connection
+// timeout is set: headers, the whole request, and keep-alive idling.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	h := http.NotFoundHandler()
+	srv := NewHTTPServer("127.0.0.1:0", h)
+	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
+		t.Errorf("addr %q handler %v", srv.Addr, srv.Handler)
+	}
+	if srv.ReadHeaderTimeout != ReadHeaderTimeout || srv.ReadTimeout != ReadTimeout || srv.IdleTimeout != IdleTimeout {
+		t.Errorf("timeouts header %v read %v idle %v, want %v %v %v", srv.ReadHeaderTimeout, srv.ReadTimeout,
+			srv.IdleTimeout, ReadHeaderTimeout, ReadTimeout, IdleTimeout)
+	}
+	if ReadHeaderTimeout <= 0 || ReadTimeout < ReadHeaderTimeout || IdleTimeout <= 0 {
+		t.Errorf("implausible timeouts: header %v read %v idle %v", ReadHeaderTimeout, ReadTimeout, IdleTimeout)
+	}
+}
+
+// A client that sends its /predict headers and then stalls its body is cut
+// off once ReadTimeout passes: the server closes the connection instead of
+// holding it (and a goroutine) open. The server is the daemons' own struct,
+// with only ReadTimeout shortened.
+func TestStalledBodyIsCutOff(t *testing.T) {
+	ckpt := testCheckpoint(t)
+	eng, err := Load(tinyCNN, bytes.NewReader(ckpt), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewHTTPServer(ln.Addr().String(), eng.Handler())
+	srv.ReadTimeout = 200 * time.Millisecond
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /predict HTTP/1.1\r\nHost: x\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 1000\r\n\r\n{\"image\":["); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(10 * time.Second))
+	// Whatever the server answers, it must then close the connection.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled-body connection still open after %v: %v", time.Since(start), err)
+	}
+	if waited := time.Since(start); waited < srv.ReadTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v read timeout", waited, srv.ReadTimeout)
 	}
 }

@@ -183,9 +183,33 @@ func writeJSON(w http.ResponseWriter, v any) {
 // after a termination signal.
 const shutdownGrace = 10 * time.Second
 
-// ReadHeaderTimeout bounds how long a connection may take to send its request
-// headers, so an idle or trickling client cannot pin a connection open.
-const ReadHeaderTimeout = 10 * time.Second
+// Connection timeouts of both daemons' HTTP servers, so no client can pin a
+// goroutine and a socket open forever. ReadHeaderTimeout bounds the request
+// headers; ReadTimeout the whole request, body included, so a client that
+// sends headers and then trickles its body is cut off; IdleTimeout a
+// keep-alive connection waiting for its next request (without it the server
+// falls back to ReadTimeout). ReadTimeout's deadline stays armed while the
+// handler runs (net/http cancels the request's context when it passes), so it
+// exceeds the proxy's per-backend round-trip bound (fleet's httpConnTimeout,
+// 30 s): a slow backend is cut off by that bound, with its own error, before
+// the proxy's request is.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	ReadTimeout       = 60 * time.Second
+	IdleTimeout       = 120 * time.Second
+)
+
+// NewHTTPServer returns the http.Server a daemon listens with: h on addr,
+// under the connection timeouts above.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		ReadTimeout:       ReadTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
+}
 
 // Daemon serves the engine's Handler on addr until ctx is canceled or the
 // process receives SIGINT/SIGTERM, then shuts down gracefully: the listener
@@ -197,7 +221,7 @@ func Daemon(ctx context.Context, addr string, e *Engine) error {
 	ctx, unhook := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer unhook()
 
-	srv := &http.Server{Addr: addr, Handler: e.Handler(), ReadHeaderTimeout: ReadHeaderTimeout}
+	srv := NewHTTPServer(addr, e.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 
