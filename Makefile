@@ -103,17 +103,24 @@ bce:
 	[ "$$n" -le "$$budget" ]
 
 # No fused multiply-add in the numeric packages. Go may fuse acc += a*b into
-# one FMA — one rounding instead of two — on arm64 (and on amd64 at
-# GOAMD64=v3), which would change every digest and break the AVX2 lanes'
-# bit-identity with the scalar bodies. Every such site is written
-# acc += float32(a*b), whose explicit conversion the Go spec says forbids the
-# fusion. This cross-compiles layers, core, tensor and train for arm64 and
-# fails on any fused instruction in their assembly listing.
+# one FMA — one rounding instead of two — on arm64 and ppc64le, which
+# would change every digest and break the AVX2 lanes' bit-identity with the
+# scalar bodies. (go1.24 does not fuse on amd64, not even at GOAMD64=v3:
+# `acc += a[i]*b[i]` compiles to MULSS + ADDSS there, and only math.FMA
+# becomes VFMADD231SD.) Every such site is written acc += float32(a*b),
+# whose explicit conversion the Go spec says forbids the fusion. This
+# cross-compiles layers, core, tensor and train for arm64 and fails on any
+# fused instruction in their assembly listing, and fails on any fused
+# instruction in the hand-written lane kernels (internal/layers/*_amd64.s),
+# which no compiler listing covers.
 nofma:
 	@out=$$(GOARCH=arm64 $(GO) build -gcflags='-S' ./internal/layers ./internal/core ./internal/tensor ./internal/train 2>&1) || { echo "$$out"; exit 1; }; \
 	fused=$$(echo "$$out" | grep -E '\b(FMADD|FMSUB|FNMADD|FNMSUB)'); \
 	if [ -n "$$fused" ]; then echo "$$fused"; exit 1; fi; \
-	echo "layers, core, tensor, train: no fused multiply-add (arm64)"
+	echo "layers, core, tensor, train: no fused multiply-add (arm64)"; \
+	fused=$$(grep -nE 'VFMADD|VFMSUB|VFNMADD|VFNMSUB' internal/layers/*_amd64.s); \
+	if [ -n "$$fused" ]; then echo "$$fused"; exit 1; fi; \
+	echo "internal/layers/*_amd64.s: no fused multiply-add"
 
 # Native fuzzing, 30 s per target. FuzzConvWindow (internal/layers): random
 # geometries, ConvWindow configurations and values, non-finite ones included,

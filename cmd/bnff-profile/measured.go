@@ -72,8 +72,8 @@ func runMeasured(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintf(stdout, "model=%s batch=%d steps=%d workers=%d clock=%s conv=%s machine=Skylake\n\n",
-		sp.Model, sp.Batch, sp.Steps, sp.Workers, *clock, layers.ConvBody())
+	fmt.Fprintf(stdout, "model=%s batch=%d steps=%d workers=%d clock=%s lanes=%s machine=Skylake\n\n",
+		sp.Model, sp.Batch, sp.Steps, sp.Workers, *clock, layers.Body())
 	var results []scenarioResult
 	for _, sc := range core.Scenarios() {
 		spScen := sp

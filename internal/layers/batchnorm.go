@@ -117,20 +117,14 @@ func (b BatchNorm) ComputeStats(x *tensor.Tensor) (*BNStats, error) {
 
 	// Pass 1: mean. One partial per (sample, channel), reduced in sample
 	// order — the same association the serial sweep uses, so pooled
-	// execution is bit-identical.
+	// execution is bit-identical. The serial path calls the chunk bodies
+	// directly, as Moments does.
 	pmean := b.alloc.Floats(n * c)
-	b.pool.Run(n, func(lo, hi int) {
-		for in := lo; in < hi; in++ {
-			for ic := 0; ic < c; ic++ {
-				base := (in*c + ic) * h * w
-				var s float64
-				for i := 0; i < h*w; i++ {
-					s += float64(x.Data[base+i])
-				}
-				pmean[in*c+ic] = float32(s / m)
-			}
-		}
-	})
+	if b.pool.Serial() {
+		meanPartials(x.Data, pmean, c, h*w, m, 0, n)
+	} else {
+		b.pool.Run(n, func(lo, hi int) { meanPartials(x.Data, pmean, c, h*w, m, lo, hi) })
+	}
 	// det-reduce: per-sample mean partials combined in sample order — the
 	// association the serial sweep uses, so pooled execution is bit-identical.
 	for in := 0; in < n; in++ {
@@ -141,20 +135,11 @@ func (b BatchNorm) ComputeStats(x *tensor.Tensor) (*BNStats, error) {
 	b.alloc.PutFloats(pmean)
 	// Pass 2: variance around the mean, same partial scheme.
 	pvar := b.alloc.Floats(n * c)
-	b.pool.Run(n, func(lo, hi int) {
-		for in := lo; in < hi; in++ {
-			for ic := 0; ic < c; ic++ {
-				base := (in*c + ic) * h * w
-				mu := float64(mean.Data[ic])
-				var s float64
-				for i := 0; i < h*w; i++ {
-					d := float64(x.Data[base+i]) - mu
-					s += float64(d * d)
-				}
-				pvar[in*c+ic] = float32(s / m)
-			}
-		}
-	})
+	if b.pool.Serial() {
+		varPartials(x.Data, mean.Data, pvar, c, h*w, m, 0, n)
+	} else {
+		b.pool.Run(n, func(lo, hi int) { varPartials(x.Data, mean.Data, pvar, c, h*w, m, lo, hi) })
+	}
 	// det-reduce: per-sample variance partials combined in sample order.
 	for in := 0; in < n; in++ {
 		for ic := 0; ic < c; ic++ {
@@ -163,6 +148,61 @@ func (b BatchNorm) ComputeStats(x *tensor.Tensor) (*BNStats, error) {
 	}
 	b.alloc.PutFloats(pvar)
 	return &BNStats{Mean: mean, Var: variance, M: n * h * w}, nil
+}
+
+// meanPartials is ComputeStats' first pass over samples [lo, hi) of the
+// (N,c,hw) map xd: each (sample, channel) row summed in float64, ascending,
+// divided by the count m. On the lanes, eight channels' chains run at once
+// (meanRows) — each still adds its own row in order, so the sums are the
+// same bits.
+//
+// hot-path: runs once per sample per baseline BN forward.
+func meanPartials(xd, pmean []float32, c, hw int, m float64, lo, hi int) {
+	for in := lo; in < hi; in++ {
+		ic := 0
+		if rows := min(c, 8); useLanes && rows >= 4 {
+			for ; ic < c; ic += 8 {
+				ic = min(ic, c-rows)
+				base := (in*c + ic) * hw
+				meanRows(xd[base:base+rows*hw], rows, hw, m, pmean[in*c+ic:])
+			}
+		}
+		for ; ic < c; ic++ {
+			base := (in*c + ic) * hw
+			var s float64
+			for _, v := range xd[base : base+hw] {
+				s += float64(v)
+			}
+			pmean[in*c+ic] = float32(s / m)
+		}
+	}
+}
+
+// varPartials is ComputeStats' second pass: each row's Σ(x − μ)² in float64
+// around its channel's mean, divided by m, with meanPartials' lanes.
+//
+// hot-path: runs once per sample per baseline BN forward.
+func varPartials(xd, mean, pvar []float32, c, hw int, m float64, lo, hi int) {
+	for in := lo; in < hi; in++ {
+		ic := 0
+		if rows := min(c, 8); useLanes && rows >= 4 {
+			for ; ic < c; ic += 8 {
+				ic = min(ic, c-rows)
+				base := (in*c + ic) * hw
+				varRows(xd[base:base+rows*hw], rows, hw, mean[ic:], m, pvar[in*c+ic:])
+			}
+		}
+		for ; ic < c; ic++ {
+			base := (in*c + ic) * hw
+			mu := float64(mean[ic])
+			var s float64
+			for _, v := range xd[base : base+hw] {
+				d := float64(v) - mu
+				s += float64(d * d)
+			}
+			pvar[in*c+ic] = float32(s / m)
+		}
+	}
 }
 
 // Moments is a map's MVF statistics before the close: the per-(sample,
@@ -250,15 +290,22 @@ func (b BatchNorm) Close(m Moments) (*BNStats, error) {
 // momentPartials fills the per-(sample, channel) Σx and Σx² partials of the
 // single-sweep MVF statistics for samples [lo, hi) of the (N,c,hw) map xd:
 // the one float32 moment loop, shared by BatchNorm.Moments and the
-// ForwardWindow epilogue. The 4-wide unroll
-// keeps s and sq each a single accumulator chain adding elements in
-// ascending order, so the sums are bit-identical to the rolled loop; it only
-// breaks up the loop-carried add/mul dependency interleaving.
+// ForwardWindow epilogue. Every s and sq is a single accumulator chain adding
+// its row's elements in ascending order: the scalar body unrolls one row by
+// four, the lanes run eight channels' chains at once (momentRows).
 //
 // hot-path: runs once per sample per step; all buffers are caller-provided.
 func momentPartials(xd, psum, psumsq []float32, c, hw, lo, hi int) {
 	for in := lo; in < hi; in++ {
-		for ic := 0; ic < c; ic++ {
+		ic := 0
+		if rows := min(c, 8); useLanes && rows >= 4 {
+			for ; ic < c; ic += 8 {
+				ic = min(ic, c-rows)
+				base := (in*c + ic) * hw
+				momentRows(xd[base:base+rows*hw], rows, hw, psum[in*c+ic:], psumsq[in*c+ic:])
+			}
+		}
+		for ; ic < c; ic++ {
 			base := (in*c + ic) * hw
 			row := xd[base : base+hw]
 			var s, sq float32
@@ -319,12 +366,15 @@ func (b BatchNorm) Normalize(x *tensor.Tensor, stats *BNStats, gamma, beta *tens
 	xhat = b.alloc.Get(x.Shape()...)
 	// Element-wise with per-sample disjoint writes: pooled execution is
 	// bit-identical to serial. The serial path calls the chunk body
-	// directly so the steady state allocates no closure.
+	// directly so the steady state allocates no closure. The closure takes
+	// the outputs' slices, not the named results: capturing a result (which
+	// the return assigns) would move it to the heap on every call.
 	if b.pool.Serial() {
 		bnNormalizeChunk(x.Data, xhat.Data, y.Data, stats.Mean.Data, inv, gamma.Data, beta.Data, c, h*w, 0, n)
 	} else {
+		hd, yd := xhat.Data, y.Data
 		b.pool.Run(n, func(lo, hi int) {
-			bnNormalizeChunk(x.Data, xhat.Data, y.Data, stats.Mean.Data, inv, gamma.Data, beta.Data, c, h*w, lo, hi)
+			bnNormalizeChunk(x.Data, hd, yd, stats.Mean.Data, inv, gamma.Data, beta.Data, c, h*w, lo, hi)
 		})
 	}
 	b.alloc.PutFloats(inv)
@@ -336,16 +386,10 @@ func (b BatchNorm) Normalize(x *tensor.Tensor, stats *BNStats, gamma, beta *tens
 //
 // hot-path: runs once per sample per step; all buffers are caller-provided.
 func bnNormalizeChunk(xd, xh, yd, mean, inv, gamma, beta []float32, c, hw, lo, hi int) {
+	per := c * hw
 	for in := lo; in < hi; in++ {
-		for ic := 0; ic < c; ic++ {
-			base := (in*c + ic) * hw
-			mu, is, g, be := mean[ic], inv[ic], gamma[ic], beta[ic]
-			for i := 0; i < hw; i++ {
-				v := (xd[base+i] - mu) * is
-				xh[base+i] = v
-				yd[base+i] = float32(g*v) + be
-			}
-		}
+		s := in * per
+		normRows(xd[s:s+per], xh[s:s+per], yd[s:s+per], mean, inv, gamma[:c], beta, hw, false)
 	}
 }
 
@@ -373,25 +417,44 @@ func (b BatchNorm) BackwardReduce(dy, xhat *tensor.Tensor) (dgamma, dbeta *tenso
 		return nil, nil, fmt.Errorf("batchnorm: dy %v vs xhat %v", dy.Shape(), xhat.Shape())
 	}
 	n, c, h, w := dy.Dims4()
-	per := c * h * w
 	pg := make([]float64, n*c)
 	pb := make([]float64, n*c)
-	b.pool.Run(n, func(lo, hi int) {
-		for in := lo; in < hi; in++ {
-			gammaBetaPartials(dy.Data[in*per:(in+1)*per], xhat.Data[in*per:(in+1)*per], pg[in*c:], pb[in*c:], c, h*w)
-		}
-	})
+	if b.pool.Serial() {
+		gammaBetaChunk(dy.Data, xhat.Data, pg, pb, c, h*w, 0, n)
+	} else {
+		b.pool.Run(n, func(lo, hi int) { gammaBetaChunk(dy.Data, xhat.Data, pg, pb, c, h*w, lo, hi) })
+	}
 	dgamma, dbeta = reduceGammaBeta(pg, pb, n, c)
 	return dgamma, dbeta, nil
 }
 
+// gammaBetaChunk is BackwardReduce's chunk body: gammaBetaPartials for the
+// samples in [lo, hi).
+//
+// hot-path: runs once per sample per step; all buffers are caller-provided.
+func gammaBetaChunk(dy, xhat []float32, pg, pb []float64, c, hw, lo, hi int) {
+	per := c * hw
+	for in := lo; in < hi; in++ {
+		gammaBetaPartials(dy[in*per:(in+1)*per], xhat[in*per:(in+1)*per], pg[in*c:], pb[in*c:], c, hw)
+	}
+}
+
 // gammaBetaPartials fills one sample's per-channel dγ = Σ dy·x̂ and dβ = Σ dy
 // partials — the one sub-BN2' loop, shared by BackwardReduce and the
-// BackwardWindow epilogue.
+// BackwardWindow epilogue. Each is one float64 chain over its row in
+// ascending order; the lanes run eight channels' chains at once
+// (gammaBetaRows).
 //
 // hot-path: runs once per sample per step; all buffers are caller-provided.
 func gammaBetaPartials(dy, xhat []float32, pg, pb []float64, c, hw int) {
-	for ic := 0; ic < c; ic++ {
+	ic := 0
+	if rows := min(c, 8); useLanes && rows >= 4 {
+		for ; ic < c; ic += 8 {
+			ic = min(ic, c-rows)
+			gammaBetaRows(dy[ic*hw:(ic+rows)*hw], xhat[ic*hw:(ic+rows)*hw], rows, hw, pg[ic:], pb[ic:])
+		}
+	}
+	for ; ic < c; ic++ {
 		xrow := xhat[ic*hw : (ic+1)*hw]
 		var sg, sb float64
 		for i, v := range dy[ic*hw : (ic+1)*hw] {
@@ -458,20 +521,27 @@ func (b BatchNorm) BackwardInput(dy, xhat, gamma *tensor.Tensor, stats *BNStats,
 	}
 	inv := b.InvStdScratch(stats)
 	dx := b.alloc.Get(dy.Shape()...)
-	b.pool.Run(n, func(lo, hi int) {
-		for in := lo; in < hi; in++ {
-			for ic := 0; ic < c; ic++ {
-				base := (in*c + ic) * h * w
-				coef := gamma.Data[ic] * inv[ic] / m
-				dg, db := dgamma.Data[ic], dbeta.Data[ic]
-				for i := 0; i < h*w; i++ {
-					dx.Data[base+i] = coef * (float32(m*dy.Data[base+i]) - db - float32(xhat.Data[base+i]*dg))
-				}
-			}
-		}
-	})
+	if b.pool.Serial() {
+		bnInputGradChunk(dy.Data, xhat.Data, dx.Data, gamma.Data, inv, dgamma.Data, dbeta.Data, m, c, h*w, 0, n)
+	} else {
+		b.pool.Run(n, func(lo, hi int) {
+			bnInputGradChunk(dy.Data, xhat.Data, dx.Data, gamma.Data, inv, dgamma.Data, dbeta.Data, m, c, h*w, lo, hi)
+		})
+	}
 	b.alloc.PutFloats(inv)
 	return dx, nil
+}
+
+// bnInputGradChunk is BackwardInput's chunk body: dx for the samples in
+// [lo, hi).
+//
+// hot-path: runs once per sample per step; all buffers are caller-provided.
+func bnInputGradChunk(dy, xhat, dx, gamma, inv, dgamma, dbeta []float32, m float32, c, hw, lo, hi int) {
+	per := c * hw
+	for in := lo; in < hi; in++ {
+		s := in * per
+		gradRows(dy[s:s+per], xhat[s:s+per], dx[s:s+per], gamma[:c], inv, dgamma, dbeta, m, hw)
+	}
 }
 
 // Backward is the baseline composition of the two backward sub-layers.

@@ -699,6 +699,52 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { bwd.run(0, 0, 2) }); allocs != 0 {
 		t.Errorf("backward window allocates %v per run, want 0", allocs)
 	}
+
+	// The BN and ReLU entry points at one worker with an arena, on both
+	// bodies, over a plane with a lane tail and a channel group shifted back:
+	// each returns its outputs to the arena, so what is left is what escapes.
+	arena := tensor.NewArena()
+	pool := parallel.New(1)
+	const n, c, hw = 2, 9, 17
+	bx := tensor.MustFromSlice(fillRand(11, n*c*hw), n, c, 1, hw)
+	bdy := tensor.MustFromSlice(fillRand(12, n*c*hw), n, c, 1, hw)
+	bg, bb := tensor.MustFromSlice(fillRand(13, c), c), tensor.MustFromSlice(fillRand(14, c), c)
+	bn := NewBatchNorm(c).WithPool(pool).WithAlloc(arena)
+	forEachBody(func(body string) {
+		st, err := bn.ComputeStats(bx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, bxh, err := bn.Normalize(bx, st, bg, bb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg, db, err := bn.BackwardReduce(bdy, bxh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []struct {
+			name   string
+			allocs float64 // what escapes to the caller by design
+			run    func()
+		}{
+			// The *BNStats the caller keeps.
+			{"ComputeStats", 1, func() { s, _ := bn.ComputeStats(bx); arena.Put(s.Mean); arena.Put(s.Var) }},
+			{"Moments", 0, func() { m, _ := bn.Moments(bx); arena.PutFloats(m.Sum); arena.PutFloats(m.SumSq) }},
+			{"Normalize", 0, func() { y, h, _ := bn.Normalize(bx, st, bg, bb); arena.Put(y); arena.Put(h) }},
+			// dγ and dβ escape into the gradient map: two tensors of three
+			// allocations each, their two float64 sums, and the two float64
+			// partial slabs the arena, which recycles float32, cannot hold.
+			{"BackwardReduce", 10, func() { bn.BackwardReduce(bdy, bxh) }},
+			{"BackwardInput", 0, func() { d, _ := bn.BackwardInput(bdy, bxh, bg, st, dg, db); arena.Put(d) }},
+			{"ReLUForwardAlloc", 0, func() { arena.Put(ReLUForwardAlloc(pool, arena, bx)) }},
+			{"ReLUBackwardAlloc", 0, func() { d, _ := ReLUBackwardAlloc(pool, arena, bdy, bx); arena.Put(d) }},
+		} {
+			if allocs := testing.AllocsPerRun(10, e.run); allocs != e.allocs {
+				t.Errorf("%s: %s allocates %v per run at one worker, want %v", body, e.name, allocs, e.allocs)
+			}
+		}
+	})
 }
 
 // Bench pair: the blocked convolution against the legacy per-tap-branch loop

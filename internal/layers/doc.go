@@ -16,12 +16,14 @@
 // a CONV — the ReLU or BN+ReLU in front of it, the moments of the BN behind
 // it. The zero ConvWindow is the baseline layer, and FC runs the same two
 // bodies as a 1×1 convolution over a 1×1 map, so the module has one
-// multiply-accumulate core (blocked.go). On CPUs with AVX2 its hot bodies run
-// as assembly lanes (lanes.go), one output element's chain per lane in the
-// scalar bodies' term order, so both bodies store the same bits and the
-// scalar ones stay the fallback and the reference. internal/kernels names the paper's
-// fusions as ConvWindow literals for benchmark/ and tests them for
-// equivalence against the unfused compositions of the layers here.
+// multiply-accumulate core (blocked.go). On CPUs with AVX2 its hot bodies,
+// and every BN and ReLU sweep — normalize, input gradient, the window's tile
+// fills and mask, the per-channel reductions — run as assembly lanes
+// (lanes.go), one output element's chain per lane in the scalar bodies' term
+// order, so both bodies store the same bits and the scalar ones stay the
+// fallback and the reference (Body names the one in use). internal/kernels
+// names the paper's fusions as ConvWindow literals for benchmark/ and tests
+// them for equivalence against the unfused compositions of the layers here.
 //
 // Every MVF statistic is one Moments value — the per-(sample, channel) Σx
 // and Σx² partials of one float32 sweep — and one BatchNorm.Close: the

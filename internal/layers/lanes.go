@@ -1,20 +1,31 @@
 package layers
 
-// This file puts the blocked core's hot bodies on AVX2 lanes
-// (lanes_amd64.s). A lane is one output element's accumulator chain, fed the
-// scalar body's terms in the scalar body's order by VMULPS then VADDPS — the
-// two roundings of `acc += float32(a*b)` — so every lane stores the bits the
-// scalar body stores. Where each body gets its lanes:
+// This file puts the blocked core's hot bodies and the BN and ReLU sweeps on
+// AVX2 lanes (lanes_amd64.s). A lane is one output element's accumulator
+// chain, fed the scalar body's terms in the scalar body's order by VMULPS then
+// VADDPS — the two roundings of `acc += float32(a*b)` — so every lane stores
+// the bits the scalar body stores. Where each body gets its lanes:
 //
-//	forward  stride-1 interior runs: 4 output channels × 8|16 columns
-//	dx       interior runs of a residue class: 4 input channels × 8|16 columns
-//	dW       a channels-last copy of the sample: 4 output × 8|16 input channels
-//	FC       one column, so channels: 32 inputs (dx, dW) or outputs (forward)
+//	forward    stride-1 interior runs: 4 output channels × 8|16 columns
+//	dx         interior runs of a residue class: 4 input channels × 8|16 columns
+//	dW         a channels-last copy of the sample (itself transposed 8 rows ×
+//	           4 columns at a time, from 4 input channels): 4 output × 8|16
+//	           input channels
+//	FC         one column, so channels: 32 inputs (dx, dW) or outputs (forward)
+//	normalize  Normalize, the BNFF forward tile: 8 elements of a channel row
+//	grad       BackwardInput: 8 elements of a channel row
+//	rectify    ReLU forward and backward, the rectify and scale+rectify tiles,
+//	           the window's mask: 8 elements, VCMPPS GT_OQ against +0, VANDPS
+//	reduce     ComputeStats' two passes, MVF moments, dγ/dβ partials: 8
+//	           channels (4 to 7 with lanes sharing rows), one chain each, rows
+//	           transposed 8 × 4 in registers
 //
 // Everything else — border columns, runs under 8 lanes, strided forwards,
-// grouped dW, channel tails, CPUs without AVX2 — keeps the scalar bodies of
-// blocked.go, which remain the reference. Every kernel call is preceded by a
-// check that each element it reads or writes lies inside its slice.
+// grouped dW, channel tails, reductions over fewer than 4 channels, CPUs
+// without AVX2 — keeps the scalar bodies (blocked.go, and the scalar loops
+// beside each sweep's lanes), which remain the reference. Every kernel call
+// is preceded by a check that each element it reads or writes lies inside
+// its slice.
 
 // useLanes selects the lane kernels: AVX2 with the OS saving the YMM state,
 // read once from CPUID and XGETBV.
@@ -22,9 +33,9 @@ package layers
 //lint:ignore noglobals a CPU feature bit read once at start-up: it chooses between two bit-identical bodies, so no executor can observe another through it
 var useLanes = hasAVX2()
 
-// ConvBody names the multiply-accumulate body the convolution core runs on
-// this CPU: "avx2" (the lane kernels, scalar at the edges) or "scalar".
-func ConvBody() string {
+// Body names the bodies the convolution core and the BN and ReLU sweeps run
+// on this CPU: "avx2" (the lane kernels, scalar at the edges) or "scalar".
+func Body() string {
 	if useLanes {
 		return "avx2"
 	}
@@ -263,20 +274,42 @@ func (g *ConvGeom) dwLanes(dy, x, dw, xt []float32) {
 }
 
 // transpose writes the rows × cols matrix src into dst as cols rows of
-// stride ds: dst[c·ds+r] = src[r·cols+c]. It moves 16 × 16 blocks, so each
-// side touches whole cache lines and a few pages at a time; walking either
-// matrix whole would read (or write) one element per line, and for rows a
-// plane or a weight row apart, one per L1 set or TLB entry.
+// stride ds: dst[c·ds+r] = src[r·cols+c]. On the lanes, strips of eight rows
+// (of all the rows, from four to seven) go through transposeLanes four
+// columns at a time — the last strip shifted back to end at rows, rewriting
+// what the one before it wrote — and the columns past a multiple of four
+// move in transposeBlock's tiles.
 //
 // hot-path: the channels-last copy of dW's lanes and FC's transposed weights.
 func transpose(dst []float32, ds int, src []float32, rows, cols int) {
-	for r0 := 0; r0 < rows; r0 += 16 {
-		r1 := min(r0+16, rows)
-		for c0 := 0; c0 < cols; c0 += 16 {
-			c1 := min(c0+16, cols)
-			for r := r0; r < r1; r++ {
-				for c, v := range src[r*cols+c0 : r*cols+c1] {
-					dst[(c0+c)*ds+r] = v
+	if n, strip := cols&^3, min(rows, 8); useLanes && n > 0 && strip >= 4 {
+		for r := 0; r < rows; r += 8 {
+			r = min(r, rows-strip)
+			s := src[r*cols : (r+strip)*cols]
+			_ = dst[(n-1)*ds+r+strip-1] // the last row's store, the highest the kernel makes
+			transposeLanes(&dst[r], ds, &s[0], cols, strip-4, n)
+		}
+		transposeBlock(dst, ds, src, cols, 0, rows, n, cols)
+		return
+	}
+	transposeBlock(dst, ds, src, cols, 0, rows, 0, cols)
+}
+
+// transposeBlock is transpose over rows [r0, r1) and columns [c0, c1) of src,
+// in 16 × 16 tiles, so each side touches whole cache lines and a few pages at
+// a time; walking either matrix whole would read (or write) one element per
+// line, and for rows a plane or a weight row apart, one per L1 set or TLB
+// entry.
+//
+// hot-path: transpose's scalar body and the edges of its lanes.
+func transposeBlock(dst []float32, ds int, src []float32, cols, r0, r1, c0, c1 int) {
+	for rt := r0; rt < r1; rt += 16 {
+		rEnd := min(rt+16, r1)
+		for ct := c0; ct < c1; ct += 16 {
+			cEnd := min(ct+16, c1)
+			for r := rt; r < rEnd; r++ {
+				for c, v := range src[r*cols+ct : r*cols+cEnd] {
+					dst[(ct+c)*ds+r] = v
 				}
 			}
 		}
@@ -342,5 +375,206 @@ func (g *ConvGeom) fcBackward(dy, x, w, dx, dw []float32) {
 		for k := full; k < in; k++ {
 			row[k] += float32(x[k] * d)
 		}
+	}
+}
+
+// normRows is Normalize's body on one sample of len(gamma) channel rows of hw
+// elements: x̂ = (x − μ)·is into xh and γ·x̂ + β into y, rectified when rect
+// (the BNFF forward tile).
+//
+// hot-path: runs once per sample per BN forward; all buffers are the caller's.
+func normRows(x, xh, y, mean, inv, gamma, beta []float32, hw int, rect bool) {
+	c := len(gamma)
+	n := c * hw
+	x, xh, y, mean, inv, beta = x[:n], xh[:n], y[:n], mean[:c], inv[:c], beta[:c]
+	if useLanes && n > 0 {
+		if rect {
+			normRectifyLanes(&x[0], &xh[0], &y[0], &mean[0], &inv[0], &gamma[0], &beta[0], c, hw)
+		} else {
+			normLanes(&x[0], &xh[0], &y[0], &mean[0], &inv[0], &gamma[0], &beta[0], c, hw)
+		}
+		return
+	}
+	for ic, g := range gamma {
+		lo, hi := ic*hw, (ic+1)*hw
+		mu, is, be := mean[ic], inv[ic], beta[ic]
+		hrow, yrow := xh[lo:hi], y[lo:hi]
+		if rect {
+			for i, xv := range x[lo:hi] {
+				v := (xv - mu) * is
+				hrow[i] = v
+				yrow[i] = rectify(float32(g*v) + be)
+			}
+			continue
+		}
+		for i, xv := range x[lo:hi] {
+			v := (xv - mu) * is
+			hrow[i] = v
+			yrow[i] = float32(g*v) + be
+		}
+	}
+}
+
+// scaleRectRows writes the backward's regenerated tile t = rectify(γ·x + β)
+// from one sample x of len(gamma) channel rows of hw elements.
+//
+// hot-path: runs once per sample per BN backward window.
+func scaleRectRows(x, t, gamma, beta []float32, hw int) {
+	c := len(gamma)
+	n := c * hw
+	x, t, beta = x[:n], t[:n], beta[:c]
+	if useLanes && n > 0 {
+		scaleRectifyLanes(&x[0], &t[0], &gamma[0], &beta[0], c, hw)
+		return
+	}
+	for ic, g := range gamma {
+		lo, hi := ic*hw, (ic+1)*hw
+		be, trow := beta[ic], t[lo:hi]
+		for i, v := range x[lo:hi] {
+			trow[i] = rectify(float32(g*v) + be)
+		}
+	}
+}
+
+// gradRows is BackwardInput's body on one sample of len(gamma) channel rows
+// of hw elements: dx = coef·(m·dy − dβ − x̂·dγ), coef = γ·is/m per channel.
+//
+// hot-path: runs once per sample per BN backward; all buffers are the caller's.
+func gradRows(dy, xh, dx, gamma, inv, dgamma, dbeta []float32, m float32, hw int) {
+	c := len(gamma)
+	n := c * hw
+	dy, xh, dx, inv, dgamma, dbeta = dy[:n], xh[:n], dx[:n], inv[:c], dgamma[:c], dbeta[:c]
+	if useLanes && n > 0 {
+		gradLanes(&dy[0], &xh[0], &dx[0], &gamma[0], &inv[0], &dgamma[0], &dbeta[0], m, c, hw)
+		return
+	}
+	for ic, g := range gamma {
+		lo, hi := ic*hw, (ic+1)*hw
+		coef := g * inv[ic] / m
+		dg, db := dgamma[ic], dbeta[ic]
+		hrow, dxrow := xh[lo:hi], dx[lo:hi]
+		for i, d := range dy[lo:hi] {
+			dxrow[i] = coef * (float32(m*d) - db - float32(hrow[i]*dg))
+		}
+	}
+}
+
+// maskRun stores passIf(v[i], z[i]) into dst[i] for every i < len(dst): the
+// ReLU backward mask, and with v = z the rectify. dst may be v.
+//
+// hot-path: every ReLU sweep and every rectified window tile.
+func maskRun(dst, v, z []float32) {
+	v, z = v[:len(dst)], z[:len(dst)]
+	if useLanes && len(dst) > 0 {
+		maskLanes(&dst[0], &v[0], &z[0], len(dst))
+		return
+	}
+	for i, zv := range z {
+		dst[i] = passIf(v[i], zv)
+	}
+}
+
+// chainRows checks that x holds rows ∈ [4, 8] channel rows of hw elements
+// for the reduction kernels and returns hi, the row their lanes 4-7 start at
+// (rows − 4), and n, the elements of each row the kernels take: hw rounded
+// down to four. The caller's loop continues every chain over the rest in
+// order; lane k's row is chainRow(k, hi).
+func chainRows(x []float32, rows, hw int) (hi, n int) {
+	if rows < 4 || rows > 8 || hw < 1 || len(x) < rows*hw {
+		panic("layers: lane kernel operand out of range")
+	}
+	return rows - 4, hw &^ 3
+}
+
+// chainRow is the row the reduction kernels' lane k reads.
+func chainRow(k, hi int) int {
+	if k < 4 {
+		return k
+	}
+	return hi + k - 4
+}
+
+// meanRows is meanPartials for the rows ∈ [4, 8] channel rows of hw
+// elements that x starts with, into pmean[0:rows].
+//
+// hot-path: the lanes of ComputeStats' mean pass.
+func meanRows(x []float32, rows, hw int, m float64, pmean []float32) {
+	hi, n := chainRows(x, rows, hw)
+	var s [8]float64
+	if n > 0 {
+		meanLanes(&x[0], hw, hi, n, &s[0])
+	}
+	for k := range s {
+		r := chainRow(k, hi)
+		for _, v := range x[r*hw+n : (r+1)*hw] {
+			s[k] += float64(v)
+		}
+		pmean[r] = float32(s[k] / m)
+	}
+}
+
+// varRows is varPartials for the rows ∈ [4, 8] channel rows of hw elements
+// that x starts with, around mean[0:rows], into pvar[0:rows].
+//
+// hot-path: the lanes of ComputeStats' variance pass.
+func varRows(x []float32, rows, hw int, mean []float32, m float64, pvar []float32) {
+	hi, n := chainRows(x, rows, hw)
+	var mu, s [8]float64
+	for k := range mu {
+		mu[k] = float64(mean[chainRow(k, hi)])
+	}
+	if n > 0 {
+		varLanes(&x[0], hw, hi, n, &mu[0], &s[0])
+	}
+	for k := range s {
+		r := chainRow(k, hi)
+		for _, v := range x[r*hw+n : (r+1)*hw] {
+			d := float64(v) - mu[k]
+			s[k] += float64(d * d)
+		}
+		pvar[r] = float32(s[k] / m)
+	}
+}
+
+// momentRows is momentPartials for the rows ∈ [4, 8] channel rows of hw
+// elements that x starts with, into psum[0:rows] and psumsq[0:rows].
+//
+// hot-path: the lanes of every MVF statistic.
+func momentRows(x []float32, rows, hw int, psum, psumsq []float32) {
+	hi, n := chainRows(x, rows, hw)
+	var s, sq [8]float32
+	if n > 0 {
+		momentLanes(&x[0], hw, hi, n, &s[0], &sq[0])
+	}
+	for k := range s {
+		r := chainRow(k, hi)
+		for _, v := range x[r*hw+n : (r+1)*hw] {
+			s[k] += v
+			sq[k] += float32(v * v)
+		}
+		psum[r], psumsq[r] = s[k], sq[k]
+	}
+}
+
+// gammaBetaRows is gammaBetaPartials for the rows ∈ [4, 8] channel rows of
+// hw elements that dy and xh start with, into pg[0:rows] and pb[0:rows].
+//
+// hot-path: the lanes of every dγ/dβ reduction.
+func gammaBetaRows(dy, xh []float32, rows, hw int, pg, pb []float64) {
+	hi, n := chainRows(dy, rows, hw)
+	chainRows(xh, rows, hw)
+	var g, b [8]float64
+	if n > 0 {
+		gammaBetaLanes(&dy[0], &xh[0], hw, hi, n, &g[0], &b[0])
+	}
+	for k := range g {
+		r := chainRow(k, hi)
+		xrow := xh[r*hw+n : (r+1)*hw]
+		for i, v := range dy[r*hw+n : (r+1)*hw] {
+			e := float64(v)
+			g[k] += float64(e * float64(xrow[i]))
+			b[k] += e
+		}
+		pg[r], pb[r] = g[k], b[k]
 	}
 }

@@ -19,7 +19,7 @@ func forEachBody(f func(body string)) {
 			continue
 		}
 		useLanes = lanes
-		f(ConvBody())
+		f(Body())
 	}
 }
 
@@ -157,17 +157,32 @@ func TestFCLanesBitIdenticalToReference(t *testing.T) {
 }
 
 // positive is v > 0 on every one of the 2³² float32 bit patterns, swept in
-// four parallel quarters (under the race detector, every 4099th pattern).
+// four parallel quarters (under the race detector, every 4099th pattern) —
+// and so is the lanes' rectify, VCMPPS GT_OQ then VANDPS, fed the same
+// patterns in runs of 4095: 511 eight-lane blocks and a seven-lane tail.
 func TestPositiveMaskIsGreaterThanZero(t *testing.T) {
 	step := uint64(1)
 	if raceEnabled {
 		step = 4099
 	}
 	const quarter = 1 << 30
+	avx2 := hasAVX2()
 	for q := uint64(0); q < 4; q++ {
 		t.Run(fmt.Sprintf("quarter%d", q), func(t *testing.T) {
 			t.Parallel()
 			bad := 0
+			var run, mask [4095]float32
+			k := 0
+			lanes := func() {
+				maskLanes(&mask[0], &run[0], &run[0], k)
+				for i, v := range run[:k] {
+					if math.Float32bits(mask[i]) != math.Float32bits(v)&positive(v) {
+						bad++
+						t.Errorf("lane rectify(%#08x) = %#08x", math.Float32bits(v), math.Float32bits(mask[i]))
+					}
+				}
+				k = 0
+			}
 			for b := q * quarter; b < (q+1)*quarter && bad < 5; b += step {
 				v := math.Float32frombits(uint32(b))
 				want := uint32(0)
@@ -178,6 +193,15 @@ func TestPositiveMaskIsGreaterThanZero(t *testing.T) {
 					bad++
 					t.Errorf("positive(%#08x) = %#x, want %#x", b, got, want)
 				}
+				if avx2 {
+					run[k] = v
+					if k++; k == len(run) {
+						lanes()
+					}
+				}
+			}
+			if k > 0 {
+				lanes()
 			}
 		})
 	}
@@ -213,10 +237,311 @@ func TestLaneChecksRefuseShortOperands(t *testing.T) {
 	if fc := make([]float32, 64); !panics(func() { rowsCall(fc, 0, fc, 33, fc, 0, 1, 1, 0, 0, 0, 0, 0) }) {
 		t.Error("rowsCall accepts a run past the end of b")
 	}
+
+	// The sweep wrappers, on three channels of 9 elements and the reductions
+	// on eight rows of 9: every operand that fits must pass, and each one
+	// short by an element must be refused. The reductions take four to eight
+	// rows.
+	const c, hw = 3, 9
+	buf := func(n int) []float32 { return make([]float32, n) }
+	buf64 := func(n int) []float64 { return make([]float64, n) }
+	sweeps := map[string]func(short string) func(){
+		"normRows": func(short string) func() {
+			ops := map[string][]float32{"x": buf(c * hw), "xh": buf(c * hw), "y": buf(c * hw), "mean": buf(c), "inv": buf(c), "beta": buf(c)}
+			if short != "" {
+				ops[short] = ops[short][1:]
+			}
+			return func() {
+				normRows(ops["x"], ops["xh"], ops["y"], ops["mean"], ops["inv"], buf(c), ops["beta"], hw, true)
+			}
+		},
+		"scaleRectRows": func(short string) func() {
+			ops := map[string][]float32{"x": buf(c * hw), "t": buf(c * hw), "beta": buf(c)}
+			if short != "" {
+				ops[short] = ops[short][1:]
+			}
+			return func() { scaleRectRows(ops["x"], ops["t"], buf(c), ops["beta"], hw) }
+		},
+		"gradRows": func(short string) func() {
+			ops := map[string][]float32{"dy": buf(c * hw), "xh": buf(c * hw), "dx": buf(c * hw), "inv": buf(c), "dgamma": buf(c), "dbeta": buf(c)}
+			if short != "" {
+				ops[short] = ops[short][1:]
+			}
+			return func() {
+				gradRows(ops["dy"], ops["xh"], ops["dx"], buf(c), ops["inv"], ops["dgamma"], ops["dbeta"], 1, hw)
+			}
+		},
+		"maskRun": func(short string) func() {
+			ops := map[string][]float32{"v": buf(hw), "z": buf(hw)}
+			if short != "" {
+				ops[short] = ops[short][1:]
+			}
+			return func() { maskRun(buf(hw), ops["v"], ops["z"]) }
+		},
+		"momentRows": func(short string) func() {
+			ops := map[string][]float32{"x": buf(8 * hw), "psum": buf(8), "psumsq": buf(8)}
+			if short != "" {
+				ops[short] = ops[short][1:]
+			}
+			return func() { momentRows(ops["x"], 8, hw, ops["psum"], ops["psumsq"]) }
+		},
+		"meanRows": func(short string) func() {
+			ops := map[string][]float32{"x": buf(8 * hw), "pmean": buf(8)}
+			if short != "" {
+				ops[short] = ops[short][1:]
+			}
+			return func() { meanRows(ops["x"], 8, hw, 1, ops["pmean"]) }
+		},
+		"varRows": func(short string) func() {
+			ops := map[string][]float32{"x": buf(8 * hw), "mean": buf(8), "pvar": buf(8)}
+			if short != "" {
+				ops[short] = ops[short][1:]
+			}
+			return func() { varRows(ops["x"], 8, hw, ops["mean"], 1, ops["pvar"]) }
+		},
+		"gammaBetaRows": func(short string) func() {
+			ops := map[string][]float32{"dy": buf(8 * hw), "xh": buf(8 * hw)}
+			pg, pb := buf64(8), buf64(8)
+			switch short {
+			case "pg":
+				pg = pg[1:]
+			case "pb":
+				pb = pb[1:]
+			case "":
+			default:
+				ops[short] = ops[short][1:]
+			}
+			return func() { gammaBetaRows(ops["dy"], ops["xh"], 8, hw, pg, pb) }
+		},
+	}
+	operands := map[string][]string{
+		"normRows":      {"x", "xh", "y", "mean", "inv", "beta"},
+		"scaleRectRows": {"x", "t", "beta"},
+		"gradRows":      {"dy", "xh", "dx", "inv", "dgamma", "dbeta"},
+		"maskRun":       {"v", "z"},
+		"momentRows":    {"x", "psum", "psumsq"},
+		"meanRows":      {"x", "pmean"},
+		"varRows":       {"x", "mean", "pvar"},
+		"gammaBetaRows": {"dy", "xh", "pg", "pb"},
+	}
+	for name, call := range sweeps {
+		if panics(call("")) {
+			t.Errorf("%s refuses operands that fit", name)
+		}
+		for _, op := range operands[name] {
+			if !panics(call(op)) {
+				t.Errorf("%s accepts a short %s", name, op)
+			}
+		}
+	}
+	if !panics(func() { chainRows(buf(3*hw), 3, hw) }) || !panics(func() { chainRows(buf(9*hw), 9, hw) }) {
+		t.Error("chainRows accepts a row count outside [4, 8]")
+	}
+	src := buf(9 * 10)
+	if panics(func() { transpose(buf(10*9), 9, src, 9, 10) }) {
+		t.Error("transpose refuses operands that fit")
+	}
+	if !panics(func() { transpose(buf(10*9-1), 9, src, 9, 10) }) || !panics(func() { transpose(buf(10*9), 9, src[1:], 9, 10) }) {
+		t.Error("transpose accepts a short operand")
+	}
 }
 
 func panics(f func()) (p bool) {
 	defer func() { p = recover() != nil }()
 	f()
 	return false
+}
+
+// sweepValues returns n values of either sign with exact zeros of both signs
+// and subnormals planted throughout, and ±Inf and NaN too when poisoned, at
+// positions that land in both the 8-lane blocks and the tails of a run.
+func sweepValues(seed uint64, n int, poisoned bool) []float32 {
+	t := tensor.New(n)
+	tensor.NewRNG(seed).FillNormal(t, 0, 1)
+	specials := []float32{float32(math.Copysign(0, -1)), 0, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-39, -1e-39}
+	if poisoned {
+		specials = append(specials, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()))
+	}
+	for i := 3; i < n; i += 5 {
+		t.Data[i] = specials[(i/5)%len(specials)]
+	}
+	return t.Data
+}
+
+// sameFloat64s is sameFloats for the float64 dγ/dβ partials.
+func sameFloat64s(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		an, bn := a[i] != a[i], b[i] != b[i]
+		if an != bn || (!an && math.Float64bits(a[i]) != math.Float64bits(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// sweepOutputs runs every BN and ReLU sweep over one (n, c, hw) case on the
+// current body and pool and returns each result by name: the entry points,
+// the window's three tile fills and its in-place mask, and the float64 dγ/dβ
+// partials. Normalize and BackwardInput take fixed statistics and reductions,
+// so non-finite inputs poison single elements rather than whole channels.
+func sweepOutputs(t *testing.T, pool *parallel.Pool, n, c, hw int, poisoned bool) (map[string][]float32, map[string][]float64) {
+	t.Helper()
+	seed := uint64(1000*n + 100*c + hw)
+	x := tensor.MustFromSlice(sweepValues(seed, n*c*hw, poisoned), n, c, 1, hw)
+	dy := tensor.MustFromSlice(sweepValues(seed+1, n*c*hw, poisoned), n, c, 1, hw)
+	gamma := tensor.MustFromSlice(sweepValues(seed+2, c, poisoned), c)
+	beta := tensor.MustFromSlice(sweepValues(seed+3, c, poisoned), c)
+	dgFixed := tensor.MustFromSlice(sweepValues(seed+4, c, poisoned), c)
+	dbFixed := tensor.MustFromSlice(sweepValues(seed+5, c, poisoned), c)
+	variance := tensor.MustFromSlice(sweepValues(seed+6, c, false), c)
+	for i, v := range variance.Data {
+		variance.Data[i] = v * v
+	}
+	fixed := &BNStats{Mean: tensor.MustFromSlice(sweepValues(seed+7, c, poisoned), c), Var: variance, M: 3 * n * hw}
+
+	bn := NewBatchNorm(c).WithPool(pool)
+	out := map[string][]float32{}
+	st, err := bn.ComputeStats(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["ComputeStats.mean"], out["ComputeStats.var"] = st.Mean.Data, st.Var.Data
+	m, err := bn.Moments(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["Moments.sum"], out["Moments.sumsq"] = m.Sum, m.SumSq
+	y, xh, err := bn.Normalize(x, fixed, gamma, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["Normalize.y"], out["Normalize.xhat"] = y.Data, xh.Data
+	dg, db, err := bn.BackwardReduce(dy, xh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["BackwardReduce.dgamma"], out["BackwardReduce.dbeta"] = dg.Data, db.Data
+	dx, err := bn.BackwardInput(dy, xh, gamma, fixed, dgFixed, dbFixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["BackwardInput"] = dx.Data
+	out["ReLUForward"] = ReLUForwardAlloc(pool, nil, x).Data
+	rdx, err := ReLUBackwardAlloc(pool, nil, dy, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["ReLUBackward"] = rdx.Data
+
+	per := c * hw
+	inv := bn.InvStdScratch(fixed)
+	rect, scale, norm, nxh := make([]float32, n*per), make([]float32, n*per), make([]float32, n*per), make([]float32, n*per)
+	masked := append([]float32(nil), dy.Data...)
+	for in := 0; in < n; in++ {
+		s := in * per
+		(&tileFill{}).fill(rect[s:s+per], x.Data[s:s+per], nil, hw)
+		f := tileFill{mean: fixed.Mean.Data, inv: inv, g: gamma.Data, b: beta.Data}
+		f.fill(scale[s:s+per], x.Data[s:s+per], nil, hw)
+		f.fill(norm[s:s+per], x.Data[s:s+per], nxh[s:s+per], hw)
+		maskRun(masked[s:s+per], masked[s:s+per], x.Data[s:s+per])
+	}
+	out["fill.rectify"], out["fill.scale"], out["fill.normalize"], out["fill.xhat"], out["window.mask"] = rect, scale, norm, nxh, masked
+
+	pg, pb := make([]float64, n*c), make([]float64, n*c)
+	for in := 0; in < n; in++ {
+		gammaBetaPartials(dy.Data[in*per:(in+1)*per], x.Data[in*per:(in+1)*per], pg[in*c:], pb[in*c:], c, hw)
+	}
+	return out, map[string][]float64{"gammaBetaPartials.dgamma": pg, "gammaBetaPartials.dbeta": pb}
+}
+
+// Every BN and ReLU sweep on the lanes against its scalar body, bit for bit
+// (NaN payloads aside): plane lengths on both sides of the 8-lane block and of
+// the reductions' four-element transpose, channel counts below four (scalar),
+// from four to seven (lanes 4-7 shifted onto rows 0-3), eight, and past it
+// (a group shifted back), at workers 1 and 4, over values with both zeros,
+// subnormals and, poisoned, ±Inf and NaN.
+func TestSweepLanesBitIdenticalToScalar(t *testing.T) {
+	if !hasAVX2() {
+		t.Skip("no AVX2 lanes on this CPU")
+	}
+	for _, hw := range []int{1, 7, 8, 9, 15, 16, 17, 64, 1024} {
+		for _, c := range []int{1, 3, 4, 5, 8, 9, 20} {
+			for _, n := range []int{1, 5} {
+				for _, poisoned := range []bool{false, true} {
+					for _, workers := range []int{1, 4} {
+						pool := parallel.New(workers)
+						var f32 [2]map[string][]float32
+						var f64 [2]map[string][]float64
+						k := 0
+						forEachBody(func(string) {
+							f32[k], f64[k] = sweepOutputs(t, pool, n, c, hw, poisoned)
+							k++
+						})
+						for name, lanes := range f32[0] {
+							if !sameFloats(lanes, f32[1][name]) {
+								t.Errorf("%s: n=%d c=%d hw=%d poisoned=%v workers=%d: lanes differ from scalar", name, n, c, hw, poisoned, workers)
+							}
+						}
+						for name, lanes := range f64[0] {
+							if !sameFloat64s(lanes, f64[1][name]) {
+								t.Errorf("%s: n=%d c=%d hw=%d poisoned=%v workers=%d: lanes differ from scalar", name, n, c, hw, poisoned, workers)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSweeps times every BN and ReLU sweep body on both bodies over the
+// feature maps of bn-heavy's BN (layer_bn_input) and tiny-fleet's, with copy
+// over the same map as the memory ceiling. SetBytes is the bytes the sweep
+// reads plus the bytes it writes, so the MB/s column is its bandwidth.
+func BenchmarkSweeps(b *testing.B) {
+	for _, sh := range [][4]int{{32, 32, 32, 32}, {8, 16, 8, 8}} {
+		n, c, hw := sh[0], sh[1], sh[2]*sh[3]
+		shape := fmt.Sprintf("%dx%dx%dx%d", sh[0], sh[1], sh[2], sh[3])
+		per, size := c*hw, n*c*hw
+		x, dy := fillRand(1, size), fillRand(2, size)
+		xh, y := make([]float32, size), make([]float32, size)
+		mean, inv, gamma, beta := fillRand(3, c), fillRand(4, c), fillRand(5, c), fillRand(6, c)
+		pm, pv := make([]float32, n*c), make([]float32, n*c)
+		pg, pb := make([]float64, n*c), make([]float64, n*c)
+		f := tileFill{mean: mean, inv: inv, g: gamma, b: beta}
+		run := func(name string, words int, sweep func()) {
+			b.Run(name+"/"+shape, func(b *testing.B) {
+				b.SetBytes(int64(4 * words * size))
+				for i := 0; i < b.N; i++ {
+					sweep()
+				}
+			})
+		}
+		run("copy", 2, func() { copy(y, x) })
+		forEachBody(func(body string) {
+			run("normalize/"+body, 3, func() { bnNormalizeChunk(x, xh, y, mean, inv, gamma, beta, c, hw, 0, n) })
+			run("backward-input/"+body, 3, func() { bnInputGradChunk(dy, xh, y, gamma, inv, mean, beta, 1e4, c, hw, 0, n) })
+			run("fill-normalize/"+body, 3, func() {
+				for in := 0; in < n; in++ {
+					f.fill(y[in*per:(in+1)*per], x[in*per:(in+1)*per], xh[in*per:(in+1)*per], hw)
+				}
+			})
+			run("fill-scale/"+body, 2, func() {
+				for in := 0; in < n; in++ {
+					f.fill(y[in*per:(in+1)*per], x[in*per:(in+1)*per], nil, hw)
+				}
+			})
+			run("rectify/"+body, 2, func() { maskRun(y, x, x) })
+			run("mask/"+body, 3, func() { maskRun(y, dy, x) })
+			run("stats/"+body, 2, func() {
+				meanPartials(x, pm, c, hw, float64(n*hw), 0, n)
+				varPartials(x, mean, pv, c, hw, float64(n*hw), 0, n)
+			})
+			run("moments/"+body, 1, func() { momentPartials(x, pm, pv, c, hw, 0, n) })
+			run("gamma-beta/"+body, 2, func() { gammaBetaChunk(dy, xh, pg, pb, c, hw, 0, n) })
+		})
+	}
 }

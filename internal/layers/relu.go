@@ -16,15 +16,15 @@ func ReLUForward(x *tensor.Tensor) *tensor.Tensor { return ReLUForwardAlloc(nil,
 // is split into contiguous chunks with disjoint writes, so the result is
 // bit-identical to serial — drawing the output from an arena (nil = heap,
 // bit-identical). Every element is written through rectify's mask, without a
-// branch to mispredict.
+// branch to mispredict. The serial path calls the mask body directly, so the
+// steady state allocates no closure.
 func ReLUForwardAlloc(p *parallel.Pool, a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	y := a.Get(x.Shape()...)
-	p.Run(len(x.Data), func(lo, hi int) {
-		ys := y.Data[lo:hi]
-		for i, v := range x.Data[lo:hi] {
-			ys[i] = rectify(v)
-		}
-	})
+	if p.Serial() {
+		maskRun(y.Data, x.Data, x.Data)
+	} else {
+		p.Run(len(x.Data), func(lo, hi int) { maskRun(y.Data[lo:hi], x.Data[lo:hi], x.Data[lo:hi]) })
+	}
 	return y
 }
 
@@ -41,13 +41,11 @@ func ReLUBackwardAlloc(p *parallel.Pool, a *tensor.Arena, dy, x *tensor.Tensor) 
 		return nil, fmt.Errorf("relu: dy shape %v vs x %v", dy.Shape(), x.Shape())
 	}
 	dx := a.Get(x.Shape()...)
-	p.Run(len(x.Data), func(lo, hi int) {
-		xs := x.Data[lo:hi]
-		dys, dxs := dy.Data[lo:hi][:len(xs)], dx.Data[lo:hi][:len(xs)]
-		for i, v := range xs {
-			dxs[i] = passIf(dys[i], v)
-		}
-	})
+	if p.Serial() {
+		maskRun(dx.Data, dy.Data, x.Data)
+	} else {
+		p.Run(len(x.Data), func(lo, hi int) { maskRun(dx.Data[lo:hi], dy.Data[lo:hi], x.Data[lo:hi]) })
+	}
 	return dx, nil
 }
 

@@ -94,29 +94,13 @@ type tileFill struct {
 //
 // hot-path: runs once per sample per direction; all buffers are the caller's.
 func (f *tileFill) fill(tile, src, xh []float32, chanLen int) {
-	if f.g == nil {
-		for i, v := range src {
-			tile[i] = rectify(v)
-		}
-		return
-	}
-	for ic, gc := range f.g {
-		bc := f.b[ic]
-		lo, hi := ic*chanLen, (ic+1)*chanLen
-		trow := tile[lo:hi]
-		if xh == nil {
-			for i, v := range src[lo:hi] {
-				trow[i] = rectify(float32(gc*v) + bc)
-			}
-			continue
-		}
-		mu, is := f.mean[ic], f.inv[ic]
-		xrow := xh[lo:hi]
-		for i, xv := range src[lo:hi] {
-			v := (xv - mu) * is
-			xrow[i] = v
-			trow[i] = rectify(float32(gc*v) + bc)
-		}
+	switch {
+	case f.g == nil:
+		maskRun(tile[:len(src)], src, src)
+	case xh == nil:
+		scaleRectRows(src, tile, f.g, f.b, chanLen)
+	default:
+		normRows(src, xh, tile, f.mean, f.inv, f.g, f.b, chanLen, true)
 	}
 }
 
@@ -356,10 +340,7 @@ func (sp *convBwd) run(chunk, lo, hi int) {
 		if sp.tiles == nil {
 			continue
 		}
-		z = z[:len(dx)]
-		for i, zv := range z {
-			dx[i] = passIf(dx[i], zv)
-		}
+		maskRun(dx, dx, z)
 		if sp.psg != nil {
 			gammaBetaPartials(dx, src, sp.psg[in*g.Cin:], sp.psb[in*g.Cin:], g.Cin, hw)
 		}

@@ -112,6 +112,17 @@ func FuzzConvWindow(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
+	// Rectify and BN tiles (with and without the statistics epilogue) on
+	// planes that are not a multiple of the sweeps' eight lanes: 1×1 over
+	// 3×15 with nine input channels (one eight-channel group and one shifted
+	// back) and 3×3 pad 1 over 5×9 with five (no group).
+	for _, geom := range [][]byte{{1, 0, 0, 0, 0, 0, 2, 14, 8, 4}, {2, 0, 2, 2, 0, 1, 4, 8, 4, 7}} {
+		for _, flags := range []byte{1, 2, 1 | 8, 2 | 8} {
+			for _, vals := range [][]byte{{17, 250, 9, 128, 77, 200, 61, 33, 90}, {17, 0, 250, 2, 9, 3, 128, 1, 4, 61}} {
+				f.Add(append(append(append([]byte(nil), geom...), flags), vals...))
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		conv, n, h, w := r.fuzzConv()
@@ -242,6 +253,6 @@ func fuzzFC(t *testing.T, conv Conv2D, n int, x, w, bias, dy, y, dx, dw *tensor.
 		}
 	}
 	if !sameFloats(fy.Data, y.Data) || !sameFloats(fdx.Data, dx.Data) || !sameFloats(fdw.Data, dw.Data) || !sameFloats(fdb.Data, dbWant) {
-		t.Fatalf("%s: FC %d->%d n=%d workers=%d differs from its window", ConvBody(), fc.In, fc.Out, n, pool.Workers())
+		t.Fatalf("%s: FC %d->%d n=%d workers=%d differs from its window", Body(), fc.In, fc.Out, n, pool.Workers())
 	}
 }
