@@ -88,19 +88,25 @@ alloc-guard:
 	$(GO) test ./internal/layers/ -run TestBlockedKernelsAllocFree -count=1 -v
 	$(GO) test ./internal/serve/ -run TestReplicaExecutorRecyclesActivations -count=1 -v
 
-# Bounds-check budget for the blocked compute core: the compiler's own list of
-# the index and slice checks it could not prove away in
-# internal/layers/blocked.go (the convolution tiles, quads and points that
-# every conv and FC runs — every function there is hot) must not grow past the
-# committed count (internal/layers/testdata/bce_budget.txt). A check inside a
-# tap loop costs a compare and a branch per load, so one that creeps into an
-# inner loop shows here before it shows in a benchmark. The count is what the
-# image's toolchain (go1.24) proves; lower the file when a hoist removes checks.
+# Bounds-check budgets for the compute core: the compiler's own list of the
+# index and slice checks it could not prove away in internal/layers/blocked.go
+# (the convolution tiles, quads and points that every conv and FC runs — every
+# function there is hot) and in internal/layers/lanes.go (the Go drivers of the
+# lane kernels: the block loops, the channel-lane pixel walks, the transposes
+# and the sweeps' tails) must not grow past each file's committed count
+# (internal/layers/testdata/bce_budget.txt and bce_budget_lanes.txt). A check
+# inside a tap loop costs a compare and a branch per load, so one that creeps
+# into an inner loop shows here before it shows in a benchmark. The counts are
+# what the image's toolchain (go1.24) proves; lower a file when a hoist removes
+# checks.
 bce:
-	@n=$$($(GO) build -gcflags=-d=ssa/check_bce ./internal/layers 2>&1 | grep -c 'blocked\.go:.*Found Is\(Slice\)\?InBounds'); \
-	budget=$$(cat internal/layers/testdata/bce_budget.txt); \
-	echo "internal/layers/blocked.go: $$n bounds checks, budget $$budget"; \
-	[ "$$n" -le "$$budget" ]
+	@checks=$$($(GO) build -gcflags=-d=ssa/check_bce ./internal/layers 2>&1); \
+	for f in blocked:bce_budget lanes:bce_budget_lanes; do \
+		n=$$(echo "$$checks" | grep -c "$${f%%:*}\.go:.*Found Is\(Slice\)\?InBounds"); \
+		budget=$$(cat internal/layers/testdata/$${f#*:}.txt); \
+		echo "internal/layers/$${f%%:*}.go: $$n bounds checks, budget $$budget"; \
+		[ "$$n" -le "$$budget" ] || exit 1; \
+	done
 
 # No fused multiply-add in the numeric packages. Go may fuse acc += a*b into
 # one FMA — one rounding instead of two — on arm64 and ppc64le, which

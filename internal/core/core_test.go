@@ -579,3 +579,92 @@ func TestEpilogueStatsMatchMonolithic(t *testing.T) {
 		t.Error("fused epilogue variance diverges from monolithic BN")
 	}
 }
+
+// stemNet is tiny-cnn's front over an 8×8 input — stem, BN, ReLU, a second
+// convolution, the head. With copied the stem reads the input through a
+// one-input concat, a copy whose gradient the executor must compute, so the
+// stem computes dx; reading the input itself, it takes dW alone.
+func stemNet(t *testing.T, copied bool) *graph.Graph {
+	t.Helper()
+	g := graph.New("stem")
+	src := g.Input("input", tensor.Shape{4, 3, 8, 8})
+	var err error
+	if copied {
+		if src, err = g.Concat("copy", -1, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c1, err := g.Conv("conv1", src, layers.NewConv2D(3, 8, 3, 1, 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, err := g.BN("bn1", c1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := g.Conv("conv2", g.ReLU("relu1", b1, 0), layers.NewConv2D(8, 16, 3, 1, 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gap, err := g.GlobalPool("gap", c2, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Output, err = g.FC("fc", gap, layers.FC{In: 16, Out: 4}, -1); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// A stem that reads the graph input skips the input gradient nobody reads:
+// every parameter gradient must be bit-equal to the same network's whose stem
+// reads a copy of the input and so computes dx, on the plain stem and on the
+// statistics-producing stem BNFF makes of it, serial and pooled; and nothing
+// stays checked out of the arena.
+func TestStemBackwardSkipsInputGradient(t *testing.T) {
+	for _, scen := range []Scenario{Baseline, RCF, BNFF} {
+		for _, workers := range []int{1, 4} {
+			var execs [2]*Executor
+			for i, copied := range []bool{false, true} {
+				g := stemNet(t, copied)
+				if err := Restructure(g, scen.Options()); err != nil {
+					t.Fatal(err)
+				}
+				e, err := NewExecutor(g, WithSeed(42), WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				execs[i] = e
+			}
+			skip, full := execs[0], execs[1]
+			if err := full.CopyParamsFrom(skip); err != nil {
+				t.Fatal(err)
+			}
+			x := tensor.New(4, 3, 8, 8)
+			tensor.NewRNG(3).FillNormal(x, 0, 1)
+			dOut := tensor.New(4, 4)
+			tensor.NewRNG(5).FillUniform(dOut, -1, 1)
+			var grads [2]map[string]*tensor.Tensor
+			for i, e := range execs {
+				if _, err := e.Forward(x); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if grads[i], err = e.Backward(dOut); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(grads[0]) != len(grads[1]) {
+				t.Fatalf("%v workers=%d: %d gradients with the skip, %d without", scen, workers, len(grads[0]), len(grads[1]))
+			}
+			for k, g := range grads[1] {
+				if got := grads[0][k]; got == nil || !bitEqual(got, g) {
+					t.Errorf("%v workers=%d: gradient %q differs with the stem's dx skipped", scen, workers, k)
+				}
+			}
+			if inUse := skip.ArenaStats().BytesInUse; inUse != 0 {
+				t.Errorf("%v workers=%d: %d bytes still checked out after backward", scen, workers, inUse)
+			}
+		}
+	}
+}

@@ -822,7 +822,15 @@ func (e *Executor) convBackward(n *graph.Node, gmap map[int]*tensor.Tensor,
 		win.BN, win.Gamma, win.Beta = e.bnOf(n.BN), e.gamma(n), e.beta(n)
 		src = e.xhats[n.ID]
 	}
-	dx, dw, dgamma, dbeta, err := e.convOf(n).BackwardWindow(dy, src, e.Params[n.Name+".w"], win)
+	c, w := e.convOf(n), e.Params[n.Name+".w"]
+	var dx, dw, dgamma, dbeta *tensor.Tensor
+	var err error
+	if n.Inputs[0].Kind == graph.OpInput && win.Gamma == nil {
+		// Nothing reads a graph input's gradient: dW alone.
+		dw, err = c.BackwardWeights(dy, src, w, win)
+	} else {
+		dx, dw, dgamma, dbeta, err = c.BackwardWindow(dy, src, w, win)
+	}
 	if err != nil {
 		return err
 	}
@@ -830,8 +838,11 @@ func (e *Executor) convBackward(n *graph.Node, gmap map[int]*tensor.Tensor,
 		e.alloc.Put(dy)
 	}
 	grads[n.Name+".w"] = dw
-	if win.Gamma != nil {
+	switch {
+	case win.Gamma != nil:
 		return e.stashReduced(n, dx, dgamma, dbeta, grads, stash)
+	case dx == nil:
+		return nil
 	}
 	return e.accumGrad(gmap, n.Inputs[0], dx)
 }

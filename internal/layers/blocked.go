@@ -125,14 +125,29 @@ func (g ConvGeom) interiorOX() (lo, hi int) {
 // The three bodies share one calling convention: xo and wo are the offsets of
 // the element's first in-bounds tap row (channel icLo, row iy0+kyLo, column
 // ix0; filter oc, row kyLo) and rows = kyHi − kyLo, so the nest inside only
-// ever adds strides. On the lanes, forwardLanes takes the interior columns of
-// a stride-1 convolution with four output channels a group, and these
-// bodies the borders.
+// ever adds strides.
+//
+// On the lanes, wt — w packed by PackForward, ForwardPack floats — with
+// scratch of ForwardScratch floats moves the whole sample to the channel
+// lanes (forwardChans: a group of sixteen output channels, or of eight where
+// the column lanes do not reach), and for FC's shape with at least 32 outputs
+// wt alone moves it to FC's lanes; a shorter wt or scratch (nil) keeps it
+// here. Otherwise forwardLanes takes the interior columns of a stride-1
+// convolution with four output channels a group, and these bodies the
+// borders.
 //
 // hot-path: the module's dominant FLOP loop; everything lives in caller
 // buffers and loop-local scalars.
-func (g ConvGeom) ForwardSample(x, w, y []float32, bias []float32) {
+func (g ConvGeom) ForwardSample(x, w, wt, y, bias, scratch []float32) {
 	g = g.flat()
+	if useLanes && g.fcShape() && g.Cout >= 32 && len(wt) >= g.Cin*g.Cout {
+		g.fcForward(x, wt, y, bias)
+		return
+	}
+	if n := g.ForwardPack(); n > 0 && len(wt) >= n && len(scratch) >= g.ForwardScratch() {
+		g.forwardChans(x, wt, y, bias, scratch)
+		return
+	}
 	oxLo, oxHi := g.interiorOX()
 	lanes := useLanes && g.S == 1 && g.CoutG >= 4 && oxHi-oxLo >= 8
 	if lanes {
@@ -287,30 +302,49 @@ func (g *ConvGeom) convTile(x, w, out []float32, xo, wo, rows int, b0, b1 float3
 // No term is skipped, a zero dy included, so 0·Inf and 0·NaN reach both
 // gradients as they reach y in the forward.
 //
-// scratch is the dW lanes' channels-last copy of x, SampleScratch floats; a
-// shorter one (nil) keeps dW on the scalar gather.
+// wt is w packed by PackBackward, BackwardPack floats, for dx's channel lanes;
+// a shorter one (nil) keeps dx on its other bodies. A nil dx skips the input
+// gradient. scratch, SampleScratch floats, is dx channels-last on the channel
+// lanes and then the dW lanes' channels-last copy of x; a shorter one (nil)
+// keeps both on their other bodies.
 //
 // hot-path: the backward twin of ForwardSample; no per-call allocation.
-func (g ConvGeom) BackwardSample(dy, x, w, dx, dw, scratch []float32) {
+func (g ConvGeom) BackwardSample(dy, x, w, wt, dx, dw, scratch []float32) {
 	g = g.flat()
-	if useLanes && g.fcShape() {
+	if useLanes && g.fcShape() && dx != nil {
 		g.fcBackward(dy, x, w, dx, dw)
 		return
 	}
-	g.backwardInput(dy, w, dx)
-	if n := g.SampleScratch(); n > 0 && len(scratch) >= n {
+	switch n := g.BackwardPack(); {
+	case dx == nil:
+	case n > 0 && len(wt) >= n && len(scratch) >= len(dx):
+		g.backwardInputChans(dy, wt, dx, scratch)
+	default:
+		g.backwardInput(dy, w, dx)
+	}
+	if n := g.dwScratch(); n > 0 && len(scratch) >= n {
 		g.dwLanes(dy, x, dw, scratch)
 		return
 	}
 	g.backwardWeights(dy, x, dw)
 }
 
-// SampleScratch returns how many floats of scratch BackwardSample's dW lanes
-// take: the sample channels-last, channels padded to a multiple of eight. It
-// is 0 where dW keeps the scalar gather: without AVX2, for grouped
-// convolutions, under four output channels, and for maps under 16 output
-// positions, whose chains are too short to pay for the copy.
+// SampleScratch returns how many floats of scratch BackwardSample takes: dx
+// channels-last (Cin·H·W) where dx runs on the channel lanes, and the sample
+// channels-last for the dW lanes (dwScratch); 0 where neither runs.
 func (g ConvGeom) SampleScratch() int {
+	if g.BackwardPack() > 0 {
+		return max(g.dwScratch(), g.Cin*g.H*g.W)
+	}
+	return g.dwScratch()
+}
+
+// dwScratch returns how many floats of scratch the dW lanes take: the sample
+// channels-last, channels padded to a multiple of eight. It is 0 where dW
+// keeps the scalar gather: without AVX2, for grouped convolutions, under four
+// output channels, and for maps under 16 output positions, whose chains are
+// too short to pay for the copy.
+func (g ConvGeom) dwScratch() int {
 	if !useLanes || g.CinG != g.Cin || g.Cout < 4 || g.OH*g.OW < 16 {
 		return 0
 	}
@@ -325,7 +359,9 @@ func (g ConvGeom) SampleScratch() int {
 // dy columns — the 4-wide tile (adjacent columns at stride 1). Columns whose
 // taps are clipped by the ofmap's edge take the single-column body. Channels
 // pair up like the forward's; on the lanes, four channels of a group take an
-// interior run of at least eight columns together.
+// interior run of at least eight columns together. Where a group has sixteen
+// input channels, or eight and these column lanes do not reach,
+// BackwardSample takes backwardInputChans instead.
 //
 // The three bodies share one calling convention, the forward's mirrored: wo
 // and do are the offsets of the element's first term (channel ocLo, largest

@@ -126,6 +126,16 @@ func sameFloats(a, b []float32) bool {
 	return true
 }
 
+// packs returns w packed for the channel lanes of the forward (also FC's
+// forward lanes' layout) and of dx; the sample kernels take them only where
+// their lanes run.
+func packs(geom ConvGeom, w []float32) (fwd, bwd []float32) {
+	fwd, bwd = make([]float32, len(w)), make([]float32, len(w))
+	geom.PackForward(fwd, w)
+	geom.PackBackward(bwd, w)
+	return fwd, bwd
+}
+
 func fillRand(seed uint64, n int) []float32 {
 	t := tensor.New(n)
 	tensor.NewRNG(seed).FillNormal(t, 0, 1)
@@ -198,28 +208,43 @@ func TestBlockedConvBitIdenticalToLegacy(t *testing.T) {
 	}
 }
 
-// Property: blocked ≡ legacy bit-identity holds for random geometries —
-// kernel 1..3, stride 1..2, groups {1,2}, random odd spatial extents so the
-// interior tile hits every edge-remainder case — on both bodies.
+// Property: blocked ≡ legacy bit-identity holds for random geometries on both
+// bodies — kernel 1..3, stride 1..3, pad 0..kernel, maps of 1..11 rows and
+// columns drawn apart, 2..6 input and 8, 12, 16 or 20 output channels (two
+// groups of eight or ten among them), bias on and off — so the forward meets
+// the column lanes, the channel lanes (every pixel, borders and strides
+// included) and the scalar bodies at every edge.
 func TestQuickBlockedConvBitIdentity(t *testing.T) {
-	f := func(seed uint64, kBits, sBits, gBits, hwBits uint8) bool {
+	f := func(seed uint64, cBits, kBits, sBits, pBits, hBits, wBits uint8, grouped, biased bool) bool {
 		k := 1 + int(kBits%3)
-		s := 1 + int(sBits%2)
-		hw := 5 + int(hwBits%7) // 5..11
-		conv := NewConv2D(2, 4, k, s, k/2)
-		if gBits%2 == 1 {
+		s := 1 + int(sBits%3)
+		p := int(pBits) % (k + 1)
+		h, wd := max(1+int(hBits%11), k-2*p), max(1+int(wBits%11), k-2*p)
+		cout := [4]int{8, 12, 16, 20}[cBits%4]
+		conv := NewConv2D(2+2*int(cBits/4%3), cout, k, s, p)
+		if grouped && cout >= 16 {
 			conv.Groups = 2
 		}
-		x, w := randomConvCase(seed, conv, 2, hw)
-		want := legacyConvForward(conv, x, w, nil)
+		rng := tensor.NewRNG(seed)
+		x := tensor.New(2, conv.InChannels, h, wd)
+		w := tensor.New(conv.WeightShape()...)
+		bias := tensor.New(cout)
+		rng.FillNormal(x, 0, 1)
+		rng.FillNormal(w, 0, 0.5)
+		rng.FillUniform(bias, -1, 1)
+		var biasData []float32
 		got, err := conv.Forward(x, w)
+		if biased {
+			biasData = bias.Data
+			got, err = conv.ForwardBias(x, w, bias)
+		}
 		if err != nil {
 			return false
 		}
-		return bitsEqual(got.Data, want.Data)
+		return bitsEqual(got.Data, legacyConvForward(conv, x, w, biasData).Data)
 	}
 	forEachBody(func(body string) {
-		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("%s: %v", body, err)
 		}
 	})
@@ -388,7 +413,8 @@ func TestQuickBlockedConvBackwardBitIdentity(t *testing.T) {
 		}
 		wantDX, wantDW := dx.Clone(), dw.Clone()
 		legacyConvBackward(conv, h, wd, dy.Data, x.Data, w.Data, wantDX.Data, wantDW.Data)
-		geom.BackwardSample(dy.Data, x.Data, w.Data, dx.Data, dw.Data, make([]float32, geom.SampleScratch()))
+		_, wt := packs(geom, w.Data)
+		geom.BackwardSample(dy.Data, x.Data, w.Data, wt, dx.Data, dw.Data, make([]float32, geom.SampleScratch()))
 		return bitsEqual(dx.Data, wantDX.Data) && bitsEqual(dw.Data, wantDW.Data)
 	}
 	forEachBody(func(body string) {
@@ -640,7 +666,8 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 	// Both sample kernels on both bodies, on geometries that between them
 	// reach every body: tile, quad and point of the forward and of the dx
 	// gather, tile and quad of the dW gather; on the lanes, full, buffered
-	// and shifted blocks of every four-row body and FC's channel runs.
+	// and shifted blocks of every four-row body, column and channel lanes,
+	// and FC's channel runs.
 	for _, cfg := range []struct {
 		conv Conv2D
 		h, w int
@@ -652,6 +679,8 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 		{NewConv2D(8, 4, 3, 2, 1), 4, 40},      // lanes: strided dx through the buffer
 		{NewConv2D(20, 4, 1, 1, 0), 6, 6},      // lanes: a flattened 1×1
 		{NewConv2D(40, 33, 1, 1, 0), 1, 1},     // FC's channel runs
+		{NewConv2D(12, 20, 3, 2, 1), 7, 9},     // channel lanes: shifted groups and blocks, strided
+		{NewConv2D(16, 16, 3, 1, 1), 8, 8},     // channel lanes: tiny-cnn's 8×8 maps
 	} {
 		conv := cfg.conv
 		geom := conv.SampleGeom(cfg.h, cfg.w)
@@ -660,15 +689,14 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 		y := make([]float32, geom.Cout*geom.OH*geom.OW)
 		dy := fillRand(5, len(y))
 		dx, dw := make([]float32, len(x)), make([]float32, len(w))
-		scratch := make([]float32, geom.SampleScratch())
-		wt := make([]float32, len(w))
 		forEachBody(func(body string) {
+			scratch, fscratch := make([]float32, geom.SampleScratch()), make([]float32, geom.ForwardScratch())
+			fwd, bwd := packs(geom, w)
 			if allocs := testing.AllocsPerRun(10, func() {
-				geom.ForwardSample(x, w, y, nil)
-				geom.BackwardSample(dy, x, w, dx, dw, scratch)
-				if geom.fcShape() && geom.Cout >= 32 {
-					geom.fcForward(x, wt, y, nil)
-				}
+				geom.ForwardSample(x, w, fwd, y, nil, fscratch)
+				geom.BackwardSample(dy, x, w, bwd, dx, dw, scratch)
+				geom.ForwardSample(x, w, nil, y, nil, nil)
+				geom.BackwardSample(dy, x, w, nil, dx, dw, nil)
 			}); allocs != 0 {
 				t.Errorf("%s: conv %+v: ForwardSample + BackwardSample allocate %v per run, want 0", body, conv, allocs)
 			}
@@ -757,7 +785,7 @@ func BenchmarkConvForwardBlocked(b *testing.B) {
 	b.ResetTimer()
 	geom := conv.SampleGeom(16, 16)
 	for i := 0; i < b.N; i++ {
-		geom.ForwardSample(x.Data, w.Data, y.Data, nil)
+		geom.ForwardSample(x.Data, w.Data, nil, y.Data, nil, nil)
 	}
 }
 
@@ -788,7 +816,7 @@ func benchConvBackward(b *testing.B, kernel func(conv Conv2D, dy, x, w, dx, dw [
 func BenchmarkConvBackwardBlocked(b *testing.B) {
 	benchConvBackward(b, func(conv Conv2D, dy, x, w, dx, dw []float32) {
 		geom := conv.SampleGeom(16, 16)
-		geom.BackwardSample(dy, x, w, dx, dw, make([]float32, geom.SampleScratch()))
+		geom.BackwardSample(dy, x, w, nil, dx, dw, make([]float32, geom.SampleScratch()))
 	})
 }
 
@@ -815,25 +843,30 @@ func BenchmarkConvShapes(b *testing.B) {
 		{"3x3_16to32_s2_16", NewConv2D(16, 32, 3, 2, 1), 16},    // conv-heavy stage entry
 		{"dw3x3_16_s2_32", NewDepthwiseConv2D(16, 3, 2, 1), 32}, // depthwise layer_conv
 		{"dw3x3_32_s1_16", NewDepthwiseConv2D(32, 3, 1, 1), 16}, // depthwise, stride 1
+		{"3x3_3to8_8", NewConv2D(3, 8, 3, 1, 1), 8},             // tiny-cnn stem
 		{"3x3_8to16_8", NewConv2D(8, 16, 3, 1, 1), 8},           // tiny-cnn
+		{"3x3_16to16_8", NewConv2D(16, 16, 3, 1, 1), 8},         // tiny-cnn
+		{"3x3_3to8_32", NewConv2D(3, 8, 3, 1, 1), 32},           // bn-heavy stem
+		{"3x3_32to32_8", NewConv2D(32, 32, 3, 1, 1), 8},         // conv-heavy second stage
 	} {
 		x, w := randomConvCase(5, sh.conv, 1, sh.hw)
 		geom := sh.conv.SampleGeom(sh.hw, sh.hw)
 		y := make([]float32, geom.Cout*geom.OH*geom.OW)
 		dy := fillRand(6, len(y))
 		dx, dw := make([]float32, len(x.Data)), make([]float32, len(w.Data))
-		scratch := make([]float32, geom.SampleScratch())
+		scratch, fscratch := make([]float32, geom.SampleScratch()), make([]float32, geom.ForwardScratch())
+		fwd, bwd := packs(geom, w.Data)
 		flops := sh.conv.FLOPs(1, sh.hw, sh.hw)
 		b.Run(sh.name+"/fwd", func(b *testing.B) {
 			b.SetBytes(flops)
 			for i := 0; i < b.N; i++ {
-				geom.ForwardSample(x.Data, w.Data, y, nil)
+				geom.ForwardSample(x.Data, w.Data, fwd, y, nil, fscratch)
 			}
 		})
 		b.Run(sh.name+"/bwd", func(b *testing.B) {
 			b.SetBytes(2 * flops)
 			for i := 0; i < b.N; i++ {
-				geom.BackwardSample(dy, x.Data, w.Data, dx, dw, scratch)
+				geom.BackwardSample(dy, x.Data, w.Data, bwd, dx, dw, scratch)
 			}
 		})
 	}

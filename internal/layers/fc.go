@@ -81,7 +81,7 @@ func (f FC) Forward(x, w, b *tensor.Tensor) (*tensor.Tensor, error) {
 		// weights once, as a scalar pass over one sample does, so it pays from
 		// a few samples on.
 		sp.wt = f.alloc.Floats(f.In * f.Out)
-		transpose(sp.wt, f.Out, w.Data, f.Out, f.In)
+		g.PackForward(sp.wt, w.Data)
 	}
 	c.forwardWindow(sp, n, ConvWindow{})
 	f.alloc.PutFloats(sp.wt)

@@ -6,8 +6,16 @@ package layers
 // VADDPS — the two roundings of `acc += float32(a*b)` — so every lane stores
 // the bits the scalar body stores. Where each body gets its lanes:
 //
-//	forward    stride-1 interior runs: 4 output channels × 8|16 columns
-//	dx         interior runs of a residue class: 4 input channels × 8|16 columns
+//	forward    column lanes, stride-1 interior runs: 4 output channels × 8|16
+//	           columns
+//	           channel lanes, every pixel, borders and strides included: 4
+//	           pixels that share a tap set (or one pixel 4 times) × 8|16
+//	           output channels of the weights packed (ig, ky, kx) × Cout
+//	dx         column lanes, interior runs of a residue class: 4 input
+//	           channels × 8|16 columns
+//	           channel lanes, every pixel: 4 columns of a residue class that
+//	           share a tap set (or one 4 times) × 8|16 input channels of the
+//	           weights packed (oc, ky, kx) × CinG, taps walked descending
 //	dW         a channels-last copy of the sample (itself transposed 8 rows ×
 //	           4 columns at a time, from 4 input channels): 4 output × 8|16
 //	           input channels
@@ -20,12 +28,17 @@ package layers
 //	           channels (4 to 7 with lanes sharing rows), one chain each, rows
 //	           transposed 8 × 4 in registers
 //
-// Everything else — border columns, runs under 8 lanes, strided forwards,
-// grouped dW, channel tails, reductions over fewer than 4 channels, CPUs
-// without AVX2 — keeps the scalar bodies (blocked.go, and the scalar loops
-// beside each sweep's lanes), which remain the reference. Every kernel call
-// is preceded by a check that each element it reads or writes lies inside
-// its slice.
+// A direction takes the channel lanes (chanLanes) with sixteen channels a
+// group, or eight where the column lanes do not reach — a stride above 1 or an
+// interior run under eight columns, as on 8×8 maps — unless it is a flat 1×1
+// convolution; the window packs the weights once per call (PackForward,
+// PackBackward). Everything else — groups under eight channels with their
+// border columns and runs under 8 lanes, groups under four channels, depthwise
+// convolutions, grouped dW, channel tails of the column lanes, reductions over
+// fewer than 4 channels, CPUs without AVX2 — keeps the scalar bodies
+// (blocked.go, and the scalar loops beside each sweep's lanes), which remain
+// the reference. Every kernel call is preceded by a check that each element
+// it reads or writes lies inside its slice.
 
 // useLanes selects the lane kernels: AVX2 with the OS saving the YMM state,
 // read once from CPUID and XGETBV.
@@ -68,12 +81,15 @@ func (t *laneNest) reach(step [3]int) (lo, hi int) {
 
 // laneTile is a run of four-row lane kernel calls: row j, lane i accumulates
 // a[ao+j·aj+p]·b[bo+i+q] over the nest's (p, q) into out[oo+j·oj+i·ol],
-// starting from seed[j] when seed is non-nil and from out otherwise.
+// starting from seed[j] when seed is non-nil and from out otherwise. Only rows
+// [j0, 4) are stored: the rows below repeat a row or overlap a block already
+// stored.
 type laneTile struct {
 	laneNest
 	a, b, out, seed []float32
 	ao, bo, oo      int
 	aj, oj, ol      int
+	j0              int
 }
 
 // sweep runs the lanes [0, n), n ≥ 8: 16-lane blocks, an 8-lane block, and
@@ -98,27 +114,27 @@ func (t *laneTile) sweep(n int) {
 }
 
 // block runs lanes [i, i+width), width 8 or 16, and stores lanes [i+k0,
-// i+k1). Contiguous lanes that are all stored run on out in place; the rest
-// run through a register-sized buffer, gathered from out and scattered back.
-// The caller has checked the block's lanes.
+// i+k1) of rows [j0, 4). Contiguous lanes that are all stored run on out in
+// place; the rest run through a register-sized buffer, gathered from out and
+// scattered back. The caller has checked the block's lanes.
 //
 // hot-path: one kernel call of sweep and of the dW body.
 func (t *laneTile) block(i, width, k0, k1 int) {
 	oo := t.oo + i*t.ol
-	if t.ol == 1 && k0 == 0 && k1 == width {
+	if t.ol == 1 && t.j0 == 0 && k0 == 0 && k1 == width {
 		t.call(width, t.out, oo, t.oj, t.bo+i)
 		return
 	}
 	var buf [64]float32
 	if t.seed == nil {
-		for j := 0; j < 4; j++ {
+		for j := t.j0; j < 4; j++ {
 			for l := k0; l < k1; l++ {
 				buf[j*16+l] = t.out[oo+j*t.oj+l*t.ol]
 			}
 		}
 	}
 	t.call(width, buf[:], 0, 16, t.bo+i)
-	for j := 0; j < 4; j++ {
+	for j := t.j0; j < 4; j++ {
 		for l := k0; l < k1; l++ {
 			t.out[oo+j*t.oj+l*t.ol] = buf[j*16+l]
 		}
@@ -223,6 +239,188 @@ func (g *ConvGeom) forwardLanes(x, w, y, bias []float32, oxLo, oxHi int) {
 			}
 		}
 	}
+}
+
+// chanLanes reports whether a direction runs on the channel lanes, given its
+// lane channels a group — CoutG forward, CinG for dx. A flat 1×1 convolution
+// keeps the column lanes (its one long row is their best case); otherwise it
+// takes sixteen channels, or eight where the column lanes do not reach: at a
+// stride above 1 or an interior run under eight columns. (Eight channels over
+// a long run, as bn-heavy's 3→8 stem at 32², are a draw or a loss in
+// BenchmarkConvShapes; sixteen win on every map there.)
+func (g *ConvGeom) chanLanes(cg int) bool {
+	if !useLanes || cg < 8 || (g.KH == 1 && g.KW == 1 && g.S == 1 && g.P == 0) {
+		return false
+	}
+	lo, hi := g.interiorOX()
+	return cg >= 16 || g.S > 1 || hi-lo < 8
+}
+
+// ForwardPack returns how many floats of packed weights (PackForward)
+// ForwardSample's channel lanes take, 0 where the forward keeps its other
+// bodies. Its scratch, the channels-last output, is ForwardScratch floats.
+func (g ConvGeom) ForwardPack() int {
+	if g = g.flat(); !g.chanLanes(g.CoutG) {
+		return 0
+	}
+	return g.Cout * g.CinG * g.KH * g.KW
+}
+
+// ForwardScratch returns how many floats of scratch ForwardSample's channel
+// lanes take: the output channels-last, (OH, OW) rows of Cout; 0 where the
+// forward keeps its other bodies.
+func (g ConvGeom) ForwardScratch() int {
+	if g.ForwardPack() == 0 {
+		return 0
+	}
+	return g.OH * g.OW * g.Cout
+}
+
+// PackForward writes the weights w (Cout, CinG, KH, KW) transposed into wt as
+// (CinG, KH, KW) rows of Cout: the forward's vector operand, a row per tap and
+// a lane per output channel. FC's forward lanes read the same layout.
+func (g ConvGeom) PackForward(wt, w []float32) {
+	transpose(wt, g.Cout, w, g.Cout, g.CinG*g.KH*g.KW)
+}
+
+// BackwardPack returns how many floats of packed weights (PackBackward)
+// BackwardSample's channel lanes take, 0 where dx keeps its other bodies.
+func (g ConvGeom) BackwardPack() int {
+	if g = g.flat(); !g.chanLanes(g.CinG) {
+		return 0
+	}
+	return g.Cout * g.CinG * g.KH * g.KW
+}
+
+// PackBackward writes the weights w (Cout, CinG, KH, KW) into wt as (Cout,
+// KH, KW) rows of CinG: each output channel's filters transposed, dx's vector
+// operand, a row per tap and a lane per input channel of the group.
+func (g ConvGeom) PackBackward(wt, w []float32) {
+	khw := g.KH * g.KW
+	filt := g.CinG * khw
+	for o := 0; o < g.Cout*filt; o += filt {
+		transpose(wt[o:o+filt], g.CinG, w[o:o+filt], g.CinG, khw)
+	}
+}
+
+// quad picks the four rows of a channel-lane call at position p of a row
+// whose positions [lo, hi) share one tap set: the four positions from p,
+// step 1 apart and shifted back to end at hi, storing from row j0 = p − start
+// on (the rows before it belong to the call before); outside the run, or
+// where it is shorter than four, p alone, step 0, its four rows one element
+// stored four times. next is the position after the ones it stores.
+func quad(p, lo, hi int) (start, step, j0, next int) {
+	if p < lo || p >= hi || hi-lo < 4 {
+		return p, 0, 0, p + 1
+	}
+	start = min(p, hi-4)
+	return start, 1, p - start, start + 4
+}
+
+// forwardChans is ForwardSample on the channel lanes: wt is w packed by
+// PackForward, so a call's lanes are 8 or 16 output channels of one group —
+// laneTile.sweep's blocks — and its four rows four output columns of one row
+// that share a tap set (quad), S input columns apart. The calls run in place
+// on yt, the output channels-last, whose rows start at the bias or +0: every
+// chain is seeded from yt and adds x·w over (ig, ky, kx) ascending, as
+// convPoint does. A group shifted back goes through block's buffer and
+// stores only the columns it adds, so no chain is seeded twice. yt is then
+// transposed into y.
+//
+// hot-path: ForwardSample on the channel lanes.
+func (g *ConvGeom) forwardChans(x, wt, y, bias, yt []float32) {
+	hw, plane := g.H*g.W, g.OH*g.OW
+	yt = yt[:plane*g.Cout]
+	for o := 0; o < len(yt); o += g.Cout {
+		if row := yt[o : o+g.Cout]; bias != nil {
+			copy(row, bias)
+		} else {
+			clear(row)
+		}
+	}
+	oxLo, oxHi := g.interiorOX()
+	t := laneTile{a: x, b: wt, out: yt, ol: 1}
+	for grp := 0; grp < g.Cout; grp += g.CoutG {
+		xBase := (grp / g.CoutG) * g.CinG * hw
+		for oy := 0; oy < g.OH; oy++ {
+			iy0 := oy*g.S - g.P
+			kyLo, kyHi := clampRange(iy0, g.KH, g.H)
+			rows := kyHi - kyLo
+			for ox := 0; ox < g.OW; {
+				start, step, j0, next := quad(ox, oxLo, oxHi)
+				ix0 := start*g.S - g.P
+				kxLo, kxHi := clampRange(ix0, g.KW, g.W)
+				cols := kxHi - kxLo
+				t.laneNest = laneNest{
+					n:  [3]int{g.CinG, rows, cols},
+					da: [3]int{(g.H - rows) * g.W, g.W - cols, 1},
+					db: [3]int{(g.KH - rows) * g.KW * g.Cout, (g.KW - cols) * g.Cout, g.Cout},
+				}
+				t.aj, t.oj, t.j0 = step*g.S, step*g.Cout, j0
+				t.ao = xBase + (iy0+kyLo)*g.W + ix0 + kxLo
+				t.bo = (kyLo*g.KW+kxLo)*g.Cout + grp
+				t.oo = (oy*g.OW+start)*g.Cout + grp
+				t.sweep(g.CoutG)
+				ox = next
+			}
+		}
+	}
+	transpose(y, plane, yt, plane, g.Cout)
+}
+
+// backwardInputChans is backwardInput on the channel lanes: wt is w packed by
+// PackBackward, so a call's lanes are 8 or 16 input channels of one group and
+// its four rows four columns of one residue class that share a tap set
+// (quad), reading four adjacent dy columns. dx is transposed channels-last
+// into dxt, the calls run on it in place as the forward's do on its output —
+// every chain seeded from dx and adding w·dy over (oc, oy, ox) ascending, the
+// taps descending, as dxPoint does — and dxt is transposed back.
+//
+// hot-path: the input-gradient half of BackwardSample on the channel lanes.
+func (g *ConvGeom) backwardInputChans(dy, wt, dx, dxt []float32) {
+	s := g.S
+	hw, plane, khw := g.H*g.W, g.OH*g.OW, g.KH*g.KW
+	wRow := s * g.KW
+	transpose(dxt, g.Cin, dx, g.Cin, hw)
+	t := laneTile{a: dy, b: wt, out: dxt, ol: 1}
+	for ic := 0; ic < g.Cin; ic += g.CinG {
+		ocLo := (ic / g.CinG) * g.CoutG
+		for iy := 0; iy < g.H; iy++ {
+			qy, ry := (iy+g.P)/s, (iy+g.P)%s
+			if ry >= g.KH {
+				continue
+			}
+			myLo, myHi := max(0, qy-g.OH+1), min((g.KH-1-ry)/s, qy)
+			rows := myHi - myLo + 1
+			xo, wo, do := iy*g.W*g.Cin+ic, ocLo*khw+(ry+myHi*s)*g.KW, ocLo*plane+(qy-myHi)*g.OW
+			for rx := 0; rx < min(s, g.KW); rx++ {
+				mxTop := (g.KW - 1 - rx) / s
+				q := 0
+				if g.P > rx {
+					q = (g.P - rx + s - 1) / s
+				}
+				qEnd := (g.W + g.P - rx + s - 1) / s
+				qLo, qHi := max(q, mxTop), min(qEnd, g.OW) // columns with every tap
+				for q < qEnd {
+					start, step, j0, next := quad(q, qLo, qHi)
+					mxLo, mxHi := max(0, start-g.OW+1), min(mxTop, start)
+					cols := mxHi - mxLo + 1
+					t.laneNest = laneNest{
+						n:  [3]int{g.CoutG, rows, cols},
+						da: [3]int{plane - rows*g.OW, g.OW - cols, 1},
+						db: [3]int{(khw + rows*wRow) * g.CinG, (cols*s - wRow) * g.CinG, -s * g.CinG},
+					}
+					t.aj, t.oj, t.j0 = step, step*s*g.Cin, j0
+					t.ao = do + start - mxHi
+					t.bo = (wo + rx + mxHi*s) * g.CinG
+					t.oo = xo + (start*s+rx-g.P)*g.Cin
+					t.sweep(g.CinG)
+					q = next
+				}
+			}
+		}
+	}
+	transpose(dx, hw, dxt, hw, g.Cin)
 }
 
 // dwLanes is backwardWeights on the lanes for an ungrouped convolution: x

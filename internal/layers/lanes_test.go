@@ -23,11 +23,15 @@ func forEachBody(f func(body string)) {
 	}
 }
 
-// laneEdgeGeoms are geometries at the edges of the lane blocks: interior runs
-// of exactly 7, 8, 9 and 17 columns (the forward's and dx's), channel counts
-// of 7, 8, 9 and 20 on either side (the overlapped output block, dx's channel
-// tail, dW's padded input block and output tail), flattened 1×1 runs,
-// strided dx runs and FC's channel lanes on both sides of 32.
+// laneEdgeGeoms are geometries at the edges of the lane blocks. The column
+// lanes: interior runs of exactly 7, 8, 9 and 17 columns (the forward's and
+// dx's), channel counts of 7, 8, 9 and 12 on either side (the overlapped
+// output block, dx's channel tail, dW's padded input block and output tail),
+// flattened 1×1 runs and strided dx runs. The channel lanes: 8×8 maps with
+// padding 1, interior runs of 3 to 7 columns (under four, only single pixels;
+// 5 to 7, a four-pixel group shifted back), strides 2 and 3, a strided 1×1,
+// and channel counts of 8, 16, 20, 24 and 28 (8- and 16-lane blocks and a
+// shifted tail), grouped. And FC's channel lanes on both sides of 32.
 func laneEdgeGeoms() []struct {
 	conv    Conv2D
 	n, h, w int
@@ -40,7 +44,8 @@ func laneEdgeGeoms() []struct {
 		{NewConv2D(7, 8, 3, 1, 1), 2, 5, 9},                // run 7: scalar columns only
 		{NewConv2D(8, 7, 3, 1, 1), 2, 6, 10},               // run 8, Cout 7
 		{NewConv2D(9, 9, 3, 1, 1), 2, 4, 11},               // run 9, Cin/Cout 9
-		{NewConv2D(20, 20, 3, 1, 1), 1, 3, 19},             // run 17, Cin/Cout 20
+		{NewConv2D(12, 12, 3, 1, 1), 1, 3, 19},             // run 17, Cin/Cout 12
+		{NewConv2D(20, 20, 3, 1, 1), 1, 3, 19},             // channel lanes: 16 + shifted 8, run 17
 		{NewConv2D(8, 9, 1, 1, 0), 2, 3, 3},                // flattened run 9
 		{NewConv2D(20, 4, 1, 1, 0), 2, 8, 8},               // bn-heavy's bottleneck, flattened
 		{NewConv2D(9, 20, 1, 1, 0), 1, 5, 5},               // flattened run 25
@@ -48,6 +53,20 @@ func laneEdgeGeoms() []struct {
 		{NewConv2D(7, 9, 1, 1, 1), 2, 4, 10},               // 1×1 padded: not flattened
 		{NewConv2D(4, 4, 3, 1, 3), 2, 3, 12},               // pad ≥ kernel: output rows without taps
 		{grouped(NewConv2D(16, 10, 3, 1, 1), 2), 2, 4, 12}, // CoutG 5, CinG 8
+		{NewConv2D(3, 8, 3, 1, 1), 2, 8, 8},                // tiny-cnn: the 3→8 stem, 8×8 pad 1
+		{NewConv2D(8, 16, 3, 1, 1), 2, 8, 8},               // tiny-cnn: run 6
+		{NewConv2D(16, 16, 3, 1, 1), 2, 8, 8},              // tiny-cnn
+		{NewConv2D(8, 8, 3, 1, 1), 2, 5, 5},                // run 3: single pixels only
+		{NewConv2D(9, 8, 3, 1, 1), 2, 6, 6},                // run 4: one group
+		{NewConv2D(12, 9, 3, 1, 1), 2, 7, 7},               // run 5
+		{NewConv2D(8, 12, 3, 1, 1), 2, 9, 9},               // run 7
+		{NewConv2D(16, 24, 3, 1, 1), 1, 7, 10},             // 16 + 8 lanes, run 8
+		{NewConv2D(24, 28, 3, 1, 2), 1, 6, 9},              // 16 + 8 + shifted 8 lanes, pad 2
+		{NewConv2D(8, 16, 3, 2, 1), 2, 9, 9},               // stride 2
+		{NewConv2D(10, 8, 2, 3, 1), 2, 11, 8},              // stride 3, 2×2 kernel
+		{NewConv2D(16, 16, 1, 2, 0), 2, 7, 7},              // strided 1×1: not flattened
+		{grouped(NewConv2D(16, 32, 3, 1, 1), 2), 2, 8, 8},  // CinG 8, CoutG 16
+		{grouped(NewConv2D(20, 16, 3, 2, 1), 2), 2, 9, 7},  // CinG 10, CoutG 8, strided
 		{NewConv2D(31, 33, 1, 1, 0), 3, 1, 1},              // FC shapes around 32
 		{NewConv2D(32, 32, 1, 1, 0), 2, 1, 1},
 		{NewConv2D(65, 40, 1, 1, 0), 2, 1, 1},

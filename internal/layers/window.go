@@ -165,6 +165,14 @@ func (c Conv2D) forwardWindow(sp convFwd, n int, win ConvWindow) (m Moments) {
 	if win.tiled() {
 		sp.tiles = a.Floats(chunks * g.Cin * g.H * g.W)
 	}
+	var packed []float32 // the channel lanes' weights, once per call
+	if k := g.ForwardPack(); k > 0 {
+		packed = a.Floats(k)
+		g.PackForward(packed, sp.w)
+		sp.wt = packed
+		sp.scratchLen = g.ForwardScratch()
+		sp.scratch = a.Floats(chunks * sp.scratchLen)
+	}
 	if win.Stats {
 		m = Moments{Sum: a.Floats(n * g.Cout), SumSq: a.Floats(n * g.Cout), N: n, HW: g.OH * g.OW}
 		sp.psum, sp.psumsq = m.Sum, m.SumSq
@@ -178,6 +186,8 @@ func (c Conv2D) forwardWindow(sp convFwd, n int, win ConvWindow) (m Moments) {
 		c.pool.RunChunked(n, func(chunk, lo, hi int) { pooled.run(chunk, lo, hi) })
 	}
 	a.PutFloats(sp.tiles)
+	a.PutFloats(packed)
+	a.PutFloats(sp.scratch)
 	return m
 }
 
@@ -187,9 +197,11 @@ type convFwd struct {
 	tileFill
 	geom          ConvGeom
 	x, w, y, bias []float32
-	wt            []float32 // w transposed to (Cin, Cout): FC's forward lanes
+	wt            []float32 // w packed by PackForward: the channel lanes and FC's forward lanes
 	xh            []float32 // x̂ out, under BN
 	tiles         []float32 // per-chunk ifmap tiles; nil: convolve x in place
+	scratch       []float32 // per-chunk channel-lane output, scratchLen floats each
+	scratchLen    int
 	psum, psumsq  []float32 // per-(sample, out-channel) partials; nil: no epilogue
 }
 
@@ -214,11 +226,7 @@ func (sp *convFwd) run(chunk, lo, hi int) {
 			src = tile
 		}
 		out := sp.y[in*outLen : (in+1)*outLen]
-		if sp.wt != nil {
-			g.fcForward(src, sp.wt, out, sp.bias)
-		} else {
-			g.ForwardSample(src, sp.w, out, sp.bias)
-		}
+		g.ForwardSample(src, sp.w, sp.wt, out, sp.bias, sp.scratch[chunk*sp.scratchLen:(chunk+1)*sp.scratchLen])
 		if sp.psum != nil {
 			momentPartials(sp.y, sp.psum, sp.psumsq, g.Cout, g.OH*g.OW, in, in+1)
 		}
@@ -244,6 +252,23 @@ func (c Conv2D) BackwardWindow(dy, src, w *tensor.Tensor, win ConvWindow) (dx, d
 	sp := convBwd{geom: c.SampleGeom(h, wd), dy: dy.Data, src: src.Data, w: w.Data, dx: dx.Data, dw: dw.Data}
 	dgamma, dbeta = c.backwardWindow(sp, n, win)
 	return dx, dw, dgamma, dbeta, nil
+}
+
+// BackwardWeights is BackwardWindow without the input gradient, for a
+// convolution whose source nothing upstream reads a gradient of — a graph
+// input: the same dW, bit for bit, and no dx buffer. A BN window needs dx for
+// its dγ/dβ, so it is refused.
+func (c Conv2D) BackwardWeights(dy, src, w *tensor.Tensor, win ConvWindow) (dw *tensor.Tensor, err error) {
+	if err := c.checkBackward(dy, src, w, win); err != nil {
+		return nil, err
+	}
+	if win.Gamma != nil {
+		return nil, fmt.Errorf("conv: a fused BN's dγ/dβ need the input gradient")
+	}
+	n, _, h, wd := src.Dims4()
+	dw = tensor.New(w.Shape()...)
+	c.backwardWindow(convBwd{geom: c.SampleGeom(h, wd), dy: dy.Data, src: src.Data, w: w.Data, dw: dw.Data}, n, win)
+	return dw, nil
 }
 
 func (c Conv2D) checkBackward(dy, src, w *tensor.Tensor, win ConvWindow) error {
@@ -277,6 +302,12 @@ func (c Conv2D) backwardWindow(sp convBwd, n int, win ConvWindow) (dgamma, dbeta
 	}
 	sp.scratchLen = g.SampleScratch()
 	sp.scratch = a.Floats(chunks * sp.scratchLen)
+	if sp.dx != nil {
+		if k := g.BackwardPack(); k > 0 {
+			sp.wt = a.Floats(k)
+			g.PackBackward(sp.wt, sp.w)
+		}
+	}
 	if win.Gamma != nil {
 		sp.tileFill = tileFill{g: win.Gamma.Data, b: win.Beta.Data}
 		// float64 partials stay plain heap slices: the arena recycles float32.
@@ -297,6 +328,7 @@ func (c Conv2D) backwardWindow(sp convBwd, n int, win ConvWindow) (dgamma, dbeta
 	}
 	a.PutFloats(sp.tiles)
 	a.PutFloats(sp.scratch)
+	a.PutFloats(sp.wt)
 	if sp.psg != nil {
 		dgamma, dbeta = reduceGammaBeta(sp.psg, sp.psb, n, g.Cin)
 	}
@@ -308,10 +340,11 @@ type convBwd struct {
 	tileFill
 	geom       ConvGeom
 	dy, src, w []float32
-	dx, dw     []float32
+	wt         []float32 // w packed by PackBackward: dx's channel lanes
+	dx, dw     []float32 // dx nil: the input gradient is not computed
 	dwStride   int       // 0: all samples share dw; len(w): sample i owns dw[i*len(w):]
 	tiles      []float32 // per-chunk regenerated ifmap; nil: src is the ifmap
-	scratch    []float32 // per-chunk dW lane scratch, scratchLen floats each
+	scratch    []float32 // per-chunk lane scratch, scratchLen floats each
 	scratchLen int
 	psg, psb   []float64 // per-(sample, channel) dγ/dβ partials, under BN
 }
@@ -334,10 +367,13 @@ func (sp *convBwd) run(chunk, lo, hi int) {
 			z = sp.tiles[chunk*inLen : (chunk+1)*inLen]
 			sp.fill(z, src, nil, hw)
 		}
-		dx := sp.dx[in*inLen : (in+1)*inLen]
+		var dx []float32
+		if sp.dx != nil {
+			dx = sp.dx[in*inLen : (in+1)*inLen]
+		}
 		scratch := sp.scratch[chunk*sp.scratchLen : (chunk+1)*sp.scratchLen]
-		g.BackwardSample(sp.dy[in*outLen:(in+1)*outLen], z, sp.w, dx, sp.dw[in*sp.dwStride:in*sp.dwStride+wLen], scratch)
-		if sp.tiles == nil {
+		g.BackwardSample(sp.dy[in*outLen:(in+1)*outLen], z, sp.w, sp.wt, dx, sp.dw[in*sp.dwStride:in*sp.dwStride+wLen], scratch)
+		if sp.tiles == nil || dx == nil {
 			continue
 		}
 		maskRun(dx, dx, z)

@@ -60,9 +60,10 @@ func (r *fuzzReader) fill(shape ...int) *tensor.Tensor {
 // convolution over a 1×1 map; kernels up to 3×3 (not necessarily square),
 // strides up to 3, padding up to one past the kernel, and spatial extents
 // that are rarely a multiple of the 4-wide tiles. Rows up to 26 columns wide,
-// dense channel counts up to 10 and FC heads up to 40 wide reach every edge of
-// the lanes' 8- and 16-lane blocks and of FC's 32-lane runs; FC batches up to
-// 5 reach its transposed forward.
+// dense channel counts up to 20, groups of up to 10 channels and FC heads up
+// to 40 wide reach every edge of the column and channel lanes' 8- and 16-lane
+// blocks and of FC's 32-lane runs; FC batches up to 5 reach its transposed
+// forward.
 func (r *fuzzReader) fuzzConv() (c Conv2D, n, h, w int) {
 	n = 1 + r.intn(3)
 	kind := r.intn(4)
@@ -71,14 +72,14 @@ func (r *fuzzReader) fuzzConv() (c Conv2D, n, h, w int) {
 	}
 	c = Conv2D{KernelH: 1 + r.intn(3), KernelW: 1 + r.intn(3), Stride: 1 + r.intn(3)}
 	c.Pad = r.intn(max(c.KernelH, c.KernelW) + 2)
-	h = max(1, c.KernelH-2*c.Pad) + r.intn(7)
+	h = max(1, c.KernelH-2*c.Pad) + r.intn(11)
 	w = max(1, c.KernelW-2*c.Pad) + r.intn(20)
 	switch kind {
 	case 0:
-		c.InChannels, c.OutChannels = 1+r.intn(10), 1+r.intn(10)
+		c.InChannels, c.OutChannels = 1+r.intn(20), 1+r.intn(20)
 	case 1:
 		c.Groups = 2 + r.intn(2)
-		c.InChannels, c.OutChannels = c.Groups*(1+r.intn(3)), c.Groups*(1+r.intn(3))
+		c.InChannels, c.OutChannels = c.Groups*(1+r.intn(10)), c.Groups*(1+r.intn(10))
 	case 2:
 		c.Groups = 1 + r.intn(6)
 		c.InChannels, c.OutChannels = c.Groups, c.Groups
@@ -121,6 +122,19 @@ func FuzzConvWindow(f *testing.F) {
 			for _, vals := range [][]byte{{17, 250, 9, 128, 77, 200, 61, 33, 90}, {17, 0, 250, 2, 9, 3, 128, 1, 4, 61}} {
 				f.Add(append(append(append([]byte(nil), geom...), flags), vals...))
 			}
+		}
+	}
+	// The channel lanes on tiny-cnn's 8×8 maps with padding 1: 16→16, 8→16
+	// and its 3→8 stem, 16→16 at stride 2, and two groups of eight channels.
+	for _, geom := range [][]byte{
+		{1, 0, 2, 2, 0, 1, 7, 7, 15, 15},
+		{1, 0, 2, 2, 0, 1, 7, 7, 7, 15},
+		{1, 0, 2, 2, 0, 1, 7, 7, 2, 7},
+		{1, 0, 2, 2, 1, 1, 7, 7, 15, 15},
+		{1, 1, 2, 2, 0, 1, 7, 7, 0, 7, 7},
+	} {
+		for _, flags := range []byte{0, 1, 2 | 8, 1 | 4 | 8} {
+			f.Add(append(append(append([]byte(nil), geom...), flags), 17, 250, 9, 128, 77, 200, 61, 33, 90))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -117,3 +117,48 @@ func TestWindowStatsEpilogueMatchesComputeStatsMVF(t *testing.T) {
 		}
 	}
 }
+
+// BackwardWeights — the backward of a convolution that reads a graph input —
+// must return BackwardWindow's dW bit for bit, plain and rectified, at workers
+// 1 and 4 on both bodies, without drawing a dx buffer from the arena: nothing
+// stays checked out, and its high-water mark is at least dx's size below the
+// window's. A BN window, whose dγ/dβ need dx, is refused.
+func TestBackwardWeightsMatchesWindowWithoutDX(t *testing.T) {
+	for _, conv := range []Conv2D{NewConv2D(3, 8, 3, 1, 1), NewConv2D(16, 16, 3, 2, 1)} {
+		x, w, _, dy, _, _ := laneCase(31, conv, 3, 8, 8, false)
+		dxBytes := int64(4 * len(x.Data))
+		forEachBody(func(body string) {
+			for _, workers := range []int{1, 4} {
+				for _, win := range []ConvWindow{{}, {Rectify: true}} {
+					a := tensor.NewArena()
+					c := conv.WithPool(parallel.New(workers)).WithAlloc(a)
+					_, dwWant, _, _, err := c.BackwardWindow(dy, x, w, win)
+					if err != nil {
+						t.Fatal(err)
+					}
+					windowPeak := a.Stats().PeakBytes
+
+					a = tensor.NewArena()
+					dw, err := conv.WithPool(parallel.New(workers)).WithAlloc(a).BackwardWeights(dy, x, w, win)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameFloats(dw.Data, dwWant.Data) {
+						t.Errorf("%s: conv %+v workers=%d rectify=%v: BackwardWeights' dW differs from BackwardWindow's", body, conv, workers, win.Rectify)
+					}
+					if s := a.Stats(); s.BytesInUse != 0 || s.PeakBytes > windowPeak-dxBytes {
+						t.Errorf("%s: conv %+v workers=%d rectify=%v: %d bytes checked out, peak %d; want 0 and at most %d (the window's %d less dx)",
+							body, conv, workers, win.Rectify, s.BytesInUse, s.PeakBytes, windowPeak-dxBytes, windowPeak)
+					}
+				}
+			}
+		})
+	}
+	conv := NewConv2D(3, 8, 3, 1, 1)
+	x, w, _, dy, _, _ := laneCase(32, conv, 2, 6, 6, false)
+	bn := NewBatchNorm(3)
+	gamma, beta := tensor.New(3), tensor.New(3)
+	if _, err := conv.BackwardWeights(dy, x, w, ConvWindow{BN: bn, Gamma: gamma, Beta: beta}); err == nil {
+		t.Error("BackwardWeights accepted a BN window, whose dγ/dβ need the input gradient")
+	}
+}
