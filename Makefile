@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard bce nofma fuzz loc check
+.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke ddp-smoke alloc-guard bce nofma fuzz loc check
 
 build:
 	$(GO) build ./...
@@ -59,14 +59,6 @@ fleet-smoke:
 # across runs.
 profile-smoke:
 	./scripts/profile-smoke.sh
-
-# Smoke run of the paper-grade experiment harness: build cmd/bnff-exp, run
-# the committed grid's smoke subset with repeats, validate the emitted
-# BENCH_train.json (embedded checks must all pass), prove its canonical form
-# is byte-deterministic across two runs, and compare every digest with the
-# committed file.
-exp-smoke:
-	./scripts/paper/run_all.sh -smoke
 
 # End-to-end check of data-parallel training through cmd/bnff-train: 2-replica
 # sync-BN and ghost-batch runs are byte-deterministic across repeats, the two
@@ -145,4 +137,4 @@ loc:
 		awk '$$2 != "total" { split($$2, p, "/"); n[p[2]] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-check: vet race lint smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard bce nofma
+check: vet race lint smoke fleet-smoke profile-smoke ddp-smoke alloc-guard bce nofma

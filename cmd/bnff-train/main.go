@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -95,6 +96,9 @@ func main() {
 }
 
 func run(sp scenario.Spec, compare bool, every int, save, load, tracePath string, profile bool) error {
+	if every < 1 {
+		return fmt.Errorf("-log-every %d must be at least 1", every)
+	}
 	tr, err := sp.NewTrainer()
 	if err != nil {
 		return err
@@ -167,7 +171,7 @@ func run(sp scenario.Spec, compare bool, every int, save, load, tracePath string
 			tBase += time.Since(t0)
 			if (i+1)%every == 0 {
 				fmt.Printf("step %4d  loss %.4f (baseline %.4f, |Δ| %.2g)  acc %.3f\n",
-					i+1, res.Loss, resB.Loss, abs(res.Loss-resB.Loss), res.Accuracy)
+					i+1, res.Loss, resB.Loss, math.Abs(res.Loss-resB.Loss), res.Accuracy)
 			}
 			continue
 		}
@@ -207,11 +211,4 @@ func run(sp scenario.Spec, compare bool, every int, save, load, tracePath string
 		fmt.Printf("trace written to %s\n", tracePath)
 	}
 	return nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -6,7 +6,9 @@
 // Figure 8 (half-bandwidth sensitivity), the §5 GPU/CUTLASS results, and the
 // §5 headline numbers. Each generator returns an Experiment whose metrics
 // pair the measured value with the paper's reported value, so the harness
-// prints paper-vs-measured directly.
+// prints paper-vs-measured directly. StructureChecks adds the graph markers
+// of every builtin scenario; what those scenarios train to is pinned by
+// internal/scenario's golden test, and how fast by benchmark/.
 package experiments
 
 import (

@@ -100,7 +100,7 @@ func expectStructure(restructure string, c opCounts) error {
 // ReLU into convolution reads, RCF+MVF additionally fuses mean/variance
 // computation, and BNFF(+ICF) replaces every monolithic BN with fissioned
 // statistics producers and BN+ReLU+CONV fusions. Because the scenario list
-// comes from scenario.Builtin(), a spec added to the grid is structure-checked
+// comes from scenario.Builtin(), a spec added there is structure-checked
 // here automatically — it cannot ship with a silently unrestructured graph.
 func StructureChecks() (*Experiment, error) {
 	e := &Experiment{

@@ -8,8 +8,8 @@ import (
 )
 
 // TestStructureChecksCoversEveryTrainScenario pins the registry-driven
-// contract: one metric row per builtin train spec, so a scenario added to the
-// grid cannot dodge the structure check.
+// contract: one metric row per builtin train spec, so a scenario added to
+// Builtin() cannot dodge the structure check.
 func TestStructureChecksCoversEveryTrainScenario(t *testing.T) {
 	e, err := StructureChecks()
 	if err != nil {

@@ -6,7 +6,8 @@
 // *predict* where a training iteration spends its time; this package
 // instruments a real run so the BNFF/RCF/MVF speedups can be attributed per
 // layer and validated against the model. cmd/bnff-profile drives both sides
-// and prints the measured-vs-modeled comparison.
+// and prints the measured-vs-modeled comparison. Repeated-run timing
+// statistics are not kept here; benchmark/ owns them.
 //
 // Design constraints, inherited from the module's contracts:
 //

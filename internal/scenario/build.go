@@ -14,7 +14,7 @@ import (
 // Builders: a normalized Spec is the single source of truth for constructing
 // graphs, executors, trainers, and datasets, so commands stop
 // carrying their own flag→constructor wiring. All builders expect a
-// normalized spec (Normalize has run); Registry and Grid hand out only
+// normalized spec (Normalize has run); Registry and Resolve hand out only
 // normalized specs.
 
 // BuildGraph constructs the spec's model at the given batch size and applies

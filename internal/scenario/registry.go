@@ -8,8 +8,8 @@ import (
 
 // Registry is an immutable, name-keyed set of normalized specs. Iteration
 // is always in sorted-name order (maporder contract), so every consumer —
-// grid runner, structure checks, JSON export — sees one deterministic
-// ordering across processes.
+// structure checks, the training golden test, the -scenario flags — sees one
+// deterministic ordering across processes.
 type Registry struct {
 	specs map[string]Spec
 }
@@ -69,8 +69,8 @@ func Resolve(name string, fromFlags Spec, override func(*Spec)) (Spec, error) {
 	return sp, nil
 }
 
-// Builtin returns the paper-grade default scenario set — the grid
-// scripts/paper/experiments.json pins. It is constructed fresh on every call
+// Builtin returns the paper-grade default scenario set — the runs the
+// training golden test pins. It is constructed fresh on every call
 // (no package-level state) and always normalizes cleanly; a builtin spec
 // failing Normalize is a programming error.
 func Builtin() *Registry {

@@ -1,16 +1,16 @@
 // Package scenario is the declarative experiment layer: a Spec names one
 // reproducible training run (model × restructuring × batch/workers/replicas)
 // with validation-with-defaults in Normalize, a deterministic sorted-name
-// registry, and JSON (de)serialization so whole grids live in
-// scripts/paper/experiments.json. cmd/bnff-exp executes grids and emits the
-// BENCH_train.json evidence file; cmd/bnff-train and cmd/bnff-profile resolve
+// registry of the builtin runs, and builders that turn a spec into a graph,
+// executor, dataset and trainer. cmd/bnff-train and cmd/bnff-profile resolve
 // their flags onto a Spec (Resolve) instead of carrying private
-// flag→executor wiring.
+// flag→executor wiring, and golden_test.go pins the checkpoint digest, final
+// loss and all-reduce volume every builtin spec trains to.
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"bnff/internal/core"
@@ -21,29 +21,27 @@ import (
 
 // Spec declares one training scenario. The zero value is not runnable;
 // Normalize fills defaults and validates, and every consumer (registry,
-// grid, builders) normalizes before use. Fields: Name, Model (a models
-// registry name), Restructure (a core.Scenario name, canonicalized
-// lowercase), Workers, Seed, Repeats, Replicas (data-parallel replicas,
-// default 1), Batch, Steps, LR, Schedule, and BNStrategy (local|sync, default
-// local; sync requires replicas > 1 and an MVF restructuring).
+// builders) normalizes before use. Fields: Name, Model (a models registry
+// name), Restructure (a core.Scenario name, canonicalized lowercase),
+// Workers, Seed, Replicas (data-parallel replicas, default 1), Batch, Steps,
+// LR, Schedule, and BNStrategy (local|sync, default local; sync requires
+// replicas > 1 and an MVF restructuring).
 type Spec struct {
-	Name        string  `json:"name"`
-	Model       string  `json:"model"`
-	Restructure string  `json:"restructure,omitempty"`
-	Workers     int     `json:"workers,omitempty"`
-	Seed        uint64  `json:"seed,omitempty"`
-	Repeats     int     `json:"repeats,omitempty"`
-	Replicas    int     `json:"replicas,omitempty"`
-	Batch       int     `json:"batch,omitempty"`
-	Steps       int     `json:"steps,omitempty"`
-	LR          float64 `json:"lr,omitempty"`
-	Schedule    string  `json:"schedule,omitempty"`
-	BNStrategy  string  `json:"bn_strategy,omitempty"`
+	Name        string
+	Model       string
+	Restructure string
+	Workers     int
+	Seed        uint64
+	Replicas    int
+	Batch       int
+	Steps       int
+	LR          float64
+	Schedule    string
+	BNStrategy  string
 }
 
 // Normalize fills defaults in place and validates the result. It is
-// idempotent: normalizing a normalized spec changes nothing, which is what
-// keeps the JSON round trip byte-stable.
+// idempotent: normalizing a normalized spec changes nothing.
 func (s *Spec) Normalize() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: name required")
@@ -70,12 +68,6 @@ func (s *Spec) Normalize() error {
 	}
 	if s.Workers < 1 || s.Workers > parallel.MaxWorkers {
 		return fmt.Errorf("scenario %q: workers %d outside [1, %d]", s.Name, s.Workers, parallel.MaxWorkers)
-	}
-	if s.Repeats == 0 {
-		s.Repeats = 3
-	}
-	if s.Repeats < 1 {
-		return fmt.Errorf("scenario %q: repeats %d must be positive", s.Name, s.Repeats)
 	}
 	if s.Batch == 0 {
 		s.Batch = 16
@@ -117,8 +109,8 @@ func (s *Spec) Normalize() error {
 	if s.LR == 0 {
 		s.LR = 0.01
 	}
-	if s.LR < 0 {
-		return fmt.Errorf("scenario %q: lr %v must be positive", s.Name, s.LR)
+	if !(s.LR > 0) || math.IsInf(s.LR, 1) {
+		return fmt.Errorf("scenario %q: lr %v must be finite and positive", s.Name, s.LR)
 	}
 	if s.Schedule == "" {
 		s.Schedule = "constant"
@@ -145,22 +137,4 @@ func knownModel(name string) bool {
 // The spec must be normalized.
 func (s Spec) CoreScenario() (core.Scenario, error) {
 	return core.ParseScenario(s.Restructure)
-}
-
-// Checks lists the embedded assertions an experiment runner must evaluate
-// for this scenario, in fixed order: a training run promises bit-identical
-// repeats (same seed, same data, same trajectory).
-func (s Spec) Checks() []string {
-	return []string{"bit-identical-repeats"}
-}
-
-// MarshalCanonical renders the spec as its canonical indented JSON —
-// normalized field values, fixed field order, trailing newline — the byte
-// form grids and BENCH files embed.
-func (s Spec) MarshalCanonical() ([]byte, error) {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }
