@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke ddp-smoke alloc-guard bce nofma fuzz loc check
+.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke ddp-smoke alloc-guard poison bce nofma fuzz loc check
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,15 @@ alloc-guard:
 	$(GO) test ./internal/layers/ -run TestBlockedKernelsAllocFree -count=1 -v
 	$(GO) test ./internal/serve/ -run TestReplicaExecutorRecyclesActivations -count=1 -v
 
+# Use-after-release instrument: with the arenapoison build tag, every range
+# the arena takes back (Put, PutFloats, Detach) is overwritten with a NaN
+# pattern. Arena ranges are shared across sizes, so a read after release
+# would otherwise silently read a neighbouring buffer's values; under the
+# tag it turns into NaNs and a failed digest or bit-identity test. Get still
+# zeroes, so every golden value holds when nothing reads after release.
+poison:
+	$(GO) test -tags arenapoison ./internal/tensor ./internal/core ./internal/scenario ./internal/serve ./internal/ddp ./internal/layers
+
 # Bounds-check budgets for the compute core: the compiler's own list of the
 # index and slice checks it could not prove away in internal/layers/blocked.go
 # (the convolution tiles, quads and points that every conv and FC runs — every
@@ -125,10 +134,14 @@ nofma:
 # checked bitwise against the unfused composition in both directions.
 # FuzzCheckpointLoad (internal/core): arbitrary bytes into Executor.Load, which
 # must not panic, must change nothing when it fails, and must re-Save to the
-# same bytes when it succeeds. Plain `go test` replays only the seeds.
+# same bytes when it succeeds. FuzzArena (internal/tensor): arbitrary
+# Get/Floats/Put/PutFloats/Detach/stray-Put sequences against the range
+# allocator — no overlap, zeroed Gets, exact byte counts, replayable layout.
+# Plain `go test` replays only the seeds.
 fuzz:
 	$(GO) test ./internal/layers/ -run '^$$' -fuzz '^FuzzConvWindow$$' -fuzztime 30s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzCheckpointLoad$$' -fuzztime 30s
+	$(GO) test ./internal/tensor/ -run '^$$' -fuzz '^FuzzArena$$' -fuzztime 30s
 
 # Non-test Go lines per top-level directory (and the total): the number
 # ROADMAP's "less code" targets are quoted against.
@@ -137,4 +150,4 @@ loc:
 		awk '$$2 != "total" { split($$2, p, "/"); n[p[2]] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-check: vet race lint smoke fleet-smoke profile-smoke ddp-smoke alloc-guard bce nofma
+check: vet race lint smoke fleet-smoke profile-smoke ddp-smoke alloc-guard poison bce nofma

@@ -102,6 +102,7 @@ type scenarioResult struct {
 	modeled   map[string]float64 // share of modeled iteration time per class
 	modelSec  float64            // memsim total iteration seconds
 	arenaPeak int64              // measured arena peak bytes
+	arenaHeld int64              // bytes the arena holds at the end, checked out or free
 	planPeak  int64              // memplan's predicted activation peak bytes
 }
 
@@ -136,7 +137,8 @@ func profileScenario(stdout io.Writer, sp scenario.Spec, sc core.Scenario, trace
 		return scenarioResult{}, err
 	}
 	res.measured = obs.LayerBreakdown(tracer.Spans())
-	res.arenaPeak = tr.Exec.ArenaStats().PeakBytes
+	st := tr.Exec.ArenaStats()
+	res.arenaPeak, res.arenaHeld = st.PeakBytes, st.HeldBytes
 
 	if tracePfx != "" {
 		measured := fmt.Sprintf("%s.%s.trace.json", tracePfx, fileScenario(sc))
@@ -225,11 +227,13 @@ func summarize(w io.Writer, results []scenarioResult) {
 			100*base, results[0].scenario, 100*m, last.scenario)
 	}
 	fmt.Fprintf(w, "\n== activation memory: arena peak, measured vs planned ==\n")
-	fmt.Fprintf(w, "%-10s %14s %14s %8s\n", "scenario", "measured MB", "planned MB", "ratio")
+	fmt.Fprintf(w, "%-10s %14s %14s %8s %10s %8s\n", "scenario", "measured MB", "planned MB", "ratio", "held MB", "held/pl")
 	for _, r := range results {
-		fmt.Fprintf(w, "%-10v %14.2f %14.2f %7.2fx\n",
+		fmt.Fprintf(w, "%-10v %14.2f %14.2f %7.2fx %10.2f %7.2fx\n",
 			r.scenario, float64(r.arenaPeak)/1e6, float64(r.planPeak)/1e6,
-			float64(r.arenaPeak)/float64(r.planPeak))
+			float64(r.arenaPeak)/float64(r.planPeak),
+			float64(r.arenaHeld)/1e6, float64(r.arenaHeld)/float64(r.planPeak))
 	}
-	fmt.Fprintf(w, "(planned = memplan training-interval peak; measured includes workspace the plan prices identically)\n")
+	fmt.Fprintf(w, "(planned = memplan training-interval peak; measured includes workspace the plan prices identically;\n")
+	fmt.Fprintf(w, " held = every byte the arena owns after the run, checked out or free)\n")
 }

@@ -33,7 +33,8 @@ func WithArena() Option { return func(*Executor) {} }
 
 // WithMetrics attaches an obs metrics registry. After every Forward and
 // Backward the executor publishes the arena counters as gauges:
-// arena_hits, arena_misses, arena_bytes_in_use, and arena_peak_bytes.
+// arena_hits, arena_misses, arena_bytes_in_use, arena_peak_bytes, and
+// arena_held_bytes (everything the arena owns, checked out or free).
 func WithMetrics(r *obs.Registry) Option { return func(e *Executor) { e.metrics = r } }
 
 // Metrics returns the registry attached via WithMetrics, or nil. The ddp
@@ -134,7 +135,8 @@ func (e *Executor) releaseBackwardStep(step int, gmap map[int]*tensor.Tensor, st
 
 // resetPass recycles everything still checked out from the previous pass and
 // clears the per-pass maps in place. It walks nodes in schedule order — never
-// map order — so the free lists refill deterministically, and it leans on
+// map order — so the arena's free ranges coalesce in the same order every
+// pass and the next pass gets the same layout, and it leans on
 // Put's ownership checks: caller inputs, flatten views, running-statistics
 // wrappers, and the detached output are all foreign to the arena and fall
 // through as no-ops.
@@ -180,6 +182,7 @@ func (e *Executor) publishArenaMetrics() {
 			misses: e.metrics.Gauge("arena_misses"),
 			inUse:  e.metrics.Gauge("arena_bytes_in_use"),
 			peak:   e.metrics.Gauge("arena_peak_bytes"),
+			held:   e.metrics.Gauge("arena_held_bytes"),
 		}
 	}
 	s := e.alloc.Stats()
@@ -187,10 +190,11 @@ func (e *Executor) publishArenaMetrics() {
 	e.agauges.misses.Set(s.Misses)
 	e.agauges.inUse.Set(s.BytesInUse)
 	e.agauges.peak.Set(s.PeakBytes)
+	e.agauges.held.Set(s.HeldBytes)
 }
 
 // arenaGauges caches the resolved registry gauges so publishing after every
-// pass costs four atomic stores, not four registry lookups.
+// pass costs five atomic stores, not five registry lookups.
 type arenaGauges struct {
-	hits, misses, inUse, peak *obs.Gauge
+	hits, misses, inUse, peak, held *obs.Gauge
 }

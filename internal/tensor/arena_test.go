@@ -1,44 +1,77 @@
 package tensor
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-func TestArenaReusesExactSize(t *testing.T) {
+func TestArenaBestFit(t *testing.T) {
 	a := NewArena()
-	t1 := a.Get(2, 3)
-	p1 := &t1.Data[0]
-	a.Put(t1)
-	t2 := a.Get(3, 2) // same element count, different shape
-	if &t2.Data[0] != p1 {
-		t.Error("Get after Put of an equal-sized buffer did not recycle the storage")
+	t8, t4, t6 := a.Get(8), a.Get(4), a.Get(2, 3)
+	p8, p4, p6 := &t8.Data[0], &t4.Data[0], &t6.Data[0]
+	a.Put(t8)
+	a.Put(t4)
+	a.Put(t6)
+
+	// The smallest free range that fits wins, whatever the order of the Puts.
+	g5 := a.Get(5)
+	if &g5.Data[0] != p6 {
+		t.Error("Get(5) did not take the 6-element range, the best fit")
 	}
-	if !t2.Shape().Equal(Shape{3, 2}) {
-		t.Errorf("recycled tensor shape = %v, want [3 2]", t2.Shape())
+	if len(g5.Data) != 5 || cap(g5.Data) != 5 {
+		t.Errorf("Get(5) handed out len %d cap %d, want 5 and 5", len(g5.Data), cap(g5.Data))
 	}
-	s := a.Stats()
-	if s.Hits != 1 || s.Misses != 1 {
-		t.Errorf("stats = %+v, want 1 hit / 1 miss", s)
+	if g := a.Get(2, 2); &g.Data[0] != p4 || !g.Shape().Equal(Shape{2, 2}) {
+		t.Errorf("Get(2, 2) = %v at another range, want the exact-fit 4-element range", g.Shape())
+	}
+	if g := a.Get(3); &g.Data[0] != p8 {
+		t.Error("Get(3) did not split the 8-element range (the 1-element tail of the 6 is too small)")
+	}
+	if s := a.Stats(); s.Hits != 3 || s.Misses != 3 || s.HeldBytes != 4*18 {
+		t.Errorf("stats = %+v, want 3 hits / 3 misses / 72 held bytes", s)
 	}
 
-	// A different size must not be served from that free entry.
-	t3 := a.Get(7)
-	if &t3.Data[0] == p1 {
-		t.Error("free lists are not exact-size")
+	// Ties go to the lowest chunk, not to the most recent Put.
+	b := NewArena()
+	x, y := b.Get(4), b.Get(4)
+	px := &x.Data[0]
+	b.Put(x)
+	b.Put(y)
+	if g := b.Get(4); &g.Data[0] != px {
+		t.Error("equal-size free ranges: Get did not take the lowest chunk")
 	}
 }
 
-func TestArenaLIFO(t *testing.T) {
+func TestArenaSplitCoalesce(t *testing.T) {
 	a := NewArena()
-	t1, t2 := a.Get(4), a.Get(4)
-	p1, p2 := &t1.Data[0], &t2.Data[0]
-	a.Put(t1)
-	a.Put(t2)
-	// LIFO: the most recently returned buffer comes back first —
-	// deterministic, and the cache-warm choice.
-	if g := a.Get(4); &g.Data[0] != p2 {
-		t.Error("free list is not LIFO")
+	whole := a.Get(12)
+	base := whole.Data
+	a.Put(whole)
+
+	x, y, z := a.Get(4), a.Get(4), a.Get(4)
+	for i, g := range []*Tensor{x, y, z} {
+		if &g.Data[0] != &base[4*i] {
+			t.Fatalf("piece %d is not carved at offset %d of the freed range", i, 4*i)
+		}
 	}
-	if g := a.Get(4); &g.Data[0] != p1 {
-		t.Error("second Get did not return the older buffer")
+	if s := a.Stats(); s.Misses != 1 || s.HeldBytes != 48 {
+		t.Fatalf("stats = %+v, want 1 miss and 48 held bytes: the pieces must share one chunk", s)
+	}
+	y.Data[0] = 5
+	_ = append(x.Data, 7) // capped at its range: reallocates, never touches y
+	if y.Data[0] != 5 {
+		t.Fatal("append to a handed-out slice overwrote its neighbour")
+	}
+
+	// Free the middle, then each side: both merges must fire.
+	a.Put(y)
+	a.Put(x)
+	a.Put(z)
+	if want := []span{{0, 0, 12}}; !slices.Equal(a.free, want) {
+		t.Fatalf("free list = %v, want one coalesced range %v", a.free, want)
+	}
+	if g := a.Get(12); &g.Data[0] != &base[0] || a.Stats().Misses != 1 {
+		t.Error("the coalesced range did not serve a full-size request")
 	}
 }
 
@@ -58,13 +91,13 @@ func TestArenaPutIsOwnershipChecked(t *testing.T) {
 	t1 := a.Get(5)
 	a.Put(t1)
 	a.Put(t1) // double Put: no-op
-	if got := len(a.free[5]); got != 1 {
-		t.Errorf("double Put created %d free entries, want 1", got)
+	if want := []span{{0, 0, 5}}; !slices.Equal(a.free, want) || a.Stats().BytesInUse != 0 {
+		t.Errorf("after a double Put free list = %v, in use %d; want %v, 0", a.free, a.Stats().BytesInUse, want)
 	}
 
 	foreign := New(5)
 	a.Put(foreign) // foreign tensor: no-op
-	if got := len(a.free[5]); got != 1 {
+	if len(a.free) != 1 || len(a.hdrs) != 1 {
 		t.Error("Put of a foreign tensor entered the free list")
 	}
 
@@ -74,7 +107,7 @@ func TestArenaPutIsOwnershipChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Put(flat) // view shares storage but is a distinct *Tensor: no-op
-	if got := len(a.free[8]); got != 0 {
+	if a.Stats().BytesInUse != 32 || len(a.free) != 1 {
 		t.Error("Put of a view recycled shared storage")
 	}
 	a.Put(nil) // must not panic
@@ -83,6 +116,9 @@ func TestArenaPutIsOwnershipChecked(t *testing.T) {
 func TestArenaDetach(t *testing.T) {
 	a := NewArena()
 	t1 := a.Get(6)
+	for i := range t1.Data {
+		t1.Data[i] = float32(i + 1)
+	}
 	if a.Stats().BytesInUse != 24 {
 		t.Fatalf("bytes in use = %d, want 24", a.Stats().BytesInUse)
 	}
@@ -90,8 +126,20 @@ func TestArenaDetach(t *testing.T) {
 	if a.Stats().BytesInUse != 0 {
 		t.Error("Detach did not release the bytes-in-use claim")
 	}
+
+	// The range goes back to the arena; the detached tensor keeps its values.
+	t2 := a.Get(6)
+	if a.Stats().Hits != 1 {
+		t.Error("Detach pinned its range: the next equal-size Get missed")
+	}
+	t2.Fill(99)
+	for i, v := range t1.Data {
+		if v != float32(i+1) {
+			t.Fatalf("detached value %d = %v after its range was reused, want %d", i, v, i+1)
+		}
+	}
 	a.Put(t1) // detached tensor is foreign now: no-op
-	if got := len(a.free[6]); got != 0 {
+	if a.Stats().BytesInUse != 24 || len(a.free) != 0 {
 		t.Error("Put after Detach recycled storage the arena gave up")
 	}
 }
@@ -145,8 +193,13 @@ func TestArenaStatsBookkeeping(t *testing.T) {
 	a.PutFloats(f)
 	t2 := a.Get(10)
 	a.Put(t2)
-	if s := a.Stats(); s.Hits != 1 || s.Misses != 2 {
-		t.Errorf("stats = %+v, want 1 hit / 2 misses", s)
+	if s := a.Stats(); s.Hits != 1 || s.Misses != 2 || s.HeldBytes != 60 {
+		t.Errorf("stats = %+v, want 1 hit / 2 misses / 60 held bytes", s)
+	}
+	i := a.Ints(3) // int32 scratch counts towards the held bytes too
+	a.PutInts(i)
+	if s := a.Stats(); s.BytesInUse != 0 || s.HeldBytes != 72 {
+		t.Errorf("stats = %+v, want 0 in use / 72 held bytes", s)
 	}
 }
 
@@ -161,8 +214,8 @@ func TestArenaClone(t *testing.T) {
 		t.Error("Clone changed values")
 	}
 	a.Put(c)
-	if got := len(a.free[4]); got != 1 {
-		t.Error("clone is not arena-owned")
+	if want := []span{{0, 0, 4}}; !slices.Equal(a.free, want) {
+		t.Errorf("free list after Put of the clone = %v, want %v: the clone is not arena-owned", a.free, want)
 	}
 }
 

@@ -7,9 +7,10 @@
 // small numeric utilities (fills, comparisons, reductions) that the test
 // suite leans on.
 //
-// Arena adds buffer recycling on top: an exact-size, LIFO free-list
-// allocator that hands out tensors and scratch slices and takes them back
-// when the caller knows their lifetime is over. Recycled storage is zeroed
+// Arena adds buffer recycling on top: a best-fit range allocator that carves
+// tensors and scratch slices from shared chunks, splits a free range on
+// hand-out and coalesces it with its free neighbours when the caller gives it
+// back at the end of its lifetime. Recycled storage is zeroed
 // by default, so a Get from an arena is observationally identical to a
 // fresh allocation; ownership checks make Put safe to call on anything
 // (foreign tensors, views, doubles all fall through as no-ops); and a nil
