@@ -80,6 +80,7 @@ func TestInferenceLogitsGolden(t *testing.T) {
 		{"tiny-cnn", true, "e546ccffc8782d34"},
 		{"tiny-densenet", false, "9172eb41dd1d53aa"},
 		{"tiny-resnet", true, "eefc2e3da80d1aed"},
+		{"tiny-inception", false, "3e7fd99dfed95f53"},
 	}
 	for _, tc := range cases {
 		name := tc.model

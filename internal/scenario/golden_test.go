@@ -27,6 +27,7 @@ var trainingGolden = map[string]struct {
 	"train/tiny-densenet/bnff/ddp4":       {"7d02f3f84f2ae27e", 2.226098748880543, 567720},
 	"train/tiny-densenet/rcf":             {"3e3c08fa2b99ca7b", 2.2260987866575777, 0},
 	"train/tiny-densenet/rcf+mvf":         {"dcc95a46140d1bd7", 2.2260987445039655, 0},
+	"train/tiny-inception/bnff":           {"9edbdbd63ec0f436", 2.2094783670496154, 0},
 	"train/tiny-resnet/baseline":          {"9236fccdd699c274", 2.9181541953269274, 0},
 	"train/tiny-resnet/bnff":              {"aecd972f3bc3bb81", 2.9181541425343838, 0},
 }

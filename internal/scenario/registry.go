@@ -109,6 +109,16 @@ func Builtin() *Registry {
 			Steps:       3,
 			Seed:        42,
 		},
+		// Inception is the one model whose concats feed a plain CONV, a
+		// pool and the global pool.
+		Spec{
+			Name:        "train/tiny-inception/bnff",
+			Model:       "tiny-inception",
+			Restructure: "bnff",
+			Batch:       8,
+			Steps:       3,
+			Seed:        42,
+		},
 		Spec{
 			Name:        "train/tiny-cnn/bnff/workers4",
 			Model:       "tiny-cnn",
