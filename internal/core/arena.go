@@ -19,6 +19,14 @@ import (
 // (tensor.Arena's default), so every layer sees exactly the contents a fresh
 // allocation would give it.
 //
+// Two buffer families the model once had are gone, and the table follows
+// from the model: a concat owns no storage (it is a layers.Concat view whose
+// inputs memplan keeps live through the concat's readers, so a dense block
+// keeps each feature map once), and a fused BNReLUConv stores no x̂ (its
+// input stays live until its statistics producer's backward, where x̂ is
+// regenerated from it). A value released while a view still lists it would
+// be a use-after-free; `make poison` is the check.
+//
 // Two things deliberately stay on the heap: parameter gradients (they escape
 // into the returned gradient map, whose lifetime the schedule does not bound)
 // and the graph output (detached to the caller at the end of each Forward).
@@ -114,8 +122,8 @@ func (e *Executor) releaseBackwardStep(step int, gmap map[int]*tensor.Tensor, st
 			}
 			if st := stash[r.id]; st != nil {
 				// A fused partner's dv is a fresh buffer modeled on the
-				// statistics producer; its x̂ is released by the partner's
-				// own BufXHat entry at this same step.
+				// statistics producer; the input x it stashed is a forward
+				// value, released by its own BufValue entry at this step.
 				e.alloc.Put(st.dv)
 				delete(stash, r.id)
 			}

@@ -163,64 +163,85 @@ func TestArenaInferenceBitIdentical(t *testing.T) {
 // carries layer scratch, statistics vectors, and argmax indices the
 // analytical plan does not model), and after three steps the storage the
 // arena holds — checked out or free — must stay within 1.5× of that peak, so
-// free ranges left over from one size keep serving the others.
+// free ranges left over from one size keep serving the others. It runs on
+// tiny-densenet and on the benchmark's bn-heavy shape, whose wide concats the
+// executor keeps as views.
 func TestArenaPeakWithinPredicted(t *testing.T) {
+	bnHeavy := models.DenseNetConfig{
+		Name: "bn-heavy", Batch: 4, InputSize: 32, Classes: 10,
+		GrowthRate: 4, Bottleneck: 1, BlockSizes: []int{6, 6},
+		InitChannels: 8, StemKernel: 3, Compression: 0.5,
+	}
+	shapes := []struct {
+		name  string
+		build func() (*graph.Graph, error)
+	}{
+		{"tiny-densenet", func() (*graph.Graph, error) { return models.TinyDenseNet(16) }},
+		{"bn-heavy", func() (*graph.Graph, error) { return models.DenseNet(bnHeavy) }},
+	}
 	for _, scen := range []Scenario{Baseline, RCF, BNFF} {
 		t.Run(scen.String(), func(t *testing.T) {
-			g, err := models.TinyDenseNet(16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := Restructure(g, scen.Options()); err != nil {
-				t.Fatal(err)
-			}
-			plan, err := memplan.PlanTraining(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reg := obs.NewRegistry()
-			exec, err := NewExecutor(g, WithSeed(1), WithMetrics(reg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			in := tensor.New(g.Nodes[0].OutShape...)
-			tensor.NewRNG(2).FillNormal(in, 0, 1)
-			for it := 0; it < 3; it++ {
-				out, err := exec.Forward(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dOut := tensor.New(out.Shape()...)
-				dOut.Fill(1)
-				if _, err := exec.Backward(dOut); err != nil {
-					t.Fatal(err)
-				}
-			}
-			st := exec.ArenaStats()
-			measured, held := st.PeakBytes, st.HeldBytes
-			predicted := plan.PeakBytes
-			t.Logf("%s: measured arena peak %.2f MB, held %.2f MB, memplan predicted %.2f MB (%.2fx, held %.2fx)",
-				scen, float64(measured)/1e6, float64(held)/1e6, float64(predicted)/1e6,
-				float64(measured)/float64(predicted), float64(held)/float64(predicted))
-			if measured < predicted {
-				t.Errorf("measured peak %d below the modeled lower bound %d — the plan should undercount scratch, not overcount", measured, predicted)
-			}
-			if measured > 2*predicted {
-				t.Errorf("measured peak %d exceeds 2x the predicted %d", measured, predicted)
-			}
-			if 2*held > 3*predicted {
-				t.Errorf("arena holds %d bytes after three steps, more than 1.5x the predicted peak %d", held, predicted)
-			}
-			if got := reg.Gauge("arena_peak_bytes").Value(); got != measured {
-				t.Errorf("arena_peak_bytes gauge = %d, want %d", got, measured)
-			}
-			if got := reg.Gauge("arena_held_bytes").Value(); got != held {
-				t.Errorf("arena_held_bytes gauge = %d, want %d", got, held)
-			}
-			if reg.Gauge("arena_hits").Value() == 0 {
-				t.Error("arena_hits gauge never published")
+			for _, shape := range shapes {
+				t.Run(shape.name, func(t *testing.T) { checkArenaPeak(t, shape.build, scen) })
 			}
 		})
+	}
+}
+
+// checkArenaPeak is TestArenaPeakWithinPredicted on one graph and scenario.
+func checkArenaPeak(t *testing.T, build func() (*graph.Graph, error), scen Scenario) {
+	g, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Restructure(g, scen.Options()); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := memplan.PlanTraining(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	exec, err := NewExecutor(g, WithSeed(1), WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.New(g.Nodes[0].OutShape...)
+	tensor.NewRNG(2).FillNormal(in, 0, 1)
+	for it := 0; it < 3; it++ {
+		out, err := exec.Forward(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dOut := tensor.New(out.Shape()...)
+		dOut.Fill(1)
+		if _, err := exec.Backward(dOut); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := exec.ArenaStats()
+	measured, held := st.PeakBytes, st.HeldBytes
+	predicted := plan.PeakBytes
+	t.Logf("%s: measured arena peak %.2f MB, held %.2f MB, memplan predicted %.2f MB (%.2fx, held %.2fx)",
+		scen, float64(measured)/1e6, float64(held)/1e6, float64(predicted)/1e6,
+		float64(measured)/float64(predicted), float64(held)/float64(predicted))
+	if measured < predicted {
+		t.Errorf("measured peak %d below the modeled lower bound %d — the plan should undercount scratch, not overcount", measured, predicted)
+	}
+	if measured > 2*predicted {
+		t.Errorf("measured peak %d exceeds 2x the predicted %d", measured, predicted)
+	}
+	if 2*held > 3*predicted {
+		t.Errorf("arena holds %d bytes after three steps, more than 1.5x the predicted peak %d", held, predicted)
+	}
+	if got := reg.Gauge("arena_peak_bytes").Value(); got != measured {
+		t.Errorf("arena_peak_bytes gauge = %d, want %d", got, measured)
+	}
+	if got := reg.Gauge("arena_held_bytes").Value(); got != held {
+		t.Errorf("arena_held_bytes gauge = %d, want %d", got, held)
+	}
+	if reg.Gauge("arena_hits").Value() == 0 {
+		t.Error("arena_hits gauge never published")
 	}
 }
 

@@ -63,12 +63,11 @@ type Executor struct {
 	live    []*graph.Node // cached G.Live() schedule; invalidated by FoldBN
 
 	vals    map[int]*tensor.Tensor
+	views   map[int]*layers.Concat  // each concat's view of its inputs, rebuilt in place every pass
 	stats   map[int]*layers.BNStats // keyed by statistics-producer node ID
 	xhats   map[int]*tensor.Tensor  // keyed by normalize-owner node ID
 	poolCtx map[int]*layers.PoolContext
 	masks   map[int]*tensor.Tensor // dropout masks, keyed by node ID
-
-	concatIns []*tensor.Tensor // reusable input-gather scratch for OpConcat
 
 	dropRNG *tensor.RNG
 
@@ -177,11 +176,14 @@ func (e *Executor) EvalMode() (restore func()) {
 	return func() { e.inference, e.trackRunning = prevInf, prevTrack }
 }
 
-// bnStash carries the sub-BN2' results (dv, dγ, dβ, x̂) from the
-// normalize-side backward to the statistics-side backward, keyed by the
-// statistics producer's node ID.
+// bnStash carries the sub-BN2' results (dv, dγ, dβ, and x̂ or what
+// regenerates it) from the normalize-side backward to the statistics-side
+// backward, keyed by the statistics producer's node ID. A SubBN2 stashes the
+// x̂ it stored; a fused BNReLUConv stores none and stashes its input x, from
+// which sub-BN1' regenerates x̂ as the window did.
 type bnStash struct {
 	dv, xhat      *tensor.Tensor
+	x             layers.Map
 	dgamma, dbeta *tensor.Tensor
 }
 
@@ -195,6 +197,9 @@ func NewExecutor(g *graph.Graph, opts ...Option) (*Executor, error) {
 	}
 	if g.Output == nil {
 		return nil, fmt.Errorf("core: graph %q has no designated output node", g.Name)
+	}
+	if err := checkConcatReaders(g); err != nil {
+		return nil, err
 	}
 	e := &Executor{
 		G:       g,
@@ -240,6 +245,26 @@ func NewExecutor(g *graph.Graph, opts ...Option) (*Executor, error) {
 		}
 	}
 	return e, nil
+}
+
+// checkConcatReaders refuses the graphs whose concats would need dense
+// storage: a concat is a view of its inputs (layers.Concat), which every
+// layer reading feature maps walks run by run, but a flatten is a reshape of
+// one tensor, dropout aliases its input at inference, and the graph output
+// is handed to the caller as one tensor.
+func checkConcatReaders(g *graph.Graph) error {
+	if g.Output.Kind == graph.OpConcat {
+		return fmt.Errorf("core: graph output %q is a concat, which is kept as its inputs' storage", g.Output.Name)
+	}
+	for _, n := range g.Live() {
+		if n.Kind != graph.OpFlatten && n.Kind != graph.OpDropout {
+			continue
+		}
+		if in := n.Inputs[0]; in.Kind == graph.OpConcat {
+			return fmt.Errorf("core: %v %q reads concat %q, which is kept as its inputs' storage", n.Kind, n.Name, in.Name)
+		}
+	}
+	return nil
 }
 
 // CopyParamsFrom overwrites this executor's parameters with o's values.
@@ -329,14 +354,11 @@ func (e *Executor) convForward(n *graph.Node) error {
 		win.BN, win.In, win.Gamma, win.Beta = e.bnOf(n.BN), st, e.gamma(n), e.beta(n)
 	}
 	win.Stats = n.StatsOut != nil && !e.inference
-	y, xhat, m, err := e.convOf(n).ForwardWindow(e.in(n, 0), e.Params[n.Name+".w"], win)
+	y, _, m, err := e.convOf(n).ForwardWindow(e.src(n, 0), e.Params[n.Name+".w"], win)
 	if err != nil {
 		return err
 	}
 	e.vals[n.ID] = y
-	if xhat != nil {
-		e.xhats[n.ID] = xhat
-	}
 	if !win.Stats {
 		return nil
 	}
@@ -351,7 +373,7 @@ func (e *Executor) convForward(n *graph.Node) error {
 // computeStats takes a BN node's statistics: the baseline two-pass sweep, or
 // under MVF the one moment sweep and its close. In inference mode the stored
 // running statistics are returned instead.
-func (e *Executor) computeStats(n *graph.Node, x *tensor.Tensor) (*layers.BNStats, error) {
+func (e *Executor) computeStats(n *graph.Node, x layers.Map) (*layers.BNStats, error) {
 	if e.inference {
 		return e.runningStats(n.BN)
 	}
@@ -416,6 +438,7 @@ func withBatch(nominal tensor.Shape, n int) tensor.Shape {
 func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if e.vals == nil {
 		e.vals = make(map[int]*tensor.Tensor)
+		e.views = make(map[int]*layers.Concat)
 		e.stats = make(map[int]*layers.BNStats)
 		e.xhats = make(map[int]*tensor.Tensor)
 		e.poolCtx = make(map[int]*layers.PoolContext)
@@ -463,17 +486,17 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 
 		case graph.OpBN:
 			var st *layers.BNStats
-			st, err = e.computeStats(n, e.in(n, 0))
+			st, err = e.computeStats(n, e.src(n, 0))
 			if err != nil {
 				break
 			}
 			var y, xhat *tensor.Tensor
-			y, xhat, err = e.bnOf(n.BN).Normalize(e.in(n, 0), st, e.gamma(n), e.beta(n))
+			y, xhat, err = e.bnOf(n.BN).Normalize(e.src(n, 0), st, e.gamma(n), e.beta(n))
 			e.vals[n.ID], e.stats[n.ID], e.xhats[n.ID] = y, st, xhat
 
 		case graph.OpSubBN1:
 			if !e.inference { // inference needs no mini-batch statistics
-				e.stats[n.ID], err = e.computeStats(n, e.in(n, 0))
+				e.stats[n.ID], err = e.computeStats(n, e.src(n, 0))
 			}
 			// SubBN1 produces statistics only; it has no data output.
 
@@ -484,34 +507,39 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 				break
 			}
 			var y, xhat *tensor.Tensor
-			y, xhat, err = e.bnOf(n.BN).Normalize(e.in(n, 0), st, e.gamma(n), e.beta(n))
+			y, xhat, err = e.bnOf(n.BN).Normalize(e.src(n, 0), st, e.gamma(n), e.beta(n))
 			e.vals[n.ID], e.xhats[n.ID] = y, xhat
 
 		case graph.OpReLU:
-			e.vals[n.ID] = layers.ReLUForwardAlloc(e.pool, e.alloc, e.in(n, 0))
+			e.vals[n.ID] = layers.ReLUForwardAlloc(e.pool, e.alloc, e.src(n, 0))
 
 		case graph.OpPool:
 			var y *tensor.Tensor
 			var ctx *layers.PoolContext
-			y, ctx, err = n.Pool.WithPool(e.pool).WithAlloc(e.alloc).Forward(e.in(n, 0))
+			y, ctx, err = n.Pool.WithPool(e.pool).WithAlloc(e.alloc).Forward(e.src(n, 0))
 			e.vals[n.ID], e.poolCtx[n.ID] = y, ctx
 
 		case graph.OpGlobalPool:
-			e.vals[n.ID], err = layers.GlobalAvgPoolForwardAlloc(e.pool, e.alloc, e.in(n, 0))
+			e.vals[n.ID], err = layers.GlobalAvgPoolForwardAlloc(e.pool, e.alloc, e.src(n, 0))
 
 		case graph.OpFC:
 			e.vals[n.ID], err = n.FC.WithPool(e.pool).WithAlloc(e.alloc).Forward(e.in(n, 0), e.Params[n.Name+".w"], e.Params[n.Name+".b"])
 
 		case graph.OpConcat:
-			ins := e.concatIns[:0]
-			for i := range n.Inputs {
-				ins = append(ins, e.in(n, i))
+			// A view, not a copy: the inputs' storage stays live through
+			// the concat's readers (memplan's view rule).
+			v := e.views[n.ID]
+			if v == nil {
+				v = new(layers.Concat)
+				e.views[n.ID] = v
 			}
-			e.concatIns = ins // keep the grown backing array for the next concat
-			e.vals[n.ID], err = layers.ConcatForwardAlloc(e.alloc, ins...)
+			v.Reset()
+			for i := 0; i < len(n.Inputs) && err == nil; i++ {
+				err = v.Append(e.src(n, i))
+			}
 
 		case graph.OpEWS:
-			e.vals[n.ID], err = layers.EWSForwardAlloc(e.alloc, e.in(n, 0), e.in(n, 1))
+			e.vals[n.ID], err = layers.EWSForwardAlloc(e.alloc, e.src(n, 0), e.src(n, 1))
 
 		case graph.OpFlatten:
 			in := e.in(n, 0)
@@ -591,6 +619,14 @@ func (e *Executor) updateRunning() error {
 // topologically ordered.
 func (e *Executor) in(n *graph.Node, i int) *tensor.Tensor {
 	return e.vals[n.Inputs[i].ID]
+}
+
+// src is in for the layers that read feature maps: a concat input is its view.
+func (e *Executor) src(n *graph.Node, i int) layers.Map {
+	if in := n.Inputs[i]; in.Kind == graph.OpConcat {
+		return e.views[in.ID]
+	}
+	return e.in(n, i)
 }
 
 // accumGrad folds a fresh gradient contribution into the per-node map.
@@ -705,10 +741,10 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		if err != nil {
 			return err
 		}
-		return e.stashReduced(n, dy, dgamma, dbeta, grads, stash)
+		return e.stashReduced(n, &bnStash{dv: dy, xhat: e.xhats[n.ID]}, dgamma, dbeta, grads, stash)
 
 	case graph.OpReLU:
-		dx, err := layers.ReLUBackwardAlloc(e.pool, e.alloc, dy, e.in(n, 0))
+		dx, err := layers.ReLUBackwardAlloc(e.pool, e.alloc, dy, e.src(n, 0))
 		if err != nil {
 			return err
 		}
@@ -744,18 +780,21 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return e.accumGrad(gmap, n.Inputs[0], dx)
 
 	case graph.OpConcat:
-		channels := make([]int, len(n.Inputs))
-		for i, in := range n.Inputs {
-			channels[i] = in.OutShape[1]
-		}
-		parts, err := layers.ConcatBackwardAlloc(e.alloc, dy, channels)
-		if err != nil {
-			return err
-		}
-		for i, p := range parts {
-			if err := e.accumGrad(gmap, n.Inputs[i], p); err != nil {
+		// Each input's channels of dy go straight into its gradient slot:
+		// stored on its first contribution, added after that — accumGrad's
+		// order and arithmetic on a copied part, without the copy.
+		c0 := 0
+		for _, in := range n.Inputs {
+			g := gmap[in.ID]
+			add := g != nil
+			if !add {
+				g = e.alloc.Get(withBatch(in.OutShape, dy.Dim(0))...)
+				gmap[in.ID] = g
+			}
+			if err := layers.ScatterChannels(g, dy, c0, add); err != nil {
 				return err
 			}
+			c0 += in.OutShape[1]
 		}
 		return nil
 
@@ -787,8 +826,9 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 
 // convBackward is convForward's mirror: one backward window for a conv-like
 // node, regenerating the ifmap its kind names — x, ReLU(x), or ReLU(γ·x̂+β)
-// from the saved x̂ — and masking with it. Under BN the window's dγ/dβ are
-// sub-BN2', stashed for the statistics producer's sub-BN1'.
+// with x̂ regenerated from x and the producer's statistics — and masking with
+// it. Under BN the window's dγ/dβ are sub-BN2', stashed for the statistics
+// producer's sub-BN1'.
 //
 // A node with a StatsOut epilogue receives its upstream gradient through the
 // sub-BN2' stash instead of the gradient map: the following BN's element-wise
@@ -817,10 +857,13 @@ func (e *Executor) convBackward(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return fmt.Errorf("no gradient reached node (kind %v)", n.Kind)
 	}
 	win := layers.ConvWindow{Rectify: n.Kind != graph.OpConv}
-	src := e.in(n, 0)
+	src := e.src(n, 0)
 	if n.Kind == graph.OpBNReLUConv {
-		win.BN, win.Gamma, win.Beta = e.bnOf(n.BN), e.gamma(n), e.beta(n)
-		src = e.xhats[n.ID]
+		st, err := e.statsFor(n)
+		if err != nil {
+			return err
+		}
+		win.BN, win.In, win.Gamma, win.Beta = e.bnOf(n.BN), st, e.gamma(n), e.beta(n)
 	}
 	c, w := e.convOf(n), e.Params[n.Name+".w"]
 	var dx, dw, dgamma, dbeta *tensor.Tensor
@@ -840,7 +883,7 @@ func (e *Executor) convBackward(n *graph.Node, gmap map[int]*tensor.Tensor,
 	grads[n.Name+".w"] = dw
 	switch {
 	case win.Gamma != nil:
-		return e.stashReduced(n, dx, dgamma, dbeta, grads, stash)
+		return e.stashReduced(n, &bnStash{dv: dx, x: src}, dgamma, dbeta, grads, stash)
 	case dx == nil:
 		return nil
 	}
@@ -848,23 +891,23 @@ func (e *Executor) convBackward(n *graph.Node, gmap map[int]*tensor.Tensor,
 }
 
 // stashReduced is sub-BN2' handing over: it records n's dγ/dβ as its BN's
-// gradients and stashes (dv, x̂, dγ, dβ) for the sub-BN1' of n's statistics
-// producer. Under ddp sync-BN the reduce hook swaps globally summed dγ/dβ
-// into the stash while grads keeps the local sums for the gradient
-// all-reduce.
-func (e *Executor) stashReduced(n *graph.Node, dv, dgamma, dbeta *tensor.Tensor,
+// gradients and completes st — dv and x̂ or x already set — with them for the
+// sub-BN1' of n's statistics producer. Under ddp sync-BN the reduce hook
+// swaps globally summed dγ/dβ into the stash while grads keeps the local sums
+// for the gradient all-reduce.
+func (e *Executor) stashReduced(n *graph.Node, st *bnStash, dgamma, dbeta *tensor.Tensor,
 	grads map[string]*tensor.Tensor, stash map[int]*bnStash) error {
 
 	grads[n.BN.ParamName+".gamma"] = dgamma
 	grads[n.BN.ParamName+".beta"] = dbeta
-	sg, sb := dgamma, dbeta
+	st.dgamma, st.dbeta = dgamma, dbeta
 	if e.bnReduceHook != nil {
 		var err error
-		if sg, sb, err = e.bnReduceHook(n, dgamma, dbeta); err != nil {
+		if st.dgamma, st.dbeta, err = e.bnReduceHook(n, dgamma, dbeta); err != nil {
 			return err
 		}
 	}
-	stash[n.StatsFrom.ID] = &bnStash{dv: dv, xhat: e.xhats[n.ID], dgamma: sg, dbeta: sb}
+	stash[n.StatsFrom.ID] = st
 	return nil
 }
 
@@ -876,7 +919,14 @@ func (e *Executor) bnInputGrad(id int, attr *graph.BNAttr, stash map[int]*bnStas
 	if st == nil {
 		return nil, fmt.Errorf("no sub-BN2' stash for statistics producer")
 	}
-	du, err := e.bnOf(attr).BackwardInput(st.dv, st.xhat, e.gammaOf(attr), e.stats[id], st.dgamma, st.dbeta)
+	bn := e.bnOf(attr)
+	var du *tensor.Tensor
+	var err error
+	if st.xhat != nil {
+		du, err = bn.BackwardInput(st.dv, st.xhat, e.gammaOf(attr), e.stats[id], st.dgamma, st.dbeta)
+	} else {
+		du, err = bn.BackwardInputFrom(st.dv, st.x, e.gammaOf(attr), e.stats[id], st.dgamma, st.dbeta)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -269,6 +269,9 @@ func (g *Graph) Pool(name string, in *Node, pool layers.Pool2D, cpl int) (*Node,
 	if len(in.OutShape) != 4 {
 		return nil, fmt.Errorf("graph: pool %q input shape %v not rank 4", name, in.OutShape)
 	}
+	if err := pool.Validate(); err != nil {
+		return nil, fmt.Errorf("graph: pool %q: %w", name, err)
+	}
 	p := pool
 	return g.add(&Node{
 		Kind: OpPool, Name: name, Inputs: []*Node{in},

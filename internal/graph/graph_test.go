@@ -57,6 +57,9 @@ func TestBuilderErrors(t *testing.T) {
 	if _, err := g.Pool("p", fcIn, layers.Pool2D{Kernel: 2, Stride: 2}, 0); err == nil {
 		t.Error("pool accepted rank-2 input")
 	}
+	if _, err := g.Pool("p", in, layers.Pool2D{Kernel: 2, Stride: 2, Pad: 2, Max: true}, 0); err == nil {
+		t.Error("pool accepted a pad past half its kernel")
+	}
 	if _, err := g.GlobalPool("gp", fcIn, 0); err == nil {
 		t.Error("gap accepted rank-2 input")
 	}

@@ -324,6 +324,9 @@ func parsePool(s string) (*layers.Pool2D, error) {
 	default:
 		return nil, fmt.Errorf("bad pool mode %q", mode)
 	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	return &p, nil
 }
 

@@ -150,6 +150,7 @@ func TestParseErrors(t *testing.T) {
 		"unknown directive":  "bnffgraph 1\nname x\nfrobnicate\n",
 		"bad conv spec":      "bnffgraph 1\nname x\nnode 0 Input in out=1,3,4,4 cpl=-1\nnode 1 Conv c out=1,4,4,4 cpl=-1 in=0 conv=3:4\n",
 		"bad pool mode":      "bnffgraph 1\nname x\nnode 0 Input in out=1,3,4,4 cpl=-1\nnode 1 Pool p out=1,3,2,2 cpl=-1 in=0 pool=2:2:0:median\n",
+		"pool pad past half": "bnffgraph 1\nname x\nnode 0 Input in out=1,3,4,4 cpl=-1\nnode 1 Pool p out=1,3,4,4 cpl=-1 in=0 pool=2:2:2:max\n",
 		"bad bn spec":        "bnffgraph 1\nname x\nnode 0 Input in out=1,3,4,4 cpl=-1\nnode 1 BN b out=1,3,4,4 cpl=-1 in=0 bn=3:b\n",
 		"statsfrom past end": "bnffgraph 1\nname x\nnode 0 Input in out=1,3,4,4 cpl=-1\nnode 1 SubBN2 s out=1,3,4,4 cpl=-1 in=0 bn=3:b:1:0 statsfrom=7\n",
 	}

@@ -15,8 +15,8 @@
 //   - FusedBNReLUConvForward — (sub-BN2)-ReLU-CONV2: each sample is
 //     normalized and rectified into a cache-resident tile the convolution
 //     reads as its ifmap. The normalized map x̂ is written once (Figure 5a's
-//     O2') because the backward pass re-reads it; the rectified batch tensor
-//     never exists.
+//     O2') for FusedConvBackwardReLUBNReduce to re-read; the rectified batch
+//     tensor never exists.
 //
 //   - ReLUConvForward — RCF alone: the same window with a rectify-only fill,
 //     for the RCF-only evaluation scenario.
@@ -31,10 +31,20 @@
 // whoever owns the BN closes them: ConvForwardStats and the executor with
 // BatchNorm.Close, ddp sync-BN with one fold over every replica's partials.
 //
+// The two BN windows here are the stored-x̂ form (ConvWindow.StoreXHat),
+// kept because benchmark/ times these names. The executor stores no x̂: its
+// fused windows take the BN input x, and the backward window and the
+// statistics producer's sub-BN1' (BatchNorm.BackwardInputFrom) regenerate x̂
+// per sample from x and the statistics, with the same bits.
+//
 // The (sub-BN1')-CONV1 backward is not a window: the executor composes
-// BatchNorm.BackwardInput with the convolution's backward window itself. ICF
-// has no kernel: it is a cost-model term (graph.BNAttr.ICF) that prices the
-// boundary sweeps the Concat/Split fusions would remove.
+// BatchNorm.BackwardInputFrom with the convolution's backward window itself.
+// Concat has no kernel either: the executor keeps a concat as a
+// layers.Concat view of its inputs, which the windows and the BN, ReLU and
+// pooling sweeps read run by run, and scatters its gradient straight into
+// its inputs' gradient slots. What remains of ICF is the cost-model term
+// graph.BNAttr.ICF, which prices the boundary sweeps a sub-BN1 fused with
+// the concat's producers would remove.
 //
 // Every kernel is bit-identical to the baseline composition in
 // internal/layers wherever the baseline's own arithmetic is (the x̂, the
@@ -80,7 +90,7 @@ func ReLUConvForward(conv layers.Conv2D, x, w *tensor.Tensor) (*tensor.Tensor, e
 // identical to the baseline composition. Returns y and x̂.
 func FusedBNReLUConvForward(conv layers.Conv2D, bn layers.BatchNorm, x *tensor.Tensor,
 	stats *layers.BNStats, gamma, beta, w *tensor.Tensor) (y, xhat *tensor.Tensor, err error) {
-	y, xhat, _, err = conv.ForwardWindow(x, w, layers.ConvWindow{BN: bn, In: stats, Gamma: gamma, Beta: beta})
+	y, xhat, _, err = conv.ForwardWindow(x, w, layers.ConvWindow{BN: bn, In: stats, Gamma: gamma, Beta: beta, StoreXHat: true})
 	return y, xhat, err
 }
 
@@ -98,5 +108,5 @@ func FusedBNReLUConvForward(conv layers.Conv2D, bn layers.BatchNorm, x *tensor.T
 // side of the BN, whose result is CONV1's upstream gradient.
 func FusedConvBackwardReLUBNReduce(conv layers.Conv2D, bn layers.BatchNorm,
 	dy, xhat, gamma, beta, w *tensor.Tensor) (dv, dw, dgamma, dbeta *tensor.Tensor, err error) {
-	return conv.BackwardWindow(dy, xhat, w, layers.ConvWindow{BN: bn, Gamma: gamma, Beta: beta})
+	return conv.BackwardWindow(dy, xhat, w, layers.ConvWindow{BN: bn, Gamma: gamma, Beta: beta, StoreXHat: true})
 }

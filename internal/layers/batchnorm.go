@@ -72,15 +72,16 @@ type BNContext struct {
 	Stats *BNStats
 }
 
-func (b BatchNorm) check(x *tensor.Tensor) error {
-	if x.Rank() != 4 {
-		return fmt.Errorf("batchnorm: input must be rank 4, got %v", x.Shape())
+func (b BatchNorm) check(x Map) error {
+	s := x.Shape()
+	if len(s) != 4 {
+		return fmt.Errorf("batchnorm: input must be rank 4, got %v", s)
 	}
-	if x.Dim(1) != b.Channels {
-		return fmt.Errorf("batchnorm: input has %d channels, layer expects %d", x.Dim(1), b.Channels)
+	if s[1] != b.Channels {
+		return fmt.Errorf("batchnorm: input has %d channels, layer expects %d", s[1], b.Channels)
 	}
-	if x.Dim(0)*x.Dim(2)*x.Dim(3) == 0 {
-		return fmt.Errorf("batchnorm: empty mini-batch %v", x.Shape())
+	if s[0]*s[2]*s[3] == 0 {
+		return fmt.Errorf("batchnorm: empty mini-batch %v", s)
 	}
 	return nil
 }
@@ -106,12 +107,13 @@ func (b BatchNorm) checkStats(st *BNStats) error {
 // two-pass algorithm: one full sweep for the mean, a second for the variance.
 // This is the strict-dependency form the paper's Figure 5 charges two memory
 // sweeps (I2, I3) for.
-func (b BatchNorm) ComputeStats(x *tensor.Tensor) (*BNStats, error) {
+func (b BatchNorm) ComputeStats(x Map) (*BNStats, error) {
 	if err := b.check(x); err != nil {
 		return nil, err
 	}
 	n, c, h, w := x.Dims4()
 	m := float64(n * h * w)
+	r := runsOf(x)
 	mean := b.alloc.Get(c)
 	variance := b.alloc.Get(c)
 
@@ -121,9 +123,9 @@ func (b BatchNorm) ComputeStats(x *tensor.Tensor) (*BNStats, error) {
 	// directly, as Moments does.
 	pmean := b.alloc.Floats(n * c)
 	if b.pool.Serial() {
-		meanPartials(x.Data, pmean, c, h*w, m, 0, n)
+		meanPartials(r, pmean, c, m, 0, n)
 	} else {
-		b.pool.Run(n, func(lo, hi int) { meanPartials(x.Data, pmean, c, h*w, m, lo, hi) })
+		b.pool.Run(n, func(lo, hi int) { meanPartials(r, pmean, c, m, lo, hi) })
 	}
 	// det-reduce: per-sample mean partials combined in sample order — the
 	// association the serial sweep uses, so pooled execution is bit-identical.
@@ -136,9 +138,9 @@ func (b BatchNorm) ComputeStats(x *tensor.Tensor) (*BNStats, error) {
 	// Pass 2: variance around the mean, same partial scheme.
 	pvar := b.alloc.Floats(n * c)
 	if b.pool.Serial() {
-		varPartials(x.Data, mean.Data, pvar, c, h*w, m, 0, n)
+		varPartials(r, mean.Data, pvar, c, m, 0, n)
 	} else {
-		b.pool.Run(n, func(lo, hi int) { varPartials(x.Data, mean.Data, pvar, c, h*w, m, lo, hi) })
+		b.pool.Run(n, func(lo, hi int) { varPartials(r, mean.Data, pvar, c, m, lo, hi) })
 	}
 	// det-reduce: per-sample variance partials combined in sample order.
 	for in := 0; in < n; in++ {
@@ -151,57 +153,80 @@ func (b BatchNorm) ComputeStats(x *tensor.Tensor) (*BNStats, error) {
 }
 
 // meanPartials is ComputeStats' first pass over samples [lo, hi) of the
-// (N,c,hw) map xd: each (sample, channel) row summed in float64, ascending,
-// divided by the count m. On the lanes, eight channels' chains run at once
-// (meanRows) — each still adds its own row in order, so the sums are the
-// same bits.
+// c-channel map x: each (sample, channel) row summed in float64, ascending,
+// divided by the count m. Each run of a sample is swept on its own; a row's
+// sum never depends on the rows beside it, so the partials are a dense
+// map's bits whatever its runs.
 //
 // hot-path: runs once per sample per baseline BN forward.
-func meanPartials(xd, pmean []float32, c, hw int, m float64, lo, hi int) {
-	for in := lo; in < hi; in++ {
-		ic := 0
-		if rows := min(c, 8); useLanes && rows >= 4 {
-			for ; ic < c; ic += 8 {
-				ic = min(ic, c-rows)
-				base := (in*c + ic) * hw
-				meanRows(xd[base:base+rows*hw], rows, hw, m, pmean[in*c+ic:])
-			}
-		}
-		for ; ic < c; ic++ {
-			base := (in*c + ic) * hw
-			var s float64
-			for _, v := range xd[base : base+hw] {
-				s += float64(v)
-			}
-			pmean[in*c+ic] = float32(s / m)
+func meanPartials(x runs, pmean []float32, c int, m float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		for p, c0 := 0, 0; p < x.count(); p++ {
+			run, cp := x.run(p, i)
+			meanSample(run, pmean[i*c+c0:][:cp], x.hw, m)
+			c0 += cp
 		}
 	}
 }
 
-// varPartials is ComputeStats' second pass: each row's Σ(x − μ)² in float64
-// around its channel's mean, divided by m, with meanPartials' lanes.
+// meanSample is meanPartials on len(pmean) channel rows of hw elements. On
+// the lanes, eight channels' chains run at once (meanRows) — each still adds
+// its own row in order, so the sums are the same bits.
 //
 // hot-path: runs once per sample per baseline BN forward.
-func varPartials(xd, mean, pvar []float32, c, hw int, m float64, lo, hi int) {
-	for in := lo; in < hi; in++ {
-		ic := 0
-		if rows := min(c, 8); useLanes && rows >= 4 {
-			for ; ic < c; ic += 8 {
-				ic = min(ic, c-rows)
-				base := (in*c + ic) * hw
-				varRows(xd[base:base+rows*hw], rows, hw, mean[ic:], m, pvar[in*c+ic:])
-			}
+func meanSample(x, pmean []float32, hw int, m float64) {
+	c := len(pmean)
+	ic := 0
+	if rows := min(c, 8); useLanes && rows >= 4 {
+		for ; ic < c; ic += 8 {
+			ic = min(ic, c-rows)
+			meanRows(x[ic*hw:(ic+rows)*hw], rows, hw, m, pmean[ic:])
 		}
-		for ; ic < c; ic++ {
-			base := (in*c + ic) * hw
-			mu := float64(mean[ic])
-			var s float64
-			for _, v := range xd[base : base+hw] {
-				d := float64(v) - mu
-				s += float64(d * d)
-			}
-			pvar[in*c+ic] = float32(s / m)
+	}
+	for ; ic < c; ic++ {
+		var s float64
+		for _, v := range x[ic*hw : (ic+1)*hw] {
+			s += float64(v)
 		}
+		pmean[ic] = float32(s / m)
+	}
+}
+
+// varPartials is ComputeStats' second pass: each row's Σ(x − μ)² in float64
+// around its channel's mean, divided by m, run by run as meanPartials.
+//
+// hot-path: runs once per sample per baseline BN forward.
+func varPartials(x runs, mean, pvar []float32, c int, m float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		for p, c0 := 0, 0; p < x.count(); p++ {
+			run, cp := x.run(p, i)
+			varSample(run, mean[c0:c0+cp], pvar[i*c+c0:], x.hw, m)
+			c0 += cp
+		}
+	}
+}
+
+// varSample is varPartials on len(mean) channel rows of hw elements, with
+// meanSample's lanes.
+//
+// hot-path: runs once per sample per baseline BN forward.
+func varSample(x, mean, pvar []float32, hw int, m float64) {
+	c := len(mean)
+	ic := 0
+	if rows := min(c, 8); useLanes && rows >= 4 {
+		for ; ic < c; ic += 8 {
+			ic = min(ic, c-rows)
+			varRows(x[ic*hw:(ic+rows)*hw], rows, hw, mean[ic:], m, pvar[ic:])
+		}
+	}
+	for ; ic < c; ic++ {
+		mu := float64(mean[ic])
+		var s float64
+		for _, v := range x[ic*hw : (ic+1)*hw] {
+			d := float64(v) - mu
+			s += float64(d * d)
+		}
+		pvar[ic] = float32(s / m)
 	}
 }
 
@@ -232,21 +257,22 @@ func (b BatchNorm) ComputeStatsMVF(x *tensor.Tensor) (*BNStats, error) {
 
 // Moments sweeps x once for its per-(sample, channel) partials, drawn from
 // the layer's arena and split over samples on the layer's pool.
-func (b BatchNorm) Moments(x *tensor.Tensor) (Moments, error) {
+func (b BatchNorm) Moments(x Map) (Moments, error) {
 	if err := b.check(x); err != nil {
 		return Moments{}, err
 	}
 	n, c, h, w := x.Dims4()
+	r := runsOf(x)
 	psum := b.alloc.Floats(n * c)
 	psumsq := b.alloc.Floats(n * c)
 	// The serial path calls the chunk body directly: a closure handed to
 	// Run is heap-allocated (its parameter reaches a go statement), and on
 	// the one-worker steady state that per-step garbage is the whole cost.
 	if b.pool.Serial() {
-		momentPartials(x.Data, psum, psumsq, c, h*w, 0, n)
+		momentPartials(r, psum, psumsq, c, 0, n)
 	} else {
 		b.pool.Run(n, func(lo, hi int) {
-			momentPartials(x.Data, psum, psumsq, c, h*w, lo, hi)
+			momentPartials(r, psum, psumsq, c, lo, hi)
 		})
 	}
 	return Moments{Sum: psum, SumSq: psumsq, N: n, HW: h * w}, nil
@@ -288,47 +314,58 @@ func (b BatchNorm) Close(m Moments) (*BNStats, error) {
 }
 
 // momentPartials fills the per-(sample, channel) Σx and Σx² partials of the
-// single-sweep MVF statistics for samples [lo, hi) of the (N,c,hw) map xd:
-// the one float32 moment loop, shared by BatchNorm.Moments and the
-// ForwardWindow epilogue. Every s and sq is a single accumulator chain adding
-// its row's elements in ascending order: the scalar body unrolls one row by
-// four, the lanes run eight channels' chains at once (momentRows).
+// single-sweep MVF statistics for samples [lo, hi) of the c-channel map x,
+// run by run as meanPartials.
 //
 // hot-path: runs once per sample per step; all buffers are caller-provided.
-func momentPartials(xd, psum, psumsq []float32, c, hw, lo, hi int) {
-	for in := lo; in < hi; in++ {
-		ic := 0
-		if rows := min(c, 8); useLanes && rows >= 4 {
-			for ; ic < c; ic += 8 {
-				ic = min(ic, c-rows)
-				base := (in*c + ic) * hw
-				momentRows(xd[base:base+rows*hw], rows, hw, psum[in*c+ic:], psumsq[in*c+ic:])
-			}
+func momentPartials(x runs, psum, psumsq []float32, c, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		for p, c0 := 0, 0; p < x.count(); p++ {
+			run, cp := x.run(p, i)
+			momentSample(run, psum[i*c+c0:][:cp], psumsq[i*c+c0:], x.hw)
+			c0 += cp
 		}
-		for ; ic < c; ic++ {
-			base := (in*c + ic) * hw
-			row := xd[base : base+hw]
-			var s, sq float32
-			i := 0
-			for ; i+4 <= len(row); i += 4 {
-				v0, v1, v2, v3 := row[i], row[i+1], row[i+2], row[i+3]
-				s += v0
-				s += v1
-				s += v2
-				s += v3
-				sq += float32(v0 * v0)
-				sq += float32(v1 * v1)
-				sq += float32(v2 * v2)
-				sq += float32(v3 * v3)
-			}
-			for ; i < len(row); i++ {
-				v := row[i]
-				s += v
-				sq += float32(v * v)
-			}
-			psum[in*c+ic] = s
-			psumsq[in*c+ic] = sq
+	}
+}
+
+// momentSample is the one float32 moment loop, shared by BatchNorm.Moments
+// and the ForwardWindow epilogue: Σx and Σx² of len(psum) channel rows of hw
+// elements. Every s and sq is a single accumulator chain adding its row's
+// elements in ascending order: the scalar body unrolls one row by four, the
+// lanes run eight channels' chains at once (momentRows).
+//
+// hot-path: runs once per sample per step; all buffers are caller-provided.
+func momentSample(x, psum, psumsq []float32, hw int) {
+	c := len(psum)
+	ic := 0
+	if rows := min(c, 8); useLanes && rows >= 4 {
+		for ; ic < c; ic += 8 {
+			ic = min(ic, c-rows)
+			momentRows(x[ic*hw:(ic+rows)*hw], rows, hw, psum[ic:], psumsq[ic:])
 		}
+	}
+	for ; ic < c; ic++ {
+		row := x[ic*hw : (ic+1)*hw]
+		var s, sq float32
+		i := 0
+		for ; i+4 <= len(row); i += 4 {
+			v0, v1, v2, v3 := row[i], row[i+1], row[i+2], row[i+3]
+			s += v0
+			s += v1
+			s += v2
+			s += v3
+			sq += float32(v0 * v0)
+			sq += float32(v1 * v1)
+			sq += float32(v2 * v2)
+			sq += float32(v3 * v3)
+		}
+		for ; i < len(row); i++ {
+			v := row[i]
+			s += v
+			sq += float32(v * v)
+		}
+		psum[ic] = s
+		psumsq[ic] = sq
 	}
 }
 
@@ -347,7 +384,7 @@ func (b BatchNorm) InvStdScratch(stats *BNStats) []float32 {
 // Normalize is sub-BN2: y = γ·(x−μ)/√(σ²+ε) + β. It also returns x̂, which
 // the backward pass consumes (this is the O2' sweep of Figure 5 that survives
 // fusion because backward needs it).
-func (b BatchNorm) Normalize(x *tensor.Tensor, stats *BNStats, gamma, beta *tensor.Tensor) (y, xhat *tensor.Tensor, err error) {
+func (b BatchNorm) Normalize(x Map, stats *BNStats, gamma, beta *tensor.Tensor) (y, xhat *tensor.Tensor, err error) {
 	if err := b.check(x); err != nil {
 		return nil, nil, err
 	}
@@ -360,7 +397,8 @@ func (b BatchNorm) Normalize(x *tensor.Tensor, stats *BNStats, gamma, beta *tens
 	if err := b.checkStats(stats); err != nil {
 		return nil, nil, err
 	}
-	n, c, h, w := x.Dims4()
+	n := x.Shape()[0]
+	r := runsOf(x)
 	inv := b.InvStdScratch(stats)
 	y = b.alloc.Get(x.Shape()...)
 	xhat = b.alloc.Get(x.Shape()...)
@@ -370,11 +408,11 @@ func (b BatchNorm) Normalize(x *tensor.Tensor, stats *BNStats, gamma, beta *tens
 	// the outputs' slices, not the named results: capturing a result (which
 	// the return assigns) would move it to the heap on every call.
 	if b.pool.Serial() {
-		bnNormalizeChunk(x.Data, xhat.Data, y.Data, stats.Mean.Data, inv, gamma.Data, beta.Data, c, h*w, 0, n)
+		bnNormalizeChunk(r, xhat.Data, y.Data, stats.Mean.Data, inv, gamma.Data, beta.Data, 0, n)
 	} else {
 		hd, yd := xhat.Data, y.Data
 		b.pool.Run(n, func(lo, hi int) {
-			bnNormalizeChunk(x.Data, hd, yd, stats.Mean.Data, inv, gamma.Data, beta.Data, c, h*w, lo, hi)
+			bnNormalizeChunk(r, hd, yd, stats.Mean.Data, inv, gamma.Data, beta.Data, lo, hi)
 		})
 	}
 	b.alloc.PutFloats(inv)
@@ -382,14 +420,19 @@ func (b BatchNorm) Normalize(x *tensor.Tensor, stats *BNStats, gamma, beta *tens
 }
 
 // bnNormalizeChunk is Normalize's chunk body: write x̂ and y = γx̂+β for the
-// samples in [lo, hi).
+// samples in [lo, hi) of x, one run at a time — element-wise, so the same
+// bits as over a dense map.
 //
 // hot-path: runs once per sample per step; all buffers are caller-provided.
-func bnNormalizeChunk(xd, xh, yd, mean, inv, gamma, beta []float32, c, hw, lo, hi int) {
-	per := c * hw
-	for in := lo; in < hi; in++ {
-		s := in * per
-		normRows(xd[s:s+per], xh[s:s+per], yd[s:s+per], mean, inv, gamma[:c], beta, hw, false)
+func bnNormalizeChunk(x runs, xh, yd, mean, inv, gamma, beta []float32, lo, hi int) {
+	c := len(gamma)
+	for i := lo; i < hi; i++ {
+		for p, c0 := 0, 0; p < x.count(); p++ {
+			run, cp := x.run(p, i)
+			s := (i*c + c0) * x.hw
+			normRows(run, xh[s:s+len(run)], yd[s:s+len(run)], mean[c0:], inv[c0:], gamma[c0:c0+cp], beta[c0:], x.hw, false)
+			c0 += cp
+		}
 	}
 }
 
@@ -497,17 +540,31 @@ func reduceGammaBeta(pg, pb []float64, n, c int) (dgamma, dbeta *tensor.Tensor) 
 // which carries no further cross-batch dependency and therefore fuses into
 // the preceding CONV's backward sweep.
 func (b BatchNorm) BackwardInput(dy, xhat, gamma *tensor.Tensor, stats *BNStats, dgamma, dbeta *tensor.Tensor) (*tensor.Tensor, error) {
+	return b.backwardInput(dy, xhat, false, gamma, stats, dgamma, dbeta)
+}
+
+// BackwardInputFrom is BackwardInput reading the BN's input x instead of a
+// stored x̂: per sample, and run by run over a Concat, each x̂ is regenerated
+// as the forward's normalize computed it, so dx has BackwardInput's bits over
+// the x̂ Normalize or the fused forward window would have stored.
+func (b BatchNorm) BackwardInputFrom(dy *tensor.Tensor, x Map, gamma *tensor.Tensor, stats *BNStats, dgamma, dbeta *tensor.Tensor) (*tensor.Tensor, error) {
+	return b.backwardInput(dy, x, true, gamma, stats, dgamma, dbeta)
+}
+
+// backwardInput is BackwardInput over xs = x̂, or with regen
+// BackwardInputFrom over xs = x.
+func (b BatchNorm) backwardInput(dy *tensor.Tensor, xs Map, regen bool, gamma *tensor.Tensor, stats *BNStats, dgamma, dbeta *tensor.Tensor) (*tensor.Tensor, error) {
 	if err := b.check(dy); err != nil {
 		return nil, err
 	}
-	if !dy.Shape().Equal(xhat.Shape()) {
-		return nil, fmt.Errorf("batchnorm: dy %v vs xhat %v", dy.Shape(), xhat.Shape())
+	if !dy.Shape().Equal(xs.Shape()) {
+		return nil, fmt.Errorf("batchnorm: dy %v vs x̂ or x %v", dy.Shape(), xs.Shape())
 	}
 	if err := errors.Join(b.checkParam("gamma", gamma), b.checkParam("dgamma", dgamma),
 		b.checkParam("dbeta", dbeta), b.checkStats(stats)); err != nil {
 		return nil, err
 	}
-	n, c, h, w := dy.Dims4()
+	n, _, h, w := dy.Dims4()
 	// The normalization count: how many elements each channel's mean and
 	// variance were computed over. For single-executor training that is this
 	// very mini-batch (stats.M == n·h·w, the historical behavior); under
@@ -519,28 +576,33 @@ func (b BatchNorm) BackwardInput(dy, xhat, gamma *tensor.Tensor, stats *BNStats,
 	if stats.M > 0 {
 		m = float32(stats.M)
 	}
+	r := runsOf(xs)
 	inv := b.InvStdScratch(stats)
 	dx := b.alloc.Get(dy.Shape()...)
 	if b.pool.Serial() {
-		bnInputGradChunk(dy.Data, xhat.Data, dx.Data, gamma.Data, inv, dgamma.Data, dbeta.Data, m, c, h*w, 0, n)
+		bnInputGradChunk(r, regen, dy.Data, dx.Data, gamma.Data, inv, stats.Mean.Data, dgamma.Data, dbeta.Data, m, 0, n)
 	} else {
 		b.pool.Run(n, func(lo, hi int) {
-			bnInputGradChunk(dy.Data, xhat.Data, dx.Data, gamma.Data, inv, dgamma.Data, dbeta.Data, m, c, h*w, lo, hi)
+			bnInputGradChunk(r, regen, dy.Data, dx.Data, gamma.Data, inv, stats.Mean.Data, dgamma.Data, dbeta.Data, m, lo, hi)
 		})
 	}
 	b.alloc.PutFloats(inv)
 	return dx, nil
 }
 
-// bnInputGradChunk is BackwardInput's chunk body: dx for the samples in
-// [lo, hi).
+// bnInputGradChunk is backwardInput's chunk body: dx for the samples in
+// [lo, hi), one run of xs at a time.
 //
 // hot-path: runs once per sample per step; all buffers are caller-provided.
-func bnInputGradChunk(dy, xhat, dx, gamma, inv, dgamma, dbeta []float32, m float32, c, hw, lo, hi int) {
-	per := c * hw
-	for in := lo; in < hi; in++ {
-		s := in * per
-		gradRows(dy[s:s+per], xhat[s:s+per], dx[s:s+per], gamma[:c], inv, dgamma, dbeta, m, hw)
+func bnInputGradChunk(xs runs, regen bool, dy, dx, gamma, inv, mean, dgamma, dbeta []float32, m float32, lo, hi int) {
+	c := len(gamma)
+	for i := lo; i < hi; i++ {
+		for p, c0 := 0, 0; p < xs.count(); p++ {
+			run, cp := xs.run(p, i)
+			s := (i*c + c0) * xs.hw
+			gradRows(dy[s:s+len(run)], run, dx[s:s+len(run)], gamma[c0:c0+cp], inv[c0:], mean[c0:], dgamma[c0:], dbeta[c0:], m, xs.hw, regen)
+			c0 += cp
+		}
 	}
 }
 

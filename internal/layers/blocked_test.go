@@ -320,7 +320,7 @@ func convBackwardWant(c Conv2D, n, h, wd int, dy, x, w, dx, dw []float32, pooled
 // zeroed outputs and the pooled dW partials rest on.
 func backwardInto(c Conv2D, dy, x, w, dx, dw *tensor.Tensor) {
 	n, _, h, wd := x.Dims4()
-	c.backwardWindow(convBwd{geom: c.SampleGeom(h, wd), dy: dy.Data, src: x.Data, w: w.Data, dx: dx.Data, dw: dw.Data}, n, ConvWindow{})
+	c.backwardWindow(convBwd{geom: c.SampleGeom(h, wd), dy: dy.Data, src: runsOf(x), w: w.Data, dx: dx.Data, dw: dw.Data}, n, ConvWindow{})
 }
 
 // The two backward gathers (dx, dW) must match the legacy scatter loop bit for
@@ -709,23 +709,28 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 	// Both window chunk bodies, fully fused (tile fill, sample kernel,
 	// partials), over caller-carved scratch.
 	gamma, beta := fillRand(5, 3), fillRand(6, 3)
+	x := tensor.MustFromSlice(fillRand(9, 2*3*9*9), 2, 3, 9, 9)
+	fill := tileFill{rect: true, mean: fillRand(7, 3), inv: fillRand(8, 3), g: gamma, b: beta}
 	fwd := convFwd{
-		tileFill: tileFill{mean: fillRand(7, 3), inv: fillRand(8, 3), g: gamma, b: beta},
-		geom:     geom, x: fillRand(9, 2*3*9*9), w: w, y: make([]float32, 2*8*9*9),
+		tileFill: fill,
+		geom:     geom, x: runsOf(x), w: w, y: make([]float32, 2*8*9*9),
 		xh: make([]float32, 2*3*9*9), tiles: make([]float32, 3*9*9),
 		psum: make([]float32, 2*8), psumsq: make([]float32, 2*8),
 	}
 	if allocs := testing.AllocsPerRun(10, func() { fwd.run(0, 0, 2) }); allocs != 0 {
 		t.Errorf("forward window allocates %v per run, want 0", allocs)
 	}
-	bwd := convBwd{
-		tileFill: tileFill{g: gamma, b: beta},
-		geom:     geom, dy: fillRand(10, 2*8*9*9), src: fwd.xh, w: w,
-		dx: make([]float32, 2*3*9*9), dw: make([]float32, len(w)), tiles: make([]float32, 3*9*9),
-		psg: make([]float64, 2*3), psb: make([]float64, 2*3),
-	}
-	if allocs := testing.AllocsPerRun(10, func() { bwd.run(0, 0, 2) }); allocs != 0 {
-		t.Errorf("backward window allocates %v per run, want 0", allocs)
+	// The stored-x̂ backward and the one regenerating x̂ from x.
+	for _, bwd := range []convBwd{
+		{tileFill: tileFill{rect: true, g: gamma, b: beta}, src: runsOf(tensor.MustFromSlice(fwd.xh, 2, 3, 9, 9))},
+		{tileFill: fill, src: runsOf(x), xhs: make([]float32, 3*9*9)},
+	} {
+		bwd.geom, bwd.dy, bwd.w = geom, fillRand(10, 2*8*9*9), w
+		bwd.dx, bwd.dw, bwd.tiles = make([]float32, 2*3*9*9), make([]float32, len(w)), make([]float32, 3*9*9)
+		bwd.psg, bwd.psb = make([]float64, 2*3), make([]float64, 2*3)
+		if allocs := testing.AllocsPerRun(10, func() { bwd.run(0, 0, 2) }); allocs != 0 {
+			t.Errorf("backward window allocates %v per run, want 0", allocs)
+		}
 	}
 
 	// The BN and ReLU entry points at one worker with an arena, on both

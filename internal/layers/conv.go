@@ -95,12 +95,13 @@ func (c Conv2D) FLOPs(batch, inH, inW int) int64 {
 		int64(c.InChannels/c.groups()) * int64(c.KernelH) * int64(c.KernelW)
 }
 
-func (c Conv2D) checkForward(x, w *tensor.Tensor) error {
-	if x.Rank() != 4 {
-		return fmt.Errorf("conv: input must be rank 4, got %v", x.Shape())
+func (c Conv2D) checkForward(x Map, w *tensor.Tensor) error {
+	s := x.Shape()
+	if len(s) != 4 {
+		return fmt.Errorf("conv: input must be rank 4, got %v", s)
 	}
-	if x.Dim(1) != c.InChannels {
-		return fmt.Errorf("conv: input has %d channels, layer expects %d", x.Dim(1), c.InChannels)
+	if s[1] != c.InChannels {
+		return fmt.Errorf("conv: input has %d channels, layer expects %d", s[1], c.InChannels)
 	}
 	if !w.Shape().Equal(c.WeightShape()) {
 		return fmt.Errorf("conv: weight shape %v, want %v", w.Shape(), c.WeightShape())
@@ -108,9 +109,9 @@ func (c Conv2D) checkForward(x, w *tensor.Tensor) error {
 	if c.Stride < 1 {
 		return fmt.Errorf("conv: stride %d < 1", c.Stride)
 	}
-	if x.Dim(2)+2*c.Pad < c.KernelH || x.Dim(3)+2*c.Pad < c.KernelW {
+	if s[2]+2*c.Pad < c.KernelH || s[3]+2*c.Pad < c.KernelW {
 		return fmt.Errorf("conv: input %v smaller than kernel %dx%d with pad %d",
-			x.Shape(), c.KernelH, c.KernelW, c.Pad)
+			s, c.KernelH, c.KernelW, c.Pad)
 	}
 	if g := c.groups(); c.InChannels%g != 0 || c.OutChannels%g != 0 {
 		return fmt.Errorf("conv: channels %d->%d not divisible by %d groups",

@@ -74,7 +74,7 @@ func (f FC) Forward(x, w, b *tensor.Tensor) (*tensor.Tensor, error) {
 	n := x.Dim(0)
 	y := f.alloc.Get(n, f.Out)
 	c, g := f.window()
-	sp := convFwd{geom: g, x: x.Data, w: w.Data, y: y.Data, bias: b.Data}
+	sp := convFwd{geom: g, x: runs{head: x, hw: 1}, w: w.Data, y: y.Data, bias: b.Data}
 	if useLanes && g.fcShape() && f.Out >= 32 && n >= 4 {
 		// The forward's lanes run across outputs, so they read w by columns:
 		// a per-call transposed copy makes those rows. The copy streams the
@@ -105,7 +105,7 @@ func (f FC) Backward(dy, x, w *tensor.Tensor) (dx, dw, db *tensor.Tensor, err er
 	dw = tensor.New(f.Out, f.In)
 	db = tensor.New(f.Out)
 	c, g := f.window()
-	c.backwardWindow(convBwd{geom: g, dy: dy.Data, src: x.Data, w: w.Data, dx: dx.Data, dw: dw.Data}, n, ConvWindow{})
+	c.backwardWindow(convBwd{geom: g, dy: dy.Data, src: runs{head: x, hw: 1}, w: w.Data, dx: dx.Data, dw: dw.Data}, n, ConvWindow{})
 	for in := 0; in < n; in++ {
 		for o, v := range dy.Data[in*f.Out : (in+1)*f.Out] {
 			db.Data[o] += v

@@ -578,7 +578,8 @@ func (g *ConvGeom) fcBackward(dy, x, w, dx, dw []float32) {
 
 // normRows is Normalize's body on one sample of len(gamma) channel rows of hw
 // elements: x̂ = (x − μ)·is into xh and γ·x̂ + β into y, rectified when rect
-// (the BNFF forward tile).
+// (the BNFF forward tile). Each element's x̂ is stored before its y, so xh may
+// be y when only y is wanted.
 //
 // hot-path: runs once per sample per BN forward; all buffers are the caller's.
 func normRows(x, xh, y, mean, inv, gamma, beta []float32, hw int, rect bool) {
@@ -586,10 +587,11 @@ func normRows(x, xh, y, mean, inv, gamma, beta []float32, hw int, rect bool) {
 	n := c * hw
 	x, xh, y, mean, inv, beta = x[:n], xh[:n], y[:n], mean[:c], inv[:c], beta[:c]
 	if useLanes && n > 0 {
+		g0 := &gamma[0]
 		if rect {
-			normRectifyLanes(&x[0], &xh[0], &y[0], &mean[0], &inv[0], &gamma[0], &beta[0], c, hw)
+			normRectifyLanes(&x[0], &xh[0], &y[0], &mean[0], &inv[0], g0, &beta[0], c, hw)
 		} else {
-			normLanes(&x[0], &xh[0], &y[0], &mean[0], &inv[0], &gamma[0], &beta[0], c, hw)
+			normLanes(&x[0], &xh[0], &y[0], &mean[0], &inv[0], g0, &beta[0], c, hw)
 		}
 		return
 	}
@@ -636,23 +638,35 @@ func scaleRectRows(x, t, gamma, beta []float32, hw int) {
 
 // gradRows is BackwardInput's body on one sample of len(gamma) channel rows
 // of hw elements: dx = coef·(m·dy − dβ − x̂·dγ), coef = γ·is/m per channel.
+// xs is x̂, or with regen the BN input x, each x̂ then regenerated as normRows
+// computes it, (x − μ)·is, so dx has the bits the stored x̂ would give.
 //
 // hot-path: runs once per sample per BN backward; all buffers are the caller's.
-func gradRows(dy, xh, dx, gamma, inv, dgamma, dbeta []float32, m float32, hw int) {
+func gradRows(dy, xs, dx, gamma, inv, mean, dgamma, dbeta []float32, m float32, hw int, regen bool) {
 	c := len(gamma)
 	n := c * hw
-	dy, xh, dx, inv, dgamma, dbeta = dy[:n], xh[:n], dx[:n], inv[:c], dgamma[:c], dbeta[:c]
+	dy, xs, dx, inv, mean, dgamma, dbeta = dy[:n], xs[:n], dx[:n], inv[:c], mean[:c], dgamma[:c], dbeta[:c]
 	if useLanes && n > 0 {
-		gradLanes(&dy[0], &xh[0], &dx[0], &gamma[0], &inv[0], &dgamma[0], &dbeta[0], m, c, hw)
+		g0 := &gamma[0]
+		if regen {
+			gradRegenLanes(&dy[0], &xs[0], &dx[0], g0, &inv[0], &mean[0], &dgamma[0], &dbeta[0], m, c, hw)
+		} else {
+			gradLanes(&dy[0], &xs[0], &dx[0], g0, &inv[0], &dgamma[0], &dbeta[0], m, c, hw)
+		}
 		return
 	}
 	for ic, g := range gamma {
 		lo, hi := ic*hw, (ic+1)*hw
-		coef := g * inv[ic] / m
+		mu, is := mean[ic], inv[ic]
+		coef := g * is / m
 		dg, db := dgamma[ic], dbeta[ic]
-		hrow, dxrow := xh[lo:hi], dx[lo:hi]
+		xrow, dxrow := xs[lo:hi], dx[lo:hi]
 		for i, d := range dy[lo:hi] {
-			dxrow[i] = coef * (float32(m*d) - db - float32(hrow[i]*dg))
+			v := xrow[i]
+			if regen {
+				v = (v - mu) * is
+			}
+			dxrow[i] = coef * (float32(m*d) - db - float32(v*dg))
 		}
 	}
 }

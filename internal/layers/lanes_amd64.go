@@ -27,6 +27,9 @@ func scaleRectifyLanes(x, t, gamma, beta *float32, c, hw int)
 func gradLanes(dy, xh, dx, gamma, inv, dgamma, dbeta *float32, m float32, c, hw int)
 
 //go:noescape
+func gradRegenLanes(dy, x, dx, gamma, inv, mean, dgamma, dbeta *float32, m float32, c, hw int)
+
+//go:noescape
 func maskLanes(dst, v, z *float32, n int)
 
 //go:noescape

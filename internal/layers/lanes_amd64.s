@@ -555,6 +555,78 @@ gradDone:
 	VZEROUPPER
 	RET
 
+// func gradRegenLanes(dy, x, dx, gamma, inv, mean, dgamma, dbeta *float32, m float32, c, hw int)
+//
+// gradLanes with x̂ regenerated from the BN input x as normLanes computes it,
+// v = (x − μ)·is, then dx = coef·((m·dy − dβ) − v·dγ).
+TEXT ·gradRegenLanes(SB), NOSPLIT, $0-88
+	MOVQ         dy+0(FP), SI
+	MOVQ         x+8(FP), DI
+	MOVQ         dx+16(FP), DX
+	MOVQ         gamma+24(FP), R8
+	MOVQ         inv+32(FP), R9
+	MOVQ         mean+40(FP), CX
+	MOVQ         dgamma+48(FP), R10
+	MOVQ         dbeta+56(FP), R11
+	VBROADCASTSS m+64(FP), Y8
+	MOVQ         c+72(FP), BX
+	MOVQ         hw+80(FP), R12
+	MOVQ         R12, R13
+	ANDQ         $-8, R13
+	TESTQ        BX, BX
+	JZ           grDone
+
+grRow:
+	VMOVSS       (R8), X4
+	VMULSS       (R9), X4, X4
+	VDIVSS       X8, X4, X4
+	VBROADCASTSS X4, Y4
+	VBROADCASTSS (R11), Y5
+	VBROADCASTSS (R10), Y6
+	VBROADCASTSS (CX), Y9
+	VBROADCASTSS (R9), Y10
+	XORQ         AX, AX
+	CMPQ         AX, R13
+	JGE          grTail
+
+grVec:
+	VMULPS  (SI)(AX*4), Y8, Y0
+	VSUBPS  Y5, Y0, Y0
+	VMOVUPS (DI)(AX*4), Y1
+	VSUBPS  Y9, Y1, Y1
+	VMULPS  Y10, Y1, Y1
+	VMULPS  Y1, Y6, Y1
+	VSUBPS  Y1, Y0, Y0
+	VMULPS  Y0, Y4, Y0
+	VMOVUPS Y0, (DX)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, R13
+	JLT     grVec
+
+grTail:
+	CMPQ   AX, R12
+	JGE    grNext
+	VMOVSS (SI)(AX*4), X0
+	VMULSS X0, X8, X0
+	VSUBSS X5, X0, X0
+	VMOVSS (DI)(AX*4), X1
+	VSUBSS X9, X1, X1
+	VMULSS X10, X1, X1
+	VMULSS X1, X6, X1
+	VSUBSS X1, X0, X0
+	VMULSS X0, X4, X0
+	VMOVSS X0, (DX)(AX*4)
+	INCQ   AX
+	JMP    grTail
+
+grNext:
+	ADDQ $4, CX
+	NEXT_ROW(SI, DI, DX, grRow)
+
+grDone:
+	VZEROUPPER
+	RET
+
 // func maskLanes(dst, v, z *float32, n int)
 //
 // dst = v where z > 0, +0 elsewhere: passIf over a run, and rectify with

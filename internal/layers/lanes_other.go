@@ -35,6 +35,10 @@ func gradLanes(dy, xh, dx, gamma, inv, dgamma, dbeta *float32, m float32, c, hw 
 	panic("layers: no lane kernels on this architecture")
 }
 
+func gradRegenLanes(dy, x, dx, gamma, inv, mean, dgamma, dbeta *float32, m float32, c, hw int) {
+	panic("layers: no lane kernels on this architecture")
+}
+
 func maskLanes(dst, v, z *float32, n int) {
 	panic("layers: no lane kernels on this architecture")
 }

@@ -3,6 +3,7 @@ package layers
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"bnff/internal/parallel"
@@ -282,12 +283,12 @@ func TestLaneChecksRefuseShortOperands(t *testing.T) {
 			return func() { scaleRectRows(ops["x"], ops["t"], buf(c), ops["beta"], hw) }
 		},
 		"gradRows": func(short string) func() {
-			ops := map[string][]float32{"dy": buf(c * hw), "xh": buf(c * hw), "dx": buf(c * hw), "inv": buf(c), "dgamma": buf(c), "dbeta": buf(c)}
+			ops := map[string][]float32{"dy": buf(c * hw), "xh": buf(c * hw), "dx": buf(c * hw), "inv": buf(c), "mean": buf(c), "dgamma": buf(c), "dbeta": buf(c)}
 			if short != "" {
 				ops[short] = ops[short][1:]
 			}
 			return func() {
-				gradRows(ops["dy"], ops["xh"], ops["dx"], buf(c), ops["inv"], ops["dgamma"], ops["dbeta"], 1, hw)
+				gradRows(ops["dy"], ops["xh"], ops["dx"], buf(c), ops["inv"], ops["mean"], ops["dgamma"], ops["dbeta"], 1, hw, true)
 			}
 		},
 		"maskRun": func(short string) func() {
@@ -336,7 +337,7 @@ func TestLaneChecksRefuseShortOperands(t *testing.T) {
 	operands := map[string][]string{
 		"normRows":      {"x", "xh", "y", "mean", "inv", "beta"},
 		"scaleRectRows": {"x", "t", "beta"},
-		"gradRows":      {"dy", "xh", "dx", "inv", "dgamma", "dbeta"},
+		"gradRows":      {"dy", "xh", "dx", "inv", "mean", "dgamma", "dbeta"},
 		"maskRun":       {"v", "z"},
 		"momentRows":    {"x", "psum", "psumsq"},
 		"meanRows":      {"x", "pmean"},
@@ -448,12 +449,17 @@ func sweepOutputs(t *testing.T, pool *parallel.Pool, n, c, hw int, poisoned bool
 		t.Fatal(err)
 	}
 	out["BackwardInput"] = dx.Data
-	out["ReLUForward"] = ReLUForwardAlloc(pool, nil, x).Data
-	rdx, err := ReLUBackwardAlloc(pool, nil, dy, x)
+	rdx, err := bn.BackwardInputFrom(dy, x, gamma, fixed, dgFixed, dbFixed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out["BackwardInputFrom"] = rdx.Data
+	out["ReLUForward"] = ReLUForwardAlloc(pool, nil, x).Data
+	if rdx, err = ReLUBackwardAlloc(pool, nil, dy, x); err != nil {
+		t.Fatal(err)
+	}
 	out["ReLUBackward"] = rdx.Data
+	splitSweeps(t, pool, out, x, dy, gamma, beta, fixed, dgFixed, dbFixed)
 
 	per := c * hw
 	inv := bn.InvStdScratch(fixed)
@@ -461,10 +467,10 @@ func sweepOutputs(t *testing.T, pool *parallel.Pool, n, c, hw int, poisoned bool
 	masked := append([]float32(nil), dy.Data...)
 	for in := 0; in < n; in++ {
 		s := in * per
-		(&tileFill{}).fill(rect[s:s+per], x.Data[s:s+per], nil, hw)
-		f := tileFill{mean: fixed.Mean.Data, inv: inv, g: gamma.Data, b: beta.Data}
-		f.fill(scale[s:s+per], x.Data[s:s+per], nil, hw)
-		f.fill(norm[s:s+per], x.Data[s:s+per], nxh[s:s+per], hw)
+		(&tileFill{rect: true}).fill(rect[s:s+per], x.Data[s:s+per], nil, 0, hw)
+		(&tileFill{rect: true, g: gamma.Data, b: beta.Data}).fill(scale[s:s+per], x.Data[s:s+per], nil, 0, hw)
+		f := tileFill{rect: true, mean: fixed.Mean.Data, inv: inv, g: gamma.Data, b: beta.Data}
+		f.fill(norm[s:s+per], x.Data[s:s+per], nxh[s:s+per], 0, hw)
 		maskRun(masked[s:s+per], masked[s:s+per], x.Data[s:s+per])
 	}
 	out["fill.rectify"], out["fill.scale"], out["fill.normalize"], out["fill.xhat"], out["window.mask"] = rect, scale, norm, nxh, masked
@@ -474,6 +480,63 @@ func sweepOutputs(t *testing.T, pool *parallel.Pool, n, c, hw int, poisoned bool
 		gammaBetaPartials(dy.Data[in*per:(in+1)*per], x.Data[in*per:(in+1)*per], pg[in*c:], pb[in*c:], c, hw)
 	}
 	return out, map[string][]float64{"gammaBetaPartials.dgamma": pg, "gammaBetaPartials.dbeta": pb}
+}
+
+// channelSplit copies x into a Concat of parts of the given channel counts,
+// the last taking the channels left.
+func channelSplit(x *tensor.Tensor, counts ...int) *Concat {
+	n, c, h, w := x.Dims4()
+	var v Concat
+	for c0, k := 0, 0; c0 < c; k++ {
+		cp := c - c0
+		if k < len(counts) {
+			cp = min(counts[k], cp)
+		}
+		part := tensor.New(n, cp, h, w)
+		for i := 0; i < n; i++ {
+			copy(part.Data[i*cp*h*w:(i+1)*cp*h*w], x.Data[(i*c+c0)*h*w:])
+		}
+		if err := v.Append(part); err != nil {
+			panic(err)
+		}
+		c0 += cp
+	}
+	return &v
+}
+
+// splitSweeps runs the sweeps that read a feature map over x split into a
+// Concat — a one-channel part, a part of five (lanes 4-7 shifted) and the
+// rest — and records each result as "split/<name>" for the test to compare
+// with the dense operand's.
+func splitSweeps(t *testing.T, pool *parallel.Pool, out map[string][]float32, x, dy, gamma, beta *tensor.Tensor, fixed *BNStats, dg, db *tensor.Tensor) {
+	t.Helper()
+	v := channelSplit(x, 1, 5)
+	bn := NewBatchNorm(x.Dim(1)).WithPool(pool)
+	st, err := bn.ComputeStats(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["split/ComputeStats.mean"], out["split/ComputeStats.var"] = st.Mean.Data, st.Var.Data
+	m, err := bn.Moments(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["split/Moments.sum"], out["split/Moments.sumsq"] = m.Sum, m.SumSq
+	y, xh, err := bn.Normalize(v, fixed, gamma, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["split/Normalize.y"], out["split/Normalize.xhat"] = y.Data, xh.Data
+	dx, err := bn.BackwardInputFrom(dy, v, gamma, fixed, dg, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["split/BackwardInputFrom"] = dx.Data
+	out["split/ReLUForward"] = ReLUForwardAlloc(pool, nil, v).Data
+	if dx, err = ReLUBackwardAlloc(pool, nil, dy, v); err != nil {
+		t.Fatal(err)
+	}
+	out["split/ReLUBackward"] = dx.Data
 }
 
 // Every BN and ReLU sweep on the lanes against its scalar body, bit for bit
@@ -504,6 +567,18 @@ func TestSweepLanesBitIdenticalToScalar(t *testing.T) {
 								t.Errorf("%s: n=%d c=%d hw=%d poisoned=%v workers=%d: lanes differ from scalar", name, n, c, hw, poisoned, workers)
 							}
 						}
+						// Regenerating x̂ from x is the stored-x̂ input gradient,
+						// and a Concat of x's channels is x.
+						for k := range f32 {
+							for name, got := range f32[k] {
+								if dense, ok := strings.CutPrefix(name, "split/"); ok && !sameFloats(got, f32[k][dense]) {
+									t.Errorf("%s: body %d n=%d c=%d hw=%d poisoned=%v workers=%d: a Concat operand differs from the dense one", dense, k, n, c, hw, poisoned, workers)
+								}
+							}
+							if !sameFloats(f32[k]["BackwardInputFrom"], f32[k]["BackwardInput"]) {
+								t.Errorf("body %d: n=%d c=%d hw=%d poisoned=%v workers=%d: BackwardInputFrom differs from BackwardInput over Normalize's x̂", k, n, c, hw, poisoned, workers)
+							}
+						}
 						for name, lanes := range f64[0] {
 							if !sameFloat64s(lanes, f64[1][name]) {
 								t.Errorf("%s: n=%d c=%d hw=%d poisoned=%v workers=%d: lanes differ from scalar", name, n, c, hw, poisoned, workers)
@@ -530,7 +605,10 @@ func BenchmarkSweeps(b *testing.B) {
 		mean, inv, gamma, beta := fillRand(3, c), fillRand(4, c), fillRand(5, c), fillRand(6, c)
 		pm, pv := make([]float32, n*c), make([]float32, n*c)
 		pg, pb := make([]float64, n*c), make([]float64, n*c)
-		f := tileFill{mean: mean, inv: inv, g: gamma, b: beta}
+		f := tileFill{rect: true, mean: mean, inv: inv, g: gamma, b: beta}
+		sf := tileFill{rect: true, g: gamma, b: beta}
+		xr := runsOf(tensor.MustFromSlice(x, n, c, sh[2], sh[3]))
+		xhr := runsOf(tensor.MustFromSlice(xh, n, c, sh[2], sh[3]))
 		run := func(name string, words int, sweep func()) {
 			b.Run(name+"/"+shape, func(b *testing.B) {
 				b.SetBytes(int64(4 * words * size))
@@ -541,25 +619,26 @@ func BenchmarkSweeps(b *testing.B) {
 		}
 		run("copy", 2, func() { copy(y, x) })
 		forEachBody(func(body string) {
-			run("normalize/"+body, 3, func() { bnNormalizeChunk(x, xh, y, mean, inv, gamma, beta, c, hw, 0, n) })
-			run("backward-input/"+body, 3, func() { bnInputGradChunk(dy, xh, y, gamma, inv, mean, beta, 1e4, c, hw, 0, n) })
+			run("normalize/"+body, 3, func() { bnNormalizeChunk(xr, xh, y, mean, inv, gamma, beta, 0, n) })
+			run("backward-input/"+body, 3, func() { bnInputGradChunk(xhr, false, dy, y, gamma, inv, mean, mean, beta, 1e4, 0, n) })
+			run("backward-input-regen/"+body, 3, func() { bnInputGradChunk(xr, true, dy, y, gamma, inv, mean, mean, beta, 1e4, 0, n) })
 			run("fill-normalize/"+body, 3, func() {
 				for in := 0; in < n; in++ {
-					f.fill(y[in*per:(in+1)*per], x[in*per:(in+1)*per], xh[in*per:(in+1)*per], hw)
+					f.fill(y[in*per:(in+1)*per], x[in*per:(in+1)*per], xh[in*per:(in+1)*per], 0, hw)
 				}
 			})
 			run("fill-scale/"+body, 2, func() {
 				for in := 0; in < n; in++ {
-					f.fill(y[in*per:(in+1)*per], x[in*per:(in+1)*per], nil, hw)
+					sf.fill(y[in*per:(in+1)*per], x[in*per:(in+1)*per], nil, 0, hw)
 				}
 			})
 			run("rectify/"+body, 2, func() { maskRun(y, x, x) })
 			run("mask/"+body, 3, func() { maskRun(y, dy, x) })
 			run("stats/"+body, 2, func() {
-				meanPartials(x, pm, c, hw, float64(n*hw), 0, n)
-				varPartials(x, mean, pv, c, hw, float64(n*hw), 0, n)
+				meanPartials(xr, pm, c, float64(n*hw), 0, n)
+				varPartials(xr, mean, pv, c, float64(n*hw), 0, n)
 			})
-			run("moments/"+body, 1, func() { momentPartials(x, pm, pv, c, hw, 0, n) })
+			run("moments/"+body, 1, func() { momentPartials(xr, pm, pv, c, 0, n) })
 			run("gamma-beta/"+body, 2, func() { gammaBetaChunk(dy, xh, pg, pb, c, hw, 0, n) })
 		})
 	}

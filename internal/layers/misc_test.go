@@ -157,37 +157,59 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 	rng.FillUniform(a, -1, 1)
 	rng.FillUniform(b, -1, 1)
 	rng.FillUniform(c, -1, 1)
-	y, err := ConcatForwardAlloc(nil, a, b, c)
-	if err != nil {
-		t.Fatal(err)
+	// A concatenation of a concatenation is one flat list of parts.
+	var ab, v Concat
+	for _, m := range []Map{a, b} {
+		if err := ab.Append(m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !y.Shape().Equal(tensor.Shape{2, 10, 4, 4}) {
-		t.Fatalf("concat shape = %v", y.Shape())
+	for _, m := range []Map{&ab, c} {
+		if err := v.Append(m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Spot-check channel placement.
+	if !v.Shape().Equal(tensor.Shape{2, 10, 4, 4}) || len(v.parts) != 3 {
+		t.Fatalf("concat shape = %v over %d parts", v.Shape(), len(v.parts))
+	}
+	// The dense layout the runs walk, spot-checked, is the gradient split back.
+	y := tensor.New(v.Shape()...)
+	eachRun(&v, func(off int, run []float32) { copy(y.Data[off:], run) })
 	if y.At4(1, 3, 2, 2) != b.At4(1, 0, 2, 2) {
 		t.Error("concat misplaced channel data")
 	}
-	parts, err := ConcatBackwardAlloc(nil, y, []int{3, 5, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c0 := 0
 	for i, orig := range []*tensor.Tensor{a, b, c} {
-		if d, _ := tensor.MaxAbsDiff(orig, parts[i]); d != 0 {
+		part := tensor.New(orig.Shape()...)
+		if err := ScatterChannels(part, y, c0, false); err != nil {
+			t.Fatal(err)
+		}
+		if d, _ := tensor.MaxAbsDiff(orig, part); d != 0 {
 			t.Errorf("concat/split round trip changed part %d by %v", i, d)
 		}
+		if err := ScatterChannels(part, y, c0, true); err != nil {
+			t.Fatal(err)
+		}
+		if part.At4(1, 1, 2, 3) != 2*orig.At4(1, 1, 2, 3) {
+			t.Errorf("part %d: a second scatter does not add", i)
+		}
+		c0 += orig.Dim(1)
 	}
 }
 
 func TestConcatErrors(t *testing.T) {
-	if _, err := ConcatForwardAlloc(nil); err == nil {
-		t.Error("accepted empty input list")
+	var v Concat
+	if err := v.Append(tensor.New(1, 2, 4)); err == nil {
+		t.Error("accepted a rank-3 part")
 	}
-	if _, err := ConcatForwardAlloc(nil, tensor.New(1, 2, 4, 4), tensor.New(1, 2, 5, 4)); err == nil {
+	if err := v.Append(tensor.New(1, 2, 4, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Append(tensor.New(1, 2, 5, 4)); err == nil {
 		t.Error("accepted mismatched spatial dims")
 	}
-	if _, err := ConcatBackwardAlloc(nil, tensor.New(1, 4, 2, 2), []int{3, 3}); err == nil {
-		t.Error("accepted wrong channel split")
+	if err := ScatterChannels(tensor.New(1, 3, 2, 2), tensor.New(1, 4, 2, 2), 2, false); err == nil {
+		t.Error("accepted channels past the gradient's")
 	}
 }
 

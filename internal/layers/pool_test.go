@@ -2,6 +2,7 @@ package layers
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"bnff/internal/tensor"
@@ -96,6 +97,8 @@ func TestPoolGradients(t *testing.T) {
 		{Kernel: 2, Stride: 2, Max: true},
 		{Kernel: 2, Stride: 2, Max: false},
 		{Kernel: 3, Stride: 2, Pad: 1, Max: false},
+		{Kernel: 3, Stride: 2, Pad: 1, Max: true},
+		{Kernel: 2, Stride: 1, Pad: 1, Max: false},
 	} {
 		pool := p
 		rng := tensor.NewRNG(17)
@@ -135,6 +138,13 @@ func TestPoolShapeErrors(t *testing.T) {
 	}
 	if _, _, err := (Pool2D{Kernel: 9, Stride: 1}).Forward(tensor.New(1, 1, 4, 4)); err == nil {
 		t.Error("accepted window larger than input")
+	}
+	// A pad past half the kernel leaves windows over padding alone: 0/0 on
+	// average, −Inf and an argmax of −1 on max.
+	for _, bad := range []Pool2D{{Kernel: 2, Stride: 2, Pad: 2, Max: true}, {Kernel: 2, Stride: 2, Pad: 2}, {Kernel: 3, Stride: 1, Pad: 2}, {Kernel: 2, Stride: 1, Pad: -1}} {
+		if _, _, err := bad.Forward(tensor.New(1, 1, 4, 4)); err == nil {
+			t.Errorf("accepted %+v", bad)
+		}
 	}
 	x := tensor.New(1, 1, 4, 4)
 	_, ctx, _ := p.Forward(x)
@@ -217,5 +227,37 @@ func TestMaxPoolBackwardRoutesToArgmax(t *testing.T) {
 	}
 	if math.Abs(dx.Sum()-7) > 1e-6 {
 		t.Error("maxpool backward does not conserve gradient mass")
+	}
+}
+
+// Pooling and global pooling read a Concat as the dense map it stands for:
+// the same outputs bit for bit and argmax indices into the dense layout.
+func TestPoolReadsConcatAsDense(t *testing.T) {
+	x := tensor.New(2, 7, 5, 6)
+	tensor.NewRNG(31).FillUniform(x, -1, 1)
+	v := channelSplit(x, 1, 2)
+	for _, p := range []Pool2D{{Kernel: 3, Stride: 2, Pad: 1, Max: true}, {Kernel: 2, Stride: 1, Pad: 1}} {
+		want, wctx, err := p.Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gctx, err := p.Forward(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameFloats(got.Data, want.Data) || !slices.Equal(gctx.ArgMax, wctx.ArgMax) {
+			t.Errorf("%+v: pooling a Concat differs from pooling the dense map", p)
+		}
+	}
+	want, err := GlobalAvgPoolForwardAlloc(nil, nil, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := GlobalAvgPoolForwardAlloc(nil, nil, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameFloats(got.Data, want.Data) {
+		t.Error("global pooling a Concat differs from the dense map")
 	}
 }

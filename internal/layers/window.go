@@ -20,6 +20,9 @@ import (
 // Every conv-like entry point — Conv2D.Forward/ForwardBias/Backward here, the
 // named fusions in internal/kernels, the executor — is a ConvWindow literal
 // over these two bodies, and FC runs them as a 1×1 window over a 1×1 map.
+// The source may be a Concat: the fill then writes the tile run by run, and a
+// plain convolution copies its runs into the tile, so the window reads the
+// bits a dense copy would hold.
 // Partials are one per (sample, channel). The forward hands its Σy/Σy² back
 // unclosed as Moments, for the same BatchNorm.Close the standalone
 // ComputeStatsMVF ends in; the backward reduces dγ/dβ in sample order after
@@ -36,11 +39,17 @@ type ConvWindow struct {
 
 	// Gamma and Beta (set together) make the convolution read ReLU(γ·x̂+β),
 	// the (sub-BN2)-ReLU-CONV fusion. Forward normalizes x by the statistics
-	// In on layer BN's ε and also returns x̂; backward takes the saved x̂ as
-	// its source, and reduces dγ/dβ while it masks.
+	// In on layer BN's ε; backward takes the same x and In, regenerates x̂
+	// per sample exactly as the forward computed it, and reduces dγ/dβ while
+	// it masks. Nothing feature-map-sized is kept between the two.
 	BN          BatchNorm
 	In          *BNStats
 	Gamma, Beta *tensor.Tensor
+
+	// StoreXHat (under BN) is the stored-x̂ form of the fusion, Figure 5a's
+	// O2': forward also writes x̂ and returns it, and backward takes that x̂
+	// as its source in place of x and In.
+	StoreXHat bool
 
 	// Bias (forward) seeds every output accumulator of channel oc with
 	// Bias[oc] — the folded CONV+BN of inference (internal/graph FoldBN).
@@ -52,7 +61,11 @@ type ConvWindow struct {
 	Stats bool
 }
 
-func (win ConvWindow) tiled() bool { return win.Rectify || win.Gamma != nil }
+// tiled reports whether the window reads its ifmap through a tile: a
+// prologue runs on the way in, or the source is a Concat.
+func (win ConvWindow) tiled(src runs) bool {
+	return win.Rectify || win.Gamma != nil || src.count() > 1
+}
 
 func (win ConvWindow) check(c Conv2D, forward bool) error {
 	if win.Bias != nil && (win.Bias.Rank() != 1 || win.Bias.Dim(0) != c.OutChannels) {
@@ -74,33 +87,55 @@ func (win ConvWindow) check(c Conv2D, forward bool) error {
 	if err := bn.checkParam("beta", win.Beta); err != nil {
 		return err
 	}
-	if !forward {
+	if !forward && win.StoreXHat {
 		return nil
 	}
 	return bn.checkStats(win.In)
 }
 
 // tileFill is the prologue both windows share: it writes one sample's conv
-// ifmap into a chunk-private tile. The zero value rectifies; with g/b set the
-// tile is ReLU(γ·x̂+β).
+// ifmap into a chunk-private tile. The zero value copies (a plain convolution
+// reading a Concat); rect rectifies; with g/b set the tile is ReLU(γ·x̂+β),
+// from x normalized by mean/inv or, with mean nil, from a stored x̂.
 type tileFill struct {
+	rect            bool
 	mean, inv, g, b []float32
 }
 
-// fill writes tile from one sample src. Under BN, src is x̂ itself when xh is
-// nil (backward: regenerate what forward never stored); otherwise src is x,
-// normalized exactly once on its way into the tile and stored to xh (forward:
-// the O2' sweep of Figure 5a that backward re-reads).
+// fill writes tile from one run src holding channels [c0, c0+len(src)/hw) of
+// the ifmap, hw elements a channel. Normalizing, it also writes x̂ to xh: the
+// forward's stored O2', the x̂ a regenerating backward reduces against, or
+// the tile itself where nothing keeps x̂ — the same bits every time.
+//
+// hot-path: runs once per run per sample per direction; all buffers are the caller's.
+func (f *tileFill) fill(tile, src, xh []float32, c0, hw int) {
+	c := len(src) / hw
+	switch {
+	case f.mean != nil:
+		normRows(src, xh, tile, f.mean[c0:], f.inv[c0:], f.g[c0:c0+c], f.b[c0:], hw, true)
+	case f.g != nil:
+		scaleRectRows(src, tile, f.g[c0:c0+c], f.b[c0:], hw)
+	case f.rect:
+		maskRun(tile[:len(src)], src, src)
+	default:
+		copy(tile, src)
+	}
+}
+
+// fillSample fills tile with sample i of x, run by run, and when normalizing
+// writes its x̂ to xh.
 //
 // hot-path: runs once per sample per direction; all buffers are the caller's.
-func (f *tileFill) fill(tile, src, xh []float32, chanLen int) {
-	switch {
-	case f.g == nil:
-		maskRun(tile[:len(src)], src, src)
-	case xh == nil:
-		scaleRectRows(src, tile, f.g, f.b, chanLen)
-	default:
-		normRows(src, xh, tile, f.mean, f.inv, f.g, f.b, chanLen, true)
+func (f *tileFill) fillSample(tile []float32, x runs, xh []float32, i int) {
+	for p, c0 := 0, 0; p < x.count(); p++ {
+		run, cp := x.run(p, i)
+		lo, hi := c0*x.hw, (c0+cp)*x.hw
+		var h []float32
+		if xh != nil {
+			h = xh[lo:hi]
+		}
+		f.fill(tile[lo:hi], run, h, c0, x.hw)
+		c0 += cp
 	}
 }
 
@@ -124,12 +159,13 @@ func positive(v float32) uint32 {
 
 // ForwardWindow computes y = conv(in, w) where in is x, ReLU(x) or
 // ReLU(BN(x)) as win selects, with win's bias and statistics epilogue in the
-// same per-sample sweep. xhat is non-nil under BN; under win.Stats, m holds
-// y's moments from the conv's arena, for the caller to close. Samples split
-// on the conv's pool; each chunk owns a private tile (1/N of a batch tensor —
-// the rectified batch tensor never exists) and every write (x̂, y, partials)
-// is per-sample disjoint, so pooled execution is bit-identical to serial.
-func (c Conv2D) ForwardWindow(x, w *tensor.Tensor, win ConvWindow) (y, xhat *tensor.Tensor, m Moments, err error) {
+// same per-sample sweep. xhat is non-nil under BN with win.StoreXHat; under
+// win.Stats, m holds y's moments from the conv's arena, for the caller to
+// close. Samples split on the conv's pool; each chunk owns a private tile
+// (1/N of a batch tensor — the rectified batch tensor never exists) and every
+// write (x̂, y, partials) is per-sample disjoint, so pooled execution is
+// bit-identical to serial.
+func (c Conv2D) ForwardWindow(x Map, w *tensor.Tensor, win ConvWindow) (y, xhat *tensor.Tensor, m Moments, err error) {
 	if err := c.checkForward(x, w); err != nil {
 		return nil, nil, Moments{}, err
 	}
@@ -139,14 +175,17 @@ func (c Conv2D) ForwardWindow(x, w *tensor.Tensor, win ConvWindow) (y, xhat *ten
 	n, _, h, wd := x.Dims4()
 	a := c.alloc
 	y = a.Get(c.OutShape(x.Shape())...)
-	sp := convFwd{geom: c.SampleGeom(h, wd), x: x.Data, w: w.Data, y: y.Data}
+	sp := convFwd{geom: c.SampleGeom(h, wd), x: runsOf(x), w: w.Data, y: y.Data}
+	sp.rect = win.Rectify
 	if win.Bias != nil {
 		sp.bias = win.Bias.Data
 	}
 	if win.Gamma != nil {
-		xhat = a.Get(x.Shape()...)
-		sp.xh = xhat.Data
-		sp.tileFill = tileFill{mean: win.In.Mean.Data, inv: win.BN.InvStdScratch(win.In), g: win.Gamma.Data, b: win.Beta.Data}
+		if win.StoreXHat {
+			xhat = a.Get(x.Shape()...)
+			sp.xh = xhat.Data
+		}
+		sp.tileFill = tileFill{rect: true, mean: win.In.Mean.Data, inv: win.BN.InvStdScratch(win.In), g: win.Gamma.Data, b: win.Beta.Data}
 	}
 	m = c.forwardWindow(sp, n, win)
 	win.BN.alloc.PutFloats(sp.inv)
@@ -162,7 +201,7 @@ func (c Conv2D) forwardWindow(sp convFwd, n int, win ConvWindow) (m Moments) {
 	// All scratch is carved here, on the dispatching goroutine: workers index
 	// it by chunk or sample and never touch the arena.
 	chunks := c.pool.NumChunks(n)
-	if win.tiled() {
+	if win.tiled(sp.x) {
 		sp.tiles = a.Floats(chunks * g.Cin * g.H * g.W)
 	}
 	var packed []float32 // the channel lanes' weights, once per call
@@ -195,14 +234,15 @@ func (c Conv2D) forwardWindow(sp convFwd, n int, win ConvWindow) (m Moments) {
 // serial path can invoke it without allocating a closure.
 type convFwd struct {
 	tileFill
-	geom          ConvGeom
-	x, w, y, bias []float32
-	wt            []float32 // w packed by PackForward: the channel lanes and FC's forward lanes
-	xh            []float32 // x̂ out, under BN
-	tiles         []float32 // per-chunk ifmap tiles; nil: convolve x in place
-	scratch       []float32 // per-chunk channel-lane output, scratchLen floats each
-	scratchLen    int
-	psum, psumsq  []float32 // per-(sample, out-channel) partials; nil: no epilogue
+	geom         ConvGeom
+	x            runs
+	w, y, bias   []float32
+	wt           []float32 // w packed by PackForward: the channel lanes and FC's forward lanes
+	xh           []float32 // x̂ out, under BN with StoreXHat
+	tiles        []float32 // per-chunk ifmap tiles; nil: convolve x in place
+	scratch      []float32 // per-chunk channel-lane output, scratchLen floats each
+	scratchLen   int
+	psum, psumsq []float32 // per-(sample, out-channel) partials; nil: no epilogue
 }
 
 // run is the forward window. Rectified-away elements enter the convolution as
@@ -215,30 +255,35 @@ func (sp *convFwd) run(chunk, lo, hi int) {
 	g := &sp.geom
 	inLen, outLen := g.Cin*g.H*g.W, g.Cout*g.OH*g.OW
 	for in := lo; in < hi; in++ {
-		src := sp.x[in*inLen : (in+1)*inLen]
-		if sp.tiles != nil {
-			tile := sp.tiles[chunk*inLen : (chunk+1)*inLen]
-			var xh []float32
+		var src []float32
+		if sp.tiles == nil {
+			src, _ = sp.x.run(0, in)
+		} else {
+			src = sp.tiles[chunk*inLen : (chunk+1)*inLen]
+			// Under BN the fill writes x̂ before the tile value it scales:
+			// with nowhere to store x̂, the tile itself takes it, and the
+			// tile value then overwrites it.
+			xh := src
 			if sp.xh != nil {
 				xh = sp.xh[in*inLen : (in+1)*inLen]
 			}
-			sp.fill(tile, src, xh, g.H*g.W)
-			src = tile
+			sp.fillSample(src, sp.x, xh, in)
 		}
 		out := sp.y[in*outLen : (in+1)*outLen]
 		g.ForwardSample(src, sp.w, sp.wt, out, sp.bias, sp.scratch[chunk*sp.scratchLen:(chunk+1)*sp.scratchLen])
 		if sp.psum != nil {
-			momentPartials(sp.y, sp.psum, sp.psumsq, g.Cout, g.OH*g.OW, in, in+1)
+			momentSample(out, sp.psum[in*g.Cout:(in+1)*g.Cout], sp.psumsq[in*g.Cout:], g.OH*g.OW)
 		}
 	}
 }
 
 // BackwardWindow is the backward of ForwardWindow: given the upstream
-// gradient dy and the forward's saved source — x, or x̂ under BN — it returns
-// the gradient with respect to that source's pre-activation and dW, plus
-// dγ/dβ under BN. The ifmap the forward never stored is regenerated per
-// sample into a chunk-private tile, so no feature-map-sized scratch exists.
-func (c Conv2D) BackwardWindow(dy, src, w *tensor.Tensor, win ConvWindow) (dx, dw, dgamma, dbeta *tensor.Tensor, err error) {
+// gradient dy and the forward's source — x, or the stored x̂ under BN with
+// win.StoreXHat — it returns the gradient with respect to that source's
+// pre-activation and dW, plus dγ/dβ under BN. The ifmap the forward never
+// stored is regenerated per sample into a chunk-private tile (under BN from
+// x, x̂ with it), so no feature-map-sized scratch exists.
+func (c Conv2D) BackwardWindow(dy *tensor.Tensor, src Map, w *tensor.Tensor, win ConvWindow) (dx, dw, dgamma, dbeta *tensor.Tensor, err error) {
 	if err := c.checkBackward(dy, src, w, win); err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -249,7 +294,7 @@ func (c Conv2D) BackwardWindow(dy, src, w *tensor.Tensor, win ConvWindow) (dx, d
 	// allocations.
 	dx = c.alloc.Get(src.Shape()...)
 	dw = tensor.New(w.Shape()...)
-	sp := convBwd{geom: c.SampleGeom(h, wd), dy: dy.Data, src: src.Data, w: w.Data, dx: dx.Data, dw: dw.Data}
+	sp := convBwd{geom: c.SampleGeom(h, wd), dy: dy.Data, src: runsOf(src), w: w.Data, dx: dx.Data, dw: dw.Data}
 	dgamma, dbeta = c.backwardWindow(sp, n, win)
 	return dx, dw, dgamma, dbeta, nil
 }
@@ -258,7 +303,7 @@ func (c Conv2D) BackwardWindow(dy, src, w *tensor.Tensor, win ConvWindow) (dx, d
 // convolution whose source nothing upstream reads a gradient of — a graph
 // input: the same dW, bit for bit, and no dx buffer. A BN window needs dx for
 // its dγ/dβ, so it is refused.
-func (c Conv2D) BackwardWeights(dy, src, w *tensor.Tensor, win ConvWindow) (dw *tensor.Tensor, err error) {
+func (c Conv2D) BackwardWeights(dy *tensor.Tensor, src Map, w *tensor.Tensor, win ConvWindow) (dw *tensor.Tensor, err error) {
 	if err := c.checkBackward(dy, src, w, win); err != nil {
 		return nil, err
 	}
@@ -267,11 +312,11 @@ func (c Conv2D) BackwardWeights(dy, src, w *tensor.Tensor, win ConvWindow) (dw *
 	}
 	n, _, h, wd := src.Dims4()
 	dw = tensor.New(w.Shape()...)
-	c.backwardWindow(convBwd{geom: c.SampleGeom(h, wd), dy: dy.Data, src: src.Data, w: w.Data, dw: dw.Data}, n, win)
+	c.backwardWindow(convBwd{geom: c.SampleGeom(h, wd), dy: dy.Data, src: runsOf(src), w: w.Data, dw: dw.Data}, n, win)
 	return dw, nil
 }
 
-func (c Conv2D) checkBackward(dy, src, w *tensor.Tensor, win ConvWindow) error {
+func (c Conv2D) checkBackward(dy *tensor.Tensor, src Map, w *tensor.Tensor, win ConvWindow) error {
 	if err := c.checkForward(src, w); err != nil {
 		return err
 	}
@@ -297,9 +342,10 @@ func (c Conv2D) backwardWindow(sp convBwd, n int, win ConvWindow) (dgamma, dbeta
 		sp.dwStride = len(dw)
 		sp.dw = a.Floats(n * sp.dwStride)
 	}
-	if win.tiled() {
+	if win.tiled(sp.src) {
 		sp.tiles = a.Floats(chunks * g.Cin * g.H * g.W)
 	}
+	sp.rect = win.Rectify
 	sp.scratchLen = g.SampleScratch()
 	sp.scratch = a.Floats(chunks * sp.scratchLen)
 	if sp.dx != nil {
@@ -309,7 +355,11 @@ func (c Conv2D) backwardWindow(sp convBwd, n int, win ConvWindow) (dgamma, dbeta
 		}
 	}
 	if win.Gamma != nil {
-		sp.tileFill = tileFill{g: win.Gamma.Data, b: win.Beta.Data}
+		sp.tileFill = tileFill{rect: true, g: win.Gamma.Data, b: win.Beta.Data}
+		if !win.StoreXHat {
+			sp.mean, sp.inv = win.In.Mean.Data, win.BN.InvStdScratch(win.In)
+			sp.xhs = a.Floats(chunks * g.Cin * g.H * g.W)
+		}
 		// float64 partials stay plain heap slices: the arena recycles float32.
 		sp.psg, sp.psb = make([]float64, n*g.Cin), make([]float64, n*g.Cin)
 	}
@@ -327,8 +377,10 @@ func (c Conv2D) backwardWindow(sp convBwd, n int, win ConvWindow) (dgamma, dbeta
 		a.PutFloats(sp.dw)
 	}
 	a.PutFloats(sp.tiles)
+	a.PutFloats(sp.xhs)
 	a.PutFloats(sp.scratch)
 	a.PutFloats(sp.wt)
+	win.BN.alloc.PutFloats(sp.inv)
 	if sp.psg != nil {
 		dgamma, dbeta = reduceGammaBeta(sp.psg, sp.psb, n, g.Cin)
 	}
@@ -339,11 +391,13 @@ func (c Conv2D) backwardWindow(sp convBwd, n int, win ConvWindow) (dgamma, dbeta
 type convBwd struct {
 	tileFill
 	geom       ConvGeom
-	dy, src, w []float32
+	src        runs
+	dy, w      []float32
 	wt         []float32 // w packed by PackBackward: dx's channel lanes
 	dx, dw     []float32 // dx nil: the input gradient is not computed
 	dwStride   int       // 0: all samples share dw; len(w): sample i owns dw[i*len(w):]
 	tiles      []float32 // per-chunk regenerated ifmap; nil: src is the ifmap
+	xhs        []float32 // per-chunk regenerated x̂, under BN from x
 	scratch    []float32 // per-chunk lane scratch, scratchLen floats each
 	scratchLen int
 	psg, psb   []float64 // per-(sample, channel) dγ/dβ partials, under BN
@@ -361,11 +415,19 @@ func (sp *convBwd) run(chunk, lo, hi int) {
 	hw := g.H * g.W
 	inLen, outLen, wLen := g.Cin*hw, g.Cout*g.OH*g.OW, len(sp.w)
 	for in := lo; in < hi; in++ {
-		src := sp.src[in*inLen : (in+1)*inLen]
-		z := src
+		// z is the ifmap the convolution read; xh the x̂ the dγ/dβ chains
+		// reduce against: the stored one (src itself), or the one the fill
+		// regenerates from x.
+		z, _ := sp.src.run(0, in)
+		xh := z
 		if sp.tiles != nil {
 			z = sp.tiles[chunk*inLen : (chunk+1)*inLen]
-			sp.fill(z, src, nil, hw)
+			var regen []float32
+			if sp.xhs != nil {
+				regen = sp.xhs[chunk*inLen : (chunk+1)*inLen]
+				xh = regen
+			}
+			sp.fillSample(z, sp.src, regen, in)
 		}
 		var dx []float32
 		if sp.dx != nil {
@@ -373,12 +435,12 @@ func (sp *convBwd) run(chunk, lo, hi int) {
 		}
 		scratch := sp.scratch[chunk*sp.scratchLen : (chunk+1)*sp.scratchLen]
 		g.BackwardSample(sp.dy[in*outLen:(in+1)*outLen], z, sp.w, sp.wt, dx, sp.dw[in*sp.dwStride:in*sp.dwStride+wLen], scratch)
-		if sp.tiles == nil || dx == nil {
+		if !sp.rect || dx == nil {
 			continue
 		}
 		maskRun(dx, dx, z)
 		if sp.psg != nil {
-			gammaBetaPartials(dx, src, sp.psg[in*g.Cin:], sp.psb[in*g.Cin:], g.Cin, hw)
+			gammaBetaPartials(dx, xh, sp.psg[in*g.Cin:], sp.psb[in*g.Cin:], g.Cin, hw)
 		}
 	}
 }

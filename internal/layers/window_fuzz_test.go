@@ -87,15 +87,40 @@ func (r *fuzzReader) fuzzConv() (c Conv2D, n, h, w int) {
 	return c, n, h, w
 }
 
+// split decodes a random channel split of x — parts of one channel
+// included — into a Concat of copies of its channel ranges.
+func (r *fuzzReader) split(x *tensor.Tensor) *Concat {
+	n, c, h, w := x.Dims4()
+	var v Concat
+	for c0 := 0; c0 < c; {
+		cp := 1
+		if r.intn(3) != 0 {
+			cp = 1 + r.intn(c-c0)
+		}
+		part := tensor.New(n, cp, h, w)
+		for i := 0; i < n; i++ {
+			copy(part.Data[i*cp*h*w:(i+1)*cp*h*w], x.Data[(i*c+c0)*h*w:])
+		}
+		if err := v.Append(part); err != nil {
+			panic(err)
+		}
+		c0 += cp
+	}
+	return &v
+}
+
 // FuzzConvWindow drives both convolution windows in every ConvWindow
 // configuration — plain, Bias, Rectify, BN+γ/β, Stats, and their
 // combinations — over decoded geometries and values, and compares them with
 // the unfused composition (Normalize, ReLUForward, the legacy convolution
 // loops, ComputeStatsMVF; ReLUBackward and BackwardReduce behind the legacy
 // backward) bit for bit, NaN payloads aside, at workers 1 and 4 and on both
-// multiply-accumulate bodies (forEachBody). On FC's
-// geometry without a prologue or epilogue, FC itself must match the window
-// too. Plain `go test` replays the seeds; `make fuzz` explores.
+// multiply-accumulate bodies (forEachBody). The stored-x̂ windows are checked
+// against the composition; the windows over a decoded channel split of x
+// (a Concat), which under BN store nothing and regenerate x̂ from x, must
+// match them bit for bit. On FC's geometry without a prologue or epilogue,
+// FC itself must match the window too. Plain `go test` replays the seeds;
+// `make fuzz` explores.
 func FuzzConvWindow(f *testing.F) {
 	// One geometry of each kind — dense 3×2 stride 2 pad 3 (pad ≥ kernel),
 	// grouped 2×2, depthwise 3×3 stride 2, FC 33→10 — in every configuration,
@@ -145,7 +170,8 @@ func FuzzConvWindow(f *testing.F) {
 		x := r.fill(n, conv.InChannels, h, w)
 		wt := r.fill(conv.WeightShape()...)
 		dy := r.fill(conv.OutShape(x.Shape())...)
-		win := ConvWindow{Rectify: rectify, Stats: stats}
+		win := ConvWindow{Rectify: rectify, Stats: stats, StoreXHat: true}
+		masked := rectify || withBN
 		var biasData []float32
 		if withBias {
 			win.Bias = r.fill(conv.OutChannels)
@@ -156,6 +182,7 @@ func FuzzConvWindow(f *testing.F) {
 			win.In = &BNStats{Mean: r.fill(c), Var: r.fill(c), M: n * h * w}
 			win.Gamma, win.Beta = r.fill(c), r.fill(c)
 		}
+		parts := r.split(x)
 		forEachBody(func(body string) {
 			for _, workers := range []int{1, 4} {
 				pool := parallel.New(workers)
@@ -176,7 +203,7 @@ func FuzzConvWindow(f *testing.F) {
 					}
 					src = xhatWant
 				}
-				if win.tiled() {
+				if masked {
 					z = ReLUForward(pre)
 				}
 				yWant := legacyConvForward(conv, z, wt, biasData)
@@ -204,16 +231,26 @@ func FuzzConvWindow(f *testing.F) {
 						t.Fatalf("%s: %+v workers=%d: epilogue statistics differ from ComputeStatsMVF", body, conv, workers)
 					}
 				}
+				vwin := win
+				vwin.StoreXHat = false
+				vy, vxhat, vm, err := c.ForwardWindow(parts, wt, vwin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if vxhat != nil || !sameFloats(vy.Data, y.Data) || !sameFloats(vm.Sum, m.Sum) || !sameFloats(vm.SumSq, m.SumSq) {
+					t.Fatalf("%s: %+v %dx%d n=%d win=%03b workers=%d split %d: forward over a Concat differs from the dense stored-x̂ window",
+						body, conv, h, w, n, flags&15, workers, len(parts.parts))
+				}
 
 				dzWant, dwWant := tensor.New(x.Shape()...), tensor.New(wt.Shape()...)
 				convBackwardWant(conv, n, h, w, dy.Data, z.Data, wt.Data, dzWant.Data, dwWant.Data, pool.NumChunks(n) > 1)
 				dxWant := dzWant
-				if win.tiled() {
+				if masked {
 					if dxWant, err = ReLUBackward(dzWant, pre); err != nil {
 						t.Fatal(err)
 					}
 				}
-				bwin := ConvWindow{Rectify: rectify, BN: win.BN, Gamma: win.Gamma, Beta: win.Beta}
+				bwin := ConvWindow{Rectify: rectify, BN: win.BN, Gamma: win.Gamma, Beta: win.Beta, StoreXHat: true}
 				dx, dw, dg, db, err := c.BackwardWindow(dy, src, wt, bwin)
 				if err != nil {
 					t.Fatal(err)
@@ -231,8 +268,18 @@ func FuzzConvWindow(f *testing.F) {
 						t.Fatalf("%s: %+v workers=%d: dγ/dβ differ from BackwardReduce", body, conv, workers)
 					}
 				}
+				bwin.In, bwin.StoreXHat = win.In, false
+				vdx, vdw, vdg, vdb, err := c.BackwardWindow(dy, parts, wt, bwin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameFloats(vdx.Data, dx.Data) || !sameFloats(vdw.Data, dw.Data) ||
+					(withBN && (!sameFloats(vdg.Data, dg.Data) || !sameFloats(vdb.Data, db.Data))) {
+					t.Fatalf("%s: %+v %dx%d n=%d win=%03b workers=%d split %d: backward over a Concat, x̂ regenerated, differs from the stored-x̂ window",
+						body, conv, h, w, n, flags&15, workers, len(parts.parts))
+				}
 
-				if h == 1 && w == 1 && conv.KernelH == 1 && conv.KernelW == 1 && conv.Pad == 0 && conv.groups() == 1 && !win.tiled() && !stats {
+				if h == 1 && w == 1 && conv.KernelH == 1 && conv.KernelW == 1 && conv.Pad == 0 && conv.groups() == 1 && !masked && !stats {
 					fuzzFC(t, conv, n, x, wt, win.Bias, dy, y, dx, dw, pool)
 				}
 			}

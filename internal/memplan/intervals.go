@@ -17,10 +17,13 @@ import (
 //     blemish.
 //
 // The rules below therefore mirror what core.Executor actually reads, not a
-// textbook autodiff model: BN backward consumes the saved x̂, never its
-// forward input; a SubBN2's upstream gradient is stashed and re-read at the
-// statistics producer's backward step; a flatten output is a view that keeps
-// its producer's storage alive through the view's readers.
+// textbook autodiff model: a monolithic BN or SubBN2 backward consumes the
+// saved x̂, never its forward input; a fused BNReLUConv saves no x̂ and
+// instead re-reads its input x in its own backward and in its statistics
+// producer's, which regenerate x̂ from it; a SubBN2's upstream gradient is
+// stashed and re-read at the statistics producer's backward step; flatten
+// and concat outputs are views that keep their inputs' storage alive through
+// the view's readers.
 
 // BufKind classifies a live interval by the buffer family it describes.
 type BufKind int
@@ -28,8 +31,8 @@ type BufKind int
 const (
 	// BufValue is a node's forward output (one mini-batch feature map).
 	BufValue BufKind = iota
-	// BufXHat is a saved normalized map x̂ (the paper's O2'), owned by the
-	// normalize-side node and consumed by the statistics producer's backward.
+	// BufXHat is a saved normalized map x̂ (the paper's O2'), owned by a BN
+	// or SubBN2 and consumed by the statistics producer's backward.
 	BufXHat
 	// BufMask is a dropout mask, born at the dropout's forward step and
 	// consumed by its backward step.
@@ -84,11 +87,13 @@ type Schedule struct {
 //
 //	values — alive from the producer's forward step through the last
 //	forward reader and any backward step whose operator re-reads its saved
-//	input (CONV, RCF, FC, ReLU — and through flatten views transparently).
-//	BN-family backward passes read x̂, never the raw input.
-//	x̂ maps — monolithic BN keeps x̂ until its own backward; SubBN2 and the
-//	fused BNReLUConv keep it until the statistics producer's backward,
-//	which consumes it from the sub-BN2' stash.
+//	input (CONV, RCF, FC, ReLU; a fused BNReLUConv through its statistics
+//	producer's backward, whose sub-BN1' regenerates x̂ from it), through
+//	flatten and concat views transparently: a view owns no storage.
+//	The unfused BN backward passes read x̂, never the raw input.
+//	x̂ maps — monolithic BN keeps x̂ until its own backward; SubBN2 keeps
+//	it until the statistics producer's backward, which consumes it from
+//	the sub-BN2' stash. A fused BNReLUConv keeps none.
 //	masks — dropout forward to dropout backward.
 //	gradients — written at the first consumer backward that contributes,
 //	dead after the node's own backward reads them; a SubBN2's gradient is
@@ -117,19 +122,19 @@ func TrainingIntervals(g *graph.Graph) (*Schedule, []Interval, error) {
 
 	// Values.
 	for _, n := range live {
-		if n.Kind == graph.OpInput || n.Kind == graph.OpFlatten || n.Kind == graph.OpSubBN1 {
-			continue // inputs are external; flatten is a view; SubBN1 has no data output
+		if n.Kind == graph.OpInput || isView(n) || n.Kind == graph.OpSubBN1 {
+			continue // inputs are external; views own no storage; SubBN1 has no data output
 		}
 		end := sched.Fwd[n.ID]
-		for _, c := range readersThroughFlatten(cons, n) {
-			if s := sched.Fwd[c.ID]; s > end {
-				end = s
+		for _, c := range readersThroughViews(cons, n) {
+			last := sched.Fwd[c.ID]
+			switch {
+			case c.Kind == graph.OpBNReLUConv:
+				last = sched.Bwd[c.StatsFrom.ID]
+			case backwardReadsInput(c):
+				last = sched.Bwd[c.ID]
 			}
-			if backwardReadsInput(c) {
-				if s := sched.Bwd[c.ID]; s > end {
-					end = s
-				}
-			}
+			end = max(end, last)
 		}
 		ivs = append(ivs, Interval{Node: n, Kind: BufValue, Bytes: featureBytes(n), Start: sched.Fwd[n.ID], End: end})
 	}
@@ -142,9 +147,6 @@ func TrainingIntervals(g *graph.Graph) (*Schedule, []Interval, error) {
 				Start: sched.Fwd[n.ID], End: sched.Bwd[n.ID]})
 		case graph.OpSubBN2:
 			ivs = append(ivs, Interval{Node: n, Kind: BufXHat, Bytes: featureBytes(n),
-				Start: sched.Fwd[n.ID], End: sched.Bwd[n.StatsFrom.ID]})
-		case graph.OpBNReLUConv:
-			ivs = append(ivs, Interval{Node: n, Kind: BufXHat, Bytes: featureBytes(n.Inputs[0]),
 				Start: sched.Fwd[n.ID], End: sched.Bwd[n.StatsFrom.ID]})
 		}
 	}
@@ -214,29 +216,32 @@ func TrainingIntervals(g *graph.Graph) (*Schedule, []Interval, error) {
 	return sched, ivs, nil
 }
 
-// readersThroughFlatten returns the consumers whose execution actually reads
-// n's storage: direct consumers, plus — because a flatten output is a view
-// sharing the producer's backing array — the readers of any flatten consumer,
-// recursively.
-func readersThroughFlatten(cons map[int][]*graph.Node, n *graph.Node) []*graph.Node {
+// isView reports whether a node's output is a view of its inputs' storage: a
+// flatten is a reshape of one tensor, a concat the list of its inputs.
+func isView(n *graph.Node) bool { return n.Kind == graph.OpFlatten || n.Kind == graph.OpConcat }
+
+// readersThroughViews returns the consumers whose execution actually reads
+// n's storage: direct consumers, plus — because a view shares its inputs'
+// storage — the readers of any view consumer, recursively.
+func readersThroughViews(cons map[int][]*graph.Node, n *graph.Node) []*graph.Node {
 	direct := cons[n.ID]
 	expanded := make([]*graph.Node, 0, len(direct))
 	for _, c := range direct {
-		if c.Kind == graph.OpFlatten {
-			expanded = append(expanded, c) // the view's own forward step reads nothing, but keep ordering cheap
-			expanded = append(expanded, readersThroughFlatten(cons, c)...)
-			continue
+		expanded = append(expanded, c) // a view's own forward step reads nothing, but keep ordering cheap
+		if isView(c) {
+			expanded = append(expanded, readersThroughViews(cons, c)...)
 		}
-		expanded = append(expanded, c)
 	}
 	return expanded
 }
 
-// backwardReadsInput reports whether an operator's backward pass re-reads its
-// saved forward input. This is the executor's saved-tensor set: CONV-family
+// backwardReadsInput reports whether an operator's own backward pass re-reads
+// its saved forward input. This is the executor's saved-tensor set: CONV-family
 // and FC backward need the ifmap for dW, ReLU backward needs the sign of its
-// input. The BN family (monolithic, sub-BNs, fused) works from x̂ and the
-// stash; pooling keeps argmax indices; Concat/EWS/GAP/Dropout keep nothing.
+// input. A fused BNReLUConv reads its input later still, at its statistics
+// producer's backward (TrainingIntervals). The unfused BN family works from
+// x̂ and the stash; pooling keeps argmax indices; Concat/EWS/GAP/Dropout
+// keep nothing.
 func backwardReadsInput(n *graph.Node) bool {
 	switch n.Kind {
 	case graph.OpConv, graph.OpReLUConv, graph.OpFC, graph.OpReLU:

@@ -5,9 +5,12 @@
 // not measure but that follows from its design (and that the related work it
 // cites, Gist, optimizes directly): the baseline keeps three mini-batch maps
 // alive per BN window for the backward pass — the BN input, the BN output,
-// and the rectified output — while the restructured graph keeps only the
-// normalized map x̂ (Figure 5's O2'), so BNFF reduces peak training memory
-// as well as traffic.
+// and the rectified output — while the restructured graph keeps only the BN
+// input, from which each fused window regenerates x̂ (Figure 5's O2') in its
+// backward instead of storing it, so BNFF reduces peak training memory as
+// well as traffic. A concat is a view of its inputs (Pleiss et al.'s shared
+// feature storage), so a dense block keeps each feature map once rather than
+// a copy per composite layer.
 //
 // The interval computation itself (TrainingIntervals in intervals.go) is a
 // shared library: PlanTraining aggregates the intervals into the analytical
@@ -58,8 +61,8 @@ func featureBytes(n *graph.Node) int64 {
 //	last forward consumer and any backward step that re-reads them (saved
 //	ifmaps for dW, ReLU sign checks);
 //	x̂ maps — the saved normalized maps: a monolithic BN keeps x̂ for its
-//	own backward, SubBN2/BNReLUConv keep O2' until the statistics
-//	producer's backward consumes it;
+//	own backward, a SubBN2 keeps O2' until the statistics producer's
+//	backward consumes it (a fused BNReLUConv keeps its input instead);
 //	dropout masks — forward to backward of the dropout node;
 //	gradients — born at the first contributing consumer backward, dead
 //	after the producer's own backward step reads them (a SubBN2's gradient

@@ -150,3 +150,34 @@ func TestPlanRejectsInvalidGraph(t *testing.T) {
 		t.Error("accepted invalid graph (SubBN2 without statistics source)")
 	}
 }
+
+// bnHeavy is the benchmark's bn-heavy DenseNet (benchmark/workloads.json):
+// lean 1×1/3×3 convolutions over wide concats on 32×32 maps.
+func bnHeavy(batch int) models.DenseNetConfig {
+	return models.DenseNetConfig{
+		Name: "bn-heavy", Batch: batch, InputSize: 32, Classes: 10,
+		GrowthRate: 4, Bottleneck: 1, BlockSizes: []int{6, 6},
+		InitChannels: 8, StemKernel: 3, Compression: 0.5,
+	}
+}
+
+// The planned training peak of bn-heavy at batch 32, in MiB, under each
+// restructuring. BNFF keeps each dense block's feature maps once — a concat
+// is a view of its inputs — and stores no x̂ for its fused windows.
+func TestPlanPeakBNHeavy(t *testing.T) {
+	for _, tc := range []struct {
+		scen core.Scenario
+		mib  float64
+	}{{core.Baseline, 83.375}, {core.RCF, 57.25}, {core.BNFF, 16.5}} {
+		g, err := models.DenseNet(bnHeavy(32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.Restructure(g, tc.scen.Options()); err != nil {
+			t.Fatal(err)
+		}
+		if got := float64(plan(t, g).PeakBytes) / (1 << 20); got != tc.mib {
+			t.Errorf("%v: planned peak %v MiB, want %v", tc.scen, got, tc.mib)
+		}
+	}
+}
