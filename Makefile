@@ -86,8 +86,11 @@ alloc-guard:
 # would otherwise silently read a neighbouring buffer's values; under the
 # tag it turns into NaNs and a failed digest or bit-identity test. Get still
 # zeroes, so every golden value holds when nothing reads after release.
+# Besides the arena, the layers and the executor's own packages, train
+# (Trainer.Step replays the training intervals with the optimizer in the
+# loop) and fleet (replicas served behind the proxy) run under it.
 poison:
-	$(GO) test -tags arenapoison ./internal/tensor ./internal/core ./internal/scenario ./internal/serve ./internal/ddp ./internal/layers
+	$(GO) test -tags arenapoison ./internal/tensor ./internal/core ./internal/scenario ./internal/serve ./internal/ddp ./internal/layers ./internal/train ./internal/fleet
 
 # Bounds-check budgets for the compute core: the compiler's own list of the
 # index and slice checks it could not prove away in internal/layers/blocked.go

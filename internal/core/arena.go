@@ -10,10 +10,11 @@ import (
 // about feature-map memory traffic; internal/memplan already computes the
 // exact live interval of every mini-batch-sized buffer over the training
 // schedule, and the executor consumes those same intervals at runtime: node
-// outputs, x̂ maps, dropout masks, gradients, and layer workspace (BN
-// reduction partials, pooling argmax indices, fused-kernel tiles) all come
-// from the executor's private tensor.Arena, and each buffer is returned to it
-// at its interval's End step — so from the second iteration on, a step is
+// outputs, dropout masks, gradients, and layer workspace (BN reduction
+// partials, regenerated x̂ samples, pooling argmax indices, fused-kernel
+// tiles) all come from the executor's private tensor.Arena, and each buffer
+// is returned to it at its interval's End step — so from the second
+// iteration on, a step is
 // served almost entirely from recycled storage instead of paying
 // allocator+GC cost per mini-batch. Recycled buffers are zeroed before reuse
 // (tensor.Arena's default), so every layer sees exactly the contents a fresh
@@ -22,10 +23,12 @@ import (
 // Two buffer families the model once had are gone, and the table follows
 // from the model: a concat owns no storage (it is a layers.Concat view whose
 // inputs memplan keeps live through the concat's readers, so a dense block
-// keeps each feature map once), and a fused BNReLUConv stores no x̂ (its
-// input stays live until its statistics producer's backward, where x̂ is
-// regenerated from it). A value released while a view still lists it would
-// be a use-after-free; `make poison` is the check.
+// keeps each feature map once), and nothing stores x̂ — a BN's input stays
+// live until the backward that regenerates x̂ from it (its own, or its
+// statistics producer's for a SubBN2 or fused BNReLUConv). A ReLU's backward
+// masks with its output, so its input dies at its forward. A value released
+// while a view or a backward still reads it would be a use-after-free;
+// `make poison` is the check.
 //
 // Two things deliberately stay on the heap: parameter gradients (they escape
 // into the returned gradient map, whose lifetime the schedule does not bound)
@@ -122,15 +125,11 @@ func (e *Executor) releaseBackwardStep(step int, gmap map[int]*tensor.Tensor, st
 			}
 			if st := stash[r.id]; st != nil {
 				// A fused partner's dv is a fresh buffer modeled on the
-				// statistics producer; the input x it stashed is a forward
-				// value, released by its own BufValue entry at this step.
+				// statistics producer (a SubBN2's is its own gradient); the
+				// input x either stashes is a forward value, released by
+				// its own BufValue entries at this step.
 				e.alloc.Put(st.dv)
 				delete(stash, r.id)
-			}
-		case memplan.BufXHat:
-			if t := e.xhats[r.id]; t != nil {
-				e.alloc.Put(t)
-				delete(e.xhats, r.id)
 			}
 		case memplan.BufMask:
 			if t := e.masks[r.id]; t != nil {
@@ -151,7 +150,6 @@ func (e *Executor) releaseBackwardStep(step int, gmap map[int]*tensor.Tensor, st
 func (e *Executor) resetPass() {
 	for _, n := range e.liveNodes() {
 		e.alloc.Put(e.vals[n.ID])
-		e.alloc.Put(e.xhats[n.ID])
 		e.alloc.Put(e.masks[n.ID])
 		if st := e.stats[n.ID]; st != nil {
 			e.alloc.Put(st.Mean)
@@ -163,7 +161,6 @@ func (e *Executor) resetPass() {
 	}
 	clear(e.vals)
 	clear(e.stats)
-	clear(e.xhats)
 	clear(e.poolCtx)
 	clear(e.masks)
 }

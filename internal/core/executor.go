@@ -65,7 +65,6 @@ type Executor struct {
 	vals    map[int]*tensor.Tensor
 	views   map[int]*layers.Concat  // each concat's view of its inputs, rebuilt in place every pass
 	stats   map[int]*layers.BNStats // keyed by statistics-producer node ID
-	xhats   map[int]*tensor.Tensor  // keyed by normalize-owner node ID
 	poolCtx map[int]*layers.PoolContext
 	masks   map[int]*tensor.Tensor // dropout masks, keyed by node ID
 
@@ -176,13 +175,12 @@ func (e *Executor) EvalMode() (restore func()) {
 	return func() { e.inference, e.trackRunning = prevInf, prevTrack }
 }
 
-// bnStash carries the sub-BN2' results (dv, dγ, dβ, and x̂ or what
-// regenerates it) from the normalize-side backward to the statistics-side
-// backward, keyed by the statistics producer's node ID. A SubBN2 stashes the
-// x̂ it stored; a fused BNReLUConv stores none and stashes its input x, from
-// which sub-BN1' regenerates x̂ as the window did.
+// bnStash carries the sub-BN2' results (dv, dγ, dβ, and the normalize's
+// input x) from the normalize-side backward to the statistics-side backward,
+// keyed by the statistics producer's node ID. Nothing stores x̂: sub-BN1'
+// regenerates it from x as the forward computed it.
 type bnStash struct {
-	dv, xhat      *tensor.Tensor
+	dv            *tensor.Tensor
 	x             layers.Map
 	dgamma, dbeta *tensor.Tensor
 }
@@ -440,7 +438,6 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		e.vals = make(map[int]*tensor.Tensor)
 		e.views = make(map[int]*layers.Concat)
 		e.stats = make(map[int]*layers.BNStats)
-		e.xhats = make(map[int]*tensor.Tensor)
 		e.poolCtx = make(map[int]*layers.PoolContext)
 		e.masks = make(map[int]*tensor.Tensor)
 	} else {
@@ -490,9 +487,8 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 			if err != nil {
 				break
 			}
-			var y, xhat *tensor.Tensor
-			y, xhat, err = e.bnOf(n.BN).Normalize(e.src(n, 0), st, e.gamma(n), e.beta(n))
-			e.vals[n.ID], e.stats[n.ID], e.xhats[n.ID] = y, st, xhat
+			e.stats[n.ID] = st
+			e.vals[n.ID], err = e.bnOf(n.BN).NormalizeY(e.src(n, 0), st, e.gamma(n), e.beta(n))
 
 		case graph.OpSubBN1:
 			if !e.inference { // inference needs no mini-batch statistics
@@ -506,9 +502,7 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 			if err != nil {
 				break
 			}
-			var y, xhat *tensor.Tensor
-			y, xhat, err = e.bnOf(n.BN).Normalize(e.src(n, 0), st, e.gamma(n), e.beta(n))
-			e.vals[n.ID], e.xhats[n.ID] = y, xhat
+			e.vals[n.ID], err = e.bnOf(n.BN).NormalizeY(e.src(n, 0), st, e.gamma(n), e.beta(n))
 
 		case graph.OpReLU:
 			e.vals[n.ID] = layers.ReLUForwardAlloc(e.pool, e.alloc, e.src(n, 0))
@@ -706,11 +700,12 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return e.convBackward(n, gmap, grads, stash)
 
 	case graph.OpBN:
-		// The composite Backward is BackwardReduce ∘ BackwardInput; spell the
-		// composition out so the reduce hook can interpose globally summed
-		// dγ/dβ between the two (same arithmetic, same order, when unset).
-		bn := e.bnOf(n.BN)
-		dgamma, dbeta, err := bn.BackwardReduce(dy, e.xhats[n.ID])
+		// The composite Backward is BackwardReduce ∘ BackwardInput, here both
+		// regenerating x̂ from the input x; spell the composition out so the
+		// reduce hook can interpose globally summed dγ/dβ between the two
+		// (same arithmetic, same order, when unset).
+		bn, x := e.bnOf(n.BN), e.src(n, 0)
+		dgamma, dbeta, err := bn.BackwardReduceFrom(dy, x, e.stats[n.ID])
 		if err != nil {
 			return err
 		}
@@ -720,7 +715,7 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 				return err
 			}
 		}
-		dx, err := bn.BackwardInput(dy, e.xhats[n.ID], e.gamma(n), e.stats[n.ID], ing, inb)
+		dx, err := bn.BackwardInputFrom(dy, x, e.gamma(n), e.stats[n.ID], ing, inb)
 		if err != nil {
 			return err
 		}
@@ -737,14 +732,21 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return e.accumGrad(gmap, n.Inputs[0], du)
 
 	case graph.OpSubBN2:
-		dgamma, dbeta, err := e.bnOf(n.BN).BackwardReduce(dy, e.xhats[n.ID])
+		st, err := e.statsFor(n)
 		if err != nil {
 			return err
 		}
-		return e.stashReduced(n, &bnStash{dv: dy, xhat: e.xhats[n.ID]}, dgamma, dbeta, grads, stash)
+		x := e.src(n, 0)
+		dgamma, dbeta, err := e.bnOf(n.BN).BackwardReduceFrom(dy, x, st)
+		if err != nil {
+			return err
+		}
+		return e.stashReduced(n, &bnStash{dv: dy, x: x}, dgamma, dbeta, grads, stash)
 
 	case graph.OpReLU:
-		dx, err := layers.ReLUBackwardAlloc(e.pool, e.alloc, dy, e.src(n, 0))
+		// The mask reads the ReLU's own output: relu(x) > 0 exactly where
+		// x > 0, NaN and −0 included, so the input need not stay live.
+		dx, err := layers.ReLUBackwardAlloc(e.pool, e.alloc, dy, e.vals[n.ID])
 		if err != nil {
 			return err
 		}
@@ -891,7 +893,7 @@ func (e *Executor) convBackward(n *graph.Node, gmap map[int]*tensor.Tensor,
 }
 
 // stashReduced is sub-BN2' handing over: it records n's dγ/dβ as its BN's
-// gradients and completes st — dv and x̂ or x already set — with them for the
+// gradients and completes st — dv and x already set — with them for the
 // sub-BN1' of n's statistics producer. Under ddp sync-BN the reduce hook
 // swaps globally summed dγ/dβ into the stash while grads keeps the local sums
 // for the gradient all-reduce.
@@ -919,14 +921,7 @@ func (e *Executor) bnInputGrad(id int, attr *graph.BNAttr, stash map[int]*bnStas
 	if st == nil {
 		return nil, fmt.Errorf("no sub-BN2' stash for statistics producer")
 	}
-	bn := e.bnOf(attr)
-	var du *tensor.Tensor
-	var err error
-	if st.xhat != nil {
-		du, err = bn.BackwardInput(st.dv, st.xhat, e.gammaOf(attr), e.stats[id], st.dgamma, st.dbeta)
-	} else {
-		du, err = bn.BackwardInputFrom(st.dv, st.x, e.gammaOf(attr), e.stats[id], st.dgamma, st.dbeta)
-	}
+	du, err := e.bnOf(attr).BackwardInputFrom(st.dv, st.x, e.gammaOf(attr), e.stats[id], st.dgamma, st.dbeta)
 	if err != nil {
 		return nil, err
 	}

@@ -518,9 +518,10 @@ func MobileNetExtension(batch int) (*Experiment, error) {
 // FootprintExtension is an extension beyond the paper: the peak activation
 // memory of one training iteration, baseline vs BNFF, via liveness analysis
 // (internal/memplan). The paper's §6 cites Gist for footprint reduction;
-// the restructuring achieves some of the same effect for free because the
-// backward pass needs only x̂ where the baseline keeps the BN input, BN
-// output, and rectified output alive.
+// the restructuring achieves some of the same effect for free because a
+// fused window's backward needs only the BN input where the baseline keeps
+// the BN input and the rectified output alive (no scenario stores x̂: every
+// BN backward regenerates it from its input).
 func FootprintExtension(batch int) (*Experiment, error) {
 	e := &Experiment{
 		ID:    "ext-footprint",

@@ -19,6 +19,9 @@ import (
 //	Backward = BackwardReduce (sub-BN2': dγ, dβ)  ∘  BackwardInput (sub-BN1': dX)
 //
 // so that internal/core can fuse each sub-layer into its neighboring CONV.
+// NormalizeY, BackwardReduceFrom and BackwardInputFrom are the same
+// sub-layers storing no x̂: the backward ones regenerate it from x, bit for
+// bit, so training keeps the BN input instead of a second map.
 // ComputeStatsMVF implements the paper's Mean/Variance Fusion,
 // V(X) = E(X²) − E(X)², producing both statistics from a single sweep.
 type BatchNorm struct {
@@ -381,10 +384,24 @@ func (b BatchNorm) InvStdScratch(stats *BNStats) []float32 {
 	return inv
 }
 
-// Normalize is sub-BN2: y = γ·(x−μ)/√(σ²+ε) + β. It also returns x̂, which
-// the backward pass consumes (this is the O2' sweep of Figure 5 that survives
-// fusion because backward needs it).
+// Normalize is sub-BN2: y = γ·(x−μ)/√(σ²+ε) + β. It also returns x̂, the
+// O2' map of Figure 5 that a stored-x̂ backward (BackwardReduce,
+// BackwardInput) consumes.
 func (b BatchNorm) Normalize(x Map, stats *BNStats, gamma, beta *tensor.Tensor) (y, xhat *tensor.Tensor, err error) {
+	return b.normalize(x, stats, gamma, beta, true)
+}
+
+// NormalizeY is Normalize without x̂: the same y, bit for bit, and no second
+// map. Its backward regenerates x̂ from x (BackwardReduceFrom,
+// BackwardInputFrom).
+func (b BatchNorm) NormalizeY(x Map, stats *BNStats, gamma, beta *tensor.Tensor) (*tensor.Tensor, error) {
+	y, _, err := b.normalize(x, stats, gamma, beta, false)
+	return y, err
+}
+
+// normalize is Normalize, or with keep false NormalizeY, whose x̂ goes to y
+// and is overwritten there (normRows stores each x̂ before its y).
+func (b BatchNorm) normalize(x Map, stats *BNStats, gamma, beta *tensor.Tensor, keep bool) (y, xhat *tensor.Tensor, err error) {
 	if err := b.check(x); err != nil {
 		return nil, nil, err
 	}
@@ -401,16 +418,19 @@ func (b BatchNorm) Normalize(x Map, stats *BNStats, gamma, beta *tensor.Tensor) 
 	r := runsOf(x)
 	inv := b.InvStdScratch(stats)
 	y = b.alloc.Get(x.Shape()...)
-	xhat = b.alloc.Get(x.Shape()...)
+	hd, yd := y.Data, y.Data
+	if keep {
+		xhat = b.alloc.Get(x.Shape()...)
+		hd = xhat.Data
+	}
 	// Element-wise with per-sample disjoint writes: pooled execution is
 	// bit-identical to serial. The serial path calls the chunk body
 	// directly so the steady state allocates no closure. The closure takes
 	// the outputs' slices, not the named results: capturing a result (which
 	// the return assigns) would move it to the heap on every call.
 	if b.pool.Serial() {
-		bnNormalizeChunk(r, xhat.Data, y.Data, stats.Mean.Data, inv, gamma.Data, beta.Data, 0, n)
+		bnNormalizeChunk(r, hd, yd, stats.Mean.Data, inv, gamma.Data, beta.Data, 0, n)
 	} else {
-		hd, yd := xhat.Data, y.Data
 		b.pool.Run(n, func(lo, hi int) {
 			bnNormalizeChunk(r, hd, yd, stats.Mean.Data, inv, gamma.Data, beta.Data, lo, hi)
 		})
@@ -430,7 +450,7 @@ func bnNormalizeChunk(x runs, xh, yd, mean, inv, gamma, beta []float32, lo, hi i
 		for p, c0 := 0, 0; p < x.count(); p++ {
 			run, cp := x.run(p, i)
 			s := (i*c + c0) * x.hw
-			normRows(run, xh[s:s+len(run)], yd[s:s+len(run)], mean[c0:], inv[c0:], gamma[c0:c0+cp], beta[c0:], x.hw, false)
+			normRows(run, xh[s:s+len(run)], yd[s:s+len(run)], mean[c0:c0+cp], inv[c0:], gamma[c0:], beta[c0:], x.hw, false)
 			c0 += cp
 		}
 	}
@@ -469,6 +489,58 @@ func (b BatchNorm) BackwardReduce(dy, xhat *tensor.Tensor) (dgamma, dbeta *tenso
 	}
 	dgamma, dbeta = reduceGammaBeta(pg, pb, n, c)
 	return dgamma, dbeta, nil
+}
+
+// BackwardReduceFrom is BackwardReduce reading the BN's input x instead of a
+// stored x̂: per sample, and run by run over a Concat, x̂ is regenerated into
+// a chunk-private scratch by the forward's normalize body (normRows without
+// γ), then reduced by the same gammaBetaPartials, so dγ and dβ have
+// BackwardReduce's bits over Normalize's x̂.
+func (b BatchNorm) BackwardReduceFrom(dy *tensor.Tensor, x Map, stats *BNStats) (dgamma, dbeta *tensor.Tensor, err error) {
+	if err := b.check(dy); err != nil {
+		return nil, nil, err
+	}
+	if !dy.Shape().Equal(x.Shape()) {
+		return nil, nil, fmt.Errorf("batchnorm: dy %v vs x %v", dy.Shape(), x.Shape())
+	}
+	if err := b.checkStats(stats); err != nil {
+		return nil, nil, err
+	}
+	n, c, h, w := dy.Dims4()
+	r, mean, inv := runsOf(x), stats.Mean.Data, b.InvStdScratch(stats)
+	chunks := b.pool.NumChunks(n)
+	xhs := b.alloc.Floats(chunks * c * h * w)
+	pg, pb := make([]float64, n*c), make([]float64, n*c)
+	if chunks == 1 {
+		gammaBetaRegenChunk(r, dy.Data, xhs, mean, inv, pg, pb, 0, 0, n)
+	} else {
+		b.pool.RunChunked(n, func(chunk, lo, hi int) {
+			gammaBetaRegenChunk(r, dy.Data, xhs, mean, inv, pg, pb, chunk, lo, hi)
+		})
+	}
+	b.alloc.PutFloats(xhs)
+	b.alloc.PutFloats(inv)
+	dgamma, dbeta = reduceGammaBeta(pg, pb, n, c)
+	return dgamma, dbeta, nil
+}
+
+// gammaBetaRegenChunk is BackwardReduceFrom's chunk body over the samples in
+// [lo, hi): each sample's x̂ regenerated run by run into the chunk's slot of
+// xhs, then its gammaBetaPartials.
+//
+// hot-path: runs once per sample per step; all buffers are caller-provided.
+func gammaBetaRegenChunk(x runs, dy, xhs, mean, inv []float32, pg, pb []float64, chunk, lo, hi int) {
+	c := len(mean)
+	per := c * x.hw
+	xh := xhs[chunk*per : (chunk+1)*per]
+	for i := lo; i < hi; i++ {
+		for p, c0 := 0, 0; p < x.count(); p++ {
+			run, cp := x.run(p, i)
+			normRows(run, xh[c0*x.hw:(c0+cp)*x.hw], nil, mean[c0:c0+cp], inv[c0:], nil, nil, x.hw, false)
+			c0 += cp
+		}
+		gammaBetaPartials(dy[i*per:(i+1)*per], xh, pg[i*c:], pb[i*c:], c, x.hw)
+	}
 }
 
 // gammaBetaChunk is BackwardReduce's chunk body: gammaBetaPartials for the

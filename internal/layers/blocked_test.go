@@ -765,10 +765,12 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 			{"ComputeStats", 1, func() { s, _ := bn.ComputeStats(bx); arena.Put(s.Mean); arena.Put(s.Var) }},
 			{"Moments", 0, func() { m, _ := bn.Moments(bx); arena.PutFloats(m.Sum); arena.PutFloats(m.SumSq) }},
 			{"Normalize", 0, func() { y, h, _ := bn.Normalize(bx, st, bg, bb); arena.Put(y); arena.Put(h) }},
+			{"NormalizeY", 0, func() { y, _ := bn.NormalizeY(bx, st, bg, bb); arena.Put(y) }},
 			// dγ and dβ escape into the gradient map: two tensors of three
 			// allocations each, their two float64 sums, and the two float64
 			// partial slabs the arena, which recycles float32, cannot hold.
 			{"BackwardReduce", 10, func() { bn.BackwardReduce(bdy, bxh) }},
+			{"BackwardReduceFrom", 10, func() { bn.BackwardReduceFrom(bdy, bx, st) }},
 			{"BackwardInput", 0, func() { d, _ := bn.BackwardInput(bdy, bxh, bg, st, dg, db); arena.Put(d) }},
 			{"ReLUForwardAlloc", 0, func() { arena.Put(ReLUForwardAlloc(pool, arena, bx)) }},
 			{"ReLUBackwardAlloc", 0, func() { d, _ := ReLUBackwardAlloc(pool, arena, bdy, bx); arena.Put(d) }},

@@ -20,7 +20,8 @@ package layers
 //	           4 columns at a time, from 4 input channels): 4 output × 8|16
 //	           input channels
 //	FC         one column, so channels: 32 inputs (dx, dW) or outputs (forward)
-//	normalize  Normalize, the BNFF forward tile: 8 elements of a channel row
+//	normalize  Normalize, the BNFF forward tile, x̂ regenerated for a backward:
+//	           8 elements of a channel row
 //	grad       BackwardInput: 8 elements of a channel row
 //	rectify    ReLU forward and backward, the rectify and scale+rectify tiles,
 //	           the window's mask: 8 elements, VCMPPS GT_OQ against +0, VANDPS
@@ -576,16 +577,34 @@ func (g *ConvGeom) fcBackward(dy, x, w, dx, dw []float32) {
 	}
 }
 
-// normRows is Normalize's body on one sample of len(gamma) channel rows of hw
+// normRows is Normalize's body on one sample of len(mean) channel rows of hw
 // elements: x̂ = (x − μ)·is into xh and γ·x̂ + β into y, rectified when rect
 // (the BNFF forward tile). Each element's x̂ is stored before its y, so xh may
-// be y when only y is wanted.
+// be y when only y is wanted. With gamma nil only x̂ is written, and y, beta
+// and rect go unread: the forward's x̂, regenerated by a backward that stored
+// none.
 //
-// hot-path: runs once per sample per BN forward; all buffers are the caller's.
+// hot-path: runs once per sample per BN forward and backward reduce; all buffers are the caller's.
 func normRows(x, xh, y, mean, inv, gamma, beta []float32, hw int, rect bool) {
-	c := len(gamma)
+	c := len(mean)
 	n := c * hw
-	x, xh, y, mean, inv, beta = x[:n], xh[:n], y[:n], mean[:c], inv[:c], beta[:c]
+	// Capped at n, every row slice of one operand proves the others'.
+	x, xh, inv = x[:n:n], xh[:n:n], inv[:c]
+	if gamma == nil {
+		if useLanes && n > 0 {
+			hatLanes(&x[0], &xh[0], &mean[0], &inv[0], c, hw)
+			return
+		}
+		for ic, mu := range mean {
+			lo, hi := ic*hw, (ic+1)*hw
+			is, xrow, hrow := inv[ic], x[lo:hi], xh[lo:hi]
+			for i, xv := range xrow {
+				hrow[i] = (xv - mu) * is
+			}
+		}
+		return
+	}
+	y, gamma, beta = y[:n:n], gamma[:c], beta[:c]
 	if useLanes && n > 0 {
 		g0 := &gamma[0]
 		if rect {
@@ -598,16 +617,16 @@ func normRows(x, xh, y, mean, inv, gamma, beta []float32, hw int, rect bool) {
 	for ic, g := range gamma {
 		lo, hi := ic*hw, (ic+1)*hw
 		mu, is, be := mean[ic], inv[ic], beta[ic]
-		hrow, yrow := xh[lo:hi], y[lo:hi]
+		xrow, hrow, yrow := x[lo:hi], xh[lo:hi], y[lo:hi]
 		if rect {
-			for i, xv := range x[lo:hi] {
+			for i, xv := range xrow {
 				v := (xv - mu) * is
 				hrow[i] = v
 				yrow[i] = rectify(float32(g*v) + be)
 			}
 			continue
 		}
-		for i, xv := range x[lo:hi] {
+		for i, xv := range xrow {
 			v := (xv - mu) * is
 			hrow[i] = v
 			yrow[i] = float32(g*v) + be
@@ -622,7 +641,7 @@ func normRows(x, xh, y, mean, inv, gamma, beta []float32, hw int, rect bool) {
 func scaleRectRows(x, t, gamma, beta []float32, hw int) {
 	c := len(gamma)
 	n := c * hw
-	x, t, beta = x[:n], t[:n], beta[:c]
+	x, t, beta = x[:n:n], t[:n:n], beta[:c]
 	if useLanes && n > 0 {
 		scaleRectifyLanes(&x[0], &t[0], &gamma[0], &beta[0], c, hw)
 		return
@@ -645,7 +664,7 @@ func scaleRectRows(x, t, gamma, beta []float32, hw int) {
 func gradRows(dy, xs, dx, gamma, inv, mean, dgamma, dbeta []float32, m float32, hw int, regen bool) {
 	c := len(gamma)
 	n := c * hw
-	dy, xs, dx, inv, mean, dgamma, dbeta = dy[:n], xs[:n], dx[:n], inv[:c], mean[:c], dgamma[:c], dbeta[:c]
+	dy, xs, dx, inv, mean, dgamma, dbeta = dy[:n:n], xs[:n:n], dx[:n:n], inv[:c], mean[:c], dgamma[:c], dbeta[:c]
 	if useLanes && n > 0 {
 		g0 := &gamma[0]
 		if regen {

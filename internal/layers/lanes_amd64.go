@@ -18,6 +18,9 @@ func laneRows(a, b, out *float32, rows, n, ra, rb, ro, ta, tb int)
 func normLanes(x, xh, y, mean, inv, gamma, beta *float32, c, hw int)
 
 //go:noescape
+func hatLanes(x, xh, mean, inv *float32, c, hw int)
+
+//go:noescape
 func normRectifyLanes(x, xh, t, mean, inv, gamma, beta *float32, c, hw int)
 
 //go:noescape

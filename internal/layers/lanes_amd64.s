@@ -370,6 +370,59 @@ normDone:
 	VZEROUPPER
 	RET
 
+// func hatLanes(x, xh, mean, inv *float32, c, hw int)
+//
+// normLanes' x̂ alone: v = (x − μ)·is into xh.
+TEXT ·hatLanes(SB), NOSPLIT, $0-48
+	MOVQ  x+0(FP), SI
+	MOVQ  xh+8(FP), DI
+	MOVQ  mean+16(FP), R8
+	MOVQ  inv+24(FP), R9
+	MOVQ  c+32(FP), BX
+	MOVQ  hw+40(FP), R12
+	MOVQ  R12, R13
+	ANDQ  $-8, R13
+	TESTQ BX, BX
+	JZ    hatDone
+
+hatRow:
+	VBROADCASTSS (R8), Y4
+	VBROADCASTSS (R9), Y5
+	XORQ         AX, AX
+	CMPQ         AX, R13
+	JGE          hatTail
+
+hatVec:
+	VMOVUPS (SI)(AX*4), Y0
+	VSUBPS  Y4, Y0, Y0
+	VMULPS  Y5, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, R13
+	JLT     hatVec
+
+hatTail:
+	CMPQ   AX, R12
+	JGE    hatNext
+	VMOVSS (SI)(AX*4), X0
+	VSUBSS X4, X0, X0
+	VMULSS X5, X0, X0
+	VMOVSS X0, (DI)(AX*4)
+	INCQ   AX
+	JMP    hatTail
+
+hatNext:
+	LEAQ (SI)(R12*4), SI
+	LEAQ (DI)(R12*4), DI
+	ADDQ $4, R8
+	ADDQ $4, R9
+	DECQ BX
+	JNZ  hatRow
+
+hatDone:
+	VZEROUPPER
+	RET
+
 // func normRectifyLanes(x, xh, t, mean, inv, gamma, beta *float32, c, hw int)
 //
 // The BNFF forward tile: v = (x − μ)·is into xh, then t = rectify(γ·v + β).

@@ -23,6 +23,10 @@ func normLanes(x, xh, y, mean, inv, gamma, beta *float32, c, hw int) {
 	panic("layers: no lane kernels on this architecture")
 }
 
+func hatLanes(x, xh, mean, inv *float32, c, hw int) {
+	panic("layers: no lane kernels on this architecture")
+}
+
 func normRectifyLanes(x, xh, t, mean, inv, gamma, beta *float32, c, hw int) {
 	panic("layers: no lane kernels on this architecture")
 }

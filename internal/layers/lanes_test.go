@@ -267,13 +267,20 @@ func TestLaneChecksRefuseShortOperands(t *testing.T) {
 	buf64 := func(n int) []float64 { return make([]float64, n) }
 	sweeps := map[string]func(short string) func(){
 		"normRows": func(short string) func() {
-			ops := map[string][]float32{"x": buf(c * hw), "xh": buf(c * hw), "y": buf(c * hw), "mean": buf(c), "inv": buf(c), "beta": buf(c)}
+			ops := map[string][]float32{"x": buf(c * hw), "xh": buf(c * hw), "y": buf(c * hw), "inv": buf(c), "gamma": buf(c), "beta": buf(c)}
 			if short != "" {
 				ops[short] = ops[short][1:]
 			}
 			return func() {
-				normRows(ops["x"], ops["xh"], ops["y"], ops["mean"], ops["inv"], buf(c), ops["beta"], hw, true)
+				normRows(ops["x"], ops["xh"], ops["y"], buf(c), ops["inv"], ops["gamma"], ops["beta"], hw, true)
 			}
+		},
+		"normRows/x̂": func(short string) func() {
+			ops := map[string][]float32{"x": buf(c * hw), "xh": buf(c * hw), "inv": buf(c)}
+			if short != "" {
+				ops[short] = ops[short][1:]
+			}
+			return func() { normRows(ops["x"], ops["xh"], nil, buf(c), ops["inv"], nil, nil, hw, false) }
 		},
 		"scaleRectRows": func(short string) func() {
 			ops := map[string][]float32{"x": buf(c * hw), "t": buf(c * hw), "beta": buf(c)}
@@ -335,7 +342,8 @@ func TestLaneChecksRefuseShortOperands(t *testing.T) {
 		},
 	}
 	operands := map[string][]string{
-		"normRows":      {"x", "xh", "y", "mean", "inv", "beta"},
+		"normRows":      {"x", "xh", "y", "inv", "gamma", "beta"},
+		"normRows/x̂":   {"x", "xh", "inv"},
 		"scaleRectRows": {"x", "t", "beta"},
 		"gradRows":      {"dy", "xh", "dx", "inv", "mean", "dgamma", "dbeta"},
 		"maskRun":       {"v", "z"},
@@ -439,11 +447,19 @@ func sweepOutputs(t *testing.T, pool *parallel.Pool, n, c, hw int, poisoned bool
 		t.Fatal(err)
 	}
 	out["Normalize.y"], out["Normalize.xhat"] = y.Data, xh.Data
+	if y, err = bn.NormalizeY(x, fixed, gamma, beta); err != nil {
+		t.Fatal(err)
+	}
+	out["NormalizeY"] = y.Data
 	dg, db, err := bn.BackwardReduce(dy, xh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["BackwardReduce.dgamma"], out["BackwardReduce.dbeta"] = dg.Data, db.Data
+	if dg, db, err = bn.BackwardReduceFrom(dy, x, fixed); err != nil {
+		t.Fatal(err)
+	}
+	out["BackwardReduceFrom.dgamma"], out["BackwardReduceFrom.dbeta"] = dg.Data, db.Data
 	dx, err := bn.BackwardInput(dy, xh, gamma, fixed, dgFixed, dbFixed)
 	if err != nil {
 		t.Fatal(err)
@@ -527,6 +543,15 @@ func splitSweeps(t *testing.T, pool *parallel.Pool, out map[string][]float32, x,
 		t.Fatal(err)
 	}
 	out["split/Normalize.y"], out["split/Normalize.xhat"] = y.Data, xh.Data
+	if y, err = bn.NormalizeY(v, fixed, gamma, beta); err != nil {
+		t.Fatal(err)
+	}
+	out["split/NormalizeY"] = y.Data
+	rg, rb, err := bn.BackwardReduceFrom(dy, v, fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["split/BackwardReduceFrom.dgamma"], out["split/BackwardReduceFrom.dbeta"] = rg.Data, rb.Data
 	dx, err := bn.BackwardInputFrom(dy, v, gamma, fixed, dg, db)
 	if err != nil {
 		t.Fatal(err)
@@ -567,16 +592,24 @@ func TestSweepLanesBitIdenticalToScalar(t *testing.T) {
 								t.Errorf("%s: n=%d c=%d hw=%d poisoned=%v workers=%d: lanes differ from scalar", name, n, c, hw, poisoned, workers)
 							}
 						}
-						// Regenerating x̂ from x is the stored-x̂ input gradient,
-						// and a Concat of x's channels is x.
+						// Regenerating x̂ from x is the stored-x̂ backward,
+						// storing none is Normalize's y, and a Concat of x's
+						// channels is x.
 						for k := range f32 {
 							for name, got := range f32[k] {
 								if dense, ok := strings.CutPrefix(name, "split/"); ok && !sameFloats(got, f32[k][dense]) {
 									t.Errorf("%s: body %d n=%d c=%d hw=%d poisoned=%v workers=%d: a Concat operand differs from the dense one", dense, k, n, c, hw, poisoned, workers)
 								}
 							}
-							if !sameFloats(f32[k]["BackwardInputFrom"], f32[k]["BackwardInput"]) {
-								t.Errorf("body %d: n=%d c=%d hw=%d poisoned=%v workers=%d: BackwardInputFrom differs from BackwardInput over Normalize's x̂", k, n, c, hw, poisoned, workers)
+							for from, stored := range map[string]string{
+								"BackwardInputFrom":         "BackwardInput",
+								"BackwardReduceFrom.dgamma": "BackwardReduce.dgamma",
+								"BackwardReduceFrom.dbeta":  "BackwardReduce.dbeta",
+								"NormalizeY":                "Normalize.y",
+							} {
+								if !sameFloats(f32[k][from], f32[k][stored]) {
+									t.Errorf("body %d: n=%d c=%d hw=%d poisoned=%v workers=%d: %s differs from %s over Normalize's x̂", k, n, c, hw, poisoned, workers, from, stored)
+								}
 							}
 						}
 						for name, lanes := range f64[0] {
@@ -589,6 +622,55 @@ func TestSweepLanesBitIdenticalToScalar(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ReLU's backward may mask with its own output instead of its input:
+// relu(x) > 0 exactly where x > 0, so dy passes through the same elements and
+// dx has the same bits, every NaN payload of dy kept, whatever x holds. The
+// executor and memplan keep a ReLU's output, not its input, on this.
+func TestReLUMaskFromOutput(t *testing.T) {
+	specials := []uint32{
+		0x7fc00000, 0xffc00000, 0x7f800001, 0xff812345, 0x7fbfffff, // NaN payloads
+		0x00000000, 0x80000000, // ±0
+		0x7f800000, 0xff800000, // ±Inf
+		0x00000001, 0x807fffff, 0x00400000, 0x80000001, // subnormals
+		0x7f7fffff, 0xff7fffff, // ±MaxFloat32
+	}
+	// 11 channels split 1 + 5 + 5; 13-element planes leave a lane tail.
+	const n, c, hw = 3, 11, 13
+	x, dy := tensor.New(n, c, 1, hw), tensor.New(n, c, 1, hw)
+	rng := tensor.NewRNG(7)
+	rng.FillNormal(x, 0, 1)
+	rng.FillNormal(dy, 0, 1)
+	for i := range x.Data {
+		if i%3 == 0 {
+			x.Data[i] = math.Float32frombits(specials[(i/3)%len(specials)])
+		}
+		if i%4 == 1 {
+			dy.Data[i] = math.Float32frombits(specials[(i/4)%len(specials)])
+		}
+	}
+	forEachBody(func(body string) {
+		for _, workers := range []int{1, 4} {
+			pool := parallel.New(workers)
+			for _, src := range []Map{x, channelSplit(x, 1, 5)} {
+				want, err := ReLUBackwardAlloc(pool, nil, dy, src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ReLUBackwardAlloc(pool, nil, dy, ReLUForwardAlloc(pool, nil, src))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+						t.Fatalf("%s, workers %d, %T: dx[%d] = %#x masked by relu(x), %#x by x = %#x",
+							body, workers, src, i, math.Float32bits(got.Data[i]), math.Float32bits(v), math.Float32bits(x.Data[i]))
+					}
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkSweeps times every BN and ReLU sweep body on both bodies over the

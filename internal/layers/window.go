@@ -112,7 +112,7 @@ func (f *tileFill) fill(tile, src, xh []float32, c0, hw int) {
 	c := len(src) / hw
 	switch {
 	case f.mean != nil:
-		normRows(src, xh, tile, f.mean[c0:], f.inv[c0:], f.g[c0:c0+c], f.b[c0:], hw, true)
+		normRows(src, xh, tile, f.mean[c0:c0+c], f.inv[c0:], f.g[c0:], f.b[c0:], hw, true)
 	case f.g != nil:
 		scaleRectRows(src, tile, f.g[c0:c0+c], f.b[c0:], hw)
 	case f.rect:

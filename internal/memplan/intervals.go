@@ -17,13 +17,13 @@ import (
 //     blemish.
 //
 // The rules below therefore mirror what core.Executor actually reads, not a
-// textbook autodiff model: a monolithic BN or SubBN2 backward consumes the
-// saved x̂, never its forward input; a fused BNReLUConv saves no x̂ and
-// instead re-reads its input x in its own backward and in its statistics
-// producer's, which regenerate x̂ from it; a SubBN2's upstream gradient is
-// stashed and re-read at the statistics producer's backward step; flatten
-// and concat outputs are views that keep their inputs' storage alive through
-// the view's readers.
+// textbook autodiff model: nothing saves x̂. A monolithic BN re-reads its
+// input x in its own backward; a SubBN2 or a fused BNReLUConv re-reads its
+// input in its own backward and in its statistics producer's; each
+// regenerates x̂ from x. A ReLU's backward masks with its own output, not its
+// input. A SubBN2's upstream gradient is stashed and re-read at the
+// statistics producer's backward step; flatten and concat outputs are views
+// that keep their inputs' storage alive through the view's readers.
 
 // BufKind classifies a live interval by the buffer family it describes.
 type BufKind int
@@ -31,9 +31,6 @@ type BufKind int
 const (
 	// BufValue is a node's forward output (one mini-batch feature map).
 	BufValue BufKind = iota
-	// BufXHat is a saved normalized map x̂ (the paper's O2'), owned by a BN
-	// or SubBN2 and consumed by the statistics producer's backward.
-	BufXHat
 	// BufMask is a dropout mask, born at the dropout's forward step and
 	// consumed by its backward step.
 	BufMask
@@ -46,8 +43,6 @@ func (k BufKind) String() string {
 	switch k {
 	case BufValue:
 		return "value"
-	case BufXHat:
-		return "xhat"
 	case BufMask:
 		return "mask"
 	case BufGrad:
@@ -87,13 +82,11 @@ type Schedule struct {
 //
 //	values — alive from the producer's forward step through the last
 //	forward reader and any backward step whose operator re-reads its saved
-//	input (CONV, RCF, FC, ReLU; a fused BNReLUConv through its statistics
-//	producer's backward, whose sub-BN1' regenerates x̂ from it), through
-//	flatten and concat views transparently: a view owns no storage.
-//	The unfused BN backward passes read x̂, never the raw input.
-//	x̂ maps — monolithic BN keeps x̂ until its own backward; SubBN2 keeps
-//	it until the statistics producer's backward, which consumes it from
-//	the sub-BN2' stash. A fused BNReLUConv keeps none.
+//	input (CONV, RCF, FC, and a monolithic BN, which regenerates x̂ from
+//	it; a SubBN2 or fused BNReLUConv through its statistics producer's
+//	backward, whose sub-BN1' regenerates x̂ from it), through flatten and
+//	concat views transparently: a view owns no storage. A ReLU's output
+//	lives through its own backward, which masks with it.
 //	masks — dropout forward to dropout backward.
 //	gradients — written at the first consumer backward that contributes,
 //	dead after the node's own backward reads them; a SubBN2's gradient is
@@ -126,10 +119,13 @@ func TrainingIntervals(g *graph.Graph) (*Schedule, []Interval, error) {
 			continue // inputs are external; views own no storage; SubBN1 has no data output
 		}
 		end := sched.Fwd[n.ID]
+		if n.Kind == graph.OpReLU {
+			end = sched.Bwd[n.ID]
+		}
 		for _, c := range readersThroughViews(cons, n) {
 			last := sched.Fwd[c.ID]
 			switch {
-			case c.Kind == graph.OpBNReLUConv:
+			case c.Kind == graph.OpBNReLUConv || c.Kind == graph.OpSubBN2:
 				last = sched.Bwd[c.StatsFrom.ID]
 			case backwardReadsInput(c):
 				last = sched.Bwd[c.ID]
@@ -137,18 +133,6 @@ func TrainingIntervals(g *graph.Graph) (*Schedule, []Interval, error) {
 			end = max(end, last)
 		}
 		ivs = append(ivs, Interval{Node: n, Kind: BufValue, Bytes: featureBytes(n), Start: sched.Fwd[n.ID], End: end})
-	}
-
-	// x̂ maps.
-	for _, n := range live {
-		switch n.Kind {
-		case graph.OpBN:
-			ivs = append(ivs, Interval{Node: n, Kind: BufXHat, Bytes: featureBytes(n),
-				Start: sched.Fwd[n.ID], End: sched.Bwd[n.ID]})
-		case graph.OpSubBN2:
-			ivs = append(ivs, Interval{Node: n, Kind: BufXHat, Bytes: featureBytes(n),
-				Start: sched.Fwd[n.ID], End: sched.Bwd[n.StatsFrom.ID]})
-		}
 	}
 
 	// Dropout masks.
@@ -237,14 +221,13 @@ func readersThroughViews(cons map[int][]*graph.Node, n *graph.Node) []*graph.Nod
 
 // backwardReadsInput reports whether an operator's own backward pass re-reads
 // its saved forward input. This is the executor's saved-tensor set: CONV-family
-// and FC backward need the ifmap for dW, ReLU backward needs the sign of its
-// input. A fused BNReLUConv reads its input later still, at its statistics
-// producer's backward (TrainingIntervals). The unfused BN family works from
-// x̂ and the stash; pooling keeps argmax indices; Concat/EWS/GAP/Dropout
-// keep nothing.
+// and FC backward need the ifmap for dW, a monolithic BN regenerates x̂ from
+// its input. A SubBN2 or fused BNReLUConv reads its input later still, at its
+// statistics producer's backward (TrainingIntervals). ReLU masks with its own
+// output; pooling keeps argmax indices; Concat/EWS/GAP/Dropout keep nothing.
 func backwardReadsInput(n *graph.Node) bool {
 	switch n.Kind {
-	case graph.OpConv, graph.OpReLUConv, graph.OpFC, graph.OpReLU:
+	case graph.OpConv, graph.OpReLUConv, graph.OpFC, graph.OpBN:
 		return true
 	default:
 		return false

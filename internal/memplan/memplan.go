@@ -3,14 +3,16 @@
 //
 // It exists to quantify a side effect of the restructuring the paper does
 // not measure but that follows from its design (and that the related work it
-// cites, Gist, optimizes directly): the baseline keeps three mini-batch maps
-// alive per BN window for the backward pass — the BN input, the BN output,
-// and the rectified output — while the restructured graph keeps only the BN
-// input, from which each fused window regenerates x̂ (Figure 5's O2') in its
-// backward instead of storing it, so BNFF reduces peak training memory as
-// well as traffic. A concat is a view of its inputs (Pleiss et al.'s shared
-// feature storage), so a dense block keeps each feature map once rather than
-// a copy per composite layer.
+// cites, Gist, optimizes directly). No training graph stores x̂ (Figure 5's
+// O2'): every BN backward regenerates it from the BN input, and a ReLU's
+// backward masks with its own output. So the baseline keeps two mini-batch
+// maps alive per BN window for the backward pass — the BN input and the
+// rectified output, which the next CONV's dW reads anyway — and RCF the BN
+// input and the BN output, while BNFF's fused window keeps only the BN input,
+// so BNFF reduces peak training memory as well as traffic. A concat is a view
+// of its inputs (Pleiss et al.'s shared feature storage), so a dense block
+// keeps each feature map once rather than a copy per composite layer, and a
+// BN reading a concat keeps nothing of its own.
 //
 // The interval computation itself (TrainingIntervals in intervals.go) is a
 // shared library: PlanTraining aggregates the intervals into the analytical
@@ -54,15 +56,13 @@ func featureBytes(n *graph.Node) int64 {
 
 // PlanTraining computes liveness for one iteration: forward nodes execute at
 // steps 0..F−1 in topological order, backward nodes at steps F..2F−1 in
-// reverse order. Four buffer families are tracked (see TrainingIntervals for
+// reverse order. Three buffer families are tracked (see TrainingIntervals for
 // the exact read sets):
 //
 //	activations — born at the producer's forward step, alive through the
 //	last forward consumer and any backward step that re-reads them (saved
-//	ifmaps for dW, ReLU sign checks);
-//	x̂ maps — the saved normalized maps: a monolithic BN keeps x̂ for its
-//	own backward, a SubBN2 keeps O2' until the statistics producer's
-//	backward consumes it (a fused BNReLUConv keeps its input instead);
+//	ifmaps for dW, BN inputs x̂ is regenerated from, ReLU outputs that
+//	mask their own backward); no x̂ map is ever stored;
 //	dropout masks — forward to backward of the dropout node;
 //	gradients — born at the first contributing consumer backward, dead
 //	after the producer's own backward step reads them (a SubBN2's gradient
@@ -79,8 +79,6 @@ func PlanTraining(g *graph.Graph) (*Result, error) {
 	for _, iv := range ivs {
 		name := iv.Node.Name
 		switch iv.Kind {
-		case BufXHat:
-			name += ".xhat"
 		case BufMask:
 			name += ".mask"
 		case BufGrad:

@@ -42,22 +42,29 @@ func TestPlanSimpleChain(t *testing.T) {
 	if res.PeakBytes <= 0 {
 		t.Fatal("no peak computed")
 	}
-	// conv output (2·4·4·4·4 = 512B) is read by relu's forward AND relu's
-	// backward (mask), so it must live past the midpoint.
-	var convBuf *memplan.Buffer
-	for i := range res.Buffers {
-		if res.Buffers[i].Name == "conv" {
-			convBuf = &res.Buffers[i]
+	sched, ivs, err := memplan.TrainingIntervals(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ReLU's backward masks with its own output (2·4·4·4·4 = 512B), which
+	// must live through that backward step; the conv output it rectified is
+	// read by nothing after ReLU's forward and dies there.
+	want := map[string]int{"conv": sched.Fwd[r.ID], "relu": sched.Bwd[r.ID]}
+	for _, iv := range ivs {
+		end, ok := want[iv.Node.Name]
+		if !ok || iv.Kind != memplan.BufValue {
+			continue
+		}
+		delete(want, iv.Node.Name)
+		if iv.Bytes != 512 {
+			t.Errorf("%s activation bytes = %d, want 512", iv.Node.Name, iv.Bytes)
+		}
+		if iv.End != end {
+			t.Errorf("%s activation dies at step %d, want %d", iv.Node.Name, iv.End, end)
 		}
 	}
-	if convBuf == nil {
-		t.Fatal("conv activation missing from plan")
-	}
-	if convBuf.Bytes != 512 {
-		t.Errorf("conv activation bytes = %d, want 512", convBuf.Bytes)
-	}
-	if convBuf.End < res.Steps/2 {
-		t.Errorf("conv activation dies at %d, before backward needs it", convBuf.End)
+	if len(want) != 0 {
+		t.Errorf("activations missing from the plan: %v", want)
 	}
 	// LiveAt peak step must equal PeakBytes.
 	if res.LiveAt(res.PeakStep) != res.PeakBytes {
@@ -121,7 +128,8 @@ func TestBNFFReducesPeakMemory(t *testing.T) {
 	}
 }
 
-// Total allocation must also fall: the u/v/z trio per BN collapses to x̂.
+// Total allocation must also fall: a fused window allocates neither the BN
+// output nor the rectified output.
 func TestBNFFReducesTotalAllocation(t *testing.T) {
 	base, err := models.TinyDenseNet(64)
 	if err != nil {
@@ -162,13 +170,14 @@ func bnHeavy(batch int) models.DenseNetConfig {
 }
 
 // The planned training peak of bn-heavy at batch 32, in MiB, under each
-// restructuring. BNFF keeps each dense block's feature maps once — a concat
-// is a view of its inputs — and stores no x̂ for its fused windows.
+// restructuring. A concat is a view of its inputs, so a dense block keeps each
+// feature map once; no BN stores x̂ (each regenerates it from its input), and
+// a ReLU's backward masks with its own output.
 func TestPlanPeakBNHeavy(t *testing.T) {
 	for _, tc := range []struct {
 		scen core.Scenario
 		mib  float64
-	}{{core.Baseline, 83.375}, {core.RCF, 57.25}, {core.BNFF, 16.5}} {
+	}{{core.Baseline, 38.875}, {core.RCF, 38.875}, {core.BNFF, 16.5}} {
 		g, err := models.DenseNet(bnHeavy(32))
 		if err != nil {
 			t.Fatal(err)
@@ -178,6 +187,62 @@ func TestPlanPeakBNHeavy(t *testing.T) {
 		}
 		if got := float64(plan(t, g).PeakBytes) / (1 << 20); got != tc.mib {
 			t.Errorf("%v: planned peak %v MiB, want %v", tc.scen, got, tc.mib)
+		}
+	}
+}
+
+// The planned training peak at batch 32, in MiB, of every registered model
+// under baseline, RCF and BNFF: now, and before the unfused BNs stopped
+// storing x̂ and ReLU stopped keeping its input. No plan may rise above its
+// earlier value, and the table names exactly models.Names().
+func TestPlanPeakEveryModel(t *testing.T) {
+	type peaks struct{ baseline, rcf, bnff float64 }
+	table := map[string]struct{ now, was peaks }{
+		"alexnet":         {peaks{80.5859375, 80.5859375, 80.5859375}, peaks{92.625, 80.5859375, 80.5859375}},
+		"densenet121":     {peaks{2727.15625, 2727.15625, 949.375}, peaks{5645.71875, 3837.3125, 949.375}},
+		"densenet169":     {peaks{3191.125, 3191.125, 998.375}, peaks{6878.375, 4664.1875, 998.375}},
+		"densenet201":     {peaks{3950.625, 3950.625, 1096.375}, peaks{8960.875, 6054.5625, 1096.375}},
+		"inception-small": {peaks{4759.125, 4759.125, 4180.3125}, peaks{6207.6875, 5628.875, 5050.0625}},
+		"mobilenet":       {peaks{1243.375, 1243.375, 633.9375}, peaks{1852.8125, 1243.375, 633.9375}},
+		"resnet50":        {peaks{2450, 2450, 2116.1875}, peaks{3448.375, 3111.5, 2777.6875}},
+		"tiny-cnn":        {peaks{0.625, 0.625, 0.4375}, peaks{0.8125, 0.625, 0.4375}},
+		"tiny-densenet":   {peaks{9.5625, 9.5625, 5.25}, peaks{16.1875, 11.125, 5.25}},
+		"tiny-inception":  {peaks{3.75, 3.75, 3.375}, peaks{4.625, 4.25, 3.875}},
+		"tiny-mobilenet":  {peaks{14.875, 14.875, 8.4375}, peaks{21.3125, 14.875, 8.4375}},
+		"tiny-resnet":     {peaks{7.5, 7.5, 7.75}, peaks{9.5, 8.75, 9}},
+		"vgg16":           {peaks{1886.5, 1886.5, 1886.5}, peaks{2768.5, 1886.5, 1886.5}},
+	}
+	names := models.Names()
+	if len(names) != len(table) {
+		t.Errorf("table has %d models, models.Names() %d: %v", len(table), len(names), names)
+	}
+	for _, name := range names {
+		row, ok := table[name]
+		if !ok {
+			t.Errorf("%s: no row in the table", name)
+			continue
+		}
+		for _, tc := range []struct {
+			scen     core.Scenario
+			now, was float64
+		}{
+			{core.Baseline, row.now.baseline, row.was.baseline},
+			{core.RCF, row.now.rcf, row.was.rcf},
+			{core.BNFF, row.now.bnff, row.was.bnff},
+		} {
+			if tc.now > tc.was {
+				t.Errorf("%s %v: pinned peak %v MiB rose above %v", name, tc.scen, tc.now, tc.was)
+			}
+			g, err := models.Build(name, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := core.Restructure(g, tc.scen.Options()); err != nil {
+				t.Fatal(err)
+			}
+			if got := float64(plan(t, g).PeakBytes) / (1 << 20); got != tc.now {
+				t.Errorf("%s %v: planned peak %v MiB, want %v", name, tc.scen, got, tc.now)
+			}
 		}
 	}
 }

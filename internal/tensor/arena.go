@@ -7,8 +7,8 @@ import (
 
 // Arena is a deterministic best-fit range allocator for activation-sized
 // buffers. It exists so a training loop's steady state performs (almost) no
-// heap allocation: the executor requests every node output, x̂ map, gradient,
-// and workspace from its arena and returns each buffer at its last-reader step
+// heap allocation: the executor requests every node output, gradient, and
+// workspace from its arena and returns each buffer at its last-reader step
 // (the same live intervals internal/memplan computes), so iteration k+1
 // re-serves iteration k's storage instead of paying allocator+GC cost per
 // mini-batch.
