@@ -624,18 +624,25 @@ func TestSweepLanesBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
-// ReLU's backward may mask with its own output instead of its input:
-// relu(x) > 0 exactly where x > 0, so dy passes through the same elements and
-// dx has the same bits, every NaN payload of dy kept, whatever x holds. The
-// executor and memplan keep a ReLU's output, not its input, on this.
-func TestReLUMaskFromOutput(t *testing.T) {
-	specials := []uint32{
+// specialBits are the float32 bit patterns the bitwise tests plant: quiet
+// and signalling NaNs of either sign and several payloads, both zeros, both
+// infinities, subnormals and the largest finite values.
+func specialBits() []uint32 {
+	return []uint32{
 		0x7fc00000, 0xffc00000, 0x7f800001, 0xff812345, 0x7fbfffff, // NaN payloads
 		0x00000000, 0x80000000, // ±0
 		0x7f800000, 0xff800000, // ±Inf
 		0x00000001, 0x807fffff, 0x00400000, 0x80000001, // subnormals
 		0x7f7fffff, 0xff7fffff, // ±MaxFloat32
 	}
+}
+
+// ReLU's backward may mask with its own output instead of its input:
+// relu(x) > 0 exactly where x > 0, so dy passes through the same elements and
+// dx has the same bits, every NaN payload of dy kept, whatever x holds. The
+// executor and memplan keep a ReLU's output, not its input, on this.
+func TestReLUMaskFromOutput(t *testing.T) {
+	specials := specialBits()
 	// 11 channels split 1 + 5 + 5; 13-element planes leave a lane tail.
 	const n, c, hw = 3, 11, 13
 	x, dy := tensor.New(n, c, 1, hw), tensor.New(n, c, 1, hw)

@@ -162,3 +162,142 @@ func TestBackwardWeightsMatchesWindowWithoutDX(t *testing.T) {
 		t.Error("BackwardWeights accepted a BN window, whose dγ/dβ need the input gradient")
 	}
 }
+
+// A stored x̂ is a BN input whose statistics are μ = 0 and 1/σ = 1:
+// (x̂ − 0)·1 = x̂ for every float32. So the stored-x̂ BackwardInput and
+// BackwardWindow must give the bits of bodies that read x̂ straight — the
+// tile rectify(γ·x̂ + β), and dx = (γ·is/m)·(m·dy − dβ − x̂·dγ) — whatever x̂
+// holds. x̂ is fed raw bit patterns (NaN payloads, ±0, subnormals, ±Inf,
+// ±MaxFloat32) that no Normalize would write; γ and σ² are NaN together on
+// one channel, dγ and dβ are NaN on others, and the mean, which a stored x̂
+// never reads, is NaN throughout. Every output is compared bit for bit,
+// payloads included.
+func TestStoredXHatIsIdentityRegeneration(t *testing.T) {
+	const n, c, h, wd, cout = 3, 11, 3, 5, 6
+	hw := h * wd
+	specials := specialBits()
+	conv := NewConv2D(c, cout, 3, 1, 1)
+	for seed := uint64(1); seed <= 4; seed++ {
+		// plant fills a tensor with normal values and puts a special at
+		// every k-th element.
+		plant := func(k int, shape ...int) *tensor.Tensor {
+			x := tensor.New(shape...)
+			tensor.NewRNG(seed*100+uint64(k)).FillNormal(x, 0, 1)
+			for i := int(seed) % k; i < len(x.Data); i += k {
+				x.Data[i] = math.Float32frombits(specials[(i/k+int(seed))%len(specials)])
+			}
+			return x
+		}
+		xhat, dy := plant(3, n, c, h, wd), plant(4, n, c, h, wd)
+		dyw, w := plant(5, conv.OutShape(xhat.Shape())...), tensor.New(conv.WeightShape()...)
+		tensor.NewRNG(seed).FillNormal(w, 0, 1)
+		gamma, beta, dgamma, dbeta := plant(3, c), plant(4, c), plant(5, c), plant(7, c)
+		variance := tensor.New(c)
+		for i, v := range fillRand(seed, c) {
+			variance.Data[i] = v * v
+		}
+		variance.Data[1], variance.Data[6] = 0, float32(math.Inf(1))
+		variance.Data[8] = -1 // 1/√(σ² + ε) is NaN
+		gamma.Data[2], variance.Data[2] = math.Float32frombits(0x7fc12345), math.Float32frombits(0xffc54321)
+		gamma.Data[9], variance.Data[9] = math.Float32frombits(0x7f800005), math.Float32frombits(0x7fa00007)
+		dgamma.Data[3], dbeta.Data[4] = math.Float32frombits(0xff800003), math.Float32frombits(0x7fc00009)
+		dgamma.Data[2], dbeta.Data[9] = math.Float32frombits(0x7fc0000b), math.Float32frombits(0xffc0000d)
+		mean := tensor.New(c)
+		for i := range mean.Data {
+			mean.Data[i] = math.Float32frombits(0x7fc00000 | uint32(i+1))
+		}
+		stats := &BNStats{Mean: mean, Var: variance, M: 2 * n * hw}
+
+		forEachBody(func(body string) {
+			for _, workers := range []int{1, 4} {
+				pool := parallel.New(workers)
+				bn := NewBatchNorm(c).WithPool(pool)
+				inv := bn.InvStdScratch(stats)
+
+				// dx = (γ·is/m)·(m·dy − dβ − x̂·dγ), over the stored x̂ as is,
+				// in the operand order of each body: γ before is in both, then
+				// x̂ before dγ and the bracket before coef in the scalar body,
+				// dγ before x̂ and coef before the bracket on the lanes.
+				lanes := body != "scalar"
+				m := float32(stats.M)
+				dxWant := make([]float32, len(xhat.Data))
+				for i := 0; i < n; i++ {
+					for ic, g := range gamma.Data {
+						is, dg, db := inv[ic], dgamma.Data[ic], dbeta.Data[ic]
+						coef := sse(g, is, g*is) / m
+						for j := (i*c + ic) * hw; j < (i*c+ic+1)*hw; j++ {
+							d, v := dy.Data[j], xhat.Data[j]
+							if lanes {
+								r := float32(m*d) - db - sse(dg, v, dg*v)
+								dxWant[j] = sse(coef, r, coef*r)
+							} else {
+								r := float32(m*d) - db - sse(v, dg, v*dg)
+								dxWant[j] = sse(r, coef, r*coef)
+							}
+						}
+					}
+				}
+				dx, err := bn.BackwardInput(dy, xhat, gamma, stats, dgamma, dbeta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, v := range dxWant {
+					if got := dx.Data[j]; math.Float32bits(got) != math.Float32bits(v) {
+						t.Fatalf("%s, workers %d, seed %d: BackwardInput dx[%d] = %#x, want %#x (x̂ %#x)", body, workers, seed, j,
+							math.Float32bits(got), math.Float32bits(v), math.Float32bits(xhat.Data[j]))
+					}
+				}
+
+				// The window's tile rectify(γ·x̂ + β), convolved backward by the
+				// plain window, masked by the tile and reduced against x̂.
+				tile := tensor.New(xhat.Shape()...)
+				for i := 0; i < n; i++ {
+					for ic, g := range gamma.Data {
+						be := beta.Data[ic]
+						for j := (i*c + ic) * hw; j < (i*c+ic+1)*hw; j++ {
+							tile.Data[j] = rectify(float32(g*xhat.Data[j]) + be)
+						}
+					}
+				}
+				cv := conv.WithPool(pool)
+				dz, dwWant, _, _, err := cv.BackwardWindow(dyw, tile, w, ConvWindow{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, v := range dz.Data {
+					dz.Data[j] = passIf(v, tile.Data[j])
+				}
+				dgWant, dbWant, err := bn.BackwardReduce(dz, xhat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dv, dw, dg, db, err := cv.BackwardWindow(dyw, xhat, w, ConvWindow{BN: bn, Gamma: gamma, Beta: beta, StoreXHat: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, o := range []struct {
+					name      string
+					got, want []float32
+				}{{"dv", dv.Data, dz.Data}, {"dW", dw.Data, dwWant.Data}, {"dγ", dg.Data, dgWant.Data}, {"dβ", db.Data, dbWant.Data}} {
+					if !bitsEqual(o.got, o.want) {
+						t.Errorf("%s, workers %d, seed %d: stored-x̂ BackwardWindow %s differs from the tile rectify(γ·x̂ + β)", body, workers, seed, o.name)
+					}
+				}
+			}
+		})
+	}
+}
+
+// sse is r, the IEEE result of a two-operand SSE or AVX instruction whose
+// first source is a and second b, with the instruction's NaN rule: a NaN
+// operand passes through quieted, a's where both are NaN. Go orders the
+// operands of a commutative operation as it likes; a lane kernel fixes them.
+func sse(a, b, r float32) float32 {
+	switch {
+	case a != a:
+		return math.Float32frombits(math.Float32bits(a) | 0x00400000)
+	case b != b:
+		return math.Float32frombits(math.Float32bits(b) | 0x00400000)
+	}
+	return r
+}
