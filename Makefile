@@ -147,10 +147,12 @@ fuzz:
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz '^FuzzArena$$' -fuzztime 30s
 
 # Non-test Go lines per top-level directory (and the total): the number
-# ROADMAP's "less code" targets are quoted against.
+# ROADMAP's "less code" targets are quoted against. Then the hand-written
+# assembly of the lane kernels, on a row of its own outside the Go total.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' | xargs wc -l | \
 		awk '$$2 != "total" { split($$2, p, "/"); n[p[2]] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+	@cat internal/layers/*.s | wc -l | awk '{ printf "%7d asm (internal/layers)\n", $$1 }'
 
 check: vet race lint smoke fleet-smoke profile-smoke ddp-smoke alloc-guard poison bce nofma

@@ -59,19 +59,6 @@ func BNBackwardTrace(c *Cache, dy, saved, dx Region) {
 	SweepWriteNT(c, dx)
 }
 
-// ReLUForwardTrace replays a standalone ReLU: read input, write output.
-func ReLUForwardTrace(c *Cache, in, out Region) {
-	SweepRead(c, in)
-	SweepWriteNT(c, out)
-}
-
-// ConvStatsForwardTrace replays the fused CONV+sub-BN1 output side: the
-// ofmap is written once and the statistics accumulate in the same pass, so
-// the only traffic is the write itself.
-func ConvStatsForwardTrace(c *Cache, out Region) {
-	SweepWriteNT(c, out)
-}
-
 // FusedBNReLUConvTrace replays the (sub-BN2)-ReLU-CONV input side: one read
 // of the preceding ofmap (I2') and one write of x̂ (O2').
 func FusedBNReLUConvTrace(c *Cache, in, xhat Region) {

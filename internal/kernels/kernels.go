@@ -35,7 +35,9 @@
 // kept because benchmark/ times these names. The executor stores no x̂: its
 // fused windows take the BN input x, and the backward window and the
 // statistics producer's sub-BN1' (BatchNorm.BackwardInputFrom) regenerate x̂
-// per sample from x and the statistics, with the same bits.
+// per sample from x and the statistics, with the same bits. The stored form
+// has no body of its own: its backward window runs the regenerating one over
+// x̂ with μ = +0 and 1/σ = 1, under which (x̂ − 0)·1 is x̂.
 //
 // The (sub-BN1')-CONV1 backward is not a window: the executor composes
 // BatchNorm.BackwardInputFrom with the convolution's backward window itself.

@@ -384,6 +384,19 @@ func (b BatchNorm) InvStdScratch(stats *BNStats) []float32 {
 	return inv
 }
 
+// identityStats returns the per-channel μ = +0 and 1/σ = 1 from the layer's
+// arena (return both with its PutFloats): a stored x̂ is a BN input under
+// them, since (x̂ − 0)·1 is x̂ in IEEE arithmetic, a NaN quieted as the
+// product that reads it would quiet it. So a stored-x̂ backward runs the
+// regenerating body.
+func (b BatchNorm) identityStats() (mean, inv []float32) {
+	mean, inv = b.alloc.Floats(b.Channels), b.alloc.Floats(b.Channels)
+	for i := range inv {
+		inv[i] = 1
+	}
+	return mean, inv
+}
+
 // Normalize is sub-BN2: y = γ·(x−μ)/√(σ²+ε) + β. It also returns x̂, the
 // O2' map of Figure 5 that a stored-x̂ backward (BackwardReduce,
 // BackwardInput) consumes.
@@ -610,7 +623,8 @@ func reduceGammaBeta(pg, pb []float64, n, c int) (dgamma, dbeta *tensor.Tensor) 
 //	dx = γ·invstd/M · (M·dy − dβ − x̂·dγ)
 //
 // which carries no further cross-batch dependency and therefore fuses into
-// the preceding CONV's backward sweep.
+// the preceding CONV's backward sweep. It is BackwardInputFrom's body over x̂
+// as the BN input under μ = +0 and 1/σ = 1, with γ·invstd in place of γ.
 func (b BatchNorm) BackwardInput(dy, xhat, gamma *tensor.Tensor, stats *BNStats, dgamma, dbeta *tensor.Tensor) (*tensor.Tensor, error) {
 	return b.backwardInput(dy, xhat, false, gamma, stats, dgamma, dbeta)
 }
@@ -623,8 +637,10 @@ func (b BatchNorm) BackwardInputFrom(dy *tensor.Tensor, x Map, gamma *tensor.Ten
 	return b.backwardInput(dy, x, true, gamma, stats, dgamma, dbeta)
 }
 
-// backwardInput is BackwardInput over xs = x̂, or with regen
-// BackwardInputFrom over xs = x.
+// backwardInput is BackwardInputFrom over xs = x, or with regen false
+// BackwardInput over xs = x̂: the same body, over x̂ as x with μ = +0 and
+// 1/σ = 1 and with γ·is in place of γ, so coef = (γ·is)·1/m and
+// v = (x̂ − 0)·1 keep the bits of γ·is/m and x̂.
 func (b BatchNorm) backwardInput(dy *tensor.Tensor, xs Map, regen bool, gamma *tensor.Tensor, stats *BNStats, dgamma, dbeta *tensor.Tensor) (*tensor.Tensor, error) {
 	if err := b.check(dy); err != nil {
 		return nil, err
@@ -648,17 +664,29 @@ func (b BatchNorm) backwardInput(dy *tensor.Tensor, xs Map, regen bool, gamma *t
 	if stats.M > 0 {
 		m = float32(stats.M)
 	}
-	r := runsOf(xs)
-	inv := b.InvStdScratch(stats)
+	r, g, mean, inv := runsOf(xs), gamma.Data, stats.Mean.Data, b.InvStdScratch(stats)
+	if !regen {
+		gs := b.alloc.Floats(b.Channels)
+		for i, v := range g {
+			gs[i] = v * inv[i]
+		}
+		b.alloc.PutFloats(inv)
+		g = gs
+		mean, inv = b.identityStats()
+	}
 	dx := b.alloc.Get(dy.Shape()...)
 	if b.pool.Serial() {
-		bnInputGradChunk(r, regen, dy.Data, dx.Data, gamma.Data, inv, stats.Mean.Data, dgamma.Data, dbeta.Data, m, 0, n)
+		bnInputGradChunk(r, dy.Data, dx.Data, g, inv, mean, dgamma.Data, dbeta.Data, m, 0, n)
 	} else {
 		b.pool.Run(n, func(lo, hi int) {
-			bnInputGradChunk(r, regen, dy.Data, dx.Data, gamma.Data, inv, stats.Mean.Data, dgamma.Data, dbeta.Data, m, lo, hi)
+			bnInputGradChunk(r, dy.Data, dx.Data, g, inv, mean, dgamma.Data, dbeta.Data, m, lo, hi)
 		})
 	}
 	b.alloc.PutFloats(inv)
+	if !regen {
+		b.alloc.PutFloats(g)
+		b.alloc.PutFloats(mean)
+	}
 	return dx, nil
 }
 
@@ -666,13 +694,13 @@ func (b BatchNorm) backwardInput(dy *tensor.Tensor, xs Map, regen bool, gamma *t
 // [lo, hi), one run of xs at a time.
 //
 // hot-path: runs once per sample per step; all buffers are caller-provided.
-func bnInputGradChunk(xs runs, regen bool, dy, dx, gamma, inv, mean, dgamma, dbeta []float32, m float32, lo, hi int) {
+func bnInputGradChunk(xs runs, dy, dx, gamma, inv, mean, dgamma, dbeta []float32, m float32, lo, hi int) {
 	c := len(gamma)
 	for i := lo; i < hi; i++ {
 		for p, c0 := 0, 0; p < xs.count(); p++ {
 			run, cp := xs.run(p, i)
 			s := (i*c + c0) * xs.hw
-			gradRows(dy[s:s+len(run)], run, dx[s:s+len(run)], gamma[c0:c0+cp], inv[c0:], mean[c0:], dgamma[c0:], dbeta[c0:], m, xs.hw, regen)
+			gradRows(dy[s:s+len(run)], run, dx[s:s+len(run)], gamma[c0:c0+cp], inv[c0:], mean[c0:], dgamma[c0:], dbeta[c0:], m, xs.hw)
 			c0 += cp
 		}
 	}

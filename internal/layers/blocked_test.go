@@ -720,17 +720,17 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { fwd.run(0, 0, 2) }); allocs != 0 {
 		t.Errorf("forward window allocates %v per run, want 0", allocs)
 	}
-	// The stored-x̂ backward and the one regenerating x̂ from x.
-	for _, bwd := range []convBwd{
-		{tileFill: tileFill{rect: true, g: gamma, b: beta}, src: runsOf(tensor.MustFromSlice(fwd.xh, 2, 3, 9, 9))},
-		{tileFill: fill, src: runsOf(x), xhs: make([]float32, 3*9*9)},
-	} {
-		bwd.geom, bwd.dy, bwd.w = geom, fillRand(10, 2*8*9*9), w
-		bwd.dx, bwd.dw, bwd.tiles = make([]float32, 2*3*9*9), make([]float32, len(w)), make([]float32, 3*9*9)
-		bwd.psg, bwd.psb = make([]float64, 2*3), make([]float64, 2*3)
-		if allocs := testing.AllocsPerRun(10, func() { bwd.run(0, 0, 2) }); allocs != 0 {
-			t.Errorf("backward window allocates %v per run, want 0", allocs)
-		}
+	// The backward, regenerating x̂ from x (a stored x̂ is x under μ = +0
+	// and 1/σ = 1: the same body).
+	bwd := convBwd{
+		tileFill: fill,
+		geom:     geom, src: runsOf(x), dy: fillRand(10, 2*8*9*9), w: w,
+		dx: make([]float32, 2*3*9*9), dw: make([]float32, len(w)),
+		tiles: make([]float32, 3*9*9), xhs: make([]float32, 3*9*9),
+		psg: make([]float64, 2*3), psb: make([]float64, 2*3),
+	}
+	if allocs := testing.AllocsPerRun(10, func() { bwd.run(0, 0, 2) }); allocs != 0 {
+		t.Errorf("backward window allocates %v per run, want 0", allocs)
 	}
 
 	// The BN and ReLU entry points at one worker with an arena, on both

@@ -20,11 +20,11 @@ package layers
 //	           4 columns at a time, from 4 input channels): 4 output × 8|16
 //	           input channels
 //	FC         one column, so channels: 32 inputs (dx, dW) or outputs (forward)
-//	normalize  Normalize, the BNFF forward tile, x̂ regenerated for a backward:
-//	           8 elements of a channel row
+//	normalize  Normalize, the BNFF window tile both ways, x̂ regenerated for a
+//	           backward: 8 elements of a channel row
 //	grad       BackwardInput: 8 elements of a channel row
-//	rectify    ReLU forward and backward, the rectify and scale+rectify tiles,
-//	           the window's mask: 8 elements, VCMPPS GT_OQ against +0, VANDPS
+//	rectify    ReLU forward and backward, the rectify tile, the window's mask:
+//	           8 elements, VCMPPS GT_OQ against +0, VANDPS
 //	reduce     ComputeStats' two passes, MVF moments, dγ/dβ partials: 8
 //	           channels (4 to 7 with lanes sharing rows), one chain each, rows
 //	           transposed 8 × 4 in registers
@@ -579,10 +579,11 @@ func (g *ConvGeom) fcBackward(dy, x, w, dx, dw []float32) {
 
 // normRows is Normalize's body on one sample of len(mean) channel rows of hw
 // elements: x̂ = (x − μ)·is into xh and γ·x̂ + β into y, rectified when rect
-// (the BNFF forward tile). Each element's x̂ is stored before its y, so xh may
-// be y when only y is wanted. With gamma nil only x̂ is written, and y, beta
-// and rect go unread: the forward's x̂, regenerated by a backward that stored
-// none.
+// (the BNFF window tile, forward and backward). Each element's x̂ is stored
+// before its y, so xh may be y when only y is wanted. With gamma nil only x̂
+// is written, and y, beta and rect go unread: the forward's x̂, regenerated
+// by a backward that stored none. A stored x̂ runs it as x with μ = +0 and
+// is = 1: (x̂ − 0)·1 is x̂, a NaN quieted as γ·x̂ would quiet it.
 //
 // hot-path: runs once per sample per BN forward and backward reduce; all buffers are the caller's.
 func normRows(x, xh, y, mean, inv, gamma, beta []float32, hw int, rect bool) {
@@ -634,44 +635,20 @@ func normRows(x, xh, y, mean, inv, gamma, beta []float32, hw int, rect bool) {
 	}
 }
 
-// scaleRectRows writes the backward's regenerated tile t = rectify(γ·x + β)
-// from one sample x of len(gamma) channel rows of hw elements.
-//
-// hot-path: runs once per sample per BN backward window.
-func scaleRectRows(x, t, gamma, beta []float32, hw int) {
-	c := len(gamma)
-	n := c * hw
-	x, t, beta = x[:n:n], t[:n:n], beta[:c]
-	if useLanes && n > 0 {
-		scaleRectifyLanes(&x[0], &t[0], &gamma[0], &beta[0], c, hw)
-		return
-	}
-	for ic, g := range gamma {
-		lo, hi := ic*hw, (ic+1)*hw
-		be, trow := beta[ic], t[lo:hi]
-		for i, v := range x[lo:hi] {
-			trow[i] = rectify(float32(g*v) + be)
-		}
-	}
-}
-
 // gradRows is BackwardInput's body on one sample of len(gamma) channel rows
-// of hw elements: dx = coef·(m·dy − dβ − x̂·dγ), coef = γ·is/m per channel.
-// xs is x̂, or with regen the BN input x, each x̂ then regenerated as normRows
-// computes it, (x − μ)·is, so dx has the bits the stored x̂ would give.
+// of hw elements: dx = coef·(m·dy − dβ − v·dγ), coef = γ·is/m per channel,
+// with v = (x − μ)·is regenerated from the BN input x as normRows computes
+// it, so dx has the bits the stored x̂ would give. A stored x̂ runs it as x
+// with μ = +0 and is = 1, and γ·is in gamma: (x̂ − 0)·1 is x̂, NaNs quieted as
+// any product would quiet them.
 //
 // hot-path: runs once per sample per BN backward; all buffers are the caller's.
-func gradRows(dy, xs, dx, gamma, inv, mean, dgamma, dbeta []float32, m float32, hw int, regen bool) {
+func gradRows(dy, x, dx, gamma, inv, mean, dgamma, dbeta []float32, m float32, hw int) {
 	c := len(gamma)
 	n := c * hw
-	dy, xs, dx, inv, mean, dgamma, dbeta = dy[:n:n], xs[:n:n], dx[:n:n], inv[:c], mean[:c], dgamma[:c], dbeta[:c]
+	dy, x, dx, inv, mean, dgamma, dbeta = dy[:n:n], x[:n:n], dx[:n:n], inv[:c], mean[:c], dgamma[:c], dbeta[:c]
 	if useLanes && n > 0 {
-		g0 := &gamma[0]
-		if regen {
-			gradRegenLanes(&dy[0], &xs[0], &dx[0], g0, &inv[0], &mean[0], &dgamma[0], &dbeta[0], m, c, hw)
-		} else {
-			gradLanes(&dy[0], &xs[0], &dx[0], g0, &inv[0], &dgamma[0], &dbeta[0], m, c, hw)
-		}
+		gradRegenLanes(&dy[0], &x[0], &dx[0], &gamma[0], &inv[0], &mean[0], &dgamma[0], &dbeta[0], m, c, hw)
 		return
 	}
 	for ic, g := range gamma {
@@ -679,12 +656,9 @@ func gradRows(dy, xs, dx, gamma, inv, mean, dgamma, dbeta []float32, m float32, 
 		mu, is := mean[ic], inv[ic]
 		coef := g * is / m
 		dg, db := dgamma[ic], dbeta[ic]
-		xrow, dxrow := xs[lo:hi], dx[lo:hi]
+		xrow, dxrow := x[lo:hi], dx[lo:hi]
 		for i, d := range dy[lo:hi] {
-			v := xrow[i]
-			if regen {
-				v = (v - mu) * is
-			}
+			v := (xrow[i] - mu) * is
 			dxrow[i] = coef * (float32(m*d) - db - float32(v*dg))
 		}
 	}

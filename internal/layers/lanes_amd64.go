@@ -24,12 +24,6 @@ func hatLanes(x, xh, mean, inv *float32, c, hw int)
 func normRectifyLanes(x, xh, t, mean, inv, gamma, beta *float32, c, hw int)
 
 //go:noescape
-func scaleRectifyLanes(x, t, gamma, beta *float32, c, hw int)
-
-//go:noescape
-func gradLanes(dy, xh, dx, gamma, inv, dgamma, dbeta *float32, m float32, c, hw int)
-
-//go:noescape
 func gradRegenLanes(dy, x, dx, gamma, inv, mean, dgamma, dbeta *float32, m float32, c, hw int)
 
 //go:noescape

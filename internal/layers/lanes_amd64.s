@@ -487,131 +487,11 @@ nrDone:
 	VZEROUPPER
 	RET
 
-// func scaleRectifyLanes(x, t, gamma, beta *float32, c, hw int)
-//
-// The backward's regenerated tile from x̂: t = rectify(γ·x + β).
-TEXT ·scaleRectifyLanes(SB), NOSPLIT, $0-48
-	MOVQ   x+0(FP), SI
-	MOVQ   t+8(FP), DX
-	MOVQ   gamma+16(FP), R10
-	MOVQ   beta+24(FP), R11
-	MOVQ   c+32(FP), BX
-	MOVQ   hw+40(FP), R12
-	MOVQ   R12, R13
-	ANDQ   $-8, R13
-	VXORPS Y15, Y15, Y15
-	TESTQ  BX, BX
-	JZ     srDone
-
-srRow:
-	VBROADCASTSS (R10), Y6
-	VBROADCASTSS (R11), Y7
-	XORQ         AX, AX
-	CMPQ         AX, R13
-	JGE          srTail
-
-srVec:
-	VMOVUPS (SI)(AX*4), Y0
-	VMULPS  Y0, Y6, Y0
-	VADDPS  Y7, Y0, Y0
-	VCMPPS  $0x1e, Y15, Y0, Y1
-	VANDPS  Y1, Y0, Y0
-	VMOVUPS Y0, (DX)(AX*4)
-	ADDQ    $8, AX
-	CMPQ    AX, R13
-	JLT     srVec
-
-srTail:
-	CMPQ   AX, R12
-	JGE    srNext
-	VMOVSS (SI)(AX*4), X0
-	VMULSS X0, X6, X0
-	VADDSS X7, X0, X0
-	VCMPSS $0x1e, X15, X0, X1
-	VANDPS X1, X0, X0
-	VMOVSS X0, (DX)(AX*4)
-	INCQ   AX
-	JMP    srTail
-
-srNext:
-	LEAQ (SI)(R12*4), SI
-	LEAQ (DX)(R12*4), DX
-	ADDQ $4, R10
-	ADDQ $4, R11
-	DECQ BX
-	JNZ  srRow
-
-srDone:
-	VZEROUPPER
-	RET
-
-// func gradLanes(dy, xh, dx, gamma, inv, dgamma, dbeta *float32, m float32, c, hw int)
-//
-// BackwardInput's body: coef = γ·is/m per channel, then
-// dx = coef·((m·dy − dβ) − x̂·dγ).
-TEXT ·gradLanes(SB), NOSPLIT, $0-80
-	MOVQ         dy+0(FP), SI
-	MOVQ         xh+8(FP), DI
-	MOVQ         dx+16(FP), DX
-	MOVQ         gamma+24(FP), R8
-	MOVQ         inv+32(FP), R9
-	MOVQ         dgamma+40(FP), R10
-	MOVQ         dbeta+48(FP), R11
-	VBROADCASTSS m+56(FP), Y8
-	MOVQ         c+64(FP), BX
-	MOVQ         hw+72(FP), R12
-	MOVQ         R12, R13
-	ANDQ         $-8, R13
-	TESTQ        BX, BX
-	JZ           gradDone
-
-gradRow:
-	VMOVSS       (R8), X4
-	VMULSS       (R9), X4, X4
-	VDIVSS       X8, X4, X4
-	VBROADCASTSS X4, Y4
-	VBROADCASTSS (R11), Y5
-	VBROADCASTSS (R10), Y6
-	XORQ         AX, AX
-	CMPQ         AX, R13
-	JGE          gradTail
-
-gradVec:
-	VMULPS  (SI)(AX*4), Y8, Y0
-	VSUBPS  Y5, Y0, Y0
-	VMULPS  (DI)(AX*4), Y6, Y1
-	VSUBPS  Y1, Y0, Y0
-	VMULPS  Y0, Y4, Y0
-	VMOVUPS Y0, (DX)(AX*4)
-	ADDQ    $8, AX
-	CMPQ    AX, R13
-	JLT     gradVec
-
-gradTail:
-	CMPQ   AX, R12
-	JGE    gradNext
-	VMOVSS (SI)(AX*4), X0
-	VMULSS X0, X8, X0
-	VSUBSS X5, X0, X0
-	VMOVSS (DI)(AX*4), X1
-	VMULSS X1, X6, X1
-	VSUBSS X1, X0, X0
-	VMULSS X0, X4, X0
-	VMOVSS X0, (DX)(AX*4)
-	INCQ   AX
-	JMP    gradTail
-
-gradNext:
-	NEXT_ROW(SI, DI, DX, gradRow)
-
-gradDone:
-	VZEROUPPER
-	RET
-
 // func gradRegenLanes(dy, x, dx, gamma, inv, mean, dgamma, dbeta *float32, m float32, c, hw int)
 //
-// gradLanes with x̂ regenerated from the BN input x as normLanes computes it,
-// v = (x − μ)·is, then dx = coef·((m·dy − dβ) − v·dγ).
+// BackwardInput's body: coef = γ·is/m per channel, x̂ regenerated from the BN
+// input x as normLanes computes it, v = (x − μ)·is, then
+// dx = coef·((m·dy − dβ) − v·dγ).
 TEXT ·gradRegenLanes(SB), NOSPLIT, $0-88
 	MOVQ         dy+0(FP), SI
 	MOVQ         x+8(FP), DI

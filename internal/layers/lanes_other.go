@@ -31,14 +31,6 @@ func normRectifyLanes(x, xh, t, mean, inv, gamma, beta *float32, c, hw int) {
 	panic("layers: no lane kernels on this architecture")
 }
 
-func scaleRectifyLanes(x, t, gamma, beta *float32, c, hw int) {
-	panic("layers: no lane kernels on this architecture")
-}
-
-func gradLanes(dy, xh, dx, gamma, inv, dgamma, dbeta *float32, m float32, c, hw int) {
-	panic("layers: no lane kernels on this architecture")
-}
-
 func gradRegenLanes(dy, x, dx, gamma, inv, mean, dgamma, dbeta *float32, m float32, c, hw int) {
 	panic("layers: no lane kernels on this architecture")
 }

@@ -282,20 +282,13 @@ func TestLaneChecksRefuseShortOperands(t *testing.T) {
 			}
 			return func() { normRows(ops["x"], ops["xh"], nil, buf(c), ops["inv"], nil, nil, hw, false) }
 		},
-		"scaleRectRows": func(short string) func() {
-			ops := map[string][]float32{"x": buf(c * hw), "t": buf(c * hw), "beta": buf(c)}
-			if short != "" {
-				ops[short] = ops[short][1:]
-			}
-			return func() { scaleRectRows(ops["x"], ops["t"], buf(c), ops["beta"], hw) }
-		},
 		"gradRows": func(short string) func() {
-			ops := map[string][]float32{"dy": buf(c * hw), "xh": buf(c * hw), "dx": buf(c * hw), "inv": buf(c), "mean": buf(c), "dgamma": buf(c), "dbeta": buf(c)}
+			ops := map[string][]float32{"dy": buf(c * hw), "x": buf(c * hw), "dx": buf(c * hw), "inv": buf(c), "mean": buf(c), "dgamma": buf(c), "dbeta": buf(c)}
 			if short != "" {
 				ops[short] = ops[short][1:]
 			}
 			return func() {
-				gradRows(ops["dy"], ops["xh"], ops["dx"], buf(c), ops["inv"], ops["mean"], ops["dgamma"], ops["dbeta"], 1, hw, true)
+				gradRows(ops["dy"], ops["x"], ops["dx"], buf(c), ops["inv"], ops["mean"], ops["dgamma"], ops["dbeta"], 1, hw)
 			}
 		},
 		"maskRun": func(short string) func() {
@@ -344,8 +337,7 @@ func TestLaneChecksRefuseShortOperands(t *testing.T) {
 	operands := map[string][]string{
 		"normRows":      {"x", "xh", "y", "inv", "gamma", "beta"},
 		"normRows/x̂":   {"x", "xh", "inv"},
-		"scaleRectRows": {"x", "t", "beta"},
-		"gradRows":      {"dy", "xh", "dx", "inv", "mean", "dgamma", "dbeta"},
+		"gradRows":      {"dy", "x", "dx", "inv", "mean", "dgamma", "dbeta"},
 		"maskRun":       {"v", "z"},
 		"momentRows":    {"x", "psum", "psumsq"},
 		"meanRows":      {"x", "pmean"},
@@ -480,11 +472,13 @@ func sweepOutputs(t *testing.T, pool *parallel.Pool, n, c, hw int, poisoned bool
 	per := c * hw
 	inv := bn.InvStdScratch(fixed)
 	rect, scale, norm, nxh := make([]float32, n*per), make([]float32, n*per), make([]float32, n*per), make([]float32, n*per)
+	zero, one := bn.identityStats()
+	sxh := make([]float32, per)
 	masked := append([]float32(nil), dy.Data...)
 	for in := 0; in < n; in++ {
 		s := in * per
 		(&tileFill{rect: true}).fill(rect[s:s+per], x.Data[s:s+per], nil, 0, hw)
-		(&tileFill{rect: true, g: gamma.Data, b: beta.Data}).fill(scale[s:s+per], x.Data[s:s+per], nil, 0, hw)
+		(&tileFill{rect: true, mean: zero, inv: one, g: gamma.Data, b: beta.Data}).fill(scale[s:s+per], x.Data[s:s+per], sxh, 0, hw)
 		f := tileFill{rect: true, mean: fixed.Mean.Data, inv: inv, g: gamma.Data, b: beta.Data}
 		f.fill(norm[s:s+per], x.Data[s:s+per], nxh[s:s+per], 0, hw)
 		maskRun(masked[s:s+per], masked[s:s+per], x.Data[s:s+per])
@@ -695,9 +689,7 @@ func BenchmarkSweeps(b *testing.B) {
 		pm, pv := make([]float32, n*c), make([]float32, n*c)
 		pg, pb := make([]float64, n*c), make([]float64, n*c)
 		f := tileFill{rect: true, mean: mean, inv: inv, g: gamma, b: beta}
-		sf := tileFill{rect: true, g: gamma, b: beta}
 		xr := runsOf(tensor.MustFromSlice(x, n, c, sh[2], sh[3]))
-		xhr := runsOf(tensor.MustFromSlice(xh, n, c, sh[2], sh[3]))
 		run := func(name string, words int, sweep func()) {
 			b.Run(name+"/"+shape, func(b *testing.B) {
 				b.SetBytes(int64(4 * words * size))
@@ -709,16 +701,10 @@ func BenchmarkSweeps(b *testing.B) {
 		run("copy", 2, func() { copy(y, x) })
 		forEachBody(func(body string) {
 			run("normalize/"+body, 3, func() { bnNormalizeChunk(xr, xh, y, mean, inv, gamma, beta, 0, n) })
-			run("backward-input/"+body, 3, func() { bnInputGradChunk(xhr, false, dy, y, gamma, inv, mean, mean, beta, 1e4, 0, n) })
-			run("backward-input-regen/"+body, 3, func() { bnInputGradChunk(xr, true, dy, y, gamma, inv, mean, mean, beta, 1e4, 0, n) })
+			run("backward-input/"+body, 3, func() { bnInputGradChunk(xr, dy, y, gamma, inv, mean, mean, beta, 1e4, 0, n) })
 			run("fill-normalize/"+body, 3, func() {
 				for in := 0; in < n; in++ {
 					f.fill(y[in*per:(in+1)*per], x[in*per:(in+1)*per], xh[in*per:(in+1)*per], 0, hw)
-				}
-			})
-			run("fill-scale/"+body, 2, func() {
-				for in := 0; in < n; in++ {
-					sf.fill(y[in*per:(in+1)*per], x[in*per:(in+1)*per], nil, 0, hw)
 				}
 			})
 			run("rectify/"+body, 2, func() { maskRun(y, x, x) })

@@ -48,7 +48,8 @@ type ConvWindow struct {
 
 	// StoreXHat (under BN) is the stored-x̂ form of the fusion, Figure 5a's
 	// O2': forward also writes x̂ and returns it, and backward takes that x̂
-	// as its source in place of x and In.
+	// as its source in place of x and In. The backward runs the same
+	// regenerating body over x̂ with μ = +0 and 1/σ = 1, which give x̂ back.
 	StoreXHat bool
 
 	// Bias (forward) seeds every output accumulator of channel oc with
@@ -95,8 +96,9 @@ func (win ConvWindow) check(c Conv2D, forward bool) error {
 
 // tileFill is the prologue both windows share: it writes one sample's conv
 // ifmap into a chunk-private tile. The zero value copies (a plain convolution
-// reading a Concat); rect rectifies; with g/b set the tile is ReLU(γ·x̂+β),
-// from x normalized by mean/inv or, with mean nil, from a stored x̂.
+// reading a Concat); rect rectifies; with mean, inv, g and b set the tile is
+// ReLU(γ·x̂+β), x̂ being x normalized by mean and inv — a stored x̂ is x with
+// mean +0 and inv 1.
 type tileFill struct {
 	rect            bool
 	mean, inv, g, b []float32
@@ -104,8 +106,8 @@ type tileFill struct {
 
 // fill writes tile from one run src holding channels [c0, c0+len(src)/hw) of
 // the ifmap, hw elements a channel. Normalizing, it also writes x̂ to xh: the
-// forward's stored O2', the x̂ a regenerating backward reduces against, or
-// the tile itself where nothing keeps x̂ — the same bits every time.
+// forward's stored O2', the x̂ a backward reduces against, or the tile itself
+// where nothing keeps x̂ — the same bits every time.
 //
 // hot-path: runs once per run per sample per direction; all buffers are the caller's.
 func (f *tileFill) fill(tile, src, xh []float32, c0, hw int) {
@@ -113,8 +115,6 @@ func (f *tileFill) fill(tile, src, xh []float32, c0, hw int) {
 	switch {
 	case f.mean != nil:
 		normRows(src, xh, tile, f.mean[c0:c0+c], f.inv[c0:], f.g[c0:], f.b[c0:], hw, true)
-	case f.g != nil:
-		scaleRectRows(src, tile, f.g[c0:c0+c], f.b[c0:], hw)
 	case f.rect:
 		maskRun(tile[:len(src)], src, src)
 	default:
@@ -281,8 +281,9 @@ func (sp *convFwd) run(chunk, lo, hi int) {
 // gradient dy and the forward's source — x, or the stored x̂ under BN with
 // win.StoreXHat — it returns the gradient with respect to that source's
 // pre-activation and dW, plus dγ/dβ under BN. The ifmap the forward never
-// stored is regenerated per sample into a chunk-private tile (under BN from
-// x, x̂ with it), so no feature-map-sized scratch exists.
+// stored is regenerated per sample into a chunk-private tile (under BN with
+// x̂ beside it, from x, or from a stored x̂ as x with μ = +0 and 1/σ = 1), so
+// no feature-map-sized scratch exists.
 func (c Conv2D) BackwardWindow(dy *tensor.Tensor, src Map, w *tensor.Tensor, win ConvWindow) (dx, dw, dgamma, dbeta *tensor.Tensor, err error) {
 	if err := c.checkBackward(dy, src, w, win); err != nil {
 		return nil, nil, nil, nil, err
@@ -356,10 +357,12 @@ func (c Conv2D) backwardWindow(sp convBwd, n int, win ConvWindow) (dgamma, dbeta
 	}
 	if win.Gamma != nil {
 		sp.tileFill = tileFill{rect: true, g: win.Gamma.Data, b: win.Beta.Data}
-		if !win.StoreXHat {
+		if win.StoreXHat {
+			sp.mean, sp.inv = win.BN.identityStats()
+		} else {
 			sp.mean, sp.inv = win.In.Mean.Data, win.BN.InvStdScratch(win.In)
-			sp.xhs = a.Floats(chunks * g.Cin * g.H * g.W)
 		}
+		sp.xhs = a.Floats(chunks * g.Cin * g.H * g.W)
 		// float64 partials stay plain heap slices: the arena recycles float32.
 		sp.psg, sp.psb = make([]float64, n*g.Cin), make([]float64, n*g.Cin)
 	}
@@ -381,6 +384,9 @@ func (c Conv2D) backwardWindow(sp convBwd, n int, win ConvWindow) (dgamma, dbeta
 	a.PutFloats(sp.scratch)
 	a.PutFloats(sp.wt)
 	win.BN.alloc.PutFloats(sp.inv)
+	if win.StoreXHat {
+		win.BN.alloc.PutFloats(sp.mean)
+	}
 	if sp.psg != nil {
 		dgamma, dbeta = reduceGammaBeta(sp.psg, sp.psb, n, g.Cin)
 	}
@@ -397,7 +403,7 @@ type convBwd struct {
 	dx, dw     []float32 // dx nil: the input gradient is not computed
 	dwStride   int       // 0: all samples share dw; len(w): sample i owns dw[i*len(w):]
 	tiles      []float32 // per-chunk regenerated ifmap; nil: src is the ifmap
-	xhs        []float32 // per-chunk regenerated x̂, under BN from x
+	xhs        []float32 // per-chunk regenerated x̂, under BN
 	scratch    []float32 // per-chunk lane scratch, scratchLen floats each
 	scratchLen int
 	psg, psb   []float64 // per-(sample, channel) dγ/dβ partials, under BN
@@ -415,19 +421,16 @@ func (sp *convBwd) run(chunk, lo, hi int) {
 	hw := g.H * g.W
 	inLen, outLen, wLen := g.Cin*hw, g.Cout*g.OH*g.OW, len(sp.w)
 	for in := lo; in < hi; in++ {
-		// z is the ifmap the convolution read; xh the x̂ the dγ/dβ chains
-		// reduce against: the stored one (src itself), or the one the fill
-		// regenerates from x.
+		// z is the ifmap the convolution read; xh, under BN, the x̂ the
+		// fill regenerates for the dγ/dβ chains to reduce against.
 		z, _ := sp.src.run(0, in)
-		xh := z
+		var xh []float32
 		if sp.tiles != nil {
 			z = sp.tiles[chunk*inLen : (chunk+1)*inLen]
-			var regen []float32
 			if sp.xhs != nil {
-				regen = sp.xhs[chunk*inLen : (chunk+1)*inLen]
-				xh = regen
+				xh = sp.xhs[chunk*inLen : (chunk+1)*inLen]
 			}
-			sp.fillSample(z, sp.src, regen, in)
+			sp.fillSample(z, sp.src, xh, in)
 		}
 		var dx []float32
 		if sp.dx != nil {
