@@ -37,9 +37,11 @@ lint:
 	$(GO) run ./cmd/bnff-lint ./...
 
 # Package-level benchmarks live next to their packages (layers, kernels,
-# parallel, ...), so bench sweeps the whole module, not just the root.
+# parallel, ...), so bench sweeps the whole module, not just the root. It runs
+# every benchmark body once and no tests (make test runs those), so a body
+# that no longer compiles or fails shows on every PR (CI's check job).
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x ./...
 
 # End-to-end check of cmd/bnff-serve: build, self-train, serve, exercise
 # /predict /healthz /stats, and verify graceful SIGTERM shutdown.

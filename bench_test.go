@@ -219,7 +219,7 @@ func BenchmarkKernelBaselineWindowForward(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		v, _, err := w.bn.Normalize(u, stats, w.gamma, w.beta)
+		v, err := w.bn.Normalize(u, stats, w.gamma, w.beta)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -247,13 +247,11 @@ func BenchmarkKernelFusedWindowForward(b *testing.B) {
 func BenchmarkKernelBaselineWindowBackward(b *testing.B) {
 	w := newWindow()
 	u, _ := w.conv1.Forward(w.x, w.w1)
-	stats, _ := w.bn.ComputeStats(u)
-	v, xhat, _ := w.bn.Normalize(u, stats, w.gamma, w.beta)
+	v, ctx, _ := w.bn.Forward(u, w.gamma, w.beta)
 	z := layers.ReLUForward(v)
 	y, _ := w.conv2.Forward(z, w.w2)
 	dy := tensor.New(y.Shape()...)
 	tensor.NewRNG(2).FillUniform(dy, -1, 1)
-	ctx := &layers.BNContext{XHat: xhat, Stats: stats}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

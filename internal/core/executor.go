@@ -89,7 +89,7 @@ type StatsHook func(n *graph.Node, attr *graph.BNAttr, m layers.Moments) (*layer
 
 // BNReduceHook intercepts the sub-BN2' reductions dγ = Σ dy·x̂ and dβ = Σ dy
 // on their way into the statistics-side backward (sub-BN1'). It receives the
-// locally reduced tensors and returns the tensors BackwardInput should use —
+// locally reduced tensors and returns the tensors BackwardInputFrom should use —
 // under ddp sync-BN, fresh globally summed copies. The hook must not mutate
 // its inputs: they remain the executor's parameter gradients, which the
 // data-parallel gradient all-reduce combines separately.
@@ -488,7 +488,7 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 				break
 			}
 			e.stats[n.ID] = st
-			e.vals[n.ID], err = e.bnOf(n.BN).NormalizeY(e.src(n, 0), st, e.gamma(n), e.beta(n))
+			e.vals[n.ID], err = e.bnOf(n.BN).Normalize(e.src(n, 0), st, e.gamma(n), e.beta(n))
 
 		case graph.OpSubBN1:
 			if !e.inference { // inference needs no mini-batch statistics
@@ -502,7 +502,7 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 			if err != nil {
 				break
 			}
-			e.vals[n.ID], err = e.bnOf(n.BN).NormalizeY(e.src(n, 0), st, e.gamma(n), e.beta(n))
+			e.vals[n.ID], err = e.bnOf(n.BN).Normalize(e.src(n, 0), st, e.gamma(n), e.beta(n))
 
 		case graph.OpReLU:
 			e.vals[n.ID] = layers.ReLUForwardAlloc(e.pool, e.alloc, e.src(n, 0))
@@ -700,7 +700,7 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return e.convBackward(n, gmap, grads, stash)
 
 	case graph.OpBN:
-		// The composite Backward is BackwardReduce ∘ BackwardInput, here both
+		// BatchNorm.Backward is BackwardReduceFrom ∘ BackwardInputFrom, both
 		// regenerating x̂ from the input x; spell the composition out so the
 		// reduce hook can interpose globally summed dγ/dβ between the two
 		// (same arithmetic, same order, when unset).

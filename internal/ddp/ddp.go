@@ -158,9 +158,6 @@ func NewGroup(primary *core.Executor, replicas int, strategy BNStrategy) (*Group
 // Replicas returns the group's replica count.
 func (g *Group) Replicas() int { return len(g.replicas) }
 
-// Strategy returns the group's BN strategy.
-func (g *Group) Strategy() BNStrategy { return g.strategy }
-
 // ReduceBytes reports the lifetime all-reduce traffic (gradients plus any
 // sync-BN statistic exchanges) in bytes — deterministic for a given graph,
 // strategy, and step count, so benchmark reports may record it as a

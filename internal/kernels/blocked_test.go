@@ -227,10 +227,11 @@ func TestFusedForwardsNonFiniteMatchUnfused(t *testing.T) {
 				t.Errorf("%s workers=%d: RCF differs bitwise from ReLU∘conv on non-finite input", tc.name, workers)
 			}
 
-			v, xhatWant, err := bn.Normalize(x, stats, gamma, beta)
+			v, err := bn.Normalize(x, stats, gamma, beta)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
+			xhatWant := xhatOf(bn, x, stats)
 			want, err = conv.Forward(layers.ReLUForward(v), w)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
@@ -247,11 +248,11 @@ func TestFusedForwardsNonFiniteMatchUnfused(t *testing.T) {
 }
 
 // The backward twin of the test above: both fused backwards must equal the
-// unfused Conv2D.Backward ∘ ReLUBackward (and BatchNorm.BackwardReduce) bit
-// for bit on non-finite data. A NaN pre-activation is rectified away, so its
-// input gradient is zero (a mask written as "x <= 0" on the saved
-// pre-activation lets it through); a masked element still enters the dγ chain
-// as 0·x̂, so a non-finite x̂ reaches dγ as NaN.
+// unfused Conv2D.Backward ∘ ReLUBackward (and BatchNorm.BackwardReduceFrom
+// over x̂) bit for bit on non-finite data. A NaN pre-activation is rectified
+// away, so its input gradient is zero (a mask written as "x <= 0" on the
+// saved pre-activation lets it through); a masked element still enters the dγ
+// chain as 0·x̂, so a non-finite x̂ reaches dγ as NaN.
 func TestFusedBackwardsNonFiniteMatchUnfused(t *testing.T) {
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
 	bitsEqual := func(a, b *tensor.Tensor) bool {
@@ -318,10 +319,11 @@ func TestFusedBackwardsNonFiniteMatchUnfused(t *testing.T) {
 					tc.name, workers, dxWant.Data[poisoned[2]], dx.Data[poisoned[2]])
 			}
 
-			v, xhat, err := bn.Normalize(x, stats, gamma, beta)
+			v, err := bn.Normalize(x, stats, gamma, beta)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
+			xhat := xhatOf(bn, x, stats)
 			dz, dwWant, err = conv.Backward(dy, layers.ReLUForward(v), w)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
@@ -330,7 +332,9 @@ func TestFusedBackwardsNonFiniteMatchUnfused(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			dgWant, dbWant, err := bn.BackwardReduce(dvWant, xhat)
+			// sub-BN2' over the stored x̂: x̂ is a BN input under StoredXHat.
+			hat, in := bn.StoredXHat(0)
+			dgWant, dbWant, err := hat.BackwardReduceFrom(dvWant, xhat, &in)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}

@@ -31,13 +31,14 @@
 // whoever owns the BN closes them: ConvForwardStats and the executor with
 // BatchNorm.Close, ddp sync-BN with one fold over every replica's partials.
 //
-// The two BN windows here are the stored-x̂ form (ConvWindow.StoreXHat),
-// kept because benchmark/ times these names. The executor stores no x̂: its
-// fused windows take the BN input x, and the backward window and the
-// statistics producer's sub-BN1' (BatchNorm.BackwardInputFrom) regenerate x̂
-// per sample from x and the statistics, with the same bits. The stored form
-// has no body of its own: its backward window runs the regenerating one over
-// x̂ with μ = +0 and 1/σ = 1, under which (x̂ − 0)·1 is x̂.
+// The two BN windows here keep x̂ (the forward's ConvWindow.StoreXHat),
+// because benchmark/ times these names. The executor stores no x̂: its fused
+// windows take the BN input x, and the backward window and the statistics
+// producer's sub-BN1' (BatchNorm.BackwardInputFrom) regenerate x̂ per sample
+// from x and the statistics, with the same bits. A stored x̂ has no body of
+// its own: FusedConvBackwardReLUBNReduce hands the plain BN window x̂ as its
+// input under BatchNorm.StoredXHat's statistics (μ = +0, σ² = 1, ε = 0),
+// under which (x̂ − 0)·1 is x̂.
 //
 // The (sub-BN1')-CONV1 backward is not a window: the executor composes
 // BatchNorm.BackwardInputFrom with the convolution's backward window itself.
@@ -110,5 +111,8 @@ func FusedBNReLUConvForward(conv layers.Conv2D, bn layers.BatchNorm, x *tensor.T
 // side of the BN, whose result is CONV1's upstream gradient.
 func FusedConvBackwardReLUBNReduce(conv layers.Conv2D, bn layers.BatchNorm,
 	dy, xhat, gamma, beta, w *tensor.Tensor) (dv, dw, dgamma, dbeta *tensor.Tensor, err error) {
-	return conv.BackwardWindow(dy, xhat, w, layers.ConvWindow{BN: bn, Gamma: gamma, Beta: beta, StoreXHat: true})
+	// The statistics come from the heap, as this package has no arena to
+	// return them to, and carry no count: the window reads none.
+	hat, in := bn.WithAlloc(nil).StoredXHat(0)
+	return conv.BackwardWindow(dy, xhat, w, layers.ConvWindow{BN: hat, In: &in, Gamma: gamma, Beta: beta})
 }

@@ -37,8 +37,20 @@ func newChain(seed uint64, n, cin, cmid, cout, hw int) *chain {
 	return c
 }
 
+// xhatOf is x̂ = (x − μ)·invstd, the map a stored-x̂ BN forward wrote.
+func xhatOf(bn layers.BatchNorm, x *tensor.Tensor, st *layers.BNStats) *tensor.Tensor {
+	_, c, h, w := x.Dims4()
+	inv := bn.InvStdScratch(st)
+	xh := tensor.New(x.Shape()...)
+	for i, v := range x.Data {
+		ic := i / (h * w) % c
+		xh.Data[i] = (v - st.Mean.Data[ic]) * inv[ic]
+	}
+	return xh
+}
+
 // baselineForward runs the unfused layer sequence, returning every
-// intermediate the baseline graph would store.
+// intermediate the baseline graph would store, and the x̂ between them.
 func (c *chain) baselineForward(t *testing.T) (u, v, xhat, z, y *tensor.Tensor, stats *layers.BNStats) {
 	t.Helper()
 	u, err := c.conv1.Forward(c.x, c.w1)
@@ -49,10 +61,11 @@ func (c *chain) baselineForward(t *testing.T) (u, v, xhat, z, y *tensor.Tensor, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, xhat, err = c.bn.Normalize(u, stats, c.gamma, c.beta)
+	v, err = c.bn.Normalize(u, stats, c.gamma, c.beta)
 	if err != nil {
 		t.Fatal(err)
 	}
+	xhat = xhatOf(c.bn, u, stats)
 	z = layers.ReLUForward(v)
 	y, err = c.conv2.Forward(z, c.w2)
 	if err != nil {
@@ -144,7 +157,7 @@ func TestFusedBNReLUConvForwardErrors(t *testing.T) {
 // gradients for x, w1, w2, γ, β all agree to float32 round-off.
 func TestFusedBackwardMatchesBaseline(t *testing.T) {
 	c := newChain(11, 4, 3, 8, 6, 8)
-	_, _, xhat, z, y, stats := c.baselineForward(t)
+	u, _, xhat, z, y, stats := c.baselineForward(t)
 
 	dy := tensor.New(y.Shape()...)
 	tensor.NewRNG(100).FillUniform(dy, -1, 1)
@@ -158,7 +171,7 @@ func TestFusedBackwardMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &layers.BNContext{XHat: xhat, Stats: stats}
+	ctx := &layers.BNContext{X: u, Stats: stats}
 	duBase, dgBase, dbBase, err := c.bn.Backward(dvBase, ctx, c.gamma)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +285,7 @@ func TestQuickFusedBackwardEquivalence(t *testing.T) {
 	f := func(seed uint64, nBits uint8) bool {
 		n := 2 + int(nBits%3)
 		c := newChain(seed, n, 3, 4, 3, 5)
-		_, _, xhat, z, y, stats := c.baselineForward(t)
+		u, _, xhat, z, y, stats := c.baselineForward(t)
 		dy := tensor.New(y.Shape()...)
 		tensor.NewRNG(seed^0xabc).FillUniform(dy, -1, 1)
 
@@ -284,7 +297,7 @@ func TestQuickFusedBackwardEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ctx := &layers.BNContext{XHat: xhat, Stats: stats}
+		ctx := &layers.BNContext{X: u, Stats: stats}
 		duB, dgB, dbB, err := c.bn.Backward(dvB, ctx, c.gamma)
 		if err != nil {
 			return false
@@ -332,7 +345,7 @@ func TestQuickFusedStatsNormalize(t *testing.T) {
 		gamma := tensor.New(5)
 		gamma.Fill(1)
 		beta := tensor.New(5)
-		y, _, err := c.bn.Normalize(u, statsFused, gamma, beta)
+		y, err := c.bn.Normalize(u, statsFused, gamma, beta)
 		if err != nil {
 			return false
 		}

@@ -16,12 +16,13 @@ import (
 // The methods deliberately expose the paper's fission decomposition:
 //
 //	Forward  = ComputeStats (sub-BN1)  ∘  Normalize (sub-BN2)
-//	Backward = BackwardReduce (sub-BN2': dγ, dβ)  ∘  BackwardInput (sub-BN1': dX)
+//	Backward = BackwardReduceFrom (sub-BN2': dγ, dβ)  ∘  BackwardInputFrom (sub-BN1': dX)
 //
 // so that internal/core can fuse each sub-layer into its neighboring CONV.
-// NormalizeY, BackwardReduceFrom and BackwardInputFrom are the same
-// sub-layers storing no x̂: the backward ones regenerate it from x, bit for
-// bit, so training keeps the BN input instead of a second map.
+// No sub-layer stores x̂: the backward ones regenerate it from the BN input
+// x, bit for bit, so training keeps x instead of a second map. A stored x̂
+// (BackwardInput, the forward window's StoreXHat) is a BN input under
+// StoredXHat's statistics.
 // ComputeStatsMVF implements the paper's Mean/Variance Fusion,
 // V(X) = E(X²) − E(X)², producing both statistics from a single sweep.
 type BatchNorm struct {
@@ -68,10 +69,10 @@ type BNStats struct {
 	M    int
 }
 
-// BNContext is what the baseline backward pass needs: the normalized
-// activations x̂ and the batch statistics.
+// BNContext is what the baseline backward pass needs: the BN input x, from
+// which it regenerates x̂, and the batch statistics.
 type BNContext struct {
-	XHat  *tensor.Tensor
+	X     *tensor.Tensor
 	Stats *BNStats
 }
 
@@ -384,131 +385,91 @@ func (b BatchNorm) InvStdScratch(stats *BNStats) []float32 {
 	return inv
 }
 
-// identityStats returns the per-channel μ = +0 and 1/σ = 1 from the layer's
-// arena (return both with its PutFloats): a stored x̂ is a BN input under
-// them, since (x̂ − 0)·1 is x̂ in IEEE arithmetic, a NaN quieted as the
-// product that reads it would quiet it. So a stored-x̂ backward runs the
-// regenerating body.
-func (b BatchNorm) identityStats() (mean, inv []float32) {
-	mean, inv = b.alloc.Floats(b.Channels), b.alloc.Floats(b.Channels)
-	for i := range inv {
-		inv[i] = 1
-	}
-	return mean, inv
+// StoredXHat returns the layer with ε = 0 and statistics μ = +0, σ² = 1
+// over m elements, Mean and Var from the layer's arena (return both with its
+// Put). A stored x̂ is a BN input under them: 1/√(1 + 0) is 1, and
+// (x̂ − 0)·1 is x̂ in IEEE arithmetic, a NaN quieted as the product that
+// reads it would quiet it. So a stored x̂ runs the regenerating bodies. The
+// statistics travel by value: a pointer would cost a heap allocation per call.
+func (b BatchNorm) StoredXHat(m int) (BatchNorm, BNStats) {
+	b.Eps = 0
+	st := BNStats{Mean: b.alloc.Get(b.Channels), Var: b.alloc.Get(b.Channels), M: m}
+	st.Var.Fill(1)
+	return b, st
 }
 
-// Normalize is sub-BN2: y = γ·(x−μ)/√(σ²+ε) + β. It also returns x̂, the
-// O2' map of Figure 5 that a stored-x̂ backward (BackwardReduce,
-// BackwardInput) consumes.
-func (b BatchNorm) Normalize(x Map, stats *BNStats, gamma, beta *tensor.Tensor) (y, xhat *tensor.Tensor, err error) {
-	return b.normalize(x, stats, gamma, beta, true)
-}
-
-// NormalizeY is Normalize without x̂: the same y, bit for bit, and no second
-// map. Its backward regenerates x̂ from x (BackwardReduceFrom,
-// BackwardInputFrom).
-func (b BatchNorm) NormalizeY(x Map, stats *BNStats, gamma, beta *tensor.Tensor) (*tensor.Tensor, error) {
-	y, _, err := b.normalize(x, stats, gamma, beta, false)
-	return y, err
-}
-
-// normalize is Normalize, or with keep false NormalizeY, whose x̂ goes to y
-// and is overwritten there (normRows stores each x̂ before its y).
-func (b BatchNorm) normalize(x Map, stats *BNStats, gamma, beta *tensor.Tensor, keep bool) (y, xhat *tensor.Tensor, err error) {
+// Normalize is sub-BN2: y = γ·(x−μ)/√(σ²+ε) + β. It keeps no x̂: its
+// backward regenerates x̂ from x (BackwardReduceFrom, BackwardInputFrom).
+func (b BatchNorm) Normalize(x Map, stats *BNStats, gamma, beta *tensor.Tensor) (*tensor.Tensor, error) {
 	if err := b.check(x); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := b.checkParam("gamma", gamma); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := b.checkParam("beta", beta); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := b.checkStats(stats); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	n := x.Shape()[0]
 	r := runsOf(x)
 	inv := b.InvStdScratch(stats)
-	y = b.alloc.Get(x.Shape()...)
-	hd, yd := y.Data, y.Data
-	if keep {
-		xhat = b.alloc.Get(x.Shape()...)
-		hd = xhat.Data
-	}
+	y := b.alloc.Get(x.Shape()...)
 	// Element-wise with per-sample disjoint writes: pooled execution is
 	// bit-identical to serial. The serial path calls the chunk body
-	// directly so the steady state allocates no closure. The closure takes
-	// the outputs' slices, not the named results: capturing a result (which
-	// the return assigns) would move it to the heap on every call.
+	// directly so the steady state allocates no closure.
 	if b.pool.Serial() {
-		bnNormalizeChunk(r, hd, yd, stats.Mean.Data, inv, gamma.Data, beta.Data, 0, n)
+		bnNormalizeChunk(r, y.Data, stats.Mean.Data, inv, gamma.Data, beta.Data, 0, n)
 	} else {
 		b.pool.Run(n, func(lo, hi int) {
-			bnNormalizeChunk(r, hd, yd, stats.Mean.Data, inv, gamma.Data, beta.Data, lo, hi)
+			bnNormalizeChunk(r, y.Data, stats.Mean.Data, inv, gamma.Data, beta.Data, lo, hi)
 		})
 	}
 	b.alloc.PutFloats(inv)
-	return y, xhat, nil
+	return y, nil
 }
 
-// bnNormalizeChunk is Normalize's chunk body: write x̂ and y = γx̂+β for the
-// samples in [lo, hi) of x, one run at a time — element-wise, so the same
-// bits as over a dense map.
+// bnNormalizeChunk is Normalize's chunk body: y = γx̂+β for the samples in
+// [lo, hi) of x, one run at a time — element-wise, so the same bits as over
+// a dense map. Each x̂ goes to y and is overwritten there (normRows stores
+// each x̂ before its y).
 //
 // hot-path: runs once per sample per step; all buffers are caller-provided.
-func bnNormalizeChunk(x runs, xh, yd, mean, inv, gamma, beta []float32, lo, hi int) {
+func bnNormalizeChunk(x runs, yd, mean, inv, gamma, beta []float32, lo, hi int) {
 	c := len(gamma)
 	for i := lo; i < hi; i++ {
 		for p, c0 := 0, 0; p < x.count(); p++ {
 			run, cp := x.run(p, i)
 			s := (i*c + c0) * x.hw
-			normRows(run, xh[s:s+len(run)], yd[s:s+len(run)], mean[c0:c0+cp], inv[c0:], gamma[c0:], beta[c0:], x.hw, false)
+			y := yd[s : s+len(run)]
+			normRows(run, y, y, mean[c0:c0+cp], inv[c0:], gamma[c0:], beta[c0:], x.hw, false)
 			c0 += cp
 		}
 	}
 }
 
-// Forward is the baseline composition: two-pass statistics, then normalize.
+// Forward is the baseline composition, the executor's OpBN forward:
+// two-pass statistics, then normalize.
 func (b BatchNorm) Forward(x, gamma, beta *tensor.Tensor) (*tensor.Tensor, *BNContext, error) {
 	stats, err := b.ComputeStats(x)
 	if err != nil {
 		return nil, nil, err
 	}
-	y, xhat, err := b.Normalize(x, stats, gamma, beta)
+	y, err := b.Normalize(x, stats, gamma, beta)
 	if err != nil {
 		return nil, nil, err
 	}
-	return y, &BNContext{XHat: xhat, Stats: stats}, nil
+	return y, &BNContext{X: x, Stats: stats}, nil
 }
 
-// BackwardReduce is sub-BN2': the mini-batch reductions dγ = Σ dy·x̂ and
-// dβ = Σ dy. In the restructured graph this runs as an epilogue of the
-// following CONV's backward, which already sweeps dy.
-func (b BatchNorm) BackwardReduce(dy, xhat *tensor.Tensor) (dgamma, dbeta *tensor.Tensor, err error) {
-	if err := b.check(dy); err != nil {
-		return nil, nil, err
-	}
-	if !dy.Shape().Equal(xhat.Shape()) {
-		return nil, nil, fmt.Errorf("batchnorm: dy %v vs xhat %v", dy.Shape(), xhat.Shape())
-	}
-	n, c, h, w := dy.Dims4()
-	pg := make([]float64, n*c)
-	pb := make([]float64, n*c)
-	if b.pool.Serial() {
-		gammaBetaChunk(dy.Data, xhat.Data, pg, pb, c, h*w, 0, n)
-	} else {
-		b.pool.Run(n, func(lo, hi int) { gammaBetaChunk(dy.Data, xhat.Data, pg, pb, c, h*w, lo, hi) })
-	}
-	dgamma, dbeta = reduceGammaBeta(pg, pb, n, c)
-	return dgamma, dbeta, nil
-}
-
-// BackwardReduceFrom is BackwardReduce reading the BN's input x instead of a
-// stored x̂: per sample, and run by run over a Concat, x̂ is regenerated into
-// a chunk-private scratch by the forward's normalize body (normRows without
-// γ), then reduced by the same gammaBetaPartials, so dγ and dβ have
-// BackwardReduce's bits over Normalize's x̂.
+// BackwardReduceFrom is sub-BN2': the mini-batch reductions dγ = Σ dy·x̂ and
+// dβ = Σ dy, reading the BN's input x and its statistics. Per sample, and run
+// by run over a Concat, x̂ is regenerated into a chunk-private scratch by the
+// forward's normalize body (normRows without γ), then reduced by
+// gammaBetaPartials. In the restructured graph this runs as an epilogue of the
+// following CONV's backward window, which already sweeps dy.
 func (b BatchNorm) BackwardReduceFrom(dy *tensor.Tensor, x Map, stats *BNStats) (dgamma, dbeta *tensor.Tensor, err error) {
 	if err := b.check(dy); err != nil {
 		return nil, nil, err
@@ -556,19 +517,8 @@ func gammaBetaRegenChunk(x runs, dy, xhs, mean, inv []float32, pg, pb []float64,
 	}
 }
 
-// gammaBetaChunk is BackwardReduce's chunk body: gammaBetaPartials for the
-// samples in [lo, hi).
-//
-// hot-path: runs once per sample per step; all buffers are caller-provided.
-func gammaBetaChunk(dy, xhat []float32, pg, pb []float64, c, hw, lo, hi int) {
-	per := c * hw
-	for in := lo; in < hi; in++ {
-		gammaBetaPartials(dy[in*per:(in+1)*per], xhat[in*per:(in+1)*per], pg[in*c:], pb[in*c:], c, hw)
-	}
-}
-
 // gammaBetaPartials fills one sample's per-channel dγ = Σ dy·x̂ and dβ = Σ dy
-// partials — the one sub-BN2' loop, shared by BackwardReduce and the
+// partials — the one sub-BN2' loop, shared by BackwardReduceFrom and the
 // BackwardWindow epilogue. Each is one float64 chain over its row in
 // ascending order; the lanes run eight channels' chains at once
 // (gammaBetaRows).
@@ -617,36 +567,42 @@ func reduceGammaBeta(pg, pb []float64, n, c int) (dgamma, dbeta *tensor.Tensor) 
 	return dgamma, dbeta
 }
 
-// BackwardInput is sub-BN1': given the reductions from BackwardReduce it
-// computes the element-wise input gradient
+// BackwardInput is BackwardInputFrom over a stored x̂: x̂ is the BN input
+// under StoredXHat's statistics, with γ·invstd in γ's place, so
+// coef = (γ·invstd)·1/M and v = (x̂ − 0)·1 keep the bits of γ·invstd/M and x̂.
+func (b BatchNorm) BackwardInput(dy, xhat, gamma *tensor.Tensor, stats *BNStats, dgamma, dbeta *tensor.Tensor) (*tensor.Tensor, error) {
+	if err := errors.Join(b.checkParam("gamma", gamma), b.checkStats(stats)); err != nil {
+		return nil, err
+	}
+	inv := b.InvStdScratch(stats)
+	gs := b.alloc.Get(b.Channels)
+	for i, v := range gamma.Data {
+		gs.Data[i] = v * inv[i]
+	}
+	b.alloc.PutFloats(inv)
+	hat, st := b.StoredXHat(stats.M)
+	dx, err := hat.BackwardInputFrom(dy, xhat, gs, &st, dgamma, dbeta)
+	b.alloc.Put(gs)
+	b.alloc.Put(st.Mean)
+	b.alloc.Put(st.Var)
+	return dx, err
+}
+
+// BackwardInputFrom is sub-BN1': given the reductions from
+// BackwardReduceFrom it computes the element-wise input gradient
 //
 //	dx = γ·invstd/M · (M·dy − dβ − x̂·dγ)
 //
 // which carries no further cross-batch dependency and therefore fuses into
-// the preceding CONV's backward sweep. It is BackwardInputFrom's body over x̂
-// as the BN input under μ = +0 and 1/σ = 1, with γ·invstd in place of γ.
-func (b BatchNorm) BackwardInput(dy, xhat, gamma *tensor.Tensor, stats *BNStats, dgamma, dbeta *tensor.Tensor) (*tensor.Tensor, error) {
-	return b.backwardInput(dy, xhat, false, gamma, stats, dgamma, dbeta)
-}
-
-// BackwardInputFrom is BackwardInput reading the BN's input x instead of a
-// stored x̂: per sample, and run by run over a Concat, each x̂ is regenerated
-// as the forward's normalize computed it, so dx has BackwardInput's bits over
-// the x̂ Normalize or the fused forward window would have stored.
+// the preceding CONV's backward sweep. It reads the BN's input x: per sample,
+// and run by run over a Concat, each x̂ is regenerated as the forward's
+// normalize computed it.
 func (b BatchNorm) BackwardInputFrom(dy *tensor.Tensor, x Map, gamma *tensor.Tensor, stats *BNStats, dgamma, dbeta *tensor.Tensor) (*tensor.Tensor, error) {
-	return b.backwardInput(dy, x, true, gamma, stats, dgamma, dbeta)
-}
-
-// backwardInput is BackwardInputFrom over xs = x, or with regen false
-// BackwardInput over xs = x̂: the same body, over x̂ as x with μ = +0 and
-// 1/σ = 1 and with γ·is in place of γ, so coef = (γ·is)·1/m and
-// v = (x̂ − 0)·1 keep the bits of γ·is/m and x̂.
-func (b BatchNorm) backwardInput(dy *tensor.Tensor, xs Map, regen bool, gamma *tensor.Tensor, stats *BNStats, dgamma, dbeta *tensor.Tensor) (*tensor.Tensor, error) {
 	if err := b.check(dy); err != nil {
 		return nil, err
 	}
-	if !dy.Shape().Equal(xs.Shape()) {
-		return nil, fmt.Errorf("batchnorm: dy %v vs x̂ or x %v", dy.Shape(), xs.Shape())
+	if !dy.Shape().Equal(x.Shape()) {
+		return nil, fmt.Errorf("batchnorm: dy %v vs x %v", dy.Shape(), x.Shape())
 	}
 	if err := errors.Join(b.checkParam("gamma", gamma), b.checkParam("dgamma", dgamma),
 		b.checkParam("dbeta", dbeta), b.checkStats(stats)); err != nil {
@@ -664,33 +620,20 @@ func (b BatchNorm) backwardInput(dy *tensor.Tensor, xs Map, regen bool, gamma *t
 	if stats.M > 0 {
 		m = float32(stats.M)
 	}
-	r, g, mean, inv := runsOf(xs), gamma.Data, stats.Mean.Data, b.InvStdScratch(stats)
-	if !regen {
-		gs := b.alloc.Floats(b.Channels)
-		for i, v := range g {
-			gs[i] = v * inv[i]
-		}
-		b.alloc.PutFloats(inv)
-		g = gs
-		mean, inv = b.identityStats()
-	}
+	r, mean, inv := runsOf(x), stats.Mean.Data, b.InvStdScratch(stats)
 	dx := b.alloc.Get(dy.Shape()...)
 	if b.pool.Serial() {
-		bnInputGradChunk(r, dy.Data, dx.Data, g, inv, mean, dgamma.Data, dbeta.Data, m, 0, n)
+		bnInputGradChunk(r, dy.Data, dx.Data, gamma.Data, inv, mean, dgamma.Data, dbeta.Data, m, 0, n)
 	} else {
 		b.pool.Run(n, func(lo, hi int) {
-			bnInputGradChunk(r, dy.Data, dx.Data, g, inv, mean, dgamma.Data, dbeta.Data, m, lo, hi)
+			bnInputGradChunk(r, dy.Data, dx.Data, gamma.Data, inv, mean, dgamma.Data, dbeta.Data, m, lo, hi)
 		})
 	}
 	b.alloc.PutFloats(inv)
-	if !regen {
-		b.alloc.PutFloats(g)
-		b.alloc.PutFloats(mean)
-	}
 	return dx, nil
 }
 
-// bnInputGradChunk is backwardInput's chunk body: dx for the samples in
+// bnInputGradChunk is BackwardInputFrom's chunk body: dx for the samples in
 // [lo, hi), one run of xs at a time.
 //
 // hot-path: runs once per sample per step; all buffers are caller-provided.
@@ -706,13 +649,14 @@ func bnInputGradChunk(xs runs, dy, dx, gamma, inv, mean, dgamma, dbeta []float32
 	}
 }
 
-// Backward is the baseline composition of the two backward sub-layers.
+// Backward is the baseline composition of the two backward sub-layers, the
+// executor's OpBN backward: both regenerate x̂ from the saved input.
 func (b BatchNorm) Backward(dy *tensor.Tensor, ctx *BNContext, gamma *tensor.Tensor) (dx, dgamma, dbeta *tensor.Tensor, err error) {
-	dgamma, dbeta, err = b.BackwardReduce(dy, ctx.XHat)
+	dgamma, dbeta, err = b.BackwardReduceFrom(dy, ctx.X, ctx.Stats)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	dx, err = b.BackwardInput(dy, ctx.XHat, gamma, ctx.Stats, dgamma, dbeta)
+	dx, err = b.BackwardInputFrom(dy, ctx.X, gamma, ctx.Stats, dgamma, dbeta)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -15,6 +15,31 @@ func randomBNInput(seed uint64, n, c, h, w int, scale float64) *tensor.Tensor {
 	return x
 }
 
+// normalizeXHat is the x̂ a stored-x̂ Normalize wrote: normRows over each
+// sample of x writing x̂, its y discarded.
+func normalizeXHat(bn BatchNorm, x *tensor.Tensor, st *BNStats, gamma, beta *tensor.Tensor) *tensor.Tensor {
+	n, c, h, w := x.Dims4()
+	per := c * h * w
+	inv := bn.InvStdScratch(st)
+	xh, y := tensor.New(x.Shape()...), make([]float32, per)
+	for i := 0; i < n; i++ {
+		normRows(x.Data[i*per:(i+1)*per], xh.Data[i*per:(i+1)*per], y, st.Mean.Data, inv, gamma.Data, beta.Data, h*w, false)
+	}
+	return xh
+}
+
+// gammaBetaOver is sub-BN2' over a stored x̂: gammaBetaPartials per sample,
+// reduced in sample order.
+func gammaBetaOver(dy, xhat *tensor.Tensor) (dgamma, dbeta *tensor.Tensor) {
+	n, c, h, w := dy.Dims4()
+	per := c * h * w
+	pg, pb := make([]float64, n*c), make([]float64, n*c)
+	for i := 0; i < n; i++ {
+		gammaBetaPartials(dy.Data[i*per:(i+1)*per], xhat.Data[i*per:(i+1)*per], pg[i*c:], pb[i*c:], c, h*w)
+	}
+	return reduceGammaBeta(pg, pb, n, c)
+}
+
 func TestBNStatsKnownValues(t *testing.T) {
 	bn := NewBatchNorm(1)
 	x := tensor.MustFromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
@@ -121,12 +146,13 @@ func TestBNGammaBetaApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	// y must equal gamma*xhat + beta element-wise.
+	xhat := normalizeXHat(bn, ctx.X, ctx.Stats, gamma, beta)
 	n, c, h, w := x.Dims4()
 	for in := 0; in < n; in++ {
 		for ic := 0; ic < c; ic++ {
 			for i := 0; i < h*w; i++ {
 				idx := (in*c+ic)*h*w + i
-				want := gamma.Data[ic]*ctx.XHat.Data[idx] + beta.Data[ic]
+				want := gamma.Data[ic]*xhat.Data[idx] + beta.Data[ic]
 				if math.Abs(float64(y.Data[idx]-want)) > 1e-6 {
 					t.Fatalf("y[%d] = %v, want %v", idx, y.Data[idx], want)
 				}
@@ -167,8 +193,9 @@ func TestBNGradients(t *testing.T) {
 }
 
 func TestBNBackwardSplitEqualsComposed(t *testing.T) {
-	// The fission decomposition (BackwardReduce ∘ BackwardInput) must equal
-	// the monolithic Backward exactly — they are the same arithmetic.
+	// The fission decomposition over a stored x̂ (sub-BN2' reduced against
+	// x̂, then BackwardInput) must equal Backward, which regenerates x̂ from
+	// x, exactly — they are the same arithmetic.
 	bn := NewBatchNorm(5)
 	rng := tensor.NewRNG(31)
 	x := tensor.New(6, 5, 4, 4)
@@ -187,11 +214,9 @@ func TestBNBackwardSplitEqualsComposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dg2, db2, err := bn.BackwardReduce(dy, ctx.XHat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dx2, err := bn.BackwardInput(dy, ctx.XHat, gamma, ctx.Stats, dg2, db2)
+	xhat := normalizeXHat(bn, x, ctx.Stats, gamma, beta)
+	dg2, db2 := gammaBetaOver(dy, xhat)
+	dx2, err := bn.BackwardInput(dy, xhat, gamma, ctx.Stats, dg2, db2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +259,10 @@ func TestBNShapeErrors(t *testing.T) {
 	}
 	x := tensor.New(2, 3, 4, 4)
 	stats, _ := bn.ComputeStats(x)
-	if _, _, err := bn.Normalize(x, stats, tensor.New(4), tensor.New(3)); err == nil {
+	if _, err := bn.Normalize(x, stats, tensor.New(4), tensor.New(3)); err == nil {
 		t.Error("accepted wrong gamma shape")
 	}
-	if _, _, err := bn.Normalize(x, stats, tensor.New(3), tensor.New(2)); err == nil {
+	if _, err := bn.Normalize(x, stats, tensor.New(3), tensor.New(2)); err == nil {
 		t.Error("accepted wrong beta shape")
 	}
 	if err := bn.UpdateRunning(tensor.New(2), tensor.New(3), stats); err == nil {
@@ -259,11 +284,8 @@ func TestBNEntryPointsRejectShortOperands(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, xhat, err := bn.Normalize(x, stats, gamma, beta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dg, db, err := bn.BackwardReduce(x, xhat)
+		xhat := normalizeXHat(bn, x, stats, gamma, beta)
+		dg, db, err := bn.BackwardReduceFrom(x, x, stats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,15 +314,15 @@ func TestBNEntryPointsRejectShortOperands(t *testing.T) {
 				return err
 			}},
 			{"Normalize short mean", func() error {
-				_, _, err := bn.Normalize(x, shortStats(short, stats.Var), gamma, beta)
+				_, err := bn.Normalize(x, shortStats(short, stats.Var), gamma, beta)
 				return err
 			}},
 			{"Normalize short var", func() error {
-				_, _, err := bn.Normalize(x, shortStats(stats.Mean, short), gamma, beta)
+				_, err := bn.Normalize(x, shortStats(stats.Mean, short), gamma, beta)
 				return err
 			}},
 			{"Normalize no statistics", func() error {
-				_, _, err := bn.Normalize(x, nil, gamma, beta)
+				_, err := bn.Normalize(x, nil, gamma, beta)
 				return err
 			}},
 			{"UpdateRunning short statistics", func() error {

@@ -720,8 +720,8 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { fwd.run(0, 0, 2) }); allocs != 0 {
 		t.Errorf("forward window allocates %v per run, want 0", allocs)
 	}
-	// The backward, regenerating x̂ from x (a stored x̂ is x under μ = +0
-	// and 1/σ = 1: the same body).
+	// The backward, regenerating x̂ from x (a stored x̂ is x under
+	// StoredXHat's statistics: the same body).
 	bwd := convBwd{
 		tileFill: fill,
 		geom:     geom, src: runsOf(x), dy: fillRand(10, 2*8*9*9), w: w,
@@ -748,11 +748,8 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, bxh, err := bn.Normalize(bx, st, bg, bb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dg, db, err := bn.BackwardReduce(bdy, bxh)
+		bxh := normalizeXHat(bn, bx, st, bg, bb)
+		dg, db, err := bn.BackwardReduceFrom(bdy, bx, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -764,13 +761,14 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 			// The *BNStats the caller keeps.
 			{"ComputeStats", 1, func() { s, _ := bn.ComputeStats(bx); arena.Put(s.Mean); arena.Put(s.Var) }},
 			{"Moments", 0, func() { m, _ := bn.Moments(bx); arena.PutFloats(m.Sum); arena.PutFloats(m.SumSq) }},
-			{"Normalize", 0, func() { y, h, _ := bn.Normalize(bx, st, bg, bb); arena.Put(y); arena.Put(h) }},
-			{"NormalizeY", 0, func() { y, _ := bn.NormalizeY(bx, st, bg, bb); arena.Put(y) }},
+			{"Normalize", 0, func() { y, _ := bn.Normalize(bx, st, bg, bb); arena.Put(y) }},
 			// dγ and dβ escape into the gradient map: two tensors of three
 			// allocations each, their two float64 sums, and the two float64
 			// partial slabs the arena, which recycles float32, cannot hold.
-			{"BackwardReduce", 10, func() { bn.BackwardReduce(bdy, bxh) }},
 			{"BackwardReduceFrom", 10, func() { bn.BackwardReduceFrom(bdy, bx, st) }},
+			{"BackwardInputFrom", 0, func() { d, _ := bn.BackwardInputFrom(bdy, bx, bg, st, dg, db); arena.Put(d) }},
+			// StoredXHat's statistics travel by value and BackwardInput
+			// returns them, and γ·invstd, to the arena.
 			{"BackwardInput", 0, func() { d, _ := bn.BackwardInput(bdy, bxh, bg, st, dg, db); arena.Put(d) }},
 			{"ReLUForwardAlloc", 0, func() { arena.Put(ReLUForwardAlloc(pool, arena, bx)) }},
 			{"ReLUBackwardAlloc", 0, func() { d, _ := ReLUBackwardAlloc(pool, arena, bdy, bx); arena.Put(d) }},

@@ -25,6 +25,13 @@
 // names the paper's fusions as ConvWindow literals for benchmark/ and tests
 // them for equivalence against the unfused compositions of the layers here.
 //
+// BatchNorm has one entry point per sub-layer — ComputeStats, or Moments
+// and Close (sub-BN1); Normalize (sub-BN2); BackwardReduceFrom (sub-BN2');
+// BackwardInputFrom (sub-BN1') — and none stores x̂: the backward ones
+// regenerate it from the BN input. A stored x̂, which only the forward
+// window's StoreXHat still writes, is a BN input under BatchNorm.StoredXHat's
+// statistics, so BackwardInput and a backward window over it run these bodies.
+//
 // Every MVF statistic is one Moments value — the per-(sample, channel) Σx
 // and Σx² partials of one float32 sweep — and one BatchNorm.Close: the
 // sample-order fold and V(X) = E(X²) − E(X)². BatchNorm.Moments takes them

@@ -22,7 +22,7 @@ package layers
 //	FC         one column, so channels: 32 inputs (dx, dW) or outputs (forward)
 //	normalize  Normalize, the BNFF window tile both ways, x̂ regenerated for a
 //	           backward: 8 elements of a channel row
-//	grad       BackwardInput: 8 elements of a channel row
+//	grad       BackwardInputFrom: 8 elements of a channel row
 //	rectify    ReLU forward and backward, the rectify tile, the window's mask:
 //	           8 elements, VCMPPS GT_OQ against +0, VANDPS
 //	reduce     ComputeStats' two passes, MVF moments, dγ/dβ partials: 8
@@ -635,12 +635,12 @@ func normRows(x, xh, y, mean, inv, gamma, beta []float32, hw int, rect bool) {
 	}
 }
 
-// gradRows is BackwardInput's body on one sample of len(gamma) channel rows
-// of hw elements: dx = coef·(m·dy − dβ − v·dγ), coef = γ·is/m per channel,
-// with v = (x − μ)·is regenerated from the BN input x as normRows computes
-// it, so dx has the bits the stored x̂ would give. A stored x̂ runs it as x
-// with μ = +0 and is = 1, and γ·is in gamma: (x̂ − 0)·1 is x̂, NaNs quieted as
-// any product would quiet them.
+// gradRows is BackwardInputFrom's body on one sample of len(gamma) channel
+// rows of hw elements: dx = coef·(m·dy − dβ − v·dγ), coef = γ·is/m per
+// channel, with v = (x − μ)·is regenerated from the BN input x as normRows
+// computes it. A stored x̂ runs it as x under StoredXHat's μ = +0 and is = 1,
+// with γ·is in gamma: (x̂ − 0)·1 is x̂, NaNs quieted as any product would
+// quiet them.
 //
 // hot-path: runs once per sample per BN backward; all buffers are the caller's.
 func gradRows(dy, x, dx, gamma, inv, mean, dgamma, dbeta []float32, m float32, hw int) {

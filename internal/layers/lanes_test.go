@@ -434,20 +434,15 @@ func sweepOutputs(t *testing.T, pool *parallel.Pool, n, c, hw int, poisoned bool
 		t.Fatal(err)
 	}
 	out["Moments.sum"], out["Moments.sumsq"] = m.Sum, m.SumSq
-	y, xh, err := bn.Normalize(x, fixed, gamma, beta)
+	y, err := bn.Normalize(x, fixed, gamma, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["Normalize.y"], out["Normalize.xhat"] = y.Data, xh.Data
-	if y, err = bn.NormalizeY(x, fixed, gamma, beta); err != nil {
-		t.Fatal(err)
-	}
-	out["NormalizeY"] = y.Data
-	dg, db, err := bn.BackwardReduce(dy, xh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["BackwardReduce.dgamma"], out["BackwardReduce.dbeta"] = dg.Data, db.Data
+	out["Normalize"] = y.Data
+	xh := normalizeXHat(bn, x, fixed, gamma, beta)
+	out["normalizeXHat"] = xh.Data
+	dg, db := gammaBetaOver(dy, xh)
+	out["gammaBetaOver.dgamma"], out["gammaBetaOver.dbeta"] = dg.Data, db.Data
 	if dg, db, err = bn.BackwardReduceFrom(dy, x, fixed); err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +467,8 @@ func sweepOutputs(t *testing.T, pool *parallel.Pool, n, c, hw int, poisoned bool
 	per := c * hw
 	inv := bn.InvStdScratch(fixed)
 	rect, scale, norm, nxh := make([]float32, n*per), make([]float32, n*per), make([]float32, n*per), make([]float32, n*per)
-	zero, one := bn.identityStats()
+	hat, id := bn.StoredXHat(0)
+	zero, one := id.Mean.Data, hat.InvStdScratch(&id)
 	sxh := make([]float32, per)
 	masked := append([]float32(nil), dy.Data...)
 	for in := 0; in < n; in++ {
@@ -532,15 +528,11 @@ func splitSweeps(t *testing.T, pool *parallel.Pool, out map[string][]float32, x,
 		t.Fatal(err)
 	}
 	out["split/Moments.sum"], out["split/Moments.sumsq"] = m.Sum, m.SumSq
-	y, xh, err := bn.Normalize(v, fixed, gamma, beta)
+	y, err := bn.Normalize(v, fixed, gamma, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["split/Normalize.y"], out["split/Normalize.xhat"] = y.Data, xh.Data
-	if y, err = bn.NormalizeY(v, fixed, gamma, beta); err != nil {
-		t.Fatal(err)
-	}
-	out["split/NormalizeY"] = y.Data
+	out["split/Normalize"] = y.Data
 	rg, rb, err := bn.BackwardReduceFrom(dy, v, fixed)
 	if err != nil {
 		t.Fatal(err)
@@ -586,9 +578,8 @@ func TestSweepLanesBitIdenticalToScalar(t *testing.T) {
 								t.Errorf("%s: n=%d c=%d hw=%d poisoned=%v workers=%d: lanes differ from scalar", name, n, c, hw, poisoned, workers)
 							}
 						}
-						// Regenerating x̂ from x is the stored-x̂ backward,
-						// storing none is Normalize's y, and a Concat of x's
-						// channels is x.
+						// Regenerating x̂ from x is the backward over a
+						// stored x̂, and a Concat of x's channels is x.
 						for k := range f32 {
 							for name, got := range f32[k] {
 								if dense, ok := strings.CutPrefix(name, "split/"); ok && !sameFloats(got, f32[k][dense]) {
@@ -597,12 +588,11 @@ func TestSweepLanesBitIdenticalToScalar(t *testing.T) {
 							}
 							for from, stored := range map[string]string{
 								"BackwardInputFrom":         "BackwardInput",
-								"BackwardReduceFrom.dgamma": "BackwardReduce.dgamma",
-								"BackwardReduceFrom.dbeta":  "BackwardReduce.dbeta",
-								"NormalizeY":                "Normalize.y",
+								"BackwardReduceFrom.dgamma": "gammaBetaOver.dgamma",
+								"BackwardReduceFrom.dbeta":  "gammaBetaOver.dbeta",
 							} {
 								if !sameFloats(f32[k][from], f32[k][stored]) {
-									t.Errorf("body %d: n=%d c=%d hw=%d poisoned=%v workers=%d: %s differs from %s over Normalize's x̂", k, n, c, hw, poisoned, workers, from, stored)
+									t.Errorf("body %d: n=%d c=%d hw=%d poisoned=%v workers=%d: %s differs from %s over normalizeXHat's x̂", k, n, c, hw, poisoned, workers, from, stored)
 								}
 							}
 						}
@@ -700,7 +690,7 @@ func BenchmarkSweeps(b *testing.B) {
 		}
 		run("copy", 2, func() { copy(y, x) })
 		forEachBody(func(body string) {
-			run("normalize/"+body, 3, func() { bnNormalizeChunk(xr, xh, y, mean, inv, gamma, beta, 0, n) })
+			run("normalize/"+body, 2, func() { bnNormalizeChunk(xr, y, mean, inv, gamma, beta, 0, n) })
 			run("backward-input/"+body, 3, func() { bnInputGradChunk(xr, dy, y, gamma, inv, mean, mean, beta, 1e4, 0, n) })
 			run("fill-normalize/"+body, 3, func() {
 				for in := 0; in < n; in++ {
@@ -714,7 +704,7 @@ func BenchmarkSweeps(b *testing.B) {
 				varPartials(xr, mean, pv, c, float64(n*hw), 0, n)
 			})
 			run("moments/"+body, 1, func() { momentPartials(xr, pm, pv, c, 0, n) })
-			run("gamma-beta/"+body, 2, func() { gammaBetaChunk(dy, xh, pg, pb, c, hw, 0, n) })
+			run("backward-reduce/"+body, 2, func() { gammaBetaRegenChunk(xr, dy, xh, mean, inv, pg, pb, 0, 0, n) })
 		})
 	}
 }

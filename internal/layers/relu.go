@@ -29,7 +29,9 @@ func ReLUForwardAlloc(p *parallel.Pool, a *tensor.Arena, x Map) *tensor.Tensor {
 	return y
 }
 
-// ReLUBackward computes dx = dy ⊙ 1[x > 0] from the saved forward input.
+// ReLUBackward computes dx = dy ⊙ 1[x > 0]. x may be the ReLU's input or its
+// output: relu(x) > 0 exactly where x > 0, so both give dx the same bits (the
+// executor keeps the output).
 func ReLUBackward(dy, x *tensor.Tensor) (*tensor.Tensor, error) {
 	return ReLUBackwardAlloc(nil, nil, dy, x)
 }

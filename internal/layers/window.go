@@ -26,7 +26,7 @@ import (
 // Partials are one per (sample, channel). The forward hands its Σy/Σy² back
 // unclosed as Moments, for the same BatchNorm.Close the standalone
 // ComputeStatsMVF ends in; the backward reduces dγ/dβ in sample order after
-// the dispatch, as BackwardReduce does. So a window's statistics and
+// the dispatch, as BackwardReduceFrom does. So a window's statistics and
 // reductions are bit-identical to the unfused composition at any worker count.
 
 // ConvWindow selects what runs inside a convolution's window. The zero value
@@ -46,10 +46,9 @@ type ConvWindow struct {
 	In          *BNStats
 	Gamma, Beta *tensor.Tensor
 
-	// StoreXHat (under BN) is the stored-x̂ form of the fusion, Figure 5a's
-	// O2': forward also writes x̂ and returns it, and backward takes that x̂
-	// as its source in place of x and In. The backward runs the same
-	// regenerating body over x̂ with μ = +0 and 1/σ = 1, which give x̂ back.
+	// StoreXHat (forward, under BN) also writes x̂, Figure 5a's O2', and
+	// returns it. A backward over that x̂ is an ordinary BN window whose BN
+	// and In are BatchNorm.StoredXHat's: x̂ is a BN input under them.
 	StoreXHat bool
 
 	// Bias (forward) seeds every output accumulator of channel oc with
@@ -68,7 +67,7 @@ func (win ConvWindow) tiled(src runs) bool {
 	return win.Rectify || win.Gamma != nil || src.count() > 1
 }
 
-func (win ConvWindow) check(c Conv2D, forward bool) error {
+func (win ConvWindow) check(c Conv2D) error {
 	if win.Bias != nil && (win.Bias.Rank() != 1 || win.Bias.Dim(0) != c.OutChannels) {
 		return fmt.Errorf("conv: bias shape %v, want [%d]", win.Bias.Shape(), c.OutChannels)
 	}
@@ -87,9 +86,6 @@ func (win ConvWindow) check(c Conv2D, forward bool) error {
 	}
 	if err := bn.checkParam("beta", win.Beta); err != nil {
 		return err
-	}
-	if !forward && win.StoreXHat {
-		return nil
 	}
 	return bn.checkStats(win.In)
 }
@@ -169,7 +165,7 @@ func (c Conv2D) ForwardWindow(x Map, w *tensor.Tensor, win ConvWindow) (y, xhat 
 	if err := c.checkForward(x, w); err != nil {
 		return nil, nil, Moments{}, err
 	}
-	if err := win.check(c, true); err != nil {
+	if err := win.check(c); err != nil {
 		return nil, nil, Moments{}, err
 	}
 	n, _, h, wd := x.Dims4()
@@ -278,12 +274,11 @@ func (sp *convFwd) run(chunk, lo, hi int) {
 }
 
 // BackwardWindow is the backward of ForwardWindow: given the upstream
-// gradient dy and the forward's source — x, or the stored x̂ under BN with
-// win.StoreXHat — it returns the gradient with respect to that source's
-// pre-activation and dW, plus dγ/dβ under BN. The ifmap the forward never
-// stored is regenerated per sample into a chunk-private tile (under BN with
-// x̂ beside it, from x, or from a stored x̂ as x with μ = +0 and 1/σ = 1), so
-// no feature-map-sized scratch exists.
+// gradient dy and the forward's source x, it returns the gradient with
+// respect to x's pre-activation and dW, plus dγ/dβ under BN. The ifmap the
+// forward never stored is regenerated per sample into a chunk-private tile
+// (under BN with x̂ beside it, from x and In), so no feature-map-sized
+// scratch exists. A stored x̂ is a source x under BatchNorm.StoredXHat.
 func (c Conv2D) BackwardWindow(dy *tensor.Tensor, src Map, w *tensor.Tensor, win ConvWindow) (dx, dw, dgamma, dbeta *tensor.Tensor, err error) {
 	if err := c.checkBackward(dy, src, w, win); err != nil {
 		return nil, nil, nil, nil, err
@@ -324,7 +319,7 @@ func (c Conv2D) checkBackward(dy *tensor.Tensor, src Map, w *tensor.Tensor, win 
 	if !dy.Shape().Equal(c.OutShape(src.Shape())) {
 		return fmt.Errorf("conv: dY shape %v, want %v", dy.Shape(), c.OutShape(src.Shape()))
 	}
-	return win.check(c, false)
+	return win.check(c)
 }
 
 // backwardWindow dispatches the backward window body over the n samples sp's
@@ -356,12 +351,7 @@ func (c Conv2D) backwardWindow(sp convBwd, n int, win ConvWindow) (dgamma, dbeta
 		}
 	}
 	if win.Gamma != nil {
-		sp.tileFill = tileFill{rect: true, g: win.Gamma.Data, b: win.Beta.Data}
-		if win.StoreXHat {
-			sp.mean, sp.inv = win.BN.identityStats()
-		} else {
-			sp.mean, sp.inv = win.In.Mean.Data, win.BN.InvStdScratch(win.In)
-		}
+		sp.tileFill = tileFill{rect: true, mean: win.In.Mean.Data, inv: win.BN.InvStdScratch(win.In), g: win.Gamma.Data, b: win.Beta.Data}
 		sp.xhs = a.Floats(chunks * g.Cin * g.H * g.W)
 		// float64 partials stay plain heap slices: the arena recycles float32.
 		sp.psg, sp.psb = make([]float64, n*g.Cin), make([]float64, n*g.Cin)
@@ -384,9 +374,6 @@ func (c Conv2D) backwardWindow(sp convBwd, n int, win ConvWindow) (dgamma, dbeta
 	a.PutFloats(sp.scratch)
 	a.PutFloats(sp.wt)
 	win.BN.alloc.PutFloats(sp.inv)
-	if win.StoreXHat {
-		win.BN.alloc.PutFloats(sp.mean)
-	}
 	if sp.psg != nil {
 		dgamma, dbeta = reduceGammaBeta(sp.psg, sp.psb, n, g.Cin)
 	}
@@ -412,7 +399,7 @@ type convBwd struct {
 // run is the backward window. The mask tests the regenerated tile, which is
 // never NaN, so a NaN pre-activation loses its gradient exactly as in
 // ReLUBackward; masked elements still enter the dγ/dβ chains as zero terms,
-// exactly as in BackwardReduce over the masked gradient, so a non-finite x̂
+// exactly as in BackwardReduceFrom over the masked gradient, so a non-finite x̂
 // propagates (0·Inf = NaN).
 //
 // hot-path: the backward twin of convFwd.run; no per-call allocation.

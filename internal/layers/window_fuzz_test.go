@@ -198,9 +198,10 @@ func FuzzConvWindow(f *testing.F) {
 				var xhatWant *tensor.Tensor
 				if withBN {
 					var err error
-					if pre, xhatWant, err = bn.Normalize(x, win.In, win.Gamma, win.Beta); err != nil {
+					if pre, err = bn.Normalize(x, win.In, win.Gamma, win.Beta); err != nil {
 						t.Fatal(err)
 					}
+					xhatWant = normalizeXHat(bn, x, win.In, win.Gamma, win.Beta)
 					src = xhatWant
 				}
 				if masked {
@@ -216,7 +217,7 @@ func FuzzConvWindow(f *testing.F) {
 					t.Fatalf("%s: %+v %dx%d n=%d win=%03b workers=%d: forward differs from the unfused composition", body, conv, h, w, n, flags&15, workers)
 				}
 				if withBN && !sameFloats(xhat.Data, xhatWant.Data) {
-					t.Fatalf("%s: %+v workers=%d: x̂ differs from Normalize", body, conv, workers)
+					t.Fatalf("%s: %+v workers=%d: x̂ differs from normalizeXHat", body, conv, workers)
 				}
 				if stats {
 					want, err := NewBatchNorm(conv.OutChannels).WithPool(pool).ComputeStatsMVF(yWant)
@@ -250,7 +251,12 @@ func FuzzConvWindow(f *testing.F) {
 						t.Fatal(err)
 					}
 				}
-				bwin := ConvWindow{Rectify: rectify, BN: win.BN, Gamma: win.Gamma, Beta: win.Beta, StoreXHat: true}
+				// The stored x̂ is the BN window's input under StoredXHat.
+				bwin := ConvWindow{Rectify: rectify, Gamma: win.Gamma, Beta: win.Beta}
+				if withBN {
+					hat, in := bn.StoredXHat(0)
+					bwin.BN, bwin.In = hat, &in
+				}
 				dx, dw, dg, db, err := c.BackwardWindow(dy, src, wt, bwin)
 				if err != nil {
 					t.Fatal(err)
@@ -260,15 +266,12 @@ func FuzzConvWindow(f *testing.F) {
 						body, conv, h, w, n, flags&15, workers, sameFloats(dx.Data, dxWant.Data), sameFloats(dw.Data, dwWant.Data))
 				}
 				if withBN {
-					dgWant, dbWant, err := bn.BackwardReduce(dxWant, xhatWant)
-					if err != nil {
-						t.Fatal(err)
-					}
+					dgWant, dbWant := gammaBetaOver(dxWant, xhatWant)
 					if !sameFloats(dg.Data, dgWant.Data) || !sameFloats(db.Data, dbWant.Data) {
-						t.Fatalf("%s: %+v workers=%d: dγ/dβ differ from BackwardReduce", body, conv, workers)
+						t.Fatalf("%s: %+v workers=%d: dγ/dβ differ from gammaBetaPartials over x̂", body, conv, workers)
 					}
 				}
-				bwin.In, bwin.StoreXHat = win.In, false
+				bwin.BN, bwin.In = win.BN, win.In
 				vdx, vdw, vdg, vdb, err := c.BackwardWindow(dy, parts, wt, bwin)
 				if err != nil {
 					t.Fatal(err)

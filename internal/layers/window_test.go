@@ -59,7 +59,7 @@ func TestWindowStatsEpilogueMatchesComputeStatsMVF(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			normed, _, err := bn.Normalize(x, in, gamma, beta)
+			normed, err := bn.Normalize(x, in, gamma, beta)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
@@ -163,15 +163,17 @@ func TestBackwardWeightsMatchesWindowWithoutDX(t *testing.T) {
 	}
 }
 
-// A stored x̂ is a BN input whose statistics are μ = 0 and 1/σ = 1:
-// (x̂ − 0)·1 = x̂ for every float32. So the stored-x̂ BackwardInput and
-// BackwardWindow must give the bits of bodies that read x̂ straight — the
-// tile rectify(γ·x̂ + β), and dx = (γ·is/m)·(m·dy − dβ − x̂·dγ) — whatever x̂
-// holds. x̂ is fed raw bit patterns (NaN payloads, ±0, subnormals, ±Inf,
-// ±MaxFloat32) that no Normalize would write; γ and σ² are NaN together on
-// one channel, dγ and dβ are NaN on others, and the mean, which a stored x̂
-// never reads, is NaN throughout. Every output is compared bit for bit,
-// payloads included.
+// A stored x̂ is a BN input under StoredXHat's statistics, μ = 0 and σ² = 1
+// at ε = 0: 1/σ = 1 and (x̂ − 0)·1 = x̂ for every float32. So BackwardInput
+// and the BN BackwardWindow over x̂ under them must give the bits of bodies
+// that read x̂ straight — the tile rectify(γ·x̂ + β), and
+// dx = (γ·is/m)·(m·dy − dβ − x̂·dγ) — whatever x̂ holds. x̂ is fed raw bit
+// patterns (NaN payloads, ±0, subnormals, ±Inf, ±MaxFloat32) that no
+// Normalize would write; γ and σ² are NaN together on one channel, dγ and dβ
+// are NaN on others, and the mean, which a stored x̂ never reads, is NaN
+// throughout. The layer's ε is the default and 0.5: StoredXHat must drop it,
+// or 1/σ would not be 1. Every output is compared bit for bit, payloads
+// included.
 func TestStoredXHatIsIdentityRegeneration(t *testing.T) {
 	const n, c, h, wd, cout = 3, 11, 3, 5, 6
 	hw := h * wd
@@ -209,9 +211,14 @@ func TestStoredXHatIsIdentityRegeneration(t *testing.T) {
 		stats := &BNStats{Mean: mean, Var: variance, M: 2 * n * hw}
 
 		forEachBody(func(body string) {
-			for _, workers := range []int{1, 4} {
+			for _, cfg := range []struct {
+				workers int
+				eps     float32
+			}{{1, 1e-5}, {4, 1e-5}, {1, 0.5}, {4, 0.5}} {
+				workers := cfg.workers
 				pool := parallel.New(workers)
 				bn := NewBatchNorm(c).WithPool(pool)
+				bn.Eps = cfg.eps
 				inv := bn.InvStdScratch(stats)
 
 				// dx = (γ·is/m)·(m·dy − dβ − x̂·dγ), over the stored x̂ as is,
@@ -243,7 +250,7 @@ func TestStoredXHatIsIdentityRegeneration(t *testing.T) {
 				}
 				for j, v := range dxWant {
 					if got := dx.Data[j]; math.Float32bits(got) != math.Float32bits(v) {
-						t.Fatalf("%s, workers %d, seed %d: BackwardInput dx[%d] = %#x, want %#x (x̂ %#x)", body, workers, seed, j,
+						t.Fatalf("%s, workers %d, ε %v, seed %d: BackwardInput dx[%d] = %#x, want %#x (x̂ %#x)", body, workers, cfg.eps, seed, j,
 							math.Float32bits(got), math.Float32bits(v), math.Float32bits(xhat.Data[j]))
 					}
 				}
@@ -267,11 +274,9 @@ func TestStoredXHatIsIdentityRegeneration(t *testing.T) {
 				for j, v := range dz.Data {
 					dz.Data[j] = passIf(v, tile.Data[j])
 				}
-				dgWant, dbWant, err := bn.BackwardReduce(dz, xhat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dv, dw, dg, db, err := cv.BackwardWindow(dyw, xhat, w, ConvWindow{BN: bn, Gamma: gamma, Beta: beta, StoreXHat: true})
+				dgWant, dbWant := gammaBetaOver(dz, xhat)
+				hat, in := bn.StoredXHat(0)
+				dv, dw, dg, db, err := cv.BackwardWindow(dyw, xhat, w, ConvWindow{BN: hat, In: &in, Gamma: gamma, Beta: beta})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -280,7 +285,7 @@ func TestStoredXHatIsIdentityRegeneration(t *testing.T) {
 					got, want []float32
 				}{{"dv", dv.Data, dz.Data}, {"dW", dw.Data, dwWant.Data}, {"dγ", dg.Data, dgWant.Data}, {"dβ", db.Data, dbWant.Data}} {
 					if !bitsEqual(o.got, o.want) {
-						t.Errorf("%s, workers %d, seed %d: stored-x̂ BackwardWindow %s differs from the tile rectify(γ·x̂ + β)", body, workers, seed, o.name)
+						t.Errorf("%s, workers %d, ε %v, seed %d: stored-x̂ BackwardWindow %s differs from the tile rectify(γ·x̂ + β)", body, workers, cfg.eps, seed, o.name)
 					}
 				}
 			}
