@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"bnff/internal/memplan"
 	"bnff/internal/obs"
 	"bnff/internal/tensor"
@@ -14,11 +16,23 @@ import (
 // partials, regenerated x̂ samples, pooling argmax indices, fused-kernel
 // tiles) all come from the executor's private tensor.Arena, and each buffer
 // is returned to it at its interval's End step — so from the second
-// iteration on, a step is
-// served almost entirely from recycled storage instead of paying
-// allocator+GC cost per mini-batch. Recycled buffers are zeroed before reuse
-// (tensor.Arena's default), so every layer sees exactly the contents a fresh
-// allocation would give it.
+// iteration on, a step is served almost entirely from recycled storage
+// instead of paying allocator+GC cost per mini-batch. Recycled buffers are
+// zeroed before reuse (tensor.Arena's default), so every layer sees exactly
+// the contents a fresh allocation would give it.
+//
+// The intervals also decide where each planned buffer lives. memplan.Place
+// packs them into one slab, in per-sample elements and in segments no longer
+// than the largest buffer; the first training pass reserves the slab at its
+// batch, and before every schedule step the
+// executor queues the slots of the buffers born there (arenaPlan.born), which
+// the arena hands to that step's Gets by length. Best fit alone left the
+// arena 1.2–1.45× above the planned peak on bn-heavy (exact-size chunks whose
+// free ranges never merge); placed, the slab is the plan, and only
+// workspace, statistics and a second consumer's transient gradient go best
+// fit into chunks beside it. A slot whose range is taken falls back to best
+// fit and counts in arena_place_misses, so a wrong plan costs memory, never
+// correctness.
 //
 // Two buffer families the model once had are gone, and the table follows
 // from the model: a concat owns no storage (it is a layers.Concat view whose
@@ -35,7 +49,9 @@ import (
 // and the graph output (detached to the caller at the end of each Forward).
 // Inference-mode passes skip per-step releases — dropout is an identity alias
 // there, so the training intervals do not apply — and recycle everything at
-// the start of the next pass instead.
+// the start of the next pass instead; they place nothing, and the slab is
+// ordinary free space to them, so a trained executor's eval pass does not
+// grow a second footprint.
 
 // WithArena is a no-op: every executor allocates from a private arena. It
 // remains only because benchmark/setup.go, which this change may not edit,
@@ -44,8 +60,11 @@ func WithArena() Option { return func(*Executor) {} }
 
 // WithMetrics attaches an obs metrics registry. After every Forward and
 // Backward the executor publishes the arena counters as gauges:
-// arena_hits, arena_misses, arena_bytes_in_use, arena_peak_bytes, and
-// arena_held_bytes (everything the arena owns, checked out or free).
+// arena_hits, arena_misses, arena_bytes_in_use, arena_peak_bytes,
+// arena_held_bytes (everything the arena owns, checked out or free),
+// arena_slab_bytes (the placement slab, part of held) and
+// arena_place_misses (planned buffers that found their slot taken, and
+// training passes whose plan outgrew the slab).
 func WithMetrics(r *obs.Registry) Option { return func(e *Executor) { e.metrics = r } }
 
 // Metrics returns the registry attached via WithMetrics, or nil. The ddp
@@ -63,16 +82,18 @@ type arenaRelease struct {
 	id   int
 }
 
-// arenaPlan is the executor's compiled release table: for every schedule
-// step, the buffers whose live interval ends there. Built once per graph
-// from memplan.TrainingIntervals and invalidated when FoldBN rewrites the
-// graph.
+// arenaPlan is the executor's compiled plan: for every schedule step, the
+// buffers whose live interval ends there and the slab slots of the buffers
+// born there. Built once per graph from memplan.TrainingIntervals and
+// memplan.Place, and invalidated when FoldBN rewrites the graph.
 type arenaPlan struct {
-	fwdSteps int                    // number of live nodes = forward steps
 	releases map[int][]arenaRelease // schedule step → buffers dead after it
+	born     [][]tensor.Slot        // schedule step → per-sample slots of the buffers born there
+	slab     int                    // per-sample slab size the slots lie within
+	seg      int                    // per-sample segment length no slot crosses
 }
 
-// arenaPlanFor returns the cached release table, compiling it on first use.
+// arenaPlanFor returns the cached plan, compiling it on first use.
 func (e *Executor) arenaPlanFor() (*arenaPlan, error) {
 	if e.aplan != nil {
 		return e.aplan, nil
@@ -81,7 +102,9 @@ func (e *Executor) arenaPlanFor() (*arenaPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &arenaPlan{fwdSteps: len(sched.Nodes), releases: make(map[int][]arenaRelease)}
+	place := memplan.Place(ivs)
+	p := &arenaPlan{releases: make(map[int][]arenaRelease), born: make([][]tensor.Slot, sched.Steps),
+		slab: place.Slab, seg: place.Seg}
 	for _, iv := range ivs {
 		if iv.Kind == memplan.BufValue && iv.Node.ID == e.G.Output.ID {
 			// The output value is handed to the caller, whose lifetime the
@@ -89,6 +112,29 @@ func (e *Executor) arenaPlanFor() (*arenaPlan, error) {
 			continue
 		}
 		p.releases[iv.End] = append(p.releases[iv.End], arenaRelease{iv.Kind, iv.Node.ID})
+	}
+	// The arena hands a step's slots to its Gets by length, first queued
+	// first. A backward step Gets its input gradients in input order (a
+	// concat's parts, an EWS's two operands), so equal-length slots queue in
+	// that order; forward steps Get the value before a dropout's mask, which
+	// is the intervals' own order.
+	inputRank := func(iv memplan.Interval) int {
+		if iv.Kind != memplan.BufGrad {
+			return 0
+		}
+		return slices.Index(sched.Nodes[sched.Steps-1-iv.Start].Inputs, iv.Node)
+	}
+	order := make([]int, len(ivs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return inputRank(ivs[x]) - inputRank(ivs[y]) })
+	for _, i := range order {
+		iv := ivs[i]
+		if iv.Kind == memplan.BufGrad && iv.Node.ID == e.G.Output.ID {
+			continue // the output's gradient is the caller's dOut, never a Get
+		}
+		p.born[iv.Start] = append(p.born[iv.Start], tensor.Slot{Off: place.Offsets[i], Len: iv.SampleElems()})
 	}
 	e.aplan = p
 	return p, nil
@@ -188,6 +234,8 @@ func (e *Executor) publishArenaMetrics() {
 			inUse:  e.metrics.Gauge("arena_bytes_in_use"),
 			peak:   e.metrics.Gauge("arena_peak_bytes"),
 			held:   e.metrics.Gauge("arena_held_bytes"),
+			slab:   e.metrics.Gauge("arena_slab_bytes"),
+			pmiss:  e.metrics.Gauge("arena_place_misses"),
 		}
 	}
 	s := e.alloc.Stats()
@@ -196,10 +244,12 @@ func (e *Executor) publishArenaMetrics() {
 	e.agauges.inUse.Set(s.BytesInUse)
 	e.agauges.peak.Set(s.PeakBytes)
 	e.agauges.held.Set(s.HeldBytes)
+	e.agauges.slab.Set(s.SlabBytes)
+	e.agauges.pmiss.Set(s.PlaceMisses)
 }
 
 // arenaGauges caches the resolved registry gauges so publishing after every
-// pass costs five atomic stores, not five registry lookups.
+// pass costs seven atomic stores, not seven registry lookups.
 type arenaGauges struct {
-	hits, misses, inUse, peak, held *obs.Gauge
+	hits, misses, inUse, peak, held, slab, pmiss *obs.Gauge
 }

@@ -46,7 +46,8 @@ func heapReference(tb testing.TB, g *graph.Graph, opts ...Option) *Executor {
 // baseline and fully restructured graphs, serial and pooled, and across
 // repeated iterations (the second iteration is the one that actually
 // exercises recycled buffers). It also asserts the leak invariant: after a
-// complete forward+backward, every arena buffer has been returned.
+// complete forward+backward, every arena buffer has been returned; and that
+// every planned buffer took its slab slot.
 func TestArenaBitIdentical(t *testing.T) {
 	const iters = 3
 	for _, name := range models.Names() {
@@ -113,8 +114,11 @@ func TestArenaBitIdentical(t *testing.T) {
 						if s.Hits == 0 {
 							t.Error("repeated iterations never hit the free lists")
 						}
-						if s.PeakBytes == 0 || s.Misses == 0 {
+						if s.PeakBytes == 0 || s.Misses == 0 || s.SlabBytes == 0 {
 							t.Errorf("implausible arena stats: %+v", s)
+						}
+						if s.PlaceMisses != 0 {
+							t.Errorf("%d planned buffers missed their slab slot", s.PlaceMisses)
 						}
 					})
 				}
@@ -161,14 +165,20 @@ func TestArenaInferenceBitIdentical(t *testing.T) {
 // one: the arena's high-water mark on a real training iteration must land
 // within 2× of memplan's predicted activation peak (the arena additionally
 // carries layer scratch, statistics vectors, and argmax indices the
-// analytical plan does not model), and after three steps the storage the
-// arena holds — checked out or free — must stay within 1.5× of that peak, so
-// free ranges left over from one size keep serving the others. It runs on
-// tiny-densenet and on the benchmark's bn-heavy shape, whose wide concats the
+// analytical plan does not model). After three steps every planned buffer
+// must have taken its slab slot (arena_place_misses reads 0), and the
+// storage the arena holds — the slab plus the best-fit chunks for everything
+// else — must stay within 1.10× (baseline, RCF) or 1.20× (BNFF, whose
+// windows carry more workspace next to fewer maps) of the larger of the
+// planned and the measured peak. On bn-heavy the two peaks agree; on
+// tiny-densenet's BNFF graph a statistics producer's sub-BN1' input gradient
+// is live beside the fused partner's dv that the plan does not count, and
+// the measured peak sits 1.22× above the plan. It runs on tiny-densenet and
+// on the benchmark's bn-heavy shape at its batch, whose wide concats the
 // executor keeps as views.
 func TestArenaPeakWithinPredicted(t *testing.T) {
 	bnHeavy := models.DenseNetConfig{
-		Name: "bn-heavy", Batch: 4, InputSize: 32, Classes: 10,
+		Name: "bn-heavy", Batch: 32, InputSize: 32, Classes: 10,
 		GrowthRate: 4, Bottleneck: 1, BlockSizes: []int{6, 6},
 		InitChannels: 8, StemKernel: 3, Compression: 0.5,
 	}
@@ -179,17 +189,20 @@ func TestArenaPeakWithinPredicted(t *testing.T) {
 		{"tiny-densenet", func() (*graph.Graph, error) { return models.TinyDenseNet(16) }},
 		{"bn-heavy", func() (*graph.Graph, error) { return models.DenseNet(bnHeavy) }},
 	}
-	for _, scen := range []Scenario{Baseline, RCF, BNFF} {
-		t.Run(scen.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		scen  Scenario
+		bound float64
+	}{{Baseline, 1.10}, {RCF, 1.10}, {BNFF, 1.20}} {
+		t.Run(tc.scen.String(), func(t *testing.T) {
 			for _, shape := range shapes {
-				t.Run(shape.name, func(t *testing.T) { checkArenaPeak(t, shape.build, scen) })
+				t.Run(shape.name, func(t *testing.T) { checkArenaPeak(t, shape.build, tc.scen, tc.bound) })
 			}
 		})
 	}
 }
 
 // checkArenaPeak is TestArenaPeakWithinPredicted on one graph and scenario.
-func checkArenaPeak(t *testing.T, build func() (*graph.Graph, error), scen Scenario) {
+func checkArenaPeak(t *testing.T, build func() (*graph.Graph, error), scen Scenario, bound float64) {
 	g, err := build()
 	if err != nil {
 		t.Fatal(err)
@@ -222,8 +235,8 @@ func checkArenaPeak(t *testing.T, build func() (*graph.Graph, error), scen Scena
 	st := exec.ArenaStats()
 	measured, held := st.PeakBytes, st.HeldBytes
 	predicted := plan.PeakBytes
-	t.Logf("%s: measured arena peak %.2f MB, held %.2f MB, memplan predicted %.2f MB (%.2fx, held %.2fx)",
-		scen, float64(measured)/1e6, float64(held)/1e6, float64(predicted)/1e6,
+	t.Logf("%s: measured arena peak %.2f MB, held %.2f MB (slab %.2f MB), memplan predicted %.2f MB (%.2fx, held %.2fx)",
+		scen, float64(measured)/1e6, float64(held)/1e6, float64(st.SlabBytes)/1e6, float64(predicted)/1e6,
 		float64(measured)/float64(predicted), float64(held)/float64(predicted))
 	if measured < predicted {
 		t.Errorf("measured peak %d below the modeled lower bound %d — the plan should undercount scratch, not overcount", measured, predicted)
@@ -231,17 +244,76 @@ func checkArenaPeak(t *testing.T, build func() (*graph.Graph, error), scen Scena
 	if measured > 2*predicted {
 		t.Errorf("measured peak %d exceeds 2x the predicted %d", measured, predicted)
 	}
-	if 2*held > 3*predicted {
-		t.Errorf("arena holds %d bytes after three steps, more than 1.5x the predicted peak %d", held, predicted)
+	if limit := bound * float64(max(predicted, measured)); float64(held) > limit {
+		t.Errorf("arena holds %d bytes after three steps, more than %.2fx the peak %d", held, bound, max(predicted, measured))
 	}
-	if got := reg.Gauge("arena_peak_bytes").Value(); got != measured {
-		t.Errorf("arena_peak_bytes gauge = %d, want %d", got, measured)
+	if st.SlabBytes < predicted {
+		t.Errorf("slab %d bytes below the planned peak %d", st.SlabBytes, predicted)
 	}
-	if got := reg.Gauge("arena_held_bytes").Value(); got != held {
-		t.Errorf("arena_held_bytes gauge = %d, want %d", got, held)
+	for name, want := range map[string]int64{
+		"arena_peak_bytes":   measured,
+		"arena_held_bytes":   held,
+		"arena_slab_bytes":   st.SlabBytes,
+		"arena_place_misses": 0,
+	} {
+		if got := reg.Gauge(name).Value(); got != want {
+			t.Errorf("%s gauge = %d, want %d", name, got, want)
+		}
 	}
 	if reg.Gauge("arena_hits").Value() == 0 {
 		t.Error("arena_hits gauge never published")
+	}
+}
+
+// TestArenaEvalKeepsTrainingFootprint: an eval pass on a trained executor
+// runs in the storage the training steps left — the slab is ordinary free
+// space outside a placed pass — so it leaves HeldBytes unchanged, and the
+// training step after it places every planned buffer again. (The baseline's
+// eval pass keeps every BN output to the end of the pass, more than any
+// training step holds at once, so it runs on RCF and BNFF graphs.)
+func TestArenaEvalKeepsTrainingFootprint(t *testing.T) {
+	for _, scen := range []Scenario{RCF, BNFF} {
+		t.Run(scen.String(), func(t *testing.T) {
+			g, err := models.TinyDenseNet(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Restructure(g, scen.Options()); err != nil {
+				t.Fatal(err)
+			}
+			exec, err := NewExecutor(g, WithSeed(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := tensor.New(g.Nodes[0].OutShape...)
+			tensor.NewRNG(2).FillNormal(in, 0, 1)
+			step := func() {
+				out, err := exec.Forward(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dOut := tensor.New(out.Shape()...)
+				dOut.Fill(1)
+				if _, err := exec.Backward(dOut); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step()
+			step()
+			trained := exec.ArenaStats()
+			restore := exec.EvalMode()
+			if _, err := exec.Forward(in); err != nil {
+				t.Fatal(err)
+			}
+			restore()
+			if got := exec.ArenaStats().HeldBytes; got != trained.HeldBytes {
+				t.Errorf("eval pass moved HeldBytes %d -> %d", trained.HeldBytes, got)
+			}
+			step()
+			if st := exec.ArenaStats(); st.HeldBytes != trained.HeldBytes || st.PlaceMisses != 0 {
+				t.Errorf("training step after eval: held %d (was %d), %d place misses", st.HeldBytes, trained.HeldBytes, st.PlaceMisses)
+			}
+		})
 	}
 }
 

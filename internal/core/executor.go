@@ -57,7 +57,7 @@ type Executor struct {
 	folded bool        // FoldBN already ran; the graph and parameters are rewritten
 
 	alloc   *tensor.Arena // private activation arena (see arena.go)
-	aplan   *arenaPlan    // compiled release table; invalidated by FoldBN
+	aplan   *arenaPlan    // compiled release and placement plan; invalidated by FoldBN
 	metrics *obs.Registry // nil: no metrics publication (see WithMetrics)
 	agauges *arenaGauges  // lazily resolved arena gauges
 	live    []*graph.Node // cached G.Live() schedule; invalidated by FoldBN
@@ -434,6 +434,13 @@ func withBatch(nominal tensor.Shape, n int) tensor.Shape {
 // The input must match the graph's input shape in every dimension but the
 // batch, which is taken from x.
 func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
+	for _, n := range e.liveNodes() {
+		// Dimension 0 is free (but not empty); the rest must match.
+		if s := x.Shape(); n.Kind == graph.OpInput &&
+			(len(s) != len(n.OutShape) || len(s) == 0 || s[0] < 1 || !s[1:].Equal(n.OutShape[1:])) {
+			return nil, fmt.Errorf("core: input shape %v, graph expects %v at any batch size", x.Shape(), n.OutShape)
+		}
+	}
 	if e.vals == nil {
 		e.vals = make(map[int]*tensor.Tensor)
 		e.views = make(map[int]*layers.Concat)
@@ -445,15 +452,19 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		// map storage instead of reallocating it.
 		e.resetPass()
 	}
-	// Per-step releases follow the training schedule; an inference pass has
-	// different lifetimes (dropout aliases its input), so it recycles via the
-	// resetPass sweep above instead.
+	// Per-step releases and placement follow the training schedule; an
+	// inference pass has different lifetimes (dropout aliases its input), so
+	// it recycles via the resetPass sweep above instead and places nothing.
 	stepRelease := !e.inference
+	batch, slab, seg := x.Dim(0), 0, 0
 	if stepRelease {
-		if _, err := e.arenaPlanFor(); err != nil {
+		p, err := e.arenaPlanFor()
+		if err != nil {
 			return nil, err
 		}
+		slab, seg = p.slab*batch, p.seg*batch
 	}
+	e.alloc.PlacePass(slab, seg)
 	if e.dropRNG == nil {
 		e.dropRNG = tensor.NewRNG(0x5eed)
 	}
@@ -461,14 +472,13 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	defer e.tracer.End("forward", obs.CatPass, "fwd", obs.TIDPass, passStart)
 
 	for step, n := range e.liveNodes() {
+		if stepRelease {
+			e.alloc.Expect(e.aplan.born[step], batch)
+		}
 		// Input binding is bookkeeping, not compute: handle it before the
 		// node span opens so every Begin below is paired with an end on
 		// every path.
 		if n.Kind == graph.OpInput {
-			// Dimension 0 is free (but not empty); the rest must match.
-			if s := x.Shape(); len(s) != len(n.OutShape) || len(s) == 0 || s[0] < 1 || !s[1:].Equal(n.OutShape[1:]) {
-				return nil, fmt.Errorf("core: input shape %v, graph expects %v at any batch size", x.Shape(), n.OutShape)
-			}
 			e.vals[n.ID] = x
 			if stepRelease {
 				e.releaseForwardStep(step)
@@ -663,6 +673,10 @@ func (e *Executor) Backward(dOut *tensor.Tensor) (map[string]*tensor.Tensor, err
 		if n.Kind == graph.OpInput {
 			continue
 		}
+		step := 2*len(live) - 1 - i
+		if e.aplan != nil {
+			e.alloc.Expect(e.aplan.born[step], out.Dim(0))
+		}
 		nodeStart := e.tracer.Begin()
 		err := e.backwardNode(n, gmap, grads, stash)
 		e.endNodeSpan(n, "bwd", nodeStart)
@@ -670,7 +684,7 @@ func (e *Executor) Backward(dOut *tensor.Tensor) (map[string]*tensor.Tensor, err
 			return nil, fmt.Errorf("core: backward of node %q: %w", n.Name, err)
 		}
 		if e.aplan != nil {
-			e.releaseBackwardStep(2*len(live)-1-i, gmap, stash)
+			e.releaseBackwardStep(step, gmap, stash)
 		}
 	}
 	// Gradient slots nothing reads — the graph inputs' — are written but have

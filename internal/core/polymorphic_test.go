@@ -135,7 +135,7 @@ func TestExecutorRejectsNonBatchMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []tensor.Shape{
-		{4, 3, 9, 8}, {4, 3, 8, 9}, {4, 2, 8, 8}, {4, 3, 8}, {4, 3, 8, 8, 1}, {0, 3, 8, 8}, {4 * 3 * 8 * 8},
+		{4, 3, 9, 8}, {4, 3, 8, 9}, {4, 2, 8, 8}, {4, 3, 8}, {4, 3, 8, 8, 1}, {0, 3, 8, 8}, {4 * 3 * 8 * 8}, {},
 	} {
 		if _, err := ex.Forward(tensor.New(bad...)); err == nil {
 			t.Errorf("Forward accepted input %v on a [N 3 8 8] graph", bad)

@@ -14,7 +14,7 @@ import (
 //   - the runtime arena (internal/core/arena.go), which returns each buffer
 //     to its executor's tensor.Arena at exactly the interval's End step — so an
 //     interval that ends too early is a use-after-free, not a reporting
-//     blemish.
+//     blemish — and carves it at the offset Place assigns (place.go).
 //
 // The rules below therefore mirror what core.Executor actually reads, not a
 // textbook autodiff model: nothing saves x̂. A monolithic BN re-reads its

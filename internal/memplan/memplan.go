@@ -18,8 +18,13 @@
 // shared library: PlanTraining aggregates the intervals into the analytical
 // report below, and every core.Executor replays the same intervals at
 // runtime to return each buffer to its tensor.Arena at its last-reader
-// step. Because the runtime trusts the intervals for reuse, they model what
-// the executor actually reads, not a conservative superset.
+// step. Place (place.go) turns them into offsets in one slab as well (in
+// segments no buffer straddles), and a training executor carves each
+// planned buffer at its offset, so the arena
+// holds the slab — PeakBytes, or a little more where no packing of the sizes
+// meets it — plus its workspace, rather than best fit's fragments. Because
+// the runtime trusts the intervals for reuse, they model what the executor
+// actually reads, not a conservative superset.
 package memplan
 
 import (

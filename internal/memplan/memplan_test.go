@@ -170,14 +170,15 @@ func bnHeavy(batch int) models.DenseNetConfig {
 }
 
 // The planned training peak of bn-heavy at batch 32, in MiB, under each
-// restructuring. A concat is a view of its inputs, so a dense block keeps each
-// feature map once; no BN stores x̂ (each regenerates it from its input), and
-// a ReLU's backward masks with its own output.
+// restructuring, and the slab its intervals are placed in. A concat is a view
+// of its inputs, so a dense block keeps each feature map once; no BN stores x̂
+// (each regenerates it from its input), and a ReLU's backward masks with its
+// own output.
 func TestPlanPeakBNHeavy(t *testing.T) {
 	for _, tc := range []struct {
-		scen core.Scenario
-		mib  float64
-	}{{core.Baseline, 38.875}, {core.RCF, 38.875}, {core.BNFF, 16.5}} {
+		scen      core.Scenario
+		mib, slab float64
+	}{{core.Baseline, 38.875, 38.875}, {core.RCF, 38.875, 38.875}, {core.BNFF, 16.5, 17.5}} {
 		g, err := models.DenseNet(bnHeavy(32))
 		if err != nil {
 			t.Fatal(err)
@@ -188,29 +189,34 @@ func TestPlanPeakBNHeavy(t *testing.T) {
 		if got := float64(plan(t, g).PeakBytes) / (1 << 20); got != tc.mib {
 			t.Errorf("%v: planned peak %v MiB, want %v", tc.scen, got, tc.mib)
 		}
+		if got := slabMiB(t, g); got != tc.slab {
+			t.Errorf("%v: slab %v MiB, want %v", tc.scen, got, tc.slab)
+		}
 	}
 }
 
 // The planned training peak at batch 32, in MiB, of every registered model
 // under baseline, RCF and BNFF: now, and before the unfused BNs stopped
-// storing x̂ and ReLU stopped keeping its input. No plan may rise above its
-// earlier value, and the table names exactly models.Names().
+// storing x̂ and ReLU stopped keeping its input; and the slab memplan.Place
+// packs the same intervals into, which the runtime arena reserves. No plan
+// may rise above its earlier value, no slab may fall below its peak, and the
+// table names exactly models.Names().
 func TestPlanPeakEveryModel(t *testing.T) {
 	type peaks struct{ baseline, rcf, bnff float64 }
-	table := map[string]struct{ now, was peaks }{
-		"alexnet":         {peaks{80.5859375, 80.5859375, 80.5859375}, peaks{92.625, 80.5859375, 80.5859375}},
-		"densenet121":     {peaks{2727.15625, 2727.15625, 949.375}, peaks{5645.71875, 3837.3125, 949.375}},
-		"densenet169":     {peaks{3191.125, 3191.125, 998.375}, peaks{6878.375, 4664.1875, 998.375}},
-		"densenet201":     {peaks{3950.625, 3950.625, 1096.375}, peaks{8960.875, 6054.5625, 1096.375}},
-		"inception-small": {peaks{4759.125, 4759.125, 4180.3125}, peaks{6207.6875, 5628.875, 5050.0625}},
-		"mobilenet":       {peaks{1243.375, 1243.375, 633.9375}, peaks{1852.8125, 1243.375, 633.9375}},
-		"resnet50":        {peaks{2450, 2450, 2116.1875}, peaks{3448.375, 3111.5, 2777.6875}},
-		"tiny-cnn":        {peaks{0.625, 0.625, 0.4375}, peaks{0.8125, 0.625, 0.4375}},
-		"tiny-densenet":   {peaks{9.5625, 9.5625, 5.25}, peaks{16.1875, 11.125, 5.25}},
-		"tiny-inception":  {peaks{3.75, 3.75, 3.375}, peaks{4.625, 4.25, 3.875}},
-		"tiny-mobilenet":  {peaks{14.875, 14.875, 8.4375}, peaks{21.3125, 14.875, 8.4375}},
-		"tiny-resnet":     {peaks{7.5, 7.5, 7.75}, peaks{9.5, 8.75, 9}},
-		"vgg16":           {peaks{1886.5, 1886.5, 1886.5}, peaks{2768.5, 1886.5, 1886.5}},
+	table := map[string]struct{ now, was, slab peaks }{
+		"alexnet":         {peaks{80.5859375, 80.5859375, 80.5859375}, peaks{92.625, 80.5859375, 80.5859375}, peaks{87.984375, 87.984375, 87.984375}},
+		"densenet121":     {peaks{2727.15625, 2727.15625, 949.375}, peaks{5645.71875, 3837.3125, 949.375}, peaks{2727.15625, 2727.15625, 952.4375}},
+		"densenet169":     {peaks{3191.125, 3191.125, 998.375}, peaks{6878.375, 4664.1875, 998.375}, peaks{3191.125, 3192.65625, 1001.4375}},
+		"densenet201":     {peaks{3950.625, 3950.625, 1096.375}, peaks{8960.875, 6054.5625, 1096.375}, peaks{3950.625, 3950.625, 1099.4375}},
+		"inception-small": {peaks{4759.125, 4759.125, 4180.3125}, peaks{6207.6875, 5628.875, 5050.0625}, peaks{4759.125, 4759.125, 4183.375}},
+		"mobilenet":       {peaks{1243.375, 1243.375, 633.9375}, peaks{1852.8125, 1243.375, 633.9375}, peaks{1243.375, 1243.375, 633.9375}},
+		"resnet50":        {peaks{2450, 2450, 2116.1875}, peaks{3448.375, 3111.5, 2777.6875}, peaks{2450, 2450, 2116.1875}},
+		"tiny-cnn":        {peaks{0.625, 0.625, 0.4375}, peaks{0.8125, 0.625, 0.4375}, peaks{0.625, 0.625, 0.4375}},
+		"tiny-densenet":   {peaks{9.5625, 9.5625, 5.25}, peaks{16.1875, 11.125, 5.25}, peaks{9.5625, 9.5625, 5.25}},
+		"tiny-inception":  {peaks{3.75, 3.75, 3.375}, peaks{4.625, 4.25, 3.875}, peaks{3.75, 3.75, 3.4375}},
+		"tiny-mobilenet":  {peaks{14.875, 14.875, 8.4375}, peaks{21.3125, 14.875, 8.4375}, peaks{14.875, 14.875, 8.4375}},
+		"tiny-resnet":     {peaks{7.5, 7.5, 7.75}, peaks{9.5, 8.75, 9}, peaks{7.5, 7.5, 7.75}},
+		"vgg16":           {peaks{1886.5, 1886.5, 1886.5}, peaks{2768.5, 1886.5, 1886.5}, peaks{1886.5, 1886.5, 1886.5}},
 	}
 	names := models.Names()
 	if len(names) != len(table) {
@@ -223,15 +229,18 @@ func TestPlanPeakEveryModel(t *testing.T) {
 			continue
 		}
 		for _, tc := range []struct {
-			scen     core.Scenario
-			now, was float64
+			scen           core.Scenario
+			now, was, slab float64
 		}{
-			{core.Baseline, row.now.baseline, row.was.baseline},
-			{core.RCF, row.now.rcf, row.was.rcf},
-			{core.BNFF, row.now.bnff, row.was.bnff},
+			{core.Baseline, row.now.baseline, row.was.baseline, row.slab.baseline},
+			{core.RCF, row.now.rcf, row.was.rcf, row.slab.rcf},
+			{core.BNFF, row.now.bnff, row.was.bnff, row.slab.bnff},
 		} {
 			if tc.now > tc.was {
 				t.Errorf("%s %v: pinned peak %v MiB rose above %v", name, tc.scen, tc.now, tc.was)
+			}
+			if tc.slab < tc.now {
+				t.Errorf("%s %v: pinned slab %v MiB below the peak %v", name, tc.scen, tc.slab, tc.now)
 			}
 			g, err := models.Build(name, 32)
 			if err != nil {
@@ -242,6 +251,65 @@ func TestPlanPeakEveryModel(t *testing.T) {
 			}
 			if got := float64(plan(t, g).PeakBytes) / (1 << 20); got != tc.now {
 				t.Errorf("%s %v: planned peak %v MiB, want %v", name, tc.scen, got, tc.now)
+			}
+			if got := slabMiB(t, g); got != tc.slab {
+				t.Errorf("%s %v: slab %v MiB, want %v", name, tc.scen, got, tc.slab)
+			}
+		}
+	}
+}
+
+// slabMiB is the size of g's placement slab at its own batch, in MiB.
+func slabMiB(t *testing.T, g *graph.Graph) float64 {
+	t.Helper()
+	_, ivs, err := memplan.TrainingIntervals(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(4*g.Nodes[0].OutShape[0]*memplan.Place(ivs).Slab) / (1 << 20)
+}
+
+// The placement property: for every registered model and restructuring, no
+// two intervals that are live at a common step share an element of the slab,
+// no interval crosses a multiple of the segment length, and the slab is
+// exactly as large as its highest placed end.
+func TestPlaceNoOverlap(t *testing.T) {
+	for _, name := range models.Names() {
+		for _, scen := range core.Scenarios() {
+			g, err := models.Build(name, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := core.Restructure(g, scen.Options()); err != nil {
+				t.Fatal(err)
+			}
+			_, ivs, err := memplan.TrainingIntervals(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := memplan.Place(ivs)
+			if len(p.Offsets) != len(ivs) {
+				t.Fatalf("%s %v: %d offsets for %d intervals", name, scen, len(p.Offsets), len(ivs))
+			}
+			top := 0
+			for i, a := range ivs {
+				ai, aj := p.Offsets[i], p.Offsets[i]+a.SampleElems()
+				if ai < 0 || ai/p.Seg != (aj-1)/p.Seg {
+					t.Fatalf("%s %v: %s placed at [%d, %d), segments of %d", name, scen, a.Node.Name, ai, aj, p.Seg)
+				}
+				top = max(top, aj)
+				for j := i + 1; j < len(ivs); j++ {
+					b := ivs[j]
+					bi, bj := p.Offsets[j], p.Offsets[j]+b.SampleElems()
+					if a.Start <= b.End && b.Start <= a.End && ai < bj && bi < aj {
+						t.Fatalf("%s %v: %s %v [%d, %d] at [%d, %d) overlaps %s %v [%d, %d] at [%d, %d)",
+							name, scen, a.Node.Name, a.Kind, a.Start, a.End, ai, aj,
+							b.Node.Name, b.Kind, b.Start, b.End, bi, bj)
+					}
+				}
+			}
+			if top != p.Slab {
+				t.Errorf("%s %v: slab %d, highest placed end %d", name, scen, p.Slab, top)
 			}
 		}
 	}

@@ -17,11 +17,29 @@ import (
 // Floats take the smallest free range that fits (ties: lowest chunk, then
 // lowest offset) and split off the unused tail; only when no free range fits
 // is a new chunk of exactly the requested size allocated. Put and PutFloats
-// return the range and coalesce it with its free neighbours, so a freed
-// buffer can serve any smaller request and adjacent frees merge back into one
-// larger range. The arena therefore holds about memplan's planned peak, not
-// one buffer per distinct size. Int32 scratch (pooling argmax indices) is
-// small and keeps exact-size LIFO free lists.
+// return the range and coalesce it with its free neighbours within its chunk,
+// so a freed buffer can serve any smaller request and adjacent frees merge
+// back into one larger range. Int32 scratch (pooling argmax indices) is small
+// and keeps exact-size LIFO free lists.
+//
+// Best fit alone does not hold a training step at memplan's planned peak:
+// every miss adds an exact-size chunk, free ranges in different chunks never
+// merge, and the fragments grow the footprint 1.2–1.45× past the plan. So a
+// training executor places its planned buffers. PlacePass reserves one slab
+// (on the first placed pass, sized for it), and Expect queues the
+// (offset, length) slots memplan.Place assigned to the buffers born at the
+// next schedule step. A tensor Get whose length matches a queued slot takes
+// exactly that range of the slab if it is free, and falls back to best fit
+// otherwise, so a wrong plan costs placement, never correctness. During a
+// placed pass every other request goes best fit into the non-slab chunks; in
+// any other pass the slab is ordinary free space.
+//
+// The slab is one offset space stored as segments, one chunk each, no
+// longer than the plan's largest buffer, which no slot straddles. One
+// contiguous allocation of the whole slab (39 MiB on bn-heavy) sometimes
+// found no free run of that length in a Go heap that earlier executors had
+// left fragmented, and the heap grew by a whole second slab; segments ask
+// the heap for no more than best fit asks for its largest chunk.
 //
 // Design constraints, in order:
 //
@@ -56,16 +74,30 @@ type Arena struct {
 	hdrs   []*Tensor         // recycled tensor headers, LIFO
 	freeI  map[int][][]int32 // recycled int32 scratch by length, LIFO
 
+	// Placement (PlacePass, Expect): chunks[slab:slabEnd] are the slab's
+	// segments, seg elements each but the last; slab is -1 until the first
+	// placed pass reserves them. pass is the current pass's segment length,
+	// 0 when the pass does not place; queue holds the slots Expect queued
+	// for the current schedule step.
+	slab, slabEnd, seg, pass int
+	queue                    []Slot
+
 	owned  map[*Tensor]span  // tensors currently checked out
 	ownedF map[*float32]span // float32 scratch checked out, keyed by &s[0]
 	ownedI map[*int32]int    // int32 scratch checked out, keyed by &s[0]
 
-	hits       int64
-	misses     int64
-	bytesInUse int64
-	peakBytes  int64
-	heldBytes  int64
+	hits        int64
+	misses      int64
+	placeMisses int64
+	bytesInUse  int64
+	peakBytes   int64
+	heldBytes   int64
+	slabBytes   int64
 }
+
+// Slot is one planned range of the placement slab: Len elements at element
+// offset Off.
+type Slot struct{ Off, Len int }
 
 // span is the element range [off, off+n) of chunks[chunk].
 type span struct{ chunk, off, n int }
@@ -85,6 +117,7 @@ const poisonNaN = 0x7fc0dead
 // NewArena returns an empty arena.
 func NewArena() *Arena {
 	return &Arena{
+		slab:   -1,
 		freeI:  make(map[int][][]int32),
 		owned:  make(map[*Tensor]span),
 		ownedF: make(map[*float32]span),
@@ -94,11 +127,13 @@ func NewArena() *Arena {
 
 // ArenaStats is a snapshot of an arena's counters.
 type ArenaStats struct {
-	Hits       int64 // Get/Floats/Ints calls served from storage the arena already held
-	Misses     int64 // calls that fell through to a fresh heap allocation
-	BytesInUse int64 // bytes currently checked out (4 per element)
-	PeakBytes  int64 // high-water mark of BytesInUse
-	HeldBytes  int64 // every byte the arena owns, checked out or free, Ints included
+	Hits        int64 // Get/Floats/Ints calls served from storage the arena already held
+	Misses      int64 // calls that fell through to a fresh heap allocation
+	PlaceMisses int64 // placed Gets whose slot was not free, and passes whose plan outgrew the slab
+	BytesInUse  int64 // bytes currently checked out (4 per element)
+	PeakBytes   int64 // high-water mark of BytesInUse
+	HeldBytes   int64 // every byte the arena owns, checked out or free, slab and Ints included
+	SlabBytes   int64 // the placement slab's size; 0 before PlacePass reserves it
 }
 
 // Stats returns a snapshot of the arena's counters; zero for a nil arena.
@@ -106,8 +141,63 @@ func (a *Arena) Stats() ArenaStats {
 	if a == nil {
 		return ArenaStats{}
 	}
-	return ArenaStats{Hits: a.hits, Misses: a.misses, BytesInUse: a.bytesInUse,
-		PeakBytes: a.peakBytes, HeldBytes: a.heldBytes}
+	return ArenaStats{Hits: a.hits, Misses: a.misses, PlaceMisses: a.placeMisses,
+		BytesInUse: a.bytesInUse, PeakBytes: a.peakBytes, HeldBytes: a.heldBytes, SlabBytes: a.slabBytes}
+}
+
+// PlacePass begins a pass. need > 0 begins a placed pass whose Expect slots
+// lie within need elements, none straddling a multiple of seg (seg <= 0:
+// one segment). The first such call reserves a slab of exactly need
+// elements in segments of seg; a later pass whose need or seg the slab
+// cannot hold is unplaced and counts a place miss. need <= 0 begins an
+// unplaced pass, in which the slab is ordinary free space.
+func (a *Arena) PlacePass(need, seg int) {
+	if a == nil {
+		return
+	}
+	a.queue = a.queue[:0]
+	a.pass = 0
+	if need <= 0 {
+		return
+	}
+	if seg <= 0 || seg > need {
+		seg = need
+	}
+	if a.slab < 0 {
+		a.slab, a.seg = len(a.chunks), seg
+		for off := 0; off < need; off += seg {
+			n := min(seg, need-off)
+			a.chunks = append(a.chunks, make([]float32, n))
+			a.free = append(a.free, span{len(a.chunks) - 1, 0, n}) // the highest chunk sorts last
+		}
+		a.slabEnd = len(a.chunks)
+		a.slabBytes = 4 * int64(need)
+		a.heldBytes += a.slabBytes
+	}
+	if 4*int64(need) > a.slabBytes || seg > a.seg {
+		a.placeMisses++
+		return
+	}
+	a.pass = seg
+}
+
+// inSlab reports whether chunk c is a segment of the slab.
+func (a *Arena) inSlab(c int) bool { return c >= a.slab && c < a.slabEnd }
+
+// Expect replaces the queue of slots the next tensor Gets may take with
+// slots, each offset and length multiplied by scale (slots are planned per
+// sample; scale is the batch). Outside a placed pass it only clears the queue.
+func (a *Arena) Expect(slots []Slot, scale int) {
+	if a == nil {
+		return
+	}
+	a.queue = a.queue[:0]
+	if a.pass == 0 {
+		return
+	}
+	for _, s := range slots {
+		a.queue = append(a.queue, Slot{s.Off * scale, s.Len * scale})
+	}
 }
 
 // checkOut books n freshly handed-out elements (4 bytes each).
@@ -119,10 +209,14 @@ func (a *Arena) checkOut(n int) {
 }
 
 // carve hands out a zeroed range of n elements: the best-fitting free range,
-// split if larger, or else a new chunk of exactly n.
+// split if larger, or else a new chunk of exactly n. A placed pass keeps the
+// slab for the slots Expect queues.
 func (a *Arena) carve(n int) ([]float32, span) {
 	best := -1
 	for i, f := range a.free {
+		if a.pass > 0 && a.inSlab(f.chunk) {
+			continue
+		}
 		if f.n >= n && (best < 0 || f.n < a.free[best].n) {
 			best = i
 			if f.n == n {
@@ -147,6 +241,51 @@ func (a *Arena) carve(n int) ([]float32, span) {
 	buf := a.chunks[f.chunk][f.off : f.off+n : f.off+n]
 	clear(buf)
 	return buf, span{f.chunk, f.off, n}
+}
+
+// carvePlaced hands out the queued slot of n elements, if there is one and
+// its range of the slab is free: offset Off is element Off mod the pass's
+// segment length of segment Off div it. The first queued slot of length n is
+// used up either way; a slot that is not free counts a place miss, and the
+// caller falls back to carve.
+func (a *Arena) carvePlaced(n int) ([]float32, span, bool) {
+	q := -1
+	if n > 0 {
+		q = slices.IndexFunc(a.queue, func(s Slot) bool { return s.Len == n })
+	}
+	if q < 0 {
+		return nil, span{}, false
+	}
+	off := a.queue[q].Off
+	s := span{a.slab + off/a.pass, off % a.pass, n}
+	a.queue = slices.Delete(a.queue, q, q+1)
+	// The free span that could hold s is the last one starting at or below it.
+	i, found := slices.BinarySearchFunc(a.free, s, cmpSpan)
+	if !found {
+		i--
+	}
+	if !a.inSlab(s.chunk) || i < 0 || a.free[i].chunk != s.chunk || a.free[i].off+a.free[i].n < s.off+n {
+		a.placeMisses++
+		return nil, span{}, false
+	}
+	f := a.free[i]
+	lo := span{f.chunk, f.off, s.off - f.off}
+	hi := span{f.chunk, s.off + n, f.off + f.n - s.off - n}
+	switch {
+	case lo.n == 0 && hi.n == 0:
+		a.free = slices.Delete(a.free, i, i+1)
+	case lo.n == 0:
+		a.free[i] = hi
+	case hi.n == 0:
+		a.free[i] = lo
+	default:
+		a.free[i] = lo
+		a.free = slices.Insert(a.free, i+1, hi)
+	}
+	a.hits++
+	buf := a.chunks[s.chunk][s.off : s.off+n : s.off+n]
+	clear(buf)
+	return buf, s, true
 }
 
 // release returns a range to the free list, merged with any free neighbour in
@@ -178,13 +317,17 @@ func (a *Arena) release(s span) {
 }
 
 // Get returns a zero-filled tensor of the given shape carved from the
-// arena's chunks (see carve). A nil arena returns New(shape...).
+// arena's chunks: at its queued slot of the slab in a placed pass (see
+// Expect), else best fit (see carve). A nil arena returns New(shape...).
 func (a *Arena) Get(shape ...int) *Tensor {
 	if a == nil {
 		return New(shape...)
 	}
 	ne := Shape(shape).NumElems()
-	data, s := a.carve(ne)
+	data, s, ok := a.carvePlaced(ne)
+	if !ok {
+		data, s = a.carve(ne)
+	}
 	var t *Tensor
 	if k := len(a.hdrs); k > 0 {
 		// Reuse a recycled header and its shape slice when it has capacity,

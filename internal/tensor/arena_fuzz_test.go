@@ -26,14 +26,50 @@ func (b arenaBuf) data() []float32 {
 	return b.f
 }
 
+// arenaPlans are the (need, seg) pairs a PlacePass op asks for: 0 begins an
+// unplaced pass, 48 outgrows a slab reserved at 24, and the segment lengths
+// fit or do not fit a slab reserved in segments of 24 or 8.
+var arenaPlans = [...]struct{ need, seg int }{{0, 0}, {24, 24}, {48, 48}, {24, 8}, {12, 4}}
+
 // runArenaOps decodes ops as (opcode, argument) byte pairs, drives a fresh
 // arena with them, and checks the arena's invariants after every call. It
 // returns the (chunk, offset) of every range handed out, in order.
+//
+// It models placement alongside: the slab's segments (chunks appended by the
+// reserving PlacePass), the current pass's segment length, and the slots
+// Expect queued in a placed pass, the first of a Get's length used up by that
+// Get. A Get whose slot range lies inside one segment and is free must land
+// exactly there; any other request in a placed pass, a slot over a
+// checked-out range or a segment end included, must land outside the slab,
+// and a slot that was not free must count one place miss.
 func runArenaOps(t *testing.T, ops []byte) []span {
 	a := NewArena()
 	var live, detached []arenaBuf
 	var layout []span
+	var queue []Slot // the model of a.queue
+	var segs []int   // the slab's segment lengths, chunks base, base+1, …
+	base, resNeed, resSeg, pass := 0, 0, 0, 0
 	next := float32(1)
+	inSlab := func(s span) bool { return s.chunk >= base && s.chunk < base+len(segs) }
+	// slotSpan is where a free slot [off, off+n) of the pass must land.
+	slotSpan := func(off, n int) (span, bool) {
+		s := span{base + off/pass, off % pass, n}
+		if !inSlab(s) || s.off+n > segs[s.chunk-base] {
+			return s, false
+		}
+		for _, b := range live {
+			var o span
+			if b.t != nil {
+				o = a.owned[b.t]
+			} else {
+				o = a.ownedF[&b.f[0]]
+			}
+			if o.chunk == s.chunk && o.n > 0 && o.off < s.off+n && s.off < o.off+o.n {
+				return s, false
+			}
+		}
+		return s, true
+	}
 	take := func(arg byte, tensors bool) (int, bool) {
 		var idx []int
 		for i, b := range live {
@@ -65,12 +101,33 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 		layout = append(layout, s)
 	}
 	for k := 0; k+1 < len(ops); k += 2 {
-		op, arg := ops[k]%7, ops[k+1]
+		op, arg := ops[k]%9, ops[k+1]
 		n := arenaSizes[int(arg)%len(arenaSizes)]
 		switch op {
-		case 0: // Get
+		case 0: // Get, at its queued slot if the model says the slot is free
+			slot := slices.IndexFunc(queue, func(s Slot) bool { return s.Len == n })
+			misses := a.Stats().PlaceMisses
+			if pass == 0 || n == 0 {
+				slot = -1
+			}
+			var want span
+			free := false
+			if slot >= 0 {
+				want, free = slotSpan(queue[slot].Off, n)
+				queue = slices.Delete(queue, slot, slot+1)
+			}
 			g := a.Get(n)
-			handOut(arenaBuf{t: g}, a.owned[g])
+			s := a.owned[g]
+			switch {
+			case free && s != want:
+				t.Fatalf("Get(%d) took %v, its free slot is %v", n, s, want)
+			case !free && pass > 0 && n > 0 && inSlab(s):
+				t.Fatalf("Get(%d) with no free slot took %v of the slab", n, s)
+			}
+			if got, wantMiss := a.Stats().PlaceMisses-misses, slot >= 0 && !free; got != 0 != wantMiss {
+				t.Fatalf("Get(%d): %d place misses, slot fell back: %v", n, got, wantMiss)
+			}
+			handOut(arenaBuf{t: g}, s)
 		case 1: // Floats
 			f := a.Floats(n)
 			if n == 0 {
@@ -78,6 +135,9 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 					t.Fatalf("Floats(0) = %v, want nil", f)
 				}
 				break
+			}
+			if s := a.ownedF[&f[0]]; pass > 0 && inSlab(s) {
+				t.Fatalf("Floats(%d) in a placed pass took %v of the slab", n, s)
 			}
 			handOut(arenaBuf{f: f}, a.ownedF[&f[0]])
 		case 2: // Put, twice: the second must be a no-op
@@ -116,6 +176,37 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 			}
 		case 6: // Ints: exact-size lists, only the byte counts interact
 			a.PutInts(a.Ints(n))
+		case 7: // PlacePass: reserve, place, outgrow, or end placing
+			pl := arenaPlans[int(arg)%len(arenaPlans)]
+			misses, chunks := a.Stats().PlaceMisses, len(a.chunks)
+			a.PlacePass(pl.need, pl.seg)
+			queue, pass = queue[:0], 0
+			if pl.need > 0 && segs == nil {
+				base, resNeed, resSeg = chunks, pl.need, pl.seg
+				for off := 0; off < pl.need; off += pl.seg {
+					segs = append(segs, min(pl.seg, pl.need-off))
+				}
+			}
+			if pl.need > 0 && pl.need <= resNeed && pl.seg <= resSeg {
+				pass = pl.seg
+			}
+			if a.pass != pass || a.Stats().SlabBytes != 4*int64(resNeed) {
+				t.Fatalf("PlacePass(%d, %d) over a slab of %d in segments of %d: pass %d, %+v",
+					pl.need, pl.seg, resNeed, resSeg, a.pass, a.Stats())
+			}
+			if got := a.Stats().PlaceMisses - misses; got != 0 != (pl.need > 0 && pass == 0) {
+				t.Fatalf("PlacePass(%d, %d): %d place misses", pl.need, pl.seg, got)
+			}
+		case 8: // Expect two slots, at any offset: over checked-out ranges and past the slab end too
+			slots := []Slot{{Off: int(arg) % 27, Len: n}, {Off: int(arg>>3) % 27, Len: arenaSizes[int(arg>>5)%len(arenaSizes)]}}
+			scale := 1 + int(arg>>7)
+			a.Expect(slots, scale)
+			queue = queue[:0]
+			if pass > 0 {
+				for _, s := range slots {
+					queue = append(queue, Slot{s.Off * scale, s.Len * scale})
+				}
+			}
 		}
 		checkArena(t, a, live, detached)
 	}
@@ -172,15 +263,25 @@ func checkArena(t *testing.T, a *Arena, live, detached []arenaBuf) {
 }
 
 // FuzzArena drives the range allocator with arbitrary Get / Floats / Put /
-// PutFloats / Detach / stray-Put sequences and checks, after every call, that
-// live ranges never overlap or get overwritten, that every handed-out buffer
-// reads all zeros, that BytesInUse is the sum of live lengths and HeldBytes
-// covers it, and that replaying the sequence on a fresh arena hands out the
-// same (chunk, offset) layout.
+// PutFloats / Detach / stray-Put / PlacePass / Expect sequences and checks,
+// after every call, that live ranges never overlap or get overwritten, that
+// every handed-out buffer reads all zeros, that placed Gets take exactly
+// their free slots and fall back otherwise, that BytesInUse is the sum of
+// live lengths and HeldBytes covers it, and that replaying the sequence on a
+// fresh arena hands out the same (chunk, offset) layout.
 func FuzzArena(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 1, 0, 3, 2, 1, 0, 0, 2, 0, 2, 0, 0, 5})
 	f.Add([]byte{1, 5, 1, 2, 0, 4, 3, 0, 4, 0, 1, 1, 5, 1, 3, 0, 0, 5})
 	f.Add([]byte{0, 5, 0, 5, 0, 5, 2, 1, 2, 0, 2, 0, 0, 4, 6, 3, 5, 2})
+	// A placed pass over a 24-element slab: slots {6, 5} and {7, 1}, a Get
+	// of each (the second falls back: the first holds its range), scratch,
+	// an outgrown plan, then an unplaced pass Getting from the slab.
+	f.Add([]byte{7, 1, 8, 60, 0, 4, 0, 1, 1, 3, 7, 2, 7, 0, 0, 6, 2, 0, 0, 6})
+	// A slab in segments of 8: slots {1, 5} and {13, 3} land in segments 0
+	// and 1; {6, 5} crosses a segment end and falls back, {7, 1} fits; then
+	// a pass in segments of 4 finds the first slot taken and the second past
+	// the slab's three segments.
+	f.Add([]byte{7, 3, 8, 109, 0, 4, 0, 3, 8, 60, 0, 4, 0, 1, 7, 4, 8, 109, 0, 4, 0, 3})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		// The checks cost O(live buffers) per call; past a few hundred calls
 		// a longer input only slows the search down.

@@ -235,11 +235,119 @@ func TestNilArenaDegradesToPlainAllocation(t *testing.T) {
 	}
 	a.PutFloats(nil)
 	a.PutInts(nil)
+	a.PlacePass(8, 8) // no-op
+	a.Expect([]Slot{{0, 4}}, 1)
 	c := a.Clone(t1)
 	if d, _ := MaxAbsDiff(t1, c); d != 0 {
 		t.Error("nil arena Clone broken")
 	}
 	if s := a.Stats(); s != (ArenaStats{}) {
 		t.Errorf("nil arena stats = %+v, want zero", s)
+	}
+}
+
+func TestArenaPlacement(t *testing.T) {
+	a := NewArena()
+	if a.PlacePass(16, 16); a.pass == 0 {
+		t.Fatal("first placed pass did not place")
+	}
+	if s := a.Stats(); s.SlabBytes != 64 || s.HeldBytes != 64 {
+		t.Fatalf("stats = %+v, want a 64-byte slab and nothing else", s)
+	}
+	slab := a.chunks[a.slab]
+	a.Expect([]Slot{{Off: 2, Len: 3}, {Off: 8, Len: 4}}, 1)
+
+	// Gets take their queued slot by length, whatever the order.
+	g4 := a.Get(2, 2)
+	g3 := a.Get(3)
+	if &g4.Data[0] != &slab[8] || &g3.Data[0] != &slab[2] {
+		t.Fatal("placed Gets did not take their slots")
+	}
+	// Every other request goes best fit into a chunk of its own: scratch, a
+	// Get no slot is queued for, and a second Get of a used-up length.
+	f := a.Floats(2)
+	h := a.Get(4)
+	if a.inSlab(a.ownedF[&f[0]].chunk) || a.inSlab(a.owned[h].chunk) {
+		t.Fatal("an unplanned request was carved from the slab")
+	}
+	if s := a.Stats(); s.Misses != 2 || s.HeldBytes != 4*(16+2+4) || s.PlaceMisses != 0 {
+		t.Fatalf("stats = %+v, want 2 misses, 88 held bytes, no place miss", s)
+	}
+
+	// A slot whose range is checked out falls back and counts a place miss.
+	a.Expect([]Slot{{Off: 3, Len: 2}}, 1)
+	g2 := a.Get(2)
+	if a.inSlab(a.owned[g2].chunk) || a.Stats().PlaceMisses != 1 {
+		t.Fatalf("placement over a checked-out range: span %v, %d place misses", a.owned[g2], a.Stats().PlaceMisses)
+	}
+
+	// Slots are per sample: scale multiplies offset and length.
+	for _, x := range []*Tensor{g4, g3, h, g2} {
+		a.Put(x)
+	}
+	a.PutFloats(f)
+	a.PlacePass(16, 16)
+	a.Expect([]Slot{{Off: 3, Len: 2}}, 2)
+	if g := a.Get(4); &g.Data[0] != &slab[6] {
+		t.Error("a slot scaled by 2 did not land at offset 6")
+	} else {
+		a.Put(g)
+	}
+
+	// An unplaced pass uses the slab as ordinary free space, and Expect
+	// queues nothing in it.
+	a.PlacePass(0, 0)
+	a.Expect([]Slot{{Off: 8, Len: 4}}, 1)
+	if g := a.Get(4); &g.Data[0] == &slab[8] {
+		t.Error("an unplaced pass honoured a slot")
+	} else {
+		a.Put(g)
+	}
+	held := a.Stats().HeldBytes
+	if g := a.Get(16); &g.Data[0] != &slab[0] || a.Stats().HeldBytes != held {
+		t.Error("an unplaced pass did not serve a slab-sized Get from the slab")
+	} else {
+		a.Put(g)
+	}
+
+	// A plan that outgrows the slab places nothing and counts a place miss;
+	// the slab keeps its size.
+	if a.PlacePass(32, 32); a.pass != 0 {
+		t.Error("a plan larger than the slab placed")
+	}
+	if s := a.Stats(); s.PlaceMisses != 2 || s.SlabBytes != 64 {
+		t.Errorf("stats = %+v, want 2 place misses and the 64-byte slab", s)
+	}
+}
+
+func TestArenaPlacementSegments(t *testing.T) {
+	a := NewArena()
+	a.PlacePass(12, 8)
+	if a.slabEnd-a.slab != 2 || len(a.chunks[a.slab]) != 8 || len(a.chunks[a.slab+1]) != 4 {
+		t.Fatalf("slab segments %d..%d, want chunks of 8 and 4", a.slab, a.slabEnd)
+	}
+	if s := a.Stats(); s.SlabBytes != 48 || s.HeldBytes != 48 {
+		t.Fatalf("stats = %+v, want a 48-byte slab", s)
+	}
+	// Offset 9 is element 1 of the second segment; a slot over the first
+	// segment's end falls back.
+	a.Expect([]Slot{{Off: 9, Len: 2}, {Off: 6, Len: 4}}, 1)
+	g := a.Get(2)
+	x := a.Get(4)
+	if &g.Data[0] != &a.chunks[a.slab+1][1] || a.inSlab(a.owned[x].chunk) || a.Stats().PlaceMisses != 1 {
+		t.Fatalf("spans %v and %v, %d place misses", a.owned[g], a.owned[x], a.Stats().PlaceMisses)
+	}
+	a.Put(g)
+	a.Put(x)
+
+	// A smaller batch has shorter segments; each maps onto its reserved
+	// segment. A larger one does not fit them and places nothing.
+	a.PlacePass(6, 4)
+	a.Expect([]Slot{{Off: 5, Len: 2}}, 1)
+	if g := a.Get(2); &g.Data[0] != &a.chunks[a.slab+1][1] {
+		t.Errorf("a half-batch slot landed at %v", a.owned[g])
+	}
+	if a.PlacePass(12, 12); a.pass != 0 || a.Stats().PlaceMisses != 2 {
+		t.Errorf("a pass with longer segments placed (%d place misses)", a.Stats().PlaceMisses)
 	}
 }
