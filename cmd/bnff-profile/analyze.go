@@ -76,7 +76,7 @@ func writeCSV(out io.Writer, all []*experiments.Experiment) error {
 
 // runGraph dumps a model's graph after a restructuring with per-operator FLOP
 // and memory-sweep accounting — the textual analogue of the paper's Figure 5
-// diagrams, for whole models — or, with -dot, -save or -trace, exports it.
+// diagrams, for whole models — or, with -dot or -trace, exports it.
 func runGraph(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("graph", flag.ContinueOnError)
 	model := fs.String("model", "densenet121", fmt.Sprintf("model: one of %v", models.Names()))
@@ -85,7 +85,6 @@ func runGraph(args []string, stdout io.Writer) error {
 	dir := fs.String("dir", "both", "pass to list: forward, backward, both")
 	summary := fs.Bool("summary", false, "print only per-class totals")
 	dot := fs.Bool("dot", false, "emit the graph in Graphviz dot format instead of tables")
-	save := fs.String("save", "", "write the (restructured) graph to this path in text form")
 	trace := fs.String("trace", "", "write a Chrome trace JSON of the simulated iteration to this path")
 	if err := parse(fs, args); err != nil {
 		return err
@@ -109,12 +108,6 @@ func runGraph(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "wrote Chrome trace (%.3f s simulated iteration) to %s — open at chrome://tracing\n",
 			r.Total(), *trace)
-		return nil
-	case *save != "":
-		if err := writeFile(*save, g.Serialize); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %s (%d live nodes) to %s\n", g.Name, len(g.Live()), *save)
 		return nil
 	case *dot:
 		fmt.Fprint(stdout, g.DOT())

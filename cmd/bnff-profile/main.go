@@ -73,8 +73,8 @@ func parse(fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
-// writeFile creates path and fills it with write: the one place a trace or
-// a saved graph reaches disk.
+// writeFile creates path and fills it with write: the one place a trace
+// reaches disk.
 func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -2,12 +2,8 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"bnff/internal/graph"
 )
 
 // runOut runs the command with args and returns its stdout.
@@ -43,23 +39,6 @@ func TestGraphVerb(t *testing.T) {
 	}
 	if dot := runOut(t, "graph", "-model", "tiny-cnn", "-batch", "2", "-dot"); !strings.HasPrefix(dot, "digraph") {
 		t.Errorf("graph -dot output does not start a digraph:\n%s", dot)
-	}
-
-	path := filepath.Join(t.TempDir(), "g.txt")
-	if out := runOut(t, "graph", "-model", "tiny-cnn", "-batch", "2", "-save", path); !strings.Contains(out, path) {
-		t.Errorf("graph -save output: %s", out)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	g, err := graph.Parse(f)
-	if err != nil {
-		t.Fatalf("saved graph does not parse: %v", err)
-	}
-	if len(g.Live()) == 0 {
-		t.Error("saved graph has no live nodes")
 	}
 }
 

@@ -38,7 +38,7 @@ func main() {
 	batch := flag.Int("train-batch", 16, "self-training mini-batch size")
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	maxBatch := flag.Int("max-batch", 8, "maximum requests coalesced into one inference batch")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "how long a partial batch waits for more requests")
+	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "how long a partial batch waits for more requests (0 means the 2ms default)")
 	replicas := flag.Int("replicas", 2, "replica inference workers")
 	queue := flag.Int("queue", 0, "request queue depth (0: 4 x max-batch x replicas)")
 	workers := flag.Int("workers", 1, "worker goroutines per replica executor")

@@ -49,9 +49,7 @@ import (
 // and the graph output (detached to the caller at the end of each Forward).
 // Inference-mode passes skip per-step releases — dropout is an identity alias
 // there, so the training intervals do not apply — and recycle everything at
-// the start of the next pass instead; they place nothing, and the slab is
-// ordinary free space to them, so a trained executor's eval pass does not
-// grow a second footprint.
+// the start of the next pass instead; they place nothing and reserve no slab.
 
 // WithArena is a no-op: every executor allocates from a private arena. It
 // remains only because benchmark/setup.go, which this change may not edit,

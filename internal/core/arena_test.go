@@ -265,58 +265,6 @@ func checkArenaPeak(t *testing.T, build func() (*graph.Graph, error), scen Scena
 	}
 }
 
-// TestArenaEvalKeepsTrainingFootprint: an eval pass on a trained executor
-// runs in the storage the training steps left — the slab is ordinary free
-// space outside a placed pass — so it leaves HeldBytes unchanged, and the
-// training step after it places every planned buffer again. (The baseline's
-// eval pass keeps every BN output to the end of the pass, more than any
-// training step holds at once, so it runs on RCF and BNFF graphs.)
-func TestArenaEvalKeepsTrainingFootprint(t *testing.T) {
-	for _, scen := range []Scenario{RCF, BNFF} {
-		t.Run(scen.String(), func(t *testing.T) {
-			g, err := models.TinyDenseNet(8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := Restructure(g, scen.Options()); err != nil {
-				t.Fatal(err)
-			}
-			exec, err := NewExecutor(g, WithSeed(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			in := tensor.New(g.Nodes[0].OutShape...)
-			tensor.NewRNG(2).FillNormal(in, 0, 1)
-			step := func() {
-				out, err := exec.Forward(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dOut := tensor.New(out.Shape()...)
-				dOut.Fill(1)
-				if _, err := exec.Backward(dOut); err != nil {
-					t.Fatal(err)
-				}
-			}
-			step()
-			step()
-			trained := exec.ArenaStats()
-			restore := exec.EvalMode()
-			if _, err := exec.Forward(in); err != nil {
-				t.Fatal(err)
-			}
-			restore()
-			if got := exec.ArenaStats().HeldBytes; got != trained.HeldBytes {
-				t.Errorf("eval pass moved HeldBytes %d -> %d", trained.HeldBytes, got)
-			}
-			step()
-			if st := exec.ArenaStats(); st.HeldBytes != trained.HeldBytes || st.PlaceMisses != 0 {
-				t.Errorf("training step after eval: held %d (was %d), %d place misses", st.HeldBytes, trained.HeldBytes, st.PlaceMisses)
-			}
-		})
-	}
-}
-
 // TestArenaForwardAllocBudget is the allocation-regression guard: the
 // steady-state per-step heap allocation count of a tiny-densenet forward
 // must stay at or below the committed budget

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -398,53 +397,6 @@ func TestParamsInvariantUnderRestructuring(t *testing.T) {
 	}
 }
 
-// Restructured graphs — with fused kinds, StatsOut decorations, and
-// statistics links — must survive serialization, and the reloaded graph must
-// execute numerically identically.
-func TestRestructuredGraphSerializeRoundTrip(t *testing.T) {
-	for _, s := range Scenarios() {
-		g, err := models.TinyDenseNet(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Restructure(g, s.Options()); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := g.Serialize(&buf); err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		back, err := graph.Parse(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%v parse: %v", s, err)
-		}
-		e1, err := NewExecutor(g, WithSeed(11))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e2, err := NewExecutor(back, WithSeed(12))
-		if err != nil {
-			t.Fatalf("%v executor on parsed graph: %v", s, err)
-		}
-		if err := e2.CopyParamsFrom(e1); err != nil {
-			t.Fatal(err)
-		}
-		in := tensor.New(4, 3, 16, 16)
-		tensor.NewRNG(13).FillNormal(in, 0, 1)
-		y1, err := e1.Forward(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		y2, err := e2.Forward(in)
-		if err != nil {
-			t.Fatalf("%v forward on parsed graph: %v", s, err)
-		}
-		if d, _ := tensor.MaxAbsDiff(y1, y2); d != 0 {
-			t.Errorf("%v: parsed graph output differs by %v", s, d)
-		}
-	}
-}
-
 func TestExecutorErrors(t *testing.T) {
 	g, err := models.TinyCNN(2, 8, 4)
 	if err != nil {
@@ -491,41 +443,97 @@ func TestCopyParamsErrors(t *testing.T) {
 	}
 }
 
+// TestRunningStatsUpdate: running statistics follow the executor's mode. A
+// bare training-mode Forward updates every BN's running pair bit for bit as
+// BatchNorm.UpdateRunning would over that pass's statistics — whether a
+// monolithic BN, a standalone sub-BN1 or a CONV's StatsOut epilogue produced
+// them — a Sibling does the same, and an inference Forward leaves the pairs
+// untouched.
 func TestRunningStatsUpdate(t *testing.T) {
-	g, err := models.TinyCNN(4, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Restructure(g, BNFF.Options()); err != nil {
-		t.Fatal(err)
-	}
-	ex, err := NewExecutor(g, WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex.trackRunning = true
-	in := tensor.New(4, 3, 8, 8)
-	tensor.NewRNG(11).FillNormal(in, 1, 2)
-	if _, err := ex.Forward(in); err != nil {
-		t.Fatal(err)
-	}
-	// After one forward with momentum 0.1, running mean must have moved off
-	// zero for both BNs (the statistics are produced by fused epilogues).
-	for _, name := range []string{"bn1", "bn2"} {
-		rm := ex.Running[name+".rmean"]
-		if rm == nil {
-			t.Fatalf("no running mean for %s", name)
-		}
-		moved := false
-		for _, v := range rm.Data {
-			if v != 0 {
-				moved = true
+	covered := map[string]bool{}
+	for _, scen := range []Scenario{Baseline, BNFF} {
+		t.Run(scen.String(), func(t *testing.T) {
+			g, err := models.TinyDenseNet(4)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !moved {
-			t.Errorf("%s running mean did not update", name)
+			if err := Restructure(g, scen.Options()); err != nil {
+				t.Fatal(err)
+			}
+			ex, err := NewExecutor(g, WithSeed(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sib, err := ex.Sibling()
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := tensor.New(g.Nodes[0].OutShape...)
+			tensor.NewRNG(11).FillNormal(in, 1, 2)
+			for _, exec := range []*Executor{ex, sib} {
+				want := cloneRunning(exec.Running)
+				if _, err := exec.Forward(in); err != nil {
+					t.Fatal(err)
+				}
+				updated := 0
+				for _, n := range g.Live() {
+					attr, producer := n.BN, "OpBN"
+					switch {
+					case n.StatsOut != nil:
+						attr, producer = n.StatsOut, "StatsOut"
+					case n.Kind == graph.OpSubBN1:
+						producer = "OpSubBN1"
+					case n.Kind != graph.OpBN:
+						continue
+					}
+					rm, rv := want[attr.ParamName+".rmean"], want[attr.ParamName+".rvar"]
+					if err := layers.NewBatchNorm(attr.Channels).UpdateRunning(rm, rv, exec.stats[n.ID]); err != nil {
+						t.Fatalf("%s: %v", n.Name, err)
+					}
+					covered[producer] = true
+					updated++
+				}
+				if updated == 0 {
+					t.Fatal("no statistics producer in the graph")
+				}
+				for name, w := range want {
+					if !bitEqual(exec.Running[name], w) {
+						t.Errorf("%s: running %s is not UpdateRunning over the pass's statistics", exec.G.Name, name)
+					}
+				}
+			}
+
+			inf, err := NewExecutor(g, WithInference())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, r := range ex.Running {
+				copy(inf.Running[name].Data, r.Data)
+			}
+			before := cloneRunning(inf.Running)
+			if _, err := inf.Forward(in); err != nil {
+				t.Fatal(err)
+			}
+			for name, r := range before {
+				if !bitEqual(inf.Running[name], r) {
+					t.Errorf("inference Forward moved running %s", name)
+				}
+			}
+		})
+	}
+	for _, producer := range []string{"OpBN", "OpSubBN1", "StatsOut"} {
+		if !covered[producer] {
+			t.Errorf("no %s statistics producer was checked", producer)
 		}
 	}
+}
+
+func cloneRunning(r map[string]*tensor.Tensor) map[string]*tensor.Tensor {
+	c := make(map[string]*tensor.Tensor, len(r))
+	for name, t := range r {
+		c[name] = t.Clone()
+	}
+	return c
 }
 
 // The statistics produced by the fused epilogue must match the monolithic

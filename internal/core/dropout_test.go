@@ -98,8 +98,8 @@ func TestDropoutScenarioEquivalence(t *testing.T) {
 	if err := e2.CopyParamsFrom(e1); err != nil {
 		t.Fatal(err)
 	}
-	e1.SetDropoutSeed(1234)
-	e2.SetDropoutSeed(1234)
+	e1.dropRNG = tensor.NewRNG(1234)
+	e2.dropRNG = tensor.NewRNG(1234)
 
 	in := tensor.New(4, 3, 8, 8)
 	tensor.NewRNG(5).FillNormal(in, 0, 1)
@@ -156,7 +156,7 @@ func TestDropoutInferenceIsIdentity(t *testing.T) {
 		t.Error("training-mode dropout produced identical outputs twice")
 	}
 	// ...inference forwards are deterministic.
-	ex.inference = true
+	ex = inferenceOf(t, ex)
 	z1, err := ex.Forward(in)
 	if err != nil {
 		t.Fatal(err)

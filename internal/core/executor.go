@@ -35,19 +35,17 @@ type Executor struct {
 	G      *graph.Graph
 	Params map[string]*tensor.Tensor
 
+	// Running holds every BN's running statistics ("<bn>.rmean",
+	// "<bn>.rvar"). A training-mode Forward updates them from its mini-batch
+	// statistics; an inference-mode one reads them and leaves them be.
 	Running map[string]*tensor.Tensor
-
-	// trackRunning enables running-statistics updates ("<bn>.rmean",
-	// "<bn>.rvar" in Running) during Forward, as training would. Set with
-	// WithRunningStats or TrackRunningStats.
-	trackRunning bool
 
 	// inference switches every BN (monolithic or restructured) to the
 	// running statistics instead of mini-batch statistics — the deployment
 	// mode in which BN is element-wise and the classic inference-time
 	// CONV+BN folding (the related work the paper contrasts with) applies.
-	// Backward is unavailable in inference mode. Set with WithInference or
-	// toggled around evaluation passes via EvalMode.
+	// Backward is unavailable in inference mode. Fixed at construction by
+	// WithInference or WithFoldedBN.
 	inference bool
 
 	seed   uint64
@@ -135,45 +133,12 @@ func WithFoldedBN() Option {
 	}
 }
 
-// WithRunningStats enables running-statistics tracking during Forward, as
-// training does; train.NewTrainer applies it to its executor automatically.
-func WithRunningStats() Option { return func(e *Executor) { e.trackRunning = true } }
-
 // Workers returns the executor's worker-pool size.
 func (e *Executor) Workers() int { return e.pool.Workers() }
 
 // SetWorkers replaces the executor's worker pool, clamped like WithWorkers.
 // Safe between passes; must not be called while Forward or Backward runs.
 func (e *Executor) SetWorkers(n int) { e.pool = parallel.New(n).WithTracer(e.tracer) }
-
-// SetDropoutSeed resets the dropout mask stream. Two executors given the
-// same seed draw identical masks, which is how the equivalence tests compare
-// stochastic models across restructuring.
-func (e *Executor) SetDropoutSeed(seed uint64) { e.dropRNG = tensor.NewRNG(seed) }
-
-// TrackRunningStats switches running-statistics updates on or off between
-// passes — the construction-time equivalent is WithRunningStats.
-// train.NewTrainer enables it on the executor it is handed.
-func (e *Executor) TrackRunningStats(on bool) { e.trackRunning = on }
-
-// TracksRunning reports whether Forward updates the running statistics.
-func (e *Executor) TracksRunning() bool { return e.trackRunning }
-
-// InferenceMode reports whether the executor runs BN on running statistics
-// (inference) rather than mini-batch statistics (training).
-func (e *Executor) InferenceMode() bool { return e.inference }
-
-// EvalMode flips the executor into inference mode with running-statistics
-// tracking paused and returns a closure restoring the previous modes.
-// Evaluation helpers wrap held-out passes in it:
-//
-//	restore := exec.EvalMode()
-//	defer restore()
-func (e *Executor) EvalMode() (restore func()) {
-	prevInf, prevTrack := e.inference, e.trackRunning
-	e.inference, e.trackRunning = true, false
-	return func() { e.inference, e.trackRunning = prevInf, prevTrack }
-}
 
 // bnStash carries the sub-BN2' results (dv, dγ, dβ, and the normalize's
 // input x) from the normalize-side backward to the statistics-side backward,
@@ -301,8 +266,8 @@ func (e *Executor) CopyRunningFrom(o *Executor) error {
 	return nil
 }
 
-// Sibling builds a new executor over e's own graph, configured like e: same
-// seed, same worker-pool width, and the same running-stats choice.
+// Sibling builds a new training executor over e's own graph, configured like
+// e: same seed and same worker-pool width.
 // Data-parallel training uses it to stamp out replica executors: the graph is
 // shared read-only (same node IDs, same schedule) and each replica simply
 // feeds its shard, since an executor takes its batch size from its input. The
@@ -312,11 +277,7 @@ func (e *Executor) CopyRunningFrom(o *Executor) error {
 // goroutines would violate the tracer's single-goroutine contract, so the ddp
 // group records reduce spans itself from the dispatching side.
 func (e *Executor) Sibling() (*Executor, error) {
-	opts := []Option{WithSeed(e.seed), WithWorkers(e.pool.Workers())}
-	if e.trackRunning {
-		opts = append(opts, WithRunningStats())
-	}
-	return NewExecutor(e.G, opts...)
+	return NewExecutor(e.G, WithSeed(e.seed), WithWorkers(e.pool.Workers()))
 }
 
 // The *Of helpers attach the executor's pool to a copy of the node's layer
@@ -570,7 +531,7 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		}
 	}
 
-	if e.trackRunning {
+	if !e.inference {
 		if err := e.updateRunning(); err != nil {
 			return nil, err
 		}
@@ -859,12 +820,8 @@ func (e *Executor) convBackward(n *graph.Node, gmap map[int]*tensor.Tensor,
 	dy := gmap[n.ID]
 	synth := n.StatsOut != nil
 	if synth {
-		if dy != nil {
-			// The stash is a statistics producer's only upstream path;
-			// recycle anything that still reached the gradient map.
-			e.alloc.Put(dy)
-			delete(gmap, n.ID)
-		}
+		// The stash is a statistics producer's only upstream path:
+		// graph.Validate refuses any other consumer of its output.
 		var err error
 		if dy, err = e.bnInputGrad(n.ID, n.StatsOut, stash); err != nil {
 			return err

@@ -55,9 +55,6 @@ func (e *Executor) FoldBN() error {
 	return nil
 }
 
-// Folded reports whether the fold compile pass has run on this executor.
-func (e *Executor) Folded() bool { return e.folded }
-
 func (e *Executor) foldPair(pr graph.FoldedPair) error {
 	attr := pr.BN
 	gamma := e.Params[attr.ParamName+".gamma"]

@@ -66,7 +66,7 @@ func TestFoldEquivalenceRegistry(t *testing.T) {
 			if err := folded.Load(bytes.NewReader(ckpt)); err != nil {
 				t.Fatal(err)
 			}
-			if !folded.Folded() {
+			if !folded.folded {
 				t.Fatal("Load on a WithFoldedBN executor did not run the fold pass")
 			}
 
@@ -240,7 +240,7 @@ func benchInference(b *testing.B, fold bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ex, err := NewExecutor(g, WithSeed(7), WithRunningStats())
+	ex, err := NewExecutor(g, WithSeed(7))
 	if err != nil {
 		b.Fatal(err)
 	}

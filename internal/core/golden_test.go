@@ -43,7 +43,7 @@ func goldenCheckpoint(t *testing.T, model string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := NewExecutor(g, WithSeed(42), WithRunningStats())
+	ex, err := NewExecutor(g, WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,10 @@ import (
 	"bnff/internal/tensor"
 )
 
-// trainBriefly runs a few forwards with running-stat tracking so the
-// inference statistics are meaningful.
+// trainBriefly runs a few training-mode forwards, which update the running
+// statistics, so the inference statistics are meaningful.
 func trainBriefly(t *testing.T, ex *Executor, inShape tensor.Shape, steps int) {
 	t.Helper()
-	ex.trackRunning = true
 	rng := tensor.NewRNG(77)
 	for i := 0; i < steps; i++ {
 		x := tensor.New(inShape...)
@@ -20,7 +19,23 @@ func trainBriefly(t *testing.T, ex *Executor, inShape tensor.Shape, steps int) {
 			t.Fatal(err)
 		}
 	}
-	ex.trackRunning = false
+}
+
+// inferenceOf builds an inference executor over ex's graph holding ex's
+// parameters and running statistics — what loading ex's checkpoint gives.
+func inferenceOf(t *testing.T, ex *Executor) *Executor {
+	t.Helper()
+	inf, err := NewExecutor(ex.G, WithInference())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inf.CopyParamsFrom(ex); err != nil {
+		t.Fatal(err)
+	}
+	if err := inf.CopyRunningFrom(ex); err != nil {
+		t.Fatal(err)
+	}
+	return inf
 }
 
 // In inference mode a sample's output must not depend on its batch peers —
@@ -39,8 +54,7 @@ func TestInferenceBatchIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		trainBriefly(t, ex, tensor.Shape{4, 3, 8, 8}, 5)
-
-		ex.inference = true
+		ex = inferenceOf(t, ex)
 		batch := tensor.New(4, 3, 8, 8)
 		tensor.NewRNG(88).FillNormal(batch, 0, 1)
 		yBatch, err := ex.Forward(batch)
@@ -55,7 +69,7 @@ func TestInferenceBatchIndependence(t *testing.T) {
 		if err := Restructure(g1, s.Options()); err != nil {
 			t.Fatal(err)
 		}
-		ex1, err := NewExecutor(g1, WithSeed(22))
+		ex1, err := NewExecutor(g1, WithSeed(22), WithInference())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +79,6 @@ func TestInferenceBatchIndependence(t *testing.T) {
 		for name, r := range ex.Running {
 			copy(ex1.Running[name].Data, r.Data)
 		}
-		ex1.inference = true
 
 		// Sample 0 alone must produce sample 0's batch output.
 		per := 3 * 8 * 8
@@ -102,7 +115,7 @@ func TestInferenceScenarioEquivalence(t *testing.T) {
 	if err := Restructure(gBNFF, BNFF.Options()); err != nil {
 		t.Fatal(err)
 	}
-	fused, err := NewExecutor(gBNFF, WithSeed(32))
+	fused, err := NewExecutor(gBNFF, WithSeed(32), WithInference())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +126,7 @@ func TestInferenceScenarioEquivalence(t *testing.T) {
 		copy(fused.Running[name].Data, r.Data)
 	}
 
-	base.inference, fused.inference = true, true
+	base = inferenceOf(t, base)
 	x := tensor.New(4, 3, 16, 16)
 	tensor.NewRNG(33).FillNormal(x, 0, 1)
 	yb, err := base.Forward(x)
@@ -132,11 +145,10 @@ func TestInferenceScenarioEquivalence(t *testing.T) {
 
 func TestInferenceBackwardRejected(t *testing.T) {
 	g, _ := models.TinyCNN(2, 8, 4)
-	ex, err := NewExecutor(g, WithSeed(1))
+	ex, err := NewExecutor(g, WithSeed(1), WithInference())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.inference = true
 	x := tensor.New(2, 3, 8, 8)
 	if _, err := ex.Forward(x); err != nil {
 		t.Fatal(err)
@@ -154,7 +166,7 @@ func TestInferenceDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	trainBriefly(t, ex, tensor.Shape{2, 3, 16, 16}, 3)
-	ex.inference = true
+	ex = inferenceOf(t, ex)
 	x := tensor.New(2, 3, 16, 16)
 	tensor.NewRNG(10).FillNormal(x, 0, 1)
 	y1, err := ex.Forward(x)

@@ -29,7 +29,7 @@ func TestExecutorBatchPolymorphic(t *testing.T) {
 		load bool // inference modes start from a trained checkpoint
 	}
 	modes := []mode{
-		{"train", []Option{WithRunningStats()}, false},
+		{"train", nil, false},
 		{"inference", []Option{WithInference()}, true},
 		{"folded", []Option{WithFoldedBN()}, true},
 	}

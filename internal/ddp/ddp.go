@@ -196,11 +196,9 @@ func (g *Group) ForwardBackward(x *tensor.Tensor, labels []int) (loss, acc float
 	shard := batch / R
 
 	// Broadcast: replicas start every step from the primary's exact
-	// parameter and running-statistics state, and mirror its tracking mode
-	// (the trainer may have toggled it since the group was built).
+	// parameter and running-statistics state.
 	for r := 0; r < R; r++ {
 		rep := g.replicas[r]
-		rep.TrackRunningStats(g.primary.TracksRunning())
 		if err := rep.CopyParamsFrom(g.primary); err != nil {
 			return 0, 0, nil, fmt.Errorf("ddp: broadcast to replica %d: %w", r, err)
 		}

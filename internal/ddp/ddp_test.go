@@ -224,7 +224,6 @@ func TestLocalMatchesIndependentShardExecutors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	primary.TrackRunningStats(true)
 	loss, _, grads, err := group.ForwardBackward(x, labels)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +235,6 @@ func TestLocalMatchesIndependentShardExecutors(t *testing.T) {
 	refRunning := make(map[string]*tensor.Tensor)
 	for r := 0; r < 2; r++ {
 		exec := buildExec(t, model, shard, core.BNFF, 7)
-		exec.TrackRunningStats(true)
 		lo := r * shard
 		stride := x.NumElems() / batch
 		xin := tensor.MustFromSlice(x.Data[lo*stride:(lo+shard)*stride], shard, 3, 8, 8)
@@ -407,12 +405,12 @@ func TestGroupTakesBatchFromInput(t *testing.T) {
 	const model = "tiny-cnn"
 	data := dataFor(t, model, 29)
 	for _, replicas := range []int{2, 4} {
-		primary := buildExec(t, model, 8, core.BNFF, 9, core.WithRunningStats())
+		primary := buildExec(t, model, 8, core.BNFF, 9)
 		group, err := ddp.NewGroup(primary, replicas, ddp.BNSync)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := buildExec(t, model, 8, core.BNFF, 9, core.WithRunningStats())
+		ref := buildExec(t, model, 8, core.BNFF, 9)
 		for _, batch := range []int{4, 8, 16} {
 			x, labels, err := data.Batch(batch)
 			if err != nil {

@@ -28,7 +28,7 @@ func mkCheckpoint(t testing.TB, seed, rngSeed uint64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := core.NewExecutor(g, core.WithSeed(seed), core.WithRunningStats())
+	ex, err := core.NewExecutor(g, core.WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"testing"
 
 	"bnff/internal/layers"
@@ -100,30 +99,5 @@ func TestFoldBNRetargetsOutput(t *testing.T) {
 	}
 	if g.Output.Name != "c" {
 		t.Errorf("output is %q after folding the output BN, want the CONV", g.Output.Name)
-	}
-}
-
-func TestSerializeRoundTripFolded(t *testing.T) {
-	g := buildConvBNChain(t)
-	if _, err := FoldBN(g); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := g.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	structurallyEqual(t, g, back)
-	var found bool
-	for _, n := range back.Live() {
-		if n.Name == "c1" {
-			found = n.FoldedBias
-		}
-	}
-	if !found {
-		t.Error("FoldedBias flag lost in serialize round-trip")
 	}
 }

@@ -409,13 +409,15 @@ func (g *Graph) Normalize() error {
 }
 
 // Validate checks structural invariants: inputs precede consumers, shapes
-// are set, statistics links point at statistics-producing nodes, and the
-// designated output (if set) is live.
+// are set, statistics links point at statistics-producing nodes, each
+// producer has at most one normalize partner, which is the only reader of a
+// StatsOut producer's output, and the designated output (if set) is live.
 func (g *Graph) Validate() error {
 	if g.Output != nil && g.Output.Dead {
 		return fmt.Errorf("graph: output node %q is dead", g.Output.Name)
 	}
 	seen := make(map[*Node]bool)
+	partner := make(map[*Node]*Node) // statistics producer → its normalize side
 	for _, n := range g.Live() {
 		for _, in := range n.Inputs {
 			if in.Dead {
@@ -423,6 +425,11 @@ func (g *Graph) Validate() error {
 			}
 			if !seen[in] {
 				return fmt.Errorf("graph: node %q consumes %q before it is defined", n.Name, in.Name)
+			}
+			// A StatsOut producer's upstream gradient is its partner's
+			// sub-BN1' output; a gradient from any other reader would be lost.
+			if in.StatsOut != nil && n.StatsFrom != in {
+				return fmt.Errorf("graph: node %q reads statistics producer %q, whose only reader may be its normalize partner", n.Name, in.Name)
 			}
 		}
 		if n.OutShape.NumElems() == 0 {
@@ -454,6 +461,11 @@ func (g *Graph) Validate() error {
 			if !seen[sf] {
 				return fmt.Errorf("graph: node %q consumes statistics of %q before they are produced", n.Name, sf.Name)
 			}
+			// The backward stash holds one sub-BN2' result per producer.
+			if p := partner[sf]; p != nil {
+				return fmt.Errorf("graph: statistics producer %q has two normalize partners, %q and %q", sf.Name, p.Name, n.Name)
+			}
+			partner[sf] = n
 			if n.Kind == OpBNReLUConv && (n.Conv == nil || n.BN == nil) {
 				return fmt.Errorf("graph: node %q (BNReLUConv) missing conv or BN attributes", n.Name)
 			}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 
 	"bnff/internal/layers"
@@ -108,6 +109,63 @@ func TestValidateCatchesDeadInput(t *testing.T) {
 	nodes[2].Dead = true
 	if err := g.Validate(); err == nil {
 		t.Error("Validate accepted consumption of dead node")
+	}
+}
+
+// TestValidateStatisticsEdges: a normalize side must read statistics from a
+// statistics producer. The backward pass keeps one sub-BN2' result per
+// producer and gives a StatsOut producer no upstream gradient but its
+// partner's, so a second normalize partner or a second reader of a StatsOut
+// producer would silently drop a gradient. Validate refuses all three and
+// names the node.
+func TestValidateStatisticsEdges(t *testing.T) {
+	// normalize turns a fresh BN reading x into the normalize side of
+	// producer's statistics.
+	normalize := func(g *Graph, name string, x, producer *Node) *Node {
+		b, err := g.BN(name, x, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Kind, b.StatsFrom = OpSubBN2, producer
+		return b
+	}
+	cases := map[string]struct {
+		build func(g *Graph, in *Node) (*Node, error)
+		names string
+	}{
+		"source produces no statistics": {func(g *Graph, in *Node) (*Node, error) {
+			r := g.ReLU("r", in, 0)
+			return normalize(g, "s", in, r), nil
+		}, `"r" (ReLU) produces no statistics`},
+		"two partners": {func(g *Graph, in *Node) (*Node, error) {
+			r := g.ReLU("r", in, 0)
+			s := g.AddNode(&Node{Kind: OpSubBN1, Name: "r.stats", Inputs: []*Node{r},
+				OutShape: r.OutShape.Clone(), BN: &BNAttr{ParamName: "bn", Channels: 3}, CPL: 0})
+			return g.EWS("sum", normalize(g, "n1", r, s), normalize(g, "n2", r, s), 0)
+		}, "r.stats"},
+		"second reader of a StatsOut producer": {func(g *Graph, in *Node) (*Node, error) {
+			c, err := g.Conv("c", in, layers.NewConv2D(3, 4, 3, 1, 1), 0)
+			if err != nil {
+				return nil, err
+			}
+			b := normalize(g, "b", c, c)
+			c.StatsOut = b.BN
+			return g.EWS("sum", b, g.ReLU("side", c, 0), 0)
+		}, `"side" reads statistics producer "c"`},
+	}
+	for name, tc := range cases {
+		g := New(name)
+		out, err := tc.build(g, g.Input("in", tensor.Shape{2, 3, 8, 8}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Output = out
+		err = g.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted the graph", name)
+		} else if !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("%s: error %q does not name %s", name, err, tc.names)
+		}
 	}
 }
 

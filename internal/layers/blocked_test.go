@@ -192,7 +192,7 @@ func TestBlockedConvBitIdenticalToLegacy(t *testing.T) {
 				var got *tensor.Tensor
 				var err error
 				if cfg.biased {
-					got, err = conv.ForwardBias(x, w, bias)
+					got, _, _, err = conv.ForwardWindow(x, w, ConvWindow{Bias: bias})
 				} else {
 					got, err = conv.Forward(x, w)
 				}
@@ -236,7 +236,7 @@ func TestQuickBlockedConvBitIdentity(t *testing.T) {
 		got, err := conv.Forward(x, w)
 		if biased {
 			biasData = bias.Data
-			got, err = conv.ForwardBias(x, w, bias)
+			got, _, _, err = conv.ForwardWindow(x, w, ConvWindow{Bias: bias})
 		}
 		if err != nil {
 			return false

@@ -129,16 +129,6 @@ func (c Conv2D) Forward(x, w *tensor.Tensor) (*tensor.Tensor, error) {
 	return y, err
 }
 
-// ForwardBias computes the convolution plus a per-output-channel bias in the
-// same output-writing sweep (each accumulator starts at bias[oc] instead of
-// zero, so the bias costs no extra feature-map traffic). It is the kernel a
-// folded CONV+BN runs at inference: the BN's affine map is absorbed into the
-// weights and this bias (see internal/graph FoldBN).
-func (c Conv2D) ForwardBias(x, w, bias *tensor.Tensor) (*tensor.Tensor, error) {
-	y, _, _, err := c.ForwardWindow(x, w, ConvWindow{Bias: bias})
-	return y, err
-}
-
 // Backward computes the input gradient dX and weight gradient dW given the
 // upstream gradient dY, the saved input x, and the weights w.
 func (c Conv2D) Backward(dy, x, w *tensor.Tensor) (dx, dw *tensor.Tensor, err error) {

@@ -122,7 +122,7 @@ func TestLaneEdgesBitIdenticalToLegacy(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					pool := parallel.New(workers)
 					c := conv.WithPool(pool)
-					y, err := c.ForwardBias(x, w, bias)
+					y, _, _, err := c.ForwardWindow(x, w, ConvWindow{Bias: bias})
 					if err != nil {
 						t.Fatal(err)
 					}

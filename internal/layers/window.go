@@ -17,7 +17,7 @@ import (
 //	backward: regenerate the ifmap tile → ConvGeom.BackwardSample
 //	          → ReLU mask + the sample's dγ/dβ partials (sub-BN2')
 //
-// Every conv-like entry point — Conv2D.Forward/ForwardBias/Backward here, the
+// Every conv-like entry point — Conv2D.Forward/Backward here, the
 // named fusions in internal/kernels, the executor — is a ConvWindow literal
 // over these two bodies, and FC runs them as a 1×1 window over a 1×1 map.
 // The source may be a Concat: the fill then writes the tile run by run, and a

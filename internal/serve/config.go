@@ -15,8 +15,8 @@ type Config struct {
 	MaxBatch int
 
 	// MaxWait bounds how long a replica holds a partial batch open waiting
-	// for more requests once it has at least one. Zero means "never wait":
-	// a replica grabs whatever is queued right now and runs. Default 2ms.
+	// for more requests once it has at least one. Zero means the default,
+	// 2ms; negative values are rejected.
 	MaxWait time.Duration
 
 	// Replicas is the number of independent inference workers draining the

@@ -22,7 +22,7 @@ func altCheckpoint(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := core.NewExecutor(g, core.WithSeed(77), core.WithRunningStats())
+	ex, err := core.NewExecutor(g, core.WithSeed(77))
 	if err != nil {
 		t.Fatal(err)
 	}

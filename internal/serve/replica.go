@@ -42,24 +42,12 @@ func (r *replica) loop() {
 }
 
 // collect coalesces queued requests behind first into one batch: it returns
-// as soon as MaxBatch images are in hand or the MaxWait deadline passes
-// (MaxWait 0: take only what is already queued). On shutdown it returns what
-// it holds so no accepted request goes unanswered.
+// as soon as MaxBatch images are in hand or the MaxWait deadline passes. On
+// shutdown it returns what it holds so no accepted request goes unanswered.
 func (r *replica) collect(first *request) []*request {
 	batch := append(r.buf[:0], first)
 	max := r.e.cfg.MaxBatch
 	if max == 1 {
-		return batch
-	}
-	if r.e.cfg.MaxWait <= 0 {
-		for len(batch) < max {
-			select {
-			case req := <-r.e.queue:
-				batch = append(batch, req)
-			default:
-				return batch
-			}
-		}
 		return batch
 	}
 	timer := time.NewTimer(r.e.cfg.MaxWait)

@@ -30,7 +30,7 @@ func testCheckpoint(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := core.NewExecutor(g, core.WithSeed(11), core.WithRunningStats())
+	ex, err := core.NewExecutor(g, core.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,6 +324,13 @@ func TestServeHTTPOverload(t *testing.T) {
 
 func TestServeConfigValidate(t *testing.T) {
 	ckpt := testCheckpoint(t)
+	eng, err := newEngine(tinyCNN, bytes.NewReader(ckpt), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.cfg.MaxWait != 2*time.Millisecond {
+		t.Errorf("MaxWait 0 became %v, want the 2ms default", eng.cfg.MaxWait)
+	}
 	if _, err := Load(tinyCNN, bytes.NewReader(ckpt), Config{MaxWait: -time.Second}); err == nil {
 		t.Error("negative MaxWait accepted")
 	}

@@ -5,10 +5,7 @@
 package train
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
-	"strconv"
 
 	"bnff/internal/core"
 	"bnff/internal/ddp"
@@ -101,7 +98,6 @@ type Trainer struct {
 	History   []StepResult
 
 	schedule Schedule
-	clipNorm float64
 
 	replicas   int // below 2: no data parallelism
 	bnStrategy ddp.BNStrategy
@@ -121,9 +117,6 @@ func WithOptimizer(opt *SGD) TrainerOption { return func(t *Trainer) { t.Opt = o
 // WithSchedule attaches a learning-rate schedule consulted before each
 // optimizer step.
 func WithSchedule(s Schedule) TrainerOption { return func(t *Trainer) { t.schedule = s } }
-
-// WithClipNorm enables global gradient-norm clipping at the given threshold.
-func WithClipNorm(max float64) TrainerOption { return func(t *Trainer) { t.clipNorm = max } }
 
 // WithWorkers resizes the executor's worker pool — a convenience forwarding
 // to core.Executor.SetWorkers so callers configuring a training run in one
@@ -157,8 +150,8 @@ func WithTracer(tr *obs.Tracer) TrainerOption { return func(t *Trainer) { t.Exec
 //	        train.WithOptimizer(train.NewSGD(0.1, 0.9, 1e-4)),
 //	        train.WithWorkers(runtime.GOMAXPROCS(0)))
 //
-// The executor is switched to running-statistics tracking, as training
-// requires.
+// The executor must be a training one: its Forward updates the running
+// statistics, and Backward is unavailable in inference mode.
 func NewTrainer(exec *core.Executor, data *workload.Dataset, opts ...TrainerOption) (*Trainer, error) {
 	t := &Trainer{
 		Exec:      exec,
@@ -175,10 +168,7 @@ func NewTrainer(exec *core.Executor, data *workload.Dataset, opts ...TrainerOpti
 	if t.Opt == nil {
 		return nil, fmt.Errorf("train: nil optimizer")
 	}
-	exec.TrackRunningStats(true)
 	if t.replicas > 1 {
-		// Build the group after running-statistics tracking is on, so the
-		// replica siblings inherit it.
 		g, err := ddp.NewGroup(exec, t.replicas, t.bnStrategy)
 		if err != nil {
 			return nil, err
@@ -247,11 +237,6 @@ func (t *Trainer) StepOn(x *tensor.Tensor, labels []int) (StepResult, error) {
 			return StepResult{}, err
 		}
 	}
-	if t.clipNorm > 0 {
-		if _, err := ClipGradients(grads, t.clipNorm); err != nil {
-			return StepResult{}, err
-		}
-	}
 	if t.schedule != nil {
 		if err := validateSchedule(t.schedule); err != nil {
 			return StepResult{}, err
@@ -277,26 +262,6 @@ func (t *Trainer) Run(n int) (StepResult, error) {
 		last = res
 	}
 	return last, nil
-}
-
-// WriteHistoryCSV dumps the recorded step metrics as CSV (step,loss,accuracy).
-func (t *Trainer) WriteHistoryCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"step", "loss", "accuracy"}); err != nil {
-		return err
-	}
-	for _, r := range t.History {
-		rec := []string{
-			strconv.Itoa(r.Step),
-			strconv.FormatFloat(r.Loss, 'g', 8, 64),
-			strconv.FormatFloat(r.Accuracy, 'g', 6, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // MeanLoss averages the loss over the last k recorded steps.

@@ -1,10 +1,12 @@
 package train
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"bnff/internal/core"
+	"bnff/internal/layers"
 	"bnff/internal/models"
 	"bnff/internal/tensor"
 	"bnff/internal/workload"
@@ -106,6 +108,62 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 	if tr.MeanLoss(10) >= first.Loss {
 		t.Errorf("mean recent loss %.4f not below initial %.4f", tr.MeanLoss(10), first.Loss)
+	}
+}
+
+// Held-out evaluation loads the trained checkpoint into an inference
+// executor, as serving does: BN then runs on the running statistics the
+// training steps accumulated, and the executor takes its batch size from its
+// input, so it evaluates at the training batch and per sample alike. The
+// dataset is an infinite stream: post-training draws are held-out samples of
+// the same task (a different seed would be a different task — fresh class
+// patterns — not a validation split).
+func TestEvaluateAfterTraining(t *testing.T) {
+	tr := newTinyTrainer(t, core.BNFF, 42)
+	if _, err := tr.Run(80); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := tr.Exec.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	inf, err := core.NewExecutor(tr.Exec.G, core.WithInference())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inf.Load(bytes.NewReader(ckpt.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []int{tr.BatchSize, 1} {
+		var loss, acc float64
+		const samples = 80
+		for i := 0; i < samples/batch; i++ {
+			x, labels, err := tr.Data.Batch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logits, err := inf.Forward(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, _, err := layers.SoftmaxCrossEntropy(logits, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := layers.Accuracy(logits, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loss += l * float64(batch) / samples
+			acc += a * float64(batch) / samples
+		}
+		// Better than chance on a held-out stream.
+		if acc < 0.5 {
+			t.Errorf("batch %d: held-out accuracy %.3f, want > 0.5 after training", batch, acc)
+		}
+		if loss <= 0 || math.IsNaN(loss) {
+			t.Errorf("batch %d: held-out loss %v invalid", batch, loss)
+		}
 	}
 }
 
