@@ -17,6 +17,7 @@ import (
 	"bnff/internal/models"
 	"bnff/internal/obs"
 	"bnff/internal/scenario"
+	"bnff/internal/tensor"
 	"bnff/internal/train"
 )
 
@@ -91,8 +92,46 @@ func runMeasured(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "measured %.1f ms over %d step(s); model predicts %.3f ms/iteration\n\n",
 			float64(res.measured.TotalNs)/1e6, sp.Steps, res.modelSec*1e3)
 	}
-	summarize(stdout, results)
+	inf, err := profileInference(sp)
+	if err != nil {
+		return fmt.Errorf("inference: %w", err)
+	}
+	summarize(stdout, results, inf)
 	return nil
+}
+
+// memRow is one row of the activation-memory table: the arena's checked-out
+// peak, the plan it follows, its slab, and everything it holds at the end.
+type memRow struct {
+	name                   string
+	peak, plan, slab, held int64
+}
+
+// profileInference runs two inference passes of the model at the batch, on
+// an executor built as a serving replica is, and measures its arena against
+// memplan's forward-only plan.
+func profileInference(sp scenario.Spec) (memRow, error) {
+	g, err := models.Build(sp.Model, sp.Batch)
+	if err != nil {
+		return memRow{}, err
+	}
+	plan, err := memplan.PlanInference(g)
+	if err != nil {
+		return memRow{}, err
+	}
+	exec, err := core.NewExecutor(g, core.WithSeed(sp.Seed), core.WithWorkers(sp.Workers), core.WithInference())
+	if err != nil {
+		return memRow{}, err
+	}
+	x := tensor.New(g.Nodes[0].OutShape...)
+	tensor.NewRNG(sp.Seed).FillNormal(x, 0, 1)
+	for range 2 {
+		if _, err := exec.Forward(x); err != nil {
+			return memRow{}, err
+		}
+	}
+	st := exec.ArenaStats()
+	return memRow{"inference", st.PeakBytes, plan.PeakBytes, st.SlabBytes, st.HeldBytes}, nil
 }
 
 // scenarioResult is one scenario's measured and modeled outcome.
@@ -179,8 +218,9 @@ func fileScenario(s core.Scenario) string {
 
 // summarize prints the cross-scenario table the paper's Figure 1 motivates:
 // how much of the iteration is not convolution, measured vs modeled, and how
-// far restructuring shrinks it relative to the baseline.
-func summarize(w io.Writer, results []scenarioResult) {
+// far restructuring shrinks it relative to the baseline; then each
+// scenario's activation memory against its plan, and inf's.
+func summarize(w io.Writer, results []scenarioResult, inf memRow) {
 	convName := graph.ClassConv.String()
 	nonConv := func(r scenarioResult) (measured, modeled float64) {
 		measured = 1 - r.measured.ShareOf(convName)
@@ -229,13 +269,18 @@ func summarize(w io.Writer, results []scenarioResult) {
 	}
 	fmt.Fprintf(w, "\n== activation memory: arena peak, measured vs planned ==\n")
 	fmt.Fprintf(w, "%-10s %14s %14s %8s %10s %10s %8s\n", "scenario", "measured MB", "planned MB", "ratio", "slab MB", "held MB", "held/pl")
+	rows := make([]memRow, 0, len(results)+1)
 	for _, r := range results {
-		fmt.Fprintf(w, "%-10v %14.2f %14.2f %7.2fx %10.2f %10.2f %7.2fx\n",
-			r.scenario, float64(r.arenaPeak)/1e6, float64(r.planPeak)/1e6,
-			float64(r.arenaPeak)/float64(r.planPeak), float64(r.arenaSlab)/1e6,
-			float64(r.arenaHeld)/1e6, float64(r.arenaHeld)/float64(r.planPeak))
+		rows = append(rows, memRow{r.scenario.String(), r.arenaPeak, r.planPeak, r.arenaSlab, r.arenaHeld})
 	}
-	fmt.Fprintf(w, "(planned = memplan training-interval peak; measured includes workspace the plan prices identically;\n")
-	fmt.Fprintf(w, " slab = the range memplan.Place packs the planned buffers into; held = every byte the arena owns\n")
-	fmt.Fprintf(w, " after the run, checked out or free: the slab plus best-fit chunks for workspace and statistics)\n")
+	for _, r := range append(rows, inf) {
+		fmt.Fprintf(w, "%-10s %14.2f %14.2f %7.2fx %10.2f %10.2f %7.2fx\n",
+			r.name, float64(r.peak)/1e6, float64(r.plan)/1e6, float64(r.peak)/float64(r.plan),
+			float64(r.slab)/1e6, float64(r.held)/1e6, float64(r.held)/float64(r.plan))
+	}
+	fmt.Fprintf(w, "(planned = memplan's training-interval peak, and for inference its forward-only peak;\n")
+	fmt.Fprintf(w, " measured includes workspace the plan does not price; slab = the range memplan.Place packs\n")
+	fmt.Fprintf(w, " the planned buffers into; held = every byte the arena owns after the run, checked out or\n")
+	fmt.Fprintf(w, " free: the slab, whose gaps also serve each step's workspace, plus chunks beside it for\n")
+	fmt.Fprintf(w, " statistics, argmax indices and workspace that found no gap)\n")
 }

@@ -11,11 +11,12 @@ import (
 // Liveness-driven activation reuse. The paper's restructuring argument is
 // about feature-map memory traffic; internal/memplan already computes the
 // exact live interval of every mini-batch-sized buffer over the training
-// schedule, and the executor consumes those same intervals at runtime: node
-// outputs, dropout masks, gradients, and layer workspace (BN reduction
-// partials, regenerated x̂ samples, pooling argmax indices, fused-kernel
-// tiles) all come from the executor's private tensor.Arena, and each buffer
-// is returned to it at its interval's End step — so from the second
+// schedule (or an inference pass), and the executor consumes those same
+// intervals at runtime: node outputs, dropout masks, gradients, and layer
+// workspace (BN reduction partials, regenerated x̂ samples, pooling argmax
+// indices, fused-kernel tiles) all come from the executor's private
+// tensor.Arena, and each planned buffer is returned to it at its interval's
+// End step — so from the second
 // iteration on, a step is served almost entirely from recycled storage
 // instead of paying allocator+GC cost per mini-batch. Recycled buffers are
 // zeroed before reuse (tensor.Arena's default), so every layer sees exactly
@@ -23,16 +24,26 @@ import (
 //
 // The intervals also decide where each planned buffer lives. memplan.Place
 // packs them into one slab, in per-sample elements and in segments no longer
-// than the largest buffer; the first training pass reserves the slab at its
-// batch, and before every schedule step the
-// executor queues the slots of the buffers born there (arenaPlan.born), which
-// the arena hands to that step's Gets by length. Best fit alone left the
-// arena 1.2–1.45× above the planned peak on bn-heavy (exact-size chunks whose
-// free ranges never merge); placed, the slab is the plan, and only
-// workspace, statistics and a second consumer's transient gradient go best
-// fit into chunks beside it. A slot whose range is taken falls back to best
-// fit and counts in arena_place_misses, so a wrong plan costs memory, never
-// correctness.
+// than the largest buffer; the first pass reserves the slab at its batch (a
+// later, larger batch replaces it, since nothing is checked out between
+// passes), and before every schedule step the executor queues the slots of
+// the buffers born there (arenaPlan.born), which the arena hands to that
+// step's Gets by length. Best fit alone left the arena 1.2–1.45× above the
+// planned peak on bn-heavy (exact-size chunks whose free ranges never merge);
+// placed, the slab is the plan. The step's transients — workspace, a second
+// consumer's gradient contribution — take ranges of the slab that are free
+// and lie outside the step's queued slots, and fall back to best fit beside
+// it only where the slab is full. Per-channel statistics and argmax indices
+// live from a forward step to its backward, which the plan does not price,
+// so they keep beside the slab (tensor.Arena.Beside). A slot whose range is
+// taken, or a transient still holding the slab at the next step, counts in
+// arena_place_misses, so a wrong plan costs memory, never correctness.
+//
+// An inference executor follows memplan.InferenceIntervals instead: the
+// same release path and placement, over intervals that end at each value's
+// last forward reader. A dropout is the identity there and aliases its
+// input, so it is a view like a concat or a flatten, and the input lives
+// through the dropout's readers.
 //
 // Two buffer families the model once had are gone, and the table follows
 // from the model: a concat owns no storage (it is a layers.Concat view whose
@@ -47,9 +58,6 @@ import (
 // Two things deliberately stay on the heap: parameter gradients (they escape
 // into the returned gradient map, whose lifetime the schedule does not bound)
 // and the graph output (detached to the caller at the end of each Forward).
-// Inference-mode passes skip per-step releases — dropout is an identity alias
-// there, so the training intervals do not apply — and recycle everything at
-// the start of the next pass instead; they place nothing and reserve no slab.
 
 // WithArena is a no-op: every executor allocates from a private arena. It
 // remains only because benchmark/setup.go, which this change may not edit,
@@ -82,8 +90,9 @@ type arenaRelease struct {
 
 // arenaPlan is the executor's compiled plan: for every schedule step, the
 // buffers whose live interval ends there and the slab slots of the buffers
-// born there. Built once per graph from memplan.TrainingIntervals and
-// memplan.Place, and invalidated when FoldBN rewrites the graph.
+// born there. Built once per graph by memplan.Place over
+// memplan.TrainingIntervals, or over memplan.InferenceIntervals for an
+// inference executor; invalidated when FoldBN rewrites the graph.
 type arenaPlan struct {
 	releases map[int][]arenaRelease // schedule step → buffers dead after it
 	born     [][]tensor.Slot        // schedule step → per-sample slots of the buffers born there
@@ -96,7 +105,11 @@ func (e *Executor) arenaPlanFor() (*arenaPlan, error) {
 	if e.aplan != nil {
 		return e.aplan, nil
 	}
-	sched, ivs, err := memplan.TrainingIntervals(e.G)
+	intervals := memplan.TrainingIntervals
+	if e.inference {
+		intervals = memplan.InferenceIntervals
+	}
+	sched, ivs, err := intervals(e.G)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +152,10 @@ func (e *Executor) arenaPlanFor() (*arenaPlan, error) {
 }
 
 // releaseForwardStep recycles the buffers whose interval ends at forward
-// step i. Only values can die in the forward half of the schedule.
+// step i. Only values can die in the forward half of the schedule. At
+// inference a dropout's value is its input itself and has no entry: its map
+// slot is left pointing at the released input, which no reader looks up
+// after the input's own last reader.
 func (e *Executor) releaseForwardStep(i int) {
 	for _, r := range e.aplan.releases[i] {
 		if t := e.vals[r.id]; t != nil {
@@ -150,11 +166,10 @@ func (e *Executor) releaseForwardStep(i int) {
 }
 
 // releaseBackwardStep recycles the buffers whose interval ends at backward
-// step `step`, after that step's backwardNode has run. All releases for a
-// step fire as one batch with no Get in between, so a buffer reachable from
-// two slots (a SubBN2's gradient doubles as the stashed dv) is recycled once
-// and the second Put is a no-op rather than a double free.
-func (e *Executor) releaseBackwardStep(step int, gmap map[int]*tensor.Tensor, stash map[int]*bnStash) {
+// step `step`, after that step's backwardNode has run. A stashed dv is not
+// among them: the stash owns it from the sub-BN2' that stashes it, and the
+// sub-BN1' that reads it (bnInputGrad) uses it up.
+func (e *Executor) releaseBackwardStep(step int, gmap map[int]*tensor.Tensor) {
 	for _, r := range e.aplan.releases[step] {
 		switch r.kind {
 		case memplan.BufValue:
@@ -166,14 +181,6 @@ func (e *Executor) releaseBackwardStep(step int, gmap map[int]*tensor.Tensor, st
 			if g := gmap[r.id]; g != nil {
 				e.alloc.Put(g)
 				delete(gmap, r.id)
-			}
-			if st := stash[r.id]; st != nil {
-				// A fused partner's dv is a fresh buffer modeled on the
-				// statistics producer (a SubBN2's is its own gradient); the
-				// input x either stashes is a forward value, released by
-				// its own BufValue entries at this step.
-				e.alloc.Put(st.dv)
-				delete(stash, r.id)
 			}
 		case memplan.BufMask:
 			if t := e.masks[r.id]; t != nil {

@@ -338,6 +338,8 @@ func (e *Executor) computeStats(n *graph.Node, x layers.Map) (*layers.BNStats, e
 	}
 	bn := e.bnOf(n.BN)
 	if !n.BN.MVF {
+		e.alloc.Beside(true) // the statistics outlive this step, as in closeStats
+		defer e.alloc.Beside(false)
 		return bn.ComputeStats(x)
 	}
 	m, err := bn.Moments(x)
@@ -349,8 +351,12 @@ func (e *Executor) computeStats(n *graph.Node, x layers.Map) (*layers.BNStats, e
 
 // closeStats closes the moments a statistics producer took: through the
 // StatsHook when one is installed, else with the BN's own Close. The
-// partials go back to the arena either way.
+// partials go back to the arena either way. The statistics live from this
+// forward step to the backward that reads them, past the slots of every
+// step in between, so the arena keeps them beside its slab.
 func (e *Executor) closeStats(n *graph.Node, attr *graph.BNAttr, m layers.Moments) (*layers.BNStats, error) {
+	e.alloc.Beside(true)
+	defer e.alloc.Beside(false)
 	if e.statsHook == nil {
 		return e.bnOf(attr).Close(m)
 	}
@@ -413,19 +419,14 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		// map storage instead of reallocating it.
 		e.resetPass()
 	}
-	// Per-step releases and placement follow the training schedule; an
-	// inference pass has different lifetimes (dropout aliases its input), so
-	// it recycles via the resetPass sweep above instead and places nothing.
-	stepRelease := !e.inference
-	batch, slab, seg := x.Dim(0), 0, 0
-	if stepRelease {
-		p, err := e.arenaPlanFor()
-		if err != nil {
-			return nil, err
-		}
-		slab, seg = p.slab*batch, p.seg*batch
+	// Both modes release every buffer at the end of its interval and carve
+	// it at its planned offset; the modes differ only in their intervals.
+	p, err := e.arenaPlanFor()
+	if err != nil {
+		return nil, err
 	}
-	e.alloc.PlacePass(slab, seg)
+	batch := x.Dim(0)
+	e.alloc.PlacePass(p.slab*batch, p.seg*batch)
 	if e.dropRNG == nil {
 		e.dropRNG = tensor.NewRNG(0x5eed)
 	}
@@ -433,20 +434,15 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	defer e.tracer.End("forward", obs.CatPass, "fwd", obs.TIDPass, passStart)
 
 	for step, n := range e.liveNodes() {
-		if stepRelease {
-			e.alloc.Expect(e.aplan.born[step], batch)
-		}
+		e.alloc.Expect(p.born[step], batch)
 		// Input binding is bookkeeping, not compute: handle it before the
 		// node span opens so every Begin below is paired with an end on
 		// every path.
 		if n.Kind == graph.OpInput {
 			e.vals[n.ID] = x
-			if stepRelease {
-				e.releaseForwardStep(step)
-			}
+			e.releaseForwardStep(step)
 			continue
 		}
-		var err error
 		nodeStart := e.tracer.Begin()
 		switch n.Kind {
 		case graph.OpConv, graph.OpReLUConv, graph.OpBNReLUConv:
@@ -479,10 +475,20 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 			e.vals[n.ID] = layers.ReLUForwardAlloc(e.pool, e.alloc, e.src(n, 0))
 
 		case graph.OpPool:
+			// A max pool's argmax indices live to its backward, so in
+			// training they keep beside the slab; at inference nothing reads
+			// them after this step.
 			var y *tensor.Tensor
 			var ctx *layers.PoolContext
+			e.alloc.Beside(!e.inference)
 			y, ctx, err = n.Pool.WithPool(e.pool).WithAlloc(e.alloc).Forward(e.src(n, 0))
-			e.vals[n.ID], e.poolCtx[n.ID] = y, ctx
+			e.alloc.Beside(false)
+			e.vals[n.ID] = y
+			if e.inference && ctx != nil {
+				e.alloc.PutInts(ctx.ArgMax)
+			} else {
+				e.poolCtx[n.ID] = ctx
+			}
 
 		case graph.OpGlobalPool:
 			e.vals[n.ID], err = layers.GlobalAvgPoolForwardAlloc(e.pool, e.alloc, e.src(n, 0))
@@ -526,9 +532,7 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: forward of node %q: %w", n.Name, err)
 		}
-		if stepRelease {
-			e.releaseForwardStep(step)
-		}
+		e.releaseForwardStep(step)
 	}
 
 	if !e.inference {
@@ -597,8 +601,13 @@ func (e *Executor) src(n *graph.Node, i int) layers.Map {
 // accumGrad folds a fresh gradient contribution into the per-node map.
 // The first contribution takes ownership of the tensor (every producer
 // returns a fresh tensor, so no aliasing); later contributions are folded
-// in place and their now-dead buffer goes back to the arena.
+// in place and their now-dead buffer goes back to the arena, as does a
+// graph input's gradient, which nothing reads.
 func (e *Executor) accumGrad(gmap map[int]*tensor.Tensor, n *graph.Node, g *tensor.Tensor) error {
+	if n.Kind == graph.OpInput {
+		e.alloc.Put(g)
+		return nil
+	}
 	if cur := gmap[n.ID]; cur != nil {
 		err := cur.AddInPlace(g)
 		e.alloc.Put(g)
@@ -635,26 +644,14 @@ func (e *Executor) Backward(dOut *tensor.Tensor) (map[string]*tensor.Tensor, err
 			continue
 		}
 		step := 2*len(live) - 1 - i
-		if e.aplan != nil {
-			e.alloc.Expect(e.aplan.born[step], out.Dim(0))
-		}
+		e.alloc.Expect(e.aplan.born[step], out.Dim(0))
 		nodeStart := e.tracer.Begin()
 		err := e.backwardNode(n, gmap, grads, stash)
 		e.endNodeSpan(n, "bwd", nodeStart)
 		if err != nil {
 			return nil, fmt.Errorf("core: backward of node %q: %w", n.Name, err)
 		}
-		if e.aplan != nil {
-			e.releaseBackwardStep(step, gmap, stash)
-		}
-	}
-	// Gradient slots nothing reads — the graph inputs' — are written but have
-	// no release step; sweep them back in schedule order.
-	for _, n := range live {
-		if g := gmap[n.ID]; g != nil {
-			e.alloc.Put(g)
-			delete(gmap, n.ID)
-		}
+		e.releaseBackwardStep(step, gmap)
 	}
 	e.publishArenaMetrics()
 	return grads, nil
@@ -700,7 +697,9 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return e.accumGrad(gmap, n.Inputs[0], dx)
 
 	case graph.OpSubBN1:
-		du, err := e.bnInputGrad(n.ID, n.BN, stash)
+		// du is the input's gradient, planned to outlive this step, so it
+		// is carved fresh and not written over dv.
+		du, err := e.bnInputGrad(n.ID, n.BN, stash, false)
 		if err != nil {
 			return err
 		}
@@ -716,6 +715,7 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		if err != nil {
 			return err
 		}
+		delete(gmap, n.ID) // the stash owns dy from here on
 		return e.stashReduced(n, &bnStash{dv: dy, x: x}, dgamma, dbeta, grads, stash)
 
 	case graph.OpReLU:
@@ -762,6 +762,10 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		// order and arithmetic on a copied part, without the copy.
 		c0 := 0
 		for _, in := range n.Inputs {
+			if in.Kind == graph.OpInput {
+				c0 += in.OutShape[1] // nothing reads a graph input's gradient
+				continue
+			}
 			g := gmap[in.ID]
 			add := g != nil
 			if !add {
@@ -809,8 +813,9 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 //
 // A node with a StatsOut epilogue receives its upstream gradient through the
 // sub-BN2' stash instead of the gradient map: the following BN's element-wise
-// input gradient (sub-BN1') is produced here and consumed by this window
-// right away, a within-step transient recycled as soon as the window returns.
+// input gradient (sub-BN1') is written over the stashed dv and consumed by
+// this window right away, and the buffer is recycled as soon as the window
+// returns.
 func (e *Executor) convBackward(n *graph.Node, gmap map[int]*tensor.Tensor,
 	grads map[string]*tensor.Tensor, stash map[int]*bnStash) error {
 
@@ -823,7 +828,7 @@ func (e *Executor) convBackward(n *graph.Node, gmap map[int]*tensor.Tensor,
 		// The stash is a statistics producer's only upstream path:
 		// graph.Validate refuses any other consumer of its output.
 		var err error
-		if dy, err = e.bnInputGrad(n.ID, n.StatsOut, stash); err != nil {
+		if dy, err = e.bnInputGrad(n.ID, n.StatsOut, stash, true); err != nil {
 			return err
 		}
 	} else if dy == nil {
@@ -886,14 +891,25 @@ func (e *Executor) stashReduced(n *graph.Node, st *bnStash, dgamma, dbeta *tenso
 
 // bnInputGrad is sub-BN1': the input gradient of the BN attr describes, from
 // the stash its normalize side left under statistics producer id, whose
-// statistics it then releases.
-func (e *Executor) bnInputGrad(id int, attr *graph.BNAttr, stash map[int]*bnStash) (*tensor.Tensor, error) {
+// statistics it then releases. It uses the stash up: with inPlace the input
+// gradient is written over dv (the sweep is element-wise) and dv becomes the
+// caller's; otherwise it is carved fresh and dv goes back to the arena.
+func (e *Executor) bnInputGrad(id int, attr *graph.BNAttr, stash map[int]*bnStash, inPlace bool) (*tensor.Tensor, error) {
 	st := stash[id]
 	if st == nil {
 		return nil, fmt.Errorf("no sub-BN2' stash for statistics producer")
 	}
-	du, err := e.bnOf(attr).BackwardInputFrom(st.dv, st.x, e.gammaOf(attr), e.stats[id], st.dgamma, st.dbeta)
+	delete(stash, id)
+	bn := e.bnOf(attr)
+	du, err := st.dv, error(nil)
+	if inPlace {
+		err = bn.BackwardInputInPlace(st.dv, st.x, e.gammaOf(attr), e.stats[id], st.dgamma, st.dbeta)
+	} else {
+		du, err = bn.BackwardInputFrom(st.dv, st.x, e.gammaOf(attr), e.stats[id], st.dgamma, st.dbeta)
+		e.alloc.Put(st.dv)
+	}
 	if err != nil {
+		e.alloc.Put(du)
 		return nil, err
 	}
 	e.releaseStats(id)

@@ -598,16 +598,39 @@ func (b BatchNorm) BackwardInput(dy, xhat, gamma *tensor.Tensor, stats *BNStats,
 // and run by run over a Concat, each x̂ is regenerated as the forward's
 // normalize computed it.
 func (b BatchNorm) BackwardInputFrom(dy *tensor.Tensor, x Map, gamma *tensor.Tensor, stats *BNStats, dgamma, dbeta *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := b.check(dy); err != nil {
+	if err := b.checkInputGrad(dy, x, gamma, stats, dgamma, dbeta); err != nil {
 		return nil, err
+	}
+	dx := b.alloc.Get(dy.Shape()...)
+	b.inputGrad(dy, x, dx, gamma, stats, dgamma, dbeta)
+	return dx, nil
+}
+
+// BackwardInputInPlace is BackwardInputFrom writing dx over dy: the sweep is
+// element-wise and reads each dy before it stores the dx at its index, so the
+// bits are BackwardInputFrom's.
+func (b BatchNorm) BackwardInputInPlace(dy *tensor.Tensor, x Map, gamma *tensor.Tensor, stats *BNStats, dgamma, dbeta *tensor.Tensor) error {
+	if err := b.checkInputGrad(dy, x, gamma, stats, dgamma, dbeta); err != nil {
+		return err
+	}
+	b.inputGrad(dy, x, dy, gamma, stats, dgamma, dbeta)
+	return nil
+}
+
+// checkInputGrad validates BackwardInputFrom's operands.
+func (b BatchNorm) checkInputGrad(dy *tensor.Tensor, x Map, gamma *tensor.Tensor, stats *BNStats, dgamma, dbeta *tensor.Tensor) error {
+	if err := b.check(dy); err != nil {
+		return err
 	}
 	if !dy.Shape().Equal(x.Shape()) {
-		return nil, fmt.Errorf("batchnorm: dy %v vs x %v", dy.Shape(), x.Shape())
+		return fmt.Errorf("batchnorm: dy %v vs x %v", dy.Shape(), x.Shape())
 	}
-	if err := errors.Join(b.checkParam("gamma", gamma), b.checkParam("dgamma", dgamma),
-		b.checkParam("dbeta", dbeta), b.checkStats(stats)); err != nil {
-		return nil, err
-	}
+	return errors.Join(b.checkParam("gamma", gamma), b.checkParam("dgamma", dgamma),
+		b.checkParam("dbeta", dbeta), b.checkStats(stats))
+}
+
+// inputGrad is the sub-BN1' sweep into dx, which may be dy.
+func (b BatchNorm) inputGrad(dy *tensor.Tensor, x Map, dx *tensor.Tensor, gamma *tensor.Tensor, stats *BNStats, dgamma, dbeta *tensor.Tensor) {
 	n, _, h, w := dy.Dims4()
 	// The normalization count: how many elements each channel's mean and
 	// variance were computed over. For single-executor training that is this
@@ -621,7 +644,6 @@ func (b BatchNorm) BackwardInputFrom(dy *tensor.Tensor, x Map, gamma *tensor.Ten
 		m = float32(stats.M)
 	}
 	r, mean, inv := runsOf(x), stats.Mean.Data, b.InvStdScratch(stats)
-	dx := b.alloc.Get(dy.Shape()...)
 	if b.pool.Serial() {
 		bnInputGradChunk(r, dy.Data, dx.Data, gamma.Data, inv, mean, dgamma.Data, dbeta.Data, m, 0, n)
 	} else {
@@ -630,7 +652,6 @@ func (b BatchNorm) BackwardInputFrom(dy *tensor.Tensor, x Map, gamma *tensor.Ten
 		})
 	}
 	b.alloc.PutFloats(inv)
-	return dx, nil
 }
 
 // bnInputGradChunk is BackwardInputFrom's chunk body: dx for the samples in

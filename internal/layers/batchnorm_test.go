@@ -229,6 +229,44 @@ func TestBNBackwardSplitEqualsComposed(t *testing.T) {
 	}
 }
 
+// BackwardInputInPlace writes BackwardInputFrom's bits over dy, on both
+// sweep bodies, over a dense x and over a concat of its channels.
+func TestBNBackwardInputInPlace(t *testing.T) {
+	bn := NewBatchNorm(6)
+	rng := tensor.NewRNG(37)
+	x := tensor.New(3, 6, 5, 5)
+	rng.FillNormal(x, 1, 2)
+	gamma := tensor.New(6)
+	rng.FillUniform(gamma, 0.5, 2)
+	dy := tensor.New(x.Shape()...)
+	rng.FillUniform(dy, -1, 1)
+	st, err := bn.ComputeStats(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, db, err := bn.BackwardReduceFrom(dy, x, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forEachBody(func(body string) {
+		for name, src := range map[string]Map{"dense": x, "concat": channelSplit(x, 2, 3)} {
+			want, err := bn.BackwardInputFrom(dy, src, gamma, st, dg, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := dy.Clone()
+			if err := bn.BackwardInputInPlace(got, src, gamma, st, dg, db); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%s, %s x: element %d in place %v, fresh %v", body, name, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	})
+}
+
 func TestBNUpdateRunning(t *testing.T) {
 	bn := NewBatchNorm(2)
 	bn.Momentum = 0.5

@@ -6,15 +6,18 @@ import (
 	"bnff/internal/graph"
 )
 
-// This file is the shared liveness core consumed by two clients with very
+// This file is the shared liveness core consumed by three clients with very
 // different stakes in its accuracy:
 //
-//   - the analytical report (PlanTraining), which turns the intervals into
-//     the peak-footprint numbers EXPERIMENTS.md quotes; and
-//   - the runtime arena (internal/core/arena.go), which returns each buffer
-//     to its executor's tensor.Arena at exactly the interval's End step — so an
-//     interval that ends too early is a use-after-free, not a reporting
-//     blemish — and carves it at the offset Place assigns (place.go).
+//   - the analytical report (PlanTraining, PlanInference), which turns the
+//     intervals into the peak-footprint numbers EXPERIMENTS.md quotes;
+//   - a training executor's arena (internal/core/arena.go), which returns
+//     each buffer to its executor's tensor.Arena at exactly the interval's
+//     End step — so an interval that ends too early is a use-after-free, not
+//     a reporting blemish — and carves it at the offset Place assigns
+//     (place.go); and
+//   - an inference executor's arena, which releases each forward value at
+//     the End of its InferenceIntervals interval, its last forward reader.
 //
 // The rules below therefore mirror what core.Executor actually reads, not a
 // textbook autodiff model: nothing saves x̂. A monolithic BN re-reads its
@@ -23,7 +26,8 @@ import (
 // regenerates x̂ from x. A ReLU's backward masks with its own output, not its
 // input. A SubBN2's upstream gradient is stashed and re-read at the
 // statistics producer's backward step; flatten and concat outputs are views
-// that keep their inputs' storage alive through the view's readers.
+// that keep their inputs' storage alive through the view's readers, and so,
+// at inference, is a dropout's.
 
 // BufKind classifies a live interval by the buffer family it describes.
 type BufKind int
@@ -115,14 +119,14 @@ func TrainingIntervals(g *graph.Graph) (*Schedule, []Interval, error) {
 
 	// Values.
 	for _, n := range live {
-		if n.Kind == graph.OpInput || isView(n) || n.Kind == graph.OpSubBN1 {
-			continue // inputs are external; views own no storage; SubBN1 has no data output
+		if !ownsValue(n, false) {
+			continue
 		}
 		end := sched.Fwd[n.ID]
 		if n.Kind == graph.OpReLU {
 			end = sched.Bwd[n.ID]
 		}
-		for _, c := range readersThroughViews(cons, n) {
+		for _, c := range readersThroughViews(cons, n, false) {
 			last := sched.Fwd[c.ID]
 			switch {
 			case c.Kind == graph.OpBNReLUConv || c.Kind == graph.OpSubBN2:
@@ -165,18 +169,15 @@ func TrainingIntervals(g *graph.Graph) (*Schedule, []Interval, error) {
 		}
 		if n.Kind.IsConvLike() && n.StatsOut != nil {
 			// A statistics producer's upstream gradient arrives through the
-			// sub-BN2' stash. With a standalone SubBN2 partner the stashed dv
-			// aliases the partner's gradient buffer (whose interval already
-			// extends here), and only the sub-BN1' input gradient is fresh —
-			// a transient within the producer's backward step. With a fused
-			// BNReLUConv partner the dv itself is a fresh buffer born at the
+			// sub-BN2' stash, and its sub-BN1' input gradient is written over
+			// the stashed dv. With a standalone SubBN2 partner dv is the
+			// partner's gradient buffer, whose interval already extends here.
+			// With a fused BNReLUConv partner it is a fresh buffer born at the
 			// partner's backward.
-			start := sched.Bwd[n.ID]
 			if p := fused[n.ID]; p != nil {
-				start = sched.Bwd[p.ID]
+				ivs = append(ivs, Interval{Node: n, Kind: BufGrad, Bytes: featureBytes(n),
+					Start: sched.Bwd[p.ID], End: sched.Bwd[n.ID]})
 			}
-			ivs = append(ivs, Interval{Node: n, Kind: BufGrad, Bytes: featureBytes(n),
-				Start: start, End: sched.Bwd[n.ID]})
 			continue
 		}
 		start := sched.Bwd[n.ID]
@@ -200,20 +201,61 @@ func TrainingIntervals(g *graph.Graph) (*Schedule, []Interval, error) {
 	return sched, ivs, nil
 }
 
+// InferenceIntervals computes the live interval of every forward value in
+// one inference pass of g: the live nodes run forward at steps 0..F−1 in
+// topological order (Schedule.Bwd is empty), and a value dies at its last
+// forward reader, since nothing runs backward. Views own no storage and keep
+// their inputs live through their own readers: a flatten, a concat, and a
+// dropout, which at inference is the identity and aliases its input. Inputs
+// and SubBN1 nodes (which take no statistics at inference) hold no value;
+// the graph output's interval ends at its own step.
+func InferenceIntervals(g *graph.Graph) (*Schedule, []Interval, error) {
+	if err := g.Validate(); err != nil {
+		return nil, nil, err
+	}
+	live := g.Live()
+	sched := &Schedule{Nodes: live, Fwd: make(map[int]int, len(live)), Bwd: map[int]int{}, Steps: len(live)}
+	for i, n := range live {
+		sched.Fwd[n.ID] = i
+	}
+	cons := g.Consumers()
+	var ivs []Interval
+	for _, n := range live {
+		if !ownsValue(n, true) {
+			continue
+		}
+		end := sched.Fwd[n.ID]
+		for _, c := range readersThroughViews(cons, n, true) {
+			end = max(end, sched.Fwd[c.ID])
+		}
+		ivs = append(ivs, Interval{Node: n, Kind: BufValue, Bytes: featureBytes(n), Start: sched.Fwd[n.ID], End: end})
+	}
+	return sched, ivs, nil
+}
+
+// ownsValue reports whether a node's forward output is storage of its own:
+// inputs are external, views own none, and SubBN1 has no data output.
+func ownsValue(n *graph.Node, inference bool) bool {
+	return n.Kind != graph.OpInput && n.Kind != graph.OpSubBN1 && !isView(n, inference)
+}
+
 // isView reports whether a node's output is a view of its inputs' storage: a
-// flatten is a reshape of one tensor, a concat the list of its inputs.
-func isView(n *graph.Node) bool { return n.Kind == graph.OpFlatten || n.Kind == graph.OpConcat }
+// flatten is a reshape of one tensor, a concat the list of its inputs, and
+// at inference a dropout its input itself.
+func isView(n *graph.Node, inference bool) bool {
+	return n.Kind == graph.OpFlatten || n.Kind == graph.OpConcat || inference && n.Kind == graph.OpDropout
+}
 
 // readersThroughViews returns the consumers whose execution actually reads
 // n's storage: direct consumers, plus — because a view shares its inputs'
 // storage — the readers of any view consumer, recursively.
-func readersThroughViews(cons map[int][]*graph.Node, n *graph.Node) []*graph.Node {
+func readersThroughViews(cons map[int][]*graph.Node, n *graph.Node, inference bool) []*graph.Node {
 	direct := cons[n.ID]
 	expanded := make([]*graph.Node, 0, len(direct))
 	for _, c := range direct {
 		expanded = append(expanded, c) // a view's own forward step reads nothing, but keep ordering cheap
-		if isView(c) {
-			expanded = append(expanded, readersThroughViews(cons, c)...)
+		if isView(c, inference) {
+			expanded = append(expanded, readersThroughViews(cons, c, inference)...)
 		}
 	}
 	return expanded

@@ -1,5 +1,6 @@
 // Package memplan computes the activation-memory footprint of one training
-// iteration by liveness analysis over the graph's execution schedule.
+// iteration, or one inference pass, by liveness analysis over the graph's
+// execution schedule.
 //
 // It exists to quantify a side effect of the restructuring the paper does
 // not measure but that follows from its design (and that the related work it
@@ -14,17 +15,18 @@
 // keeps each feature map once rather than a copy per composite layer, and a
 // BN reading a concat keeps nothing of its own.
 //
-// The interval computation itself (TrainingIntervals in intervals.go) is a
-// shared library: PlanTraining aggregates the intervals into the analytical
+// The interval computation itself (TrainingIntervals and, for a forward-only
+// pass, InferenceIntervals in intervals.go) is a shared library:
+// PlanTraining and PlanInference aggregate the intervals into the analytical
 // report below, and every core.Executor replays the same intervals at
 // runtime to return each buffer to its tensor.Arena at its last-reader
 // step. Place (place.go) turns them into offsets in one slab as well (in
-// segments no buffer straddles), and a training executor carves each
-// planned buffer at its offset, so the arena
-// holds the slab — PeakBytes, or a little more where no packing of the sizes
-// meets it — plus its workspace, rather than best fit's fragments. Because
-// the runtime trusts the intervals for reuse, they model what the executor
-// actually reads, not a conservative superset.
+// segments no buffer straddles), and the executor carves each planned buffer
+// at its offset, so the arena holds the slab — PeakBytes, or a little more
+// where no packing of the sizes meets it — plus what the plan does not
+// price, rather than best fit's fragments. Because the runtime trusts the
+// intervals for reuse, they model what the executor actually reads, not a
+// conservative superset.
 package memplan
 
 import (
@@ -42,7 +44,8 @@ type Buffer struct {
 	End   int // last schedule step that reads it
 }
 
-// Result is the footprint analysis of one training iteration.
+// Result is the footprint analysis of one training iteration or inference
+// pass.
 type Result struct {
 	Buffers   []Buffer
 	PeakBytes int64
@@ -80,6 +83,25 @@ func PlanTraining(g *graph.Graph) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return plan(sched, ivs), nil
+}
+
+// PlanInference computes liveness for one inference pass: the forward values
+// of InferenceIntervals, each dead after its last forward reader. Its
+// PeakBytes is the most feature-map bytes an inference executor keeps live
+// at once, and its TotalAllocated what a pass that released nothing would
+// hold.
+func PlanInference(g *graph.Graph) (*Result, error) {
+	sched, ivs, err := InferenceIntervals(g)
+	if err != nil {
+		return nil, err
+	}
+	return plan(sched, ivs), nil
+}
+
+// plan aggregates intervals into a Result, naming each buffer by its node
+// and family.
+func plan(sched *Schedule, ivs []Interval) *Result {
 	buffers := make([]Buffer, 0, len(ivs))
 	for _, iv := range ivs {
 		name := iv.Node.Name
@@ -93,7 +115,7 @@ func PlanTraining(g *graph.Graph) (*Result, error) {
 	}
 	res := &Result{Buffers: buffers, Steps: sched.Steps}
 	res.computePeak()
-	return res, nil
+	return res
 }
 
 func (r *Result) computePeak() {

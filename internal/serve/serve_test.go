@@ -16,6 +16,7 @@ import (
 
 	"bnff/internal/core"
 	"bnff/internal/graph"
+	"bnff/internal/memplan"
 	"bnff/internal/models"
 	"bnff/internal/tensor"
 )
@@ -466,30 +467,56 @@ func TestCrashReplicaKeepsServing(t *testing.T) {
 	}
 }
 
-// A replica's executor recycles its activations: the second same-size batch
-// is served from the arena's free lists, and recycled storage never leaks
-// into an answer — each stays bit-identical to a fresh batch-1 reference.
+// A replica's executor releases each value at its last forward reader and
+// holds only what its forward-only plan keeps live: after a batch of 1 and
+// one of 2, its arena holds at most 1.25× the larger of memplan's planned
+// peak at batch 2 and its own checked-out peak (on tiny-cnn the latter adds
+// conv3's packed weights and scratch, 0.8× the plan's two maps), and that
+// peak lies below the sum of every forward value, which a pass releasing
+// nothing would hold. Every answer bit-matches its batch-1 reference.
 func TestReplicaExecutorRecyclesActivations(t *testing.T) {
 	ckpt := testCheckpoint(t)
-	eng, err := Load(tinyCNN, bytes.NewReader(ckpt), Config{MaxBatch: 1, Replicas: 1, FoldBN: true})
+	// A quiescent engine (no replica loops), so the test picks the batch
+	// sizes itself.
+	e, err := newEngine(tinyCNN, bytes.NewReader(ckpt), Config{MaxBatch: 2, Replicas: 1, FoldBN: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := e.replicas[0]
 	rng := tensor.NewRNG(31)
-	for i := 0; i < 2; i++ {
-		x := tensor.New(eng.ImageLen())
-		rng.FillNormal(x, 0, 1)
-		got, err := eng.Predict(x.Data)
-		if err != nil {
-			t.Fatal(err)
+	for _, k := range []int{1, 2, 1, 2} {
+		batch := make([]*request, k)
+		for i := range batch {
+			x := tensor.New(e.ImageLen())
+			rng.FillNormal(x, 0, 1)
+			batch[i] = &request{img: x.Data, resp: make(chan result, 1)}
 		}
-		if !equalF32(got, refLogits(t, ckpt, x.Data)) {
-			t.Errorf("batch %d: logits differ from the batch-1 reference", i)
+		r.run(batch)
+		for i, req := range batch {
+			res := <-req.resp
+			if res.err != nil {
+				t.Fatal(res.err)
+			}
+			if !equalF32(res.logits, refLogits(t, ckpt, req.img)) {
+				t.Errorf("batch %d row %d: logits differ from the batch-1 reference", k, i)
+			}
 		}
 	}
-	eng.Close() // the replica loop has exited; its executor is safe to read
-	if s := eng.replicas[0].exec.ArenaStats(); s.Hits == 0 {
-		t.Errorf("second batch never hit the arena free lists: %+v", s)
+	plan, err := memplan.PlanInference(r.exec.G) // the graph is built at MaxBatch
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := r.exec.ArenaStats()
+	t.Logf("held %d B, peak %d B, forward-only plan %d B, forward values %d B",
+		s.HeldBytes, s.PeakBytes, plan.PeakBytes, plan.TotalAllocated())
+	if s.Hits == 0 {
+		t.Errorf("later batches never hit the arena free lists: %+v", s)
+	}
+	if limit := 1.25 * float64(max(plan.PeakBytes, s.PeakBytes)); float64(s.HeldBytes) > limit {
+		t.Errorf("replica holds %d bytes, more than 1.25x the peak %d", s.HeldBytes, max(plan.PeakBytes, s.PeakBytes))
+	}
+	if s.PeakBytes >= plan.TotalAllocated() {
+		t.Errorf("peak %d bytes reaches the %d bytes of every forward value: nothing was released", s.PeakBytes, plan.TotalAllocated())
 	}
 }
 

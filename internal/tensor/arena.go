@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // Arena is a deterministic best-fit range allocator for activation-sized
@@ -13,26 +14,34 @@ import (
 // re-serves iteration k's storage instead of paying allocator+GC cost per
 // mini-batch.
 //
-// Tensors and float32 scratch are carved from shared float32 chunks. Get and
-// Floats take the smallest free range that fits (ties: lowest chunk, then
-// lowest offset) and split off the unused tail; only when no free range fits
-// is a new chunk of exactly the requested size allocated. Put and PutFloats
-// return the range and coalesce it with its free neighbours within its chunk,
-// so a freed buffer can serve any smaller request and adjacent frees merge
-// back into one larger range. Int32 scratch (pooling argmax indices) is small
-// and keeps exact-size LIFO free lists.
+// Tensors, float32 scratch and int32 scratch (pooling argmax indices, a
+// float range seen as int32) are carved from shared float32 chunks. Get,
+// Floats and Ints take the smallest free range that fits (ties: lowest chunk,
+// then lowest offset) and split off the unused tail; only when no free range
+// fits is a new chunk of exactly the requested size allocated. Put, PutFloats
+// and PutInts return the range and coalesce it with its free neighbours
+// within its chunk, so a freed buffer can serve any smaller request and
+// adjacent frees merge back into one larger range.
 //
 // Best fit alone does not hold a training step at memplan's planned peak:
 // every miss adds an exact-size chunk, free ranges in different chunks never
-// merge, and the fragments grow the footprint 1.2–1.45× past the plan. So a
-// training executor places its planned buffers. PlacePass reserves one slab
-// (on the first placed pass, sized for it), and Expect queues the
+// merge, and the fragments grow the footprint 1.2–1.45× past the plan (4×
+// over an inference pass of a DenseNet, whose maps grow along each block).
+// So an executor places its planned buffers. PlacePass reserves one slab
+// (on the first placed pass, sized for it, and anew for a larger pass when
+// nothing is checked out of it), and Expect queues the
 // (offset, length) slots memplan.Place assigned to the buffers born at the
 // next schedule step. A tensor Get whose length matches a queued slot takes
 // exactly that range of the slab if it is free, and falls back to best fit
-// otherwise, so a wrong plan costs placement, never correctness. During a
-// placed pass every other request goes best fit into the non-slab chunks; in
-// any other pass the slab is ordinary free space.
+// beside the slab otherwise, so a wrong plan costs placement, never
+// correctness. Every other request in a placed pass — step workspace,
+// Floats, a second consumer's transient gradient — is a transient of the
+// current step: it takes the best-fitting free range, which may lie in the
+// slab wherever no slot still queued for the step lies. A slab range such a
+// request still holds at the next Expect counts a place miss, since a later
+// slot may need it; unplanned requests known to outlive their step (Beside)
+// keep to chunks beside the slab. In any other pass the slab is ordinary
+// free space.
 //
 // The slab is one offset space stored as segments, one chunk each, no
 // longer than the plan's largest buffer, which no slot straddles. One
@@ -69,22 +78,24 @@ import (
 // plain-allocation path (Get == New, Put == no-op), so layer code threads the
 // pointer unconditionally, exactly like the nil obs.Tracer contract.
 type Arena struct {
-	chunks [][]float32       // float32 storage; chunks never move or shrink
-	free   []span            // free ranges sorted by (chunk, off), neighbours coalesced
-	hdrs   []*Tensor         // recycled tensor headers, LIFO
-	freeI  map[int][][]int32 // recycled int32 scratch by length, LIFO
+	chunks [][]float32 // float32 storage; chunks never move or shrink
+	free   []span      // free ranges sorted by (chunk, off), neighbours coalesced
+	hdrs   []*Tensor   // recycled tensor headers, LIFO
 
 	// Placement (PlacePass, Expect): chunks[slab:slabEnd] are the slab's
 	// segments, seg elements each but the last; slab is -1 until the first
 	// placed pass reserves them. pass is the current pass's segment length,
 	// 0 when the pass does not place; queue holds the slots Expect queued
-	// for the current schedule step.
+	// for the current schedule step, loose the slab ranges this step's
+	// transients hold, and beside is set between Beside(true) and
+	// Beside(false).
 	slab, slabEnd, seg, pass int
 	queue                    []Slot
+	loose                    []span
+	beside                   bool
 
 	owned  map[*Tensor]span  // tensors currently checked out
 	ownedF map[*float32]span // float32 scratch checked out, keyed by &s[0]
-	ownedI map[*int32]int    // int32 scratch checked out, keyed by &s[0]
 
 	hits        int64
 	misses      int64
@@ -118,10 +129,8 @@ const poisonNaN = 0x7fc0dead
 func NewArena() *Arena {
 	return &Arena{
 		slab:   -1,
-		freeI:  make(map[int][][]int32),
 		owned:  make(map[*Tensor]span),
 		ownedF: make(map[*float32]span),
-		ownedI: make(map[*int32]int),
 	}
 }
 
@@ -129,10 +138,10 @@ func NewArena() *Arena {
 type ArenaStats struct {
 	Hits        int64 // Get/Floats/Ints calls served from storage the arena already held
 	Misses      int64 // calls that fell through to a fresh heap allocation
-	PlaceMisses int64 // placed Gets whose slot was not free, and passes whose plan outgrew the slab
+	PlaceMisses int64 // placed Gets whose slot was not free, transients holding the slab at the next Expect, and passes whose plan outgrew the slab
 	BytesInUse  int64 // bytes currently checked out (4 per element)
 	PeakBytes   int64 // high-water mark of BytesInUse
-	HeldBytes   int64 // every byte the arena owns, checked out or free, slab and Ints included
+	HeldBytes   int64 // every byte the arena owns, checked out or free, slab included
 	SlabBytes   int64 // the placement slab's size; 0 before PlacePass reserves it
 }
 
@@ -148,9 +157,11 @@ func (a *Arena) Stats() ArenaStats {
 // PlacePass begins a pass. need > 0 begins a placed pass whose Expect slots
 // lie within need elements, none straddling a multiple of seg (seg <= 0:
 // one segment). The first such call reserves a slab of exactly need
-// elements in segments of seg; a later pass whose need or seg the slab
-// cannot hold is unplaced and counts a place miss. need <= 0 begins an
-// unplaced pass, in which the slab is ordinary free space.
+// elements in segments of seg. A later pass whose need or seg the slab
+// cannot hold reserves a new slab the same way if no range of the old one is
+// checked out, and lets the old one go; otherwise it is unplaced and counts a
+// place miss. need <= 0 begins an unplaced pass, in which the slab is
+// ordinary free space.
 func (a *Arena) PlacePass(need, seg int) {
 	if a == nil {
 		return
@@ -163,6 +174,13 @@ func (a *Arena) PlacePass(need, seg int) {
 	if seg <= 0 || seg > need {
 		seg = need
 	}
+	if a.slab >= 0 && (4*int64(need) > a.slabBytes || seg > a.seg) {
+		if !a.slabFree() {
+			a.placeMisses++
+			return
+		}
+		a.dropSlab()
+	}
 	if a.slab < 0 {
 		a.slab, a.seg = len(a.chunks), seg
 		for off := 0; off < need; off += seg {
@@ -174,29 +192,65 @@ func (a *Arena) PlacePass(need, seg int) {
 		a.slabBytes = 4 * int64(need)
 		a.heldBytes += a.slabBytes
 	}
-	if 4*int64(need) > a.slabBytes || seg > a.seg {
-		a.placeMisses++
-		return
-	}
 	a.pass = seg
+}
+
+// slabFree reports whether no range of the slab is checked out: each of its
+// segments is one whole free range.
+func (a *Arena) slabFree() bool {
+	for c := a.slab; c < a.slabEnd; c++ {
+		i, found := slices.BinarySearchFunc(a.free, span{c, 0, 0}, cmpSpan)
+		if !found || a.free[i].n != len(a.chunks[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// dropSlab lets go of a free slab: its segments leave the free list, and
+// their chunks the arena. The emptied chunk entries stay, so no other
+// chunk's index moves.
+func (a *Arena) dropSlab() {
+	i, _ := slices.BinarySearchFunc(a.free, span{a.slab, 0, 0}, cmpSpan)
+	a.free = slices.Delete(a.free, i, i+a.slabEnd-a.slab)
+	for c := a.slab; c < a.slabEnd; c++ {
+		a.chunks[c] = nil
+	}
+	a.heldBytes -= a.slabBytes
+	a.slab, a.slabEnd, a.slabBytes = -1, 0, 0
 }
 
 // inSlab reports whether chunk c is a segment of the slab.
 func (a *Arena) inSlab(c int) bool { return c >= a.slab && c < a.slabEnd }
 
-// Expect replaces the queue of slots the next tensor Gets may take with
-// slots, each offset and length multiplied by scale (slots are planned per
-// sample; scale is the batch). Outside a placed pass it only clears the queue.
+// Expect begins a schedule step: every slab range a transient of the step
+// before still holds counts a place miss, and the queue of slots the next
+// tensor Gets may take becomes slots, each offset and length multiplied by
+// scale (slots are planned per sample; scale is the batch). Outside a placed
+// pass the queue stays empty.
 func (a *Arena) Expect(slots []Slot, scale int) {
 	if a == nil {
 		return
 	}
+	a.placeMisses += int64(len(a.loose))
+	a.loose = a.loose[:0]
 	a.queue = a.queue[:0]
 	if a.pass == 0 {
 		return
 	}
 	for _, s := range slots {
 		a.queue = append(a.queue, Slot{s.Off * scale, s.Len * scale})
+	}
+}
+
+// Beside marks the requests that follow, until Beside(false), as outliving
+// the current schedule step: a Get still takes its queued slot, whose
+// lifetime the plan knows, but any other request keeps to best fit beside
+// the slab. The executor sets it around per-channel statistics and argmax
+// indices, which live from a forward step to the backward that reads them.
+func (a *Arena) Beside(on bool) {
+	if a != nil {
+		a.beside = on
 	}
 }
 
@@ -208,69 +262,79 @@ func (a *Arena) checkOut(n int) {
 	}
 }
 
+// slotSpan is where a queued slot lies: offset Off is element Off mod the
+// pass's segment length of segment Off div it. The span may lie past the
+// slab or cross a segment end; carveGet then finds no free range for it.
+func (a *Arena) slotSpan(q Slot) span {
+	return span{a.slab + q.Off/a.pass, q.Off % a.pass, q.Len}
+}
+
 // carve hands out a zeroed range of n elements: the best-fitting free range,
-// split if larger, or else a new chunk of exactly n. A placed pass keeps the
-// slab for the slots Expect queues.
-func (a *Arena) carve(n int) ([]float32, span) {
-	best := -1
+// split if larger, or else a new chunk of exactly n. In a placed pass a slab
+// range is a candidate only for a transient (gap), and only where no queued
+// slot lies; the range it takes is recorded as loose until it is released.
+// Zero elements take no range.
+func (a *Arena) carve(n int, gap bool) ([]float32, span) {
+	if n == 0 {
+		a.hits++
+		return nil, span{chunk: -1}
+	}
+	best, at := span{n: -1}, -1
+	fits := func(c span, i int) bool {
+		if c.n >= n && (at < 0 || c.n < best.n) {
+			best, at = c, i
+		}
+		return best.n == n // an exact fit; earlier ones would have stopped the scan
+	}
 	for i, f := range a.free {
-		if a.pass > 0 && a.inSlab(f.chunk) {
+		if a.pass == 0 || !a.inSlab(f.chunk) {
+			if fits(f, i) {
+				break
+			}
 			continue
 		}
-		if f.n >= n && (best < 0 || f.n < a.free[best].n) {
-			best = i
-			if f.n == n {
-				break // an exact fit; earlier ones would have stopped the scan
+		if !gap {
+			continue
+		}
+		// The pieces of f between the queued slots, lowest first.
+		end, exact := f.off+f.n, false
+		for lo := f.off; lo < end && !exact; {
+			hi, next := end, end
+			for _, q := range a.queue {
+				if s := a.slotSpan(q); s.chunk == f.chunk && s.n > 0 && s.off < hi && s.off+s.n > lo {
+					hi, next = max(s.off, lo), s.off+s.n
+				}
 			}
+			exact = fits(span{f.chunk, lo, hi - lo}, i)
+			lo = next
+		}
+		if exact {
+			break
 		}
 	}
-	if best < 0 {
+	if at < 0 {
 		a.chunks = append(a.chunks, make([]float32, n))
 		a.heldBytes += 4 * int64(n)
 		a.misses++
 		s := span{len(a.chunks) - 1, 0, n}
 		return a.chunks[s.chunk][:n:n], s
 	}
-	f := a.free[best]
-	if f.n == n {
-		a.free = slices.Delete(a.free, best, best+1)
-	} else {
-		a.free[best] = span{f.chunk, f.off + n, f.n - n}
+	s := span{best.chunk, best.off, n}
+	a.take(at, s)
+	if a.pass > 0 && a.inSlab(s.chunk) {
+		a.loose = append(a.loose, s)
 	}
-	a.hits++
-	buf := a.chunks[f.chunk][f.off : f.off+n : f.off+n]
+	buf := a.chunks[s.chunk][s.off : s.off+n : s.off+n]
 	clear(buf)
-	return buf, span{f.chunk, f.off, n}
+	return buf, s
 }
 
-// carvePlaced hands out the queued slot of n elements, if there is one and
-// its range of the slab is free: offset Off is element Off mod the pass's
-// segment length of segment Off div it. The first queued slot of length n is
-// used up either way; a slot that is not free counts a place miss, and the
-// caller falls back to carve.
-func (a *Arena) carvePlaced(n int) ([]float32, span, bool) {
-	q := -1
-	if n > 0 {
-		q = slices.IndexFunc(a.queue, func(s Slot) bool { return s.Len == n })
-	}
-	if q < 0 {
-		return nil, span{}, false
-	}
-	off := a.queue[q].Off
-	s := span{a.slab + off/a.pass, off % a.pass, n}
-	a.queue = slices.Delete(a.queue, q, q+1)
-	// The free span that could hold s is the last one starting at or below it.
-	i, found := slices.BinarySearchFunc(a.free, s, cmpSpan)
-	if !found {
-		i--
-	}
-	if !a.inSlab(s.chunk) || i < 0 || a.free[i].chunk != s.chunk || a.free[i].off+a.free[i].n < s.off+n {
-		a.placeMisses++
-		return nil, span{}, false
-	}
+// take removes s from the free range a.free[i], which holds it, and counts
+// a hit.
+func (a *Arena) take(i int, s span) {
 	f := a.free[i]
 	lo := span{f.chunk, f.off, s.off - f.off}
-	hi := span{f.chunk, s.off + n, f.off + f.n - s.off - n}
+	hi := span{f.chunk, s.off + s.n, f.off + f.n - s.off - s.n}
 	switch {
 	case lo.n == 0 && hi.n == 0:
 		a.free = slices.Delete(a.free, i, i+1)
@@ -283,9 +347,36 @@ func (a *Arena) carvePlaced(n int) ([]float32, span, bool) {
 		a.free = slices.Insert(a.free, i+1, hi)
 	}
 	a.hits++
+}
+
+// carveGet hands out a zeroed range of n elements for a tensor Get: the first
+// queued slot of length n if its range of the slab is free. The slot is used
+// up either way; a slot that is not free counts a place miss and falls back
+// to best fit beside the slab. A Get no slot is queued for is a transient
+// (carve) unless Beside is set.
+func (a *Arena) carveGet(n int) ([]float32, span) {
+	q := -1
+	if n > 0 {
+		q = slices.IndexFunc(a.queue, func(s Slot) bool { return s.Len == n })
+	}
+	if q < 0 {
+		return a.carve(n, !a.beside)
+	}
+	s := a.slotSpan(a.queue[q])
+	a.queue = slices.Delete(a.queue, q, q+1)
+	// The free span that could hold s is the last one starting at or below it.
+	i, found := slices.BinarySearchFunc(a.free, s, cmpSpan)
+	if !found {
+		i--
+	}
+	if !a.inSlab(s.chunk) || i < 0 || a.free[i].chunk != s.chunk || a.free[i].off+a.free[i].n < s.off+n {
+		a.placeMisses++
+		return a.carve(n, false)
+	}
+	a.take(i, s)
 	buf := a.chunks[s.chunk][s.off : s.off+n : s.off+n]
 	clear(buf)
-	return buf, s, true
+	return buf, s
 }
 
 // release returns a range to the free list, merged with any free neighbour in
@@ -293,6 +384,9 @@ func (a *Arena) carvePlaced(n int) ([]float32, span, bool) {
 func (a *Arena) release(s span) {
 	if s.n == 0 {
 		return // a zero-element tensor holds no range; keep the list free of empty entries
+	}
+	if i := slices.Index(a.loose, s); i >= 0 {
+		a.loose = slices.Delete(a.loose, i, i+1)
 	}
 	if poisonReleased {
 		r := a.chunks[s.chunk][s.off : s.off+s.n]
@@ -318,16 +412,13 @@ func (a *Arena) release(s span) {
 
 // Get returns a zero-filled tensor of the given shape carved from the
 // arena's chunks: at its queued slot of the slab in a placed pass (see
-// Expect), else best fit (see carve). A nil arena returns New(shape...).
+// Expect), else best fit (see carveGet). A nil arena returns New(shape...).
 func (a *Arena) Get(shape ...int) *Tensor {
 	if a == nil {
 		return New(shape...)
 	}
 	ne := Shape(shape).NumElems()
-	data, s, ok := a.carvePlaced(ne)
-	if !ok {
-		data, s = a.carve(ne)
-	}
+	data, s := a.carveGet(ne)
 	var t *Tensor
 	if k := len(a.hdrs); k > 0 {
 		// Reuse a recycled header and its shape slice when it has capacity,
@@ -382,21 +473,24 @@ func (a *Arena) Detach(t *Tensor) {
 	}
 	delete(a.owned, t)
 	a.bytesInUse -= 4 * int64(s.n)
-	t.Data = slices.Clone(a.chunks[s.chunk][s.off : s.off+s.n])
+	t.Data = slices.Clone(t.Data)
 	a.release(s)
 }
 
 // Floats returns a zero-filled float32 scratch slice of length n carved from
 // the arena's chunks. Layers use it for reduction partials and per-chunk
 // workspace slabs. A nil arena falls back to make.
-func (a *Arena) Floats(n int) []float32 {
+func (a *Arena) Floats(n int) []float32 { return a.scratch(n) }
+
+// scratch is Floats' body, which Ints shares.
+func (a *Arena) scratch(n int) []float32 {
 	if n <= 0 {
 		return nil
 	}
 	if a == nil {
 		return make([]float32, n)
 	}
-	buf, s := a.carve(n)
+	buf, s := a.carve(n, !a.beside)
 	a.ownedF[&buf[0]] = s
 	a.checkOut(n)
 	return buf
@@ -418,43 +512,22 @@ func (a *Arena) PutFloats(buf []float32) {
 }
 
 // Ints returns a zero-filled int32 scratch slice of length n (max-pooling
-// argmax indices), recycled from an exact-size free list when possible.
+// argmax indices): a Floats range seen as int32, which has the same size and
+// alignment, and whose zero bits are the float's.
 func (a *Arena) Ints(n int) []int32 {
-	if n <= 0 {
+	f := a.scratch(n)
+	if len(f) == 0 {
 		return nil
 	}
-	if a == nil {
-		return make([]int32, n)
-	}
-	var s []int32
-	if list := a.freeI[n]; len(list) > 0 {
-		s = list[len(list)-1]
-		a.freeI[n] = list[:len(list)-1]
-		clear(s)
-		a.hits++
-	} else {
-		s = make([]int32, n)
-		a.heldBytes += 4 * int64(n)
-		a.misses++
-	}
-	a.ownedI[&s[0]] = n
-	a.checkOut(n)
-	return s
+	return unsafe.Slice((*int32)(unsafe.Pointer(&f[0])), n)
 }
 
-// PutInts returns a slice obtained from Ints; no-op for nil, empty, or
-// foreign slices.
+// PutInts returns a slice obtained from Ints; no-op for nil, empty,
+// resliced, or foreign slices.
 func (a *Arena) PutInts(s []int32) {
-	if a == nil || len(s) == 0 {
-		return
+	if len(s) > 0 {
+		a.PutFloats(unsafe.Slice((*float32)(unsafe.Pointer(&s[0])), len(s)))
 	}
-	n, ok := a.ownedI[&s[0]]
-	if !ok || n != len(s) {
-		return
-	}
-	delete(a.ownedI, &s[0])
-	a.bytesInUse -= 4 * int64(n)
-	a.freeI[n] = append(a.freeI[n], s)
 }
 
 // Clone copies t into an arena-managed tensor (Get + copy).

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"unsafe"
@@ -14,9 +15,11 @@ var arenaSizes = [...]int{0, 1, 2, 3, 5, 8, 13}
 // arenaBuf is one buffer a fuzz run holds: a live tensor, live float scratch,
 // or a detached tensor, plus the value every element was filled with.
 type arenaBuf struct {
-	t    *Tensor
-	f    []float32
-	fill float32
+	t     *Tensor
+	f     []float32 // float scratch, or an Ints slice seen as float32
+	ints  bool
+	fill  float32
+	loose bool // a transient holding a slab range since the last Expect
 }
 
 func (b arenaBuf) data() []float32 {
@@ -27,8 +30,9 @@ func (b arenaBuf) data() []float32 {
 }
 
 // arenaPlans are the (need, seg) pairs a PlacePass op asks for: 0 begins an
-// unplaced pass, 48 outgrows a slab reserved at 24, and the segment lengths
-// fit or do not fit a slab reserved in segments of 24 or 8.
+// unplaced pass, 48 outgrows a slab reserved at 24 (and replaces it if no
+// range of it is checked out), and the segment lengths fit or do not fit a
+// slab reserved in segments of 24 or 8.
 var arenaPlans = [...]struct{ need, seg int }{{0, 0}, {24, 24}, {48, 48}, {24, 8}, {12, 4}}
 
 // runArenaOps decodes ops as (opcode, argument) byte pairs, drives a fresh
@@ -39,9 +43,12 @@ var arenaPlans = [...]struct{ need, seg int }{{0, 0}, {24, 24}, {48, 48}, {24, 8
 // reserving PlacePass), the current pass's segment length, and the slots
 // Expect queued in a placed pass, the first of a Get's length used up by that
 // Get. A Get whose slot range lies inside one segment and is free must land
-// exactly there; any other request in a placed pass, a slot over a
-// checked-out range or a segment end included, must land outside the slab,
-// and a slot that was not free must count one place miss.
+// exactly there; a slot that was not free, over a checked-out range or a
+// segment end, must count one place miss and land outside the slab, as must
+// a request under Beside that takes no slot. Ints come from the same chunks.
+// Any other request in a placed pass is a transient:
+// it may land in the slab, but outside every slot still queued, and if it
+// still holds that range at the next Expect it counts exactly one place miss.
 func runArenaOps(t *testing.T, ops []byte) []span {
 	a := NewArena()
 	var live, detached []arenaBuf
@@ -49,6 +56,7 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 	var queue []Slot // the model of a.queue
 	var segs []int   // the slab's segment lengths, chunks base, base+1, …
 	base, resNeed, resSeg, pass := 0, 0, 0, 0
+	beside := false
 	next := float32(1)
 	inSlab := func(s span) bool { return s.chunk >= base && s.chunk < base+len(segs) }
 	// slotSpan is where a free slot [off, off+n) of the pass must land.
@@ -69,6 +77,20 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 			}
 		}
 		return s, true
+	}
+	// transient checks a non-slot request's span against the queue and
+	// reports whether it holds a range of the slab.
+	transient := func(what string, s span) bool {
+		if pass == 0 || s.n == 0 || !inSlab(s) {
+			return false
+		}
+		for _, q := range queue {
+			o := span{base + q.Off/pass, q.Off % pass, q.Len}
+			if o.chunk == s.chunk && o.n > 0 && o.off < s.off+s.n && s.off < o.off+o.n {
+				t.Fatalf("%s took %v of the slab over the queued slot %v", what, s, q)
+			}
+		}
+		return true
 	}
 	take := func(arg byte, tensors bool) (int, bool) {
 		var idx []int
@@ -101,7 +123,7 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 		layout = append(layout, s)
 	}
 	for k := 0; k+1 < len(ops); k += 2 {
-		op, arg := ops[k]%9, ops[k+1]
+		op, arg := ops[k]%10, ops[k+1]
 		n := arenaSizes[int(arg)%len(arenaSizes)]
 		switch op {
 		case 0: // Get, at its queued slot if the model says the slot is free
@@ -118,37 +140,57 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 			}
 			g := a.Get(n)
 			s := a.owned[g]
+			loose := false
 			switch {
 			case free && s != want:
 				t.Fatalf("Get(%d) took %v, its free slot is %v", n, s, want)
-			case !free && pass > 0 && n > 0 && inSlab(s):
+			case slot >= 0 && !free && inSlab(s):
 				t.Fatalf("Get(%d) with no free slot took %v of the slab", n, s)
+			case slot < 0 && beside && pass > 0 && inSlab(s):
+				t.Fatalf("Get(%d) under Beside with no slot took %v of the slab", n, s)
+			case slot < 0 && !beside:
+				loose = transient(fmt.Sprintf("Get(%d)", n), s)
 			}
 			if got, wantMiss := a.Stats().PlaceMisses-misses, slot >= 0 && !free; got != 0 != wantMiss {
 				t.Fatalf("Get(%d): %d place misses, slot fell back: %v", n, got, wantMiss)
 			}
-			handOut(arenaBuf{t: g}, s)
-		case 1: // Floats
-			f := a.Floats(n)
+			handOut(arenaBuf{t: g, loose: loose}, s)
+		case 1, 6: // Floats, or Ints: a float range seen as int32
+			var f []float32
+			if op == 1 {
+				f = a.Floats(n)
+			} else if i := a.Ints(n); len(i) > 0 {
+				f = unsafe.Slice((*float32)(unsafe.Pointer(&i[0])), n)
+			}
 			if n == 0 {
 				if f != nil {
-					t.Fatalf("Floats(0) = %v, want nil", f)
+					t.Fatalf("op %d of 0 elements = %v, want nil", op, f)
 				}
 				break
 			}
-			if s := a.ownedF[&f[0]]; pass > 0 && inSlab(s) {
-				t.Fatalf("Floats(%d) in a placed pass took %v of the slab", n, s)
+			s := a.ownedF[&f[0]]
+			loose := false
+			if beside {
+				if pass > 0 && inSlab(s) {
+					t.Fatalf("op %d of %d under Beside took %v of the slab", op, n, s)
+				}
+			} else {
+				loose = transient(fmt.Sprintf("op %d of %d", op, n), s)
 			}
-			handOut(arenaBuf{f: f}, a.ownedF[&f[0]])
+			handOut(arenaBuf{f: f, ints: op == 6, loose: loose}, s)
 		case 2: // Put, twice: the second must be a no-op
 			if i, ok := take(arg, true); ok {
 				a.Put(live[i].t)
 				a.Put(live[i].t)
 				live = slices.Delete(live, i, i+1)
 			}
-		case 3: // PutFloats
+		case 3: // PutFloats or PutInts
 			if i, ok := take(arg, false); ok {
-				a.PutFloats(live[i].f)
+				if b := live[i]; b.ints {
+					a.PutInts(unsafe.Slice((*int32)(unsafe.Pointer(&b.f[0])), len(b.f)))
+				} else {
+					a.PutFloats(b.f)
+				}
 				live = slices.Delete(live, i, i+1)
 			}
 		case 4: // Detach
@@ -174,14 +216,22 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 				a.PutFloats(live[i].f[1:])
 				a.PutFloats(live[i].f[:1])
 			}
-		case 6: // Ints: exact-size lists, only the byte counts interact
-			a.PutInts(a.Ints(n))
 		case 7: // PlacePass: reserve, place, outgrow, or end placing
 			pl := arenaPlans[int(arg)%len(arenaPlans)]
 			misses, chunks := a.Stats().PlaceMisses, len(a.chunks)
+			slabFree := true
+			for _, b := range live {
+				o := a.owned[b.t]
+				if b.t == nil {
+					o = a.ownedF[&b.f[0]]
+				}
+				slabFree = slabFree && !(o.n > 0 && inSlab(o))
+			}
+			outgrown := segs != nil && (pl.need > resNeed || pl.seg > resSeg)
 			a.PlacePass(pl.need, pl.seg)
 			queue, pass = queue[:0], 0
-			if pl.need > 0 && segs == nil {
+			if pl.need > 0 && (segs == nil || outgrown && slabFree) {
+				segs = nil
 				base, resNeed, resSeg = chunks, pl.need, pl.seg
 				for off := 0; off < pl.need; off += pl.seg {
 					segs = append(segs, min(pl.seg, pl.need-off))
@@ -197,10 +247,23 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 			if got := a.Stats().PlaceMisses - misses; got != 0 != (pl.need > 0 && pass == 0) {
 				t.Fatalf("PlacePass(%d, %d): %d place misses", pl.need, pl.seg, got)
 			}
+		case 9: // Beside on or off
+			beside = !beside
+			a.Beside(beside)
 		case 8: // Expect two slots, at any offset: over checked-out ranges and past the slab end too
 			slots := []Slot{{Off: int(arg) % 27, Len: n}, {Off: int(arg>>3) % 27, Len: arenaSizes[int(arg>>5)%len(arenaSizes)]}}
 			scale := 1 + int(arg>>7)
+			misses, holding := a.Stats().PlaceMisses, 0
+			for i := range live {
+				if live[i].loose {
+					holding++
+					live[i].loose = false
+				}
+			}
 			a.Expect(slots, scale)
+			if got := a.Stats().PlaceMisses - misses; got != int64(holding) {
+				t.Fatalf("Expect with %d transients holding the slab: %d place misses", holding, got)
+			}
 			queue = queue[:0]
 			if pass > 0 {
 				for _, s := range slots {
@@ -262,11 +325,14 @@ func checkArena(t *testing.T, a *Arena, live, detached []arenaBuf) {
 	}
 }
 
-// FuzzArena drives the range allocator with arbitrary Get / Floats / Put /
-// PutFloats / Detach / stray-Put / PlacePass / Expect sequences and checks,
-// after every call, that live ranges never overlap or get overwritten, that
-// every handed-out buffer reads all zeros, that placed Gets take exactly
-// their free slots and fall back otherwise, that BytesInUse is the sum of
+// FuzzArena drives the range allocator with arbitrary Get / Floats / Ints /
+// Put / PutFloats / PutInts / Detach / stray-Put / PlacePass / Expect /
+// Beside sequences and
+// checks, after every call, that live ranges never overlap or get
+// overwritten, that every handed-out buffer reads all zeros, that placed Gets
+// take exactly their free slots and fall back otherwise, that transients
+// keep clear of queued slots and count a place miss for each slab range they
+// still hold at the next Expect, that BytesInUse is the sum of
 // live lengths and HeldBytes covers it, and that replaying the sequence on a
 // fresh arena hands out the same (chunk, offset) layout.
 func FuzzArena(f *testing.F) {
@@ -282,6 +348,17 @@ func FuzzArena(f *testing.F) {
 	// a pass in segments of 4 finds the first slot taken and the second past
 	// the slab's three segments.
 	f.Add([]byte{7, 3, 8, 109, 0, 4, 0, 3, 8, 60, 0, 4, 0, 1, 7, 4, 8, 109, 0, 4, 0, 3})
+	// Transients in a placed pass: after slots {6, 5} and {7, 1}, scratch of
+	// 3 lands at [0, 3) clear of both, the slot Get takes [6, 11), a Get of 8
+	// no slot is queued for takes [11, 19) of the slab and still holds it at
+	// the next Expect (one place miss); then scratch and a Get under Beside.
+	f.Add([]byte{7, 1, 8, 60, 1, 3, 0, 4, 0, 5, 3, 0, 8, 60, 9, 2, 1, 2, 0, 5, 9, 0, 2, 0, 2, 0, 3, 0})
+	// Under Beside a Get still takes its slot, and scratch of 13 and argmax
+	// indices keep beside the slab; without it they fill its gaps.
+	f.Add([]byte{7, 1, 8, 60, 9, 4, 0, 4, 1, 6, 6, 2, 9, 4, 8, 109, 6, 2, 0, 4, 3, 0, 7, 0, 1, 6, 0, 5})
+	// A plan of 48 over the 24-element slab: unplaced while a slot Get holds
+	// a range of it, then, once that is put, a new slab replaces the old.
+	f.Add([]byte{7, 1, 8, 60, 0, 4, 7, 2, 2, 0, 7, 2, 8, 60, 0, 4})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		// The checks cost O(live buffers) per call; past a few hundred calls
 		// a longer input only slows the search down.

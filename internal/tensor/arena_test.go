@@ -171,6 +171,11 @@ func TestArenaScratchSlices(t *testing.T) {
 	if &i2[0] != pi || i2[2] != 0 {
 		t.Error("Ints recycle/zero broken")
 	}
+	if f3 := a.Floats(1); &f3[0] != &f2[3] {
+		t.Error("Ints and Floats do not share the float chunks")
+	} else {
+		a.PutFloats(f3)
+	}
 	a.PutInts(i2)
 	a.PutInts(nil)
 	a.PutFloats(nil)
@@ -196,11 +201,11 @@ func TestArenaStatsBookkeeping(t *testing.T) {
 	if s := a.Stats(); s.Hits != 1 || s.Misses != 2 || s.HeldBytes != 60 {
 		t.Errorf("stats = %+v, want 1 hit / 2 misses / 60 held bytes", s)
 	}
-	i := a.Ints(3) // int32 scratch counts towards the held bytes too
-	a.PutInts(i)
-	if s := a.Stats(); s.BytesInUse != 0 || s.HeldBytes != 72 {
-		t.Errorf("stats = %+v, want 0 in use / 72 held bytes", s)
+	i := a.Ints(3) // int32 scratch is carved from the float chunks
+	if s := a.Stats(); s.BytesInUse != 12 || s.Hits != 2 || s.HeldBytes != 60 {
+		t.Errorf("stats = %+v, want 12 in use / 2 hits / 60 held bytes", s)
 	}
+	a.PutInts(i)
 }
 
 func TestArenaClone(t *testing.T) {
@@ -257,35 +262,67 @@ func TestArenaPlacement(t *testing.T) {
 	slab := a.chunks[a.slab]
 	a.Expect([]Slot{{Off: 2, Len: 3}, {Off: 8, Len: 4}}, 1)
 
+	// A transient takes the best-fitting range of the slab that lies outside
+	// every queued slot: [5, 8) of the pieces [0, 2), [5, 8), [12, 16).
+	f3 := a.Floats(3)
+	if &f3[0] != &slab[5] {
+		t.Fatalf("scratch ahead of the slots took %v, want [5, 8)", a.ownedF[&f3[0]])
+	}
 	// Gets take their queued slot by length, whatever the order.
 	g4 := a.Get(2, 2)
 	g3 := a.Get(3)
 	if &g4.Data[0] != &slab[8] || &g3.Data[0] != &slab[2] {
 		t.Fatal("placed Gets did not take their slots")
 	}
-	// Every other request goes best fit into a chunk of its own: scratch, a
-	// Get no slot is queued for, and a second Get of a used-up length.
-	f := a.Floats(2)
+	// With the queue used up, a Get no slot is queued for and more scratch
+	// fill the slab's gaps; once it is full, best fit adds a chunk beside it.
 	h := a.Get(4)
-	if a.inSlab(a.ownedF[&f[0]].chunk) || a.inSlab(a.owned[h].chunk) {
-		t.Fatal("an unplanned request was carved from the slab")
+	f2 := a.Floats(2)
+	f1 := a.Floats(1)
+	if &h.Data[0] != &slab[12] || &f2[0] != &slab[0] || a.inSlab(a.ownedF[&f1[0]].chunk) {
+		t.Fatalf("transients took %v, %v and %v", a.owned[h], a.ownedF[&f2[0]], a.ownedF[&f1[0]])
 	}
-	if s := a.Stats(); s.Misses != 2 || s.HeldBytes != 4*(16+2+4) || s.PlaceMisses != 0 {
-		t.Fatalf("stats = %+v, want 2 misses, 88 held bytes, no place miss", s)
+	if s := a.Stats(); s.Misses != 1 || s.HeldBytes != 4*(16+1) || s.PlaceMisses != 0 {
+		t.Fatalf("stats = %+v, want 1 miss, 68 held bytes, no place miss", s)
 	}
 
-	// A slot whose range is checked out falls back and counts a place miss.
+	// A transient that still holds the slab at the next Expect counts one
+	// place miss; one released in its step, or beside the slab, counts none.
+	a.PutFloats(f3)
+	a.PutFloats(f2)
+	a.Expect(nil, 1)
+	a.Expect(nil, 1)
+	if s := a.Stats(); s.PlaceMisses != 1 {
+		t.Fatalf("%d place misses, want 1 for the Get still holding [12, 16)", s.PlaceMisses)
+	}
+	a.Put(h)
+	a.PutFloats(f1)
+
+	// Under Beside a Get still takes its slot, but any other request keeps
+	// off the slab.
+	a.Expect([]Slot{{Off: 12, Len: 4}}, 1)
+	a.Beside(true)
+	b := a.Get(1)
+	p := a.Get(4)
+	a.Beside(false)
+	if a.inSlab(a.owned[b].chunk) || &p.Data[0] != &slab[12] {
+		t.Fatalf("Beside requests took %v and %v", a.owned[b], a.owned[p])
+	}
+	a.Put(b)
+	a.Put(p)
+
+	// A slot whose range is checked out falls back beside the slab and
+	// counts a place miss.
 	a.Expect([]Slot{{Off: 3, Len: 2}}, 1)
 	g2 := a.Get(2)
-	if a.inSlab(a.owned[g2].chunk) || a.Stats().PlaceMisses != 1 {
+	if a.inSlab(a.owned[g2].chunk) || a.Stats().PlaceMisses != 2 {
 		t.Fatalf("placement over a checked-out range: span %v, %d place misses", a.owned[g2], a.Stats().PlaceMisses)
 	}
 
 	// Slots are per sample: scale multiplies offset and length.
-	for _, x := range []*Tensor{g4, g3, h, g2} {
+	for _, x := range []*Tensor{g4, g3, g2} {
 		a.Put(x)
 	}
-	a.PutFloats(f)
 	a.PlacePass(16, 16)
 	a.Expect([]Slot{{Off: 3, Len: 2}}, 2)
 	if g := a.Get(4); &g.Data[0] != &slab[6] {
@@ -310,13 +347,26 @@ func TestArenaPlacement(t *testing.T) {
 		a.Put(g)
 	}
 
-	// A plan that outgrows the slab places nothing and counts a place miss;
-	// the slab keeps its size.
+	// A plan that outgrows the slab while a range of it is checked out
+	// places nothing and counts a place miss; the slab keeps its size.
+	hold := a.Get(16)
 	if a.PlacePass(32, 32); a.pass != 0 {
-		t.Error("a plan larger than the slab placed")
+		t.Error("a plan larger than a slab in use placed")
 	}
-	if s := a.Stats(); s.PlaceMisses != 2 || s.SlabBytes != 64 {
-		t.Errorf("stats = %+v, want 2 place misses and the 64-byte slab", s)
+	if s := a.Stats(); s.PlaceMisses != 3 || s.SlabBytes != 64 || s.HeldBytes != held {
+		t.Errorf("stats = %+v, want 3 place misses and the 64-byte slab", s)
+	}
+	// Once the slab is free, a larger plan lets it go and reserves its own.
+	a.Put(hold)
+	if a.PlacePass(32, 32); a.pass != 32 || len(a.chunks[a.slab]) != 32 {
+		t.Error("a larger plan over a free slab did not reserve a new one")
+	}
+	if s := a.Stats(); s.PlaceMisses != 3 || s.SlabBytes != 128 || s.HeldBytes != held-64+128 {
+		t.Errorf("stats = %+v, want a 128-byte slab in place of the 64-byte one", s)
+	}
+	a.Expect([]Slot{{Off: 16, Len: 16}}, 1)
+	if g := a.Get(16); &g.Data[0] != &a.chunks[a.slab][16] {
+		t.Errorf("a slot of the new slab landed at %v", a.owned[g])
 	}
 }
 
