@@ -110,3 +110,14 @@ func TestDropoutDeterministicPerSeed(t *testing.T) {
 		t.Error("different-seed dropout masks identical")
 	}
 }
+
+// dropoutPass runs d forward over x with a generator seeded seed and back
+// with dy.
+func dropoutPass(d Dropout, x, dy *tensor.Tensor, seed uint64) (y, dx *tensor.Tensor, err error) {
+	y, mask, err := d.ForwardAlloc(nil, x, tensor.NewRNG(seed))
+	if err != nil {
+		return nil, nil, err
+	}
+	dx, err = d.BackwardAlloc(nil, dy, mask)
+	return y, dx, err
+}

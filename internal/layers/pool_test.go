@@ -261,3 +261,13 @@ func TestPoolReadsConcatAsDense(t *testing.T) {
 		t.Error("global pooling a Concat differs from the dense map")
 	}
 }
+
+// maxPoolPass runs p forward over x and back with dy.
+func maxPoolPass(p Pool2D, x Map, dy *tensor.Tensor) (y, dx *tensor.Tensor, err error) {
+	y, ctx, err := p.Forward(x)
+	if err != nil {
+		return nil, nil, err
+	}
+	dx, err = p.Backward(dy, ctx)
+	return y, dx, err
+}
