@@ -16,31 +16,30 @@ func inFlowScope(pass *Pass) bool { return pathWithin(pass.Pkg.ImportPath, flowS
 
 // arenaAcquire and arenaRelease name the tensor.Arena methods that hand out
 // and take back pooled buffers.
-var arenaAcquire = map[string]bool{"Get": true, "Floats": true, "Ints": true, "Clone": true}
-var arenaRelease = map[string]bool{"Put": true, "PutFloats": true, "PutInts": true, "Detach": true}
+var arenaAcquire = map[string]bool{"Get": true, "Floats": true, "Clone": true}
+var arenaRelease = map[string]bool{"Put": true, "PutFloats": true, "Detach": true}
 
 // Abstract states for one arena-obtained variable. Join is set union, so a
 // variable that is released on one branch and not the other carries both
 // bits at the merge — exactly the "leaks on the error path" shape.
 const (
 	arOwned    stateSet = 1 << iota // holds a live arena buffer
-	arReleased                      // Put/PutFloats/PutInts/Detach already ran
+	arReleased                      // Put/PutFloats/Detach already ran
 	arDeferred                      // a deferred release is registered
 	arEscaped                       // returned, stored, or captured — ownership moved
 )
 
 // ArenaOwn enforces the arena ownership protocol flow-sensitively: every
-// buffer obtained from tensor.Arena (Get, Floats, Ints, Clone) must reach
-// exactly one of Put/PutFloats/PutInts/Detach on every path through the
-// function, unless ownership escapes first (returned to the caller, stored
-// into a longer-lived structure, or captured by a closure that outlives the
-// call). Releasing twice and using a buffer after releasing it are errors.
+// buffer obtained from tensor.Arena (Get, Floats, Clone) must reach exactly
+// one of Put/PutFloats/Detach on every path through the function, unless
+// ownership escapes first (returned to the caller, stored into a
+// longer-lived structure, or captured by a closure that outlives the call). Releasing twice and using a buffer after releasing it are errors.
 // Closures dispatched directly through parallel.Pool.Run/RunChunked borrow
 // — not take — captured buffers, matching the dispatcher-carved-slab idiom.
 var ArenaOwn = &Analyzer{
 	Name: "arenaown",
-	Doc: "require every tensor.Arena buffer (Get/Floats/Ints/Clone) to be released exactly once " +
-		"(Put/PutFloats/PutInts/Detach) on every path unless ownership escapes; flag leaks on early " +
+	Doc: "require every tensor.Arena buffer (Get/Floats/Clone) to be released exactly once " +
+		"(Put/PutFloats/Detach) on every path unless ownership escapes; flag leaks on early " +
 		"returns, double releases, and uses after release",
 	Run: runArenaOwn,
 }
@@ -71,7 +70,7 @@ func analyzeArenaUnit(pass *Pass, unit funcUnit) {
 	for _, obj := range t.order {
 		if exit[obj]&arOwned != 0 {
 			pass.Reportf(t.acquires[obj],
-				"arena buffer %s can leave the function still owned: release it with Put/PutFloats/PutInts or Detach on every path, including error returns",
+				"arena buffer %s can leave the function still owned: release it with Put/PutFloats or Detach on every path, including error returns",
 				obj.Name())
 		}
 	}

@@ -1,6 +1,6 @@
 // Package fixture exercises the arenaown analyzer: every buffer drawn from
-// a tensor.Arena must be released (Put/PutFloats/PutInts) or detached on
-// every path before the function exits, and never touched after release.
+// a tensor.Arena must be released (Put/PutFloats) or detached on every path
+// before the function exits, and never touched after release.
 package fixture
 
 import (

@@ -12,13 +12,12 @@ import (
 // about feature-map memory traffic; internal/memplan already computes the
 // exact live interval of every mini-batch-sized buffer over the training
 // schedule (or an inference pass), and the executor consumes those same
-// intervals at runtime: node outputs, dropout masks, gradients, and layer
-// workspace (BN reduction partials, regenerated x̂ samples, pooling argmax
-// indices, fused-kernel tiles) all come from the executor's private
-// tensor.Arena, and each planned buffer is returned to it at its interval's
-// End step — so from the second
-// iteration on, a step is served almost entirely from recycled storage
-// instead of paying allocator+GC cost per mini-batch. Recycled buffers are
+// intervals at runtime: node outputs, gradients, and layer workspace (BN
+// reduction partials, regenerated x̂ samples, fused-kernel tiles) all come
+// from the executor's private tensor.Arena, and each planned buffer is
+// returned to it at its interval's End step — so from the second iteration
+// on, a step is served almost entirely from recycled storage instead of
+// paying allocator+GC cost per mini-batch. Recycled buffers are
 // zeroed before reuse (tensor.Arena's default), so every layer sees exactly
 // the contents a fresh allocation would give it.
 //
@@ -33,11 +32,15 @@ import (
 // placed, the slab is the plan. The step's transients — workspace, a second
 // consumer's gradient contribution — take ranges of the slab that are free
 // and lie outside the step's queued slots, and fall back to best fit beside
-// it only where the slab is full. Per-channel statistics and argmax indices
-// live from a forward step to its backward, which the plan does not price,
-// so they keep beside the slab (tensor.Arena.Beside). A slot whose range is
-// taken, or a transient still holding the slab at the next step, counts in
-// arena_place_misses, so a wrong plan costs memory, never correctness.
+// it only where the slab is full. Per-channel statistics live from a forward
+// step to its backward, which the plan does not price, so they keep beside
+// the slab (tensor.Arena.Beside). They are the only thing besides planned
+// values and gradients that a forward step leaves for its backward: a max
+// pool re-derives its argmax from its input, which the plan keeps live to
+// the pool's backward, and a dropout replays its keep decisions from a copy
+// of the generator. A slot whose range is taken, or a transient still
+// holding the slab at the next step, counts in arena_place_misses, so a
+// wrong plan costs memory, never correctness.
 //
 // An inference executor follows memplan.InferenceIntervals instead: the
 // same release path and placement, over intervals that end at each value's
@@ -127,8 +130,7 @@ func (e *Executor) arenaPlanFor() (*arenaPlan, error) {
 	// The arena hands a step's slots to its Gets by length, first queued
 	// first. A backward step Gets its input gradients in input order (a
 	// concat's parts, an EWS's two operands), so equal-length slots queue in
-	// that order; forward steps Get the value before a dropout's mask, which
-	// is the intervals' own order.
+	// that order; a forward step Gets one value.
 	inputRank := func(iv memplan.Interval) int {
 		if iv.Kind != memplan.BufGrad {
 			return 0
@@ -182,11 +184,6 @@ func (e *Executor) releaseBackwardStep(step int, gmap map[int]*tensor.Tensor) {
 				e.alloc.Put(g)
 				delete(gmap, r.id)
 			}
-		case memplan.BufMask:
-			if t := e.masks[r.id]; t != nil {
-				e.alloc.Put(t)
-				delete(e.masks, r.id)
-			}
 		}
 	}
 }
@@ -201,19 +198,14 @@ func (e *Executor) releaseBackwardStep(step int, gmap map[int]*tensor.Tensor) {
 func (e *Executor) resetPass() {
 	for _, n := range e.liveNodes() {
 		e.alloc.Put(e.vals[n.ID])
-		e.alloc.Put(e.masks[n.ID])
 		if st := e.stats[n.ID]; st != nil {
 			e.alloc.Put(st.Mean)
 			e.alloc.Put(st.Var)
 		}
-		if ctx := e.poolCtx[n.ID]; ctx != nil {
-			e.alloc.PutInts(ctx.ArgMax)
-		}
 	}
 	clear(e.vals)
 	clear(e.stats)
-	clear(e.poolCtx)
-	clear(e.masks)
+	clear(e.dropFrom)
 }
 
 // releaseStats recycles a consumed mini-batch statistics pair. Inference

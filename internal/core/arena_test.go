@@ -214,10 +214,9 @@ func bnHeavy(batch int) (*graph.Graph, error) {
 // TestArenaPeakWithinPredicted ties the measured footprint to the analytical
 // one: the arena's high-water mark on a real training iteration must land
 // within 2× of memplan's predicted activation peak (the arena additionally
-// carries layer scratch, statistics vectors, and argmax indices the
-// analytical plan does not model). After three steps every planned buffer
-// must have taken its slab slot (arena_place_misses reads 0), and the
-// storage the arena holds — the slab, whose gaps also serve each step's
+// carries layer scratch and statistics vectors the analytical plan does not
+// model). After three steps every planned buffer must have taken its slab
+// slot (arena_place_misses reads 0), and the storage the arena holds — the slab, whose gaps also serve each step's
 // workspace, plus chunks beside it for what outlives a step or finds no gap —
 // must stay within 1.10× (baseline, RCF) or 1.20× (BNFF, whose windows carry
 // more workspace next to fewer maps) of the planned peak. It runs on
@@ -311,16 +310,15 @@ func checkArenaPeak(t *testing.T, build func() (*graph.Graph, error), scen Scena
 //
 // A training executor after three steps: every planned buffer took its slab
 // slot, and beside the slab it holds no more than besideBudget — the
-// per-channel statistics and argmax indices that live from forward to
-// backward, and the window workspace that finds no gap at the steps where
-// the slab is full.
+// per-channel statistics that live from forward to backward, and the window
+// workspace that finds no gap at the steps where the slab is full.
 //
 // An inference executor, folded and not, after a pass at batch 1 and one at
 // batch 2: it holds at most 1.25× the larger of memplan's forward-only
 // planned peak at batch 2 and its own checked-out peak, which lies below
 // the sum of the forward values, so a pass released values at their last
 // reader. The peak exceeds the plan by the windows' workspace (weights
-// packed for the channel lanes, scratch, argmax indices); on bn-heavy that
+// packed for the channel lanes, scratch); on bn-heavy that
 // is nothing, and the arena holds at most 1.25× the plan itself.
 func TestArenaHeldIsPlanned(t *testing.T) {
 	type shape struct {
@@ -364,7 +362,7 @@ func TestArenaHeldIsPlanned(t *testing.T) {
 						}
 					}
 					s := e.ArenaStats()
-					budget := besideBudget(g, sh.batch)
+					budget := besideBudget(g)
 					t.Logf("held %d B, slab %d B, beside %d B of a %d B budget", s.HeldBytes, s.SlabBytes, s.HeldBytes-s.SlabBytes, budget)
 					if s.PlaceMisses != 0 {
 						t.Errorf("%d place misses", s.PlaceMisses)
@@ -418,18 +416,16 @@ func TestArenaHeldIsPlanned(t *testing.T) {
 	}
 }
 
-// besideBudget bounds what a training arena over g at a batch may hold beside
-// its slab after a few steps: 8 bytes per statistics channel (mean and
-// variance, live from forward to backward), the max pools' argmax indices at
-// the batch, and twice the largest one-worker backward window's input and x̂
-// tiles and scratch, the workspace that finds no gap where the slab is full
-// (twice, for best fit's second chunk when a larger request follows).
-func besideBudget(g *graph.Graph, batch int) int64 {
-	var stats, argmax, window int64
+// besideBudget bounds what a training arena over g may hold beside its slab
+// after a few steps: 8 bytes per statistics channel (mean and variance, live
+// from forward to backward), and twice the largest one-worker backward
+// window's input and x̂ tiles and scratch, the workspace that finds no gap
+// where the slab is full (twice, for best fit's second chunk when a larger
+// request follows).
+func besideBudget(g *graph.Graph) int64 {
+	var stats, window int64
 	for _, n := range g.Live() {
 		switch {
-		case n.Kind == graph.OpPool && n.Pool.Max:
-			argmax += 4 * int64(withBatch(n.OutShape, batch).NumElems())
 		case n.Kind == graph.OpBN || n.Kind == graph.OpSubBN1:
 			stats += 8 * int64(n.BN.Channels)
 		case n.StatsOut != nil:
@@ -441,7 +437,7 @@ func besideBudget(g *graph.Graph, batch int) int64 {
 			window = max(window, 4*int64(2*gm.Cin*gm.H*gm.W+gm.SampleScratch()))
 		}
 	}
-	return stats + argmax + 2*window
+	return stats + 2*window
 }
 
 // TestArenaForwardAllocBudget is the allocation-regression guard: the

@@ -60,13 +60,15 @@ type Executor struct {
 	agauges *arenaGauges  // lazily resolved arena gauges
 	live    []*graph.Node // cached G.Live() schedule; invalidated by FoldBN
 
-	vals    map[int]*tensor.Tensor
-	views   map[int]*layers.Concat  // each concat's view of its inputs, rebuilt in place every pass
-	stats   map[int]*layers.BNStats // keyed by statistics-producer node ID
-	poolCtx map[int]*layers.PoolContext
-	masks   map[int]*tensor.Tensor // dropout masks, keyed by node ID
+	vals  map[int]*tensor.Tensor
+	views map[int]*layers.Concat  // each concat's view of its inputs, rebuilt in place every pass
+	stats map[int]*layers.BNStats // keyed by statistics-producer node ID
 
-	dropRNG *tensor.RNG
+	// dropRNG is the dropout stream, one across passes; dropFrom holds, per
+	// dropout node, a copy of it from before the node's forward draws, which
+	// its backward replays.
+	dropRNG  *tensor.RNG
+	dropFrom map[int]tensor.RNG
 
 	// Data-parallel BN hooks (see SetBNHooks). Both nil outside ddp sync-BN
 	// replicas, and every hook-bearing branch below keeps the nil path's
@@ -412,8 +414,7 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		e.vals = make(map[int]*tensor.Tensor)
 		e.views = make(map[int]*layers.Concat)
 		e.stats = make(map[int]*layers.BNStats)
-		e.poolCtx = make(map[int]*layers.PoolContext)
-		e.masks = make(map[int]*tensor.Tensor)
+		e.dropFrom = make(map[int]tensor.RNG)
 	} else {
 		// Recycle whatever the previous pass left checked out and reuse the
 		// map storage instead of reallocating it.
@@ -475,20 +476,7 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 			e.vals[n.ID] = layers.ReLUForwardAlloc(e.pool, e.alloc, e.src(n, 0))
 
 		case graph.OpPool:
-			// A max pool's argmax indices live to its backward, so in
-			// training they keep beside the slab; at inference nothing reads
-			// them after this step.
-			var y *tensor.Tensor
-			var ctx *layers.PoolContext
-			e.alloc.Beside(!e.inference)
-			y, ctx, err = n.Pool.WithPool(e.pool).WithAlloc(e.alloc).Forward(e.src(n, 0))
-			e.alloc.Beside(false)
-			e.vals[n.ID] = y
-			if e.inference && ctx != nil {
-				e.alloc.PutInts(ctx.ArgMax)
-			} else {
-				e.poolCtx[n.ID] = ctx
-			}
+			e.vals[n.ID], err = n.Pool.WithPool(e.pool).WithAlloc(e.alloc).Forward(e.src(n, 0))
 
 		case graph.OpGlobalPool:
 			e.vals[n.ID], err = layers.GlobalAvgPoolForwardAlloc(e.pool, e.alloc, e.src(n, 0))
@@ -521,9 +509,9 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 				e.vals[n.ID] = e.in(n, 0) // inverted dropout: inference is identity
 				break
 			}
-			var y, mask *tensor.Tensor
-			y, mask, err = n.Dropout.ForwardAlloc(e.alloc, e.in(n, 0), e.dropRNG)
-			e.vals[n.ID], e.masks[n.ID] = y, mask
+			var from tensor.RNG
+			e.vals[n.ID], from, err = n.Dropout.ForwardAlloc(e.alloc, e.in(n, 0), e.dropRNG)
+			e.dropFrom[n.ID] = from
 
 		default:
 			err = fmt.Errorf("core: executor cannot run kind %v", n.Kind)
@@ -728,15 +716,16 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return e.accumGrad(gmap, n.Inputs[0], dx)
 
 	case graph.OpPool:
-		ctx := e.poolCtx[n.ID]
-		dx, err := n.Pool.WithPool(e.pool).WithAlloc(e.alloc).Backward(dy, ctx)
+		// A max pool scans its input again for each window's argmax, so
+		// memplan keeps that input live to here; an average pool reads only
+		// its shape.
+		var x layers.Map
+		if n.Pool.Max {
+			x = e.src(n, 0)
+		}
+		dx, err := n.Pool.WithPool(e.pool).WithAlloc(e.alloc).Backward(dy, withBatch(n.Inputs[0].OutShape, dy.Dim(0)), x)
 		if err != nil {
 			return err
-		}
-		if ctx != nil {
-			// The argmax scatter indices die with this step.
-			e.alloc.PutInts(ctx.ArgMax)
-			delete(e.poolCtx, n.ID)
 		}
 		return e.accumGrad(gmap, n.Inputs[0], dx)
 
@@ -794,11 +783,7 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return e.accumGrad(gmap, n.Inputs[0], e.alloc.Clone(dx))
 
 	case graph.OpDropout:
-		dx, err := n.Dropout.BackwardAlloc(e.alloc, dy, e.masks[n.ID])
-		if err != nil {
-			return err
-		}
-		return e.accumGrad(gmap, n.Inputs[0], dx)
+		return e.accumGrad(gmap, n.Inputs[0], n.Dropout.BackwardAlloc(e.alloc, dy, e.dropFrom[n.ID]))
 
 	default:
 		return fmt.Errorf("executor cannot differentiate kind %v", n.Kind)

@@ -17,8 +17,8 @@
 //   - RCF fuses any remaining ReLU into its following CONV (OpReLUConv).
 //   - ICF extends fusion across Concat/Split at composite-layer boundaries.
 //
-// The executor serves every per-pass buffer — node outputs, dropout masks,
-// gradients, and layer workspace — from a private
+// The executor serves every per-pass buffer — node outputs, gradients, and
+// layer workspace — from a private
 // liveness-driven tensor.Arena (see arena.go): buffers return to the arena
 // at the End step of the live interval memplan.TrainingIntervals computes,
 // so steady-state iterations run almost allocation-free, bit-identical to

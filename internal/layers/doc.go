@@ -4,12 +4,15 @@
 // exposed), ReLU, pooling, fully-connected, concatenation, split, element-wise
 // sum, and softmax cross-entropy.
 //
-// The layers are written as stateless functions over explicit tensors plus
-// small "context" structs holding whatever the backward pass needs (saved
-// inputs, batch statistics, pooling argmax indices). The graph executor in
-// internal/core owns all storage and decides which buffers exist — that is
-// exactly the degree of freedom the paper's restructuring exploits, so the
-// layer API must not hide it.
+// The layers are written as stateless functions over explicit tensors: a
+// backward pass takes what it reads as arguments — the forward's input, batch
+// statistics, or a copy of the generator a dropout drew from — and keeps
+// nothing of its own. What the paper stores beside a feature map, a backward
+// here derives again from the map: BN regenerates x̂ from its input, a max
+// pool re-scans its input for each window's argmax, and a dropout replays
+// its keep decisions. The graph executor in internal/core owns all storage
+// and decides which buffers exist — that is exactly the degree of freedom
+// the paper's restructuring exploits, so the layer API must not hide it.
 //
 // The convolution is written once per direction, as a per-sample window
 // (window.go) that also carries whatever the restructured graph fuses around

@@ -23,36 +23,47 @@ func (d Dropout) Validate() error {
 	return nil
 }
 
-// ForwardAlloc applies dropout to x using rng, returning the output and the
-// mask (0 or 1/(1−rate) per element) the backward pass reuses, both drawn
-// from an arena (nil = heap, bit-identical). Only surviving elements are
-// written; the zeroed remainder comes from the arena's zero-on-reuse
-// guarantee.
-func (d Dropout) ForwardAlloc(a *tensor.Arena, x *tensor.Tensor, rng *tensor.RNG) (y, mask *tensor.Tensor, err error) {
+// ForwardAlloc applies dropout to x, drawing one uniform from rng per
+// element, and returns the output, drawn from an arena (nil = heap,
+// bit-identical), and from, a copy of rng as it was before the draws, which
+// BackwardAlloc replays. Only surviving elements are written; the zeroed
+// remainder comes from the arena's zero-on-reuse guarantee.
+func (d Dropout) ForwardAlloc(a *tensor.Arena, x *tensor.Tensor, rng *tensor.RNG) (y *tensor.Tensor, from tensor.RNG, err error) {
 	if err := d.Validate(); err != nil {
-		return nil, nil, err
+		return nil, tensor.RNG{}, err
 	}
+	from = *rng
 	y = a.Get(x.Shape()...)
-	mask = a.Get(x.Shape()...)
-	scale := float32(1 / (1 - d.Rate))
+	scale := d.scale()
 	for i, v := range x.Data {
-		if rng.Float64() >= d.Rate {
-			mask.Data[i] = scale
+		if d.keeps(rng) {
 			y.Data[i] = v * scale
 		}
 	}
-	return y, mask, nil
+	return y, from, nil
 }
 
-// BackwardAlloc applies the saved mask to the upstream gradient, drawing dx
-// from an arena (nil = heap, bit-identical).
-func (d Dropout) BackwardAlloc(a *tensor.Arena, dy, mask *tensor.Tensor) (*tensor.Tensor, error) {
-	if !dy.Shape().Equal(mask.Shape()) {
-		return nil, fmt.Errorf("dropout: dy %v vs mask %v", dy.Shape(), mask.Shape())
-	}
+// BackwardAlloc replays the forward's keep decisions from from, the copy
+// ForwardAlloc returned, and scales the upstream gradient by 1/(1−rate)
+// where an element was kept and by 0 where it was dropped, so a negative
+// gradient drops to −0 and an infinite one to NaN. dx is drawn from an arena
+// (nil = heap, bit-identical).
+func (d Dropout) BackwardAlloc(a *tensor.Arena, dy *tensor.Tensor, from tensor.RNG) *tensor.Tensor {
 	dx := a.Get(dy.Shape()...)
-	for i := range dy.Data {
-		dx.Data[i] = dy.Data[i] * mask.Data[i]
+	scale := d.scale()
+	for i, g := range dy.Data {
+		m := float32(0)
+		if d.keeps(&from) {
+			m = scale
+		}
+		dx.Data[i] = g * m
 	}
-	return dx, nil
+	return dx
 }
+
+// scale is a survivor's factor, 1/(1−rate).
+func (d Dropout) scale() float32 { return float32(1 / (1 - d.Rate)) }
+
+// keeps draws one element's keep decision from rng; the forward and the
+// backward's replay both draw through it.
+func (d Dropout) keeps(rng *tensor.RNG) bool { return rng.Float64() >= d.Rate }

@@ -24,17 +24,16 @@ func TestDropoutValidate(t *testing.T) {
 func TestDropoutZeroRateIsIdentity(t *testing.T) {
 	x := tensor.New(100)
 	tensor.NewRNG(1).FillUniform(x, -1, 1)
-	y, mask, err := (Dropout{Rate: 0}).ForwardAlloc(nil, x, tensor.NewRNG(2))
+	d := Dropout{Rate: 0}
+	y, from, err := d.ForwardAlloc(nil, x, tensor.NewRNG(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, _ := tensor.MaxAbsDiff(x, y); d != 0 {
+	if diff, _ := tensor.MaxAbsDiff(x, y); diff != 0 {
 		t.Error("rate 0 changed values")
 	}
-	for _, m := range mask.Data {
-		if m != 1 {
-			t.Fatal("rate 0 produced non-identity mask")
-		}
+	if diff, _ := tensor.MaxAbsDiff(x, d.BackwardAlloc(nil, x, from)); diff != 0 {
+		t.Error("rate 0 changed gradients")
 	}
 }
 
@@ -43,23 +42,18 @@ func TestDropoutSurvivalRateAndScale(t *testing.T) {
 	x := tensor.New(n)
 	x.Fill(1)
 	d := Dropout{Rate: 0.3}
-	y, mask, err := d.ForwardAlloc(nil, x, tensor.NewRNG(3))
+	y, _, err := d.ForwardAlloc(nil, x, tensor.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	survivors := 0
-	for i, m := range mask.Data {
-		if m != 0 {
+	want := float32(1 / 0.7)
+	for _, v := range y.Data {
+		if v != 0 {
 			survivors++
-			want := float32(1 / 0.7)
-			if math.Abs(float64(m-want)) > 1e-6 {
-				t.Fatalf("mask scale %v, want %v", m, want)
+			if math.Abs(float64(v-want)) > 1e-6 {
+				t.Fatalf("survivor scale %v, want %v", v, want)
 			}
-			if y.Data[i] != m {
-				t.Fatalf("output %v != mask %v for unit input", y.Data[i], m)
-			}
-		} else if y.Data[i] != 0 {
-			t.Fatal("dropped element has non-zero output")
 		}
 	}
 	rate := 1 - float64(survivors)/n
@@ -72,27 +66,32 @@ func TestDropoutSurvivalRateAndScale(t *testing.T) {
 	}
 }
 
-func TestDropoutBackwardUsesMask(t *testing.T) {
+// The backward replays the forward's keep decisions: on a unit input the
+// output is the survivors' scale, so dx must be dy times the output.
+func TestDropoutBackwardReplaysForward(t *testing.T) {
 	x := tensor.New(64)
-	tensor.NewRNG(4).FillUniform(x, -1, 1)
+	x.Fill(1)
 	d := Dropout{Rate: 0.5}
-	_, mask, err := d.ForwardAlloc(nil, x, tensor.NewRNG(5))
+	rng := tensor.NewRNG(5)
+	y, from, err := d.ForwardAlloc(nil, x, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng.Uint64() // the caller's stream moves on; the replay must not
 	dy := tensor.New(64)
 	dy.Fill(2)
-	dx, err := d.BackwardAlloc(nil, dy, mask)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dx := d.BackwardAlloc(nil, dy, from)
+	kept := 0
 	for i := range dx.Data {
-		if dx.Data[i] != 2*mask.Data[i] {
-			t.Fatalf("dx[%d] = %v, want %v", i, dx.Data[i], 2*mask.Data[i])
+		if dx.Data[i] != 2*y.Data[i] {
+			t.Fatalf("dx[%d] = %v, want %v", i, dx.Data[i], 2*y.Data[i])
+		}
+		if y.Data[i] != 0 {
+			kept++
 		}
 	}
-	if _, err := d.BackwardAlloc(nil, dy, tensor.New(3)); err == nil {
-		t.Error("accepted mismatched mask")
+	if kept == 0 || kept == len(y.Data) {
+		t.Errorf("%d of %d kept: the test shows nothing", kept, len(y.Data))
 	}
 }
 
@@ -100,24 +99,23 @@ func TestDropoutDeterministicPerSeed(t *testing.T) {
 	x := tensor.New(256)
 	x.Fill(1)
 	d := Dropout{Rate: 0.4}
-	_, m1, _ := d.ForwardAlloc(nil, x, tensor.NewRNG(9))
-	_, m2, _ := d.ForwardAlloc(nil, x, tensor.NewRNG(9))
-	if diff, _ := tensor.MaxAbsDiff(m1, m2); diff != 0 {
-		t.Error("same-seed dropout masks differ")
+	y1, _, _ := d.ForwardAlloc(nil, x, tensor.NewRNG(9))
+	y2, _, _ := d.ForwardAlloc(nil, x, tensor.NewRNG(9))
+	if diff, _ := tensor.MaxAbsDiff(y1, y2); diff != 0 {
+		t.Error("same-seed dropout outputs differ")
 	}
-	_, m3, _ := d.ForwardAlloc(nil, x, tensor.NewRNG(10))
-	if diff, _ := tensor.MaxAbsDiff(m1, m3); diff == 0 {
-		t.Error("different-seed dropout masks identical")
+	y3, _, _ := d.ForwardAlloc(nil, x, tensor.NewRNG(10))
+	if diff, _ := tensor.MaxAbsDiff(y1, y3); diff == 0 {
+		t.Error("different-seed dropout outputs identical")
 	}
 }
 
 // dropoutPass runs d forward over x with a generator seeded seed and back
 // with dy.
 func dropoutPass(d Dropout, x, dy *tensor.Tensor, seed uint64) (y, dx *tensor.Tensor, err error) {
-	y, mask, err := d.ForwardAlloc(nil, x, tensor.NewRNG(seed))
+	y, from, err := d.ForwardAlloc(nil, x, tensor.NewRNG(seed))
 	if err != nil {
 		return nil, nil, err
 	}
-	dx, err = d.BackwardAlloc(nil, dy, mask)
-	return y, dx, err
+	return y, d.BackwardAlloc(nil, dy, from), nil
 }

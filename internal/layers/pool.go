@@ -19,17 +19,17 @@ type Pool2D struct {
 }
 
 // WithPool returns a copy of the descriptor that executes on the given
-// worker pool (nil means serial). Samples are disjoint in both directions
-// (argmax indices stay within their sample's region), so pooled execution is
+// worker pool (nil means serial). Samples are disjoint in both directions (a
+// window and its argmax lie within one sample), so pooled execution is
 // bit-identical to serial.
 func (p Pool2D) WithPool(wp *parallel.Pool) Pool2D {
 	p.pool = wp
 	return p
 }
 
-// WithAlloc returns a copy of the descriptor that obtains its output, argmax
-// scratch, and gradient buffers from the given arena (nil means plain heap
-// allocation, bit-identical).
+// WithAlloc returns a copy of the descriptor that obtains its output and
+// gradient buffers from the given arena (nil means plain heap allocation,
+// bit-identical).
 func (p Pool2D) WithAlloc(a *tensor.Arena) Pool2D {
 	p.alloc = a
 	return p
@@ -41,13 +41,6 @@ func (p Pool2D) OutSize(in int) int { return (in+2*p.Pad-p.Kernel)/p.Stride + 1 
 // OutShape returns the pooled feature-map shape.
 func (p Pool2D) OutShape(in tensor.Shape) tensor.Shape {
 	return tensor.Shape{in[0], in[1], p.OutSize(in[2]), p.OutSize(in[3])}
-}
-
-// PoolContext saves what the backward pass needs: argmax indices for max
-// pooling (flat indices into the input tensor), or nothing for average.
-type PoolContext struct {
-	ArgMax  []int32
-	InShape tensor.Shape
 }
 
 func (p Pool2D) check(x Map) error {
@@ -89,69 +82,74 @@ func (p Pool2D) taps(oy, ox, h, w int) (y0, y1, x0, x1 int) {
 
 // Forward pools x. For max pooling, padding cells are treated as -inf;
 // for average pooling the divisor counts only in-bounds cells (the usual
-// "count_include_pad=false" convention). The argmax indices are flat indices
-// into x's dense layout, a Concat's included.
-func (p Pool2D) Forward(x Map) (*tensor.Tensor, *PoolContext, error) {
+// "count_include_pad=false" convention). Nothing is kept for the backward
+// pass: a max pool's backward scans x again for each window's argmax.
+func (p Pool2D) Forward(x Map) (*tensor.Tensor, error) {
 	if err := p.check(x); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	n, c, h, w := x.Dims4()
 	oh, ow := p.OutSize(h), p.OutSize(w)
 	r := runsOf(x)
 	y := p.alloc.Get(n, c, oh, ow)
-	ctx := &PoolContext{InShape: x.Shape().Clone()}
-	if p.Max {
-		ctx.ArgMax = p.alloc.Ints(y.NumElems())
-	}
 	// Per-sample disjoint writes; the serial path runs the chunk body as a
 	// plain call so the steady state allocates no closure.
 	if p.pool.Serial() {
-		p.forwardChunk(r, y.Data, ctx.ArgMax, c, h, w, oh, ow, 0, n)
+		p.forwardChunk(r, y.Data, c, h, w, oh, ow, 0, n)
 	} else {
 		p.pool.Run(n, func(nLo, nHi int) {
-			p.forwardChunk(r, y.Data, ctx.ArgMax, c, h, w, oh, ow, nLo, nHi)
+			p.forwardChunk(r, y.Data, c, h, w, oh, ow, nLo, nHi)
 		})
 	}
-	return y, ctx, nil
+	return y, nil
 }
 
-// forwardChunk pools the samples in [nLo, nHi) of the c-channel map x: max
-// with argmax capture, or in-bounds-count average, each over its window's
+// argmax returns the plane index of the maximum of output (oy, ox)'s window
+// on an h×w plane: the first tap strictly greater than every tap before it,
+// taps in row-major order. So a tie, a NaN after the first tap, and −0
+// against +0 all keep the earlier tap. Forward and Backward both call it,
+// so the cell a gradient lands on is the cell the forward read.
+func (p Pool2D) argmax(plane []float32, oy, ox, h, w int) int {
+	y0, y1, x0, x1 := p.taps(oy, ox, h, w)
+	best, at := plane[y0*w+x0], y0*w+x0
+	for iy := y0; iy < y1; iy++ {
+		for ix, v := range plane[iy*w+x0 : iy*w+x1] {
+			if v > best {
+				best, at = v, iy*w+x0+ix
+			}
+		}
+	}
+	return at
+}
+
+// forwardChunk pools the samples in [nLo, nHi) of the c-channel map x: the
+// argmax tap's value, or the in-bounds-count average, over each window's
 // taps in row-major order.
 //
-// hot-path: per-sample pooling body; argmax and output are caller-provided.
-func (p Pool2D) forwardChunk(x runs, yd []float32, argmax []int32, c, h, w, oh, ow, nLo, nHi int) {
+// hot-path: per-sample pooling body; the output is caller-provided.
+func (p Pool2D) forwardChunk(x runs, yd []float32, c, h, w, oh, ow, nLo, nHi int) {
 	hw := h * w
 	for in := nLo; in < nHi; in++ {
 		for r, c0 := 0, 0; r < x.count(); r++ {
 			run, cp := x.run(r, in)
 			for ic := 0; ic < cp; ic++ {
 				plane := run[ic*hw : (ic+1)*hw]
-				base := (in*c + c0 + ic) * hw // the plane's offset in the dense layout
 				oi := (in*c + c0 + ic) * oh * ow
 				for oy := 0; oy < oh; oy++ {
 					for ox := 0; ox < ow; ox++ {
-						y0, y1, x0, x1 := p.taps(oy, ox, h, w)
 						if p.Max {
-							best, bestIdx := plane[y0*w+x0], y0*w+x0
-							for iy := y0; iy < y1; iy++ {
-								for ix, v := range plane[iy*w+x0 : iy*w+x1] {
-									if v > best {
-										best, bestIdx = v, iy*w+x0+ix
-									}
-								}
-							}
-							yd[oi] = best
-							argmax[oi] = int32(base + bestIdx)
-						} else {
-							var sum float32
-							for iy := y0; iy < y1; iy++ {
-								for _, v := range plane[iy*w+x0 : iy*w+x1] {
-									sum += v
-								}
-							}
-							yd[oi] = sum / float32((y1-y0)*(x1-x0))
+							yd[oi] = plane[p.argmax(plane, oy, ox, h, w)]
+							oi++
+							continue
 						}
+						y0, y1, x0, x1 := p.taps(oy, ox, h, w)
+						var sum float32
+						for iy := y0; iy < y1; iy++ {
+							for _, v := range plane[iy*w+x0 : iy*w+x1] {
+								sum += v
+							}
+						}
+						yd[oi] = sum / float32((y1-y0)*(x1-x0))
 						oi++
 					}
 				}
@@ -161,48 +159,86 @@ func (p Pool2D) forwardChunk(x runs, yd []float32, argmax []int32, c, h, w, oh, 
 	}
 }
 
-// Backward scatters the upstream gradient: to the argmax cell for max
-// pooling, or uniformly over in-bounds window cells for average pooling.
-// Every cell is accumulated onto dx's zeroed buffer, so a −0 share lands as
-// +0 as it would on any gradient sum.
-func (p Pool2D) Backward(dy *tensor.Tensor, ctx *PoolContext) (*tensor.Tensor, error) {
-	n, c, h, w := ctx.InShape[0], ctx.InShape[1], ctx.InShape[2], ctx.InShape[3]
+// Backward scatters the upstream gradient of a pooling over an input of
+// shape in: to each window's argmax cell for max pooling, found by scanning
+// x, the forward's input, again; or uniformly over the window's in-bounds
+// cells for average pooling, which does not read x (it may be nil). Every
+// cell is accumulated onto dx's zeroed buffer, so a −0 share lands as +0 as
+// it would on any gradient sum.
+func (p Pool2D) Backward(dy *tensor.Tensor, in tensor.Shape, x Map) (*tensor.Tensor, error) {
+	if len(in) != 4 {
+		return nil, fmt.Errorf("pool: input shape must be rank 4, got %v", in)
+	}
+	n, c, h, w := in[0], in[1], in[2], in[3]
 	oh, ow := p.OutSize(h), p.OutSize(w)
 	if !dy.Shape().Equal(tensor.Shape{n, c, oh, ow}) {
 		return nil, fmt.Errorf("pool: dy shape %v, want %v", dy.Shape(), tensor.Shape{n, c, oh, ow})
 	}
-	dx := p.alloc.Get(ctx.InShape...)
-	// Per-sample scatter targets are disjoint (argmax indices point inside
-	// their own sample's region), so the sample split is race-free and
-	// bit-identical.
-	p.pool.Run(n, func(nLo, nHi int) {
-		for in := nLo; in < nHi; in++ {
-			for ic := 0; ic < c; ic++ {
-				plane := dx.Data[(in*c+ic)*h*w : (in*c+ic+1)*h*w]
-				oi := (in*c + ic) * oh * ow
-				for oy := 0; oy < oh; oy++ {
-					for ox := 0; ox < ow; ox++ {
-						g := dy.Data[oi]
-						if p.Max {
-							dx.Data[ctx.ArgMax[oi]] += g
+	var r runs
+	if p.Max {
+		if x == nil || !x.Shape().Equal(in) {
+			return nil, fmt.Errorf("pool: max pool backward needs its input of shape %v", in)
+		}
+		r = runsOf(x)
+	}
+	dx := p.alloc.Get(in...)
+	// Per-sample scatter targets are disjoint (a window lies inside its own
+	// sample), so the sample split is race-free and bit-identical; the
+	// serial path is a plain call, with no closure.
+	if p.pool.Serial() {
+		p.backwardChunk(r, dy.Data, dx.Data, c, h, w, oh, ow, 0, n)
+	} else {
+		p.pool.Run(n, func(nLo, nHi int) {
+			p.backwardChunk(r, dy.Data, dx.Data, c, h, w, oh, ow, nLo, nHi)
+		})
+	}
+	return dx, nil
+}
+
+// backwardChunk scatters dy onto dx for the samples in [nLo, nHi), channel
+// by channel and output by output in row-major order: each output's
+// gradient onto its window's argmax cell in x (max), or its share onto every
+// in-bounds cell (average, which leaves x unread).
+//
+// hot-path: per-sample pooling backward body; dx is caller-provided.
+func (p Pool2D) backwardChunk(x runs, dyd, dxd []float32, c, h, w, oh, ow, nLo, nHi int) {
+	hw := h * w
+	for in := nLo; in < nHi; in++ {
+		if p.Max {
+			for r, c0 := 0, 0; r < x.count(); r++ {
+				run, cp := x.run(r, in)
+				for ic := 0; ic < cp; ic++ {
+					xp := run[ic*hw : (ic+1)*hw]
+					k := in*c + c0 + ic
+					plane, oi := dxd[k*hw:(k+1)*hw], k*oh*ow
+					for oy := 0; oy < oh; oy++ {
+						for ox := 0; ox < ow; ox++ {
+							plane[p.argmax(xp, oy, ox, h, w)] += dyd[oi]
 							oi++
-							continue
 						}
-						y0, y1, x0, x1 := p.taps(oy, ox, h, w)
-						share := g / float32((y1-y0)*(x1-x0))
-						for iy := y0; iy < y1; iy++ {
-							row := plane[iy*w+x0 : iy*w+x1]
-							for i := range row {
-								row[i] += share
-							}
-						}
-						oi++
 					}
+				}
+				c0 += cp
+			}
+			continue
+		}
+		for ic := 0; ic < c; ic++ {
+			plane, oi := dxd[(in*c+ic)*hw:(in*c+ic+1)*hw], (in*c+ic)*oh*ow
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					y0, y1, x0, x1 := p.taps(oy, ox, h, w)
+					share := dyd[oi] / float32((y1-y0)*(x1-x0))
+					for iy := y0; iy < y1; iy++ {
+						row := plane[iy*w+x0 : iy*w+x1]
+						for i := range row {
+							row[i] += share
+						}
+					}
+					oi++
 				}
 			}
 		}
-	})
-	return dx, nil
+	}
 }
 
 // GlobalAvgPoolForwardAlloc reduces each channel's H×W plane to its mean,

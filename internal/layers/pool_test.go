@@ -2,7 +2,6 @@ package layers
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"bnff/internal/tensor"
@@ -16,7 +15,7 @@ func TestMaxPoolKnownValues(t *testing.T) {
 		9, 1, 2, 3,
 		1, 1, 4, 1,
 	}, 1, 1, 4, 4)
-	y, _, err := p.Forward(x)
+	y, err := p.Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func TestAvgPoolKnownValues(t *testing.T) {
 		8, 0, 2, 2,
 		0, 0, 2, 2,
 	}, 1, 1, 4, 4)
-	y, _, err := p.Forward(x)
+	y, err := p.Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestMaxPoolWithPadIgnoresPadding(t *testing.T) {
 	p := Pool2D{Kernel: 3, Stride: 2, Pad: 1, Max: true}
 	x := tensor.New(1, 1, 4, 4)
 	x.Fill(-5)
-	y, _, err := p.Forward(x)
+	y, err := p.Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestAvgPoolPadDivisor(t *testing.T) {
 		4, 4,
 		4, 4,
 	}, 1, 1, 2, 2)
-	y, _, err := p.Forward(x)
+	y, err := p.Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,17 +109,13 @@ func TestPoolGradients(t *testing.T) {
 		_ = rng
 		dy, lossOf := weightedSumLoss(pool.OutShape(x.Shape()), 9)
 		loss := func() float64 {
-			y, _, err := pool.Forward(x)
+			y, err := pool.Forward(x)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return lossOf(y)
 		}
-		_, ctx, err := pool.Forward(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dx, err := pool.Backward(dy, ctx)
+		dx, err := pool.Backward(dy, x.Shape(), x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,26 +125,34 @@ func TestPoolGradients(t *testing.T) {
 
 func TestPoolShapeErrors(t *testing.T) {
 	p := Pool2D{Kernel: 2, Stride: 2, Max: true}
-	if _, _, err := p.Forward(tensor.New(2, 3)); err == nil {
+	if _, err := p.Forward(tensor.New(2, 3)); err == nil {
 		t.Error("accepted rank-2 input")
 	}
-	if _, _, err := (Pool2D{Kernel: 0, Stride: 1}).Forward(tensor.New(1, 1, 4, 4)); err == nil {
+	if _, err := (Pool2D{Kernel: 0, Stride: 1}).Forward(tensor.New(1, 1, 4, 4)); err == nil {
 		t.Error("accepted kernel 0")
 	}
-	if _, _, err := (Pool2D{Kernel: 9, Stride: 1}).Forward(tensor.New(1, 1, 4, 4)); err == nil {
+	if _, err := (Pool2D{Kernel: 9, Stride: 1}).Forward(tensor.New(1, 1, 4, 4)); err == nil {
 		t.Error("accepted window larger than input")
 	}
 	// A pad past half the kernel leaves windows over padding alone: 0/0 on
 	// average, −Inf and an argmax of −1 on max.
 	for _, bad := range []Pool2D{{Kernel: 2, Stride: 2, Pad: 2, Max: true}, {Kernel: 2, Stride: 2, Pad: 2}, {Kernel: 3, Stride: 1, Pad: 2}, {Kernel: 2, Stride: 1, Pad: -1}} {
-		if _, _, err := bad.Forward(tensor.New(1, 1, 4, 4)); err == nil {
+		if _, err := bad.Forward(tensor.New(1, 1, 4, 4)); err == nil {
 			t.Errorf("accepted %+v", bad)
 		}
 	}
 	x := tensor.New(1, 1, 4, 4)
-	_, ctx, _ := p.Forward(x)
-	if _, err := p.Backward(tensor.New(1, 1, 3, 3), ctx); err == nil {
+	if _, err := p.Backward(tensor.New(1, 1, 3, 3), x.Shape(), x); err == nil {
 		t.Error("accepted wrong dy shape")
+	}
+	if _, err := p.Backward(tensor.New(1, 1, 2, 2), x.Shape(), nil); err == nil {
+		t.Error("max pool backward accepted no input")
+	}
+	if _, err := p.Backward(tensor.New(1, 1, 2, 2), x.Shape(), tensor.New(1, 1, 4, 5)); err == nil {
+		t.Error("max pool backward accepted an input of another shape")
+	}
+	if _, err := (Pool2D{Kernel: 2, Stride: 2}).Backward(tensor.New(1, 1, 2, 2), x.Shape(), nil); err != nil {
+		t.Errorf("average pool backward needs no input: %v", err)
 	}
 }
 
@@ -210,12 +213,8 @@ func TestMaxPoolBackwardRoutesToArgmax(t *testing.T) {
 		1, 2,
 		3, 9,
 	}, 1, 1, 2, 2)
-	_, ctx, err := p.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dy := tensor.MustFromSlice([]float32{7}, 1, 1, 1, 1)
-	dx, err := p.Backward(dy, ctx)
+	dx, err := p.Backward(dy, x.Shape(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,21 +230,23 @@ func TestMaxPoolBackwardRoutesToArgmax(t *testing.T) {
 }
 
 // Pooling and global pooling read a Concat as the dense map it stands for:
-// the same outputs bit for bit and argmax indices into the dense layout.
+// the same outputs and input gradients bit for bit.
 func TestPoolReadsConcatAsDense(t *testing.T) {
 	x := tensor.New(2, 7, 5, 6)
 	tensor.NewRNG(31).FillUniform(x, -1, 1)
 	v := channelSplit(x, 1, 2)
 	for _, p := range []Pool2D{{Kernel: 3, Stride: 2, Pad: 1, Max: true}, {Kernel: 2, Stride: 1, Pad: 1}} {
-		want, wctx, err := p.Forward(x)
+		dy := tensor.New(p.OutShape(x.Shape())...)
+		tensor.NewRNG(37).FillUniform(dy, -1, 1)
+		want, wantDX, err := maxPoolPass(p, x, dy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gctx, err := p.Forward(v)
+		got, gotDX, err := maxPoolPass(p, v, dy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameFloats(got.Data, want.Data) || !slices.Equal(gctx.ArgMax, wctx.ArgMax) {
+		if !sameFloats(got.Data, want.Data) || !sameFloats(gotDX.Data, wantDX.Data) {
 			t.Errorf("%+v: pooling a Concat differs from pooling the dense map", p)
 		}
 	}
@@ -264,10 +265,10 @@ func TestPoolReadsConcatAsDense(t *testing.T) {
 
 // maxPoolPass runs p forward over x and back with dy.
 func maxPoolPass(p Pool2D, x Map, dy *tensor.Tensor) (y, dx *tensor.Tensor, err error) {
-	y, ctx, err := p.Forward(x)
+	y, err = p.Forward(x)
 	if err != nil {
 		return nil, nil, err
 	}
-	dx, err = p.Backward(dy, ctx)
+	dx, err = p.Backward(dy, x.Shape(), x)
 	return y, dx, err
 }

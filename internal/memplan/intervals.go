@@ -24,10 +24,12 @@ import (
 // input x in its own backward; a SubBN2 or a fused BNReLUConv re-reads its
 // input in its own backward and in its statistics producer's; each
 // regenerates x̂ from x. A ReLU's backward masks with its own output, not its
-// input. A SubBN2's upstream gradient is stashed and re-read at the
-// statistics producer's backward step; flatten and concat outputs are views
-// that keep their inputs' storage alive through the view's readers, and so,
-// at inference, is a dropout's.
+// input. A max pool's backward scans its input again for each window's
+// argmax, and a dropout's replays its keep decisions from a generator copy,
+// so neither keeps a buffer of its own. A SubBN2's upstream gradient is
+// stashed and re-read at the statistics producer's backward step; flatten
+// and concat outputs are views that keep their inputs' storage alive through
+// the view's readers, and so, at inference, is a dropout's.
 
 // BufKind classifies a live interval by the buffer family it describes.
 type BufKind int
@@ -35,9 +37,6 @@ type BufKind int
 const (
 	// BufValue is a node's forward output (one mini-batch feature map).
 	BufValue BufKind = iota
-	// BufMask is a dropout mask, born at the dropout's forward step and
-	// consumed by its backward step.
-	BufMask
 	// BufGrad is the gradient of a node's output value.
 	BufGrad
 )
@@ -47,8 +46,6 @@ func (k BufKind) String() string {
 	switch k {
 	case BufValue:
 		return "value"
-	case BufMask:
-		return "mask"
 	case BufGrad:
 		return "grad"
 	}
@@ -86,12 +83,12 @@ type Schedule struct {
 //
 //	values — alive from the producer's forward step through the last
 //	forward reader and any backward step whose operator re-reads its saved
-//	input (CONV, RCF, FC, and a monolithic BN, which regenerates x̂ from
-//	it; a SubBN2 or fused BNReLUConv through its statistics producer's
-//	backward, whose sub-BN1' regenerates x̂ from it), through flatten and
-//	concat views transparently: a view owns no storage. A ReLU's output
-//	lives through its own backward, which masks with it.
-//	masks — dropout forward to dropout backward.
+//	input (CONV, RCF, FC, a monolithic BN, which regenerates x̂ from it,
+//	and a max pool, which re-derives each window's argmax from it; a
+//	SubBN2 or fused BNReLUConv through its statistics producer's backward,
+//	whose sub-BN1' regenerates x̂ from it), through flatten and concat views
+//	transparently: a view owns no storage. A ReLU's output lives through
+//	its own backward, which masks with it.
 //	gradients — written at the first consumer backward that contributes,
 //	dead after the node's own backward reads them; a SubBN2's gradient is
 //	stashed as dv and survives to the statistics producer's backward,
@@ -137,15 +134,6 @@ func TrainingIntervals(g *graph.Graph) (*Schedule, []Interval, error) {
 			end = max(end, last)
 		}
 		ivs = append(ivs, Interval{Node: n, Kind: BufValue, Bytes: featureBytes(n), Start: sched.Fwd[n.ID], End: end})
-	}
-
-	// Dropout masks.
-	for _, n := range live {
-		if n.Kind != graph.OpDropout {
-			continue
-		}
-		ivs = append(ivs, Interval{Node: n, Kind: BufMask, Bytes: featureBytes(n),
-			Start: sched.Fwd[n.ID], End: sched.Bwd[n.ID]})
 	}
 
 	// Gradients.
@@ -264,13 +252,17 @@ func readersThroughViews(cons map[int][]*graph.Node, n *graph.Node, inference bo
 // backwardReadsInput reports whether an operator's own backward pass re-reads
 // its saved forward input. This is the executor's saved-tensor set: CONV-family
 // and FC backward need the ifmap for dW, a monolithic BN regenerates x̂ from
-// its input. A SubBN2 or fused BNReLUConv reads its input later still, at its
-// statistics producer's backward (TrainingIntervals). ReLU masks with its own
-// output; pooling keeps argmax indices; Concat/EWS/GAP/Dropout keep nothing.
+// its input, and a max pool re-derives each window's argmax from its input. A
+// SubBN2 or fused BNReLUConv reads its input later still, at its statistics
+// producer's backward (TrainingIntervals). ReLU masks with its own output;
+// an average pool reads only its input's shape; Dropout replays its keep
+// decisions from a generator copy; Concat/EWS/GAP keep nothing.
 func backwardReadsInput(n *graph.Node) bool {
 	switch n.Kind {
 	case graph.OpConv, graph.OpReLUConv, graph.OpFC, graph.OpBN:
 		return true
+	case graph.OpPool:
+		return n.Pool.Max
 	default:
 		return false
 	}

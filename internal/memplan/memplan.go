@@ -10,7 +10,11 @@
 // maps alive per BN window for the backward pass — the BN input and the
 // rectified output, which the next CONV's dW reads anyway — and RCF the BN
 // input and the BN output, while BNFF's fused window keeps only the BN input,
-// so BNFF reduces peak training memory as well as traffic. A concat is a view
+// so BNFF reduces peak training memory as well as traffic. Nor does any
+// graph store Figure 5's other saved maps: a max pool's backward re-derives
+// each window's argmax from the pool's input, which stays live to it, and a
+// dropout's replays its keep decisions from a copy of the generator, so
+// every buffer is a value or a gradient. A concat is a view
 // of its inputs (Pleiss et al.'s shared feature storage), so a dense block
 // keeps each feature map once rather than a copy per composite layer, and a
 // BN reading a concat keeps nothing of its own.
@@ -64,14 +68,14 @@ func featureBytes(n *graph.Node) int64 {
 
 // PlanTraining computes liveness for one iteration: forward nodes execute at
 // steps 0..F−1 in topological order, backward nodes at steps F..2F−1 in
-// reverse order. Three buffer families are tracked (see TrainingIntervals for
+// reverse order. Two buffer families are tracked (see TrainingIntervals for
 // the exact read sets):
 //
 //	activations — born at the producer's forward step, alive through the
 //	last forward consumer and any backward step that re-reads them (saved
-//	ifmaps for dW, BN inputs x̂ is regenerated from, ReLU outputs that
-//	mask their own backward); no x̂ map is ever stored;
-//	dropout masks — forward to backward of the dropout node;
+//	ifmaps for dW, BN inputs x̂ is regenerated from, max-pool inputs the
+//	argmax is re-derived from, ReLU outputs that mask their own backward);
+//	no x̂ map, argmax map or dropout mask is ever stored;
 //	gradients — born at the first contributing consumer backward, dead
 //	after the producer's own backward step reads them (a SubBN2's gradient
 //	survives to its statistics producer's backward as the stashed dv).
@@ -105,10 +109,7 @@ func plan(sched *Schedule, ivs []Interval) *Result {
 	buffers := make([]Buffer, 0, len(ivs))
 	for _, iv := range ivs {
 		name := iv.Node.Name
-		switch iv.Kind {
-		case BufMask:
-			name += ".mask"
-		case BufGrad:
+		if iv.Kind == BufGrad {
 			name += ".grad"
 		}
 		buffers = append(buffers, Buffer{Name: name, Bytes: iv.Bytes, Start: iv.Start, End: iv.End})

@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"slices"
-	"unsafe"
 )
 
 // Arena is a deterministic best-fit range allocator for activation-sized
@@ -14,14 +13,13 @@ import (
 // re-serves iteration k's storage instead of paying allocator+GC cost per
 // mini-batch.
 //
-// Tensors, float32 scratch and int32 scratch (pooling argmax indices, a
-// float range seen as int32) are carved from shared float32 chunks. Get,
-// Floats and Ints take the smallest free range that fits (ties: lowest chunk,
-// then lowest offset) and split off the unused tail; only when no free range
-// fits is a new chunk of exactly the requested size allocated. Put, PutFloats
-// and PutInts return the range and coalesce it with its free neighbours
-// within its chunk, so a freed buffer can serve any smaller request and
-// adjacent frees merge back into one larger range.
+// Tensors and float32 scratch are carved from shared float32 chunks. Get and
+// Floats take the smallest free range that fits (ties: lowest chunk, then
+// lowest offset) and split off the unused tail; only when no free range fits
+// is a new chunk of exactly the requested size allocated. Put and PutFloats
+// return the range and coalesce it with its free neighbours within its
+// chunk, so a freed buffer can serve any smaller request and adjacent frees
+// merge back into one larger range.
 //
 // Best fit alone does not hold a training step at memplan's planned peak:
 // every miss adds an exact-size chunk, free ranges in different chunks never
@@ -136,7 +134,7 @@ func NewArena() *Arena {
 
 // ArenaStats is a snapshot of an arena's counters.
 type ArenaStats struct {
-	Hits        int64 // Get/Floats/Ints calls served from storage the arena already held
+	Hits        int64 // Get/Floats calls served from storage the arena already held
 	Misses      int64 // calls that fell through to a fresh heap allocation
 	PlaceMisses int64 // placed Gets whose slot was not free, transients holding the slab at the next Expect, and passes whose plan outgrew the slab
 	BytesInUse  int64 // bytes currently checked out (4 per element)
@@ -246,8 +244,8 @@ func (a *Arena) Expect(slots []Slot, scale int) {
 // Beside marks the requests that follow, until Beside(false), as outliving
 // the current schedule step: a Get still takes its queued slot, whose
 // lifetime the plan knows, but any other request keeps to best fit beside
-// the slab. The executor sets it around per-channel statistics and argmax
-// indices, which live from a forward step to the backward that reads them.
+// the slab. The executor sets it around per-channel statistics, which live
+// from a forward step to the backward that reads them.
 func (a *Arena) Beside(on bool) {
 	if a != nil {
 		a.beside = on
@@ -480,10 +478,7 @@ func (a *Arena) Detach(t *Tensor) {
 // Floats returns a zero-filled float32 scratch slice of length n carved from
 // the arena's chunks. Layers use it for reduction partials and per-chunk
 // workspace slabs. A nil arena falls back to make.
-func (a *Arena) Floats(n int) []float32 { return a.scratch(n) }
-
-// scratch is Floats' body, which Ints shares.
-func (a *Arena) scratch(n int) []float32 {
+func (a *Arena) Floats(n int) []float32 {
 	if n <= 0 {
 		return nil
 	}
@@ -509,25 +504,6 @@ func (a *Arena) PutFloats(buf []float32) {
 	delete(a.ownedF, &buf[0])
 	a.bytesInUse -= 4 * int64(s.n)
 	a.release(s)
-}
-
-// Ints returns a zero-filled int32 scratch slice of length n (max-pooling
-// argmax indices): a Floats range seen as int32, which has the same size and
-// alignment, and whose zero bits are the float's.
-func (a *Arena) Ints(n int) []int32 {
-	f := a.scratch(n)
-	if len(f) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&f[0])), n)
-}
-
-// PutInts returns a slice obtained from Ints; no-op for nil, empty,
-// resliced, or foreign slices.
-func (a *Arena) PutInts(s []int32) {
-	if len(s) > 0 {
-		a.PutFloats(unsafe.Slice((*float32)(unsafe.Pointer(&s[0])), len(s)))
-	}
 }
 
 // Clone copies t into an arena-managed tensor (Get + copy).

@@ -16,8 +16,7 @@ var arenaSizes = [...]int{0, 1, 2, 3, 5, 8, 13}
 // or a detached tensor, plus the value every element was filled with.
 type arenaBuf struct {
 	t     *Tensor
-	f     []float32 // float scratch, or an Ints slice seen as float32
-	ints  bool
+	f     []float32 // float scratch
 	fill  float32
 	loose bool // a transient holding a slab range since the last Expect
 }
@@ -45,8 +44,7 @@ var arenaPlans = [...]struct{ need, seg int }{{0, 0}, {24, 24}, {48, 48}, {24, 8
 // Get. A Get whose slot range lies inside one segment and is free must land
 // exactly there; a slot that was not free, over a checked-out range or a
 // segment end, must count one place miss and land outside the slab, as must
-// a request under Beside that takes no slot. Ints come from the same chunks.
-// Any other request in a placed pass is a transient:
+// a request under Beside that takes no slot. Any other request in a placed pass is a transient:
 // it may land in the slab, but outside every slot still queued, and if it
 // still holds that range at the next Expect it counts exactly one place miss.
 func runArenaOps(t *testing.T, ops []byte) []span {
@@ -155,13 +153,8 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 				t.Fatalf("Get(%d): %d place misses, slot fell back: %v", n, got, wantMiss)
 			}
 			handOut(arenaBuf{t: g, loose: loose}, s)
-		case 1, 6: // Floats, or Ints: a float range seen as int32
-			var f []float32
-			if op == 1 {
-				f = a.Floats(n)
-			} else if i := a.Ints(n); len(i) > 0 {
-				f = unsafe.Slice((*float32)(unsafe.Pointer(&i[0])), n)
-			}
+		case 1, 6: // Floats (6 was once int32 scratch; it decodes as Floats so old inputs replay)
+			f := a.Floats(n)
 			if n == 0 {
 				if f != nil {
 					t.Fatalf("op %d of 0 elements = %v, want nil", op, f)
@@ -177,20 +170,16 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 			} else {
 				loose = transient(fmt.Sprintf("op %d of %d", op, n), s)
 			}
-			handOut(arenaBuf{f: f, ints: op == 6, loose: loose}, s)
+			handOut(arenaBuf{f: f, loose: loose}, s)
 		case 2: // Put, twice: the second must be a no-op
 			if i, ok := take(arg, true); ok {
 				a.Put(live[i].t)
 				a.Put(live[i].t)
 				live = slices.Delete(live, i, i+1)
 			}
-		case 3: // PutFloats or PutInts
+		case 3: // PutFloats
 			if i, ok := take(arg, false); ok {
-				if b := live[i]; b.ints {
-					a.PutInts(unsafe.Slice((*int32)(unsafe.Pointer(&b.f[0])), len(b.f)))
-				} else {
-					a.PutFloats(b.f)
-				}
+				a.PutFloats(live[i].f)
 				live = slices.Delete(live, i, i+1)
 			}
 		case 4: // Detach
@@ -325,9 +314,8 @@ func checkArena(t *testing.T, a *Arena, live, detached []arenaBuf) {
 	}
 }
 
-// FuzzArena drives the range allocator with arbitrary Get / Floats / Ints /
-// Put / PutFloats / PutInts / Detach / stray-Put / PlacePass / Expect /
-// Beside sequences and
+// FuzzArena drives the range allocator with arbitrary Get / Floats / Put /
+// PutFloats / Detach / stray-Put / PlacePass / Expect / Beside sequences and
 // checks, after every call, that live ranges never overlap or get
 // overwritten, that every handed-out buffer reads all zeros, that placed Gets
 // take exactly their free slots and fall back otherwise, that transients
@@ -353,8 +341,8 @@ func FuzzArena(f *testing.F) {
 	// no slot is queued for takes [11, 19) of the slab and still holds it at
 	// the next Expect (one place miss); then scratch and a Get under Beside.
 	f.Add([]byte{7, 1, 8, 60, 1, 3, 0, 4, 0, 5, 3, 0, 8, 60, 9, 2, 1, 2, 0, 5, 9, 0, 2, 0, 2, 0, 3, 0})
-	// Under Beside a Get still takes its slot, and scratch of 13 and argmax
-	// indices keep beside the slab; without it they fill its gaps.
+	// Under Beside a Get still takes its slot, and scratch of 13 and of 2
+	// keeps beside the slab; without it scratch fills its gaps.
 	f.Add([]byte{7, 1, 8, 60, 9, 4, 0, 4, 1, 6, 6, 2, 9, 4, 8, 109, 6, 2, 0, 4, 3, 0, 7, 0, 1, 6, 0, 5})
 	// A plan of 48 over the 24-element slab: unplaced while a slot Get holds
 	// a range of it, then, once that is put, a new slab replaces the old.

@@ -162,22 +162,6 @@ func TestArenaScratchSlices(t *testing.T) {
 		t.Error("PutFloats of a resliced prefix was accepted")
 	}
 	a.PutFloats(f2)
-
-	i := a.Ints(3)
-	i[2] = 9
-	pi := &i[0]
-	a.PutInts(i)
-	i2 := a.Ints(3)
-	if &i2[0] != pi || i2[2] != 0 {
-		t.Error("Ints recycle/zero broken")
-	}
-	if f3 := a.Floats(1); &f3[0] != &f2[3] {
-		t.Error("Ints and Floats do not share the float chunks")
-	} else {
-		a.PutFloats(f3)
-	}
-	a.PutInts(i2)
-	a.PutInts(nil)
 	a.PutFloats(nil)
 	if got := a.Stats().BytesInUse; got != 0 {
 		t.Errorf("bytes in use after returning everything = %d", got)
@@ -201,11 +185,11 @@ func TestArenaStatsBookkeeping(t *testing.T) {
 	if s := a.Stats(); s.Hits != 1 || s.Misses != 2 || s.HeldBytes != 60 {
 		t.Errorf("stats = %+v, want 1 hit / 2 misses / 60 held bytes", s)
 	}
-	i := a.Ints(3) // int32 scratch is carved from the float chunks
+	f2 := a.Floats(3) // scratch is carved from the tensors' chunks
 	if s := a.Stats(); s.BytesInUse != 12 || s.Hits != 2 || s.HeldBytes != 60 {
 		t.Errorf("stats = %+v, want 12 in use / 2 hits / 60 held bytes", s)
 	}
-	a.PutInts(i)
+	a.PutFloats(f2)
 }
 
 func TestArenaClone(t *testing.T) {
@@ -235,11 +219,7 @@ func TestNilArenaDegradesToPlainAllocation(t *testing.T) {
 	if f := a.Floats(3); len(f) != 3 {
 		t.Error("nil arena Floats broken")
 	}
-	if i := a.Ints(3); len(i) != 3 {
-		t.Error("nil arena Ints broken")
-	}
 	a.PutFloats(nil)
-	a.PutInts(nil)
 	a.PlacePass(8, 8) // no-op
 	a.Expect([]Slot{{0, 4}}, 1)
 	c := a.Clone(t1)
