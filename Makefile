@@ -36,10 +36,12 @@ race:
 lint:
 	$(GO) run ./cmd/bnff-lint ./...
 
-# Package-level benchmarks live next to their packages (layers, kernels,
-# parallel, ...), so bench sweeps the whole module, not just the root. It runs
-# every benchmark body once and no tests (make test runs those), so a body
-# that no longer compiles or fails shows on every PR (CI's check job).
+# Benchmarks live next to their packages (layers, kernels, core, ddp,
+# parallel, ...); the modeled numbers are experiments, printed by
+# `bnff-profile paper` and asserted in internal/experiments, not benchmarks.
+# bench sweeps the whole module and runs every benchmark body once and no
+# tests (make test runs those), so a body that no longer compiles or fails
+# shows on every PR (CI's check job).
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x ./...
 
@@ -58,7 +60,7 @@ fleet-smoke:
 
 # End-to-end check of cmd/bnff-profile: traced training step per scenario
 # under the deterministic step clock, JSON-valid Chrome traces, byte-identical
-# across runs.
+# across runs; then every paper experiment, and the graph and cache verbs.
 profile-smoke:
 	./scripts/profile-smoke.sh
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 
 	"bnff/internal/cachesim"
 	"bnff/internal/core"
@@ -17,12 +18,11 @@ import (
 )
 
 // runPaper regenerates the paper's tables and figures from the analytical
-// machine model and prints paper-vs-measured comparisons. Experiment ids:
-// table1, fig1..fig8, gpu, headline, structure, ext-mobilenet,
-// ext-footprint, ext-energy, or "all".
+// machine model and prints paper-vs-measured comparisons: one experiment
+// (-exp, an id of experiments.IDs) or all of them.
 func runPaper(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("paper", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (table1, fig1..fig8, gpu, headline, structure, ext-*, all)")
+	exp := fs.String("exp", "all", fmt.Sprintf("experiment id: one of %s, or all", strings.Join(experiments.IDs(), ", ")))
 	batch := fs.Int("batch", experiments.DefaultBatch, "mini-batch size for the simulated training iteration")
 	format := fs.String("format", "text", "output format: text, csv")
 	if err := parse(fs, args); err != nil {

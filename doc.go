@@ -6,7 +6,8 @@
 // (internal/parallel), the CNN model zoo the paper evaluates
 // (internal/models), the analytical memory/timing machine model standing in
 // for the paper's Skylake/KNL/GPU testbed (internal/memsim), and one
-// experiment generator per table and figure (internal/experiments).
+// experiment generator per table and figure, plus the ablations of BNFF's
+// gain (internal/experiments).
 //
 // # Configuration
 //
@@ -133,8 +134,9 @@
 // `//lint:ignore <analyzer> <reason>`. See the "Static analysis" section
 // of README.md.
 //
-// The root package holds the benchmark harness: one testing.B benchmark per
-// paper table/figure plus real-kernel, parallel-speedup, and ablation
-// benchmarks. See README.md for the map and EXPERIMENTS.md for
-// paper-vs-measured results.
+// The root package holds only this overview. Every modeled number comes
+// from one internal/experiments entry, printed by `bnff-profile paper` and
+// asserted in its tests; benchmarks live beside the packages they time, and
+// the repository benchmark (benchmark/) measures end to end. See README.md
+// for the map and EXPERIMENTS.md for paper-vs-measured results.
 package bnff

@@ -54,9 +54,11 @@ import (
 // keeps each feature map once), and nothing stores x̂ — a BN's input stays
 // live until the backward that regenerates x̂ from it (its own, or its
 // statistics producer's for a SubBN2 or fused BNReLUConv). A ReLU's backward
-// masks with its output, so its input dies at its forward. A value released
-// while a view or a backward still reads it would be a use-after-free;
-// `make poison` is the check.
+// masks with its output, so its input dies at its forward. A node whose
+// input, or a concat input's part, is already released fails with an error
+// naming the node, the value and the step (Executor.released); a value
+// released while a flatten view or a BN stash still holds it would be a
+// use-after-free, and `make poison` is the check.
 //
 // Two things deliberately stay on the heap: parameter gradients (they escape
 // into the returned gradient map, whose lifetime the schedule does not bound)

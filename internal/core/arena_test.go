@@ -535,3 +535,72 @@ func BenchmarkForwardArenaOff(b *testing.B)   { benchArenaStep(b, false, true) }
 func BenchmarkForwardArenaOn(b *testing.B)    { benchArenaStep(b, false, false) }
 func BenchmarkTrainStepArenaOff(b *testing.B) { benchArenaStep(b, true, true) }
 func BenchmarkTrainStepArenaOn(b *testing.B)  { benchArenaStep(b, true, false) }
+
+// A plan that releases a value before its last reader must surface as an
+// error naming the reader, the value and the schedule step, not as a nil
+// dereference inside the layer. The test moves the release of a max pool's
+// input to the step before the pool's forward, and then to the step before
+// the pool's backward, which re-derives its argmax from that input.
+func TestEarlyReleaseIsAnError(t *testing.T) {
+	for _, dir := range []string{"forward", "backward"} {
+		t.Run(dir, func(t *testing.T) {
+			g, err := models.TinyInception(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewExecutor(g, WithSeed(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := e.arenaPlanFor()
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := e.liveNodes()
+			var pool *graph.Node
+			at := -1
+			for i, n := range live {
+				if n.Kind == graph.OpPool && n.Pool.Max {
+					pool, at = n, i
+					break
+				}
+			}
+			if pool == nil {
+				t.Fatal("tiny-inception has no max pool")
+			}
+			v := pool.Inputs[0]
+			early := at - 1 // the step before the pool's forward
+			if dir == "backward" {
+				early = 2*len(live) - 1 - at - 1 // the step before the pool's backward
+			}
+			moved := false
+			for step, rs := range p.releases {
+				for i, r := range rs {
+					if r.kind == memplan.BufValue && r.id == v.ID {
+						p.releases[step] = append(rs[:i:i], rs[i+1:]...)
+						p.releases[early] = append(p.releases[early], r)
+						moved = true
+					}
+				}
+			}
+			if !moved {
+				t.Fatalf("no release of %q in the plan", v.Name)
+			}
+			in := tensor.New(g.Nodes[0].OutShape...)
+			tensor.NewRNG(2).FillNormal(in, 0, 1)
+			out, err := e.Forward(in)
+			if dir == "backward" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				dOut := tensor.New(out.Shape()...)
+				tensor.NewRNG(3).FillUniform(dOut, -1, 1)
+				_, err = e.Backward(dOut)
+			}
+			want := fmt.Sprintf("node %q reads value %q at schedule step %d after its release", pool.Name, v.Name, early+1)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s error %v, want one containing %q", dir, err, want)
+			}
+		})
+	}
+}

@@ -133,6 +133,75 @@ func TestDropoutScenarioEquivalence(t *testing.T) {
 	}
 }
 
+// The executor must hand a dropout's backward the generator state its
+// forward drew the mask from. The reference is drawn in the test from a copy
+// of the executor's generator taken before Forward: the dropout's output must
+// be its input under that stored mask, and every gradient must equal, bit
+// for bit, a second executor's whose dropout backward is handed that copy
+// directly instead of what its forward returned.
+func TestDropoutGradientsMatchStoredMask(t *testing.T) {
+	e, err := NewExecutor(dropoutCNN(t, 4), WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewExecutor(dropoutCNN(t, 4), WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.dropRNG = tensor.NewRNG(1234)
+	before := *e.dropRNG
+	ref.dropRNG = new(tensor.RNG)
+	*ref.dropRNG = before
+
+	in := tensor.New(4, 3, 8, 8)
+	tensor.NewRNG(5).FillNormal(in, 0, 1)
+	y, err := e.Forward(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Forward(in); err != nil {
+		t.Fatal(err)
+	}
+	var drop *graph.Node
+	for _, n := range e.G.Nodes {
+		if n.Kind == graph.OpDropout {
+			drop = n
+		}
+	}
+	x, got := e.vals[drop.Inputs[0].ID], e.vals[drop.ID]
+	mask, scale := before, float32(1/(1-drop.Dropout.Rate))
+	for i, v := range x.Data {
+		want := float32(0)
+		if mask.Float64() >= drop.Dropout.Rate {
+			want = v * scale
+		}
+		if got.Data[i] != want {
+			t.Fatalf("dropout output[%d] = %v, want %v under the stored mask", i, got.Data[i], want)
+		}
+	}
+	ref.dropFrom[drop.ID] = before
+
+	dOut := tensor.New(y.Shape()...)
+	tensor.NewRNG(6).FillUniform(dOut, -1, 1)
+	grads, err := e.Backward(dOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Backward(dOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(grads) != len(want) {
+		t.Fatalf("%d gradients, reference has %d", len(grads), len(want))
+	}
+	for name, g := range want {
+		if !bitEqual(grads[name], g) {
+			d, _ := tensor.MaxAbsDiff(grads[name], g)
+			t.Errorf("gradient %q differs from the stored-mask reference by %v", name, d)
+		}
+	}
+}
+
 func TestDropoutInferenceIsIdentity(t *testing.T) {
 	g := dropoutCNN(t, 2)
 	ex, err := NewExecutor(g, WithSeed(3))

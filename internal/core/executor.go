@@ -444,6 +444,11 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 			e.releaseForwardStep(step)
 			continue
 		}
+		for _, in := range n.Inputs {
+			if err := e.released(n, in, step); err != nil {
+				return nil, err
+			}
+		}
 		nodeStart := e.tracer.Begin()
 		switch n.Kind {
 		case graph.OpConv, graph.OpReLUConv, graph.OpBNReLUConv:
@@ -586,6 +591,42 @@ func (e *Executor) src(n *graph.Node, i int) layers.Map {
 	return e.in(n, i)
 }
 
+// released reports a read of v by n at schedule step step after v's storage
+// went back to the arena: the plan ended v's interval before this reader, and
+// the read would otherwise dereference a missing value. A concat owns no
+// storage, so its parts are checked instead.
+func (e *Executor) released(n, v *graph.Node, step int) error {
+	if v.Kind == graph.OpConcat {
+		for _, p := range v.Inputs {
+			if err := e.released(n, p, step); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if e.vals[v.ID] != nil {
+		return nil
+	}
+	return fmt.Errorf("core: node %q reads value %q at schedule step %d after its release", n.Name, v.Name, step)
+}
+
+// backwardReads returns the forward value n's backward reads, or nil: a
+// ReLU masks with its own output; a conv-like node, BN, SubBN2, FC and max
+// pool regenerate what they need from their input.
+func backwardReads(n *graph.Node) *graph.Node {
+	switch n.Kind {
+	case graph.OpReLU:
+		return n
+	case graph.OpConv, graph.OpReLUConv, graph.OpBNReLUConv, graph.OpBN, graph.OpSubBN2, graph.OpFC:
+		return n.Inputs[0]
+	case graph.OpPool:
+		if n.Pool.Max {
+			return n.Inputs[0]
+		}
+	}
+	return nil
+}
+
 // accumGrad folds a fresh gradient contribution into the per-node map.
 // The first contribution takes ownership of the tensor (every producer
 // returns a fresh tensor, so no aliasing); later contributions are folded
@@ -632,6 +673,11 @@ func (e *Executor) Backward(dOut *tensor.Tensor) (map[string]*tensor.Tensor, err
 			continue
 		}
 		step := 2*len(live) - 1 - i
+		if v := backwardReads(n); v != nil {
+			if err := e.released(n, v, step); err != nil {
+				return nil, err
+			}
+		}
 		e.alloc.Expect(e.aplan.born[step], out.Dim(0))
 		nodeStart := e.tracer.Begin()
 		err := e.backwardNode(n, gmap, grads, stash)

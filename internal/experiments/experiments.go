@@ -3,12 +3,13 @@
 // Figure 1 (execution-time breakdown across CNN generations), Figure 3
 // (bandwidth over time), Figure 4 (finite vs infinite bandwidth), Figure 6
 // (architecture comparison), Figure 7 (scenario times and memory accesses),
-// Figure 8 (half-bandwidth sensitivity), the §5 GPU/CUTLASS results, and the
-// §5 headline numbers. Each generator returns an Experiment whose metrics
-// pair the measured value with the paper's reported value, so the harness
-// prints paper-vs-measured directly. StructureChecks adds the graph markers
-// of every builtin scenario; what those scenarios train to is pinned by
-// internal/scenario's golden test, and how fast by benchmark/.
+// Figure 8 (half-bandwidth sensitivity), the §5 GPU/CUTLASS results, the
+// §5 headline numbers, and the ablations of BNFF's gain. Each generator
+// returns an Experiment whose metrics pair the measured value with the
+// paper's reported value, so the harness prints paper-vs-measured directly.
+// StructureChecks adds the graph markers of every builtin scenario; what
+// those scenarios train to is pinned by internal/scenario's golden test, and
+// how fast by benchmark/.
 package experiments
 
 import (
@@ -20,7 +21,6 @@ import (
 	"bnff/internal/core"
 	"bnff/internal/det"
 	"bnff/internal/graph"
-	"bnff/internal/memplan"
 	"bnff/internal/memsim"
 	"bnff/internal/models"
 )
@@ -81,11 +81,16 @@ func (e *Experiment) String() string {
 // report (the restructured graph is the report's Graph). Every experiment and
 // every analysis command prices through it.
 func Simulate(model string, batch int, s core.Scenario, mach memsim.Machine) (*memsim.Report, error) {
+	return simulate(model, batch, s.Options(), mach)
+}
+
+// simulate is Simulate for any pass switches, not only a named scenario's.
+func simulate(model string, batch int, opts core.Options, mach memsim.Machine) (*memsim.Report, error) {
 	g, err := models.Build(model, batch)
 	if err != nil {
 		return nil, err
 	}
-	if err := core.Restructure(g, s.Options()); err != nil {
+	if err := core.Restructure(g, opts); err != nil {
 		return nil, err
 	}
 	return memsim.Simulate(g, mach)
@@ -472,132 +477,50 @@ func Headline(batch int) (*Experiment, error) {
 	return e, nil
 }
 
-// MobileNetExtension is an extension beyond the paper: the same restructuring
-// applied to MobileNet-v1, whose depthwise-separable blocks are the extreme
-// point of the "lean CONV, heavy BN" trend the paper's §2.3 describes
-// (citing Howard et al.). Depthwise CONVs contribute almost no FLOPs, so the
-// BN/ReLU share — and BNFF's gain — exceeds even DenseNet's.
-func MobileNetExtension(batch int) (*Experiment, error) {
-	e := &Experiment{
-		ID:    "ext-mobilenet",
-		Title: "[extension] BNFF on MobileNet-v1 (Skylake)",
-		Notes: "Not evaluated in the paper; same passes, same machine model. Depthwise convolutions fuse exactly like dense ones.",
-	}
-	var baseTotal float64
-	var base *memsim.Report
-	var detail strings.Builder
-	fmt.Fprintf(&detail, "%-9s %9s %9s %10s\n", "scenario", "total s", "gain", "DRAM GB")
-	// MobileNet's blocks have no concatenations, so ICF is a no-op; sweep
-	// the rest of the ladder.
-	for _, s := range core.Scenarios() {
-		if s == core.BNFFICF {
-			continue
-		}
-		r, err := Simulate("mobilenet", batch, s, memsim.Skylake())
+// Ablation takes BNFF's DenseNet-121 gain apart on the Skylake model (the
+// ablations DESIGN.md §6 lists): fission and fusion without MVF's
+// single-sweep statistics, and the gain's sensitivity to ComputeEff, the
+// main calibration constant, swept from 0.6 to 1.0.
+func Ablation(batch int) (*Experiment, error) {
+	gain := func(opts core.Options, mach memsim.Machine) (float64, error) {
+		base, err := simulate("densenet121", batch, core.Options{}, mach)
 		if err != nil {
+			return 0, err
+		}
+		r, err := simulate("densenet121", batch, opts, mach)
+		if err != nil {
+			return 0, err
+		}
+		return 1 - r.Total()/base.Total(), nil
+	}
+	bnff, err := gain(core.BNFF.Options(), memsim.Skylake())
+	if err != nil {
+		return nil, err
+	}
+	noMVF, err := gain(core.Options{RCF: true, Fission: true}, memsim.Skylake())
+	if err != nil {
+		return nil, err
+	}
+	e := &Experiment{
+		ID:    "ablation",
+		Title: "BNFF gain ablations (DenseNet-121, Skylake)",
+		Notes: "Not in the paper. MVF off keeps RCF and fission; the CONV-efficiency sweep reprices baseline and BNFF on the same machine.",
+		Metrics: []Metric{
+			noPaper("densenet121 BNFF gain without MVF", "frac", noMVF),
+			noPaper("densenet121 MVF contribution to BNFF gain", "frac", bnff-noMVF),
+		},
+	}
+	effs := [2]float64{0.6, 1.0}
+	var at [2]float64
+	for i, eff := range effs {
+		mach := memsim.Skylake()
+		mach.ComputeEff = eff
+		if at[i], err = gain(core.BNFF.Options(), mach); err != nil {
 			return nil, err
 		}
-		total := r.Total()
-		if s == core.Baseline {
-			baseTotal = total
-			base = r
-		}
-		gain := 1 - total/baseTotal
-		fmt.Fprintf(&detail, "%-9s %9.3f %9.3f %10.1f\n", s, total, gain, float64(r.TotalDRAMBytes())/1e9)
-		if s == core.BNFF {
-			e.Metrics = append(e.Metrics, noPaper("mobilenet BNFF overall gain", "frac", gain))
-		}
+		e.Metrics = append(e.Metrics, noPaper(fmt.Sprintf("BNFF gain at CONV efficiency %.1f", eff), "frac", at[i]))
 	}
-	conv, nonConv := base.ConvSplit()
-	e.Metrics = append(e.Metrics,
-		noPaper("mobilenet baseline non-CONV share", "frac", nonConv/(conv+nonConv)))
-	e.Detail = detail.String()
-	return e, nil
-}
-
-// FootprintExtension is an extension beyond the paper: the peak activation
-// memory of one training iteration, baseline vs BNFF, via liveness analysis
-// (internal/memplan). The paper's §6 cites Gist for footprint reduction;
-// the restructuring achieves some of the same effect for free because a
-// fused window's backward needs only the BN input where the baseline keeps
-// the BN input and the rectified output alive (no scenario stores x̂: every
-// BN backward regenerates it from its input).
-func FootprintExtension(batch int) (*Experiment, error) {
-	e := &Experiment{
-		ID:    "ext-footprint",
-		Title: "[extension] peak training activation memory, baseline vs BNFF (liveness analysis)",
-		Notes: "Not measured in the paper; follows from Figure 5's buffer set. Weights excluded (static, small next to mini-batch maps).",
-	}
-	var detail strings.Builder
-	fmt.Fprintf(&detail, "%-12s %-9s %12s %12s %8s\n", "model", "scenario", "peak MB", "alloc MB", "saving")
-	for _, model := range []string{"densenet121", "resnet50", "mobilenet"} {
-		var basePeak int64
-		for _, s := range []core.Scenario{core.Baseline, core.BNFF} {
-			g, err := models.Build(model, batch)
-			if err != nil {
-				return nil, err
-			}
-			if err := core.Restructure(g, s.Options()); err != nil {
-				return nil, err
-			}
-			plan, err := memplan.PlanTraining(g)
-			if err != nil {
-				return nil, err
-			}
-			saving := 0.0
-			if s == core.Baseline {
-				basePeak = plan.PeakBytes
-			} else {
-				saving = 1 - float64(plan.PeakBytes)/float64(basePeak)
-				e.Metrics = append(e.Metrics,
-					noPaper(model+" BNFF peak-memory saving", "frac", saving))
-			}
-			fmt.Fprintf(&detail, "%-12s %-9s %12.1f %12.1f %7.1f%%\n", model, s,
-				float64(plan.PeakBytes)/1e6, float64(plan.TotalAllocated())/1e6, 100*saving)
-		}
-	}
-	e.Detail = detail.String()
-	return e, nil
-}
-
-// EnergyExtension is an extension beyond the paper: pricing the simulated
-// iterations into energy with textbook per-FLOP/per-byte constants. The
-// paper's §3.1 argues "computation is cheap and communication is expensive"
-// in contemporary VLSI; this quantifies it — DRAM traffic removal saves
-// energy on top of time.
-func EnergyExtension(batch int) (*Experiment, error) {
-	em := memsim.DefaultEnergy()
-	e := &Experiment{
-		ID:    "ext-energy",
-		Title: "[extension] training energy per iteration, baseline vs BNFF (DenseNet-121, Skylake)",
-		Notes: "Energy constants are documented textbook figures (DESIGN.md), not fitted.",
-	}
-	var detail strings.Builder
-	fmt.Fprintf(&detail, "%-9s %10s %10s %10s %10s %10s\n",
-		"scenario", "compute J", "DRAM J", "cache J", "static J", "total J")
-	var baseTotal float64
-	for _, s := range []core.Scenario{core.Baseline, core.BNFF} {
-		r, err := Simulate("densenet121", batch, s, memsim.Skylake())
-		if err != nil {
-			return nil, err
-		}
-		eb, err := em.Energy(r)
-		if err != nil {
-			return nil, err
-		}
-		if s == core.Baseline {
-			baseTotal = eb.TotalJ()
-			e.Metrics = append(e.Metrics,
-				noPaper("baseline DRAM share of dynamic energy", "frac",
-					eb.DRAMJ/(eb.ComputeJ+eb.DRAMJ+eb.CacheJ)))
-		} else {
-			e.Metrics = append(e.Metrics,
-				noPaper("BNFF energy saving", "frac", 1-eb.TotalJ()/baseTotal))
-		}
-		fmt.Fprintf(&detail, "%-9s %10.1f %10.1f %10.1f %10.1f %10.1f\n",
-			s, eb.ComputeJ, eb.DRAMJ, eb.CacheJ, eb.StaticJ, eb.TotalJ())
-	}
-	e.Detail = detail.String()
+	e.Metrics = append(e.Metrics, noPaper("BNFF gain spread, CONV efficiency 0.6-1.0", "frac", at[1]-at[0]))
 	return e, nil
 }
 
@@ -618,9 +541,7 @@ var experimentTable = []struct {
 	{"fig8", Figure8},
 	{"gpu", GPUResults},
 	{"headline", Headline},
-	{"ext-mobilenet", MobileNetExtension},
-	{"ext-footprint", FootprintExtension},
-	{"ext-energy", EnergyExtension},
+	{"ablation", Ablation},
 	{"structure", func(int) (*Experiment, error) { return StructureChecks() }},
 }
 
@@ -640,17 +561,24 @@ func All(batch int) ([]*Experiment, error) {
 	return out, nil
 }
 
+// IDs returns every experiment id in the order All runs them.
+func IDs() []string {
+	ids := make([]string, len(experimentTable))
+	for i, ex := range experimentTable {
+		ids[i] = ex.id
+	}
+	return ids
+}
+
 // ByID runs a single experiment by its identifier.
 func ByID(id string, batch int) (*Experiment, error) {
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	ids := make([]string, len(experimentTable))
-	for i, ex := range experimentTable {
+	for _, ex := range experimentTable {
 		if ex.id == id {
 			return ex.run(batch)
 		}
-		ids[i] = ex.id
 	}
-	return nil, fmt.Errorf("experiments: unknown experiment %q (want one of %s)", id, strings.Join(ids, ", "))
+	return nil, fmt.Errorf("experiments: unknown experiment %q (want one of %s)", id, strings.Join(IDs(), ", "))
 }

@@ -265,15 +265,15 @@ func TestAllAndByID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 15 {
-		t.Errorf("All produced %d experiments, want 15", len(all))
+	if len(all) != 13 {
+		t.Errorf("All produced %d experiments, want 13", len(all))
 	}
 	if len(all) != len(experimentTable) {
 		t.Fatalf("All produced %d experiments, table has %d", len(all), len(experimentTable))
 	}
 	for i, e := range all {
-		if e.ID != experimentTable[i].id {
-			t.Errorf("All[%d] is %s, table row %d is %s", i, e.ID, i, experimentTable[i].id)
+		if e.ID != IDs()[i] {
+			t.Errorf("All[%d] is %s, IDs()[%d] is %s", i, e.ID, i, IDs()[i])
 		}
 	}
 	ids := map[string]bool{}
@@ -283,7 +283,7 @@ func TestAllAndByID(t *testing.T) {
 			t.Errorf("%s renders empty", e.ID)
 		}
 	}
-	for _, id := range []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "gpu", "headline", "ext-mobilenet", "ext-footprint", "ext-energy", "structure"} {
+	for _, id := range []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "gpu", "headline", "ablation", "structure"} {
 		if !ids[id] {
 			t.Errorf("All missing %s", id)
 		}
@@ -291,36 +291,38 @@ func TestAllAndByID(t *testing.T) {
 			t.Errorf("ByID(%s): %v", id, err)
 		}
 	}
-	if _, err := ByID("nope", smallBatch); err == nil {
-		t.Error("ByID accepted unknown id")
+	if _, err := ByID("nope", smallBatch); err == nil || !strings.Contains(err.Error(), strings.Join(IDs(), ", ")) {
+		t.Errorf("ByID(nope) = %v, want an error listing every id", err)
 	}
 }
 
-// The extension: MobileNet's depthwise blocks are even leaner on CONV FLOPs
-// than DenseNet's bottlenecks, so BNFF's relative gain must be at least as
-// large as on DenseNet.
-func TestMobileNetExtensionGainExceedsDenseNet(t *testing.T) {
-	mob, err := MobileNetExtension(smallBatch)
+// The ablation: fission and fusion alone keep most of BNFF's gain, MVF adds
+// the rest, and the CONV-efficiency sweep moves the gain by a finite amount.
+func TestAblationSplitsBNFFGain(t *testing.T) {
+	abl, err := Ablation(smallBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dn, err := Figure7(smallBatch)
+	fig7, err := Figure7(smallBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mobGain, dnGain float64
-	for _, mt := range mob.Metrics {
-		if mt.Name == "mobilenet BNFF overall gain" {
-			mobGain = mt.Measured
-		}
+	v := map[string]float64{}
+	for _, mt := range append(abl.Metrics, fig7.Metrics...) {
+		v[mt.Name] = mt.Measured
 	}
-	for _, mt := range dn.Metrics {
-		if mt.Name == "densenet121 BNFF overall gain" {
-			dnGain = mt.Measured
-		}
+	bnff := v["densenet121 BNFF overall gain"]
+	noMVF := v["densenet121 BNFF gain without MVF"]
+	if !(0 < noMVF && noMVF < bnff) {
+		t.Errorf("gain without MVF %.4f, want in (0, BNFF gain %.4f)", noMVF, bnff)
 	}
-	if mobGain <= dnGain {
-		t.Errorf("MobileNet BNFF gain %.3f not above DenseNet %.3f", mobGain, dnGain)
+	if d := v["densenet121 MVF contribution to BNFF gain"] - (bnff - noMVF); math.Abs(d) > 1e-12 {
+		t.Errorf("MVF contribution off BNFF gain minus gain without MVF by %g", d)
+	}
+	lo, hi := v["BNFF gain at CONV efficiency 0.6"], v["BNFF gain at CONV efficiency 1.0"]
+	spread := v["BNFF gain spread, CONV efficiency 0.6-1.0"]
+	if math.IsNaN(spread) || math.IsInf(spread, 0) || spread != hi-lo {
+		t.Errorf("gain spread %v, want the finite %v - %v", spread, hi, lo)
 	}
 }
 

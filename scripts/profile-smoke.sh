@@ -3,9 +3,10 @@
 # under the deterministic step clock, check the breakdown output, validate
 # that every emitted Chrome trace is well-formed JSON, and verify the
 # measured traces are byte-identical across two runs (the determinism
-# contract of the injected clock). Then run each analytical verb (paper,
-# graph, cache) once; set -e fails the script on a non-zero exit. Run from
-# the repository root (make profile-smoke / CI).
+# contract of the injected clock). Then run each analytical verb once: paper
+# over every experiment (the ablation included), graph and cache; set -e fails
+# the script on a non-zero exit. Run from the repository root
+# (make profile-smoke / CI).
 #
 # BNFF_PROFILE_OUT, when set, keeps the traces in that directory so CI can
 # upload them as a workflow artifact.
@@ -54,7 +55,7 @@ rm -f "$OUT"/run2.*.trace.json
 echo "traces byte-identical across runs"
 
 echo "== bnff-profile paper / graph / cache =="
-"$BIN" paper -exp fig7 >/dev/null
+"$BIN" paper >/dev/null
 "$BIN" graph -model densenet121 -summary >/dev/null
 "$BIN" cache -model tiny-cnn -batch 4 >/dev/null
 echo "analytical verbs OK"
