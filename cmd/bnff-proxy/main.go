@@ -1,8 +1,9 @@
 // bnff-proxy fronts a fleet of bnff-serve backends: POST /predict requests
 // are routed across the registered backends by a deterministic policy
-// (consistent hashing on the request key by default), unhealthy backends are
-// ejected after consecutive failed readiness probes and readmitted on
-// recovery, and POST /fleet/reload rolls a new checkpoint through the fleet
+// (consistent hashing on the request key by default), a backend is ejected
+// after 3 consecutive failed readiness checks, re-probed on a backoff that
+// doubles from 1 s up to 30 s, and readmitted after 2 consecutive successful
+// probes, and POST /fleet/reload rolls a new checkpoint through the fleet
 // one drained backend at a time — serving capacity never drops below N−1
 // and no accepted request is lost.
 //
@@ -33,21 +34,15 @@ func main() {
 	backends := flag.String("backends", "", "comma-separated backend base URLs (e.g. http://127.0.0.1:9091,http://127.0.0.1:9092); names default to b0,b1,...")
 	policy := flag.String("policy", "hash", "routing policy: hash, least-loaded, or round-robin")
 	probeInterval := flag.Duration("probe-interval", time.Second, "readiness probe sweep interval")
-	failAfter := flag.Int("fail-after", 3, "consecutive failed probes before a backend is ejected")
-	readmitAfter := flag.Int("readmit-after", 2, "consecutive successful probes before an ejected backend is readmitted")
-	backoff := flag.Duration("backoff", time.Second, "initial ejected re-probe backoff (doubles up to -backoff-max)")
-	backoffMax := flag.Duration("backoff-max", 30*time.Second, "ejected re-probe backoff cap")
 	flag.Parse()
 
-	if err := run(*addr, *backends, *policy, *probeInterval, *failAfter, *readmitAfter, *backoff, *backoffMax); err != nil {
+	if err := run(*addr, *backends, *policy, *probeInterval); err != nil {
 		fmt.Fprintln(os.Stderr, "bnff-proxy:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, backends, policyName string, probeInterval time.Duration,
-	failAfter, readmitAfter int, backoff, backoffMax time.Duration) error {
-
+func run(addr, backends, policyName string, probeInterval time.Duration) error {
 	policy, err := fleet.PolicyByName(policyName)
 	if err != nil {
 		return err
@@ -56,12 +51,8 @@ func run(addr, backends, policyName string, probeInterval time.Duration,
 	// the wall clock itself (the seededrand contract).
 	base := time.Now()
 	proxy := fleet.NewProxy(fleet.Config{
-		Policy:       policy,
-		FailAfter:    failAfter,
-		ReadmitAfter: readmitAfter,
-		BackoffBase:  int64(backoff),
-		BackoffMax:   int64(backoffMax),
-		Clock:        func() int64 { return int64(time.Since(base)) },
+		Policy: policy,
+		Clock:  func() int64 { return int64(time.Since(base)) },
 	})
 	cp := proxy.ControlPlane()
 	if backends != "" {

@@ -26,8 +26,7 @@
 //
 //	tr, err := train.NewTrainer(exec, data,
 //	        train.WithBatchSize(32),
-//	        train.WithOptimizer(train.NewSGD(0.1, 0.9, 1e-4)),
-//	        train.WithWorkers(runtime.GOMAXPROCS(0)))
+//	        train.WithOptimizer(train.NewSGD(0.1, 0.9, 1e-4)))
 //
 // Parallel execution is deterministic: forward passes are bit-identical to
 // serial execution and backward passes stay within float32 round-off (see

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"bnff/internal/memplan"
-	"bnff/internal/obs"
 	"bnff/internal/tensor"
 )
 
@@ -39,8 +38,8 @@ import (
 // pool re-derives its argmax from its input, which the plan keeps live to
 // the pool's backward, and a dropout replays its keep decisions from a copy
 // of the generator. A slot whose range is taken, or a transient still
-// holding the slab at the next step, counts in arena_place_misses, so a
-// wrong plan costs memory, never correctness.
+// holding the slab at the next step, counts in ArenaStats.PlaceMisses, so
+// a wrong plan costs memory, never correctness.
 //
 // An inference executor follows memplan.InferenceIntervals instead: the
 // same release path and placement, over intervals that end at each value's
@@ -68,20 +67,6 @@ import (
 // remains only because benchmark/setup.go, which this change may not edit,
 // still calls it; the next benchmark PR drops that call and this symbol.
 func WithArena() Option { return func(*Executor) {} }
-
-// WithMetrics attaches an obs metrics registry. After every Forward and
-// Backward the executor publishes the arena counters as gauges:
-// arena_hits, arena_misses, arena_bytes_in_use, arena_peak_bytes,
-// arena_held_bytes (everything the arena owns, checked out or free),
-// arena_slab_bytes (the placement slab, part of held) and
-// arena_place_misses (planned buffers that found their slot taken, and
-// training passes whose plan outgrew the slab).
-func WithMetrics(r *obs.Registry) Option { return func(e *Executor) { e.metrics = r } }
-
-// Metrics returns the registry attached via WithMetrics, or nil. The ddp
-// group publishes its reduce counters into the primary executor's registry so
-// one scrape covers both arena and exchange traffic.
-func (e *Executor) Metrics() *obs.Registry { return e.metrics }
 
 // ArenaStats returns a snapshot of the executor's arena counters.
 func (e *Executor) ArenaStats() tensor.ArenaStats { return e.alloc.Stats() }
@@ -219,36 +204,4 @@ func (e *Executor) releaseStats(id int) {
 		e.alloc.Put(st.Var)
 		delete(e.stats, id)
 	}
-}
-
-// publishArenaMetrics pushes the arena counters into the attached registry.
-func (e *Executor) publishArenaMetrics() {
-	if e.metrics == nil {
-		return
-	}
-	if e.agauges == nil {
-		e.agauges = &arenaGauges{
-			hits:   e.metrics.Gauge("arena_hits"),
-			misses: e.metrics.Gauge("arena_misses"),
-			inUse:  e.metrics.Gauge("arena_bytes_in_use"),
-			peak:   e.metrics.Gauge("arena_peak_bytes"),
-			held:   e.metrics.Gauge("arena_held_bytes"),
-			slab:   e.metrics.Gauge("arena_slab_bytes"),
-			pmiss:  e.metrics.Gauge("arena_place_misses"),
-		}
-	}
-	s := e.alloc.Stats()
-	e.agauges.hits.Set(s.Hits)
-	e.agauges.misses.Set(s.Misses)
-	e.agauges.inUse.Set(s.BytesInUse)
-	e.agauges.peak.Set(s.PeakBytes)
-	e.agauges.held.Set(s.HeldBytes)
-	e.agauges.slab.Set(s.SlabBytes)
-	e.agauges.pmiss.Set(s.PlaceMisses)
-}
-
-// arenaGauges caches the resolved registry gauges so publishing after every
-// pass costs seven atomic stores, not seven registry lookups.
-type arenaGauges struct {
-	hits, misses, inUse, peak, held, slab, pmiss *obs.Gauge
 }

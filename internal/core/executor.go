@@ -54,11 +54,9 @@ type Executor struct {
 	foldBN bool        // WithFoldedBN: compile the fold after the next checkpoint load
 	folded bool        // FoldBN already ran; the graph and parameters are rewritten
 
-	alloc   *tensor.Arena // private activation arena (see arena.go)
-	aplan   *arenaPlan    // compiled release and placement plan; invalidated by FoldBN
-	metrics *obs.Registry // nil: no metrics publication (see WithMetrics)
-	agauges *arenaGauges  // lazily resolved arena gauges
-	live    []*graph.Node // cached G.Live() schedule; invalidated by FoldBN
+	alloc *tensor.Arena // private activation arena (see arena.go)
+	aplan *arenaPlan    // compiled release and placement plan; invalidated by FoldBN
+	live  []*graph.Node // cached G.Live() schedule; invalidated by FoldBN
 
 	vals  map[int]*tensor.Tensor
 	views map[int]*layers.Concat  // each concat's view of its inputs, rebuilt in place every pass
@@ -540,7 +538,6 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	// The caller owns the output from here on; detach it so the arena never
 	// recycles storage the caller may still read.
 	e.alloc.Detach(out)
-	e.publishArenaMetrics()
 	return out, nil
 }
 
@@ -687,7 +684,6 @@ func (e *Executor) Backward(dOut *tensor.Tensor) (map[string]*tensor.Tensor, err
 		}
 		e.releaseBackwardStep(step, gmap)
 	}
-	e.publishArenaMetrics()
 	return grads, nil
 }
 

@@ -10,12 +10,16 @@
 //     (sub-BN1) and a normalize sub-layer (sub-BN2), and likewise splits the
 //     backward pass into the dγ/dβ reductions (sub-BN2') and the element-wise
 //     input gradient (sub-BN1').
-//   - Fusion glues sub-BN1 into the preceding CONV (OpConvStats) and sub-BN2
-//     into the following ReLU and CONV (OpBNReLUConv). BNs not preceded by a
-//     CONV (composite-layer boundaries) keep a standalone sub-BN1 node.
+//   - Fusion glues sub-BN1 into the preceding CONV as its StatsOut epilogue
+//     (the CONV node's output statistics) and sub-BN2 into the following
+//     ReLU and CONV (OpBNReLUConv). BNs not preceded by a CONV
+//     (composite-layer boundaries) keep a standalone sub-BN1 node.
 //   - MVF removes the mean→variance dependency via V(X)=E(X²)−E(X)².
 //   - RCF fuses any remaining ReLU into its following CONV (OpReLUConv).
-//   - ICF extends fusion across Concat/Split at composite-layer boundaries.
+//   - ICF marks a boundary sub-BN1 that reads a Concat (graph.BNAttr.ICF).
+//     It is a cost-model term only: the cost model prices the sweeps a
+//     fusion with the concat's producers would remove, and the executor
+//     runs the sub-BN1 as it runs any other.
 //
 // The executor serves every per-pass buffer — node outputs, gradients, and
 // layer workspace — from a private

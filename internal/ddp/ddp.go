@@ -77,7 +77,7 @@ func ParseBNStrategy(s string) (BNStrategy, error) {
 }
 
 // Group drives data-parallel training over one primary executor. The primary
-// owns the canonical parameters, running statistics, tracer, and metrics; the
+// owns the canonical parameters, running statistics and tracer; the
 // replicas are sibling executors over the primary's graph that exist only to
 // produce per-shard gradients. The Group is not safe for concurrent
 // use; one ForwardBackward runs at a time, like Executor passes.
@@ -99,9 +99,7 @@ type Group struct {
 
 	scratch []*tensor.Tensor // gradient gather slots for the tree reduce
 
-	reduceBytes  *obs.Counter
-	replicaGauge *obs.Gauge
-	totalBytes   int64 // lifetime all-reduce traffic, kept even without metrics
+	totalBytes int64 // lifetime all-reduce traffic
 }
 
 // NewGroup builds a data-parallel group of `replicas` (at least 2) executors
@@ -146,11 +144,6 @@ func NewGroup(primary *core.Executor, replicas int, strategy BNStrategy) (*Group
 			rep.SetBNHooks(g.statsHook(r), g.reduceHook(r))
 		}
 		g.replicas[r] = rep
-	}
-	if m := primary.Metrics(); m != nil {
-		g.reduceBytes = m.Counter("ddp_reduce_bytes")
-		g.replicaGauge = m.Gauge("ddp_replicas")
-		g.replicaGauge.Set(int64(replicas))
 	}
 	return g, nil
 }
@@ -284,9 +277,6 @@ func (g *Group) ForwardBackward(x *tensor.Tensor, labels []int) (loss, acc float
 	}
 	bytes += g.ex.drainBytes()
 	g.totalBytes += bytes
-	if g.reduceBytes != nil {
-		g.reduceBytes.Add(bytes)
-	}
 	if err := g.adoptRunning(); err != nil {
 		return 0, 0, nil, err
 	}

@@ -89,7 +89,7 @@ func (x *exchanger) abort(err error) {
 // key, blocks until all n replicas have deposited, and returns the folded
 // result. The fold runs once, on the last-arriving replica's goroutine,
 // under the exchanger lock, over the slots in replica-index order; its
-// byte count accumulates for the group's reduce metrics. All replicas must
+// byte count accumulates into Group.ReduceBytes. All replicas must
 // present the same key — a mismatch means the replicas diverged in schedule,
 // which is a bug, and poisons the exchanger.
 func (x *exchanger) rendezvous(r int, key string, payload any, fold func(slots []any) (any, int64, error)) (any, error) {

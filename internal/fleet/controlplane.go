@@ -53,24 +53,22 @@ type backend struct {
 	generation uint64 // last observed model generation
 }
 
+// Ejection thresholds. failAfter consecutive failed readiness checks
+// (probes or predict-path unavailability) eject a backend; an ejected one is
+// re-probed after backoffBase clock nanoseconds, a delay that doubles per
+// failed re-probe up to backoffMax, and readmitAfter consecutive successful
+// probes readmit it.
+const (
+	failAfter    = 3
+	readmitAfter = 2
+	backoffBase  = int64(time.Second)
+	backoffMax   = int64(30 * time.Second)
+)
+
 // Config parameterizes a ControlPlane. The zero value is usable.
 type Config struct {
 	// Policy orders routable backends per request. Default ConsistentHash.
 	Policy Policy
-
-	// FailAfter is how many consecutive failed readiness checks (probes or
-	// predict-path unavailability) eject a backend. Default 3.
-	FailAfter int
-
-	// ReadmitAfter is how many consecutive successful probes readmit an
-	// ejected backend. Default 2.
-	ReadmitAfter int
-
-	// BackoffBase is the first re-probe delay after ejection in clock
-	// nanoseconds; it doubles per subsequent failure up to BackoffMax.
-	// Defaults 1s / 30s.
-	BackoffBase int64
-	BackoffMax  int64
 
 	// Clock supplies monotonic nanoseconds for ejection backoff. Library
 	// code must not read the wall clock (the seededrand contract): the
@@ -90,18 +88,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Policy == nil {
 		c.Policy = &ConsistentHash{}
-	}
-	if c.FailAfter == 0 {
-		c.FailAfter = 3
-	}
-	if c.ReadmitAfter == 0 {
-		c.ReadmitAfter = 2
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = int64(time.Second)
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = int64(30 * time.Second)
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -231,22 +217,22 @@ func (cp *ControlPlane) NoteFailure(name string) {
 // at the threshold.
 func (cp *ControlPlane) recordFailureLocked(b *backend) {
 	b.failures++
-	if b.failures < cp.cfg.FailAfter {
+	if b.failures < failAfter {
 		return
 	}
 	b.state = StateEjected
 	b.successes = 0
-	b.backoff = cp.cfg.BackoffBase
+	b.backoff = backoffBase
 	b.nextProbe = cp.now() + b.backoff
 	cp.mEjections.Inc()
 	cp.updateGaugesLocked()
 }
 
 // ProbeOnce runs one health sweep in sorted-name order: active backends are
-// readiness-checked and their queue-depth gauges scraped (FailAfter
+// readiness-checked and their queue-depth gauges scraped (failAfter
 // consecutive failures eject); ejected backends whose backoff has elapsed
-// are re-probed (ReadmitAfter consecutive successes readmit, failure doubles
-// the backoff up to BackoffMax); draining backends are deliberate and left
+// are re-probed (readmitAfter consecutive successes readmit, failure doubles
+// the backoff up to backoffMax); draining backends are deliberate and left
 // alone. Probes run outside the membership lock so a hung backend cannot
 // wedge routing.
 func (cp *ControlPlane) ProbeOnce() {
@@ -303,14 +289,14 @@ func (cp *ControlPlane) ProbeOnce() {
 			if err != nil {
 				b.successes = 0
 				b.backoff *= 2
-				if b.backoff > cp.cfg.BackoffMax {
-					b.backoff = cp.cfg.BackoffMax
+				if b.backoff > backoffMax {
+					b.backoff = backoffMax
 				}
 				b.nextProbe = cp.now() + b.backoff
 			} else {
 				b.successes++
 				b.nextProbe = cp.now() // eligible again next sweep
-				if b.successes >= cp.cfg.ReadmitAfter {
+				if b.successes >= readmitAfter {
 					b.state = StateActive
 					b.failures, b.successes, b.backoff = 0, 0, 0
 					if depth >= 0 {

@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"io"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // fakeConn is a scriptable backend for control-plane and routing tests.
@@ -116,15 +119,10 @@ func TestRegisterDeregisterValidation(t *testing.T) {
 }
 
 func TestEjectionBackoffAndReadmission(t *testing.T) {
+	const sec = int64(time.Second)
 	var now int64
 	conn := &fakeConn{}
-	cp := NewControlPlane(Config{
-		FailAfter:    3,
-		ReadmitAfter: 2,
-		BackoffBase:  100,
-		BackoffMax:   250,
-		Clock:        func() int64 { return now },
-	})
+	cp := NewControlPlane(Config{Clock: func() int64 { return now }})
 	if err := cp.Register("b1", conn); err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +132,11 @@ func TestEjectionBackoffAndReadmission(t *testing.T) {
 	cp.ProbeOnce()
 	cp.ProbeOnce()
 	if cp.States()["b1"] != StateActive {
-		t.Fatal("ejected before FailAfter consecutive failures")
+		t.Fatal("ejected before failAfter consecutive failures")
 	}
 	cp.ProbeOnce()
 	if cp.States()["b1"] != StateEjected {
-		t.Fatal("not ejected after FailAfter consecutive failures")
+		t.Fatal("not ejected after failAfter consecutive failures")
 	}
 	if got := cp.Metrics().Counter("bnff_fleet_ejections_total").Value(); got != 1 {
 		t.Fatalf("ejections counter = %d, want 1", got)
@@ -147,7 +145,7 @@ func TestEjectionBackoffAndReadmission(t *testing.T) {
 		t.Fatalf("active gauge = %d, want 0", got)
 	}
 
-	// Backoff gates re-probes: before BackoffBase elapses the ejected
+	// Backoff gates re-probes: before backoffBase elapses the ejected
 	// backend is not probed at all.
 	probes := cp.Metrics().Counter("bnff_fleet_probes_total").Value()
 	cp.ProbeOnce()
@@ -156,27 +154,40 @@ func TestEjectionBackoffAndReadmission(t *testing.T) {
 	}
 
 	// After the backoff elapses a failed probe doubles it, capped at
-	// BackoffMax: 100 → 200 → 250.
-	now = 100
-	cp.ProbeOnce() // fails; backoff 200, next probe at 300
-	now = 250
+	// backoffMax: 1s → 2s → 4s → 8s → 16s → 30s.
+	now = 1 * sec
+	cp.ProbeOnce() // fails; backoff 2s, next probe at 3s
+	now = 2 * sec
 	cp.ProbeOnce()
 	if got := cp.Metrics().Counter("bnff_fleet_probes_total").Value(); got != probes+1 {
 		t.Fatal("doubled backoff did not gate the re-probe")
 	}
-	now = 300
-	cp.ProbeOnce() // fails; backoff capped at 250
-
-	// Recovery: ReadmitAfter consecutive successes readmit.
-	conn.set(func(f *fakeConn) { f.readyErr = nil; f.depth = 7 })
-	now = 600
+	for _, at := range []int64{3, 7, 15, 31} {
+		now = at * sec
+		cp.ProbeOnce() // fails; backoff 4s, 8s, 16s, then capped at 30s
+	}
+	if got := cp.Metrics().Counter("bnff_fleet_probes_total").Value(); got != probes+5 {
+		t.Fatalf("probes = %d, want %d after four due re-probes", got, probes+5)
+	}
+	now = 60 * sec
 	cp.ProbeOnce()
+	if got := cp.Metrics().Counter("bnff_fleet_probes_total").Value(); got != probes+5 {
+		t.Fatal("re-probed before the 30s backoff elapsed")
+	}
+
+	// Recovery: readmitAfter consecutive successes readmit.
+	conn.set(func(f *fakeConn) { f.readyErr = nil; f.depth = 7 })
+	now = 61 * sec
+	cp.ProbeOnce()
+	if got := cp.Metrics().Counter("bnff_fleet_probes_total").Value(); got != probes+6 {
+		t.Fatal("backoff not capped at backoffMax: no re-probe 30s after the last failure")
+	}
 	if cp.States()["b1"] != StateEjected {
 		t.Fatal("readmitted after a single success")
 	}
 	cp.ProbeOnce()
 	if cp.States()["b1"] != StateActive {
-		t.Fatal("not readmitted after ReadmitAfter consecutive successes")
+		t.Fatal("not readmitted after readmitAfter consecutive successes")
 	}
 	if got := cp.Metrics().Counter("bnff_fleet_readmissions_total").Value(); got != 1 {
 		t.Fatalf("readmissions counter = %d, want 1", got)
@@ -187,9 +198,20 @@ func TestEjectionBackoffAndReadmission(t *testing.T) {
 	}
 }
 
+// TestDaemonRejectsNonPositiveProbeInterval checks that Daemon refuses a
+// probe interval the ticker cannot run, before it listens or probes.
+func TestDaemonRejectsNonPositiveProbeInterval(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Second} {
+		err := Daemon(context.Background(), "127.0.0.1:0", NewProxy(Config{}), d)
+		if err == nil || !strings.Contains(err.Error(), "probe interval "+d.String()) {
+			t.Errorf("Daemon(interval %v) = %v, want an error naming the interval", d, err)
+		}
+	}
+}
+
 func TestProbeSuccessResetsFailuresAndScrapesDepth(t *testing.T) {
 	conn := &fakeConn{}
-	cp := NewControlPlane(Config{FailAfter: 3})
+	cp := NewControlPlane(Config{})
 	if err := cp.Register("b1", conn); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
@@ -21,8 +22,12 @@ const shutdownGrace = 10 * time.Second
 // receives SIGINT/SIGTERM, then shuts the listener down gracefully. Signal
 // handling and the goroutines live here rather than in cmd/bnff-proxy
 // because fleet is the sanctioned concurrency domain; the cmd stays a
-// flag-parsing shell. It returns nil on a clean signal-driven exit.
+// flag-parsing shell. It returns nil on a clean signal-driven exit, and an
+// error before it starts anything when probeInterval is not positive.
 func Daemon(ctx context.Context, addr string, p *Proxy, probeInterval time.Duration) error {
+	if probeInterval <= 0 {
+		return fmt.Errorf("fleet: probe interval %v must be positive", probeInterval)
+	}
 	ctx, unhook := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer unhook()
 

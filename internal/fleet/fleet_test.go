@@ -108,7 +108,7 @@ func testImage(n int) []float32 {
 func TestEngineFleetFailoverAndBitMatch(t *testing.T) {
 	ckpt := mkCheckpoint(t, 11, 12)
 	e1, e2 := newEngine(t, ckpt), newEngine(t, ckpt)
-	p := NewProxy(Config{FailAfter: 2})
+	p := NewProxy(Config{})
 	cp := p.ControlPlane()
 	if err := cp.Register("b1", NewEngineConn(e1)); err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func TestPredictNoBackends(t *testing.T) {
 func TestPredictFailoverPastUnavailableAndEjects(t *testing.T) {
 	down := &fakeConn{predictErr: fmt.Errorf("%w: connection refused", ErrUnavailable)}
 	up := &fakeConn{logits: []float32{1, 2, 3}}
-	p := NewProxy(Config{FailAfter: 3})
+	p := NewProxy(Config{})
 	cp := p.ControlPlane()
 	if err := cp.Register("down", down); err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestPredictFailoverPastUnavailableAndEjects(t *testing.T) {
 	// Three failovers noted three failures: the dead backend is ejected and
 	// no longer even tried.
 	if cp.States()["down"] != StateEjected {
-		t.Fatal("dead backend not ejected after FailAfter predict-path failures")
+		t.Fatal("dead backend not ejected after failAfter predict-path failures")
 	}
 	before := down.count("predicts")
 	if _, err := p.Predict(key, nil); err != nil {

@@ -52,15 +52,6 @@ type OpCost struct {
 	Synthetic bool // true for implicit Split costs attached to fan-out nodes
 }
 
-// TotalBytes sums all sweep bytes (DRAM filtering not applied).
-func (c OpCost) TotalBytes() int64 {
-	var b int64
-	for _, s := range c.Sweeps {
-		b += s.Bytes
-	}
-	return b
-}
-
 // Per-element FLOP weights for the non-CONV arithmetic. These only matter
 // for the compute leg of the roofline, which non-CONV layers never bind on;
 // they are kept explicit so the model is auditable.

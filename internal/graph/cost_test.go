@@ -264,13 +264,6 @@ func TestWeightBytes(t *testing.T) {
 	}
 }
 
-func TestOpCostTotalBytes(t *testing.T) {
-	c := OpCost{Sweeps: []Sweep{rd(100), wr(50), rdW(7)}}
-	if c.TotalBytes() != 157 {
-		t.Errorf("TotalBytes = %d, want 157", c.TotalBytes())
-	}
-}
-
 func TestCostErrorsOnUnknownKind(t *testing.T) {
 	n := &Node{Kind: opKindCount, Name: "x", OutShape: tensor.Shape{1, 1, 1, 1}}
 	if _, err := n.ForwardCost(); err == nil {

@@ -215,18 +215,6 @@ func (g *Graph) Consumers() map[int][]*Node {
 	return m
 }
 
-// Outputs returns the live nodes no one consumes (normally just the logits).
-func (g *Graph) Outputs() []*Node {
-	cons := g.Consumers()
-	var out []*Node
-	for _, n := range g.Live() {
-		if len(cons[n.ID]) == 0 {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Input declares a graph input of the given shape.
 func (g *Graph) Input(name string, shape tensor.Shape) *Node {
 	return g.add(&Node{Kind: OpInput, Name: name, OutShape: shape.Clone(), CPL: -1})

@@ -98,9 +98,13 @@ func TestConsumersAndOutputs(t *testing.T) {
 	if len(cons[nodes[1].ID]) != 1 || cons[nodes[1].ID][0] != nodes[2] {
 		t.Error("conv1 consumer should be bn")
 	}
-	outs := g.Outputs()
-	if len(outs) != 1 || outs[0] != nodes[4] {
-		t.Errorf("outputs = %v", outs)
+	for _, n := range nodes[:4] {
+		if len(cons[n.ID]) == 0 {
+			t.Errorf("%s has no consumer", n.Name)
+		}
+	}
+	if outs := cons[nodes[4].ID]; len(outs) != 0 {
+		t.Errorf("output %s has consumers %v", nodes[4].Name, outs)
 	}
 }
 

@@ -1,10 +1,6 @@
 package memplan
 
-import (
-	"fmt"
-
-	"bnff/internal/graph"
-)
+import "bnff/internal/graph"
 
 // This file is the shared liveness core consumed by three clients with very
 // different stakes in its accuracy:
@@ -40,17 +36,6 @@ const (
 	// BufGrad is the gradient of a node's output value.
 	BufGrad
 )
-
-// String names the buffer family the way PlanTraining suffixes buffers.
-func (k BufKind) String() string {
-	switch k {
-	case BufValue:
-		return "value"
-	case BufGrad:
-		return "grad"
-	}
-	return fmt.Sprintf("BufKind(%d)", int(k))
-}
 
 // Interval is one buffer's live range over the training schedule: it is
 // written at step Start and last read at step End (inclusive).

@@ -33,28 +33,13 @@
 // conservative superset.
 package memplan
 
-import (
-	"fmt"
-	"sort"
-
-	"bnff/internal/graph"
-)
-
-// Buffer is one tensor allocation with its live interval in schedule steps.
-type Buffer struct {
-	Name  string
-	Bytes int64
-	Start int // schedule step that produces it
-	End   int // last schedule step that reads it
-}
+import "bnff/internal/graph"
 
 // Result is the footprint analysis of one training iteration or inference
-// pass.
+// pass: PeakBytes is the largest sum of interval bytes live at any one
+// schedule step.
 type Result struct {
-	Buffers   []Buffer
 	PeakBytes int64
-	PeakStep  int
-	Steps     int
 }
 
 // featureBytes is a node's output size in bytes.
@@ -93,8 +78,7 @@ func PlanTraining(g *graph.Graph) (*Result, error) {
 // PlanInference computes liveness for one inference pass: the forward values
 // of InferenceIntervals, each dead after its last forward reader. Its
 // PeakBytes is the most feature-map bytes an inference executor keeps live
-// at once, and its TotalAllocated what a pass that released nothing would
-// hold.
+// at once.
 func PlanInference(g *graph.Graph) (*Result, error) {
 	sched, ivs, err := InferenceIntervals(g)
 	if err != nil {
@@ -103,71 +87,18 @@ func PlanInference(g *graph.Graph) (*Result, error) {
 	return plan(sched, ivs), nil
 }
 
-// plan aggregates intervals into a Result, naming each buffer by its node
-// and family.
+// plan computes the peak of the live-bytes profile over the schedule: each
+// interval adds its bytes at Start and removes them after End.
 func plan(sched *Schedule, ivs []Interval) *Result {
-	buffers := make([]Buffer, 0, len(ivs))
+	delta := make([]int64, sched.Steps+1)
 	for _, iv := range ivs {
-		name := iv.Node.Name
-		if iv.Kind == BufGrad {
-			name += ".grad"
-		}
-		buffers = append(buffers, Buffer{Name: name, Bytes: iv.Bytes, Start: iv.Start, End: iv.End})
+		delta[iv.Start] += iv.Bytes
+		delta[iv.End+1] -= iv.Bytes
 	}
-	res := &Result{Buffers: buffers, Steps: sched.Steps}
-	res.computePeak()
-	return res
-}
-
-func (r *Result) computePeak() {
-	type event struct {
-		step  int
-		delta int64
-	}
-	var events []event
-	for _, b := range r.Buffers {
-		events = append(events, event{b.Start, b.Bytes}, event{b.End + 1, -b.Bytes})
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].step < events[j].step })
 	var cur, peak int64
-	peakStep := 0
-	for i := 0; i < len(events); {
-		step := events[i].step
-		for ; i < len(events) && events[i].step == step; i++ {
-			cur += events[i].delta
-		}
-		// cur is now the live set for [step, nextStep).
-		if cur > peak {
-			peak, peakStep = cur, step
-		}
+	for _, d := range delta {
+		cur += d
+		peak = max(peak, cur)
 	}
-	r.PeakBytes = peak
-	r.PeakStep = peakStep
-}
-
-// LiveAt returns the bytes live at a schedule step.
-func (r *Result) LiveAt(step int) int64 {
-	var s int64
-	for _, b := range r.Buffers {
-		if b.Start <= step && step <= b.End {
-			s += b.Bytes
-		}
-	}
-	return s
-}
-
-// TotalAllocated returns the sum of all buffer sizes (ignoring reuse).
-func (r *Result) TotalAllocated() int64 {
-	var s int64
-	for _, b := range r.Buffers {
-		s += b.Bytes
-	}
-	return s
-}
-
-// String summarizes the plan.
-func (r *Result) String() string {
-	return fmt.Sprintf("peak %.1f MB at step %d/%d (%d buffers, %.1f MB allocated)",
-		float64(r.PeakBytes)/1e6, r.PeakStep, r.Steps, len(r.Buffers),
-		float64(r.TotalAllocated())/1e6)
+	return &Result{PeakBytes: peak}
 }

@@ -66,10 +66,6 @@ func TestPlanSimpleChain(t *testing.T) {
 	if len(want) != 0 {
 		t.Errorf("activations missing from the plan: %v", want)
 	}
-	// LiveAt peak step must equal PeakBytes.
-	if res.LiveAt(res.PeakStep) != res.PeakBytes {
-		t.Errorf("LiveAt(peak)=%d != PeakBytes=%d", res.LiveAt(res.PeakStep), res.PeakBytes)
-	}
 }
 
 func TestPlanIntervalSanity(t *testing.T) {
@@ -77,24 +73,77 @@ func TestPlanIntervalSanity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := plan(t, g)
-	for _, b := range res.Buffers {
-		if b.Start > b.End {
-			t.Errorf("buffer %s has inverted interval [%d, %d]", b.Name, b.Start, b.End)
+	sched, ivs, err := memplan.TrainingIntervals(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, iv := range ivs {
+		if iv.Start > iv.End {
+			t.Errorf("%s %v has inverted interval [%d, %d]", iv.Node.Name, iv.Kind, iv.Start, iv.End)
 		}
-		if b.Bytes <= 0 {
-			t.Errorf("buffer %s has %d bytes", b.Name, b.Bytes)
+		if iv.Bytes <= 0 {
+			t.Errorf("%s %v has %d bytes", iv.Node.Name, iv.Kind, iv.Bytes)
 		}
-		if b.End >= res.Steps {
-			t.Errorf("buffer %s outlives the schedule (%d >= %d)", b.Name, b.End, res.Steps)
+		if iv.End >= sched.Steps {
+			t.Errorf("%s %v outlives the schedule (%d >= %d)", iv.Node.Name, iv.Kind, iv.End, sched.Steps)
 		}
 	}
-	if res.PeakBytes > res.TotalAllocated() {
-		t.Error("peak exceeds total allocation")
+}
+
+// The planned peak is the largest sum of interval bytes live at one step,
+// for every registered model and restructuring, training and inference.
+func TestPlanPeakIsLargestLiveSum(t *testing.T) {
+	for _, name := range models.Names() {
+		for _, scen := range []core.Scenario{core.Baseline, core.RCF, core.BNFF} {
+			g, err := models.Build(name, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := core.Restructure(g, scen.Options()); err != nil {
+				t.Fatal(err)
+			}
+			for _, pass := range []struct {
+				name      string
+				intervals func(*graph.Graph) (*memplan.Schedule, []memplan.Interval, error)
+				plan      func(*graph.Graph) (*memplan.Result, error)
+			}{
+				{"training", memplan.TrainingIntervals, memplan.PlanTraining},
+				{"inference", memplan.InferenceIntervals, memplan.PlanInference},
+			} {
+				sched, ivs, err := pass.intervals(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want int64
+				for step := 0; step < sched.Steps; step++ {
+					var live int64
+					for _, iv := range ivs {
+						if iv.Start <= step && step <= iv.End {
+							live += iv.Bytes
+						}
+					}
+					want = max(want, live)
+				}
+				res, err := pass.plan(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.PeakBytes != want {
+					t.Errorf("%s %v %s: planned peak %d bytes, largest live sum %d", name, scen, pass.name, res.PeakBytes, want)
+				}
+			}
+		}
 	}
-	if res.String() == "" {
-		t.Error("empty summary")
+}
+
+// totalBytes is the sum of the intervals' sizes: what a pass that released
+// nothing would hold.
+func totalBytes(ivs []memplan.Interval) int64 {
+	var s int64
+	for _, iv := range ivs {
+		s += iv.Bytes
 	}
+	return s
 }
 
 // The footprint claim: BNFF's restructured graph keeps fewer intermediates
@@ -142,9 +191,16 @@ func TestBNFFReducesTotalAllocation(t *testing.T) {
 	if err := core.Restructure(bnff, core.BNFF.Options()); err != nil {
 		t.Fatal(err)
 	}
-	a, b := plan(t, base), plan(t, bnff)
-	if b.TotalAllocated() >= a.TotalAllocated() {
-		t.Errorf("BNFF allocates %d, baseline %d", b.TotalAllocated(), a.TotalAllocated())
+	_, a, err := memplan.TrainingIntervals(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, b, err := memplan.TrainingIntervals(bnff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if totalBytes(b) >= totalBytes(a) {
+		t.Errorf("BNFF allocates %d, baseline %d", totalBytes(b), totalBytes(a))
 	}
 }
 
@@ -380,7 +436,7 @@ func TestInferenceIntervalsEndAtLastForwardReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	// At c2's step c1, r1 and c2 (512 B each) are live.
-	if res.PeakBytes != 3*512 || res.TotalAllocated() != 3*512+64+16 {
-		t.Errorf("inference plan %v: peak %d, total %d", res, res.PeakBytes, res.TotalAllocated())
+	if res.PeakBytes != 3*512 || totalBytes(ivs) != 3*512+64+16 {
+		t.Errorf("inference plan: peak %d, total %d", res.PeakBytes, totalBytes(ivs))
 	}
 }

@@ -149,11 +149,6 @@ func PascalTitanXCutlass() Machine {
 	return m
 }
 
-// Table1 returns the three architectures of the paper's Table 1, in order.
-func Table1() []Machine {
-	return []Machine{Skylake(), KNL(), PascalTitanX()}
-}
-
 // WithBandwidth returns a copy with the peak memory bandwidth scaled, used
 // by Figure 8's half-bandwidth experiment and the FLOP/B trend sweeps.
 func (m Machine) WithBandwidth(scale float64) Machine {

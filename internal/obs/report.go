@@ -114,16 +114,6 @@ func (b Breakdown) ShareOf(cat string) float64 {
 	return 0
 }
 
-// Shares returns every category's share keyed by category name — the form
-// CompareShares consumes.
-func (b Breakdown) Shares() map[string]float64 {
-	out := make(map[string]float64, len(b.Rows))
-	for _, r := range b.Rows {
-		out[r.Cat] = r.Share
-	}
-	return out
-}
-
 // WriteTable renders the breakdown as an aligned text table. When modeled is
 // non-nil its shares appear as a fourth column — the measured-vs-modeled
 // comparison cmd/bnff-profile prints against internal/memsim's prediction.

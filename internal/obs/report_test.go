@@ -65,14 +65,6 @@ func TestBreakdownDeterministicTiebreak(t *testing.T) {
 	}
 }
 
-func TestSharesRoundTrip(t *testing.T) {
-	b := BreakdownOf(testSpans(), func(cat string) bool { return cat != "pass" })
-	s := b.Shares()
-	if len(s) != 3 || math.Abs(s["CONV/FC"]-0.8) > 1e-12 {
-		t.Fatalf("shares = %v", s)
-	}
-}
-
 func TestEmptyBreakdown(t *testing.T) {
 	b := BreakdownOf(nil, nil)
 	if b.TotalNs != 0 || len(b.Rows) != 0 {

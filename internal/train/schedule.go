@@ -50,23 +50,6 @@ func (c CosineDecay) LR(step int) float64 {
 	return c.Floor + float64((c.Base-c.Floor)*0.5*(1+math.Cos(math.Pi*frac)))
 }
 
-// WarmupWrap linearly ramps the wrapped schedule's rate over the first
-// Steps steps — the large-minibatch warmup of Goyal et al., which the paper
-// cites for distributed-training cost.
-type WarmupWrap struct {
-	Inner Schedule
-	Steps int
-}
-
-// LR implements Schedule.
-func (w WarmupWrap) LR(step int) float64 {
-	lr := w.Inner.LR(step)
-	if w.Steps > 0 && step < w.Steps {
-		return lr * float64(step+1) / float64(w.Steps)
-	}
-	return lr
-}
-
 // validateSchedule sanity-checks user-provided schedule parameters.
 func validateSchedule(s Schedule) error {
 	switch v := s.(type) {

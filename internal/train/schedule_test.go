@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"bnff/internal/core"
-	"bnff/internal/tensor"
 )
 
 func TestConstantLR(t *testing.T) {
@@ -56,16 +55,6 @@ func TestCosineDecay(t *testing.T) {
 	}
 }
 
-func TestWarmup(t *testing.T) {
-	s := WarmupWrap{Inner: ConstantLR(1), Steps: 4}
-	want := []float64{0.25, 0.5, 0.75, 1, 1, 1}
-	for step, w := range want {
-		if got := s.LR(step); math.Abs(got-w) > 1e-12 {
-			t.Errorf("warmup at %d = %v, want %v", step, got, w)
-		}
-	}
-}
-
 func TestValidateSchedule(t *testing.T) {
 	bad := []Schedule{
 		ConstantLR(0),
@@ -81,7 +70,7 @@ func TestValidateSchedule(t *testing.T) {
 		}
 	}
 	good := []Schedule{nil, ConstantLR(0.1), StepDecay{Base: 1, Gamma: 0.5, Every: 5},
-		CosineDecay{Base: 1, Floor: 0, Total: 10}, WarmupWrap{Inner: ConstantLR(1), Steps: 2}}
+		CosineDecay{Base: 1, Floor: 0, Total: 10}}
 	for _, s := range good {
 		if err := validateSchedule(s); err != nil {
 			t.Errorf("rejected valid schedule %#v: %v", s, err)
@@ -103,50 +92,5 @@ func TestTrainerAppliesSchedule(t *testing.T) {
 	bad := newTinyTrainer(t, core.Baseline, 42, WithSchedule(ConstantLR(0)))
 	if _, err := bad.Step(); err == nil {
 		t.Error("trainer accepted invalid schedule at step time")
-	}
-}
-
-func TestNesterovDiffersFromClassical(t *testing.T) {
-	mk := func(nesterov bool) float32 {
-		opt := NewSGD(0.1, 0.9, 0)
-		opt.Nesterov = nesterov
-		w := map[string]*tensor.Tensor{"p.w": tensor.MustFromSlice([]float32{1}, 1)}
-		g := map[string]*tensor.Tensor{"p.w": tensor.MustFromSlice([]float32{1}, 1)}
-		for i := 0; i < 3; i++ {
-			if err := opt.Step(w, g); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return w["p.w"].Data[0]
-	}
-	classical, nesterov := mk(false), mk(true)
-	if classical == nesterov {
-		t.Error("Nesterov update identical to classical")
-	}
-	// Nesterov looks ahead, so with a constant gradient it moves farther.
-	if !(nesterov < classical) {
-		t.Errorf("nesterov %v should be below classical %v for constant gradient", nesterov, classical)
-	}
-}
-
-func TestNesterovKnownValues(t *testing.T) {
-	// μ=0.5, η=1, g=1, w0=0:
-	// step1: v=1, w -= (1 + 0.5·1) = -1.5
-	// step2: v=1.5, w -= (1 + 0.75) = -3.25
-	opt := NewSGD(1, 0.5, 0)
-	opt.Nesterov = true
-	w := map[string]*tensor.Tensor{"p.w": tensor.New(1)}
-	g := map[string]*tensor.Tensor{"p.w": tensor.MustFromSlice([]float32{1}, 1)}
-	if err := opt.Step(w, g); err != nil {
-		t.Fatal(err)
-	}
-	if w["p.w"].Data[0] != -1.5 {
-		t.Errorf("after step 1: %v, want -1.5", w["p.w"].Data[0])
-	}
-	if err := opt.Step(w, g); err != nil {
-		t.Fatal(err)
-	}
-	if w["p.w"].Data[0] != -3.25 {
-		t.Errorf("after step 2: %v, want -3.25", w["p.w"].Data[0])
 	}
 }

@@ -14,7 +14,7 @@ func TestWithTracerRecordsStepSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := core.NewExecutor(g, core.WithSeed(3))
+	exec, err := core.NewExecutor(g, core.WithSeed(3), core.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestWithTracerRecordsStepSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer := obs.NewTracer(obs.StepClock(10))
-	tr, err := NewTrainer(exec, data, WithBatchSize(4), WithWorkers(2), WithTracer(tracer))
+	tr, err := NewTrainer(exec, data, WithBatchSize(4), WithTracer(tracer))
 	if err != nil {
 		t.Fatal(err)
 	}

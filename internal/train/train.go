@@ -16,13 +16,12 @@ import (
 	"bnff/internal/workload"
 )
 
-// SGD is stochastic gradient descent with classical or Nesterov momentum
-// and decoupled L2 weight decay, the optimizer the studied CNNs train with.
+// SGD is stochastic gradient descent with classical momentum and
+// decoupled L2 weight decay, the optimizer the studied CNNs train with.
 type SGD struct {
 	LR          float64
 	Momentum    float64
 	WeightDecay float64
-	Nesterov    bool
 
 	velocity map[string]*tensor.Tensor
 }
@@ -33,8 +32,7 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 		velocity: make(map[string]*tensor.Tensor)}
 }
 
-// Step applies one update. Classical: v ← μ·v + (g + λ·w); w ← w − η·v.
-// Nesterov: w ← w − η·(g + λ·w + μ·v) with the same velocity recurrence.
+// Step applies one update: v ← μ·v + (g + λ·w); w ← w − η·v.
 // Weight decay is skipped for BN parameters and biases, as is conventional.
 func (o *SGD) Step(params, grads map[string]*tensor.Tensor) error {
 	// Per-parameter updates are independent, but iterate in sorted-name
@@ -62,11 +60,7 @@ func (o *SGD) Step(params, grads map[string]*tensor.Tensor) error {
 		for i := range w.Data {
 			upd := g.Data[i] + float32(decay*w.Data[i])
 			v.Data[i] = float32(mu*v.Data[i]) + upd
-			if o.Nesterov {
-				w.Data[i] -= float32(lr * (upd + float32(mu*v.Data[i])))
-			} else {
-				w.Data[i] -= float32(lr * v.Data[i])
-			}
+			w.Data[i] -= float32(lr * v.Data[i])
 		}
 	}
 	return nil
@@ -118,11 +112,6 @@ func WithOptimizer(opt *SGD) TrainerOption { return func(t *Trainer) { t.Opt = o
 // optimizer step.
 func WithSchedule(s Schedule) TrainerOption { return func(t *Trainer) { t.schedule = s } }
 
-// WithWorkers resizes the executor's worker pool — a convenience forwarding
-// to core.Executor.SetWorkers so callers configuring a training run in one
-// place need not touch the executor separately.
-func WithWorkers(n int) TrainerOption { return func(t *Trainer) { t.Exec.SetWorkers(n) } }
-
 // WithReplicas trains data-parallel over n replica executors (see
 // internal/ddp): each step shards the mini-batch n ways, runs the replicas
 // concurrently, and averages their gradients through a fixed-order tree
@@ -138,8 +127,7 @@ func WithBNStrategy(s ddp.BNStrategy) TrainerOption { return func(t *Trainer) { 
 // WithTracer attaches a span tracer to the underlying executor (forwarding to
 // core.Executor.SetTracer) and additionally records one obs.CatStep envelope
 // span per optimizer step, so a trace shows where pass time sits inside the
-// whole update cycle. Combines with WithWorkers in either order — both
-// SetWorkers and SetTracer rethread the tracer through the executor's pool.
+// whole update cycle.
 func WithTracer(tr *obs.Tracer) TrainerOption { return func(t *Trainer) { t.Exec.SetTracer(tr) } }
 
 // NewTrainer wires up a training run over the executor and data source,
@@ -147,8 +135,7 @@ func WithTracer(tr *obs.Tracer) TrainerOption { return func(t *Trainer) { t.Exec
 //
 //	tr, err := train.NewTrainer(exec, data,
 //	        train.WithBatchSize(32),
-//	        train.WithOptimizer(train.NewSGD(0.1, 0.9, 1e-4)),
-//	        train.WithWorkers(runtime.GOMAXPROCS(0)))
+//	        train.WithOptimizer(train.NewSGD(0.1, 0.9, 1e-4)))
 //
 // The executor must be a training one: its Forward updates the running
 // statistics, and Backward is unavailable in inference mode.

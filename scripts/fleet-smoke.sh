@@ -13,6 +13,9 @@
 #      (zero accepted-request loss), and the control plane ejects the corpse.
 #   3. Clean shutdown: proxy and surviving backend exit cleanly on SIGTERM.
 #
+# First, a proxy started with -probe-interval 0 must exit non-zero with an
+# error naming the interval, not panic.
+#
 # Run from the repository root (make fleet-smoke / CI).
 set -euo pipefail
 
@@ -27,6 +30,16 @@ trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$DIR"' EXIT
 go build -o "$DIR/bnff-train" ./cmd/bnff-train
 go build -o "$DIR/bnff-serve" ./cmd/bnff-serve
 go build -o "$DIR/bnff-proxy" ./cmd/bnff-proxy
+
+status=0
+timeout 10 "$DIR/bnff-proxy" -addr "$PROXY_ADDR" -probe-interval 0 >"$DIR/zero.log" 2>&1 || status=$?
+if [ "$status" -eq 0 ] || ! grep -q "probe interval 0s must be positive" "$DIR/zero.log" \
+        || grep -q "panic:" "$DIR/zero.log"; then
+    echo "bnff-proxy -probe-interval 0: exit $status, want an error naming the interval" >&2
+    cat "$DIR/zero.log" >&2
+    exit 1
+fi
+echo "bnff-proxy -probe-interval 0 refused with an error, no panic"
 
 # Two checkpoints of the baseline tiny-cnn graph: A is what the fleet boots
 # from, B is what the rolling reload swaps in.
