@@ -128,11 +128,13 @@ func runGraph(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout)
 
+	// Swept bytes print in MB to the byte, so a tiny model's sweeps read
+	// non-zero.
 	classFLOPs := map[graph.LayerClass]int64{}
-	classGB := map[graph.LayerClass]float64{}
+	classBytes := map[graph.LayerClass]int64{}
 	if !*summary {
-		fmt.Fprintf(stdout, "%-9s %-32s %-12s %6s %6s %10s %12s\n",
-			"pass", "node", "kind", "reads", "writes", "sweep GB", "GFLOPs")
+		fmt.Fprintf(stdout, "%-9s %-32s %-16s %6s %6s %16s %12s\n",
+			"pass", "node", "kind", "reads", "writes", "sweep MB", "GFLOPs")
 	}
 	for _, t := range r.Timings {
 		c := t.Cost
@@ -152,7 +154,7 @@ func runGraph(args []string, stdout io.Writer) error {
 			name += ".split"
 		}
 		var reads, writes int
-		var gb float64
+		var bytes int64
 		for _, s := range c.Sweeps {
 			if s.Kind != graph.SweepFeatureMap {
 				continue
@@ -162,23 +164,29 @@ func runGraph(args []string, stdout io.Writer) error {
 			} else {
 				reads++
 			}
-			gb += float64(s.Bytes) / 1e9
+			bytes += s.Bytes
 		}
 		classFLOPs[cls] += c.FLOPs
-		classGB[cls] += gb
+		classBytes[cls] += bytes
 		if !*summary {
-			fmt.Fprintf(stdout, "%-9s %-32s %-12s %6d %6d %10.3f %12.2f\n",
-				c.Dir, name, kind, reads, writes, gb, float64(c.FLOPs)/1e9)
+			fmt.Fprintf(stdout, "%-9s %-32s %-16s %6d %6d %16.6f %12.2f\n",
+				c.Dir, name, kind, reads, writes, float64(bytes)/1e6, float64(c.FLOPs)/1e9)
 		}
 	}
 	fmt.Fprintln(stdout, "per-class totals:")
+	var totalFLOPs, totalBytes int64
+	row := func(name string, bytes, flops int64) {
+		fmt.Fprintf(stdout, "  %-14s %16.6f MB swept %12.1f GFLOPs\n", name, float64(bytes)/1e6, float64(flops)/1e9)
+	}
 	for cls := graph.LayerClass(0); int(cls) < 7; cls++ {
-		if classFLOPs[cls] == 0 && classGB[cls] == 0 {
+		if classFLOPs[cls] == 0 && classBytes[cls] == 0 {
 			continue
 		}
-		fmt.Fprintf(stdout, "  %-14s %10.1f GB swept %12.1f GFLOPs\n",
-			cls, classGB[cls], float64(classFLOPs[cls])/1e9)
+		row(cls.String(), classBytes[cls], classFLOPs[cls])
+		totalFLOPs += classFLOPs[cls]
+		totalBytes += classBytes[cls]
 	}
+	row("total", totalBytes, totalFLOPs)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -40,6 +41,30 @@ func TestGraphVerb(t *testing.T) {
 	if dot := runOut(t, "graph", "-model", "tiny-cnn", "-batch", "2", "-dot"); !strings.HasPrefix(dot, "digraph") {
 		t.Errorf("graph -dot output does not start a digraph:\n%s", dot)
 	}
+	// A tiny model's sweeps are kilobytes: the totals must not round to 0,
+	// and BNFF must sweep fewer bytes than the baseline.
+	base := sweptMB(t, runOut(t, "graph", "-model", "tiny-cnn", "-restructure", "baseline", "-batch", "16", "-summary"))
+	bnff := sweptMB(t, runOut(t, "graph", "-model", "tiny-cnn", "-restructure", "bnff", "-batch", "16", "-summary"))
+	if bnff <= 0 || base <= bnff {
+		t.Errorf("tiny-cnn swept MB: baseline %g, bnff %g; want baseline > bnff > 0", base, bnff)
+	}
+}
+
+// sweptMB reads the total row of the graph verb's per-class totals.
+func sweptMB(t *testing.T, out string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) > 2 && f[0] == "total" && f[2] == "MB" {
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("no total row in:\n%s", out)
+	return 0
 }
 
 // -dir used to fall through to "both" for any value but forward/backward, so

@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"strings"
 	"time"
@@ -47,6 +48,16 @@ func run(addr, backends, policyName string, probeInterval time.Duration) error {
 	if err != nil {
 		return err
 	}
+	// fleet.Daemon checks this too; checking here refuses the interval
+	// before the bind and the banner.
+	if probeInterval <= 0 {
+		return fmt.Errorf("probe interval %v must be positive", probeInterval)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
 	// Monotonic nanoseconds for ejection backoff; the library never reads
 	// the wall clock itself (the seededrand contract).
 	base := time.Now()
@@ -69,6 +80,6 @@ func run(addr, backends, policyName string, probeInterval time.Duration) error {
 		}
 	}
 	fmt.Printf("proxy listening on %s  (policy %s, %d backends, probe every %v)\n",
-		addr, policy.Name(), len(cp.Status().Backends), probeInterval)
-	return fleet.Daemon(context.Background(), addr, proxy, probeInterval)
+		ln.Addr(), policy.Name(), len(cp.Status().Backends), probeInterval)
+	return fleet.Daemon(context.Background(), ln, proxy, probeInterval)
 }

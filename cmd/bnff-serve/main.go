@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"time"
 
@@ -56,6 +57,14 @@ func main() {
 func run(model, ckptPath, addr string, steps, batch, maxBatch, replicas, queue, workers int,
 	maxWait time.Duration, fold bool, seed uint64) error {
 
+	// Bind first: a port in use fails before self-training, and the banner
+	// names the bound address (the real port for -addr :0).
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+
 	var ckpt io.Reader
 	if ckptPath != "" {
 		f, err := os.Open(ckptPath)
@@ -91,8 +100,8 @@ func run(model, ckptPath, addr string, steps, batch, maxBatch, replicas, queue, 
 		return err
 	}
 	fmt.Printf("listening on %s  (image floats: %d, classes: %d, max-batch %d, replicas %d, fold %v)\n",
-		addr, eng.ImageLen(), eng.Classes(), maxBatch, replicas, fold)
-	return serve.Daemon(context.Background(), addr, eng)
+		ln.Addr(), eng.ImageLen(), eng.Classes(), maxBatch, replicas, fold)
+	return serve.Daemon(context.Background(), ln, eng)
 }
 
 // selfTrain produces a demo checkpoint in memory: a few SGD steps on the

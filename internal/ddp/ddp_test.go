@@ -32,16 +32,13 @@ func buildExec(t testing.TB, model string, batch int, sc core.Scenario, seed uin
 
 func dataFor(t testing.TB, model string, seed uint64) *workload.Dataset {
 	t.Helper()
-	shape, err := models.InputShape(model, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	classes, err := models.Classes(model, 1)
+	g, err := models.Build(model, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data, err := workload.New(workload.Config{
-		Classes: classes, Channels: shape[1], Size: shape[2], Noise: 0.3, Seed: seed,
+		Classes: g.Output.OutShape[1], Channels: g.Nodes[0].OutShape[1],
+		Size: g.Nodes[0].OutShape[2], Noise: 0.3, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@
 // Figure 1 (execution-time breakdown across CNN generations), Figure 3
 // (bandwidth over time), Figure 4 (finite vs infinite bandwidth), Figure 6
 // (architecture comparison), Figure 7 (scenario times and memory accesses),
-// Figure 8 (half-bandwidth sensitivity), the §5 GPU/CUTLASS results, the
+// Figure 8 (bandwidth sensitivity), the §5 GPU/CUTLASS results, the
 // §5 headline numbers, and the ablations of BNFF's gain. Each generator
 // returns an Experiment whose metrics pair the measured value with the
 // paper's reported value, so the harness prints paper-vs-measured directly.
@@ -343,47 +343,43 @@ func Figure7(batch int) (*Experiment, error) {
 }
 
 // Figure8 reproduces the bandwidth-sensitivity experiment: baseline vs BNFF
-// at full (230.4 GB/s) and half (115.2 GB/s) memory bandwidth.
+// at full (230.4 GB/s) and half (115.2 GB/s) memory bandwidth, the paper's two
+// points, and at 4x, 2x and 1/4x, which extend the trend the paper predicts
+// for accelerators whose compute outgrows their bandwidth.
 func Figure8(batch int) (*Experiment, error) {
-	full := memsim.Skylake()
-	half := memsim.Skylake().WithBandwidth(0.5)
-	type cfg struct {
-		name string
-		mach memsim.Machine
+	nan := math.NaN()
+	// Paper values for the baseline's non-CONV share and BNFF's gain.
+	points := []struct{ scale, share, gain float64 }{
+		{4, nan, nan}, {2, nan, nan}, {1, 0.589, 0.257}, {0.5, 0.630, 0.301}, {0.25, nan, nan},
 	}
-	var (
-		nonConvShare = map[string]float64{}
-		gain         = map[string]float64{}
-	)
+	var shares, gains []Metric
 	var detail strings.Builder
 	fmt.Fprintf(&detail, "%-12s %-9s %9s %9s %12s\n", "bandwidth", "scenario", "total s", "gain", "nonCONV shr")
-	for _, c := range []cfg{{"230.4GB/s", full}, {"115.2GB/s", half}} {
-		base, err := Simulate("densenet121", batch, core.Baseline, c.mach)
+	for _, p := range points {
+		mach := memsim.Skylake().WithBandwidth(p.scale)
+		base, err := Simulate("densenet121", batch, core.Baseline, mach)
 		if err != nil {
 			return nil, err
 		}
-		bnff, err := Simulate("densenet121", batch, core.BNFF, c.mach)
+		bnff, err := Simulate("densenet121", batch, core.BNFF, mach)
 		if err != nil {
 			return nil, err
 		}
 		conv, nonConv := base.ConvSplit()
-		nonConvShare[c.name] = nonConv / (conv + nonConv)
-		gain[c.name] = 1 - bnff.Total()/base.Total()
-		fmt.Fprintf(&detail, "%-12s %-9s %9.3f %9.3f %12.3f\n", c.name, "baseline", base.Total(), 0.0, nonConvShare[c.name])
-		fmt.Fprintf(&detail, "%-12s %-9s %9.3f %9.3f %12s\n", c.name, "BNFF", bnff.Total(), gain[c.name], "-")
+		share := nonConv / (conv + nonConv)
+		gain := 1 - bnff.Total()/base.Total()
+		bw := fmt.Sprintf("%.1fGB/s", mach.PeakBW/1e9)
+		fmt.Fprintf(&detail, "%-12s %-9s %9.3f %9.3f %12.3f\n", bw, "baseline", base.Total(), 0.0, share)
+		fmt.Fprintf(&detail, "%-12s %-9s %9.3f %9.3f %12s\n", bw, "BNFF", bnff.Total(), gain, "-")
+		shares = append(shares, m("baseline non-CONV share @"+bw, "frac", share, p.share))
+		gains = append(gains, m("BNFF gain @"+bw, "frac", gain, p.gain))
 	}
-	e := &Experiment{
-		ID:    "fig8",
-		Title: "Baseline vs BNFF at full and half memory bandwidth (DenseNet-121, Skylake)",
-		Metrics: []Metric{
-			m("baseline non-CONV share @230.4GB/s", "frac", nonConvShare["230.4GB/s"], 0.589),
-			m("baseline non-CONV share @115.2GB/s", "frac", nonConvShare["115.2GB/s"], 0.630),
-			m("BNFF gain @230.4GB/s", "frac", gain["230.4GB/s"], 0.257),
-			m("BNFF gain @115.2GB/s", "frac", gain["115.2GB/s"], 0.301),
-		},
-		Detail: detail.String(),
-	}
-	return e, nil
+	return &Experiment{
+		ID:      "fig8",
+		Title:   "Baseline vs BNFF from 4x to 1/4x memory bandwidth (DenseNet-121, Skylake)",
+		Metrics: append(shares, gains...),
+		Detail:  detail.String(),
+	}, nil
 }
 
 // GPUResults reproduces the §5 CUTLASS-GPU evaluation: RCF, RCF+MVF, and

@@ -198,20 +198,28 @@ func TestFigure7ScenarioOrdering(t *testing.T) {
 	}
 }
 
+// Both of Figure 8's series must rise strictly as bandwidth falls, over all
+// five scales from 4x to 1/4x: the paper's future-accelerator argument.
 func TestFigure8Direction(t *testing.T) {
 	e, err := Figure8(smallBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := map[string]float64{}
-	for _, mt := range e.Metrics {
-		v[mt.Name] = mt.Measured
-	}
-	if v["baseline non-CONV share @115.2GB/s"] <= v["baseline non-CONV share @230.4GB/s"] {
-		t.Error("non-CONV share did not rise at half bandwidth")
-	}
-	if v["BNFF gain @115.2GB/s"] <= v["BNFF gain @230.4GB/s"] {
-		t.Error("BNFF gain did not rise at half bandwidth")
+	for _, series := range []string{"baseline non-CONV share @", "BNFF gain @"} {
+		var got []Metric
+		for _, mt := range e.Metrics {
+			if strings.HasPrefix(mt.Name, series) {
+				got = append(got, mt)
+			}
+		}
+		if len(got) != 5 {
+			t.Fatalf("%q: %d metrics, want 5 scales", series, len(got))
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i].Measured <= got[i-1].Measured {
+				t.Errorf("%s = %.3f not above %s = %.3f", got[i].Name, got[i].Measured, got[i-1].Name, got[i-1].Measured)
+			}
+		}
 	}
 }
 

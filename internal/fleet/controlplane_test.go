@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -199,12 +200,21 @@ func TestEjectionBackoffAndReadmission(t *testing.T) {
 }
 
 // TestDaemonRejectsNonPositiveProbeInterval checks that Daemon refuses a
-// probe interval the ticker cannot run, before it listens or probes.
+// probe interval the ticker cannot run, before it serves or probes, and
+// closes the listener it was handed.
 func TestDaemonRejectsNonPositiveProbeInterval(t *testing.T) {
 	for _, d := range []time.Duration{0, -time.Second} {
-		err := Daemon(context.Background(), "127.0.0.1:0", NewProxy(Config{}), d)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = Daemon(context.Background(), ln, NewProxy(Config{}), d)
 		if err == nil || !strings.Contains(err.Error(), "probe interval "+d.String()) {
 			t.Errorf("Daemon(interval %v) = %v, want an error naming the interval", d, err)
+		}
+		if c, err := ln.Accept(); err == nil {
+			c.Close()
+			t.Errorf("Daemon(interval %v) left its listener open", d)
 		}
 	}
 }

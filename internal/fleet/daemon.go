@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -17,15 +18,17 @@ import (
 // after a termination signal.
 const shutdownGrace = 10 * time.Second
 
-// Daemon serves the proxy's Handler on addr and runs the control plane's
-// probe loop every probeInterval until ctx is canceled or the process
-// receives SIGINT/SIGTERM, then shuts the listener down gracefully. Signal
-// handling and the goroutines live here rather than in cmd/bnff-proxy
+// Daemon serves the proxy's Handler on the bound listener ln and runs the
+// control plane's probe loop every probeInterval until ctx is canceled or the
+// process receives SIGINT/SIGTERM, then shuts the listener down gracefully.
+// Signal handling and the goroutines live here rather than in cmd/bnff-proxy
 // because fleet is the sanctioned concurrency domain; the cmd stays a
 // flag-parsing shell. It returns nil on a clean signal-driven exit, and an
-// error before it starts anything when probeInterval is not positive.
-func Daemon(ctx context.Context, addr string, p *Proxy, probeInterval time.Duration) error {
+// error before it starts anything (closing ln) when probeInterval is not
+// positive.
+func Daemon(ctx context.Context, ln net.Listener, p *Proxy, probeInterval time.Duration) error {
 	if probeInterval <= 0 {
+		ln.Close()
 		return fmt.Errorf("fleet: probe interval %v must be positive", probeInterval)
 	}
 	ctx, unhook := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
@@ -33,13 +36,12 @@ func Daemon(ctx context.Context, addr string, p *Proxy, probeInterval time.Durat
 
 	go p.ControlPlane().ProbeLoop(ctx, probeInterval)
 
-	srv := serve.NewHTTPServer(addr, p.Handler())
+	srv := serve.NewHTTPServer(ln.Addr().String(), p.Handler())
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 
 	select {
 	case err := <-errc:
-		// Listener failed before any signal (e.g. port in use).
 		return err
 	case <-ctx.Done():
 	}

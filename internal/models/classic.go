@@ -140,7 +140,8 @@ func AlexNet(batch int) (*graph.Graph, error) {
 
 // TinyCNN builds a minimal CONV-BN-ReLU-CONV-BN-ReLU-CONV network — the
 // smallest graph containing both an interior BN (full BNFF) and a stem BN.
-// Used by quickstart and the fastest equivalence tests.
+// Used by the README quickstart, the smoke scripts and the fastest
+// equivalence tests.
 func TinyCNN(batch, size, classes int) (*graph.Graph, error) {
 	g := graph.New("tiny-cnn")
 	in := g.Input("input", tensor.Shape{batch, 3, size, size})

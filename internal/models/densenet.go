@@ -1,6 +1,6 @@
 // Package models builds the CNN graphs the paper evaluates — DenseNet-121,
 // ResNet-50, VGG-16, and AlexNet — plus scaled-down variants small enough to
-// execute numerically in tests and examples. All builders produce baseline
+// execute numerically in tests and the CLIs. All builders produce baseline
 // (unrestructured) graphs; internal/core's passes rewrite them.
 package models
 
@@ -200,7 +200,7 @@ func DenseNet169(batch int) (*graph.Graph, error) { return DenseNet(DenseNet169C
 // DenseNet201 builds the 201-layer variant.
 func DenseNet201(batch int) (*graph.Graph, error) { return DenseNet(DenseNet201Config(batch)) }
 
-// TinyDenseNet builds the scaled-down model used by tests and examples.
+// TinyDenseNet builds the scaled-down model used by tests and the CLIs.
 func TinyDenseNet(batch int) (*graph.Graph, error) {
 	return DenseNet(TinyDenseNetConfig(batch))
 }

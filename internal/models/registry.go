@@ -39,21 +39,3 @@ func Build(name string, batch int) (*graph.Graph, error) {
 
 // Names lists the registered model names, sorted.
 func Names() []string { return det.SortedKeys(registry) }
-
-// Classes returns the class count of a registered model's output layer.
-func Classes(name string, batch int) (int, error) {
-	g, err := Build(name, batch)
-	if err != nil {
-		return 0, err
-	}
-	return g.Output.OutShape[1], nil
-}
-
-// InputShape returns a registered model's input shape at a batch size.
-func InputShape(name string, batch int) ([]int, error) {
-	g, err := Build(name, batch)
-	if err != nil {
-		return nil, err
-	}
-	return g.Nodes[0].OutShape, nil
-}

@@ -29,30 +29,3 @@ func TestRegistryUnknown(t *testing.T) {
 		t.Error("accepted unknown model")
 	}
 }
-
-func TestRegistryHelpers(t *testing.T) {
-	classes, err := Classes("tiny-cnn", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if classes != 4 {
-		t.Errorf("tiny-cnn classes = %d, want 4", classes)
-	}
-	shape, err := InputShape("tiny-densenet", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{3, 3, 16, 16}
-	for i := range want {
-		if shape[i] != want[i] {
-			t.Errorf("tiny-densenet input shape = %v, want %v", shape, want)
-			break
-		}
-	}
-	if _, err := Classes("nope", 2); err == nil {
-		t.Error("Classes accepted unknown model")
-	}
-	if _, err := InputShape("nope", 2); err == nil {
-		t.Error("InputShape accepted unknown model")
-	}
-}

@@ -152,5 +152,5 @@ func (cfg ResNetConfig) InitChannels() int { return cfg.StageMid[0] }
 // ResNet50 builds the full-size model at the given mini-batch size.
 func ResNet50(batch int) (*graph.Graph, error) { return ResNet(ResNet50Config(batch)) }
 
-// TinyResNet builds the scaled-down model used by tests and examples.
+// TinyResNet builds the scaled-down model used by tests and the CLIs.
 func TinyResNet(batch int) (*graph.Graph, error) { return ResNet(TinyResNetConfig(batch)) }

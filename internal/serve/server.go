@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -211,23 +212,24 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// Daemon serves the engine's Handler on addr until ctx is canceled or the
-// process receives SIGINT/SIGTERM, then shuts down gracefully: the listener
-// closes, in-flight requests get shutdownGrace to finish, and the engine
-// drains via Close. It returns nil on a clean signal-driven exit. Signal
-// handling lives here rather than in cmd/bnff-serve because the serving
-// runtime is the module's allowlisted concurrency domain.
-func Daemon(ctx context.Context, addr string, e *Engine) error {
+// Daemon serves the engine's Handler on the bound listener ln until ctx is
+// canceled or the process receives SIGINT/SIGTERM, then shuts down
+// gracefully: the listener closes, in-flight requests get shutdownGrace to
+// finish, and the engine drains via Close. The caller binds ln, so a port in
+// use fails before the daemon announces itself. It returns nil on a clean
+// signal-driven exit. Signal handling lives here rather than in
+// cmd/bnff-serve because the serving runtime is the module's allowlisted
+// concurrency domain.
+func Daemon(ctx context.Context, ln net.Listener, e *Engine) error {
 	ctx, unhook := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer unhook()
 
-	srv := NewHTTPServer(addr, e.Handler())
+	srv := NewHTTPServer(ln.Addr().String(), e.Handler())
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 
 	select {
 	case err := <-errc:
-		// Listener failed before any signal (e.g. port in use).
 		e.Close()
 		return err
 	case <-ctx.Done():

@@ -14,7 +14,7 @@
 #   3. Clean shutdown: proxy and surviving backend exit cleanly on SIGTERM.
 #
 # First, a proxy started with -probe-interval 0 must exit non-zero with an
-# error naming the interval, not panic.
+# error naming the interval, not panic, and must not announce a listener.
 #
 # Run from the repository root (make fleet-smoke / CI).
 set -euo pipefail
@@ -34,12 +34,12 @@ go build -o "$DIR/bnff-proxy" ./cmd/bnff-proxy
 status=0
 timeout 10 "$DIR/bnff-proxy" -addr "$PROXY_ADDR" -probe-interval 0 >"$DIR/zero.log" 2>&1 || status=$?
 if [ "$status" -eq 0 ] || ! grep -q "probe interval 0s must be positive" "$DIR/zero.log" \
-        || grep -q "panic:" "$DIR/zero.log"; then
-    echo "bnff-proxy -probe-interval 0: exit $status, want an error naming the interval" >&2
+        || grep -q "panic:" "$DIR/zero.log" || grep -q "proxy listening" "$DIR/zero.log"; then
+    echo "bnff-proxy -probe-interval 0: exit $status, want an error naming the interval and no listening line" >&2
     cat "$DIR/zero.log" >&2
     exit 1
 fi
-echo "bnff-proxy -probe-interval 0 refused with an error, no panic"
+echo "bnff-proxy -probe-interval 0 refused with an error, no panic, no listening line"
 
 # Two checkpoints of the baseline tiny-cnn graph: A is what the fleet boots
 # from, B is what the rolling reload swaps in.

@@ -5,7 +5,8 @@
 # measured traces are byte-identical across two runs (the determinism
 # contract of the injected clock). Then run each analytical verb once: paper
 # over every experiment (the ablation included), graph and cache; set -e fails
-# the script on a non-zero exit. Run from the repository root
+# the script on a non-zero exit. tiny-cnn's swept totals under baseline and
+# BNFF must read non-zero. Run from the repository root
 # (make profile-smoke / CI).
 #
 # BNFF_PROFILE_OUT, when set, keeps the traces in that directory so CI can
@@ -58,5 +59,11 @@ echo "== bnff-profile paper / graph / cache =="
 "$BIN" paper >/dev/null
 "$BIN" graph -model densenet121 -summary >/dev/null
 "$BIN" cache -model tiny-cnn -batch 4 >/dev/null
+for sc in baseline bnff; do
+    total=$("$BIN" graph -model tiny-cnn -restructure "$sc" -batch 16 -summary | awk '$1 == "total" {print $2}')
+    echo "tiny-cnn $sc: $total MB swept per iteration"
+    awk -v t="$total" 'BEGIN { exit !(t + 0 > 0) }' \
+        || { echo "tiny-cnn $sc swept total '$total' is not positive" >&2; exit 1; }
+done
 echo "analytical verbs OK"
 echo "profile smoke OK (traces in $OUT)"

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Smoke test for cmd/bnff-serve: build the daemon, start it on a self-trained
-# tiny-cnn, exercise /healthz, /predict, and /stats, then verify it exits
-# cleanly on SIGTERM. Run from the repository root (make smoke / CI).
+# tiny-cnn, exercise /healthz, /predict, and /stats, check that a second
+# daemon on the same port fails without announcing a listener, then verify
+# the first exits cleanly on SIGTERM. Run from the repository root
+# (make smoke / CI).
 set -euo pipefail
 
 ADDR="${BNFF_SMOKE_ADDR:-127.0.0.1:18431}"
@@ -49,6 +51,21 @@ echo "$metrics" | grep -q '^bnff_serve_requests_total 1$' \
     || { echo "metrics did not count the request" >&2; exit 1; }
 echo "$metrics" | grep -q '^bnff_serve_latency_ns_count 1$' \
     || { echo "metrics latency histogram did not observe the request" >&2; exit 1; }
+
+# A second daemon on the same port must fail on the bind, before it
+# announces a listener.
+LOG2="$(mktemp)"
+status=0
+timeout 30 "$BIN" -model tiny-cnn -train-steps 1 -addr "$ADDR" >"$LOG2" 2>&1 || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ] || ! grep -q "address already in use" "$LOG2" \
+        || grep -q "listening on" "$LOG2"; then
+    echo "second bnff-serve on $ADDR: exit $status, want a bind error and no listening line" >&2
+    cat "$LOG2" >&2
+    rm -f "$LOG2"
+    exit 1
+fi
+rm -f "$LOG2"
+echo "second daemon on the same port refused with a bind error, no listening line"
 
 # Graceful shutdown: SIGTERM must produce a clean exit.
 kill -TERM "$PID"
