@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	bnff-lint [-list] [-analyzers name,name] [-json] [-workers n] [packages]
+//	bnff-lint [-list] [-analyzers name,name] [-json] [packages]
 //
 // The package arguments accept the go-tool spelling: "./..." (the default)
 // lints every package in the module; an explicit relative directory lints
@@ -23,9 +23,9 @@
 //
 // -json switches the findings to newline-delimited JSON objects
 // ({"file","line","col","analyzer","message"}), one per finding, for
-// machine consumers; the exit status is unchanged. Loading and type-checking
-// fan out over -workers goroutines (default GOMAXPROCS); diagnostics print
-// in the same deterministic order at any worker count.
+// machine consumers; the exit status is unchanged. Packages load and
+// type-check one at a time, in the order the patterns name them, and
+// diagnostics print in that order.
 package main
 
 import (
@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"bnff/internal/analysis"
@@ -44,9 +43,8 @@ func main() {
 	list := flag.Bool("list", false, "list registered analyzers and exit")
 	names := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as newline-delimited JSON objects")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for package loading and type-checking")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: bnff-lint [-list] [-analyzers name,name] [-json] [-workers n] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: bnff-lint [-list] [-analyzers name,name] [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -87,9 +85,13 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	pkgs, err := loader.LoadAll(dirs, *workers)
-	if err != nil {
-		fatalf("%v", err)
+	// Every package loads before any is analyzed, so a load error prints no
+	// findings.
+	pkgs := make([]*analysis.Package, len(dirs))
+	for i, dir := range dirs {
+		if pkgs[i], err = loader.Load(dir); err != nil {
+			fatalf("analysis: loading %s: %v", dir, err)
+		}
 	}
 	enc := json.NewEncoder(os.Stdout)
 	findings := 0

@@ -128,12 +128,12 @@ func runGraph(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout)
 
-	// Swept bytes print in MB to the byte, so a tiny model's sweeps read
-	// non-zero.
+	// Swept bytes print in MB to the byte and FLOPs in GFLOPs to the FLOP,
+	// so a tiny model's sweeps and FLOPs read non-zero.
 	classFLOPs := map[graph.LayerClass]int64{}
 	classBytes := map[graph.LayerClass]int64{}
 	if !*summary {
-		fmt.Fprintf(stdout, "%-9s %-32s %-16s %6s %6s %16s %12s\n",
+		fmt.Fprintf(stdout, "%-9s %-32s %-16s %6s %6s %16s %18s\n",
 			"pass", "node", "kind", "reads", "writes", "sweep MB", "GFLOPs")
 	}
 	for _, t := range r.Timings {
@@ -169,14 +169,14 @@ func runGraph(args []string, stdout io.Writer) error {
 		classFLOPs[cls] += c.FLOPs
 		classBytes[cls] += bytes
 		if !*summary {
-			fmt.Fprintf(stdout, "%-9s %-32s %-16s %6d %6d %16.6f %12.2f\n",
+			fmt.Fprintf(stdout, "%-9s %-32s %-16s %6d %6d %16.6f %18.9f\n",
 				c.Dir, name, kind, reads, writes, float64(bytes)/1e6, float64(c.FLOPs)/1e9)
 		}
 	}
 	fmt.Fprintln(stdout, "per-class totals:")
 	var totalFLOPs, totalBytes int64
 	row := func(name string, bytes, flops int64) {
-		fmt.Fprintf(stdout, "  %-14s %16.6f MB swept %12.1f GFLOPs\n", name, float64(bytes)/1e6, float64(flops)/1e9)
+		fmt.Fprintf(stdout, "  %-14s %16.6f MB swept %18.9f GFLOPs\n", name, float64(bytes)/1e6, float64(flops)/1e9)
 	}
 	for cls := graph.LayerClass(0); int(cls) < 7; cls++ {
 		if classFLOPs[cls] == 0 && classBytes[cls] == 0 {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -41,30 +42,37 @@ func TestGraphVerb(t *testing.T) {
 	if dot := runOut(t, "graph", "-model", "tiny-cnn", "-batch", "2", "-dot"); !strings.HasPrefix(dot, "digraph") {
 		t.Errorf("graph -dot output does not start a digraph:\n%s", dot)
 	}
-	// A tiny model's sweeps are kilobytes: the totals must not round to 0,
-	// and BNFF must sweep fewer bytes than the baseline.
-	base := sweptMB(t, runOut(t, "graph", "-model", "tiny-cnn", "-restructure", "baseline", "-batch", "16", "-summary"))
-	bnff := sweptMB(t, runOut(t, "graph", "-model", "tiny-cnn", "-restructure", "bnff", "-batch", "16", "-summary"))
+	// A tiny model's sweeps are kilobytes and its FLOPs megaFLOPs: the
+	// totals must not round to 0, and BNFF must sweep fewer bytes than the
+	// baseline.
+	base, baseFLOPs := graphTotals(t, runOut(t, "graph", "-model", "tiny-cnn", "-restructure", "baseline", "-batch", "16", "-summary"))
+	bnff, bnffFLOPs := graphTotals(t, runOut(t, "graph", "-model", "tiny-cnn", "-restructure", "bnff", "-batch", "16", "-summary"))
 	if bnff <= 0 || base <= bnff {
 		t.Errorf("tiny-cnn swept MB: baseline %g, bnff %g; want baseline > bnff > 0", base, bnff)
 	}
+	if baseFLOPs <= 0 || bnffFLOPs <= 0 {
+		t.Errorf("tiny-cnn GFLOPs: baseline %g, bnff %g; want both > 0", baseFLOPs, bnffFLOPs)
+	}
 }
 
-// sweptMB reads the total row of the graph verb's per-class totals.
-func sweptMB(t *testing.T, out string) float64 {
+// graphTotals reads the swept MB and the GFLOPs of the total row of the
+// graph verb's per-class totals.
+func graphTotals(t *testing.T, out string) (mb, gflops float64) {
 	t.Helper()
 	for _, line := range strings.Split(out, "\n") {
 		f := strings.Fields(line)
-		if len(f) > 2 && f[0] == "total" && f[2] == "MB" {
-			v, err := strconv.ParseFloat(f[1], 64)
-			if err != nil {
+		if len(f) == 6 && f[0] == "total" && f[2] == "MB" && f[5] == "GFLOPs" {
+			var err1, err2 error
+			mb, err1 = strconv.ParseFloat(f[1], 64)
+			gflops, err2 = strconv.ParseFloat(f[4], 64)
+			if err := errors.Join(err1, err2); err != nil {
 				t.Fatal(err)
 			}
-			return v
+			return mb, gflops
 		}
 	}
 	t.Fatalf("no total row in:\n%s", out)
-	return 0
+	return 0, 0
 }
 
 // -dir used to fall through to "both" for any value but forward/backward, so

@@ -282,5 +282,5 @@ func summarize(w io.Writer, results []scenarioResult, inf memRow) {
 	fmt.Fprintf(w, " measured includes workspace the plan does not price; slab = the range memplan.Place packs\n")
 	fmt.Fprintf(w, " the planned buffers into; held = every byte the arena owns after the run, checked out or\n")
 	fmt.Fprintf(w, " free: the slab, whose gaps also serve each step's workspace, plus chunks beside it for\n")
-	fmt.Fprintf(w, " statistics and workspace that found no gap)\n")
+	fmt.Fprintf(w, " workspace that found no gap)\n")
 }

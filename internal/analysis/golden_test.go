@@ -412,59 +412,16 @@ func TestModuleIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Load through the parallel path with more workers than cores so the
-	// importer's locking is exercised even on single-core runners.
-	pkgs, err := l.LoadAll(dirs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
+	for _, dir := range dirs {
+		pkg, err := l.Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if pkg.TypeErr != nil {
 			t.Errorf("type-checking %s: %v", pkg.ImportPath, pkg.TypeErr)
 		}
 		for _, d := range RunAnalyzers(pkg, All()) {
 			t.Errorf("lint finding: %s", d)
-		}
-	}
-}
-
-// TestLoadAllMatchesLoad pins the parallel loader to the sequential one: the
-// same directories produce packages with the same import paths and the same
-// diagnostics, in the same order, at any worker count.
-func TestLoadAllMatchesLoad(t *testing.T) {
-	l := loaderFor(t)
-	dirs := []string{
-		filepath.Join("internal", "tensor"),
-		filepath.Join("internal", "parallel"),
-		filepath.Join("internal", "analysis"),
-	}
-	pkgs, err := l.LoadAll(dirs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != len(dirs) {
-		t.Fatalf("LoadAll returned %d packages for %d dirs", len(pkgs), len(dirs))
-	}
-	for i, dir := range dirs {
-		seq, err := l.Load(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pkgs[i].ImportPath != seq.ImportPath {
-			t.Errorf("package %d: LoadAll import path %q, Load %q", i, pkgs[i].ImportPath, seq.ImportPath)
-		}
-		if pkgs[i].TypeErr != nil {
-			t.Errorf("%s: unexpected type error: %v", pkgs[i].ImportPath, pkgs[i].TypeErr)
-		}
-		par := RunAnalyzers(pkgs[i], All())
-		want := RunAnalyzers(seq, All())
-		if len(par) != len(want) {
-			t.Fatalf("%s: %d diagnostics via LoadAll, %d via Load", dirs[i], len(par), len(want))
-		}
-		for j := range par {
-			if par[j].String() != want[j].String() {
-				t.Errorf("%s: diagnostic %d differs: %q vs %q", dirs[i], j, par[j], want[j])
-			}
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"go/types"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
 // srcImporter resolves imports from source so the analyzers get full type
@@ -17,20 +16,15 @@ import (
 // Standard-library paths resolve through go/build against GOROOT;
 // module-local paths (the bnff module is zero-dependency, so those two cases
 // are exhaustive) map directly onto directories under the module root.
-// Packages are type-checked once and cached for the life of the importer.
-// Import calls serialize on mu so the cache (and its nil in-progress cycle
-// markers) stays consistent when LoadAll type-checks target packages in
-// parallel; the warm phase pre-loads every dependency, so parallel checkers
-// normally only take the lock for a cache hit. Recursive imports during a
-// cold load run through importLocked (via lockedImporter) with the lock
-// already held.
+// Packages are type-checked once and cached for the life of the importer;
+// a nil entry marks a package in progress, so an import cycle is an error.
+// Not safe for concurrent use: the loader type-checks one package at a time.
 type srcImporter struct {
 	fset       *token.FileSet
 	ctx        build.Context
 	moduleRoot string
 	modulePath string
 
-	mu   sync.Mutex
 	pkgs map[string]*types.Package
 }
 
@@ -50,31 +44,9 @@ func newSrcImporter(fset *token.FileSet, moduleRoot, modulePath string) *srcImpo
 }
 
 func (im *srcImporter) Import(path string) (*types.Package, error) {
-	return im.ImportFrom(path, "", 0)
-}
-
-func (im *srcImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	im.mu.Lock()
-	defer im.mu.Unlock()
-	return im.importLocked(path)
-}
-
-// lockedImporter is the importer the cold-load path hands to types.Config:
-// it resolves the recursive imports of a dependency without re-acquiring
-// im.mu (already held by the top-level ImportFrom).
-type lockedImporter struct{ im *srcImporter }
-
-func (l lockedImporter) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	return l.im.importLocked(path)
-}
-
-func (im *srcImporter) importLocked(path string) (*types.Package, error) {
 	if pkg, ok := im.pkgs[path]; ok {
 		if pkg == nil {
 			return nil, fmt.Errorf("analysis: import cycle through %q", path)
@@ -124,7 +96,7 @@ func (im *srcImporter) load(path string) (*types.Package, error) {
 		}
 		files = append(files, f)
 	}
-	conf := types.Config{Importer: lockedImporter{im}, FakeImportC: true}
+	conf := types.Config{Importer: im, FakeImportC: true}
 	pkg, err := conf.Check(path, im.fset, files, nil)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking dependency %q: %w", path, err)

@@ -11,10 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
-
-	"bnff/internal/parallel"
 )
 
 // A Package is one loaded, parsed, and (best-effort) type-checked package,
@@ -150,9 +147,7 @@ func (l *Loader) Load(relDir string) (*Package, error) {
 
 // parseDir reads and parses the non-test files of one package directory
 // that build on this platform — build constraints and _GOOS/_GOARCH suffixes
-// apply, as for the go tool — without type-checking them. Parsing into the
-// shared FileSet is concurrency-safe, so LoadAll fans parseDir out across a
-// worker pool.
+// apply, as for the go tool — without type-checking them.
 func (l *Loader) parseDir(relDir string) (importPath, dir string, files []*ast.File, err error) {
 	dir = filepath.Join(l.ModuleRoot, relDir)
 	importPath = l.ModulePath
@@ -190,66 +185,6 @@ func (l *Loader) parseDir(relDir string) (importPath, dir string, files []*ast.F
 		return "", "", nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
 	return importPath, dir, files, nil
-}
-
-// LoadAll loads the given package directories using up to workers
-// goroutines, in three phases: parse every package in parallel (the FileSet
-// serializes internally), warm the shared importer serially with every
-// distinct import so the dependency graph type-checks exactly once with
-// cycle detection intact, then type-check the target packages in parallel
-// against the warmed cache. Packages come back in input order with the same
-// contents Load would have produced; a parse failure aborts with the error
-// of the lowest-indexed failing directory, matching the sequential loop it
-// replaces.
-func (l *Loader) LoadAll(relDirs []string, workers int) ([]*Package, error) {
-	type parsed struct {
-		importPath string
-		dir        string
-		files      []*ast.File
-		err        error
-	}
-	pool := parallel.New(workers)
-	results := make([]parsed, len(relDirs))
-	pool.Run(len(relDirs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := &results[i]
-			p.importPath, p.dir, p.files, p.err = l.parseDir(relDirs[i])
-		}
-	})
-	for i := range results {
-		if results[i].err != nil {
-			return nil, fmt.Errorf("analysis: loading %s: %w", relDirs[i], results[i].err)
-		}
-	}
-
-	// Warm the importer with every distinct import, sorted so the dependency
-	// graph is explored in a deterministic order. Failures are deliberately
-	// ignored here: the per-package type check reports them as that package's
-	// TypeErr, exactly as the sequential path does.
-	seen := make(map[string]bool)
-	var imports []string
-	for _, p := range results {
-		for _, f := range p.files {
-			for _, spec := range f.Imports {
-				if path, err := strconv.Unquote(spec.Path.Value); err == nil && !seen[path] {
-					seen[path] = true
-					imports = append(imports, path)
-				}
-			}
-		}
-	}
-	sort.Strings(imports)
-	for _, path := range imports {
-		_, _ = l.imp.Import(path)
-	}
-
-	pkgs := make([]*Package, len(relDirs))
-	pool.Run(len(relDirs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pkgs[i] = l.check(results[i].importPath, results[i].dir, results[i].files)
-		}
-	})
-	return pkgs, nil
 }
 
 // LoadFiles parses the given .go files as one package with a caller-chosen

@@ -31,13 +31,15 @@ import (
 // placed, the slab is the plan. The step's transients — workspace, a second
 // consumer's gradient contribution — take ranges of the slab that are free
 // and lie outside the step's queued slots, and fall back to best fit beside
-// it only where the slab is full. Per-channel statistics live from a forward
-// step to its backward, which the plan does not price, so they keep beside
-// the slab (tensor.Arena.Beside). They are the only thing besides planned
-// values and gradients that a forward step leaves for its backward: a max
-// pool re-derives its argmax from its input, which the plan keeps live to
-// the pool's backward, and a dropout replays its keep decisions from a copy
-// of the generator. A slot whose range is taken, or a transient still
+// it only where the slab is full. Per-channel statistics, which live from a
+// forward step to its backward, are not arena buffers: every pair is live at
+// once at the forward→backward turn, so no pair could reuse another's range,
+// and each producer writes every step into the one pair its executor
+// allocated at construction (Executor.own). They are the only thing besides
+// planned values and gradients that a forward step leaves for its backward:
+// a max pool re-derives its argmax from its input, which the plan keeps live
+// to the pool's backward, and a dropout replays its keep decisions from a
+// copy of the generator. A slot whose range is taken, or a transient still
 // holding the slab at the next step, counts in ArenaStats.PlaceMisses, so
 // a wrong plan costs memory, never correctness.
 //
@@ -178,30 +180,14 @@ func (e *Executor) releaseBackwardStep(step int, gmap map[int]*tensor.Tensor) {
 // resetPass recycles everything still checked out from the previous pass and
 // clears the per-pass maps in place. It walks nodes in schedule order — never
 // map order — so the arena's free ranges coalesce in the same order every
-// pass and the next pass gets the same layout, and it leans on
-// Put's ownership checks: caller inputs, flatten views, running-statistics
-// wrappers, and the detached output are all foreign to the arena and fall
-// through as no-ops.
+// pass and the next pass gets the same layout, and it leans on Put's
+// ownership checks: caller inputs, flatten views and the detached output are
+// all foreign to the arena and fall through as no-ops.
 func (e *Executor) resetPass() {
 	for _, n := range e.liveNodes() {
 		e.alloc.Put(e.vals[n.ID])
-		if st := e.stats[n.ID]; st != nil {
-			e.alloc.Put(st.Mean)
-			e.alloc.Put(st.Var)
-		}
 	}
 	clear(e.vals)
 	clear(e.stats)
 	clear(e.dropFrom)
-}
-
-// releaseStats recycles a consumed mini-batch statistics pair. Inference
-// statistics wrap the Running tensors, which the arena does not own, so the
-// Puts are no-ops there.
-func (e *Executor) releaseStats(id int) {
-	if st := e.stats[id]; st != nil {
-		e.alloc.Put(st.Mean)
-		e.alloc.Put(st.Var)
-		delete(e.stats, id)
-	}
 }

@@ -114,7 +114,9 @@ func TestArenaBitIdentical(t *testing.T) {
 						if s.Hits == 0 {
 							t.Error("repeated iterations never hit the free lists")
 						}
-						if s.PeakBytes == 0 || s.Misses == 0 || s.SlabBytes == 0 {
+						// Misses may be 0: on most tiny models every request
+						// fits the slab.
+						if s.PeakBytes == 0 || s.SlabBytes == 0 || s.HeldBytes < s.SlabBytes {
 							t.Errorf("implausible arena stats: %+v", s)
 						}
 						if s.PlaceMisses != 0 {
@@ -297,9 +299,9 @@ func checkArenaPeak(t *testing.T, build func() (*graph.Graph, error), scen Scena
 // liveness plan, on every tiny model and on the bn-heavy shape.
 //
 // A training executor after three steps: every planned buffer took its slab
-// slot, and beside the slab it holds no more than besideBudget — the
-// per-channel statistics that live from forward to backward, and the window
-// workspace that finds no gap at the steps where the slab is full.
+// slot, and beside the slab it holds no more than besideBudget: the window
+// workspace that finds no gap at the steps where the slab is full. The
+// per-channel statistics are the executor's own, not the arena's.
 //
 // An inference executor, folded and not, after a pass at batch 1 and one at
 // batch 2: it holds at most 1.25× the larger of memplan's forward-only
@@ -413,27 +415,19 @@ func TestArenaHeldIsPlanned(t *testing.T) {
 }
 
 // besideBudget bounds what a training arena over g may hold beside its slab
-// after a few steps: 8 bytes per statistics channel (mean and variance, live
-// from forward to backward), and twice the largest one-worker backward
-// window's input and x̂ tiles and scratch, the workspace that finds no gap
-// where the slab is full (twice, for best fit's second chunk when a larger
-// request follows).
+// after a few steps: twice the largest one-worker backward window's input and
+// x̂ tiles and scratch, the workspace that finds no gap where the slab is full
+// (twice, for best fit's second chunk when a larger request follows).
 func besideBudget(g *graph.Graph) int64 {
-	var stats, window int64
+	var window int64
 	for _, n := range g.Live() {
-		switch {
-		case n.Kind == graph.OpBN || n.Kind == graph.OpSubBN1:
-			stats += 8 * int64(n.BN.Channels)
-		case n.StatsOut != nil:
-			stats += 8 * int64(n.StatsOut.Channels)
-		}
 		if n.Conv != nil {
 			in := n.Inputs[0].OutShape
 			gm := n.Conv.SampleGeom(in[2], in[3])
 			window = max(window, 4*int64(2*gm.Cin*gm.H*gm.W+gm.SampleScratch()))
 		}
 	}
-	return stats + 2*window
+	return 2 * window
 }
 
 // TestArenaForwardAllocBudget is the allocation-regression guard: the

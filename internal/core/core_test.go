@@ -676,3 +676,72 @@ func TestStemBackwardSkipsInputGradient(t *testing.T) {
 		}
 	}
 }
+
+// A StatsHook's statistics may be shared by every replica, so the executor
+// only reads them. Here the hook returns one fixed pair per BN identity on
+// each of two training steps: the pairs' bits must not change, the pass's
+// readers must use them, and the executor's own pairs must stay distinct.
+func TestStatsHookSharedPairStaysUnwritten(t *testing.T) {
+	for _, scen := range []Scenario{RCFMVF, BNFF} {
+		t.Run(scen.String(), func(t *testing.T) {
+			g, err := models.Build("tiny-densenet", 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Restructure(g, scen.Options()); err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewExecutor(g, WithSeed(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := tensor.NewRNG(5)
+			shared := make(map[*graph.BNAttr]*layers.BNStats)
+			frozen := make(map[*graph.BNAttr]layers.BNStats) // each shared pair's values when the hook made it
+			calls := 0
+			e.SetBNHooks(func(_ *graph.Node, attr *graph.BNAttr, m layers.Moments) (*layers.BNStats, error) {
+				calls++
+				st := shared[attr]
+				if st == nil {
+					st = &layers.BNStats{Mean: tensor.New(attr.Channels), Var: tensor.New(attr.Channels), M: m.N * m.HW}
+					rng.FillUniform(st.Mean, -0.5, 0.5)
+					rng.FillUniform(st.Var, 0.5, 2)
+					shared[attr] = st
+					frozen[attr] = layers.BNStats{Mean: st.Mean.Clone(), Var: st.Var.Clone()}
+				}
+				return st, nil
+			}, nil)
+			in := tensor.New(g.Nodes[0].OutShape...)
+			tensor.NewRNG(2).FillNormal(in, 0, 1)
+			for step := 0; step < 2; step++ {
+				out, err := e.Forward(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id := range e.own {
+					if st := e.stats[id]; st == nil || st != shared[producedStats(g.Nodes[id])] {
+						t.Fatalf("step %d: node %q's readers use %p, not the hook's pair", step, g.Nodes[id].Name, st)
+					}
+				}
+				dOut := tensor.New(out.Shape()...)
+				dOut.Fill(1)
+				if _, err := e.Backward(dOut); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(e.own) == 0 || calls != 2*len(e.own) {
+				t.Fatalf("hook ran %d times over two steps of %d producers", calls, len(e.own))
+			}
+			for attr, st := range shared {
+				if !bitEqual(st.Mean, frozen[attr].Mean) || !bitEqual(st.Var, frozen[attr].Var) {
+					t.Errorf("%s: the executor wrote into the hook's pair", attr.ParamName)
+				}
+				for id, own := range e.own {
+					if &own.Mean.Data[0] == &st.Mean.Data[0] || &own.Var.Data[0] == &st.Var.Data[0] {
+						t.Errorf("node %q's own pair is the hook's pair for %s", g.Nodes[id].Name, attr.ParamName)
+					}
+				}
+			}
+		})
+	}
+}

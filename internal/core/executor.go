@@ -59,8 +59,15 @@ type Executor struct {
 	live  []*graph.Node // cached G.Live() schedule; invalidated by FoldBN
 
 	vals  map[int]*tensor.Tensor
-	views map[int]*layers.Concat  // each concat's view of its inputs, rebuilt in place every pass
-	stats map[int]*layers.BNStats // keyed by statistics-producer node ID
+	views map[int]*layers.Concat // each concat's view of its inputs, rebuilt in place every pass
+
+	// own is every statistics producer's mean/variance pair, keyed by node
+	// ID and allocated once by a training NewExecutor (nil at inference):
+	// each pass's statistics are written over the last pass's. stats is the
+	// pair each producer's readers use in the current pass: its own, or the
+	// one a StatsHook returned, which the executor never writes.
+	own   map[int]*layers.BNStats
+	stats map[int]*layers.BNStats
 
 	// dropRNG is the dropout stream, one across passes; dropFrom holds, per
 	// dropout node, a copy of it from before the node's forward draws, which
@@ -80,9 +87,9 @@ type Executor struct {
 // identity (n.BN for BN/SubBN1 nodes, n.StatsOut for conv-fused epilogues),
 // and m the partials of the node's one statistics sweep, which return to the
 // executor's arena when the hook returns. The returned statistics may be
-// shared across executors; the executor treats them as read-only and its
-// arena ignores them on release (foreign tensors fall through Arena.Put).
-// ddp's sync-BN installs one that folds every replica's partials.
+// shared across executors; the executor reads them and never writes into
+// them (its own pairs are distinct). ddp's sync-BN installs one that folds
+// every replica's partials.
 type StatsHook func(n *graph.Node, attr *graph.BNAttr, m layers.Moments) (*layers.BNStats, error)
 
 // BNReduceHook intercepts the sub-BN2' reductions dγ = Σ dy·x̂ and dβ = Σ dy
@@ -152,8 +159,9 @@ type bnStash struct {
 
 // NewExecutor validates the graph, applies the options, and allocates
 // initialized parameters: He-normal convolution and FC weights, γ=1, β=0,
-// zeroed running statistics. Without WithWorkers the executor runs with one
-// worker (serial execution).
+// zeroed running statistics, and for a training executor one mini-batch
+// statistics pair per producer. Without WithWorkers the executor runs with
+// one worker (serial execution).
 func NewExecutor(g *graph.Graph, opts ...Option) (*Executor, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -177,6 +185,9 @@ func NewExecutor(g *graph.Graph, opts ...Option) (*Executor, error) {
 	if e.tracer != nil {
 		e.pool = e.pool.WithTracer(e.tracer) // regardless of option order
 	}
+	if !e.inference {
+		e.own = make(map[int]*layers.BNStats)
+	}
 	rng := tensor.NewRNG(e.seed)
 	for _, n := range g.Live() {
 		if n.Conv != nil {
@@ -193,6 +204,9 @@ func NewExecutor(g *graph.Graph, opts ...Option) (*Executor, error) {
 			e.Params[n.Name+".w"] = w
 			e.Params[n.Name+".b"] = tensor.New(n.FC.Out)
 		}
+		if attr := producedStats(n); attr != nil && e.own != nil {
+			e.own[n.ID] = &layers.BNStats{Mean: tensor.New(attr.Channels), Var: tensor.New(attr.Channels)}
+		}
 		if n.BN != nil {
 			gname := n.BN.ParamName + ".gamma"
 			if _, ok := e.Params[gname]; !ok {
@@ -208,6 +222,19 @@ func NewExecutor(g *graph.Graph, opts ...Option) (*Executor, error) {
 		}
 	}
 	return e, nil
+}
+
+// producedStats returns the BN identity whose mini-batch statistics n
+// produces in training — a conv's StatsOut epilogue, or a BN's or sub-BN1's
+// own — or nil.
+func producedStats(n *graph.Node) *graph.BNAttr {
+	switch {
+	case n.StatsOut != nil:
+		return n.StatsOut
+	case n.Kind == graph.OpBN || n.Kind == graph.OpSubBN1:
+		return n.BN
+	}
+	return nil
 }
 
 // checkConcatReaders refuses the graphs whose concats would need dense
@@ -338,9 +365,8 @@ func (e *Executor) computeStats(n *graph.Node, x layers.Map) (*layers.BNStats, e
 	}
 	bn := e.bnOf(n.BN)
 	if !n.BN.MVF {
-		e.alloc.Beside(true) // the statistics outlive this step, as in closeStats
-		defer e.alloc.Beside(false)
-		return bn.ComputeStats(x)
+		st := e.own[n.ID]
+		return st, bn.ComputeStats(x, st)
 	}
 	m, err := bn.Moments(x)
 	if err != nil {
@@ -350,15 +376,12 @@ func (e *Executor) computeStats(n *graph.Node, x layers.Map) (*layers.BNStats, e
 }
 
 // closeStats closes the moments a statistics producer took: through the
-// StatsHook when one is installed, else with the BN's own Close. The
-// partials go back to the arena either way. The statistics live from this
-// forward step to the backward that reads them, past the slots of every
-// step in between, so the arena keeps them beside its slab.
+// StatsHook when one is installed, else with the BN's own Close into the
+// producer's own pair. The partials go back to the arena either way.
 func (e *Executor) closeStats(n *graph.Node, attr *graph.BNAttr, m layers.Moments) (*layers.BNStats, error) {
-	e.alloc.Beside(true)
-	defer e.alloc.Beside(false)
 	if e.statsHook == nil {
-		return e.bnOf(attr).Close(m)
+		st := e.own[n.ID]
+		return st, e.bnOf(attr).Close(m, st)
 	}
 	st, err := e.statsHook(n, attr, m)
 	e.alloc.PutFloats(m.SumSq)
@@ -557,13 +580,7 @@ func (e *Executor) updateRunning() error {
 		if st == nil {
 			continue
 		}
-		attr := n.StatsOut
-		if attr == nil {
-			attr = n.BN
-		}
-		if attr == nil {
-			continue
-		}
+		attr := producedStats(n)
 		bn := e.bnOf(attr)
 		rm := e.Running[attr.ParamName+".rmean"]
 		rv := e.Running[attr.ParamName+".rvar"]
@@ -721,7 +738,6 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		if err != nil {
 			return err
 		}
-		e.releaseStats(n.ID)
 		grads[n.BN.ParamName+".gamma"] = dgamma
 		grads[n.BN.ParamName+".beta"] = dbeta
 		return e.accumGrad(gmap, n.Inputs[0], dx)
@@ -917,8 +933,8 @@ func (e *Executor) stashReduced(n *graph.Node, st *bnStash, dgamma, dbeta *tenso
 }
 
 // bnInputGrad is sub-BN1': the input gradient of the BN attr describes, from
-// the stash its normalize side left under statistics producer id, whose
-// statistics it then releases. It uses the stash up: with inPlace the input
+// the stash its normalize side left under statistics producer id and that
+// producer's statistics. It uses the stash up: with inPlace the input
 // gradient is written over dv (the sweep is element-wise) and dv becomes the
 // caller's; otherwise it is carved fresh and dv goes back to the arena.
 func (e *Executor) bnInputGrad(id int, attr *graph.BNAttr, stash map[int]*bnStash, inPlace bool) (*tensor.Tensor, error) {
@@ -939,6 +955,5 @@ func (e *Executor) bnInputGrad(id int, attr *graph.BNAttr, stash map[int]*bnStas
 		e.alloc.Put(du)
 		return nil, err
 	}
-	e.releaseStats(id)
 	return du, nil
 }

@@ -216,7 +216,8 @@ func TestStatsEpilogueRunsInsideConvWindow(t *testing.T) {
 		}
 		if hook {
 			exec.SetBNHooks(func(_ *graph.Node, attr *graph.BNAttr, m layers.Moments) (*layers.BNStats, error) {
-				return layers.NewBatchNorm(attr.Channels).Close(m)
+				st := &layers.BNStats{Mean: tensor.New(attr.Channels), Var: tensor.New(attr.Channels)}
+				return st, layers.NewBatchNorm(attr.Channels).Close(m, st)
 			}, nil)
 		}
 		in := tensor.New(g.Nodes[0].OutShape...)

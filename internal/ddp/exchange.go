@@ -135,8 +135,8 @@ func (x *exchanger) rendezvous(r int, key string, payload any, fold func(slots [
 // batch's partials in sample order (replica r's sample i IS global sample
 // r·shard+i), so the one BatchNorm.Close reproduces the serial full-batch
 // association bit for bit — which a fold of pre-reduced per-shard sums could
-// not promise. Closed with no arena, the statistics are heap-owned and every
-// replica shares them read-only.
+// not promise. Closed into a fresh heap pair, the statistics belong to no
+// executor, and every replica shares them read-only.
 func foldStats(slots []any) (any, int64, error) {
 	first := slots[0].(layers.Moments)
 	c := len(first.Sum) / max(first.N, 1)
@@ -153,8 +153,8 @@ func foldStats(slots []any) (any, int64, error) {
 		all.N += m.N
 		bytes += int64(len(m.Sum)+len(m.SumSq)) * 4
 	}
-	st, err := layers.NewBatchNorm(c).Close(all)
-	if err != nil {
+	st := &layers.BNStats{Mean: tensor.New(c), Var: tensor.New(c)}
+	if err := layers.NewBatchNorm(c).Close(all, st); err != nil {
 		return nil, 0, err
 	}
 	return st, bytes, nil

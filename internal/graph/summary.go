@@ -58,8 +58,8 @@ func (g *Graph) Summarize() (*Summary, error) {
 // String renders a compact model card.
 func (s *Summary) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %d nodes, %.2fM params (%.1f MB), %.1f MB activations/batch, %.2f GFLOPs fwd (%.2f training)",
-		s.Name, s.LiveNodes, float64(s.Params)/1e6, float64(s.ParamBytes)/1e6,
+	fmt.Fprintf(&b, "%s: %d nodes, %d params (%.6f MB), %.6f MB activations/batch, %.9f GFLOPs fwd (%.9f training)",
+		s.Name, s.LiveNodes, s.Params, float64(s.ParamBytes)/1e6,
 		float64(s.ActivationBytes)/1e6, float64(s.ForwardFLOPs)/1e9, float64(s.TrainingFLOPs)/1e9)
 	return b.String()
 }

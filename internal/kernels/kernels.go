@@ -71,8 +71,8 @@ func ConvForwardStats(conv layers.Conv2D, x, w *tensor.Tensor) (*tensor.Tensor, 
 	if err != nil {
 		return nil, nil, err
 	}
-	stats, err := layers.NewBatchNorm(conv.OutChannels).Close(m)
-	return y, stats, err
+	stats := &layers.BNStats{Mean: tensor.New(conv.OutChannels), Var: tensor.New(conv.OutChannels)}
+	return y, stats, layers.NewBatchNorm(conv.OutChannels).Close(m, stats)
 }
 
 // ReLUConvForward computes y = conv(ReLU(x), w) without materializing the

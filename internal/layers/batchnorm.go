@@ -48,10 +48,11 @@ func (b BatchNorm) WithPool(p *parallel.Pool) BatchNorm {
 	return b
 }
 
-// WithAlloc returns a copy of the layer that obtains its outputs, statistics
-// tensors, and reduction scratch from the given arena (nil means plain heap
-// allocation, bit-identical). The arena is only consulted from the
-// dispatching goroutine, never inside pooled closures.
+// WithAlloc returns a copy of the layer that obtains its outputs, the
+// statistics pairs Forward and ComputeStatsMVF return, and reduction scratch
+// from the given arena (nil means plain heap allocation, bit-identical). The
+// arena is only consulted from the dispatching goroutine, never inside pooled
+// closures.
 func (b BatchNorm) WithAlloc(a *tensor.Arena) BatchNorm {
 	b.alloc = a
 	return b
@@ -107,19 +108,24 @@ func (b BatchNorm) checkStats(st *BNStats) error {
 	return b.checkParam("var", st.Var)
 }
 
-// ComputeStats evaluates per-channel mean and variance with the baseline
-// two-pass algorithm: one full sweep for the mean, a second for the variance.
-// This is the strict-dependency form the paper's Figure 5 charges two memory
-// sweeps (I2, I3) for.
-func (b BatchNorm) ComputeStats(x Map) (*BNStats, error) {
+// ComputeStats evaluates per-channel mean and variance into st with the
+// baseline two-pass algorithm: one full sweep for the mean, a second for the
+// variance. This is the strict-dependency form the paper's Figure 5 charges
+// two memory sweeps (I2, I3) for. st is the caller's pair of length-C
+// tensors; its values and M are overwritten.
+func (b BatchNorm) ComputeStats(x Map, st *BNStats) error {
 	if err := b.check(x); err != nil {
-		return nil, err
+		return err
+	}
+	if err := b.checkStats(st); err != nil {
+		return err
 	}
 	n, c, h, w := x.Dims4()
 	m := float64(n * h * w)
 	r := runsOf(x)
-	mean := b.alloc.Get(c)
-	variance := b.alloc.Get(c)
+	mean, variance := st.Mean.Data, st.Var.Data
+	clear(mean)
+	clear(variance)
 
 	// Pass 1: mean. One partial per (sample, channel), reduced in sample
 	// order — the same association the serial sweep uses, so pooled
@@ -135,25 +141,32 @@ func (b BatchNorm) ComputeStats(x Map) (*BNStats, error) {
 	// association the serial sweep uses, so pooled execution is bit-identical.
 	for in := 0; in < n; in++ {
 		for ic := 0; ic < c; ic++ {
-			mean.Data[ic] += pmean[in*c+ic]
+			mean[ic] += pmean[in*c+ic]
 		}
 	}
 	b.alloc.PutFloats(pmean)
 	// Pass 2: variance around the mean, same partial scheme.
 	pvar := b.alloc.Floats(n * c)
 	if b.pool.Serial() {
-		varPartials(r, mean.Data, pvar, c, m, 0, n)
+		varPartials(r, mean, pvar, c, m, 0, n)
 	} else {
-		b.pool.Run(n, func(lo, hi int) { varPartials(r, mean.Data, pvar, c, m, lo, hi) })
+		b.pool.Run(n, func(lo, hi int) { varPartials(r, mean, pvar, c, m, lo, hi) })
 	}
 	// det-reduce: per-sample variance partials combined in sample order.
 	for in := 0; in < n; in++ {
 		for ic := 0; ic < c; ic++ {
-			variance.Data[ic] += pvar[in*c+ic]
+			variance[ic] += pvar[in*c+ic]
 		}
 	}
 	b.alloc.PutFloats(pvar)
-	return &BNStats{Mean: mean, Var: variance, M: n * h * w}, nil
+	st.M = n * h * w
+	return nil
+}
+
+// newStats returns a statistics pair of the layer's C channels from its
+// arena (nil: the heap), for the callers that keep no pair of their own.
+func (b BatchNorm) newStats() *BNStats {
+	return &BNStats{Mean: b.alloc.Get(b.Channels), Var: b.alloc.Get(b.Channels)}
 }
 
 // meanPartials is ComputeStats' first pass over samples [lo, hi) of the
@@ -256,7 +269,8 @@ func (b BatchNorm) ComputeStatsMVF(x *tensor.Tensor) (*BNStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	return b.Close(m)
+	st := b.newStats()
+	return st, b.Close(m, st)
 }
 
 // Moments sweeps x once for its per-(sample, channel) partials, drawn from
@@ -284,37 +298,44 @@ func (b BatchNorm) Moments(x Map) (Moments, error) {
 
 // Close is the one MVF close: it folds m's partials in sample order into
 // per-channel Σx and Σx², then takes μ = Σx/M and V(X) = E(X²) − E(X)² with
-// the cancellation clamp, into statistics from the layer's arena (nil: the
-// heap). The partials go back to that arena, on error too; partials that are
-// not N·C long for the layer's C channels are rejected.
-func (b BatchNorm) Close(m Moments) (*BNStats, error) {
+// the cancellation clamp, into st, the caller's pair of length-C tensors
+// (its values and M are overwritten). The partials go back to the layer's
+// arena, on error too; partials that are not N·C long for the layer's C
+// channels are rejected.
+func (b BatchNorm) Close(m Moments, st *BNStats) error {
 	a := b.alloc
 	defer a.PutFloats(m.Sum)
 	defer a.PutFloats(m.SumSq)
 	c := b.Channels
 	if m.N < 1 || m.HW < 1 || len(m.Sum) != m.N*c || len(m.SumSq) != m.N*c {
-		return nil, fmt.Errorf("batchnorm: %d/%d moment partials of %d samples × %d elements, want %d",
+		return fmt.Errorf("batchnorm: %d/%d moment partials of %d samples × %d elements, want %d",
 			len(m.Sum), len(m.SumSq), m.N, m.HW, m.N*c)
 	}
-	mean, variance := a.Get(c), a.Get(c)
+	if err := b.checkStats(st); err != nil {
+		return err
+	}
+	mean, variance := st.Mean.Data, st.Var.Data
+	clear(mean)
+	clear(variance)
 	// det-reduce: the serial sweep adds one per-sample partial per channel
 	// in exactly this order, so the pooled result is bit-identical.
 	for in := 0; in < m.N; in++ {
 		for ic := 0; ic < c; ic++ {
-			mean.Data[ic] += m.Sum[in*c+ic]
-			variance.Data[ic] += m.SumSq[in*c+ic]
+			mean[ic] += m.Sum[in*c+ic]
+			variance[ic] += m.SumSq[in*c+ic]
 		}
 	}
 	mf := float32(m.N * m.HW)
-	for ic, s := range mean.Data {
+	for ic, s := range mean {
 		mu := s / mf
-		v := variance.Data[ic]/mf - float32(mu*mu)
+		v := variance[ic]/mf - float32(mu*mu)
 		if v < 0 { // guard fp cancellation for near-constant channels
 			v = 0
 		}
-		mean.Data[ic], variance.Data[ic] = mu, v
+		mean[ic], variance[ic] = mu, v
 	}
-	return &BNStats{Mean: mean, Var: variance, M: m.N * m.HW}, nil
+	st.M = m.N * m.HW
+	return nil
 }
 
 // momentPartials fills the per-(sample, channel) Σx and Σx² partials of the
@@ -453,8 +474,8 @@ func bnNormalizeChunk(x runs, yd, mean, inv, gamma, beta []float32, lo, hi int) 
 // Forward is the baseline composition, the executor's OpBN forward:
 // two-pass statistics, then normalize.
 func (b BatchNorm) Forward(x, gamma, beta *tensor.Tensor) (*tensor.Tensor, *BNContext, error) {
-	stats, err := b.ComputeStats(x)
-	if err != nil {
+	stats := b.newStats()
+	if err := b.ComputeStats(x, stats); err != nil {
 		return nil, nil, err
 	}
 	y, err := b.Normalize(x, stats, gamma, beta)

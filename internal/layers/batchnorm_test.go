@@ -40,10 +40,22 @@ func gammaBetaOver(dy, xhat *tensor.Tensor) (dgamma, dbeta *tensor.Tensor) {
 	return reduceGammaBeta(pg, pb, n, c)
 }
 
+// twoPassStats is ComputeStats into a fresh pair from bn's arena.
+func twoPassStats(bn BatchNorm, x Map) (*BNStats, error) {
+	st := bn.newStats()
+	return st, bn.ComputeStats(x, st)
+}
+
+// closeMoments is Close into a fresh pair from bn's arena.
+func closeMoments(bn BatchNorm, m Moments) (*BNStats, error) {
+	st := bn.newStats()
+	return st, bn.Close(m, st)
+}
+
 func TestBNStatsKnownValues(t *testing.T) {
 	bn := NewBatchNorm(1)
 	x := tensor.MustFromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
-	stats, err := bn.ComputeStats(x)
+	stats, err := twoPassStats(bn, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +77,7 @@ func TestBNStatsPerChannel(t *testing.T) {
 		3, 3, 3, 3, // n1 c0
 		2, 0, 2, 0, // n1 c1
 	}, 2, 2, 2, 2)
-	stats, err := bn.ComputeStats(x)
+	stats, err := twoPassStats(bn, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +95,7 @@ func TestBNStatsPerChannel(t *testing.T) {
 func TestMVFMatchesTwoPass(t *testing.T) {
 	bn := NewBatchNorm(8)
 	x := randomBNInput(42, 16, 8, 12, 12, 1.5)
-	twoPass, err := bn.ComputeStats(x)
+	twoPass, err := twoPassStats(bn, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +134,7 @@ func TestBNForwardNormalizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := bn.ComputeStats(y)
+	stats, err := twoPassStats(bn, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +252,7 @@ func TestBNBackwardInputInPlace(t *testing.T) {
 	rng.FillUniform(gamma, 0.5, 2)
 	dy := tensor.New(x.Shape()...)
 	rng.FillUniform(dy, -1, 1)
-	st, err := bn.ComputeStats(x)
+	st, err := twoPassStats(bn, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,14 +301,14 @@ func TestBNUpdateRunning(t *testing.T) {
 
 func TestBNShapeErrors(t *testing.T) {
 	bn := NewBatchNorm(3)
-	if _, err := bn.ComputeStats(tensor.New(2, 4, 3, 3)); err == nil {
+	if _, err := twoPassStats(bn, tensor.New(2, 4, 3, 3)); err == nil {
 		t.Error("accepted wrong channel count")
 	}
-	if _, err := bn.ComputeStats(tensor.New(2, 3)); err == nil {
+	if _, err := twoPassStats(bn, tensor.New(2, 3)); err == nil {
 		t.Error("accepted rank-2 input")
 	}
 	x := tensor.New(2, 3, 4, 4)
-	stats, _ := bn.ComputeStats(x)
+	stats, _ := twoPassStats(bn, x)
 	if _, err := bn.Normalize(x, stats, tensor.New(4), tensor.New(3)); err == nil {
 		t.Error("accepted wrong gamma shape")
 	}
@@ -367,12 +379,17 @@ func TestBNEntryPointsRejectShortOperands(t *testing.T) {
 				return bn.UpdateRunning(tensor.New(c), tensor.New(c), shortStats(short, short))
 			}},
 			{"Close short partials", func() error {
-				_, err := bn.Close(Moments{Sum: make([]float32, c), SumSq: make([]float32, c), N: n, HW: h * w})
-				return err
+				return bn.Close(Moments{Sum: make([]float32, c), SumSq: make([]float32, c), N: n, HW: h * w}, bn.newStats())
 			}},
 			{"Close no samples", func() error {
-				_, err := bn.Close(Moments{HW: h * w})
-				return err
+				return bn.Close(Moments{HW: h * w}, bn.newStats())
+			}},
+			{"Close short mean", func() error {
+				m, _ := bn.Moments(x)
+				return bn.Close(m, shortStats(short, tensor.New(c)))
+			}},
+			{"ComputeStats short var", func() error {
+				return bn.ComputeStats(x, shortStats(tensor.New(c), short))
 			}},
 		}
 		for _, tc := range cases {
@@ -397,7 +414,7 @@ func TestQuickMVFIdentity(t *testing.T) {
 	f := func(seed uint64, scaleBits uint8) bool {
 		scale := 0.1 + float64(scaleBits%50)/10 // 0.1 .. 5.0
 		x := randomBNInput(seed, 4, 2, 5, 5, scale)
-		two, err1 := bn.ComputeStats(x)
+		two, err1 := twoPassStats(bn, x)
 		one, err2 := bn.ComputeStatsMVF(x)
 		if err1 != nil || err2 != nil {
 			return false
@@ -455,7 +472,7 @@ func TestBNUpdateRunningBesselTwoBatch(t *testing.T) {
 	// Batch 1: x = [1 2 3 4] over one channel (M = 4).
 	// mean = 2.5, biased var = 7.5 − 6.25 = 1.25, unbiased = 1.25·4/3 = 5/3.
 	x1 := tensor.MustFromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
-	s1, err := bn.ComputeStats(x1)
+	s1, err := twoPassStats(bn, x1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +499,7 @@ func TestBNUpdateRunningBesselTwoBatch(t *testing.T) {
 	// Batch 2: x = [2 4 6 8]. mean = 5, biased var = 30 − 25 = 5,
 	// unbiased = 20/3.
 	x2 := tensor.MustFromSlice([]float32{2, 4, 6, 8}, 1, 1, 2, 2)
-	s2, err := bn.ComputeStats(x2)
+	s2, err := twoPassStats(bn, x2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -743,8 +743,9 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 	bdy := tensor.MustFromSlice(fillRand(12, n*c*hw), n, c, 1, hw)
 	bg, bb := tensor.MustFromSlice(fillRand(13, c), c), tensor.MustFromSlice(fillRand(14, c), c)
 	bn := NewBatchNorm(c).WithPool(pool).WithAlloc(arena)
+	own := &BNStats{Mean: tensor.New(c), Var: tensor.New(c)}
 	forEachBody(func(body string) {
-		st, err := bn.ComputeStats(bx)
+		st, err := twoPassStats(bn, bx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -758,8 +759,9 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 			allocs float64 // what escapes to the caller by design
 			run    func()
 		}{
-			// The *BNStats the caller keeps.
-			{"ComputeStats", 1, func() { s, _ := bn.ComputeStats(bx); arena.Put(s.Mean); arena.Put(s.Var) }},
+			// The statistics go into a pair the caller keeps.
+			{"ComputeStats", 0, func() { bn.ComputeStats(bx, own) }},
+			{"Close", 0, func() { m, _ := bn.Moments(bx); bn.Close(m, own) }},
 			{"Moments", 0, func() { m, _ := bn.Moments(bx); arena.PutFloats(m.Sum); arena.PutFloats(m.SumSq) }},
 			{"Normalize", 0, func() { y, _ := bn.Normalize(bx, st, bg, bb); arena.Put(y) }},
 			// dγ and dβ escape into the gradient map: two tensors of three

@@ -10,8 +10,8 @@
 // nothing of its own. What the paper stores beside a feature map, a backward
 // here derives again from the map: BN regenerates x̂ from its input, a max
 // pool re-scans its input for each window's argmax, and a dropout replays
-// its keep decisions. The graph executor in internal/core owns all storage
-// and decides which buffers exist — that is exactly the degree of freedom
+// its keep decisions. The graph executor in internal/core owns all storage,
+// the per-channel statistics pairs included, and decides which buffers exist — that is exactly the degree of freedom
 // the paper's restructuring exploits, so the layer API must not hide it.
 //
 // The convolution is written once per direction, as a per-sample window
@@ -29,9 +29,10 @@
 // them for equivalence against the unfused compositions of the layers here.
 //
 // BatchNorm has one entry point per sub-layer — ComputeStats, or Moments
-// and Close (sub-BN1); Normalize (sub-BN2); BackwardReduceFrom (sub-BN2');
-// BackwardInputFrom (sub-BN1') — and none stores x̂: the backward ones
-// regenerate it from the BN input. A stored x̂, which only the forward
+// and Close (sub-BN1), which write into a statistics pair the caller owns;
+// Normalize (sub-BN2); BackwardReduceFrom (sub-BN2'); BackwardInputFrom
+// (sub-BN1') — and none stores x̂: the backward ones regenerate it from the
+// BN input. A stored x̂, which only the forward
 // window's StoreXHat still writes, is a BN input under BatchNorm.StoredXHat's
 // statistics, so BackwardInput and a backward window over it run these bodies.
 //

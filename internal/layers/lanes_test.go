@@ -424,7 +424,7 @@ func sweepOutputs(t *testing.T, pool *parallel.Pool, n, c, hw int, poisoned bool
 
 	bn := NewBatchNorm(c).WithPool(pool)
 	out := map[string][]float32{}
-	st, err := bn.ComputeStats(x)
+	st, err := twoPassStats(bn, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func splitSweeps(t *testing.T, pool *parallel.Pool, out map[string][]float32, x,
 	t.Helper()
 	v := channelSplit(x, 1, 5)
 	bn := NewBatchNorm(x.Dim(1)).WithPool(pool)
-	st, err := bn.ComputeStats(v)
+	st, err := twoPassStats(bn, v)
 	if err != nil {
 		t.Fatal(err)
 	}

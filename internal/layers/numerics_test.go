@@ -123,7 +123,7 @@ func TestMVFNumerics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		win, err := bn.Close(m)
+		win, err := closeMoments(bn, m)
 		if err != nil {
 			t.Fatal(err)
 		}

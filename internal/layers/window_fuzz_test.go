@@ -224,7 +224,7 @@ func FuzzConvWindow(f *testing.F) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					st, err := NewBatchNorm(conv.OutChannels).Close(m)
+					st, err := closeMoments(NewBatchNorm(conv.OutChannels), m)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -85,7 +85,7 @@ func TestWindowStatsEpilogueMatchesComputeStatsMVF(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: %v", tc.name, wc.name, err)
 				}
-				got, err := NewBatchNorm(conv.OutChannels).Close(m)
+				got, err := closeMoments(NewBatchNorm(conv.OutChannels), m)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", tc.name, wc.name, err)
 				}

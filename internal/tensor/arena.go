@@ -37,9 +37,7 @@ import (
 // current step: it takes the best-fitting free range, which may lie in the
 // slab wherever no slot still queued for the step lies. A slab range such a
 // request still holds at the next Expect counts a place miss, since a later
-// slot may need it; unplanned requests known to outlive their step (Beside)
-// keep to chunks beside the slab. In any other pass the slab is ordinary
-// free space.
+// slot may need it. In any other pass the slab is ordinary free space.
 //
 // The slab is one offset space stored as segments, one chunk each, no
 // longer than the plan's largest buffer, which no slot straddles. One
@@ -84,13 +82,11 @@ type Arena struct {
 	// segments, seg elements each but the last; slab is -1 until the first
 	// placed pass reserves them. pass is the current pass's segment length,
 	// 0 when the pass does not place; queue holds the slots Expect queued
-	// for the current schedule step, loose the slab ranges this step's
-	// transients hold, and beside is set between Beside(true) and
-	// Beside(false).
+	// for the current schedule step, and loose the slab ranges this step's
+	// transients hold.
 	slab, slabEnd, seg, pass int
 	queue                    []Slot
 	loose                    []span
-	beside                   bool
 
 	owned  map[*Tensor]span  // tensors currently checked out
 	ownedF map[*float32]span // float32 scratch checked out, keyed by &s[0]
@@ -241,17 +237,6 @@ func (a *Arena) Expect(slots []Slot, scale int) {
 	}
 }
 
-// Beside marks the requests that follow, until Beside(false), as outliving
-// the current schedule step: a Get still takes its queued slot, whose
-// lifetime the plan knows, but any other request keeps to best fit beside
-// the slab. The executor sets it around per-channel statistics, which live
-// from a forward step to the backward that reads them.
-func (a *Arena) Beside(on bool) {
-	if a != nil {
-		a.beside = on
-	}
-}
-
 // checkOut books n freshly handed-out elements (4 bytes each).
 func (a *Arena) checkOut(n int) {
 	a.bytesInUse += 4 * int64(n)
@@ -351,14 +336,14 @@ func (a *Arena) take(i int, s span) {
 // queued slot of length n if its range of the slab is free. The slot is used
 // up either way; a slot that is not free counts a place miss and falls back
 // to best fit beside the slab. A Get no slot is queued for is a transient
-// (carve) unless Beside is set.
+// (carve).
 func (a *Arena) carveGet(n int) ([]float32, span) {
 	q := -1
 	if n > 0 {
 		q = slices.IndexFunc(a.queue, func(s Slot) bool { return s.Len == n })
 	}
 	if q < 0 {
-		return a.carve(n, !a.beside)
+		return a.carve(n, true)
 	}
 	s := a.slotSpan(a.queue[q])
 	a.queue = slices.Delete(a.queue, q, q+1)
@@ -485,7 +470,7 @@ func (a *Arena) Floats(n int) []float32 {
 	if a == nil {
 		return make([]float32, n)
 	}
-	buf, s := a.carve(n, !a.beside)
+	buf, s := a.carve(n, true)
 	a.ownedF[&buf[0]] = s
 	a.checkOut(n)
 	return buf

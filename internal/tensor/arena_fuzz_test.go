@@ -43,8 +43,8 @@ var arenaPlans = [...]struct{ need, seg int }{{0, 0}, {24, 24}, {48, 48}, {24, 8
 // Expect queued in a placed pass, the first of a Get's length used up by that
 // Get. A Get whose slot range lies inside one segment and is free must land
 // exactly there; a slot that was not free, over a checked-out range or a
-// segment end, must count one place miss and land outside the slab, as must
-// a request under Beside that takes no slot. Any other request in a placed pass is a transient:
+// segment end, must count one place miss and land outside the slab. Any
+// other request in a placed pass is a transient:
 // it may land in the slab, but outside every slot still queued, and if it
 // still holds that range at the next Expect it counts exactly one place miss.
 func runArenaOps(t *testing.T, ops []byte) []span {
@@ -54,7 +54,6 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 	var queue []Slot // the model of a.queue
 	var segs []int   // the slab's segment lengths, chunks base, base+1, …
 	base, resNeed, resSeg, pass := 0, 0, 0, 0
-	beside := false
 	next := float32(1)
 	inSlab := func(s span) bool { return s.chunk >= base && s.chunk < base+len(segs) }
 	// slotSpan is where a free slot [off, off+n) of the pass must land.
@@ -144,9 +143,7 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 				t.Fatalf("Get(%d) took %v, its free slot is %v", n, s, want)
 			case slot >= 0 && !free && inSlab(s):
 				t.Fatalf("Get(%d) with no free slot took %v of the slab", n, s)
-			case slot < 0 && beside && pass > 0 && inSlab(s):
-				t.Fatalf("Get(%d) under Beside with no slot took %v of the slab", n, s)
-			case slot < 0 && !beside:
+			case slot < 0:
 				loose = transient(fmt.Sprintf("Get(%d)", n), s)
 			}
 			if got, wantMiss := a.Stats().PlaceMisses-misses, slot >= 0 && !free; got != 0 != wantMiss {
@@ -162,15 +159,7 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 				break
 			}
 			s := a.ownedF[&f[0]]
-			loose := false
-			if beside {
-				if pass > 0 && inSlab(s) {
-					t.Fatalf("op %d of %d under Beside took %v of the slab", op, n, s)
-				}
-			} else {
-				loose = transient(fmt.Sprintf("op %d of %d", op, n), s)
-			}
-			handOut(arenaBuf{f: f, loose: loose}, s)
+			handOut(arenaBuf{f: f, loose: transient(fmt.Sprintf("op %d of %d", op, n), s)}, s)
 		case 2: // Put, twice: the second must be a no-op
 			if i, ok := take(arg, true); ok {
 				a.Put(live[i].t)
@@ -188,7 +177,7 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 				detached = append(detached, live[i])
 				live = slices.Delete(live, i, i+1)
 			}
-		case 5: // stray Puts of buffers the arena does not own
+		case 5, 9: // stray Puts of buffers the arena does not own (9 once toggled a since-deleted allocation mode; it decodes as stray Puts so old inputs replay)
 			a.Put(New(n))
 			a.PutFloats(make([]float32, n))
 			if len(detached) > 0 {
@@ -236,9 +225,6 @@ func runArenaOps(t *testing.T, ops []byte) []span {
 			if got := a.Stats().PlaceMisses - misses; got != 0 != (pl.need > 0 && pass == 0) {
 				t.Fatalf("PlacePass(%d, %d): %d place misses", pl.need, pl.seg, got)
 			}
-		case 9: // Beside on or off
-			beside = !beside
-			a.Beside(beside)
 		case 8: // Expect two slots, at any offset: over checked-out ranges and past the slab end too
 			slots := []Slot{{Off: int(arg) % 27, Len: n}, {Off: int(arg>>3) % 27, Len: arenaSizes[int(arg>>5)%len(arenaSizes)]}}
 			scale := 1 + int(arg>>7)
@@ -315,7 +301,7 @@ func checkArena(t *testing.T, a *Arena, live, detached []arenaBuf) {
 }
 
 // FuzzArena drives the range allocator with arbitrary Get / Floats / Put /
-// PutFloats / Detach / stray-Put / PlacePass / Expect / Beside sequences and
+// PutFloats / Detach / stray-Put / PlacePass / Expect sequences and
 // checks, after every call, that live ranges never overlap or get
 // overwritten, that every handed-out buffer reads all zeros, that placed Gets
 // take exactly their free slots and fall back otherwise, that transients
@@ -339,11 +325,12 @@ func FuzzArena(f *testing.F) {
 	// Transients in a placed pass: after slots {6, 5} and {7, 1}, scratch of
 	// 3 lands at [0, 3) clear of both, the slot Get takes [6, 11), a Get of 8
 	// no slot is queued for takes [11, 19) of the slab and still holds it at
-	// the next Expect (one place miss); then scratch and a Get under Beside.
-	f.Add([]byte{7, 1, 8, 60, 1, 3, 0, 4, 0, 5, 3, 0, 8, 60, 9, 2, 1, 2, 0, 5, 9, 0, 2, 0, 2, 0, 3, 0})
-	// Under Beside a Get still takes its slot, and scratch of 13 and of 2
-	// keeps beside the slab; without it scratch fills its gaps.
-	f.Add([]byte{7, 1, 8, 60, 9, 4, 0, 4, 1, 6, 6, 2, 9, 4, 8, 109, 6, 2, 0, 4, 3, 0, 7, 0, 1, 6, 0, 5})
+	// the next Expect (one place miss); then scratch and a Get in that step.
+	f.Add([]byte{7, 1, 8, 60, 1, 3, 0, 4, 0, 5, 3, 0, 8, 60, 1, 2, 0, 5, 2, 0, 2, 0, 3, 0})
+	// A Get takes its slot while scratch of 13 and of 2 fills the slab's
+	// gaps around it; then, after the next Expect and an unplaced pass,
+	// scratch and a Get use the slab as free space.
+	f.Add([]byte{7, 1, 8, 60, 0, 4, 1, 6, 6, 2, 8, 109, 6, 2, 0, 4, 3, 0, 7, 0, 1, 6, 0, 5})
 	// A plan of 48 over the 24-element slab: unplaced while a slot Get holds
 	// a range of it, then, once that is put, a new slab replaces the old.
 	f.Add([]byte{7, 1, 8, 60, 0, 4, 7, 2, 2, 0, 7, 2, 8, 60, 0, 4})

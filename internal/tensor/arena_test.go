@@ -278,19 +278,6 @@ func TestArenaPlacement(t *testing.T) {
 	a.Put(h)
 	a.PutFloats(f1)
 
-	// Under Beside a Get still takes its slot, but any other request keeps
-	// off the slab.
-	a.Expect([]Slot{{Off: 12, Len: 4}}, 1)
-	a.Beside(true)
-	b := a.Get(1)
-	p := a.Get(4)
-	a.Beside(false)
-	if a.inSlab(a.owned[b].chunk) || &p.Data[0] != &slab[12] {
-		t.Fatalf("Beside requests took %v and %v", a.owned[b], a.owned[p])
-	}
-	a.Put(b)
-	a.Put(p)
-
 	// A slot whose range is checked out falls back beside the slab and
 	// counts a place miss.
 	a.Expect([]Slot{{Off: 3, Len: 2}}, 1)

@@ -5,8 +5,8 @@
 # measured traces are byte-identical across two runs (the determinism
 # contract of the injected clock). Then run each analytical verb once: paper
 # over every experiment (the ablation included), graph and cache; set -e fails
-# the script on a non-zero exit. tiny-cnn's swept totals under baseline and
-# BNFF must read non-zero. Run from the repository root
+# the script on a non-zero exit. tiny-cnn's swept-byte and FLOP totals under
+# baseline and BNFF must read non-zero. Run from the repository root
 # (make profile-smoke / CI).
 #
 # BNFF_PROFILE_OUT, when set, keeps the traces in that directory so CI can
@@ -60,10 +60,12 @@ echo "== bnff-profile paper / graph / cache =="
 "$BIN" graph -model densenet121 -summary >/dev/null
 "$BIN" cache -model tiny-cnn -batch 4 >/dev/null
 for sc in baseline bnff; do
-    total=$("$BIN" graph -model tiny-cnn -restructure "$sc" -batch 16 -summary | awk '$1 == "total" {print $2}')
-    echo "tiny-cnn $sc: $total MB swept per iteration"
+    read -r total flops < <("$BIN" graph -model tiny-cnn -restructure "$sc" -batch 16 -summary | awk '$1 == "total" {print $2, $5}')
+    echo "tiny-cnn $sc: $total MB swept, $flops GFLOPs per iteration"
     awk -v t="$total" 'BEGIN { exit !(t + 0 > 0) }' \
         || { echo "tiny-cnn $sc swept total '$total' is not positive" >&2; exit 1; }
+    awk -v t="$flops" 'BEGIN { exit !(t + 0 > 0) }' \
+        || { echo "tiny-cnn $sc FLOP total '$flops' is not positive" >&2; exit 1; }
 done
 echo "analytical verbs OK"
 echo "profile smoke OK (traces in $OUT)"
