@@ -74,13 +74,15 @@ ddp-smoke:
 # Allocation-regression guard: steady-state per-step heap allocations must
 # stay within the committed budget
 # (internal/core/testdata/arena_alloc_budget.txt) and at least 10x below the
-# same executor on plain allocation; the blocked kernels and both convolution
-# window bodies must allocate nothing; a serve replica's executor must recycle
-# its activations across same-size batches. Runs without -race: the race
-# runtime inflates AllocsPerRun, so the budget test skips itself there (see
-# raceEnabled in internal/core).
+# same executor on plain allocation; an unfolded inference pass must stay
+# within its own budget (internal/core/testdata/inference_alloc_budget.txt);
+# the blocked kernels and both convolution window bodies must allocate
+# nothing; a serve replica's executor must recycle its activations across
+# same-size batches. Runs without -race: the race runtime inflates
+# AllocsPerRun, so the budget tests skip themselves there (see raceEnabled in
+# internal/core).
 alloc-guard:
-	$(GO) test ./internal/core/ -run TestArenaForwardAllocBudget -count=1 -v
+	$(GO) test ./internal/core/ -run 'TestArenaForwardAllocBudget|TestInferenceAllocBudget' -count=1 -v
 	$(GO) test ./internal/layers/ -run TestBlockedKernelsAllocFree -count=1 -v
 	$(GO) test ./internal/serve/ -run TestReplicaExecutorRecyclesActivations -count=1 -v
 

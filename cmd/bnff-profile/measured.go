@@ -86,6 +86,9 @@ func runMeasured(args []string, stdout io.Writer) error {
 		results = append(results, res)
 
 		fmt.Fprintf(stdout, "== %v ==\n", sc)
+		if sc == core.BNFFICF {
+			fmt.Fprintln(stdout, "the executor runs BNFF+ICF as BNFF; ICF is priced by the cost model only")
+		}
 		if err := res.measured.WriteTable(stdout, res.modeled); err != nil {
 			return err
 		}

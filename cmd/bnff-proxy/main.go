@@ -1,16 +1,15 @@
 // bnff-proxy fronts a fleet of bnff-serve backends: POST /predict requests
-// are routed across the registered backends by a deterministic policy
-// (consistent hashing on the request key by default), a backend is ejected
-// after 3 consecutive failed readiness checks, re-probed on a backoff that
-// doubles from 1 s up to 30 s, and readmitted after 2 consecutive successful
-// probes, and POST /fleet/reload rolls a new checkpoint through the fleet
-// one drained backend at a time — serving capacity never drops below N−1
-// and no accepted request is lost.
+// are routed across the registered backends by rendezvous hashing on the
+// request key, a backend is ejected after 3 consecutive failed readiness
+// checks, re-probed on a backoff that doubles from 1 s up to 30 s, and
+// readmitted after 2 consecutive successful probes, and POST /fleet/reload
+// rolls a new checkpoint through the fleet one drained backend at a time —
+// serving capacity never drops below N−1 and no accepted request is lost.
 //
 // Usage:
 //
 //	bnff-proxy -addr :9090 -backends http://127.0.0.1:9091,http://127.0.0.1:9092
-//	bnff-proxy -addr :9090 -policy least-loaded -probe-interval 500ms
+//	bnff-proxy -addr :9090 -backends http://127.0.0.1:9091 -probe-interval 500ms
 //
 // Endpoints: POST /predict (bnff-serve's body, optional X-Route-Key header),
 // GET /healthz, GET /readyz, GET /metrics, GET /fleet/status, and the
@@ -33,21 +32,16 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9090", "listen address")
 	backends := flag.String("backends", "", "comma-separated backend base URLs (e.g. http://127.0.0.1:9091,http://127.0.0.1:9092); names default to b0,b1,...")
-	policy := flag.String("policy", "hash", "routing policy: hash, least-loaded, or round-robin")
 	probeInterval := flag.Duration("probe-interval", time.Second, "readiness probe sweep interval")
 	flag.Parse()
 
-	if err := run(*addr, *backends, *policy, *probeInterval); err != nil {
+	if err := run(*addr, *backends, *probeInterval); err != nil {
 		fmt.Fprintln(os.Stderr, "bnff-proxy:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, backends, policyName string, probeInterval time.Duration) error {
-	policy, err := fleet.PolicyByName(policyName)
-	if err != nil {
-		return err
-	}
+func run(addr, backends string, probeInterval time.Duration) error {
 	// fleet.Daemon checks this too; checking here refuses the interval
 	// before the bind and the banner.
 	if probeInterval <= 0 {
@@ -62,8 +56,7 @@ func run(addr, backends, policyName string, probeInterval time.Duration) error {
 	// the wall clock itself (the seededrand contract).
 	base := time.Now()
 	proxy := fleet.NewProxy(fleet.Config{
-		Policy: policy,
-		Clock:  func() int64 { return int64(time.Since(base)) },
+		Clock: func() int64 { return int64(time.Since(base)) },
 	})
 	cp := proxy.ControlPlane()
 	if backends != "" {
@@ -80,6 +73,6 @@ func run(addr, backends, policyName string, probeInterval time.Duration) error {
 		}
 	}
 	fmt.Printf("proxy listening on %s  (policy %s, %d backends, probe every %v)\n",
-		ln.Addr(), policy.Name(), len(cp.Status().Backends), probeInterval)
+		ln.Addr(), cp.Policy().Name(), len(cp.Status().Backends), probeInterval)
 	return fleet.Daemon(context.Background(), ln, proxy, probeInterval)
 }

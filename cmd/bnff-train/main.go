@@ -20,12 +20,12 @@ import (
 	"os"
 	"time"
 
+	"bnff/internal/core"
 	"bnff/internal/models"
 	"bnff/internal/obs"
 	"bnff/internal/parallel"
 	"bnff/internal/scenario"
 	"bnff/internal/train"
-	"bnff/internal/workload"
 )
 
 func main() {
@@ -118,6 +118,9 @@ func run(sp scenario.Spec, compare bool, every int, save, load, tracePath string
 	}
 	fmt.Printf("model=%s scenario=%s batch=%d steps=%d lr=%g schedule=%s workers=%d\n",
 		sp.Model, sp.Restructure, sp.Batch, sp.Steps, sp.LR, sp.Schedule, tr.Exec.Workers())
+	if sc, err := core.ParseScenario(sp.Restructure); err == nil && sc == core.BNFFICF {
+		fmt.Println("the executor runs BNFF+ICF as BNFF; ICF is priced by the cost model only")
+	}
 	if sp.Replicas > 1 {
 		fmt.Printf("data-parallel: replicas=%d bn-strategy=%s (shard batch %d)\n",
 			sp.Replicas, sp.BNStrategy, sp.Batch/sp.Replicas)
@@ -138,20 +141,11 @@ func run(sp scenario.Spec, compare bool, every int, save, load, tracePath string
 		}
 	}
 
-	// The comparison batches come from their own stream (seed+2), distinct
-	// from both the parameter seed and the trainers' internal datasets.
-	in := tr.Exec.G.Nodes[0].OutShape
-	data, err := workload.New(workload.Config{
-		Classes: tr.Exec.G.Output.OutShape[1], Channels: in[1], Size: in[2],
-		Noise: 0.3, Seed: sp.Seed + 2,
-	})
-	if err != nil {
-		return err
-	}
-
+	// Every step draws one batch from the trainer's own dataset; under
+	// -compare the baseline steps on that same batch.
 	var tScenario, tBase time.Duration
 	for i := 0; i < sp.Steps; i++ {
-		x, labels, err := data.Batch(sp.Batch)
+		x, labels, err := tr.Data.Batch(sp.Batch)
 		if err != nil {
 			return err
 		}

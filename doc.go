@@ -64,9 +64,8 @@
 // fed by an injected clock.
 //
 // internal/fleet and cmd/bnff-proxy scale that to a fleet: a front proxy
-// routes POST /predict across N bnff-serve backends under a deterministic
-// policy (rendezvous hashing with a mix64 finalizer by default, or
-// least-loaded / round-robin — all pure functions of key and membership), a
+// routes POST /predict across N bnff-serve backends by rendezvous hashing
+// with a mix64 finalizer (a pure function of key and membership), a
 // control plane registers, probes, drains, ejects, and readmits backends on
 // an injected clock, and POST /fleet/reload rolls a new checkpoint through
 // the fleet one drained backend at a time via serve's atomic-generation

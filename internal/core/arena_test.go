@@ -440,26 +440,8 @@ func TestArenaForwardAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("testing.AllocsPerRun is unreliable under the race detector")
 	}
-	raw, err := os.ReadFile("testdata/arena_alloc_budget.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget, err := strconv.ParseFloat(strings.TrimSpace(string(raw)), 64)
-	if err != nil {
-		t.Fatalf("parsing committed budget: %v", err)
-	}
-	allocsPerForward := func(heap bool) float64 {
-		exec, in := arenaBenchExecutor(t, heap)
-		if _, err := exec.Forward(in); err != nil { // warm the free lists
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(5, func() {
-			if _, err := exec.Forward(in); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	on, off := allocsPerForward(false), allocsPerForward(true)
+	budget := committedBudget(t, "testdata/arena_alloc_budget.txt")
+	on, off := allocsPerForward(t, false), allocsPerForward(t, true)
 	t.Logf("tiny-densenet forward allocs/step: arena %.0f, plain allocation %.0f (%.1fx), budget %.0f",
 		on, off, off/on, budget)
 	if on > budget {
@@ -470,10 +452,57 @@ func TestArenaForwardAllocBudget(t *testing.T) {
 	}
 }
 
+// TestInferenceAllocBudget is the allocation guard's inference row: the
+// steady-state heap allocation count of one unfolded tiny-densenet BNFF
+// inference pass (every BN normalizing with its running statistics) must
+// stay at or below the committed budget (testdata/inference_alloc_budget.txt).
+func TestInferenceAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("testing.AllocsPerRun is unreliable under the race detector")
+	}
+	budget := committedBudget(t, "testdata/inference_alloc_budget.txt")
+	got := allocsPerForward(t, false, WithInference())
+	t.Logf("tiny-densenet unfolded inference allocs/pass: %.0f, budget %.0f", got, budget)
+	if got > budget {
+		t.Errorf("inference pass allocates %.0f, budget is %.0f (testdata/inference_alloc_budget.txt)", got, budget)
+	}
+}
+
+// committedBudget reads an allocation budget file.
+func committedBudget(t *testing.T, path string) float64 {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget, err := strconv.ParseFloat(strings.TrimSpace(string(raw)), 64)
+	if err != nil {
+		t.Fatalf("parsing committed budget %s: %v", path, err)
+	}
+	return budget
+}
+
+// allocsPerForward returns the steady-state heap allocations of one forward
+// pass of arenaBenchExecutor's executor, after a pass that warms the free
+// lists.
+func allocsPerForward(t *testing.T, heap bool, opts ...Option) float64 {
+	t.Helper()
+	exec, in := arenaBenchExecutor(t, heap, opts...)
+	if _, err := exec.Forward(in); err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(5, func() {
+		if _, err := exec.Forward(in); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // arenaBenchExecutor builds the tiny-densenet BNFF executor at one worker
-// that the allocation guard and the On/Off benchmark pair share; heap selects
-// the plain-allocation reference.
-func arenaBenchExecutor(tb testing.TB, heap bool) (*Executor, *tensor.Tensor) {
+// that the allocation guards and the On/Off benchmark pair share; heap selects
+// the plain-allocation reference, and opts are applied after the seed and
+// worker count.
+func arenaBenchExecutor(tb testing.TB, heap bool, opts ...Option) (*Executor, *tensor.Tensor) {
 	tb.Helper()
 	g, err := models.TinyDenseNet(4)
 	if err != nil {
@@ -482,7 +511,7 @@ func arenaBenchExecutor(tb testing.TB, heap bool) (*Executor, *tensor.Tensor) {
 	if err := Restructure(g, BNFF.Options()); err != nil {
 		tb.Fatal(err)
 	}
-	exec, err := NewExecutor(g, WithSeed(1), WithWorkers(1))
+	exec, err := NewExecutor(g, append([]Option{WithSeed(1), WithWorkers(1)}, opts...)...)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -69,6 +69,12 @@ type Executor struct {
 	own   map[int]*layers.BNStats
 	stats map[int]*layers.BNStats
 
+	// runPairs is every BN identity's pair over its Running tensors, keyed by
+	// the identity's ParamName and built once by an inference NewExecutor
+	// (nil in training). Load copies into those tensors in place, so the
+	// pairs stay valid across loads; a fold drops its identity's pair.
+	runPairs map[string]*layers.BNStats
+
 	// dropRNG is the dropout stream, one across passes; dropFrom holds, per
 	// dropout node, a copy of it from before the node's forward draws, which
 	// its backward replays.
@@ -159,9 +165,10 @@ type bnStash struct {
 
 // NewExecutor validates the graph, applies the options, and allocates
 // initialized parameters: He-normal convolution and FC weights, γ=1, β=0,
-// zeroed running statistics, and for a training executor one mini-batch
-// statistics pair per producer. Without WithWorkers the executor runs with
-// one worker (serial execution).
+// zeroed running statistics, and one statistics pair per producer for a
+// training executor, or per BN identity over its running statistics for an
+// inference one. Without WithWorkers the executor runs with one worker
+// (serial execution).
 func NewExecutor(g *graph.Graph, opts ...Option) (*Executor, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -185,7 +192,9 @@ func NewExecutor(g *graph.Graph, opts ...Option) (*Executor, error) {
 	if e.tracer != nil {
 		e.pool = e.pool.WithTracer(e.tracer) // regardless of option order
 	}
-	if !e.inference {
+	if e.inference {
+		e.runPairs = make(map[string]*layers.BNStats)
+	} else {
 		e.own = make(map[int]*layers.BNStats)
 	}
 	rng := tensor.NewRNG(e.seed)
@@ -214,10 +223,14 @@ func NewExecutor(g *graph.Graph, opts ...Option) (*Executor, error) {
 				gamma.Fill(1)
 				e.Params[gname] = gamma
 				e.Params[n.BN.ParamName+".beta"] = tensor.New(n.BN.Channels)
-				e.Running[n.BN.ParamName+".rmean"] = tensor.New(n.BN.Channels)
+				rm := tensor.New(n.BN.Channels)
+				e.Running[n.BN.ParamName+".rmean"] = rm
 				rv := tensor.New(n.BN.Channels)
 				rv.Fill(1)
 				e.Running[n.BN.ParamName+".rvar"] = rv
+				if e.runPairs != nil {
+					e.runPairs[n.BN.ParamName] = &layers.BNStats{Mean: rm, Var: rv}
+				}
 			}
 		}
 	}
@@ -391,12 +404,11 @@ func (e *Executor) closeStats(n *graph.Node, attr *graph.BNAttr, m layers.Moment
 
 // runningStats returns the inference-time statistics for a BN identity.
 func (e *Executor) runningStats(attr *graph.BNAttr) (*layers.BNStats, error) {
-	rm := e.Running[attr.ParamName+".rmean"]
-	rv := e.Running[attr.ParamName+".rvar"]
-	if rm == nil || rv == nil {
+	st := e.runPairs[attr.ParamName]
+	if st == nil {
 		return nil, fmt.Errorf("core: no running statistics for %q", attr.ParamName)
 	}
-	return &layers.BNStats{Mean: rm, Var: rv}, nil
+	return st, nil
 }
 
 // statsFor resolves the statistics a normalize-side node should use: the

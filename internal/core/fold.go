@@ -23,10 +23,11 @@ import (
 // foldable CONV→BN pair of the executor's graph (see graph.FoldBN), scales
 // the convolution weights, materializes the folded bias parameters
 // ("<conv>.b"), and drops the absorbed γ/β and running statistics from the
-// parameter maps. The executor must be in inference mode with running
-// statistics loaded (normally from a checkpoint; Load runs this
-// automatically when the executor was built WithFoldedBN). FoldBN is
-// idempotent — a second call is a no-op.
+// parameter maps, with the running-statistics pair built over them. The
+// executor must be in inference mode with running statistics loaded
+// (normally from a checkpoint; Load runs this automatically when the
+// executor was built WithFoldedBN). FoldBN is idempotent — a second call is
+// a no-op.
 //
 // The fold uses the same 1/√(σ²+ε) the normalize path uses (layers.BatchNorm
 // with the conventional ε), so folded outputs match the unfolded inference
@@ -91,5 +92,6 @@ func (e *Executor) foldPair(pr graph.FoldedPair) error {
 	delete(e.Params, attr.ParamName+".beta")
 	delete(e.Running, attr.ParamName+".rmean")
 	delete(e.Running, attr.ParamName+".rvar")
+	delete(e.runPairs, attr.ParamName)
 	return nil
 }

@@ -49,7 +49,6 @@ type backend struct {
 	successes  int    // consecutive readiness successes while ejected
 	backoff    int64  // current ejected re-probe backoff, clock ns
 	nextProbe  int64  // clock reading at which the next ejected probe is due
-	queueDepth int    // last scraped queue depth (least-loaded signal)
 	generation uint64 // last observed model generation
 }
 
@@ -67,7 +66,7 @@ const (
 
 // Config parameterizes a ControlPlane. The zero value is usable.
 type Config struct {
-	// Policy orders routable backends per request. Default ConsistentHash.
+	// Policy orders routable backends per request.
 	Policy Policy
 
 	// Clock supplies monotonic nanoseconds for ejection backoff. Library
@@ -86,9 +85,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Policy == nil {
-		c.Policy = &ConsistentHash{}
-	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
 	}
@@ -228,12 +224,11 @@ func (cp *ControlPlane) recordFailureLocked(b *backend) {
 	cp.updateGaugesLocked()
 }
 
-// ProbeOnce runs one health sweep in sorted-name order: active backends are
-// readiness-checked and their queue-depth gauges scraped (failAfter
-// consecutive failures eject); ejected backends whose backoff has elapsed
-// are re-probed (readmitAfter consecutive successes readmit, failure doubles
-// the backoff up to backoffMax); draining backends are deliberate and left
-// alone. Probes run outside the membership lock so a hung backend cannot
+// ProbeOnce runs one health sweep in sorted-name order, one readiness check
+// per probed backend: active backends are checked (failAfter consecutive
+// failures eject); ejected backends whose backoff has elapsed are re-probed
+// (readmitAfter consecutive successes readmit, failure doubles the backoff
+// up to backoffMax); draining backends are deliberate and left alone. Probes run outside the membership lock so a hung backend cannot
 // wedge routing.
 func (cp *ControlPlane) ProbeOnce() {
 	start := cp.cfg.Tracer.Begin()
@@ -263,12 +258,6 @@ func (cp *ControlPlane) ProbeOnce() {
 	for _, j := range jobs {
 		cp.mProbes.Inc()
 		err := j.conn.Readyz()
-		depth := -1
-		if err == nil {
-			if d, derr := j.conn.QueueDepth(); derr == nil {
-				depth = d
-			}
-		}
 		cp.mu.Lock()
 		b, ok := cp.backends[j.name]
 		if !ok { // deregistered mid-sweep
@@ -281,9 +270,6 @@ func (cp *ControlPlane) ProbeOnce() {
 				cp.recordFailureLocked(b)
 			} else {
 				b.failures = 0
-				if depth >= 0 {
-					b.queueDepth = depth
-				}
 			}
 		case StateEjected:
 			if err != nil {
@@ -299,9 +285,6 @@ func (cp *ControlPlane) ProbeOnce() {
 				if b.successes >= readmitAfter {
 					b.state = StateActive
 					b.failures, b.successes, b.backoff = 0, 0, 0
-					if depth >= 0 {
-						b.queueDepth = depth
-					}
 					cp.mReadmits.Inc()
 					cp.updateGaugesLocked()
 				}
@@ -334,7 +317,7 @@ func (cp *ControlPlane) routable() []BackendView {
 	for _, name := range det.SortedKeys(cp.backends) {
 		b := cp.backends[name]
 		if b.state == StateActive {
-			views = append(views, BackendView{Name: b.name, QueueDepth: b.queueDepth})
+			views = append(views, BackendView{Name: b.name})
 		}
 	}
 	return views
@@ -377,7 +360,6 @@ type BackendStatus struct {
 	Name       string `json:"name"`
 	State      string `json:"state"`
 	Failures   int    `json:"failures"`
-	QueueDepth int    `json:"queue_depth"`
 	Generation uint64 `json:"generation"`
 }
 
@@ -398,7 +380,6 @@ func (cp *ControlPlane) Status() Status {
 			Name:       b.name,
 			State:      b.state.String(),
 			Failures:   b.failures,
-			QueueDepth: b.queueDepth,
 			Generation: b.generation,
 		})
 	}

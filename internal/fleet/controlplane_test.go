@@ -17,11 +17,10 @@ type fakeConn struct {
 	readyErr   error
 	predictErr error
 	logits     []float32
-	depth      int
 	gen        uint64
 	reloadErr  error
 
-	predicts, drains, undrains, reloads int
+	predicts, readyzs, depths, drains, undrains, reloads int
 }
 
 func (f *fakeConn) set(fn func(*fakeConn)) {
@@ -45,13 +44,15 @@ func (f *fakeConn) Healthz() error { return nil }
 func (f *fakeConn) Readyz() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.readyzs++
 	return f.readyErr
 }
 
 func (f *fakeConn) QueueDepth() (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.depth, nil
+	f.depths++
+	return 0, nil
 }
 
 func (f *fakeConn) Reload(io.Reader) (uint64, error) {
@@ -87,6 +88,10 @@ func (f *fakeConn) count(which string) int {
 	switch which {
 	case "predicts":
 		return f.predicts
+	case "readyzs":
+		return f.readyzs
+	case "depths":
+		return f.depths
 	case "drains":
 		return f.drains
 	case "undrains":
@@ -177,7 +182,7 @@ func TestEjectionBackoffAndReadmission(t *testing.T) {
 	}
 
 	// Recovery: readmitAfter consecutive successes readmit.
-	conn.set(func(f *fakeConn) { f.readyErr = nil; f.depth = 7 })
+	conn.set(func(f *fakeConn) { f.readyErr = nil })
 	now = 61 * sec
 	cp.ProbeOnce()
 	if got := cp.Metrics().Counter("bnff_fleet_probes_total").Value(); got != probes+6 {
@@ -193,9 +198,8 @@ func TestEjectionBackoffAndReadmission(t *testing.T) {
 	if got := cp.Metrics().Counter("bnff_fleet_readmissions_total").Value(); got != 1 {
 		t.Fatalf("readmissions counter = %d, want 1", got)
 	}
-	vs := cp.routable()
-	if len(vs) != 1 || vs[0].QueueDepth != 7 {
-		t.Fatalf("routable after readmission = %+v, want depth 7", vs)
+	if vs := cp.routable(); len(vs) != 1 {
+		t.Fatalf("routable after readmission = %+v, want b1", vs)
 	}
 }
 
@@ -219,7 +223,7 @@ func TestDaemonRejectsNonPositiveProbeInterval(t *testing.T) {
 	}
 }
 
-func TestProbeSuccessResetsFailuresAndScrapesDepth(t *testing.T) {
+func TestProbeSuccessResetsFailures(t *testing.T) {
 	conn := &fakeConn{}
 	cp := NewControlPlane(Config{})
 	if err := cp.Register("b1", conn); err != nil {
@@ -229,7 +233,7 @@ func TestProbeSuccessResetsFailuresAndScrapesDepth(t *testing.T) {
 	conn.set(func(f *fakeConn) { f.readyErr = down })
 	cp.ProbeOnce()
 	cp.ProbeOnce()
-	conn.set(func(f *fakeConn) { f.readyErr = nil; f.depth = 3 })
+	conn.set(func(f *fakeConn) { f.readyErr = nil })
 	cp.ProbeOnce() // success: failure streak resets
 	conn.set(func(f *fakeConn) { f.readyErr = down })
 	cp.ProbeOnce()
@@ -237,8 +241,38 @@ func TestProbeSuccessResetsFailuresAndScrapesDepth(t *testing.T) {
 	if cp.States()["b1"] != StateActive {
 		t.Fatal("failure streak survived an intervening success")
 	}
-	if st := cp.Status(); st.Backends[0].QueueDepth != 3 {
-		t.Fatalf("queue depth not scraped: %+v", st.Backends[0])
+}
+
+// TestProbeSweepReadsOnlyReadiness checks that a sweep costs one readiness
+// check per probed backend and nothing else: an active backend and an
+// ejected one due for a re-probe each see one Readyz and no QueueDepth.
+func TestProbeSweepReadsOnlyReadiness(t *testing.T) {
+	var now int64
+	active, ejected := &fakeConn{}, &fakeConn{readyErr: errors.New("down")}
+	cp := NewControlPlane(Config{Clock: func() int64 { return now }})
+	if err := cp.Register("active", active); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Register("ejected", ejected); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < failAfter; i++ {
+		cp.ProbeOnce()
+	}
+	if cp.States()["ejected"] != StateEjected {
+		t.Fatal("setup: backend not ejected")
+	}
+	before := map[*fakeConn]int{active: active.count("readyzs"), ejected: ejected.count("readyzs")}
+	ejected.set(func(f *fakeConn) { f.readyErr = nil })
+	now = backoffBase // the re-probe is due
+	cp.ProbeOnce()
+	for name, c := range map[string]*fakeConn{"active": active, "ejected": ejected} {
+		if got := c.count("readyzs") - before[c]; got != 1 {
+			t.Errorf("%s backend: %d Readyz calls in one sweep, want 1", name, got)
+		}
+		if got := c.count("depths"); got != 0 {
+			t.Errorf("%s backend: %d QueueDepth calls, want 0", name, got)
+		}
 	}
 }
 
@@ -287,14 +321,14 @@ func TestDrainingBackendSkipsProbesAndRouting(t *testing.T) {
 }
 
 func TestStatusSortedAndComplete(t *testing.T) {
-	cp := NewControlPlane(Config{Policy: &LeastLoaded{}})
+	cp := NewControlPlane(Config{})
 	for _, name := range []string{"zeta", "alpha", "mid"} {
 		if err := cp.Register(name, &fakeConn{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := cp.Status()
-	if st.Policy != "least-loaded" {
+	if st.Policy != "hash" {
 		t.Fatalf("status policy = %q", st.Policy)
 	}
 	var names []string

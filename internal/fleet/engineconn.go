@@ -17,10 +17,6 @@ type EngineConn struct {
 // NewEngineConn wraps an engine. The conn takes ownership for Close.
 func NewEngineConn(e *serve.Engine) *EngineConn { return &EngineConn{e: e} }
 
-// Engine returns the wrapped engine (chaos hooks like CrashReplica live
-// there).
-func (c *EngineConn) Engine() *serve.Engine { return c.e }
-
 // Predict implements Conn. Closed and draining engines surface as
 // ErrUnavailable so the proxy's failover taxonomy sees the same shapes an
 // HTTP backend produces.

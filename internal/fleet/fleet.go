@@ -7,11 +7,10 @@
 //   - Conn abstracts one backend — EngineConn wraps an in-process
 //     *serve.Engine (deterministic tests, experiment drills), HTTPConn speaks
 //     the bnff-serve ops surface over the wire (the bnff-proxy daemon).
-//   - Policy orders the routable backends for a request key: consistent
-//     hashing (rendezvous/HRW on an FNV-1a score), least-loaded (on the
-//     queue-depth gauges the control plane scrapes), or round-robin. All
-//     three are deterministic functions of their inputs, so routing under a
-//     fake clock replays bit-identically.
+//   - Policy orders the routable backends for a request key by rendezvous
+//     (highest-random-weight) hashing on an FNV-1a score, a pure function of
+//     key and membership, so routing under a fake clock replays
+//     bit-identically.
 //   - ControlPlane owns membership (register/deregister), the per-backend
 //     state machine (active → draining → ejected → readmitted), periodic
 //     readiness probing against an injectable clock, and ejection backoff.
@@ -49,8 +48,8 @@ var ErrUnknownBackend = errors.New("fleet: unknown backend")
 var ErrDuplicateBackend = errors.New("fleet: backend already registered")
 
 // Conn is one backend as the fleet sees it: the serving surface (Predict),
-// the health split (Healthz liveness, Readyz readiness), the routing signal
-// (QueueDepth), and the lifecycle verbs the rolling reload drives.
+// the health split (Healthz liveness, Readyz readiness), and the lifecycle
+// verbs the rolling reload drives (QueueDepth among them).
 //
 // Error taxonomy: Predict returns serve.ErrOverloaded on load shed (the
 // proxy tries the next backend, 429 only when every backend sheds),
@@ -65,6 +64,8 @@ type Conn interface {
 	// Readyz reports readiness: nil while the backend may take new traffic.
 	Readyz() error
 	// QueueDepth returns the backend's instantaneous request-queue depth.
+	// Its one reader is the rolling reload's wait for a drained backend to
+	// go idle.
 	QueueDepth() (int, error)
 	// Reload hot-swaps the backend's checkpoint and returns the new model
 	// generation.

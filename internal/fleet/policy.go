@@ -4,54 +4,36 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync/atomic"
 )
 
-// BackendView is the routing-relevant snapshot of one routable backend
-// handed to a Policy: its name and the queue depth the control plane last
-// scraped from it.
+// BackendView is one routable backend as the Policy sees it: its name.
 type BackendView struct {
-	Name       string
-	QueueDepth int
+	Name string
 }
 
-// Policy orders the routable backends for one request. The proxy tries them
-// in the returned order, failing over down the list. Views arrive sorted by
-// name and Order must be a pure function of (key, views) plus any internal
-// counter the policy documents — no clocks, no randomness — so a routing
-// history replays deterministically.
-type Policy interface {
-	// Name is the policy's flag value ("hash", "least-loaded", "round-robin").
-	Name() string
-	// Order returns the backend names in preference order.
-	Order(key string, views []BackendView) []string
-}
+// Policy routes by rendezvous (highest-random-weight) hashing: each backend
+// scores FNV-1a(name, key) and the order is score-descending. A given key
+// always prefers the same backend while it stays routable, and removing a
+// backend only remaps the keys that preferred it — the consistent-hashing
+// property without maintaining a ring. The proxy tries backends in the
+// returned order, failing over down the list. Order is a pure function of
+// (key, views) — no clocks, no randomness, no state — so a routing history
+// replays deterministically. The zero value is ready to use.
+type Policy struct{}
 
-// PolicyByName resolves a -policy flag value.
+// PolicyByName resolves a policy name. "hash" is the only one.
 func PolicyByName(name string) (Policy, error) {
-	switch name {
-	case "hash":
-		return &ConsistentHash{}, nil
-	case "least-loaded":
-		return &LeastLoaded{}, nil
-	case "round-robin":
-		return &RoundRobin{}, nil
+	if name != "hash" {
+		return Policy{}, fmt.Errorf("fleet: unknown policy %q (want hash)", name)
 	}
-	return nil, fmt.Errorf("fleet: unknown policy %q (want hash, least-loaded, or round-robin)", name)
+	return Policy{}, nil
 }
 
-// ConsistentHash routes by rendezvous (highest-random-weight) hashing: each
-// backend scores FNV-1a(name, key) and the order is score-descending. A
-// given key always prefers the same backend while it stays routable, and
-// removing a backend only remaps the keys that preferred it — the
-// consistent-hashing property without maintaining a ring.
-type ConsistentHash struct{}
+// Name is the policy's name, "hash".
+func (Policy) Name() string { return "hash" }
 
-// Name implements Policy.
-func (*ConsistentHash) Name() string { return "hash" }
-
-// Order implements Policy.
-func (*ConsistentHash) Order(key string, views []BackendView) []string {
+// Order returns the backend names in preference order.
+func (Policy) Order(key string, views []BackendView) []string {
 	type scored struct {
 		name  string
 		score uint64
@@ -89,54 +71,4 @@ func mix64(x uint64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-// LeastLoaded orders backends by ascending scraped queue depth, name
-// ascending on ties. The depth is the gauge from the control plane's last
-// probe sweep, not a live read — routing stays cheap and deterministic
-// between sweeps.
-type LeastLoaded struct{}
-
-// Name implements Policy.
-func (*LeastLoaded) Name() string { return "least-loaded" }
-
-// Order implements Policy.
-func (*LeastLoaded) Order(_ string, views []BackendView) []string {
-	vs := append([]BackendView(nil), views...)
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].QueueDepth != vs[j].QueueDepth {
-			return vs[i].QueueDepth < vs[j].QueueDepth
-		}
-		return vs[i].Name < vs[j].Name
-	})
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.Name
-	}
-	return out
-}
-
-// RoundRobin rotates the sorted backend list one position per request — the
-// fallback when keys carry no affinity and queue depths say nothing. The
-// rotation counter is the policy's only state; request i starts at backend
-// i mod N.
-type RoundRobin struct {
-	next atomic.Uint64
-}
-
-// Name implements Policy.
-func (*RoundRobin) Name() string { return "round-robin" }
-
-// Order implements Policy.
-func (p *RoundRobin) Order(_ string, views []BackendView) []string {
-	n := len(views)
-	out := make([]string, n)
-	if n == 0 {
-		return out
-	}
-	start := int(p.next.Add(1)-1) % n
-	for i := 0; i < n; i++ {
-		out[i] = views[(start+i)%n].Name
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -15,22 +16,22 @@ func views(names ...string) []BackendView {
 }
 
 func TestPolicyByName(t *testing.T) {
-	for _, name := range []string{"hash", "least-loaded", "round-robin"} {
-		p, err := PolicyByName(name)
-		if err != nil {
-			t.Fatalf("PolicyByName(%q): %v", name, err)
-		}
-		if p.Name() != name {
-			t.Fatalf("PolicyByName(%q).Name() = %q", name, p.Name())
-		}
+	p, err := PolicyByName("hash")
+	if err != nil {
+		t.Fatalf("PolicyByName(hash): %v", err)
 	}
-	if _, err := PolicyByName("random"); err == nil {
-		t.Fatal("PolicyByName accepted an unknown policy")
+	if p.Name() != "hash" {
+		t.Fatalf("PolicyByName(hash).Name() = %q", p.Name())
+	}
+	for _, name := range []string{"least-loaded", "round-robin", "random", ""} {
+		if _, err := PolicyByName(name); err == nil || !strings.Contains(err.Error(), "want hash") {
+			t.Fatalf("PolicyByName(%q) = %v, want an error naming hash", name, err)
+		}
 	}
 }
 
 func TestConsistentHashStableCompleteAndMinimal(t *testing.T) {
-	p := &ConsistentHash{}
+	var p Policy
 	vs := views("a", "b", "c", "d")
 	for _, key := range []string{"k1", "k2", "k3", "user-42"} {
 		o1 := p.Order(key, vs)
@@ -71,36 +72,5 @@ func TestConsistentHashStableCompleteAndMinimal(t *testing.T) {
 		if reduced[0] != full[0] {
 			t.Fatalf("key %q: first choice moved %s → %s when d left", key, full[0], reduced[0])
 		}
-	}
-}
-
-func TestLeastLoadedOrdersByDepthThenName(t *testing.T) {
-	p := &LeastLoaded{}
-	vs := []BackendView{
-		{Name: "a", QueueDepth: 5},
-		{Name: "b", QueueDepth: 0},
-		{Name: "c", QueueDepth: 5},
-		{Name: "d", QueueDepth: 2},
-	}
-	got := p.Order("ignored", vs)
-	want := []string{"b", "d", "a", "c"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Order = %v, want %v", got, want)
-	}
-}
-
-func TestRoundRobinRotates(t *testing.T) {
-	p := &RoundRobin{}
-	vs := views("a", "b", "c")
-	var leads []string
-	for i := 0; i < 6; i++ {
-		leads = append(leads, p.Order("", vs)[0])
-	}
-	want := []string{"a", "b", "c", "a", "b", "c"}
-	if !reflect.DeepEqual(leads, want) {
-		t.Fatalf("round-robin leads = %v, want %v", leads, want)
-	}
-	if got := p.Order("", nil); len(got) != 0 {
-		t.Fatalf("empty views gave order %v", got)
 	}
 }

@@ -167,7 +167,7 @@ func waitIdle(conn Conn) {
 //
 // Predict routing honors an X-Route-Key header as the policy key; without
 // one the key is an FNV-1a digest of the image bytes, so identical images
-// keep backend affinity under the hash policy.
+// keep backend affinity.
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /predict", p.handlePredict)

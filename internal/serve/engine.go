@@ -328,8 +328,8 @@ func (e *Engine) Ready() (bool, string) {
 // successful Reload.
 func (e *Engine) Generation() uint64 { return e.model.Load().gen }
 
-// QueueDepth returns the instantaneous number of queued requests — the load
-// signal a least-loaded router balances on.
+// QueueDepth returns the instantaneous number of queued requests — what the
+// fleet's rolling reload polls to see a drained engine go idle.
 func (e *Engine) QueueDepth() int { return len(e.queue) }
 
 // Reload hot-swaps the served checkpoint with zero downtime: the new image

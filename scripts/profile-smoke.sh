@@ -6,7 +6,9 @@
 # contract of the injected clock). Then run each analytical verb once: paper
 # over every experiment (the ablation included), graph and cache; set -e fails
 # the script on a non-zero exit. tiny-cnn's swept-byte and FLOP totals under
-# baseline and BNFF must read non-zero. Run from the repository root
+# baseline and BNFF must read non-zero, and the BNFF+ICF profile table and a
+# one-step `bnff-train -restructure bnff+icf` must each say the executor ran
+# BNFF. Run from the repository root
 # (make profile-smoke / CI).
 #
 # BNFF_PROFILE_OUT, when set, keeps the traces in that directory so CI can
@@ -30,6 +32,19 @@ run run1 | tee "$OUT/breakdown.txt"
 # The summary must report the headline comparison.
 grep -q "non-CONV share:" "$OUT/breakdown.txt" || {
     echo "breakdown output missing the non-CONV share summary" >&2
+    exit 1
+}
+
+# The executor has no ICF: its BNFF+ICF run is a BNFF run, and both the
+# profile and the trainer must say so under the BNFF+ICF heading.
+ICF_NOTE="the executor runs BNFF+ICF as BNFF; ICF is priced by the cost model only"
+[ "$(grep -A1 -x '== BNFF+ICF ==' "$OUT/breakdown.txt" | tail -n 1)" = "$ICF_NOTE" ] || {
+    echo "bnff-profile's BNFF+ICF table does not say it ran as BNFF" >&2
+    exit 1
+}
+go run ./cmd/bnff-train -model tiny-cnn -restructure bnff+icf -steps 1 -workers 1 >"$OUT/train-icf.txt"
+[ "$(sed -n 2p "$OUT/train-icf.txt")" = "$ICF_NOTE" ] || {
+    echo "bnff-train -restructure bnff+icf does not say it ran as BNFF" >&2
     exit 1
 }
 
