@@ -3,8 +3,9 @@
 // request key, a backend is ejected after 3 consecutive failed readiness
 // checks, re-probed on a backoff that doubles from 1 s up to 30 s, and
 // readmitted after 2 consecutive successful probes, and POST /fleet/reload
-// rolls a new checkpoint through the fleet one drained backend at a time —
-// serving capacity never drops below N−1 and no accepted request is lost.
+// hot-swaps a new checkpoint into one backend at a time, each staying in
+// rotation (the reload is hitless). A bnff-serve backend drains itself on
+// SIGTERM: the proxy fails over past it and ejects it.
 //
 // Usage:
 //
@@ -13,8 +14,8 @@
 //
 // Endpoints: POST /predict (bnff-serve's body, optional X-Route-Key header),
 // GET /healthz, GET /readyz, GET /metrics, GET /fleet/status, and the
-// POST /fleet/{register,deregister,drain,undrain,reload} admin verbs. The
-// daemon exits cleanly on SIGINT/SIGTERM.
+// POST /fleet/{register,deregister,reload} admin verbs. The daemon exits
+// cleanly on SIGINT/SIGTERM.
 package main
 
 import (

@@ -131,7 +131,9 @@ func run(sp scenario.Spec, compare bool, every int, save, load, tracePath string
 		spBase := sp
 		spBase.Name = sp.Name + "/baseline-compare"
 		spBase.Restructure = "baseline"
-		base, err = spBase.NewTrainer()
+		// The baseline steps only on tr's batches (StepOn), so it shares
+		// tr's dataset rather than building its own.
+		base, err = spBase.NewTrainer(func(b *train.Trainer) { b.Data = tr.Data })
 		if err != nil {
 			return err
 		}

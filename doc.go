@@ -66,10 +66,10 @@
 // internal/fleet and cmd/bnff-proxy scale that to a fleet: a front proxy
 // routes POST /predict across N bnff-serve backends by rendezvous hashing
 // with a mix64 finalizer (a pure function of key and membership), a
-// control plane registers, probes, drains, ejects, and readmits backends on
-// an injected clock, and POST /fleet/reload rolls a new checkpoint through
-// the fleet one drained backend at a time via serve's atomic-generation
-// Reload, keeping capacity at N-1 throughout. Bit-deterministic inference
+// control plane registers, probes, ejects, and readmits backends on an
+// injected clock, and POST /fleet/reload rolls a new checkpoint through the
+// fleet one backend at a time via serve's hitless atomic-generation Reload,
+// so no backend leaves rotation. Bit-deterministic inference
 // makes zero-downtime testable: during a roll every answer must bit-match
 // exactly one checkpoint generation, and afterwards only the new one
 // (asserted end to end, over real processes and sockets, by

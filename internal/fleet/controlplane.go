@@ -16,9 +16,6 @@ type State int
 const (
 	// StateActive backends take new assignments.
 	StateActive State = iota
-	// StateDraining backends finish in-flight work but get no new
-	// assignments — the deliberate state around reloads and retirement.
-	StateDraining
 	// StateEjected backends failed too many consecutive probes; they are
 	// re-probed on a doubling backoff and readmitted after sustained
 	// recovery.
@@ -30,8 +27,6 @@ func (s State) String() string {
 	switch s {
 	case StateActive:
 		return "active"
-	case StateDraining:
-		return "draining"
 	case StateEjected:
 		return "ejected"
 	}
@@ -163,39 +158,6 @@ func (cp *ControlPlane) Deregister(name string) error {
 	return nil
 }
 
-// Drain moves a backend to the draining state and tells it to refuse new
-// work. In-flight and queued requests finish; the proxy stops assigning.
-func (cp *ControlPlane) Drain(name string) error {
-	cp.mu.Lock()
-	b, ok := cp.backends[name]
-	if !ok {
-		cp.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownBackend, name)
-	}
-	b.state = StateDraining
-	conn := b.conn
-	cp.updateGaugesLocked()
-	cp.mu.Unlock()
-	return conn.Drain()
-}
-
-// Undrain returns a draining backend to active service with clean health
-// counters.
-func (cp *ControlPlane) Undrain(name string) error {
-	cp.mu.Lock()
-	b, ok := cp.backends[name]
-	if !ok {
-		cp.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownBackend, name)
-	}
-	b.state = StateActive
-	b.failures, b.successes = 0, 0
-	conn := b.conn
-	cp.updateGaugesLocked()
-	cp.mu.Unlock()
-	return conn.Undrain()
-}
-
 // NoteFailure records a predict-path unavailability for a backend — the
 // same evidence as a failed probe, so repeated failover past a dead backend
 // ejects it without waiting for the next sweep.
@@ -228,8 +190,8 @@ func (cp *ControlPlane) recordFailureLocked(b *backend) {
 // per probed backend: active backends are checked (failAfter consecutive
 // failures eject); ejected backends whose backoff has elapsed are re-probed
 // (readmitAfter consecutive successes readmit, failure doubles the backoff
-// up to backoffMax); draining backends are deliberate and left alone. Probes run outside the membership lock so a hung backend cannot
-// wedge routing.
+// up to backoffMax). Probes run outside the membership lock so a hung
+// backend cannot wedge routing.
 func (cp *ControlPlane) ProbeOnce() {
 	start := cp.cfg.Tracer.Begin()
 	defer cp.cfg.Tracer.End("probe-sweep", "fleet", "", 0, start)
@@ -243,13 +205,8 @@ func (cp *ControlPlane) ProbeOnce() {
 	cp.mu.Lock()
 	for _, name := range det.SortedKeys(cp.backends) {
 		b := cp.backends[name]
-		switch b.state {
-		case StateDraining:
+		if b.state == StateEjected && now < b.nextProbe {
 			continue
-		case StateEjected:
-			if now < b.nextProbe {
-				continue
-			}
 		}
 		jobs = append(jobs, job{name: b.name, conn: b.conn})
 	}

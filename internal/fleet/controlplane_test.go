@@ -19,8 +19,9 @@ type fakeConn struct {
 	logits     []float32
 	gen        uint64
 	reloadErr  error
+	onReload   func() // called inside Reload, before it answers
 
-	predicts, readyzs, depths, drains, undrains, reloads int
+	predicts, readyzs, reloads int
 }
 
 func (f *fakeConn) set(fn func(*fakeConn)) {
@@ -39,8 +40,6 @@ func (f *fakeConn) Predict(_ []float32) ([]float32, error) {
 	return f.logits, nil
 }
 
-func (f *fakeConn) Healthz() error { return nil }
-
 func (f *fakeConn) Readyz() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -48,39 +47,19 @@ func (f *fakeConn) Readyz() error {
 	return f.readyErr
 }
 
-func (f *fakeConn) QueueDepth() (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.depths++
-	return 0, nil
-}
-
 func (f *fakeConn) Reload(io.Reader) (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.reloads++
+	if f.onReload != nil {
+		f.onReload()
+	}
 	if f.reloadErr != nil {
 		return 0, f.reloadErr
 	}
 	f.gen++
 	return f.gen, nil
 }
-
-func (f *fakeConn) Drain() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.drains++
-	return nil
-}
-
-func (f *fakeConn) Undrain() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.undrains++
-	return nil
-}
-
-func (f *fakeConn) Close() error { return nil }
 
 func (f *fakeConn) count(which string) int {
 	f.mu.Lock()
@@ -90,12 +69,6 @@ func (f *fakeConn) count(which string) int {
 		return f.predicts
 	case "readyzs":
 		return f.readyzs
-	case "depths":
-		return f.depths
-	case "drains":
-		return f.drains
-	case "undrains":
-		return f.undrains
 	case "reloads":
 		return f.reloads
 	}
@@ -244,8 +217,8 @@ func TestProbeSuccessResetsFailures(t *testing.T) {
 }
 
 // TestProbeSweepReadsOnlyReadiness checks that a sweep costs one readiness
-// check per probed backend and nothing else: an active backend and an
-// ejected one due for a re-probe each see one Readyz and no QueueDepth.
+// check per probed backend: an active backend and an ejected one due for a
+// re-probe each see one Readyz.
 func TestProbeSweepReadsOnlyReadiness(t *testing.T) {
 	var now int64
 	active, ejected := &fakeConn{}, &fakeConn{readyErr: errors.New("down")}
@@ -270,53 +243,6 @@ func TestProbeSweepReadsOnlyReadiness(t *testing.T) {
 		if got := c.count("readyzs") - before[c]; got != 1 {
 			t.Errorf("%s backend: %d Readyz calls in one sweep, want 1", name, got)
 		}
-		if got := c.count("depths"); got != 0 {
-			t.Errorf("%s backend: %d QueueDepth calls, want 0", name, got)
-		}
-	}
-}
-
-func TestDrainingBackendSkipsProbesAndRouting(t *testing.T) {
-	conn := &fakeConn{}
-	cp := NewControlPlane(Config{})
-	if err := cp.Register("b1", conn); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Drain("b1"); err != nil {
-		t.Fatal(err)
-	}
-	if conn.count("drains") != 1 {
-		t.Fatal("Drain did not reach the backend")
-	}
-	// A draining backend's readiness failures are deliberate, not evidence.
-	conn.set(func(f *fakeConn) { f.readyErr = errors.New("draining") })
-	for i := 0; i < 5; i++ {
-		cp.ProbeOnce()
-	}
-	if got := cp.Metrics().Counter("bnff_fleet_probes_total").Value(); got != 0 {
-		t.Fatalf("draining backend was probed %d times", got)
-	}
-	if cp.States()["b1"] != StateDraining {
-		t.Fatal("draining backend changed state under probes")
-	}
-	if len(cp.routable()) != 0 {
-		t.Fatal("draining backend still routable")
-	}
-	conn.set(func(f *fakeConn) { f.readyErr = nil })
-	if err := cp.Undrain("b1"); err != nil {
-		t.Fatal(err)
-	}
-	if conn.count("undrains") != 1 {
-		t.Fatal("Undrain did not reach the backend")
-	}
-	if cp.States()["b1"] != StateActive || len(cp.routable()) != 1 {
-		t.Fatal("backend not routable after Undrain")
-	}
-	if err := cp.Drain("ghost"); !errors.Is(err, ErrUnknownBackend) {
-		t.Fatalf("Drain(ghost) err = %v, want ErrUnknownBackend", err)
-	}
-	if err := cp.Undrain("ghost"); !errors.Is(err, ErrUnknownBackend) {
-		t.Fatalf("Undrain(ghost) err = %v, want ErrUnknownBackend", err)
 	}
 }
 

@@ -14,7 +14,7 @@ type EngineConn struct {
 	e *serve.Engine
 }
 
-// NewEngineConn wraps an engine. The conn takes ownership for Close.
+// NewEngineConn wraps an engine. The engine stays its creator's to close.
 func NewEngineConn(e *serve.Engine) *EngineConn { return &EngineConn{e: e} }
 
 // Predict implements Conn. Closed and draining engines surface as
@@ -31,14 +31,6 @@ func (c *EngineConn) Predict(img []float32) ([]float32, error) {
 	return logits, err
 }
 
-// Healthz implements Conn.
-func (c *EngineConn) Healthz() error {
-	if c.e.Closed() {
-		return fmt.Errorf("%w: closed", ErrUnavailable)
-	}
-	return nil
-}
-
 // Readyz implements Conn.
 func (c *EngineConn) Readyz() error {
 	if ok, reason := c.e.Ready(); !ok {
@@ -47,36 +39,10 @@ func (c *EngineConn) Readyz() error {
 	return nil
 }
 
-// QueueDepth implements Conn.
-func (c *EngineConn) QueueDepth() (int, error) {
-	if c.e.Closed() {
-		return 0, fmt.Errorf("%w: closed", ErrUnavailable)
-	}
-	return c.e.QueueDepth(), nil
-}
-
 // Reload implements Conn.
 func (c *EngineConn) Reload(ckpt io.Reader) (uint64, error) {
 	if err := c.e.Reload(ckpt); err != nil {
 		return 0, err
 	}
 	return c.e.Generation(), nil
-}
-
-// Drain implements Conn.
-func (c *EngineConn) Drain() error {
-	c.e.Drain()
-	return nil
-}
-
-// Undrain implements Conn.
-func (c *EngineConn) Undrain() error {
-	c.e.Undrain()
-	return nil
-}
-
-// Close implements Conn: it shuts the engine down.
-func (c *EngineConn) Close() error {
-	c.e.Close()
-	return nil
 }

@@ -212,7 +212,7 @@ func TestEngineFleetRollingReload(t *testing.T) {
 		t.Fatalf("generations after roll = %v, want 2/2", gens)
 	}
 	for name, eng := range map[string]*serve.Engine{"b1": e1, "b2": e2} {
-		if eng.Draining() {
+		if eng.Stats().Draining {
 			t.Fatalf("%s left draining after the roll", name)
 		}
 		if st := cp.States()[name]; st != StateActive {
@@ -275,49 +275,14 @@ func TestProxyHTTPSurface(t *testing.T) {
 		t.Fatalf("status = %+v", st)
 	}
 
-	// Drain one backend; readiness holds while the other is routable, and
-	// drops when both are out.
-	for _, name := range []string{"b1", "b2"} {
-		resp, err = http.Post(srv.URL+"/fleet/drain?name="+name, "text/plain", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/fleet/drain %s = %d", name, resp.StatusCode)
-		}
-		resp, err = http.Get(srv.URL + "/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		want := http.StatusOK
-		if name == "b2" {
-			want = http.StatusServiceUnavailable
-		}
-		if resp.StatusCode != want {
-			t.Fatalf("/readyz after draining %s = %d, want %d", name, resp.StatusCode, want)
-		}
-	}
-	// A fully drained fleet refuses predictions with 503.
-	resp, err = http.Post(srv.URL+"/predict", "application/json", bytes.NewReader(body))
+	resp, err = http.Get(srv.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/predict with no routable backends = %d, want 503", resp.StatusCode)
-	}
-	for _, name := range []string{"b1", "b2"} {
-		resp, err = http.Post(srv.URL+"/fleet/undrain?name="+name, "text/plain", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz with two routable backends = %d, want 200", resp.StatusCode)
 	}
 
 	// Rolling reload over HTTP: JSON generation map, both at 2.
@@ -375,6 +340,89 @@ func TestProxyHTTPSurface(t *testing.T) {
 			t.Fatalf("/metrics missing %s", name)
 		}
 	}
+
+	// With every backend deregistered the proxy is unready and refuses
+	// predictions with 503.
+	for _, name := range []string{"b1", "b3"} {
+		if err := cp.Deregister(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err = http.Get(srv.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz with no backends = %d, want 503", resp.StatusCode)
+	}
+	resp, err = http.Post(srv.URL+"/predict", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/predict with no routable backends = %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestSelfDrainedBackendFailsOverAndIsEjected drains one of two engines the
+// way bnff-serve does on SIGTERM: every prediction answers from the other
+// backend without an error, and failAfter probe sweeps eject the drained
+// one. Two proxies share the engines, so the routing half's failover
+// evidence does not feed the probe half's count.
+func TestSelfDrainedBackendFailsOverAndIsEjected(t *testing.T) {
+	ckpt := mkCheckpoint(t, 11, 12)
+	e1, e2 := newEngine(t, ckpt), newEngine(t, ckpt)
+	routed, probed := NewProxy(Config{}), NewProxy(Config{})
+	for _, p := range []*Proxy{routed, probed} {
+		if err := p.ControlPlane().Register("b1", NewEngineConn(e1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ControlPlane().Register("b2", NewEngineConn(e2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img := testImage(e1.ImageLen())
+	ref := refLogits(t, ckpt, img)
+	cp := routed.ControlPlane()
+	keys := []string{keyPreferring(t, cp.Policy(), cp.routable(), "b1"),
+		keyPreferring(t, cp.Policy(), cp.routable(), "b2")}
+
+	e1.Drain()
+	const n = 8
+	for i := 0; i < n; i++ {
+		logits, err := routed.Predict(keys[i%2], img)
+		if err != nil {
+			t.Fatalf("predict %d after the drain: %v", i, err)
+		}
+		if !equalF32(logits, ref) {
+			t.Fatalf("predict %d after the drain: answer does not bit-match the reference", i)
+		}
+	}
+	if got := e1.Stats().Requests; got != 0 {
+		t.Fatalf("drained backend answered %d requests", got)
+	}
+	if got := e2.Stats().Requests; got != n {
+		t.Fatalf("other backend answered %d requests, want %d", got, n)
+	}
+
+	pcp := probed.ControlPlane()
+	for i := 1; i <= failAfter; i++ {
+		pcp.ProbeOnce()
+		want := StateActive
+		if i == failAfter {
+			want = StateEjected
+		}
+		if got := pcp.States()["b1"]; got != want {
+			t.Fatalf("after %d probe sweeps the drained backend is %s, want %s", i, got, want)
+		}
+	}
+	if got := pcp.States()["b2"]; got != StateActive {
+		t.Fatalf("serving backend is %s after the sweeps, want active", got)
+	}
 }
 
 // TestHTTPConnAgainstRealBackend exercises HTTPConn against a live
@@ -389,9 +437,6 @@ func TestHTTPConnAgainstRealBackend(t *testing.T) {
 	defer conn.Close()
 	img := testImage(eng.ImageLen())
 
-	if err := conn.Healthz(); err != nil {
-		t.Fatalf("Healthz: %v", err)
-	}
 	if err := conn.Readyz(); err != nil {
 		t.Fatalf("Readyz: %v", err)
 	}
@@ -404,22 +449,6 @@ func TestHTTPConnAgainstRealBackend(t *testing.T) {
 	}
 	if _, err := conn.Predict(img[:3]); !errors.Is(err, serve.ErrBadImage) {
 		t.Fatalf("short image err = %v, want serve.ErrBadImage", err)
-	}
-	if depth, err := conn.QueueDepth(); err != nil || depth != 0 {
-		t.Fatalf("QueueDepth = %d, %v", depth, err)
-	}
-
-	if err := conn.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Readyz(); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("Readyz while draining err = %v, want ErrUnavailable", err)
-	}
-	if _, err := conn.Predict(img); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("Predict while draining err = %v, want ErrUnavailable", err)
-	}
-	if err := conn.Undrain(); err != nil {
-		t.Fatal(err)
 	}
 
 	gen, err := conn.Reload(bytes.NewReader(ckptB))
@@ -435,6 +464,16 @@ func TestHTTPConnAgainstRealBackend(t *testing.T) {
 	}
 	if _, err := conn.Reload(strings.NewReader("garbage")); err == nil {
 		t.Fatal("Reload accepted garbage")
+	}
+
+	// A backend draining itself (bnff-serve on SIGTERM) answers 503, which
+	// both verbs read as ErrUnavailable.
+	eng.Drain()
+	if err := conn.Readyz(); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("Readyz while draining err = %v, want ErrUnavailable", err)
+	}
+	if _, err := conn.Predict(img); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("Predict while draining err = %v, want ErrUnavailable", err)
 	}
 
 	// A dead endpoint resolves to ErrUnavailable on every verb.

@@ -34,9 +34,6 @@ func NewHTTPConn(base string) *HTTPConn {
 	}
 }
 
-// URL returns the backend base URL.
-func (c *HTTPConn) URL() string { return c.base }
-
 // Predict implements Conn.
 func (c *HTTPConn) Predict(img []float32) ([]float32, error) {
 	body, err := json.Marshal(serve.PredictRequest{Image: img})
@@ -64,39 +61,17 @@ func (c *HTTPConn) Predict(img []float32) ([]float32, error) {
 	}
 }
 
-// Healthz implements Conn.
-func (c *HTTPConn) Healthz() error { return c.check("/healthz") }
-
 // Readyz implements Conn.
-func (c *HTTPConn) Readyz() error { return c.check("/readyz") }
-
-func (c *HTTPConn) check(path string) error {
-	resp, err := c.client.Get(c.base + path)
+func (c *HTTPConn) Readyz() error {
+	resp, err := c.client.Get(c.base + "/readyz")
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%w: %s: %s (%s)", ErrUnavailable, path, resp.Status, readError(resp.Body))
+		return fmt.Errorf("%w: /readyz: %s (%s)", ErrUnavailable, resp.Status, readError(resp.Body))
 	}
 	return nil
-}
-
-// QueueDepth implements Conn by reading the backend's /stats snapshot.
-func (c *HTTPConn) QueueDepth() (int, error) {
-	resp, err := c.client.Get(c.base + "/stats")
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("%w: stats: %s", ErrUnavailable, resp.Status)
-	}
-	var st serve.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return 0, fmt.Errorf("%w: decoding stats: %v", ErrUnavailable, err)
-	}
-	return st.QueueDepth, nil
 }
 
 // Reload implements Conn.
@@ -116,26 +91,8 @@ func (c *HTTPConn) Reload(ckpt io.Reader) (uint64, error) {
 	return out.Generation, nil
 }
 
-// Drain implements Conn.
-func (c *HTTPConn) Drain() error { return c.post("/drain") }
-
-// Undrain implements Conn.
-func (c *HTTPConn) Undrain() error { return c.post("/undrain") }
-
-func (c *HTTPConn) post(path string) error {
-	resp, err := c.client.Post(c.base+path, "text/plain", nil)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%w: %s: %s", ErrUnavailable, path, resp.Status)
-	}
-	return nil
-}
-
-// Close implements Conn: the backend process is not ours to stop, so only
-// idle keep-alive connections are released.
+// Close releases idle keep-alive connections; the backend process is not
+// ours to stop.
 func (c *HTTPConn) Close() error {
 	c.client.CloseIdleConnections()
 	return nil

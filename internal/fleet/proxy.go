@@ -93,20 +93,14 @@ func (p *Proxy) Predict(key string, img []float32) ([]float32, error) {
 	return nil, ErrNoBackends
 }
 
-// maxIdlePolls bounds how many queue-depth polls RollingReload spends
-// waiting for a drained backend to go idle before proceeding anyway (the
-// hot-swap itself is safe under traffic; the wait just keeps the cutover
-// tidy).
-const maxIdlePolls = 200
-
-// RollingReload rolls a checkpoint through every registered backend one at
-// a time, in sorted-name order: drain (new work shifts to the other
-// backends), wait for the queue to empty, hot-swap, undrain, move on. At
-// most one backend is out of rotation at any moment, so fleet capacity
-// never drops below N−1. A backend that rejects the checkpoint aborts the
-// roll with the error after restoring that backend to service — earlier
-// backends keep the new generation, later ones keep the old, and the caller
-// decides whether to retry or roll back.
+// RollingReload rolls a checkpoint through every routable backend one at a
+// time, in sorted-name order. Each backend's Reload is hitless — it validates
+// the image beside the generation it serves and flips atomically, each batch
+// running on one generation — so every backend stays in rotation throughout.
+// A backend that rejects the checkpoint stops the roll with the error and
+// keeps serving its old generation: earlier backends keep the new
+// generation, later ones the old, and the caller decides whether to retry or
+// roll back.
 func (p *Proxy) RollingReload(ckpt []byte) (map[string]uint64, error) {
 	start := p.cp.cfg.Tracer.Begin()
 	defer p.cp.cfg.Tracer.End("rolling-reload", "fleet", "", 0, start)
@@ -117,39 +111,19 @@ func (p *Proxy) RollingReload(ckpt []byte) (map[string]uint64, error) {
 	}
 	gens := make(map[string]uint64, len(views))
 	for _, v := range views {
-		name := v.Name
-		conn, ok := p.cp.get(name)
+		conn, ok := p.cp.get(v.Name)
 		if !ok {
 			continue
 		}
-		if err := p.cp.Drain(name); err != nil {
-			return gens, fmt.Errorf("fleet: draining %s: %w", name, err)
-		}
-		waitIdle(conn)
 		gen, err := conn.Reload(bytes.NewReader(ckpt))
-		if uerr := p.cp.Undrain(name); uerr != nil && err == nil {
-			err = uerr
-		}
 		if err != nil {
-			return gens, fmt.Errorf("fleet: reloading %s: %w", name, err)
+			return gens, fmt.Errorf("fleet: reloading %s: %w", v.Name, err)
 		}
-		gens[name] = gen
-		p.cp.setGeneration(name, gen)
+		gens[v.Name] = gen
+		p.cp.setGeneration(v.Name, gen)
 		p.mReloads.Inc()
 	}
 	return gens, nil
-}
-
-// waitIdle polls a drained backend's queue depth until it reaches zero or
-// the poll budget runs out. Iteration-capped rather than clock-based so the
-// wait is deterministic under test and bounded in production.
-func waitIdle(conn Conn) {
-	for i := 0; i < maxIdlePolls; i++ {
-		depth, err := conn.QueueDepth()
-		if err != nil || depth == 0 {
-			return
-		}
-	}
 }
 
 // Handler returns the proxy's HTTP surface:
@@ -161,8 +135,6 @@ func waitIdle(conn Conn) {
 //	GET  /fleet/status      membership, states, generations as JSON
 //	POST /fleet/register    ?name=N&url=U — add an HTTP backend
 //	POST /fleet/deregister  ?name=N
-//	POST /fleet/drain       ?name=N — stop assignments, finish in-flight
-//	POST /fleet/undrain     ?name=N
 //	POST /fleet/reload      rolling hot-swap; body is the checkpoint image
 //
 // Predict routing honors an X-Route-Key header as the policy key; without
@@ -177,8 +149,6 @@ func (p *Proxy) Handler() http.Handler {
 	mux.HandleFunc("GET /fleet/status", p.handleStatus)
 	mux.HandleFunc("POST /fleet/register", p.handleRegister)
 	mux.HandleFunc("POST /fleet/deregister", p.handleDeregister)
-	mux.HandleFunc("POST /fleet/drain", p.handleDrain)
-	mux.HandleFunc("POST /fleet/undrain", p.handleUndrain)
 	mux.HandleFunc("POST /fleet/reload", p.handleReload)
 	return mux
 }
@@ -282,32 +252,6 @@ func (p *Proxy) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "deregistered")
-}
-
-func (p *Proxy) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if err := p.cp.Drain(r.FormValue("name")); err != nil {
-		status := http.StatusBadGateway
-		if errors.Is(err, ErrUnknownBackend) {
-			status = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "draining")
-}
-
-func (p *Proxy) handleUndrain(w http.ResponseWriter, r *http.Request) {
-	if err := p.cp.Undrain(r.FormValue("name")); err != nil {
-		status := http.StatusBadGateway
-		if errors.Is(err, ErrUnknownBackend) {
-			status = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
 }
 
 func (p *Proxy) handleReload(w http.ResponseWriter, r *http.Request) {

@@ -124,39 +124,51 @@ func TestPredictBadImageIsTerminal(t *testing.T) {
 	}
 }
 
-func TestRollingReloadDrainsOneAtATime(t *testing.T) {
-	a, b, c := &fakeConn{}, &fakeConn{}, &fakeConn{}
+// TestRollingReloadKeepsEveryBackendRoutable checks that a roll is one
+// Reload per backend in sorted-name order and nothing else: no backend leaves
+// rotation, not even during its own reload.
+func TestRollingReloadKeepsEveryBackendRoutable(t *testing.T) {
 	p := NewProxy(Config{})
 	cp := p.ControlPlane()
-	if err := cp.Register("a", a); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Register("b", b); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Register("c", c); err != nil {
-		t.Fatal(err)
+	var order []string
+	fakes := map[string]*fakeConn{}
+	for _, name := range []string{"c", "a", "b"} {
+		f := &fakeConn{}
+		f.onReload = func() {
+			order = append(order, name)
+			routable := false
+			for _, v := range cp.routable() {
+				routable = routable || v.Name == name
+			}
+			if !routable {
+				t.Errorf("%s not routable during its own reload", name)
+			}
+		}
+		fakes[name] = f
+		if err := cp.Register(name, f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	gens, err := p.RollingReload([]byte("ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"a", "b", "c"} {
+	if fmt.Sprint(order) != "[a b c]" {
+		t.Fatalf("reload order %v, want [a b c]", order)
+	}
+	for name, f := range fakes {
 		if gens[name] != 1 {
 			t.Fatalf("generation map %v, want 1 for %s", gens, name)
 		}
-	}
-	for i, conn := range []*fakeConn{a, b, c} {
-		if conn.count("drains") != 1 || conn.count("undrains") != 1 || conn.count("reloads") != 1 {
-			t.Fatalf("backend %d: drains/undrains/reloads = %d/%d/%d, want 1/1/1",
-				i, conn.count("drains"), conn.count("undrains"), conn.count("reloads"))
+		if f.count("reloads") != 1 || f.count("predicts") != 0 || f.count("readyzs") != 0 {
+			t.Fatalf("backend %s: reloads/predicts/readyzs = %d/%d/%d, want 1/0/0",
+				name, f.count("reloads"), f.count("predicts"), f.count("readyzs"))
+		}
+		if cp.States()[name] != StateActive {
+			t.Fatalf("backend %s left %s after the roll", name, cp.States()[name])
 		}
 	}
-	if cp.States()["a"] != StateActive || cp.States()["b"] != StateActive || cp.States()["c"] != StateActive {
-		t.Fatal("backends not restored to active after the roll")
-	}
-	st := cp.Status()
-	for _, bs := range st.Backends {
+	for _, bs := range cp.Status().Backends {
 		if bs.Generation != 1 {
 			t.Fatalf("status generation %+v, want 1", bs)
 		}
@@ -191,8 +203,8 @@ func TestRollingReloadAbortsOnRejectionAndRestoresService(t *testing.T) {
 	if c.count("reloads") != 0 {
 		t.Fatal("later backend was reloaded after the abort")
 	}
-	// The rejecting backend is back in rotation — a failed roll must not
-	// shrink capacity.
+	// The rejecting backend stays in rotation on its old generation — a
+	// failed roll must not shrink capacity.
 	if cp.States()["b"] != StateActive {
 		t.Fatal("rejecting backend left out of rotation")
 	}

@@ -88,15 +88,12 @@ func (s Spec) TrainSchedule() (train.Schedule, error) {
 	}
 }
 
-// NewTrainer wires the full training run: executor, dataset, optimizer, and
-// schedule per the spec. Extra trainer options append after the spec-derived
-// ones.
+// NewTrainer wires the full training run: executor, optimizer, schedule and
+// dataset per the spec. Extra trainer options append after the spec-derived
+// ones; the spec's dataset is built only if none of them set the trainer's
+// Data.
 func (s Spec) NewTrainer(extra ...train.TrainerOption) (*train.Trainer, error) {
 	exec, err := s.NewExecutor()
-	if err != nil {
-		return nil, err
-	}
-	data, err := s.Dataset()
 	if err != nil {
 		return nil, err
 	}
@@ -115,5 +112,14 @@ func (s Spec) NewTrainer(extra ...train.TrainerOption) (*train.Trainer, error) {
 		train.WithReplicas(s.Replicas),
 		train.WithBNStrategy(st),
 	}
-	return train.NewTrainer(exec, data, append(opts, extra...)...)
+	t, err := train.NewTrainer(exec, nil, append(opts, extra...)...)
+	if err != nil {
+		return nil, err
+	}
+	if t.Data == nil {
+		if t.Data, err = s.Dataset(); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
 }

@@ -59,7 +59,7 @@ type Engine struct {
 	done      chan struct{} // closed by Close after replicas exit and the queue drains
 	closed    atomic.Bool
 	draining  atomic.Bool // Drain: refuse new requests, finish queued ones
-	reloading atomic.Bool // Reload in flight: /readyz reports 503
+	reloading atomic.Bool // Reload in flight: a second one gets ErrReloadBusy
 	wg        sync.WaitGroup
 	rejected  atomic.Uint64
 
@@ -141,7 +141,6 @@ func newEngine(builder Builder, ckpt io.Reader, cfg Config) (*Engine, error) {
 			gen:   1,
 			exec:  exec,
 			stats: replicaStats{batchHist: make([]uint64, cfg.MaxBatch)},
-			die:   make(chan struct{}),
 		}
 	}
 	g := e.replicas[0].exec.G
@@ -290,36 +289,28 @@ func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 // Closed reports whether Close has begun.
 func (e *Engine) Closed() bool { return e.closed.Load() }
 
-// Drain puts the engine into its drain state: Predict refuses new requests
-// with ErrDraining while everything already queued finishes normally. A
-// fleet proxy drains a backend before reloading or retiring it so capacity
-// shifts without dropping accepted work; Undrain reverses it.
+// Drain puts the engine into its drain state for good: Predict refuses new
+// requests with ErrDraining and Ready reports "draining", while everything
+// already queued finishes normally. Daemon drains the engine on SIGTERM
+// before it closes it, so a fleet proxy fails over past the backend and
+// ejects it without dropping accepted work.
 func (e *Engine) Drain() {
 	e.draining.Store(true)
 	e.mDraining.Set(1)
 }
 
-// Undrain returns a drained engine to service.
-func (e *Engine) Undrain() {
-	e.draining.Store(false)
-	e.mDraining.Set(0)
-}
-
-// Draining reports whether the engine is in its drain state.
-func (e *Engine) Draining() bool { return e.draining.Load() }
-
 // Ready reports readiness — whether the engine should receive new
-// assignments — and, when not ready, the reason ("closed", "draining",
-// "reloading"). Liveness (Closed) and readiness differ exactly while
-// draining or mid-reload: the process is healthy but must not be routed to.
+// assignments — and, when not ready, the reason ("closed" or "draining").
+// Liveness (Closed) and readiness differ exactly while draining: the process
+// is healthy but must not be routed to. A reload in flight does not touch
+// readiness, since the engine keeps answering on the old generation until it
+// flips.
 func (e *Engine) Ready() (bool, string) {
 	switch {
 	case e.closed.Load():
 		return false, "closed"
 	case e.draining.Load():
 		return false, "draining"
-	case e.reloading.Load():
-		return false, "reloading"
 	}
 	return true, ""
 }
@@ -327,10 +318,6 @@ func (e *Engine) Ready() (bool, string) {
 // Generation returns the current model generation: 1 at Load, +1 per
 // successful Reload.
 func (e *Engine) Generation() uint64 { return e.model.Load().gen }
-
-// QueueDepth returns the instantaneous number of queued requests — what the
-// fleet's rolling reload polls to see a drained engine go idle.
-func (e *Engine) QueueDepth() int { return len(e.queue) }
 
 // Reload hot-swaps the served checkpoint with zero downtime: the new image
 // is read and validated (built and loaded into an executor, through the
@@ -367,24 +354,6 @@ func (e *Engine) Reload(ckpt io.Reader) error {
 	e.model.Store(next)
 	e.mReloads.Inc()
 	e.mGeneration.Set(int64(next.gen))
-	return nil
-}
-
-// Replicas returns the engine's replica count.
-func (e *Engine) Replicas() int { return len(e.replicas) }
-
-// CrashReplica kills replica i's worker loop mid-service — a chaos hook for
-// availability drills. The batch the replica holds (if any) finishes and is
-// answered; afterwards the replica drains nothing more, while the remaining
-// replicas keep serving the shared queue. Crashing every replica stalls the
-// queue (Predict callers block until Close). Idempotent per replica; the
-// index must be in range.
-func (e *Engine) CrashReplica(i int) error {
-	if i < 0 || i >= len(e.replicas) {
-		return fmt.Errorf("serve: replica index %d out of range [0, %d)", i, len(e.replicas))
-	}
-	r := e.replicas[i]
-	r.dieOnce.Do(func() { close(r.die) })
 	return nil
 }
 

@@ -164,7 +164,52 @@ func TestReloadBusyAndClosed(t *testing.T) {
 	}
 }
 
-func TestDrainRefusesNewWorkUndrainRestores(t *testing.T) {
+// TestReadyWhileReloading holds a reload mid-read and checks that the engine
+// stays ready and keeps answering on the old generation: a reload is hitless,
+// so a probe that lands during one must not count toward ejection.
+func TestReadyWhileReloading(t *testing.T) {
+	ckptA, ckptB := testCheckpoint(t), altCheckpoint(t)
+	eng, err := Load(tinyCNN, bytes.NewReader(ckptA), Config{MaxBatch: 2, FoldBN: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	img := make([]float32, eng.ImageLen())
+	for i := range img {
+		img[i] = float32(i%7) * 0.25
+	}
+
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- eng.Reload(pr) }()
+	// The write returns once Reload has read the first byte, so the reload is
+	// in flight from here until the pipe closes.
+	if _, err := pw.Write(ckptB[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if ok, reason := eng.Ready(); !ok {
+		t.Fatalf("Ready during a reload = (false, %q), want true", reason)
+	}
+	got, err := eng.Predict(img)
+	if err != nil {
+		t.Fatalf("Predict during a reload: %v", err)
+	}
+	if !equalF32(got, refLogits(t, ckptA, img)) {
+		t.Fatal("answer during a reload does not bit-match the old generation")
+	}
+	if _, err := pw.Write(ckptB[1:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Generation(); got != 2 {
+		t.Fatalf("generation after the reload = %d, want 2", got)
+	}
+}
+
+func TestDrainRefusesNewWork(t *testing.T) {
 	ckpt := testCheckpoint(t)
 	eng, err := Load(tinyCNN, bytes.NewReader(ckpt), Config{})
 	if err != nil {
@@ -183,16 +228,11 @@ func TestDrainRefusesNewWorkUndrainRestores(t *testing.T) {
 	if eng.Closed() {
 		t.Fatal("draining must not read as closed (liveness vs readiness)")
 	}
+	if !eng.Stats().Draining {
+		t.Error("stats do not report the drain")
+	}
 	if eng.Metrics().Gauge("bnff_serve_draining").Value() != 1 {
 		t.Error("draining gauge not set")
-	}
-
-	eng.Undrain()
-	if _, err := eng.Predict(img); err != nil {
-		t.Fatalf("Predict after Undrain: %v", err)
-	}
-	if ok, _ := eng.Ready(); !ok {
-		t.Fatal("engine not ready after Undrain")
 	}
 }
 
@@ -230,21 +270,6 @@ func TestReadyzReloadDrainEndpoints(t *testing.T) {
 	if code := get("/readyz"); code != http.StatusOK {
 		t.Fatalf("/readyz = %d, want 200", code)
 	}
-	if code, _ := post("/drain", nil); code != http.StatusOK {
-		t.Fatalf("/drain = %d, want 200", code)
-	}
-	if code := get("/readyz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz while draining = %d, want 503", code)
-	}
-	if code := get("/healthz"); code != http.StatusOK {
-		t.Fatalf("/healthz while draining = %d, want 200 (liveness)", code)
-	}
-	if code, _ := post("/undrain", nil); code != http.StatusOK {
-		t.Fatalf("/undrain = %d, want 200", code)
-	}
-	if code := get("/readyz"); code != http.StatusOK {
-		t.Fatalf("/readyz after undrain = %d, want 200", code)
-	}
 
 	code, body := post("/reload", bytes.NewReader(ckpt))
 	if code != http.StatusOK {
@@ -269,6 +294,14 @@ func TestReadyzReloadDrainEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if st.Generation != 2 {
 		t.Fatalf("stats generation = %d, want 2", st.Generation)
+	}
+	// The drain Daemon enters on SIGTERM: unready, still live.
+	eng.Drain()
+	if code := get("/readyz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz while draining = %d, want 503", code)
+	}
+	if code := get("/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz while draining = %d, want 200 (liveness)", code)
 	}
 }
 

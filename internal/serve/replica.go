@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sync"
 	"time"
 
 	"bnff/internal/core"
@@ -20,9 +19,6 @@ type replica struct {
 	stats replicaStats
 	buf   []*request       // reusable collect buffer
 	in    []*tensor.Tensor // reusable input batch of k images at in[k-1]
-
-	die     chan struct{} // closed by Engine.CrashReplica: this loop alone exits
-	dieOnce sync.Once
 }
 
 // loop drains the engine queue until Close: block for one request, coalesce
@@ -33,8 +29,6 @@ func (r *replica) loop() {
 		select {
 		case first := <-r.e.queue:
 			r.run(r.collect(first))
-		case <-r.die:
-			return
 		case <-r.e.stop:
 			return
 		}

@@ -410,63 +410,6 @@ func benchServe(b *testing.B, maxBatch int) {
 func BenchmarkServePerImage(b *testing.B) { benchServe(b, 1) }
 func BenchmarkServeBatched(b *testing.B)  { benchServe(b, 8) }
 
-// CrashReplica kills exactly one replica's loop: with a second replica
-// alive, service continues correct; crashing out of range errors; the hook
-// is idempotent; Close still shuts down cleanly afterwards; and an engine
-// reloaded from the same checkpoint answers as before the crash.
-func TestCrashReplicaKeepsServing(t *testing.T) {
-	ckpt := testCheckpoint(t)
-	eng, err := Load(tinyCNN, bytes.NewReader(ckpt), Config{
-		MaxBatch: 4, Replicas: 2, QueueDepth: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if eng.Replicas() != 2 {
-		t.Fatalf("Replicas() = %d, want 2", eng.Replicas())
-	}
-
-	img := make([]float32, eng.ImageLen())
-	for i := range img {
-		img[i] = float32(i%7) * 0.1
-	}
-	want, err := eng.Predict(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := eng.CrashReplica(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.CrashReplica(0); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if err := eng.CrashReplica(5); err == nil {
-		t.Error("out-of-range crash accepted")
-	}
-
-	for i := 0; i < 8; i++ {
-		got, err := eng.Predict(img)
-		if err != nil {
-			t.Fatalf("post-crash request %d: %v", i, err)
-		}
-		if !equalF32(got, want) {
-			t.Errorf("post-crash request %d: logits changed", i)
-		}
-	}
-
-	// Recovery: a fresh engine from the same checkpoint answers identically.
-	fresh, err := Load(tinyCNN, bytes.NewReader(ckpt), Config{MaxBatch: 4, Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	if got, err := fresh.Predict(img); err != nil || !equalF32(got, want) {
-		t.Errorf("fresh engine after the crash: err %v, logits match %t", err, err == nil && equalF32(got, want))
-	}
-}
-
 // A replica's executor releases each value at its last forward reader and
 // holds only what its forward-only plan keeps live: after a batch of 1 and
 // one of 2, its arena holds at most 1.25× the larger of memplan's planned

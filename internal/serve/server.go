@@ -29,12 +29,10 @@ type PredictResponse struct {
 //
 //	POST /predict  one image in, logits + argmax class out
 //	GET  /healthz  liveness: 200 until Close, 503 after
-//	GET  /readyz   readiness: 200 while routable, 503 draining/reloading/closed
+//	GET  /readyz   readiness: 200 while routable, 503 draining/closed
 //	GET  /stats    Stats snapshot as JSON
 //	GET  /metrics  the engine's registry in Prometheus text format
 //	POST /reload   hot-swap the checkpoint (raw image as request body)
-//	POST /drain    enter the drain state (refuse new work, finish queued)
-//	POST /undrain  leave the drain state
 //
 // Load shedding maps to status codes: a full queue answers 429, a closed or
 // draining engine 503, a malformed or wrong-sized image 400, a concurrent
@@ -49,8 +47,6 @@ func (e *Engine) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", e.handleStats)
 	mux.HandleFunc("GET /metrics", e.handleMetrics)
 	mux.HandleFunc("POST /reload", e.handleReload)
-	mux.HandleFunc("POST /drain", e.handleDrain)
-	mux.HandleFunc("POST /undrain", e.handleUndrain)
 	return mux
 }
 
@@ -145,18 +141,6 @@ func (e *Engine) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, ReloadResponse{Generation: e.Generation()})
-}
-
-func (e *Engine) handleDrain(w http.ResponseWriter, _ *http.Request) {
-	e.Drain()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "draining")
-}
-
-func (e *Engine) handleUndrain(w http.ResponseWriter, _ *http.Request) {
-	e.Undrain()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
 }
 
 func (e *Engine) handleStats(w http.ResponseWriter, _ *http.Request) {

@@ -34,8 +34,8 @@ type Stats struct {
 	// Generation is the model generation being served: 1 at Load, +1 per
 	// successful Reload.
 	Generation uint64 `json:"generation"`
-	// Draining reports the explicit drain state (new requests refused while
-	// queued ones finish).
+	// Draining reports the drain state Daemon enters on SIGTERM (new
+	// requests refused while queued ones finish).
 	Draining bool `json:"draining"`
 	// BatchHist[i] is the number of dispatched batches of size i+1, up to
 	// MaxBatch.

@@ -2,12 +2,13 @@
 # Smoke test for the serving fleet: bnff-proxy fronting two bnff-serve
 # backends over the real wire. Proves the fleet's three contracts end to end:
 #
-#   1. Rolling reload under load: POST /fleet/reload swaps a new checkpoint
-#      through the fleet one drained backend at a time while client traffic
-#      keeps flowing — zero non-200 answers, and every answer bit-matches a
-#      fresh single-process folded reference of either the old or the new
-#      checkpoint (no blended generations). Afterwards both backends report
-#      generation 2 and answers bit-match only the new reference.
+#   1. Rolling reload under load: POST /fleet/reload hot-swaps a new
+#      checkpoint into one backend at a time, each staying in rotation,
+#      while client traffic keeps flowing — zero non-200 answers, and every
+#      answer bit-matches a fresh single-process folded reference of either
+#      the old or the new checkpoint (no blended generations). Afterwards
+#      both backends report generation 2 and answers bit-match only the new
+#      reference.
 #   2. Backend crash with failover: SIGKILL one backend mid-traffic — every
 #      accepted request is still answered 200 with bit-identical logits
 #      (zero accepted-request loss), and the control plane ejects the corpse.

@@ -17,7 +17,9 @@ set -euo pipefail
 
 MODEL="${BNFF_PROFILE_MODEL:-tiny-densenet}"
 OUT="${BNFF_PROFILE_OUT:-$(mktemp -d)}"
-BIN="$(mktemp -d)/bnff-profile"
+BINDIR="$(mktemp -d)"
+BIN="$BINDIR/bnff-profile"
+trap 'rm -rf "$BINDIR"' EXIT
 mkdir -p "$OUT"
 
 go build -o "$BIN" ./cmd/bnff-profile

@@ -7,9 +7,10 @@
 set -euo pipefail
 
 ADDR="${BNFF_SMOKE_ADDR:-127.0.0.1:18431}"
-BIN="$(mktemp -d)/bnff-serve"
+BINDIR="$(mktemp -d)"
+BIN="$BINDIR/bnff-serve"
 LOG="$(mktemp)"
-trap 'kill "$PID" 2>/dev/null || true; rm -f "$LOG"' EXIT
+trap 'kill "${PID:-}" 2>/dev/null || true; rm -rf "$BINDIR" "$LOG"' EXIT
 
 go build -o "$BIN" ./cmd/bnff-serve
 
