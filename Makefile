@@ -54,7 +54,8 @@ smoke:
 # backends on the real wire — rolling checkpoint reload under load (zero
 # non-200, answers bit-match a fresh single-process folded reference),
 # SIGKILL one backend mid-traffic (zero accepted-request loss, control-plane
-# ejection), clean SIGTERM shutdown.
+# ejection), a roll that stops at the dead backend until it is deregistered,
+# clean SIGTERM shutdown.
 fleet-smoke:
 	./scripts/fleet-smoke.sh
 

@@ -24,12 +24,10 @@ import (
 	"os"
 	"time"
 
-	"bnff/internal/core"
 	"bnff/internal/graph"
 	"bnff/internal/models"
+	"bnff/internal/scenario"
 	"bnff/internal/serve"
-	"bnff/internal/train"
-	"bnff/internal/workload"
 )
 
 func main() {
@@ -104,37 +102,24 @@ func run(model, ckptPath, addr string, steps, batch, maxBatch, replicas, queue, 
 	return serve.Daemon(context.Background(), ln, eng)
 }
 
-// selfTrain produces a demo checkpoint in memory: a few SGD steps on the
-// synthetic workload, enough for the served model to have meaningful running
-// statistics. Real deployments pass -checkpoint from bnff-train -save.
+// selfTrain produces a demo checkpoint in memory: steps SGD steps of the
+// baseline model on its synthetic workload, enough for the served model to
+// have meaningful running statistics. The scenario builders supply the
+// trainer: seed+1 data stream, SGD(0.01, 0.9, 1e-4) at a constant rate (so
+// the spec's Steps, which only sizes decaying schedules, stays unset). Real
+// deployments pass -checkpoint from bnff-train -save.
 func selfTrain(model string, steps, batch, workers int, seed uint64) (*bytes.Buffer, error) {
-	g, err := models.Build(model, batch)
-	if err != nil {
+	sp := scenario.Spec{Name: "self-train", Model: model, Workers: workers, Seed: seed, Batch: batch}
+	if err := sp.Normalize(); err != nil {
 		return nil, err
 	}
-	exec, err := core.NewExecutor(g, core.WithSeed(seed), core.WithWorkers(workers))
-	if err != nil {
-		return nil, err
-	}
-	data, err := workload.New(workload.Config{
-		Classes: g.Output.OutShape[1], Channels: g.Nodes[0].OutShape[1],
-		Size: g.Nodes[0].OutShape[2], Noise: 0.3, Seed: seed + 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr, err := train.NewTrainer(exec, data,
-		train.WithBatchSize(batch), train.WithOptimizer(train.NewSGD(0.01, 0.9, 1e-4)))
+	tr, err := sp.NewTrainer()
 	if err != nil {
 		return nil, err
 	}
 	fmt.Printf("self-training %s: %d steps at batch %d\n", model, steps, batch)
 	for i := 0; i < steps; i++ {
-		x, labels, err := data.Batch(batch)
-		if err != nil {
-			return nil, err
-		}
-		res, err := tr.StepOn(x, labels)
+		res, err := tr.Step()
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +128,7 @@ func selfTrain(model string, steps, batch, workers int, seed uint64) (*bytes.Buf
 		}
 	}
 	var buf bytes.Buffer
-	if err := exec.Save(&buf); err != nil {
+	if err := tr.Exec.Save(&buf); err != nil {
 		return nil, err
 	}
 	return &buf, nil

@@ -59,38 +59,28 @@ const (
 	backoffMax   = int64(30 * time.Second)
 )
 
-// Config parameterizes a ControlPlane. The zero value is usable.
+// Config parameterizes a ControlPlane. The zero value is usable. The control
+// plane makes its own metrics registry, read through ControlPlane.Metrics and
+// exposed by the proxy's GET /metrics.
 type Config struct {
 	// Policy orders routable backends per request.
 	Policy Policy
 
 	// Clock supplies monotonic nanoseconds for ejection backoff. Library
 	// code must not read the wall clock (the seededrand contract): the
-	// daemon injects one from cmd/, tests inject fakes. Nil reads as a
-	// clock stuck at zero — backoff then never gates re-probes, which is
-	// the right degenerate behavior for tests that step ProbeOnce by hand.
+	// daemon injects one from cmd/, tests inject fakes. With a nil Clock
+	// backoff never gates a re-probe: every sweep probes every ejected
+	// backend, the right degenerate behavior for tests that step ProbeOnce
+	// by hand.
 	Clock func() int64
-
-	// Metrics, when non-nil, receives the bnff_fleet_* series. Nil gets a
-	// private registry so /metrics always has content.
-	Metrics *obs.Registry
-
-	// Tracer, when non-nil, records probe-sweep and rolling-reload spans.
-	Tracer *obs.Tracer
-}
-
-func (c Config) withDefaults() Config {
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry()
-	}
-	return c
 }
 
 // ControlPlane owns fleet membership and the per-backend health state
 // machine. Probing is explicit (ProbeOnce) so tests drive it
 // deterministically; ProbeLoop wraps it in a ticker for daemons.
 type ControlPlane struct {
-	cfg Config
+	cfg     Config
+	metrics *obs.Registry
 
 	mu       sync.Mutex
 	backends map[string]*backend
@@ -104,21 +94,21 @@ type ControlPlane struct {
 
 // NewControlPlane builds an empty control plane.
 func NewControlPlane(cfg Config) *ControlPlane {
-	cfg = cfg.withDefaults()
-	cp := &ControlPlane{
-		cfg:      cfg,
-		backends: make(map[string]*backend),
+	reg := obs.NewRegistry()
+	return &ControlPlane{
+		cfg:        cfg,
+		metrics:    reg,
+		backends:   make(map[string]*backend),
+		mProbes:    reg.Counter("bnff_fleet_probes_total"),
+		mEjections: reg.Counter("bnff_fleet_ejections_total"),
+		mReadmits:  reg.Counter("bnff_fleet_readmissions_total"),
+		mBackends:  reg.Gauge("bnff_fleet_backends"),
+		mActive:    reg.Gauge("bnff_fleet_active"),
 	}
-	cp.mProbes = cfg.Metrics.Counter("bnff_fleet_probes_total")
-	cp.mEjections = cfg.Metrics.Counter("bnff_fleet_ejections_total")
-	cp.mReadmits = cfg.Metrics.Counter("bnff_fleet_readmissions_total")
-	cp.mBackends = cfg.Metrics.Gauge("bnff_fleet_backends")
-	cp.mActive = cfg.Metrics.Gauge("bnff_fleet_active")
-	return cp
 }
 
 // Metrics returns the control plane's registry.
-func (cp *ControlPlane) Metrics() *obs.Registry { return cp.cfg.Metrics }
+func (cp *ControlPlane) Metrics() *obs.Registry { return cp.metrics }
 
 // Policy returns the routing policy in force.
 func (cp *ControlPlane) Policy() Policy { return cp.cfg.Policy }
@@ -188,13 +178,11 @@ func (cp *ControlPlane) recordFailureLocked(b *backend) {
 
 // ProbeOnce runs one health sweep in sorted-name order, one readiness check
 // per probed backend: active backends are checked (failAfter consecutive
-// failures eject); ejected backends whose backoff has elapsed are re-probed
-// (readmitAfter consecutive successes readmit, failure doubles the backoff
-// up to backoffMax). Probes run outside the membership lock so a hung
-// backend cannot wedge routing.
+// failures eject); ejected backends whose backoff has elapsed — every one,
+// without a Clock — are re-probed (readmitAfter consecutive successes
+// readmit, failure doubles the backoff up to backoffMax). Probes run outside
+// the membership lock so a hung backend cannot wedge routing.
 func (cp *ControlPlane) ProbeOnce() {
-	start := cp.cfg.Tracer.Begin()
-	defer cp.cfg.Tracer.End("probe-sweep", "fleet", "", 0, start)
 	now := cp.now()
 
 	type job struct {
@@ -205,7 +193,7 @@ func (cp *ControlPlane) ProbeOnce() {
 	cp.mu.Lock()
 	for _, name := range det.SortedKeys(cp.backends) {
 		b := cp.backends[name]
-		if b.state == StateEjected && now < b.nextProbe {
+		if b.state == StateEjected && cp.cfg.Clock != nil && now < b.nextProbe {
 			continue
 		}
 		jobs = append(jobs, job{name: b.name, conn: b.conn})
@@ -278,6 +266,13 @@ func (cp *ControlPlane) routable() []BackendView {
 		}
 	}
 	return views
+}
+
+// names returns every registered backend's name, sorted, whatever its state.
+func (cp *ControlPlane) names() []string {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	return det.SortedKeys(cp.backends)
 }
 
 // get returns a backend's connection by name.

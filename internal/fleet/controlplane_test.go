@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -193,6 +194,66 @@ func TestDaemonRejectsNonPositiveProbeInterval(t *testing.T) {
 			c.Close()
 			t.Errorf("Daemon(interval %v) left its listener open", d)
 		}
+	}
+}
+
+// TestDaemonShutdownOnCancel checks the shared shutdown path: canceling the
+// daemon's context returns nil and closes the listener.
+func TestDaemonShutdownOnCancel(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- Daemon(ctx, ln, NewProxy(Config{}), time.Hour) }()
+	waitHealthy(t, "http://"+ln.Addr().String()+"/healthz")
+	cancel()
+	if err := <-errc; err != nil {
+		t.Fatalf("Daemon after cancel = %v, want nil", err)
+	}
+	if c, err := ln.Accept(); err == nil {
+		c.Close()
+		t.Fatal("Daemon left its listener open")
+	}
+}
+
+// waitHealthy polls url until it answers 200.
+func waitHealthy(t *testing.T, url string) {
+	t.Helper()
+	for i := 0; i < 200; i++ {
+		if resp, err := http.Get(url); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return
+			}
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("%s never answered 200", url)
+}
+
+// TestClocklessControlPlaneReadmits checks Config.Clock's nil contract:
+// without a clock, backoff never gates a re-probe, so a recovered backend is
+// readmitted after readmitAfter sweeps.
+func TestClocklessControlPlaneReadmits(t *testing.T) {
+	conn := &fakeConn{readyErr: errors.New("down")}
+	cp := NewControlPlane(Config{})
+	if err := cp.Register("b1", conn); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < failAfter; i++ {
+		cp.ProbeOnce()
+	}
+	if cp.States()["b1"] != StateEjected {
+		t.Fatal("setup: backend not ejected")
+	}
+	conn.set(func(f *fakeConn) { f.readyErr = nil })
+	for i := 0; i < readmitAfter; i++ {
+		cp.ProbeOnce()
+	}
+	if cp.States()["b1"] != StateActive {
+		t.Fatalf("recovered backend still %s after %d clockless sweeps", cp.States()["b1"], readmitAfter)
 	}
 }
 

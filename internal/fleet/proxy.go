@@ -35,11 +35,11 @@ func NewProxy(cfg Config) *Proxy {
 	cp := NewControlPlane(cfg)
 	return &Proxy{
 		cp:         cp,
-		mRequests:  cp.cfg.Metrics.Counter("bnff_fleet_requests_total"),
-		mFailovers: cp.cfg.Metrics.Counter("bnff_fleet_failovers_total"),
-		mShed:      cp.cfg.Metrics.Counter("bnff_fleet_shed_total"),
-		mErrors:    cp.cfg.Metrics.Counter("bnff_fleet_errors_total"),
-		mReloads:   cp.cfg.Metrics.Counter("bnff_fleet_reloads_total"),
+		mRequests:  cp.metrics.Counter("bnff_fleet_requests_total"),
+		mFailovers: cp.metrics.Counter("bnff_fleet_failovers_total"),
+		mShed:      cp.metrics.Counter("bnff_fleet_shed_total"),
+		mErrors:    cp.metrics.Counter("bnff_fleet_errors_total"),
+		mReloads:   cp.metrics.Counter("bnff_fleet_reloads_total"),
 	}
 }
 
@@ -93,34 +93,33 @@ func (p *Proxy) Predict(key string, img []float32) ([]float32, error) {
 	return nil, ErrNoBackends
 }
 
-// RollingReload rolls a checkpoint through every routable backend one at a
-// time, in sorted-name order. Each backend's Reload is hitless — it validates
-// the image beside the generation it serves and flips atomically, each batch
-// running on one generation — so every backend stays in rotation throughout.
-// A backend that rejects the checkpoint stops the roll with the error and
-// keeps serving its old generation: earlier backends keep the new
-// generation, later ones the old, and the caller decides whether to retry or
-// roll back.
+// RollingReload rolls a checkpoint through every registered backend one at
+// a time, in sorted-name order — ejected ones too, so a backend readmitted
+// later serves the same generation as the rest. Each backend's Reload is
+// hitless — it validates the image beside the generation it serves and flips
+// atomically, each batch running on one generation — so every backend stays
+// in rotation throughout. A backend that fails the reload, by rejecting the
+// checkpoint or by not answering, stops the roll with an error naming it and
+// keeps its old generation: earlier backends keep the new generation, later
+// ones the old, and the caller decides whether to retry, deregister the
+// backend, or roll back.
 func (p *Proxy) RollingReload(ckpt []byte) (map[string]uint64, error) {
-	start := p.cp.cfg.Tracer.Begin()
-	defer p.cp.cfg.Tracer.End("rolling-reload", "fleet", "", 0, start)
-
-	views := p.cp.routable()
-	if len(views) == 0 {
+	names := p.cp.names()
+	if len(names) == 0 {
 		return nil, ErrNoBackends
 	}
-	gens := make(map[string]uint64, len(views))
-	for _, v := range views {
-		conn, ok := p.cp.get(v.Name)
-		if !ok {
+	gens := make(map[string]uint64, len(names))
+	for _, name := range names {
+		conn, ok := p.cp.get(name)
+		if !ok { // deregistered mid-roll
 			continue
 		}
 		gen, err := conn.Reload(bytes.NewReader(ckpt))
 		if err != nil {
-			return gens, fmt.Errorf("fleet: reloading %s: %w", v.Name, err)
+			return gens, fmt.Errorf("fleet: reloading %s: %w", name, err)
 		}
-		gens[v.Name] = gen
-		p.cp.setGeneration(v.Name, gen)
+		gens[name] = gen
+		p.cp.setGeneration(name, gen)
 		p.mReloads.Inc()
 	}
 	return gens, nil
@@ -224,7 +223,7 @@ func (p *Proxy) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 func (p *Proxy) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = p.cp.cfg.Metrics.WriteText(w)
+	_ = p.cp.metrics.WriteText(w)
 }
 
 func (p *Proxy) handleStatus(w http.ResponseWriter, _ *http.Request) {

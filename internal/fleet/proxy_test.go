@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"bnff/internal/serve"
@@ -207,6 +208,49 @@ func TestRollingReloadAbortsOnRejectionAndRestoresService(t *testing.T) {
 	// failed roll must not shrink capacity.
 	if cp.States()["b"] != StateActive {
 		t.Fatal("rejecting backend left out of rotation")
+	}
+}
+
+// TestRollingReloadCoversEjectedBackend checks that a roll reloads every
+// registered backend, an ejected one too, so it serves the new generation
+// once readmitted; and that an ejected backend failing its reload stops the
+// roll with an error naming it, as a rejection does.
+func TestRollingReloadCoversEjectedBackend(t *testing.T) {
+	a, b := &fakeConn{}, &fakeConn{}
+	p := NewProxy(Config{})
+	cp := p.ControlPlane()
+	if err := cp.Register("a", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Register("b", b); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < failAfter; i++ {
+		cp.NoteFailure("b")
+	}
+	if cp.States()["b"] != StateEjected {
+		t.Fatal("setup: b not ejected")
+	}
+	gens, err := p.RollingReload([]byte("ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(gens) != "map[a:1 b:1]" {
+		t.Fatalf("generations %v, want map[a:1 b:1]", gens)
+	}
+	for _, bs := range cp.Status().Backends {
+		if bs.Generation != 1 {
+			t.Fatalf("status %+v, want generation 1", bs)
+		}
+	}
+
+	b.set(func(f *fakeConn) { f.reloadErr = errors.New("connection refused") })
+	gens, err = p.RollingReload([]byte("ckpt"))
+	if err == nil || !strings.Contains(err.Error(), "reloading b") {
+		t.Fatalf("roll over a dead ejected backend: err = %v, want one naming b", err)
+	}
+	if fmt.Sprint(gens) != "map[a:2]" {
+		t.Fatalf("generations %v, want map[a:2]", gens)
 	}
 }
 

@@ -3,12 +3,11 @@ package serve
 import (
 	"fmt"
 	"time"
-
-	"bnff/internal/obs"
 )
 
 // Config parameterizes an Engine. The zero value is usable: Load applies the
-// defaults below.
+// defaults below. The engine makes its own metrics registry, read through
+// Engine.Metrics and exposed by GET /metrics.
 type Config struct {
 	// MaxBatch caps how many queued single-image requests coalesce into one
 	// inference mini-batch. Default 8.
@@ -49,19 +48,6 @@ type Config struct {
 	// inject deterministic fakes; with a nil Clock all latencies record as
 	// zero and the quantiles read zero.
 	Clock func() int64
-
-	// Metrics, when non-nil, is the registry the engine publishes its
-	// serving metrics into (bnff_serve_* counters, gauges, and the latency
-	// histogram) — inject one to aggregate several engines or to scrape from
-	// elsewhere; engines that share one also share the latency quantiles
-	// Stats reports. With a nil Metrics the engine creates a private
-	// registry, so GET /metrics always has something to expose.
-	Metrics *obs.Registry
-
-	// Tracer, when non-nil, records engine lifecycle spans (currently the
-	// "reload" span around each checkpoint hot-swap). A nil tracer is the
-	// disabled state, free on every path.
-	Tracer *obs.Tracer
 }
 
 // withDefaults returns the config with unset fields defaulted.

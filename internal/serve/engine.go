@@ -61,7 +61,10 @@ type Engine struct {
 	draining  atomic.Bool // Drain: refuse new requests, finish queued ones
 	reloading atomic.Bool // Reload in flight: a second one gets ErrReloadBusy
 	wg        sync.WaitGroup
-	rejected  atomic.Uint64
+
+	// batchHist[i] counts dispatched batches of size i+1; every replica
+	// adds to it and Stats reads it, both without a lock.
+	batchHist []atomic.Uint64
 
 	// Metrics registry and its pre-resolved handles (atomic counters; the
 	// request path never takes the registry lock).
@@ -104,17 +107,15 @@ func newEngine(builder Builder, ckpt io.Reader, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("serve: reading checkpoint: %w", err)
 	}
 	e := &Engine{
-		cfg:     cfg,
-		builder: builder,
-		queue:   make(chan *request, cfg.QueueDepth),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		metrics: cfg.Metrics,
+		cfg:       cfg,
+		builder:   builder,
+		queue:     make(chan *request, cfg.QueueDepth),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
+		batchHist: make([]atomic.Uint64, cfg.MaxBatch),
+		metrics:   obs.NewRegistry(),
 	}
 	e.model.Store(&model{blob: blob, gen: 1})
-	if e.metrics == nil {
-		e.metrics = obs.NewRegistry()
-	}
 	e.mRequests = e.metrics.Counter("bnff_serve_requests_total")
 	e.mBatches = e.metrics.Counter("bnff_serve_batches_total")
 	e.mRejected = e.metrics.Counter("bnff_serve_rejected_total")
@@ -135,13 +136,7 @@ func newEngine(builder Builder, ckpt io.Reader, cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.replicas[i] = &replica{
-			e:     e,
-			index: i,
-			gen:   1,
-			exec:  exec,
-			stats: replicaStats{batchHist: make([]uint64, cfg.MaxBatch)},
-		}
+		e.replicas[i] = &replica{e: e, index: i, gen: 1, exec: exec}
 	}
 	g := e.replicas[0].exec.G
 	in := inputNode(g)
@@ -238,7 +233,6 @@ func (e *Engine) Predict(img []float32) ([]float32, error) {
 	select {
 	case e.queue <- req:
 	default:
-		e.rejected.Add(1)
 		e.mRejected.Inc()
 		return nil, ErrOverloaded
 	}
@@ -256,34 +250,27 @@ func (e *Engine) Predict(img []float32) ([]float32, error) {
 	}
 }
 
-// Stats snapshots the serving counters, merging the per-replica batch
-// histograms in replica-index order so the result is deterministic for a
-// given history.
+// Stats snapshots the serving counters.
 func (e *Engine) Stats() Stats {
 	st := Stats{
 		Requests:   uint64(e.mRequests.Value()),
 		Batches:    uint64(e.mBatches.Value()),
-		Rejected:   e.rejected.Load(),
+		Rejected:   uint64(e.mRejected.Value()),
 		QueueDepth: len(e.queue),
 		Generation: e.model.Load().gen,
 		Draining:   e.draining.Load(),
-		BatchHist:  make([]uint64, e.cfg.MaxBatch),
+		BatchHist:  make([]uint64, len(e.batchHist)),
 	}
-	for _, r := range e.replicas {
-		r.stats.mu.Lock()
-		for i, c := range r.stats.batchHist {
-			st.BatchHist[i] += c
-		}
-		r.stats.mu.Unlock()
+	for i := range e.batchHist {
+		st.BatchHist[i] = e.batchHist[i].Load()
 	}
 	st.P50Nanos = e.mLatency.Quantile(0.50)
 	st.P99Nanos = e.mLatency.Quantile(0.99)
 	return st
 }
 
-// Metrics returns the engine's registry — the one injected via
-// Config.Metrics, or the private one the engine made without it. GET /metrics
-// exposes it in the Prometheus text format.
+// Metrics returns the engine's registry. GET /metrics exposes it in the
+// Prometheus text format.
 func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 
 // Closed reports whether Close has begun.
@@ -337,8 +324,6 @@ func (e *Engine) Reload(ckpt io.Reader) error {
 		return ErrReloadBusy
 	}
 	defer e.reloading.Store(false)
-	start := e.cfg.Tracer.Begin()
-	defer e.cfg.Tracer.End("reload", "serve", "", 0, start)
 	blob, err := io.ReadAll(ckpt)
 	if err != nil {
 		return fmt.Errorf("serve: reading reload checkpoint: %w", err)

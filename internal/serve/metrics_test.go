@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"bnff/internal/obs"
 )
 
 func TestServeMetricsEndpoint(t *testing.T) {
@@ -60,26 +58,6 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, text)
 		}
-	}
-}
-
-func TestServeInjectedRegistry(t *testing.T) {
-	ckpt := testCheckpoint(t)
-	reg := obs.NewRegistry()
-	eng, err := Load(tinyCNN, bytes.NewReader(ckpt), Config{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if eng.Metrics() != reg {
-		t.Fatal("engine did not adopt the injected registry")
-	}
-	img := make([]float32, eng.ImageLen())
-	if _, err := eng.Predict(img); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("bnff_serve_requests_total").Value(); got != 1 {
-		t.Fatalf("injected registry requests = %d, want 1", got)
 	}
 }
 

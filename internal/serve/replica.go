@@ -13,10 +13,9 @@ import (
 // need no locking on the inference path.
 type replica struct {
 	e     *Engine
-	index int
-	gen   uint64         // model generation exec serves
-	exec  *core.Executor // loop-goroutine-local after start
-	stats replicaStats
+	index int              // position in Engine.replicas
+	gen   uint64           // model generation exec serves
+	exec  *core.Executor   // loop-goroutine-local after start
 	buf   []*request       // reusable collect buffer
 	in    []*tensor.Tensor // reusable input batch of k images at in[k-1]
 }
@@ -96,7 +95,7 @@ func (r *replica) run(batch []*request) {
 	end := r.e.now()
 	// Account before replying, so a caller holding its answer finds itself
 	// in /stats and /metrics.
-	r.stats.record(k)
+	r.e.batchHist[k-1].Add(1)
 	r.e.mRequests.Add(int64(k))
 	r.e.mBatches.Inc()
 	r.e.mOccupancy.Set(int64(k))

@@ -21,8 +21,9 @@
 //
 //   - An ops surface (Handler/Daemon): POST /predict, GET /healthz, and
 //     GET /stats, with request counts, a batch-size histogram, queue depth,
-//     and p50/p99 latency accumulated deterministically per replica and
-//     merged on read.
+//     and p50/p99 latency. Each is one engine-wide set of atomic counters
+//     that every replica adds to, so a snapshot depends only on what was
+//     served, not on which replica served it.
 //
 // Determinism: inference has no cross-sample reductions, so a request's
 // logits are bit-identical no matter which batch it is coalesced into —

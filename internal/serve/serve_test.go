@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -567,6 +568,48 @@ func TestPredictOversizedBodyIs413(t *testing.T) {
 
 // Both daemons build their server through NewHTTPServer, so every connection
 // timeout is set: headers, the whole request, and keep-alive idling.
+// TestDaemonDrainsAndClosesOnCancel checks the shutdown path Daemon shares
+// with fleet's: canceling its context returns nil, closes the listener, and
+// leaves the engine drained and closed.
+func TestDaemonDrainsAndClosesOnCancel(t *testing.T) {
+	eng, err := Load(tinyCNN, bytes.NewReader(testCheckpoint(t)), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- Daemon(ctx, ln, eng) }()
+	url := "http://" + ln.Addr().String() + "/readyz"
+	for i := 0; ; i++ {
+		resp, err := http.Get(url)
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if i == 200 {
+			t.Fatalf("%s never answered 200", url)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	cancel()
+	if err := <-errc; err != nil {
+		t.Fatalf("Daemon after cancel = %v, want nil", err)
+	}
+	if c, err := ln.Accept(); err == nil {
+		c.Close()
+		t.Fatal("Daemon left its listener open")
+	}
+	if !eng.Stats().Draining || !eng.Closed() {
+		t.Fatalf("engine draining=%v closed=%v after Daemon, want both", eng.Stats().Draining, eng.Closed())
+	}
+}
+
 func TestNewHTTPServerTimeouts(t *testing.T) {
 	h := http.NotFoundHandler()
 	srv := NewHTTPServer("127.0.0.1:0", h)

@@ -164,8 +164,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// shutdownGrace bounds how long Daemon waits for in-flight HTTP requests
-// after a termination signal.
+// shutdownGrace bounds how long RunUntilSignal waits for in-flight HTTP
+// requests after a termination signal.
 const shutdownGrace = 10 * time.Second
 
 // Connection timeouts of both daemons' HTTP servers, so no client can pin a
@@ -196,38 +196,47 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// Daemon serves the engine's Handler on the bound listener ln until ctx is
-// canceled or the process receives SIGINT/SIGTERM, then shuts down
-// gracefully: the listener closes, in-flight requests get shutdownGrace to
-// finish, and the engine drains via Close. The caller binds ln, so a port in
-// use fails before the daemon announces itself. It returns nil on a clean
-// signal-driven exit. Signal handling lives here rather than in
-// cmd/bnff-serve because the serving runtime is the module's allowlisted
-// concurrency domain.
-func Daemon(ctx context.Context, ln net.Listener, e *Engine) error {
+// RunUntilSignal serves h on the bound listener ln until ctx is canceled or
+// the process receives SIGINT/SIGTERM, then shuts down gracefully: it calls
+// beforeShutdown when that is non-nil, closes the listener, and gives
+// in-flight requests shutdownGrace to finish. It returns nil on a clean
+// signal-driven exit and the server's error if serving stops by itself. Both
+// daemons (Daemon here, fleet's proxy) run this one loop; signal handling
+// lives here rather than in cmd/ because the serving runtime is the module's
+// allowlisted concurrency domain.
+func RunUntilSignal(ctx context.Context, ln net.Listener, h http.Handler, beforeShutdown func()) error {
 	ctx, unhook := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer unhook()
 
-	srv := NewHTTPServer(ln.Addr().String(), e.Handler())
+	srv := NewHTTPServer(ln.Addr().String(), h)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
 	select {
 	case err := <-errc:
-		e.Close()
 		return err
 	case <-ctx.Done():
 	}
-	// Drain first: a fleet proxy probing /readyz sees 503 and stops routing
-	// here, stragglers get ErrDraining (retried elsewhere), and the requests
-	// already accepted finish inside the HTTP grace window before Close.
-	e.Drain()
+	if beforeShutdown != nil {
+		beforeShutdown()
+	}
 	sdCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	err := srv.Shutdown(sdCtx)
-	e.Close()
 	if serveErr := <-errc; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) && err == nil {
 		err = serveErr
 	}
+	return err
+}
+
+// Daemon serves the engine's Handler on the bound listener ln through
+// RunUntilSignal and closes the engine when that returns. The caller binds
+// ln, so a port in use fails before the daemon announces itself. Before the
+// HTTP shutdown the engine drains: a fleet proxy probing /readyz sees 503 and
+// stops routing here, stragglers get ErrDraining (retried elsewhere), and the
+// requests already accepted finish inside the grace window before Close.
+func Daemon(ctx context.Context, ln net.Listener, e *Engine) error {
+	err := RunUntilSignal(ctx, ln, e.Handler(), e.Drain)
+	e.Close()
 	return err
 }

@@ -1,27 +1,9 @@
 package serve
 
-import "sync"
-
-// replicaStats is one replica's batch-size histogram. Each replica owns its
-// own so the hot path contends only with the /stats reader, never with other
-// replicas; Engine.Stats merges them in replica-index order. Request and
-// batch totals live in the engine's bnff_serve_* counters.
-type replicaStats struct {
-	mu        sync.Mutex
-	batchHist []uint64 // index i counts batches of size i+1
-}
-
-// record logs one dispatched batch of the given size.
-func (s *replicaStats) record(batch int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if batch >= 1 && batch <= len(s.batchHist) {
-		s.batchHist[batch-1]++
-	}
-}
-
-// Stats is a point-in-time snapshot of the engine's serving counters,
-// merged across replicas.
+// Stats is a point-in-time snapshot of the engine's serving counters. There
+// is one copy of each, engine-wide, which every replica adds to without a
+// lock: Requests, Batches and Rejected read the bnff_serve_* counters,
+// BatchHist the engine's atomic count per batch size.
 type Stats struct {
 	// Requests is the number of images answered by an inference batch.
 	Requests uint64 `json:"requests"`

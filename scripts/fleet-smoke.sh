@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Smoke test for the serving fleet: bnff-proxy fronting two bnff-serve
-# backends over the real wire. Proves the fleet's three contracts end to end:
+# backends over the real wire. Proves the fleet's four contracts end to end:
 #
 #   1. Rolling reload under load: POST /fleet/reload hot-swaps a new
 #      checkpoint into one backend at a time, each staying in rotation,
@@ -12,7 +12,10 @@
 #   2. Backend crash with failover: SIGKILL one backend mid-traffic — every
 #      accepted request is still answered 200 with bit-identical logits
 #      (zero accepted-request loss), and the control plane ejects the corpse.
-#   3. Clean shutdown: proxy and surviving backend exit cleanly on SIGTERM.
+#   3. A roll covers every member: with the killed backend still registered
+#      (ejected), POST /fleet/reload answers 502 naming it; after
+#      /fleet/deregister the roll succeeds on the survivor alone.
+#   4. Clean shutdown: proxy and surviving backend exit cleanly on SIGTERM.
 #
 # First, a proxy started with -probe-interval 0 must exit non-zero with an
 # error naming the interval, not panic, and must not announce a listener.
@@ -153,6 +156,21 @@ for _ in $(seq 1 40); do
 done
 [ "$ejected" = yes ] || { echo "dead backend never ejected" >&2; curl -sf "http://$PROXY_ADDR/fleet/status" >&2; exit 1; }
 echo "dead backend ejected by the control plane"
+
+# A roll covers every registered backend, ejected ones too: with b1 dead it
+# stops at b1 with 502 and an error naming it; once b1 is deregistered the
+# roll succeeds on b0 alone (b0 reloaded in the failed roll too: gen 3, 4).
+got=$(curl -s -w '\n%{http_code}' -X POST --data-binary "@$DIR/ckptB" "http://$PROXY_ADDR/fleet/reload")
+code=${got##*$'\n'}
+body=${got%$'\n'*}
+if [ "$code" != 502 ] || ! echo "$body" | grep -q "reloading b1"; then
+    echo "roll over dead b1: HTTP $code, body $body; want 502 naming b1" >&2
+    exit 1
+fi
+curl -sf -X POST "http://$PROXY_ADDR/fleet/deregister?name=b1" >/dev/null
+gens=$(curl -sf -X POST --data-binary "@$DIR/ckptB" "http://$PROXY_ADDR/fleet/reload")
+[ "$gens" = '{"b0":4}' ] || { echo "roll after deregistering b1: $gens, want {\"b0\":4}" >&2; exit 1; }
+echo "roll over dead b1 refused with 502 naming it; after deregistering b1 it succeeds on b0"
 
 # Clean SIGTERM shutdown for the proxy and the surviving backend.
 kill -TERM "$PROXY"
