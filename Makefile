@@ -76,14 +76,16 @@ ddp-smoke:
 # stay within the committed budget
 # (internal/core/testdata/arena_alloc_budget.txt) and at least 10x below the
 # same executor on plain allocation; an unfolded inference pass must stay
-# within its own budget (internal/core/testdata/inference_alloc_budget.txt);
+# within its own budget (internal/core/testdata/inference_alloc_budget.txt),
+# and a training step (forward, loss, backward) within its own
+# (internal/core/testdata/train_step_alloc_budget.txt);
 # the blocked kernels and both convolution window bodies must allocate
 # nothing; a serve replica's executor must recycle its activations across
 # same-size batches. Runs without -race: the race runtime inflates
 # AllocsPerRun, so the budget tests skip themselves there (see raceEnabled in
 # internal/core).
 alloc-guard:
-	$(GO) test ./internal/core/ -run 'TestArenaForwardAllocBudget|TestInferenceAllocBudget' -count=1 -v
+	$(GO) test ./internal/core/ -run 'TestArenaForwardAllocBudget|TestInferenceAllocBudget|TestTrainStepAllocBudget' -count=1 -v
 	$(GO) test ./internal/layers/ -run TestBlockedKernelsAllocFree -count=1 -v
 	$(GO) test ./internal/serve/ -run TestReplicaExecutorRecyclesActivations -count=1 -v
 

@@ -29,6 +29,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -71,6 +73,22 @@ func parse(fs *flag.FlagSet, args []string) error {
 		return fmt.Errorf("%s: unexpected argument %q", fs.Name(), fs.Arg(0))
 	}
 	return nil
+}
+
+// refuseNonPositive rejects any of the named numeric flags set explicitly to
+// zero or below: Normalize reads a zero spec field as "use the default", so a
+// -steps 0 would otherwise profile the default number of steps.
+func refuseNonPositive(fs *flag.FlagSet, names ...string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err != nil || !slices.Contains(names, f.Name) {
+			return
+		}
+		if v, _ := strconv.ParseFloat(f.Value.String(), 64); !(v > 0) {
+			err = fmt.Errorf("-%s %s must be positive", f.Name, f.Value)
+		}
+	})
+	return err
 }
 
 // writeFile creates path and fills it with write: the one place a trace

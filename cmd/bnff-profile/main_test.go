@@ -107,3 +107,16 @@ func TestUnknownVerbAndStrayArgs(t *testing.T) {
 		t.Error("graph accepted -scenario; it takes -restructure")
 	}
 }
+
+// The measured run refuses an explicit zero with the flag's name rather than
+// profiling the spec's default in its place (Normalize fills zero fields).
+func TestMeasuredRejectsExplicitNonPositive(t *testing.T) {
+	for _, flagName := range []string{"batch", "steps", "workers"} {
+		for _, v := range []string{"0", "-1"} {
+			args := []string{"-model", "tiny-cnn", "-batch", "2", "-steps", "1", "-trace", "", "-" + flagName, v}
+			if err := run(args, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-"+flagName) {
+				t.Errorf("%v: err = %v, want a -%s error", args, err, flagName)
+			}
+		}
+	}
+}

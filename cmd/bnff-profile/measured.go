@@ -43,6 +43,9 @@ func runMeasured(args []string, stdout io.Writer) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
+	if err := refuseNonPositive(fs, "batch", "steps", "workers"); err != nil {
+		return err
+	}
 
 	// The profile sweeps every restructuring itself, so the spec's own
 	// Restructure field is overwritten per scenario.

@@ -105,8 +105,8 @@ func run(model, ckptPath, addr string, steps, batch, maxBatch, replicas, queue, 
 // selfTrain produces a demo checkpoint in memory: steps SGD steps of the
 // baseline model on its synthetic workload, enough for the served model to
 // have meaningful running statistics. The scenario builders supply the
-// trainer: seed+1 data stream, SGD(0.01, 0.9, 1e-4) at a constant rate (so
-// the spec's Steps, which only sizes decaying schedules, stays unset). Real
+// trainer: seed+1 data stream, SGD(0.01, 0.9, 1e-4) at a constant rate; the
+// loop below runs steps itself, so the spec's Steps stays unset. Real
 // deployments pass -checkpoint from bnff-train -save.
 func selfTrain(model string, steps, batch, workers int, seed uint64) (*bytes.Buffer, error) {
 	sp := scenario.Spec{Name: "self-train", Model: model, Workers: workers, Seed: seed, Batch: batch}

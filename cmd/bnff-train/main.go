@@ -14,10 +14,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
+	"slices"
+	"strconv"
 	"time"
 
 	"bnff/internal/core"
@@ -29,24 +32,50 @@ import (
 )
 
 func main() {
-	scenName := flag.String("scenario", "", "start from this builtin scenario; set flags override its fields")
-	model := flag.String("model", "tiny-densenet", fmt.Sprintf("model: one of %v (tiny-* train quickly)", models.Names()))
-	restructure := flag.String("restructure", "bnff", "scenario: baseline, rcf, rcf+mvf, bnff, bnff+icf")
-	steps := flag.Int("steps", 60, "training steps")
-	batch := flag.Int("batch", 16, "mini-batch size")
-	lr := flag.Float64("lr", 0.01, "learning rate")
-	seed := flag.Uint64("seed", 42, "parameter and data seed")
-	compare := flag.Bool("compare", false, "also train the baseline on identical batches and report parity")
-	every := flag.Int("log-every", 10, "print metrics every N steps")
-	workers := flag.Int("workers", parallel.NumCPU(), "worker goroutines per executor (parallel layer execution)")
-	save := flag.String("save", "", "write a checkpoint to this path after training")
-	load := flag.String("load", "", "restore a checkpoint from this path before training")
-	schedule := flag.String("schedule", "constant", "learning-rate schedule: constant, step, cosine")
-	tracePath := flag.String("trace", "", "write a Chrome trace of the restructured run's spans to this path")
-	profile := flag.Bool("profile", false, "print the measured per-class layer breakdown after training")
-	replicas := flag.Int("replicas", 1, "data-parallel replicas; each step shards the batch and tree-all-reduces gradients")
-	bnStrategy := flag.String("bn-strategy", "local", "replica BN statistics: local (per-shard ghost batches) or sync (one extra all-reduce, needs an MVF restructure)")
-	flag.Parse()
+	sp, o, err := parseArgs(os.Args[1:])
+	if err == nil {
+		err = run(sp, o)
+	}
+	// -h has printed its usage already; like flag.ExitOnError, it succeeds.
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "bnff-train:", err)
+		os.Exit(1)
+	}
+}
+
+// options are the flags that shape the run around the spec.
+type options struct {
+	compare, profile      bool
+	every                 int
+	save, load, tracePath string
+}
+
+// parseArgs resolves the flags onto a normalized spec and the run options.
+func parseArgs(args []string) (scenario.Spec, options, error) {
+	fs := flag.NewFlagSet("bnff-train", flag.ContinueOnError)
+	scenName := fs.String("scenario", "", "start from this builtin scenario; set flags override its fields")
+	model := fs.String("model", "tiny-densenet", fmt.Sprintf("model: one of %v (tiny-* train quickly)", models.Names()))
+	restructure := fs.String("restructure", "bnff", "scenario: baseline, rcf, rcf+mvf, bnff, bnff+icf")
+	steps := fs.Int("steps", 60, "training steps")
+	batch := fs.Int("batch", 16, "mini-batch size")
+	lr := fs.Float64("lr", 0.01, "learning rate, constant over the run")
+	seed := fs.Uint64("seed", 42, "parameter and data seed")
+	workers := fs.Int("workers", parallel.NumCPU(), "worker goroutines per executor (parallel layer execution)")
+	replicas := fs.Int("replicas", 1, "data-parallel replicas; each step shards the batch and tree-all-reduces gradients")
+	bnStrategy := fs.String("bn-strategy", "local", "replica BN statistics: local (per-shard ghost batches) or sync (one extra all-reduce, needs an MVF restructure)")
+	var o options
+	fs.BoolVar(&o.compare, "compare", false, "also train the baseline on identical batches and report parity")
+	fs.IntVar(&o.every, "log-every", 10, "print metrics every N steps")
+	fs.StringVar(&o.save, "save", "", "write a checkpoint to this path after training")
+	fs.StringVar(&o.load, "load", "", "restore a checkpoint from this path before training")
+	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace of the restructured run's spans to this path")
+	fs.BoolVar(&o.profile, "profile", false, "print the measured per-class layer breakdown after training")
+	if err := fs.Parse(args); err != nil {
+		return scenario.Spec{}, o, err
+	}
+	if err := refuseNonPositive(fs, "steps", "batch", "lr", "workers", "replicas"); err != nil {
+		return scenario.Spec{}, o, err
+	}
 
 	sp, err := scenario.Resolve(*scenName, scenario.Spec{
 		Name:        "cli/train",
@@ -57,11 +86,10 @@ func main() {
 		LR:          *lr,
 		Seed:        *seed,
 		Workers:     *workers,
-		Schedule:    *schedule,
 		Replicas:    *replicas,
 		BNStrategy:  *bnStrategy,
 	}, func(sp *scenario.Spec) {
-		flag.Visit(func(f *flag.Flag) {
+		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "model":
 				sp.Model = *model
@@ -77,8 +105,6 @@ func main() {
 				sp.Seed = *seed
 			case "workers":
 				sp.Workers = *workers
-			case "schedule":
-				sp.Schedule = *schedule
 			case "replicas":
 				sp.Replicas = *replicas
 			case "bn-strategy":
@@ -86,38 +112,48 @@ func main() {
 			}
 		})
 	})
-	if err == nil {
-		err = run(sp, *compare, *every, *save, *load, *tracePath, *profile)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bnff-train:", err)
-		os.Exit(1)
-	}
+	return sp, o, err
 }
 
-func run(sp scenario.Spec, compare bool, every int, save, load, tracePath string, profile bool) error {
-	if every < 1 {
-		return fmt.Errorf("-log-every %d must be at least 1", every)
+// refuseNonPositive rejects any of the named numeric flags set explicitly to
+// zero or below: Normalize reads a zero field as "use the default", so a
+// -steps 0 would otherwise train the default number of steps.
+func refuseNonPositive(fs *flag.FlagSet, names ...string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err != nil || !slices.Contains(names, f.Name) {
+			return
+		}
+		if v, _ := strconv.ParseFloat(f.Value.String(), 64); !(v > 0) {
+			err = fmt.Errorf("-%s %s must be positive", f.Name, f.Value)
+		}
+	})
+	return err
+}
+
+func run(sp scenario.Spec, o options) error {
+	if o.every < 1 {
+		return fmt.Errorf("-log-every %d must be at least 1", o.every)
 	}
 	tr, err := sp.NewTrainer()
 	if err != nil {
 		return err
 	}
 	var tracer *obs.Tracer
-	if tracePath != "" || profile {
+	if o.tracePath != "" || o.profile {
 		// Spans are wall-clock here: a cmd may read real time (the library
 		// cannot), and a training profile is only meaningful in real time.
 		tracer = obs.NewTracer(obs.WallClock())
 		tr.Exec.SetTracer(tracer)
 	}
-	if load != "" {
-		if err := tr.Exec.LoadFile(load); err != nil {
+	if o.load != "" {
+		if err := tr.Exec.LoadFile(o.load); err != nil {
 			return fmt.Errorf("load checkpoint: %w", err)
 		}
-		fmt.Printf("restored checkpoint %s\n", load)
+		fmt.Printf("restored checkpoint %s\n", o.load)
 	}
-	fmt.Printf("model=%s scenario=%s batch=%d steps=%d lr=%g schedule=%s workers=%d\n",
-		sp.Model, sp.Restructure, sp.Batch, sp.Steps, sp.LR, sp.Schedule, tr.Exec.Workers())
+	fmt.Printf("model=%s scenario=%s batch=%d steps=%d lr=%g workers=%d\n",
+		sp.Model, sp.Restructure, sp.Batch, sp.Steps, sp.LR, tr.Exec.Workers())
 	if sc, err := core.ParseScenario(sp.Restructure); err == nil && sc == core.BNFFICF {
 		fmt.Println("the executor runs BNFF+ICF as BNFF; ICF is priced by the cost model only")
 	}
@@ -127,7 +163,7 @@ func run(sp scenario.Spec, compare bool, every int, save, load, tracePath string
 	}
 
 	var base *train.Trainer
-	if compare && sp.Restructure != "baseline" {
+	if o.compare && sp.Restructure != "baseline" {
 		spBase := sp
 		spBase.Name = sp.Name + "/baseline-compare"
 		spBase.Restructure = "baseline"
@@ -137,8 +173,12 @@ func run(sp scenario.Spec, compare bool, every int, save, load, tracePath string
 		if err != nil {
 			return err
 		}
-		// Identical starting weights so the trajectories are comparable.
-		if err := tr.Exec.CopyParamsFrom(base.Exec); err != nil {
+		// The baseline starts from tr's state, loaded checkpoint included, so
+		// the trajectories are comparable.
+		if err := base.Exec.CopyParamsFrom(tr.Exec); err != nil {
+			return err
+		}
+		if err := base.Exec.CopyRunningFrom(tr.Exec); err != nil {
 			return err
 		}
 	}
@@ -165,13 +205,13 @@ func run(sp scenario.Spec, compare bool, every int, save, load, tracePath string
 				return err
 			}
 			tBase += time.Since(t0)
-			if (i+1)%every == 0 {
+			if (i+1)%o.every == 0 {
 				fmt.Printf("step %4d  loss %.4f (baseline %.4f, |Δ| %.2g)  acc %.3f\n",
 					i+1, res.Loss, resB.Loss, math.Abs(res.Loss-resB.Loss), res.Accuracy)
 			}
 			continue
 		}
-		if (i+1)%every == 0 {
+		if (i+1)%o.every == 0 {
 			fmt.Printf("step %4d  loss %.4f  acc %.3f  lr %.4g\n", i+1, res.Loss, res.Accuracy, tr.Opt.LR)
 		}
 	}
@@ -180,20 +220,20 @@ func run(sp scenario.Spec, compare bool, every int, save, load, tracePath string
 		fmt.Printf("baseline wall-clock: %.1f ms/step\n", float64(tBase.Milliseconds())/float64(sp.Steps))
 		fmt.Printf("final mean loss: %s %.4f vs baseline %.4f\n", sp.Restructure, tr.MeanLoss(10), base.MeanLoss(10))
 	}
-	if save != "" {
-		if err := tr.Exec.SaveFile(save); err != nil {
+	if o.save != "" {
+		if err := tr.Exec.SaveFile(o.save); err != nil {
 			return fmt.Errorf("save checkpoint: %w", err)
 		}
-		fmt.Printf("saved checkpoint to %s\n", save)
+		fmt.Printf("saved checkpoint to %s\n", o.save)
 	}
-	if profile {
+	if o.profile {
 		fmt.Printf("\nmeasured layer breakdown (%s, %d steps):\n", sp.Restructure, sp.Steps)
 		if err := obs.LayerBreakdown(tracer.Spans()).WriteTable(os.Stdout, nil); err != nil {
 			return err
 		}
 	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
+	if o.tracePath != "" {
+		f, err := os.Create(o.tracePath)
 		if err != nil {
 			return err
 		}
@@ -204,7 +244,7 @@ func run(sp scenario.Spec, compare bool, every int, save, load, tracePath string
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("trace written to %s\n", tracePath)
+		fmt.Printf("trace written to %s\n", o.tracePath)
 	}
 	return nil
 }

@@ -468,6 +468,41 @@ func TestInferenceAllocBudget(t *testing.T) {
 	}
 }
 
+// TestTrainStepAllocBudget is the allocation guard's training row: the
+// steady-state heap allocation count of one tiny-densenet BNFF training step
+// (forward, softmax loss, backward) must stay at or below the committed
+// budget (testdata/train_step_alloc_budget.txt).
+func TestTrainStepAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("testing.AllocsPerRun is unreliable under the race detector")
+	}
+	budget := committedBudget(t, "testdata/train_step_alloc_budget.txt")
+	exec, in := arenaBenchExecutor(t, false)
+	labels := make([]int, in.Shape()[0])
+	for i := range labels {
+		labels[i] = i % exec.G.Output.OutShape[1]
+	}
+	step := func() {
+		logits, err := exec.Forward(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, dlogits, err := layers.SoftmaxCrossEntropy(logits, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.Backward(dlogits); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // warm the free lists
+	got := testing.AllocsPerRun(5, step)
+	t.Logf("tiny-densenet BNFF training allocs/step: %.0f, budget %.0f", got, budget)
+	if got > budget {
+		t.Errorf("training step allocates %.0f, budget is %.0f (testdata/train_step_alloc_budget.txt)", got, budget)
+	}
+}
+
 // committedBudget reads an allocation budget file.
 func committedBudget(t *testing.T, path string) float64 {
 	t.Helper()

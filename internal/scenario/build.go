@@ -69,35 +69,12 @@ func (s Spec) Dataset() (*workload.Dataset, error) {
 	})
 }
 
-// TrainSchedule maps the spec's schedule name onto a train.Schedule over its
-// LR and Steps (the same mapping bnff-train has always exposed).
-func (s Spec) TrainSchedule() (train.Schedule, error) {
-	switch s.Schedule {
-	case "constant":
-		return train.ConstantLR(s.LR), nil
-	case "step":
-		every := s.Steps / 3
-		if every < 1 {
-			every = 1
-		}
-		return train.StepDecay{Base: s.LR, Gamma: 0.1, Every: every}, nil
-	case "cosine":
-		return train.CosineDecay{Base: s.LR, Floor: s.LR / 100, Total: s.Steps}, nil
-	default:
-		return nil, fmt.Errorf("scenario %q: unknown schedule %q", s.Name, s.Schedule)
-	}
-}
-
-// NewTrainer wires the full training run: executor, optimizer, schedule and
-// dataset per the spec. Extra trainer options append after the spec-derived
-// ones; the spec's dataset is built only if none of them set the trainer's
-// Data.
+// NewTrainer wires the full training run: executor, optimizer (SGD at the
+// spec's constant LR) and dataset per the spec. Extra trainer options append
+// after the spec-derived ones; the spec's dataset is built only if none of
+// them set the trainer's Data.
 func (s Spec) NewTrainer(extra ...train.TrainerOption) (*train.Trainer, error) {
 	exec, err := s.NewExecutor()
-	if err != nil {
-		return nil, err
-	}
-	sched, err := s.TrainSchedule()
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +85,6 @@ func (s Spec) NewTrainer(extra ...train.TrainerOption) (*train.Trainer, error) {
 	opts := []train.TrainerOption{
 		train.WithBatchSize(s.Batch),
 		train.WithOptimizer(train.NewSGD(s.LR, 0.9, 1e-4)),
-		train.WithSchedule(sched),
 		train.WithReplicas(s.Replicas),
 		train.WithBNStrategy(st),
 	}

@@ -24,8 +24,8 @@ import (
 // builders) normalizes before use. Fields: Name, Model (a models registry
 // name), Restructure (a core.Scenario name, canonicalized lowercase),
 // Workers, Seed, Replicas (data-parallel replicas, default 1), Batch, Steps,
-// LR, Schedule, and BNStrategy (local|sync, default local; sync requires
-// replicas > 1 and an MVF restructuring).
+// LR (constant over the run), and BNStrategy (local|sync, default local;
+// sync requires replicas > 1 and an MVF restructuring).
 type Spec struct {
 	Name        string
 	Model       string
@@ -36,7 +36,6 @@ type Spec struct {
 	Batch       int
 	Steps       int
 	LR          float64
-	Schedule    string
 	BNStrategy  string
 }
 
@@ -111,14 +110,6 @@ func (s *Spec) Normalize() error {
 	}
 	if !(s.LR > 0) || math.IsInf(s.LR, 1) {
 		return fmt.Errorf("scenario %q: lr %v must be finite and positive", s.Name, s.LR)
-	}
-	if s.Schedule == "" {
-		s.Schedule = "constant"
-	}
-	switch s.Schedule {
-	case "constant", "step", "cosine":
-	default:
-		return fmt.Errorf("scenario %q: unknown schedule %q (want constant, step, or cosine)", s.Name, s.Schedule)
 	}
 	return nil
 }

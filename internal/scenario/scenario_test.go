@@ -15,7 +15,7 @@ func TestNormalizeDefaults(t *testing.T) {
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Batch != 16 || s.Steps != 5 || s.LR != 0.01 || s.Schedule != "constant" ||
+	if s.Batch != 16 || s.Steps != 5 || s.LR != 0.01 ||
 		s.Workers != 1 || s.Replicas != 1 || s.BNStrategy != "local" {
 		t.Errorf("train defaults wrong: %+v", s)
 	}
@@ -77,7 +77,6 @@ func TestNormalizeErrorPaths(t *testing.T) {
 		{"negative lr", func(s *Spec) { s.LR = -0.5 }, "lr"},
 		{"NaN lr", func(s *Spec) { s.LR = math.NaN() }, "lr"},
 		{"infinite lr", func(s *Spec) { s.LR = math.Inf(1) }, "lr"},
-		{"unknown schedule", func(s *Spec) { s.Schedule = "cyclic" }, "unknown schedule"},
 		{"negative replicas", func(s *Spec) { s.Replicas = -2 }, "replicas"},
 		{"indivisible shard", func(s *Spec) { s.Batch = 8; s.Replicas = 3 }, "shard"},
 		{"unknown bn strategy", func(s *Spec) { s.Replicas = 2; s.BNStrategy = "async" }, "BN strategy"},

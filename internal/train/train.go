@@ -91,8 +91,6 @@ type Trainer struct {
 	BatchSize int
 	History   []StepResult
 
-	schedule Schedule
-
 	replicas   int // below 2: no data parallelism
 	bnStrategy ddp.BNStrategy
 	group      *ddp.Group
@@ -107,10 +105,6 @@ func WithBatchSize(n int) TrainerOption { return func(t *Trainer) { t.BatchSize 
 // WithOptimizer replaces the default optimizer (SGD with lr 0.01,
 // momentum 0.9, weight decay 1e-4).
 func WithOptimizer(opt *SGD) TrainerOption { return func(t *Trainer) { t.Opt = opt } }
-
-// WithSchedule attaches a learning-rate schedule consulted before each
-// optimizer step.
-func WithSchedule(s Schedule) TrainerOption { return func(t *Trainer) { t.schedule = s } }
 
 // WithReplicas trains data-parallel over n replica executors (see
 // internal/ddp): each step shards the mini-batch n ways, runs the replicas
@@ -223,12 +217,6 @@ func (t *Trainer) StepOn(x *tensor.Tensor, labels []int) (StepResult, error) {
 		if err != nil {
 			return StepResult{}, err
 		}
-	}
-	if t.schedule != nil {
-		if err := validateSchedule(t.schedule); err != nil {
-			return StepResult{}, err
-		}
-		t.Opt.LR = t.schedule.LR(len(t.History))
 	}
 	if err := t.Opt.Step(t.Exec.Params, grads); err != nil {
 		return StepResult{}, err
